@@ -23,7 +23,6 @@ from .groups import (
     FiniteGroup,
     GroupAlgebraElement,
     bicharacter_cocycle,
-    build_group,
     group_from_cyclic_orders,
     group_from_permutations,
     group_from_table,

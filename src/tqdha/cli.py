@@ -23,6 +23,7 @@ from .classify import (
 from .cohomology import cohomological_parameter_space, constant_cocycle_basis
 from .linalg import same_span
 from .pbw import (
+    CrossCheckError,
     ExtensionError,
     KappaMap,
     check_pbw_conditions,
@@ -305,6 +306,9 @@ def run_command(argv) -> int:
     except (DiagonalError, ExtensionError, ValueError) as e:
         _emit({"error": "validation", "reason": str(e)})
         return 3
+    except CrossCheckError as e:
+        _emit({"error": "cross-check", "reason": str(e)})
+        return 4
 
 
 def main() -> None:

@@ -15,12 +15,11 @@ from __future__ import annotations
 
 from .groups import Cocycle2, GroupAlgebraElement, twisted_conjugate
 from .linalg import ExactMatrix, RowReducer, kernel_basis
-from .pbw import ExtensionError, KappaMap, check_pbw_conditions
+from .pbw import CrossCheckError, ExtensionError, KappaMap, check_pbw_conditions, extension_report
 from .quantum import (
     GroupAction,
     QMatrix,
     act_monomial,
-    check_action_extends,
     mono_times_variable,
     variable_times_mono,
 )
@@ -163,7 +162,7 @@ def constant_cocycle_basis(action: GroupAction, q: QMatrix, alpha=None) -> list[
     kernel elements represent distinct classes).  The 2-cocycle alpha plays no
     role here: the S_q(V)-bimodule structure does not depend on it.
     """
-    rep = check_action_extends(action, q)
+    rep = extension_report(action, q)
     if not rep["symmetric"] or not rep["exterior"]:
         raise ExtensionError("action must extend to S_q(V) and Lambda_q(V)")
     n = action.n
@@ -356,7 +355,9 @@ def cohomological_parameter_space(
 
     For each invariant representative eta the computed kappa must agree with
     the direct pairing kappa(v_i, v_j) = eta(v_i ^ v_j); that identity is
-    asserted, as an internal consistency check of the whole chain.
+    asserted, as an internal consistency check of the whole chain.  Unless
+    disabled, every kappa is then re-verified by check_pbw_conditions; this
+    derivation never reads the condition rows, so that check is independent.
     """
     n = action.n
     G = action.group
@@ -389,7 +390,7 @@ def cohomological_parameter_space(
         for i in range(n):
             for j in range(i + 1, n):
                 if kappa.value(i, j) != eta.wedge_value(i, j):
-                    raise ArithmeticError(
+                    raise CrossCheckError(
                         "skew-symmetrized induced cocycle disagrees with the "
                         f"wedge pairing at ({i}, {j}); engine inconsistency"
                     )
@@ -398,7 +399,7 @@ def cohomological_parameter_space(
         for kappa in basis:
             rep = check_pbw_conditions(kappa, action, q, alpha)
             if not rep["passed"]:
-                raise ArithmeticError(
+                raise CrossCheckError(
                     "cohomological pipeline produced a kappa failing the PBW "
                     f"checker; violations {rep['violations'][:3]}"
                 )

@@ -258,27 +258,6 @@ def symmetric_group(n: int) -> FiniteGroup:
     return group_from_permutations(gens, degree=n, name=f"S{n}")
 
 
-def build_group(spec) -> FiniteGroup:
-    """Build a group from one of the supported descriptions:
-    a multiplication table, permutation generators, or cyclic orders."""
-    if isinstance(spec, FiniteGroup):
-        return spec
-    if spec == "trivial":
-        return trivial_group()
-    if isinstance(spec, dict):
-        if "table" in spec:
-            return group_from_table(spec["table"])
-        if "permutation_generators" in spec:
-            return group_from_permutations(
-                spec["permutation_generators"],
-                degree=spec.get("degree"),
-                size_cap=spec.get("size_cap", 20000),
-            )
-        if "cyclic_product" in spec:
-            return group_from_cyclic_orders(spec["cyclic_product"])
-    raise GroupConstructionError(f"unrecognized group description: {spec!r}")
-
-
 # ---------------------------------------------------------------------------
 # 2-cocycles
 # ---------------------------------------------------------------------------

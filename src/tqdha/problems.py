@@ -65,6 +65,14 @@ def _parse_scalar_at(loc, s):
         raise ProblemValidationError(loc, str(e)) from e
 
 
+def _require_table(loc, value, nrows=None, ncols=None) -> None:
+    """value must be a list of lists, nrows x ncols when given."""
+    if not (isinstance(value, list) and all(isinstance(r, list) for r in value)) or (
+        nrows is not None and (len(value) != nrows or any(len(r) != ncols for r in value))
+    ):
+        raise ProblemValidationError(loc, f"need a {nrows}x{ncols} table" if nrows else "need a table")
+
+
 def _build_q(data, n: int) -> QMatrix:
     spec = data.get("q", "all:1")
     try:
@@ -73,8 +81,7 @@ def _build_q(data, n: int) -> QMatrix:
             if not m:
                 raise ProblemValidationError("q", f"unknown shorthand {spec!r}")
             return QMatrix.uniform(n, int(m.group(1)))
-        if len(spec) != n or any(len(row) != n for row in spec):
-            raise ProblemValidationError("q", f"table must be {n}x{n}")
+        _require_table("q", spec, n, n)
         return QMatrix(
             [[_parse_scalar_at(f"q[{i}][{j}]", spec[i][j]) for j in range(n)] for i in range(n)]
         )
@@ -89,7 +96,11 @@ def _build_group(data) -> FiniteGroup:
             return trivial_group()
         if isinstance(spec, dict):
             if "table" in spec:
-                return group_from_table(spec["table"])
+                table = spec["table"]
+                _require_table("group.table", table)
+                if any(not isinstance(x, int) for row in table for x in row):
+                    raise ProblemValidationError("group.table", "entries must be integers")
+                return group_from_table(table)
             if "permutation_generators" in spec:
                 gens = [tuple(x - 1 for x in g) for g in spec["permutation_generators"]]
                 return group_from_permutations(
@@ -117,25 +128,21 @@ def _build_action(data, group: FiniteGroup, n: int) -> GroupAction:
         if isinstance(spec, dict):
             if "diagonal" in spec:
                 rows = spec["diagonal"]
-                if len(rows) != group.size or any(len(r) != n for r in rows):
-                    raise ProblemValidationError(
-                        "action.diagonal", f"need a {group.size}x{n} eigenvalue table"
-                    )
+                _require_table("action.diagonal", rows, group.size, n)
                 lam = [
                     [_parse_scalar_at(f"action.diagonal[{g}][{i}]", rows[g][i]) for i in range(n)]
                     for g in range(group.size)
                 ]
                 return diagonal_action(group, lam)
             if "generator_matrices" in spec:
+                given = spec["generator_matrices"]
+                _require_table("action.generator_matrices", given)
+                for k, m in enumerate(given):
+                    _require_table(f"action.generator_matrices[{k}]", m, n, n)
                 mats = [
                     [[_parse_scalar_at(f"action.generator_matrices[{k}]", x) for x in row] for row in m]
-                    for k, m in enumerate(spec["generator_matrices"])
+                    for k, m in enumerate(given)
                 ]
-                for k, m in enumerate(mats):
-                    if len(m) != n or any(len(r) != n for r in m):
-                        raise ProblemValidationError(
-                            f"action.generator_matrices[{k}]", f"matrix must be {n}x{n}"
-                        )
                 return action_from_generator_matrices(group, mats)
         raise ProblemValidationError("action", f"unrecognized description {spec!r}")
     except ActionError as e:
@@ -160,8 +167,7 @@ def _build_cocycle(data, group: FiniteGroup) -> Cocycle2:
     if isinstance(spec, dict):
         if "table" in spec:
             rows = spec["table"]
-            if len(rows) != group.size or any(len(r) != group.size for r in rows):
-                raise ProblemValidationError("cocycle.table", "table must be |G| x |G|")
+            _require_table("cocycle.table", rows, group.size, group.size)
             vals = [
                 [_parse_scalar_at(f"cocycle.table[{g}][{h}]", rows[g][h]) for h in range(group.size)]
                 for g in range(group.size)

@@ -480,6 +480,8 @@ _TERM_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?(?:\*z(\d+)\^(\d+))?$")
 
 def parse_scalar(text: str) -> CyclotomicScalar:
     """Parse the exchange format: 'a/b' or 'a_0/b_0*zN^k0 + a_1/b_1*zN^k1 + ...'."""
+    if not isinstance(text, str):
+        raise ScalarParseError(f"expected a scalar string, got {text!r}")
     s = text.strip()
     if not s:
         raise ScalarParseError("empty scalar string")

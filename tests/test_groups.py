@@ -13,7 +13,6 @@ from tqdha.groups import (
     GroupAlgebraElement,
     GroupConstructionError,
     bicharacter_cocycle,
-    build_group,
     group_from_cyclic_orders,
     group_from_permutations,
     group_from_table,
@@ -33,7 +32,7 @@ def klein_with_bicharacter():
 
 
 def test_build_group_cyclic_two():
-    g = build_group({"cyclic_product": [2]})
+    g = group_from_cyclic_orders([2])
     assert g.size == 2 and g.inv[1] == 1
 
 
@@ -44,7 +43,7 @@ def test_build_group_s5_closure():
 
 
 def test_build_group_klein_self_inverse():
-    g = build_group({"cyclic_product": [2, 2]})
+    g = group_from_cyclic_orders([2, 2])
     assert g.size == 4
     assert all(g.inv[x] == x for x in range(4))
 

@@ -6,6 +6,8 @@ import random
 import pytest
 
 from tqdha.groups import (
+    Cocycle2,
+    FiniteGroup,
     GroupAlgebraElement,
     bicharacter_cocycle,
     group_from_cyclic_orders,
@@ -14,10 +16,12 @@ from tqdha.groups import (
     trivial_group,
 )
 from tqdha.pbw import (
+    KAPPA_FREE,
     ExtensionError,
     KappaMap,
     check_pbw_conditions,
     normal_form_reduce,
+    parameter_space_rows,
     solve_parameter_space,
     verify_ambiguities,
 )
@@ -29,6 +33,7 @@ from tqdha.quantum import (
 )
 from tqdha.linalg import rows_rank, same_span
 from tqdha.scalars import MINUS_ONE, ONE, ZERO, rational, root_of_unity
+from tqdha.spin import spin_cocycle
 
 
 def weyl_instance(n):
@@ -251,3 +256,158 @@ def test_kappa_serialization_round_trip():
         recs = kappa.to_records()
         back = KappaMap.from_records(g, 3, q, recs)
         assert back == kappa
+
+
+# ---------------------------------------------------------------------------
+# condition (1) on generators only, against the rows for every element
+# ---------------------------------------------------------------------------
+
+
+def without_generators(action, alpha):
+    """The same problem on a copy of the group that records no generators,
+    so that condition (1) gets rows for every element."""
+    G = action.group
+    bare = FiniteGroup(G.mult, name=G.name, perms=G.perms, labels=G.labels)
+    return GroupAction(bare, action.mats), Cocycle2(bare, alpha.values)
+
+
+def klein_diagonal():
+    klein = group_from_cyclic_orders([2, 2])
+    lam = {
+        (0, 0): [ONE, ONE, ONE],
+        (1, 0): [ONE, MINUS_ONE, MINUS_ONE],
+        (0, 1): [MINUS_ONE, ONE, MINUS_ONE],
+        (1, 1): [MINUS_ONE, MINUS_ONE, ONE],
+    }
+    return klein, diagonal_action(klein, [lam[lab] for lab in klein.labels])
+
+
+def cyclotomic_diagonal_instance(seed):
+    """Z/6 x Z/6 acting diagonally on four variables by characters in mu_6,
+    q in mu_12, alpha(a, b) = zeta_6^(a . E . b), with a planted label
+    (a, r, s) meeting both closed-form diagonal conditions."""
+    rnd = random.Random(seed)
+    G = group_from_cyclic_orders([6, 6])
+    E = [[0, 0], [1, 0]]
+    n, (r, s), a = 4, (0, 2), (1, 2)
+    chars = [[rnd.randrange(6) for _ in range(2)] for _ in range(n)]
+    # chi_r chi_s = alpha(., a) / alpha(a, .)
+    shift = [sum((E[i][j] - E[j][i]) * a[j] for j in range(2)) for i in range(2)]
+    chars[s] = [(shift[i] - chars[r][i]) % 6 for i in range(2)]
+    qexp = {(i, j): rnd.randrange(12) for i in range(n) for j in range(i + 1, n)}
+    for t in (1, 3):  # q_rt q_st = chi_t(a)
+        x = rnd.randrange(12)
+        qexp[(r, t) if r < t else (t, r)] = x if r < t else -x
+        target = 2 * sum(chars[t][i] * a[i] for i in range(2)) - x
+        qexp[(s, t) if s < t else (t, s)] = target if s < t else -target
+    q = QMatrix([
+        [ONE if i == j else root_of_unity(12, qexp[(i, j)] if i < j else -qexp[(j, i)])
+         for j in range(n)]
+        for i in range(n)
+    ])
+    lam = [[root_of_unity(6, sum(c[k] * h[k] for k in range(2))) for c in chars]
+           for h in G.labels]
+    return diagonal_action(G, lam), q, bicharacter_cocycle(G, E, 6)
+
+
+def generator_row_instances():
+    s3 = symmetric_group(3)
+    s4 = symmetric_group(4)
+    klein, kact = klein_diagonal()
+    yield "S3", natural_permutation_action(s3), QMatrix.uniform(3, -1), trivial_cocycle(s3)
+    yield "S4", natural_permutation_action(s4), QMatrix.uniform(4, -1), trivial_cocycle(s4)
+    yield "S4 spin", natural_permutation_action(s4), QMatrix.uniform(4, -1), spin_cocycle(4)
+    yield ("Klein bicharacter", kact, QMatrix.uniform(3, 1),
+           bicharacter_cocycle(klein, [[0, 0], [1, 0]]))
+    yield ("Z/6xZ/6 cyclotomic", *cyclotomic_diagonal_instance(6))
+
+
+@pytest.mark.parametrize("name", ["S3", "S4", "S4 spin", "Klein bicharacter",
+                                  "Z/6xZ/6 cyclotomic"])
+def test_generator_rows_give_the_full_group_kernel(name):
+    action, q, alpha = next(inst for inst in generator_row_instances() if inst[0] == name)[1:]
+    full_action, full_alpha = without_generators(action, alpha)
+    gen_rows = parameter_space_rows(action, q, alpha)
+    full_rows = parameter_space_rows(full_action, q, full_alpha)
+    assert len(gen_rows.rows) < len(full_rows.rows)
+    ours = solve_parameter_space(action, q, alpha)
+    full = solve_parameter_space(full_action, q, full_alpha, recheck=False)
+    assert len(ours) == len(full)
+    assert same_span([k.coordinate_row() for k in ours], [k.coordinate_row() for k in full])
+    if name != "S4":
+        assert ours, "the instance should have a nonzero parameter space"
+
+
+def test_group_without_generators_gets_rows_for_every_element():
+    g, act, q, al = s3_instance()
+    bare_act, bare_al = without_generators(act, al)
+    assert bare_act.group.generator_indices == ()
+
+    def condition1_h(system):
+        return {tag[2] for tag in system.tags if tag[0] == 1}
+
+    # the identity fixes every kappa, so it contributes no rows
+    assert condition1_h(parameter_space_rows(bare_act, q, bare_al)) == set(range(1, 6))
+    assert condition1_h(parameter_space_rows(act, q, al)) == set(g.generator_indices)
+
+
+class UnreadableKappa(KappaMap):
+    def value(self, i, j):
+        raise AssertionError("kappa was read")
+
+
+def test_kappa_free_families_never_read_kappa():
+    g, act, q, al = s3_instance()
+    bad = UnreadableKappa(g, 3, q)
+    first = verify_ambiguities(bad, act, q, al, families=KAPPA_FREE)
+    again = verify_ambiguities(bad, act, q, al, families=KAPPA_FREE)
+    with pytest.raises(AssertionError):
+        verify_ambiguities(bad, act, q, al, families=("tvv",))
+    # new objects share no memo with the ones above
+    g2, act2, q2, al2 = s3_instance()
+    fresh = verify_ambiguities(KappaMap.zero(g2, 3, q2), act2, q2, al2, families=KAPPA_FREE)
+    assert first == again == fresh
+    assert fresh == {"resolvable": True, "checked": 6 ** 3 + 6 * 6 * 3, "witnesses": []}
+    # a whole report with memoized ttt and ttv equals one computed afresh
+    kappa = KappaMap(g, 3, q, {(0, 1): GroupAlgebraElement({1: ONE})})
+    kappa2 = KappaMap(g2, 3, q2, {(0, 1): GroupAlgebraElement({1: ONE})})
+    g3, act3, q3, al3 = s3_instance()
+    kappa3 = KappaMap(g3, 3, q3, {(0, 1): GroupAlgebraElement({1: ONE})})
+    memoized = verify_ambiguities(kappa, act, q, al)
+    assert memoized == verify_ambiguities(kappa2, act2, q2, al2)
+    assert memoized == verify_ambiguities(kappa3, act3, q3, al3)
+    assert not memoized["resolvable"] and memoized["witnesses"]
+
+
+def test_checker_matches_full_group_rows_on_s4_twisted():
+    s4 = symmetric_group(4)
+    act, q, al = natural_permutation_action(s4), QMatrix.uniform(4, -1), spin_cocycle(4)
+    full_act, full_al = without_generators(act, al)
+    space = solve_parameter_space(act, q, al)
+    rnd = random.Random(29)
+    verdicts = set()
+    for t in range(12):
+        kappa = KappaMap.zero(s4, 4, q)
+        if t % 3:
+            for b in space:
+                kappa = kappa.add(b.scale(rational(rnd.randint(-2, 2))))
+        if t % 3 != 1:
+            values = {}
+            for i in range(4):
+                for j in range(i + 1, 4):
+                    coeffs = {g_: rational(rnd.randint(-1, 1))
+                              for g_ in range(24) if rnd.random() < 0.1}
+                    coeffs = {k: v for k, v in coeffs.items() if v}
+                    if coeffs:
+                        values[(i, j)] = GroupAlgebraElement(coeffs)
+            kappa = kappa.add(KappaMap(s4, 4, q, values))
+        ours = check_pbw_conditions(kappa, act, q, al, max_witnesses=10 ** 6)
+        full = check_pbw_conditions(kappa, full_act, q, full_al, max_witnesses=10 ** 6)
+        for key in ("passed", "condition1", "condition2"):
+            assert ours[key] == full[key]
+        assert ([v for v in ours["violations"] if v["condition"] == 2]
+                == [v for v in full["violations"] if v["condition"] == 2])
+        assert {v["h"] for v in ours["violations"] if v["condition"] == 1} <= set(
+            s4.generator_indices)
+        verdicts.add(ours["passed"])
+    assert verdicts == {True, False}

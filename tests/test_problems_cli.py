@@ -7,6 +7,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+from tqdha import cohomology, pbw
 from tqdha.cli import run_command
 from tqdha.problems import ProblemValidationError, load_problem, parse_problem_file
 
@@ -212,3 +213,61 @@ def test_cli_classify_symmetric_n4():
     assert rep["dimension"] == 3
     assert rep["matches_expected"] is None
     assert rep["eta_counts"] == {"1": 6, "2": 6, "3": 12, "4": 3, "5": 8}
+
+
+S2_DIAGONAL = {
+    "n": 2,
+    "q": "all:1",
+    "group": {"cyclic_product": [2]},
+    "action": {"diagonal": [["1/1", "1/1"], ["-1/1", "-1/1"]]},
+    "cocycle": "trivial",
+}
+
+
+def run_problem(tmp_path, problem, *extra):
+    f = tmp_path / "problem.json"
+    f.write_text(json.dumps(problem))
+    code, out, _ = run(["parameter-space", str(f), *extra])
+    return code, json.loads(out)
+
+
+def test_cli_group_table_not_a_table_exits_3(tmp_path):
+    code, rep = run_problem(tmp_path, dict(S2_DIAGONAL, group={"table": 5}))
+    assert code == 3 and rep["location"] == "group.table"
+
+
+def test_cli_diagonal_not_a_table_exits_3(tmp_path):
+    code, rep = run_problem(tmp_path, dict(S2_DIAGONAL, action={"diagonal": 7}))
+    assert code == 3 and rep["location"] == "action.diagonal"
+
+
+def test_cli_q_table_of_ints_exits_3(tmp_path):
+    code, rep = run_problem(tmp_path, dict(S2_DIAGONAL, q=[[1, 1], [1, 1]]))
+    assert code == 3 and rep["location"] == "q[0][0]"
+
+
+def test_cli_kappa_coefficients_not_an_object_exits_3(tmp_path):
+    prob = tmp_path / "problem.json"
+    prob.write_text(json.dumps(S2_DIAGONAL))
+    kfile = tmp_path / "kappa.json"
+    kfile.write_text(json.dumps({"kappa": [{"i": 1, "j": 2, "coefficients": "1/1"}]}))
+    code, out, _ = run(["pbw-check", str(prob), "--kappa", str(kfile)])
+    assert code == 3 and json.loads(out)["location"] == "kappa-file"
+
+
+def test_cli_solver_recheck_failure_exits_4(tmp_path, monkeypatch):
+    def unresolvable(*args, **kwargs):
+        return {"resolvable": False, "checked": 1, "witnesses": [("vvv", 2, 1, 0)]}
+
+    monkeypatch.setattr(pbw, "verify_ambiguities", unresolvable)
+    code, rep = run_problem(tmp_path, S2_DIAGONAL)
+    assert code == 4 and rep["error"] == "cross-check"
+
+
+def test_cli_cohomology_recheck_failure_exits_4(tmp_path, monkeypatch):
+    def failing(*args, **kwargs):
+        return {"passed": False, "condition1": False, "condition2": True, "violations": []}
+
+    monkeypatch.setattr(cohomology, "check_pbw_conditions", failing)
+    code, rep = run_problem(tmp_path, S2_DIAGONAL, "--method", "cohomology")
+    assert code == 4 and rep["error"] == "cross-check"
