@@ -12,12 +12,11 @@ spin-cover 2-cocycle.  All arithmetic is exact, over cyclotomic fields.
 from .scalars import (
     CyclotomicScalar,
     ScalarParseError,
-    field_arithmetic,
     parse_scalar,
     rational,
     root_of_unity,
 )
-from .linalg import ExactMatrix, kernel_basis, matrix_rank, same_span
+from .linalg import kernel_basis, same_span
 from .groups import (
     Cocycle2,
     FiniteGroup,
@@ -67,7 +66,6 @@ from .cohomology import (
     cohomological_parameter_space,
     composition_image,
     constant_cocycle_basis,
-    induced_cocycle_eval,
     reynolds_project,
     skew_symmetrize,
 )

@@ -14,7 +14,7 @@ inverse-transpose (contragredient) action on dual wedges.
 from __future__ import annotations
 
 from .groups import Cocycle2, GroupAlgebraElement, twisted_conjugate
-from .linalg import ExactMatrix, RowReducer, kernel_basis
+from .linalg import RowReducer, SparseSum, bump, kernel_basis
 from .pbw import CrossCheckError, ExtensionError, KappaMap, check_pbw_conditions, extension_report
 from .quantum import (
     GroupAction,
@@ -26,11 +26,11 @@ from .quantum import (
 from .scalars import MINUS_ONE, ONE, ZERO, rational
 
 
-class Cochain:
+class Cochain(SparseSum):
     """Element of (+)_g S_q(V) t_g (x) Lambda^m_{q^-1}(V*), all wedge indices
     of the same weight m; keys are (gamma, g, beta)."""
 
-    __slots__ = ("n", "degree", "coeffs")
+    __slots__ = ("n", "degree")
 
     def __init__(self, n: int, degree: int, coeffs=None):
         self.n = n
@@ -49,42 +49,8 @@ class Cochain:
         beta = tuple(1 if t in (r, s) else 0 for t in range(n))
         return Cochain(n, 2, {((0,) * n, g, beta): coeff})
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def is_constant(self) -> bool:
         return all(not any(gamma) for (gamma, _, _) in self.coeffs)
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            acc = out.get(k)
-            acc = c if acc is None else acc + c
-            if acc.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = acc
-        res = Cochain.__new__(Cochain)
-        res.n, res.degree, res.coeffs = self.n, self.degree, out
-        return res
-
-    def __sub__(self, other):
-        return self + other.scale(MINUS_ONE)
-
-    def scale(self, s) -> "Cochain":
-        if s.is_zero():
-            return Cochain(self.n, self.degree)
-        res = Cochain.__new__(Cochain)
-        res.n, res.degree = self.n, self.degree
-        res.coeffs = {k: s * c for k, c in self.coeffs.items()}
-        return res
-
-    def __eq__(self, other):
-        if not isinstance(other, Cochain):
-            return NotImplemented
-        if set(self.coeffs) != set(other.coeffs):
-            return False
-        return all(self.coeffs[k] == other.coeffs[k] for k in self.coeffs)
 
     def wedge_value(self, r: int, s: int) -> GroupAlgebraElement:
         """For constant degree-2 cochains: the C^alpha G value on v_r ^ v_s
@@ -116,17 +82,6 @@ def apply_dm_star(x: Cochain, action: GroupAction, q: QMatrix) -> Cochain:
     """
     n = x.n
     out: dict = {}
-
-    def bump(key, val):
-        if val.is_zero():
-            return
-        acc = out.get(key)
-        acc = val if acc is None else acc + val
-        if acc.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = acc
-
     for (gamma, g, beta), c in x.coeffs.items():
         for i in range(n):
             if beta[i]:
@@ -143,11 +98,11 @@ def apply_dm_star(x: Cochain, action: GroupAction, q: QMatrix) -> Cochain:
                     right = right * q(i, s)
             # v_i * v^gamma
             f, gam1 = variable_times_mono(i, gamma, q)
-            bump((gam1, g, newbeta), c * sign * left * f)
+            bump(out, (gam1, g, newbeta), c * sign * left * f)
             # v^gamma * g(v_i)
             for k, m in action.rows_nz[g][i]:
                 f2, gam2 = mono_times_variable(gamma, k, q)
-                bump((gam2, g, newbeta), -(c * sign * right * m * f2))
+                bump(out, (gam2, g, newbeta), -(c * sign * right * m * f2))
     return Cochain(n, x.degree + 1, out)
 
 
@@ -173,14 +128,11 @@ def constant_cocycle_basis(action: GroupAction, q: QMatrix, alpha=None) -> list[
         images = [
             apply_dm_star(Cochain.constant_two(n, g, j, k), action, q) for (j, k) in pairs
         ]
-        coords = sorted({key for img in images for key in img.coeffs})
-        coord_index = {key: r for r, key in enumerate(coords)}
-        entries = {}
+        rows = {key: {} for key in sorted({key for img in images for key in img.coeffs})}
         for col, img in enumerate(images):
             for key, c in img.coeffs.items():
-                entries[(coord_index[key], col)] = c
-        mat = ExactMatrix(len(coords), len(pairs), entries)
-        for vec in kernel_basis(mat):
+                rows[key][col] = c
+        for vec in kernel_basis(rows.values(), len(pairs)):
             coeffs = {}
             for col, c in enumerate(vec):
                 if not c.is_zero():
@@ -208,15 +160,9 @@ def _contragredient_wedge2(action: GroupAction, q: QMatrix, h: int, r: int, s: i
             if k == l:
                 continue
             if k < l:
-                key, val = (k, l), bkr * bls
+                bump(out, (k, l), bkr * bls)
             else:
-                key, val = (l, k), -(q(l, k) * bkr * bls)
-            acc = out.get(key)
-            acc = val if acc is None else acc + val
-            if acc.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = acc
+                bump(out, (l, k), -(q(l, k) * bkr * bls))
     return out
 
 
@@ -228,15 +174,6 @@ def act_on_cochain(h: int, x: Cochain, action: GroupAction, q: QMatrix, alpha: C
     n = x.n
     G = action.group
     out: dict = {}
-
-    def bump(key, val):
-        acc = out.get(key)
-        acc = val if acc is None else acc + val
-        if acc.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = acc
-
     for (gamma, g, beta), c in x.coeffs.items():
         ratio = alpha.conj_ratio(h, g)
         gc = G.conjugate(h, g)
@@ -249,7 +186,7 @@ def act_on_cochain(h: int, x: Cochain, action: GroupAction, q: QMatrix, alpha: C
         for (k, l), wv in wedges.items():
             nb = _wedge_index(n, (k, l))
             for gam, pv in polys.items():
-                bump((gam, gc, nb), c * ratio * wv * pv)
+                bump(out, (gam, gc, nb), c * ratio * wv * pv)
     return Cochain(n, 2, out)
 
 
@@ -319,19 +256,6 @@ def composition_image(
                     continue
                 acc = acc + twisted_conjugate(g, base, alpha).scale(aik * ajl)
     return acc.scale(rational(1) / rational(G.size))
-
-
-def induced_cocycle_eval(
-    eta: Cochain, i: int, j: int, action: GroupAction, q: QMatrix, alpha: Cocycle2,
-    require_invariant: bool = True,
-) -> GroupAlgebraElement:
-    """mu_1(v_i, v_j) for an invariant constant 2-cochain eta.  The formula is
-    the same averaged composition as composition_image; the invariance
-    precondition is what ties its skew-symmetrization back to eta itself."""
-    if require_invariant:
-        if reynolds_project(eta, action, q, alpha) != eta:
-            raise ValueError("eta is not G-invariant")
-    return composition_image(eta, i, j, action, q, alpha)
 
 
 def skew_symmetrize(mu_pairs: dict, q: QMatrix, group, n: int) -> KappaMap:

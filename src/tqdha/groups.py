@@ -11,6 +11,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 
+from .linalg import SparseSum, bump
 from .scalars import MINUS_ONE, ONE, ZERO, CyclotomicScalar, root_of_unity
 
 
@@ -408,13 +409,10 @@ def _as_sign_table(alpha: Cocycle2):
 # ---------------------------------------------------------------------------
 
 
-class GroupAlgebraElement:
+class GroupAlgebraElement(SparseSum):
     """Finite scalar combination sum_g c_g t_g; zero coefficients are pruned."""
 
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=None):
-        self.coeffs = {g: c for g, c in (coeffs or {}).items() if not c.is_zero()}
+    __slots__ = ()
 
     @staticmethod
     def basis(g: int) -> "GroupAlgebraElement":
@@ -424,41 +422,8 @@ class GroupAlgebraElement:
     def zero() -> "GroupAlgebraElement":
         return GroupAlgebraElement({})
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def coefficient(self, g: int) -> CyclotomicScalar:
         return self.coeffs.get(g, ZERO)
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for g, c in other.coeffs.items():
-            acc = out.get(g)
-            acc = c if acc is None else acc + c
-            if acc.is_zero():
-                out.pop(g, None)
-            else:
-                out[g] = acc
-        res = GroupAlgebraElement.__new__(GroupAlgebraElement)
-        res.coeffs = out
-        return res
-
-    def __sub__(self, other):
-        return self + other.scale(MINUS_ONE)
-
-    def scale(self, s: CyclotomicScalar) -> "GroupAlgebraElement":
-        if s.is_zero():
-            return GroupAlgebraElement.zero()
-        res = GroupAlgebraElement.__new__(GroupAlgebraElement)
-        res.coeffs = {g: s * c for g, c in self.coeffs.items()}
-        return res
-
-    def __eq__(self, other):
-        if not isinstance(other, GroupAlgebraElement):
-            return NotImplemented
-        if set(self.coeffs) != set(other.coeffs):
-            return False
-        return all(self.coeffs[g] == other.coeffs[g] for g in self.coeffs)
 
     def __hash__(self):
         return hash(frozenset((g, c) for g, c in self.coeffs.items()))
@@ -479,17 +444,8 @@ def tga_multiply(x: GroupAlgebraElement, y: GroupAlgebraElement, alpha: Cocycle2
     out: dict[int, CyclotomicScalar] = {}
     for g, cg in x.coeffs.items():
         for h, ch in y.coeffs.items():
-            k = mult[g][h]
-            v = cg * ch * alpha(g, h)
-            acc = out.get(k)
-            acc = v if acc is None else acc + v
-            if acc.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = acc
-    res = GroupAlgebraElement.__new__(GroupAlgebraElement)
-    res.coeffs = out
-    return res
+            bump(out, mult[g][h], cg * ch * alpha(g, h))
+    return x._like(out)
 
 
 def tga_inverse_of_basis(g: int, alpha: Cocycle2) -> GroupAlgebraElement:
@@ -498,18 +454,8 @@ def tga_inverse_of_basis(g: int, alpha: Cocycle2) -> GroupAlgebraElement:
 
 
 def twisted_conjugate(h: int, x: GroupAlgebraElement, alpha: Cocycle2) -> GroupAlgebraElement:
-    """t_h x (t_h)^-1, i.e. t_g -> (alpha(h,g)/alpha(hgh^-1,h)) t_{hgh^-1}."""
+    """t_h x (t_h)^-1, i.e. t_g -> (alpha(h,g)/alpha(hgh^-1,h)) t_{hgh^-1}.
+    Conjugation by h permutes G and the ratio is nonzero, so no two terms
+    meet and none vanishes."""
     G = alpha.group
-    out: dict[int, CyclotomicScalar] = {}
-    for g, c in x.coeffs.items():
-        k = G.conjugate(h, g)
-        v = c * alpha.conj_ratio(h, g)
-        acc = out.get(k)
-        acc = v if acc is None else acc + v
-        if acc.is_zero():
-            out.pop(k, None)
-        else:
-            out[k] = acc
-    res = GroupAlgebraElement.__new__(GroupAlgebraElement)
-    res.coeffs = out
-    return res
+    return x._like({G.conjugate(h, g): c * alpha.conj_ratio(h, g) for g, c in x.coeffs.items()})

@@ -1,4 +1,12 @@
-"""Exact sparse linear algebra over cyclotomic scalars.
+"""Exact sparse linear algebra over cyclotomic scalars, and the one
+accumulator for sparse sums.
+
+Every sparse sum in the package (group algebra elements, skew elements,
+Koszul cochains, Clifford elements, linear rows) is a dict from keys to
+scalars that never stores a zero coefficient.  ``bump`` is the only place a
+term is added to such a dict: it adds, and drops the key when the sum
+cancels.  ``SparseSum`` is the common base of the element classes and keeps
+the same invariant for their arithmetic.
 
 Rows are dicts mapping column index to a nonzero scalar.  The workhorse is an
 incremental row-echelon accumulator with deterministic pivoting (smallest
@@ -9,12 +17,62 @@ plus/minus-one dominated systems this library produces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .scalars import ONE, ZERO, CyclotomicScalar
+from .scalars import MINUS_ONE, ONE, ZERO, CyclotomicScalar
 
 
 Row = dict  # column index -> nonzero CyclotomicScalar
+
+
+def bump(d: dict, key, val) -> None:
+    """d[key] += val, keeping no zero coefficient in d."""
+    acc = d.get(key)
+    acc = val if acc is None else acc + val
+    if acc.is_zero():
+        d.pop(key, None)
+    else:
+        d[key] = acc
+
+
+class SparseSum:
+    """A finite sum of keyed terms with scalar coefficients; ``coeffs`` holds
+    no zero.  A subclass's own ``__slots__`` name its shape (such as ``n``
+    and ``degree``), which arithmetic copies from the left operand."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs=None):
+        self.coeffs = {k: c for k, c in (coeffs or {}).items() if not c.is_zero()}
+
+    def _like(self, coeffs: dict):
+        """A sum of self's class and shape with the given zero-free coeffs."""
+        cls = type(self)
+        res = object.__new__(cls)
+        for name in cls.__slots__:
+            setattr(res, name, getattr(self, name))
+        res.coeffs = coeffs
+        return res
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def __add__(self, other):
+        out = dict(self.coeffs)
+        for k, c in other.coeffs.items():
+            bump(out, k, c)
+        return self._like(out)
+
+    def __sub__(self, other):
+        return self + other.scale(MINUS_ONE)
+
+    def scale(self, s: CyclotomicScalar):
+        if s.is_zero():
+            return self._like({})
+        return self._like({k: s * c for k, c in self.coeffs.items()})
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.coeffs == other.coeffs
 
 
 class RowReducer:
@@ -35,16 +93,10 @@ class RowReducer:
             piv = self.pivots.get(c)
             if piv is None:
                 break
-            f = row.pop(c)
+            f = -row.pop(c)
             for k, v in piv.items():
-                if k == c:
-                    continue
-                acc = row.get(k)
-                acc = -f * v if acc is None else acc - f * v
-                if acc.is_zero():
-                    row.pop(k, None)
-                else:
-                    row[k] = acc
+                if k != c:
+                    bump(row, k, f * v)
         return row
 
     def insert(self, row: Row):
@@ -65,16 +117,10 @@ class RowReducer:
         for c in cols:
             row = dict(self.pivots[c])
             for k in [k for k in row if k != c and k in out]:
-                f = row.pop(k)
+                f = -row.pop(k)
                 for kk, vv in out[k].items():
-                    if kk == k:
-                        continue
-                    acc = row.get(kk)
-                    acc = -f * vv if acc is None else acc - f * vv
-                    if acc.is_zero():
-                        row.pop(kk, None)
-                    else:
-                        row[kk] = acc
+                    if kk != k:
+                        bump(row, kk, f * vv)
             out[c] = row
         return out
 
@@ -94,60 +140,21 @@ class RowReducer:
         return basis
 
 
-@dataclass
-class ExactMatrix:
-    """Sparse matrix with cyclotomic entries; absent entries are zero."""
-
-    rows: int
-    cols: int
-    entries: dict = field(default_factory=dict)  # (row, col) -> scalar
-
-    @classmethod
-    def from_dense(cls, dense) -> "ExactMatrix":
-        entries = {}
-        for i, row in enumerate(dense):
-            for j, v in enumerate(row):
-                if not v.is_zero():
-                    entries[(i, j)] = v
-        return cls(len(dense), len(dense[0]) if dense else 0, entries)
-
-    def row_dicts(self) -> list[Row]:
-        rows: list[Row] = [dict() for _ in range(self.rows)]
-        for (i, j), v in self.entries.items():
-            rows[i][j] = v
-        return rows
-
-    def apply(self, vec: list[CyclotomicScalar]) -> list[CyclotomicScalar]:
-        out = [ZERO] * self.rows
-        for (i, j), v in self.entries.items():
-            if vec[j]:
-                out[i] = out[i] + v * vec[j]
-        return out
-
-
-def kernel_basis(matrix: ExactMatrix) -> list[list[CyclotomicScalar]]:
-    """Basis of the right null space of the matrix, exact."""
-    red = RowReducer()
-    for row in matrix.row_dicts():
-        if row:
-            red.insert(row)
-    return red.kernel(matrix.cols)
-
-
-def matrix_rank(matrix: ExactMatrix) -> int:
-    red = RowReducer()
-    for row in matrix.row_dicts():
-        if row:
-            red.insert(row)
-    return red.rank
-
-
-def rows_rank(rows) -> int:
+def _reduced(rows) -> RowReducer:
     red = RowReducer()
     for row in rows:
         if row:
             red.insert(row)
-    return red.rank
+    return red
+
+
+def kernel_basis(rows, ncols: int) -> list[list[CyclotomicScalar]]:
+    """Basis of the right null space of the sparse rows over ncols columns."""
+    return _reduced(rows).kernel(ncols)
+
+
+def rows_rank(rows) -> int:
+    return _reduced(rows).rank
 
 
 def same_span(rows_a, rows_b) -> bool:

@@ -33,7 +33,7 @@ from operator import add
 from typing import NamedTuple
 
 from .groups import Cocycle2, FiniteGroup, GroupAlgebraElement
-from .linalg import RowReducer
+from .linalg import RowReducer, bump
 from .quantum import GroupAction, QMatrix, check_action_extends
 from .scalars import ONE, ZERO, CyclotomicScalar, parse_scalar
 
@@ -182,15 +182,6 @@ class ConditionSystem(NamedTuple):
     tags: tuple
 
 
-def _bump(row: dict, col: int, val) -> None:
-    acc = row.get(col)
-    acc = val if acc is None else acc + val
-    if acc.is_zero():
-        row.pop(col, None)
-    else:
-        row[col] = acc
-
-
 def parameter_space_rows(action: GroupAction, q: QMatrix, alpha: Cocycle2) -> ConditionSystem:
     """The homogeneous linear system whose kernel is the parameter space.
 
@@ -223,15 +214,15 @@ def parameter_space_rows(action: GroupAction, q: QMatrix, alpha: Cocycle2) -> Co
                 for j in range(i + 1, n):
                     row: dict = {}
                     qji = q(j, i)
-                    _bump(row, unknown(g, i, j), ratio * (-qji))
+                    bump(row, unknown(g, i, j), ratio * (-qji))
                     for k, hik in hrows[i]:
                         for l, hjl in hrows[j]:
                             if k < l:
-                                _bump(row, unknown(gc, k, l), hjl * hik * q(l, k))
+                                bump(row, unknown(gc, k, l), hjl * hik * q(l, k))
                     for l, hil in hrows[i]:
                         for k, hjk in hrows[j]:
                             if k < l:
-                                _bump(row, unknown(gc, k, l), -qji * hil * hjk * q(l, k))
+                                bump(row, unknown(gc, k, l), -qji * hil * hjk * q(l, k))
                     if row:
                         rows.append(row)
                         tags.append((1, g, h, i, j))
@@ -244,12 +235,12 @@ def parameter_space_rows(action: GroupAction, q: QMatrix, alpha: Cocycle2) -> Co
                     qji, qki, qkj = q(j, i), q(k, i), q(k, j)
                     for t in range(n):
                         row = {}
-                        _bump(row, unknown(g, j, k),
-                              (-qkj) * (m[i][t] - (qji * qki if t == i else ZERO)))
-                        _bump(row, unknown(g, i, k),
-                              (-qki) * ((qkj if t == j else ZERO) - qji * m[j][t]))
-                        _bump(row, unknown(g, i, j),
-                              (-qji) * (qkj * qki * m[k][t] - (ONE if t == k else ZERO)))
+                        bump(row, unknown(g, j, k),
+                             (-qkj) * (m[i][t] - (qji * qki if t == i else ZERO)))
+                        bump(row, unknown(g, i, k),
+                             (-qki) * ((qkj if t == j else ZERO) - qji * m[j][t]))
+                        bump(row, unknown(g, i, j),
+                             (-qji) * (qkj * qki * m[k][t] - (ONE if t == k else ZERO)))
                         if row:
                             rows.append(row)
                             tags.append((2, g, i, j, k, t))
@@ -428,7 +419,7 @@ def _reduce_letter_terms(terms, n, kappa, action, q, alpha):
         coeff, letters = work.pop()
         p = _first_redex(letters, n)
         if p is None:
-            _bump(out, letters, coeff)
+            bump(out, letters, coeff)
             continue
         for c, w in _apply_rule(letters, p, n, kappa, action, q, alpha):
             v = coeff * c

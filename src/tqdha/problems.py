@@ -143,7 +143,7 @@ def _build_action(data, group: FiniteGroup, n: int) -> GroupAction:
                     [[_parse_scalar_at(f"action.generator_matrices[{k}]", x) for x in row] for row in m]
                     for k, m in enumerate(given)
                 ]
-                return action_from_generator_matrices(group, mats)
+                return action_from_generator_matrices(group, mats, n)
         raise ProblemValidationError("action", f"unrecognized description {spec!r}")
     except ActionError as e:
         raise ProblemValidationError("action", str(e)) from e

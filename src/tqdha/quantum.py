@@ -11,7 +11,8 @@ matrices compose as M[gh] = M[h] . M[g].
 from __future__ import annotations
 
 from .groups import Cocycle2, FiniteGroup
-from .scalars import MINUS_ONE, ONE, ZERO, CyclotomicScalar, parse_scalar, rational
+from .linalg import SparseSum, bump
+from .scalars import ONE, ZERO, CyclotomicScalar, parse_scalar, rational
 
 
 class ActionError(ValueError):
@@ -175,15 +176,14 @@ def diagonal_action(group: FiniteGroup, lam) -> GroupAction:
     return action
 
 
-def action_from_generator_matrices(group: FiniteGroup, gen_matrices) -> GroupAction:
-    """Extend matrices given on the group's generators to all elements along
-    the Cayley graph, then validate the composition law."""
+def action_from_generator_matrices(group: FiniteGroup, gen_matrices, n: int) -> GroupAction:
+    """Extend n x n matrices given on the group's generators to all elements
+    along the Cayley graph, then validate the composition law."""
     gens = group.generator_indices
     if len(gens) != len(gen_matrices):
         raise ActionError(
             f"group has {len(gens)} generators but {len(gen_matrices)} matrices were given"
         )
-    n = len(gen_matrices[0])
     mats: list = [None] * group.size
     ident = [[ONE if i == k else ZERO for k in range(n)] for i in range(n)]
     mats[0] = ident
@@ -218,14 +218,11 @@ def action_from_generator_matrices(group: FiniteGroup, gen_matrices) -> GroupAct
 # ---------------------------------------------------------------------------
 
 
-class SkewElement:
+class SkewElement(SparseSum):
     """Element of S_q(V) #_a G: finite sum of normally ordered monomials
     v^gamma t_g with scalar coefficients."""
 
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=None):
-        self.coeffs = {k: c for k, c in (coeffs or {}).items() if not c.is_zero()}
+    __slots__ = ()
 
     @staticmethod
     def monomial(gamma, g: int, coeff=ONE) -> "SkewElement":
@@ -239,39 +236,6 @@ class SkewElement:
     @staticmethod
     def group_unit(g: int, n: int) -> "SkewElement":
         return SkewElement({((0,) * n, g): ONE})
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            acc = out.get(k)
-            acc = c if acc is None else acc + c
-            if acc.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = acc
-        res = SkewElement.__new__(SkewElement)
-        res.coeffs = out
-        return res
-
-    def __sub__(self, other):
-        return self + other.scale(MINUS_ONE)
-
-    def scale(self, s) -> "SkewElement":
-        if s.is_zero():
-            return SkewElement()
-        res = SkewElement.__new__(SkewElement)
-        res.coeffs = {k: s * c for k, c in self.coeffs.items()}
-        return res
-
-    def __eq__(self, other):
-        if not isinstance(other, SkewElement):
-            return NotImplemented
-        if set(self.coeffs) != set(other.coeffs):
-            return False
-        return all(self.coeffs[k] == other.coeffs[k] for k in self.coeffs)
 
     def __repr__(self):
         if not self.coeffs:
@@ -327,18 +291,9 @@ def qsym_multiply(a: SkewElement, b: SkewElement, q: QMatrix) -> SkewElement:
         for (gb, gcb), cb in b.coeffs.items():
             if gcb != 0:
                 raise ValueError("qsym_multiply expects elements of S_q(V) (group part t_1)")
-            f = reorder_factor(ga, gb, q)
             key = (tuple(x + y for x, y in zip(ga, gb)), 0)
-            v = ca * cb * f
-            acc = out.get(key)
-            acc = v if acc is None else acc + v
-            if acc.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = acc
-    res = SkewElement.__new__(SkewElement)
-    res.coeffs = out
-    return res
+            bump(out, key, ca * cb * reorder_factor(ga, gb, q))
+    return a._like(out)
 
 
 def act_monomial(action: GroupAction, q: QMatrix, g: int, gamma) -> dict:
@@ -352,13 +307,7 @@ def act_monomial(action: GroupAction, q: QMatrix, g: int, gamma) -> dict:
             for gam, c in acc.items():
                 for k, m in action.rows_nz[g][i]:
                     f, newgam = mono_times_variable(gam, k, q)
-                    v = c * m * f
-                    prev = nxt.get(newgam)
-                    prev = v if prev is None else prev + v
-                    if prev.is_zero():
-                        nxt.pop(newgam, None)
-                    else:
-                        nxt[newgam] = prev
+                    bump(nxt, newgam, c * m * f)
             acc = nxt
     return acc
 
@@ -375,18 +324,9 @@ def skew_multiply(
             gh = G.mult[g][h]
             acted = act_monomial(action, q, g, gb)
             for gam, c in acted.items():
-                f = reorder_factor(ga, gam, q)
                 key = (tuple(x + y for x, y in zip(ga, gam)), gh)
-                v = scale * c * f
-                acc = out.get(key)
-                acc = v if acc is None else acc + v
-                if acc.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = acc
-    res = SkewElement.__new__(SkewElement)
-    res.coeffs = out
-    return res
+                bump(out, key, scale * c * reorder_factor(ga, gam, q))
+    return a._like(out)
 
 
 def quantum_minor(g: int, action: GroupAction, q: QMatrix, i: int, j: int, k: int, l: int) -> CyclotomicScalar:
@@ -402,11 +342,31 @@ def check_action_extends(action: GroupAction, q: QMatrix, max_witnesses: int = 5
     The symmetric check normalizes g(v_i) g(v_j) - q_ij g(v_j) g(v_i)
     directly; the exterior check evaluates the scalar identity
     (1 - q_ij q_lk) g^i_k g^j_l + (q_ij - q_lk) g^i_l g^j_k = 0.
+
+    The symmetric check runs on the generators of G only (every element
+    when the group records no generators), so its witnesses name
+    generators.  That suffices: it checks that the linear map of g,
+    extended multiplicatively to the tensor algebra of V, maps each
+    defining relation of S_q(V), hence the ideal they generate, into that
+    ideal.  If the maps of g and h both do, so does their composite, the
+    map of gh.  The g that pass are thus closed under products, hence a
+    subgroup of the finite group G, and it is all of G once it holds the
+    generators.
+
+    The exterior identity does not test the relations v_i^2 = 0, and the
+    g that satisfy it need not be closed under products (the reflection
+    representation of S3 with q_01 a primitive cube root of unity passes
+    on both generators and fails on the 3-cycles), so it is evaluated on
+    every element of G.
     """
     n = action.n
-    G = action.group
+    gens = action.group.generator_indices or range(action.group.size)
     report = {"symmetric": True, "exterior": True, "symmetric_witnesses": [], "exterior_witnesses": []}
-    for g in range(G.size):
+
+    def unit(k):
+        return tuple(1 if t == k else 0 for t in range(n))
+
+    for g in gens:
         rows = action.rows_nz[g]
         for i in range(n):
             for j in range(i + 1, n):
@@ -414,26 +374,18 @@ def check_action_extends(action: GroupAction, q: QMatrix, max_witnesses: int = 5
                 acc: dict = {}
                 for k, mik in rows[i]:
                     for l, mjl in rows[j]:
-                        f, gam = mono_times_variable(
-                            tuple(1 if t == k else 0 for t in range(n)), l, q
-                        )
-                        v = mik * mjl * f
-                        prev = acc.get(gam)
-                        acc[gam] = v if prev is None else prev + v
+                        f, gam = mono_times_variable(unit(k), l, q)
+                        bump(acc, gam, mik * mjl * f)
                 qij = q(i, j)
                 for k, mjk in rows[j]:
                     for l, mil in rows[i]:
-                        f, gam = mono_times_variable(
-                            tuple(1 if t == k else 0 for t in range(n)), l, q
-                        )
-                        v = qij * mjk * mil * f
-                        prev = acc.get(gam)
-                        acc[gam] = -v if prev is None else prev - v
-                if any(not c.is_zero() for c in acc.values()):
+                        f, gam = mono_times_variable(unit(k), l, q)
+                        bump(acc, gam, -(qij * mjk * mil * f))
+                if acc:
                     report["symmetric"] = False
                     if len(report["symmetric_witnesses"]) < max_witnesses:
                         report["symmetric_witnesses"].append((g, i, j))
-    for g in range(G.size):
+    for g in range(action.group.size):
         m = action.mats[g]
         for i in range(n):
             for j in range(n):

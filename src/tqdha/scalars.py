@@ -464,17 +464,6 @@ def sqrt2() -> CyclotomicScalar:
     return root_of_unity(8, 1) + root_of_unity(8, 7)
 
 
-def field_arithmetic(a: CyclotomicScalar, b: CyclotomicScalar, op: str) -> CyclotomicScalar:
-    """Combine two scalars; op is one of 'add', 'mul', 'div'."""
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown operation {op!r}")
-
-
 _TERM_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?(?:\*z(\d+)\^(\d+))?$")
 
 

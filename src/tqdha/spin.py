@@ -27,18 +27,19 @@ from .groups import (
     perm_sign,
     symmetric_group,
 )
+from .linalg import SparseSum, bump
 from .scalars import MINUS_ONE, ONE, ZERO, CyclotomicScalar, rational, root_of_unity
 
 
-class CliffordElement:
+class CliffordElement(SparseSum):
     """Finite sum of blades e_S (S a sorted index tuple) with cyclotomic
     coefficients; e_i^2 = 1 and distinct generators anticommute."""
 
-    __slots__ = ("n", "coeffs")
+    __slots__ = ("n",)
 
     def __init__(self, n: int, coeffs=None):
         self.n = n
-        self.coeffs = {S: c for S, c in (coeffs or {}).items() if not c.is_zero()}
+        super().__init__(coeffs)
 
     @staticmethod
     def scalar(n: int, value) -> "CliffordElement":
@@ -49,9 +50,6 @@ class CliffordElement:
     def generator(n: int, i: int) -> "CliffordElement":
         return CliffordElement(n, {(i,): ONE})
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def scalar_part(self):
         """The scalar c if self == c * 1, else None."""
         if not self.coeffs:
@@ -59,37 +57,6 @@ class CliffordElement:
         if len(self.coeffs) == 1 and () in self.coeffs:
             return self.coeffs[()]
         return None
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for S, c in other.coeffs.items():
-            acc = out.get(S)
-            acc = c if acc is None else acc + c
-            if acc.is_zero():
-                out.pop(S, None)
-            else:
-                out[S] = acc
-        res = CliffordElement.__new__(CliffordElement)
-        res.n, res.coeffs = self.n, out
-        return res
-
-    def __sub__(self, other):
-        return self + other.scale(MINUS_ONE)
-
-    def scale(self, s) -> "CliffordElement":
-        if s.is_zero():
-            return CliffordElement(self.n)
-        res = CliffordElement.__new__(CliffordElement)
-        res.n = self.n
-        res.coeffs = {S: s * c for S, c in self.coeffs.items()}
-        return res
-
-    def __eq__(self, other):
-        if not isinstance(other, CliffordElement):
-            return NotImplemented
-        if set(self.coeffs) != set(other.coeffs):
-            return False
-        return all(self.coeffs[S] == other.coeffs[S] for S in self.coeffs)
 
     def __repr__(self):
         if not self.coeffs:
@@ -144,16 +111,8 @@ def clifford_multiply(x: CliffordElement, y: CliffordElement) -> CliffordElement
     for S, cs in x.coeffs.items():
         for T, ct in y.coeffs.items():
             sign, blade = _blade_mul(S, T)
-            v = cs * ct if sign > 0 else -(cs * ct)
-            acc = out.get(blade)
-            acc = v if acc is None else acc + v
-            if acc.is_zero():
-                out.pop(blade, None)
-            else:
-                out[blade] = acc
-    res = CliffordElement.__new__(CliffordElement)
-    res.n, res.coeffs = x.n, out
-    return res
+            bump(out, blade, cs * ct if sign > 0 else -(cs * ct))
+    return x._like(out)
 
 
 def clifford_product_coefficient(x: CliffordElement, y: CliffordElement, blade: tuple) -> CyclotomicScalar:

@@ -5,7 +5,6 @@ import itertools
 import random
 from fractions import Fraction
 
-import pytest
 
 from tqdha.classify import symmetric_instance, eta_family_basis, expected_image_value
 from tqdha.cohomology import (
@@ -14,7 +13,6 @@ from tqdha.cohomology import (
     cohomological_parameter_space,
     composition_image,
     constant_cocycle_basis,
-    induced_cocycle_eval,
     reynolds_project,
     skew_symmetrize,
 )
@@ -157,14 +155,6 @@ def test_reynolds_on_pair_maps():
     assert all(p1[k] == p2[k] for k in p1)
 
 
-def test_induced_eval_requires_invariance():
-    _, act, q = symmetric_instance(4)
-    alpha = spin_cocycle(4)
-    eta = Cochain.constant_two(4, 3, 0, 1)  # not invariant
-    with pytest.raises(ValueError):
-        induced_cocycle_eval(eta, 0, 1, act, q, alpha)
-
-
 def test_induced_eval_on_averaged_families():
     # averaging eta_1 then evaluating gives the same (1/(n(n-1))) t_1 value
     # as the raw lemma row; the averages of eta_2 and eta_4 vanish outright
@@ -175,7 +165,7 @@ def test_induced_eval_on_averaged_families():
     for e in eta_family_basis(n):
         fams.setdefault(e.tag, e)
     avg1 = reynolds_project(fams[1].cochain, act, q, alpha)
-    val = induced_cocycle_eval(avg1, 0, 1, act, q, alpha)
+    val = composition_image(avg1, 0, 1, act, q, alpha)
     assert val == GroupAlgebraElement({0: rational(Fraction(1, n * (n - 1)))})
     for tag in (2, 4):
         assert reynolds_project(fams[tag].cochain, act, q, alpha).is_zero()

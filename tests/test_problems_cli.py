@@ -271,3 +271,18 @@ def test_cli_cohomology_recheck_failure_exits_4(tmp_path, monkeypatch):
     monkeypatch.setattr(cohomology, "check_pbw_conditions", failing)
     code, rep = run_problem(tmp_path, S2_DIAGONAL, "--method", "cohomology")
     assert code == 4 and rep["error"] == "cross-check"
+
+
+def test_cli_trivial_table_group_without_matrices_acts_by_identity(tmp_path):
+    prob = {"n": 2, "group": {"table": [[0]]}, "q": [["1", "1"], ["1", "1"]],
+            "action": {"generator_matrices": []}}
+    code, rep = run_problem(tmp_path, prob)
+    assert code == 0 and rep["dimension"] == 1
+
+
+def test_cli_nontrivial_table_group_without_matrices_exits_3(tmp_path):
+    prob = {"n": 2, "group": {"table": [[0, 1], [1, 0]]}, "q": [["1", "1"], ["1", "1"]],
+            "action": {"generator_matrices": []}}
+    code, rep = run_problem(tmp_path, prob)
+    assert code == 3 and rep["location"] == "action"
+    assert "do not generate" in rep["reason"]

@@ -6,9 +6,16 @@ from math import comb
 
 import pytest
 
-from tqdha.groups import symmetric_group, trivial_cocycle
+from tqdha.groups import (
+    FiniteGroup,
+    group_from_cyclic_orders,
+    group_from_permutations,
+    symmetric_group,
+    trivial_cocycle,
+)
 from tqdha.quantum import (
     ActionError,
+    GroupAction,
     QMatrix,
     QMatrixError,
     SkewElement,
@@ -177,10 +184,104 @@ def test_generator_matrix_extension_consistency():
     s3 = symmetric_group(3)
     nat = natural_permutation_action(s3)
     gen_mats = [nat.mats[g] for g in s3.generator_indices]
-    rebuilt = action_from_generator_matrices(s3, gen_mats)
+    rebuilt = action_from_generator_matrices(s3, gen_mats, 3)
     assert rebuilt.mats == nat.mats
     # inconsistent generator matrices are rejected
     bad = [list(map(list, m)) for m in gen_mats]
     bad[0][0][0] = rational(2)
     with pytest.raises(ActionError):
-        action_from_generator_matrices(s3, bad)
+        action_from_generator_matrices(s3, bad, 3)
+
+
+# ---------------------------------------------------------------------------
+# extension checked on generators only, against every element
+# ---------------------------------------------------------------------------
+
+
+def seeded_q(n, rnd, order):
+    exps = {(i, j): rnd.randrange(order) for i in range(n) for j in range(i + 1, n)}
+    return QMatrix([
+        [ONE if i == j else root_of_unity(order, exps[(i, j)] if i < j else -exps[(j, i)])
+         for j in range(n)]
+        for i in range(n)
+    ])
+
+
+def planted_q(G, rnd, order):
+    """Seeded q fixed by the first generator s of a permutation group
+    (q_s(i)s(j) = q_ij), so that s extends and the others need not."""
+    s = G.perms[G.generator_indices[0]]
+    n = len(s)
+    exps = {}
+    for i in range(n):
+        for j in range(n):
+            if i == j or (i, j) in exps:
+                continue
+            orbit = [(i, j)]
+            while (s[orbit[-1][0]], s[orbit[-1][1]]) != (i, j):
+                orbit.append((s[orbit[-1][0]], s[orbit[-1][1]]))
+            e = rnd.choice([0, order // 2]) if (j, i) in orbit else rnd.randrange(order)
+            for a, b in orbit:
+                exps[(a, b)], exps[(b, a)] = e, -e
+    return QMatrix([[ONE if i == j else root_of_unity(order, exps[(i, j)]) for j in range(n)]
+                    for i in range(n)])
+
+
+def diagonal_z6z6(rnd):
+    """Z/6 x Z/6 acting on three variables by seeded characters in mu_6."""
+    G = group_from_cyclic_orders([6, 6])
+    chars = [[rnd.randrange(6) for _ in range(2)] for _ in range(3)]
+    lam = [[root_of_unity(6, sum(c[k] * h[k] for k in range(2))) for c in chars]
+           for h in G.labels]
+    return diagonal_action(G, lam)
+
+
+def s3_reflection_zeta3():
+    """S3 on its reflection representation with q_01 = zeta_3: both
+    generators satisfy the exterior identity, their products do not."""
+    G = group_from_permutations([(1, 0, 2), (0, 2, 1)])
+    gens = [[[ONE, ONE], [rational(0), MINUS_ONE]], [[MINUS_ONE, rational(0)], [ONE, ONE]]]
+    z = root_of_unity(3, 1)
+    return action_from_generator_matrices(G, gens, 2), QMatrix([[ONE, z], [z.inverse(), ONE]])
+
+
+def extension_instances():
+    yield s3_reflection_zeta3()
+    rnd = random.Random(20)
+    klein = group_from_permutations([(1, 0, 3, 2), (2, 3, 0, 1)])
+    for G in (symmetric_group(3), symmetric_group(4), klein):
+        act = natural_permutation_action(G)
+        for order in (2, 4, 6):
+            for _ in range(3):
+                yield act, seeded_q(act.n, rnd, order)
+                yield act, planted_q(G, rnd, order)
+        yield act, QMatrix.uniform(act.n, -1)
+    for _ in range(3):
+        yield diagonal_z6z6(rnd), seeded_q(3, rnd, 12)
+
+
+def test_extension_on_generators_matches_every_element():
+    verdicts = set()
+    for act, q in extension_instances():
+        G = act.group
+        bare = FiniteGroup(G.mult, name=G.name, perms=G.perms, labels=G.labels)
+        full = check_action_extends(GroupAction(bare, act.mats, validate=False), q)
+        ours = check_action_extends(act, q)
+        assert (ours["symmetric"], ours["exterior"]) == (full["symmetric"], full["exterior"])
+        assert ours["exterior_witnesses"] == full["exterior_witnesses"]
+        witnesses = ours["symmetric_witnesses"]
+        assert all(w[0] in G.generator_indices for w in witnesses)
+        # "mixed": the first generator extends, a later one does not
+        mixed = witnesses and all(w[0] != G.generator_indices[0] for w in witnesses)
+        verdicts.add((full["symmetric"], full["exterior"], bool(mixed)))
+    assert {(True, True, False), (False, False, False), (False, False, True)} <= verdicts
+
+
+def test_exterior_check_is_not_cut_to_generators():
+    act, q = s3_reflection_zeta3()
+    G = act.group
+    rep = check_action_extends(act, q, max_witnesses=100)
+    assert not rep["exterior"]
+    failing = {w[0] for w in rep["exterior_witnesses"]}
+    three_cycles = {g for g in range(G.size) if all(G.perms[g][k] != k for k in range(3))}
+    assert three_cycles <= failing and not failing & set(G.generator_indices)
