@@ -77,6 +77,5 @@ from .classify import (
     symmetric_natural_classify,
 )
 from .problems import ProblemSpec, ProblemValidationError, load_problem, parse_problem_file
-from .cli import run_command
 
 __version__ = "0.1.0"

@@ -149,10 +149,21 @@ def _build_action(data, group: FiniteGroup, n: int) -> GroupAction:
         raise ProblemValidationError("action", str(e)) from e
 
 
+def _validated(alpha: Cocycle2) -> Cocycle2:
+    rep = validate_cocycle(alpha)
+    if not rep["normalized"] or not rep["cocycle"]:
+        raise ProblemValidationError(
+            "cocycle", f"identity fails; first witnesses {rep['failures'][:3]}"
+        )
+    return alpha
+
+
 def _build_cocycle(data, group: FiniteGroup) -> Cocycle2:
+    """The problem's cocycle, validated.  A spin(n) table is not validated
+    again: ``spin_cocycle`` checks the table it builds."""
     spec = data.get("cocycle", "trivial")
     if spec == "trivial":
-        return trivial_cocycle(group)
+        return _validated(trivial_cocycle(group))
     if isinstance(spec, str):
         m = re.fullmatch(r"spin\((\d+)\)", spec.strip())
         if m:
@@ -172,14 +183,15 @@ def _build_cocycle(data, group: FiniteGroup) -> Cocycle2:
                 [_parse_scalar_at(f"cocycle.table[{g}][{h}]", rows[g][h]) for h in range(group.size)]
                 for g in range(group.size)
             ]
-            return Cocycle2(group, vals, name="table")
+            return _validated(Cocycle2(group, vals, name="table"))
         if "bicharacter_exponents" in spec:
             try:
-                return bicharacter_cocycle(
+                alpha = bicharacter_cocycle(
                     group, spec["bicharacter_exponents"], spec.get("root_order", 2)
                 )
             except Exception as e:
                 raise ProblemValidationError("cocycle.bicharacter_exponents", str(e)) from e
+            return _validated(alpha)
     raise ProblemValidationError("cocycle", f"unrecognized description {spec!r}")
 
 
@@ -192,11 +204,6 @@ def load_problem(data: dict) -> ProblemSpec:
     group = _build_group(data)
     action = _build_action(data, group, n)
     alpha = _build_cocycle(data, group)
-    rep = validate_cocycle(alpha)
-    if not rep["normalized"] or not rep["cocycle"]:
-        raise ProblemValidationError(
-            "cocycle", f"identity fails; first witnesses {rep['failures'][:3]}"
-        )
     return ProblemSpec(n=n, q=q, group=group, action=action, alpha=alpha, source=data)
 
 

@@ -96,8 +96,11 @@ class GroupAction:
         )
 
     def _validate_composition(self):
-        # (gh)^i_l = sum_k h^i_k g^k_l, checked against every generator (or
-        # every element when the group records no generators)
+        """M[sg] = M[g] . M[s] for every generator s (every element when the
+        group records no generators) and every g.  That suffices: if x and
+        y satisfy it for all g, then M[xyg] = M[yg] M[x] = M[g] M[y] M[x]
+        = M[g] M[xy], so the x that satisfy it are closed under products,
+        hence a subgroup, and it is all of G once it holds the generators."""
         G = self.group
         gens = G.generator_indices or tuple(range(G.size))
         for s in gens:
@@ -153,7 +156,9 @@ def natural_permutation_action(group: FiniteGroup) -> GroupAction:
 
 
 def diagonal_action(group: FiniteGroup, lam) -> GroupAction:
-    """Action with common eigenvectors: g(v_i) = lam[g][i] v_i."""
+    """Action with common eigenvectors: g(v_i) = lam[g][i] v_i.  For
+    diagonal matrices the composition law that ``GroupAction`` checks on
+    generators is the character property lam[sg][i] = lam[s][i] lam[g][i]."""
     n = len(lam[0])
     mats = []
     for row in lam:
@@ -161,19 +166,7 @@ def diagonal_action(group: FiniteGroup, lam) -> GroupAction:
         for i in range(n):
             m[i][i] = row[i]
         mats.append(m)
-    action = GroupAction(group, mats, validate=False)
-    # validate the character property directly (cheaper than matrix products)
-    G = group
-    for g in range(G.size):
-        for h in range(G.size):
-            gh = G.mult[g][h]
-            for i in range(n):
-                if lam[g][i] * lam[h][i] != lam[gh][i]:
-                    raise ActionError(f"eigenvalue table is not multiplicative at ({g}, {h})")
-    for i in range(n):
-        if not lam[0][i].is_one():
-            raise ActionError("identity must act trivially")
-    return action
+    return GroupAction(group, mats)
 
 
 def action_from_generator_matrices(group: FiniteGroup, gen_matrices, n: int) -> GroupAction:
@@ -340,24 +333,21 @@ def check_action_extends(action: GroupAction, q: QMatrix, max_witnesses: int = 5
     exterior algebra Lambda_q(V) by automorphisms.
 
     The symmetric check normalizes g(v_i) g(v_j) - q_ij g(v_j) g(v_i)
-    directly; the exterior check evaluates the scalar identity
+    directly; the exterior check evaluates, for all i, j and k < l, the
+    scalar identity
     (1 - q_ij q_lk) g^i_k g^j_l + (q_ij - q_lk) g^i_l g^j_k = 0.
+    For i = j (q_ii = 1) it reads 2 (1 - q_lk) g^i_k g^i_l = 0, the v_k v_l
+    coefficient of g(v_i)^2, so exterior witnesses may read (g, i, i, k, l).
 
-    The symmetric check runs on the generators of G only (every element
-    when the group records no generators), so its witnesses name
-    generators.  That suffices: it checks that the linear map of g,
-    extended multiplicatively to the tensor algebra of V, maps each
-    defining relation of S_q(V), hence the ideal they generate, into that
-    ideal.  If the maps of g and h both do, so does their composite, the
-    map of gh.  The g that pass are thus closed under products, hence a
-    subgroup of the finite group G, and it is all of G once it holds the
-    generators.
-
-    The exterior identity does not test the relations v_i^2 = 0, and the
-    g that satisfy it need not be closed under products (the reflection
-    representation of S3 with q_01 a primitive cube root of unity passes
-    on both generators and fails on the 3-cycles), so it is evaluated on
-    every element of G.
+    Both checks run on the generators of G only (every element when the
+    group records no generators), so their witnesses name generators.
+    That suffices: each check tests that the linear map of g, extended
+    multiplicatively to the tensor algebra of V, maps every defining
+    relation of S_q(V) (resp. Lambda_q(V): v_j v_i + q_ji v_i v_j and
+    v_i^2), hence the ideal they generate, into that ideal.  If the maps of
+    g and h both do, so does their composite, the map of gh.  The g that
+    pass are thus closed under products, hence a subgroup of the finite
+    group G, and it is all of G once it holds the generators.
     """
     n = action.n
     gens = action.group.generator_indices or range(action.group.size)
@@ -385,12 +375,9 @@ def check_action_extends(action: GroupAction, q: QMatrix, max_witnesses: int = 5
                     report["symmetric"] = False
                     if len(report["symmetric_witnesses"]) < max_witnesses:
                         report["symmetric_witnesses"].append((g, i, j))
-    for g in range(action.group.size):
         m = action.mats[g]
         for i in range(n):
             for j in range(n):
-                if i == j:
-                    continue
                 for k in range(n):
                     for l in range(k + 1, n):
                         lhs = (ONE - q(i, j) * q(l, k)) * m[i][k] * m[j][l] + (

@@ -222,8 +222,8 @@ def _spin_alpha_fast(u_s: CliffordElement, u_t: CliffordElement, u_st: CliffordE
 @lru_cache(maxsize=None)
 def spin_cocycle(n: int) -> Cocycle2:
     """The full +-1 cocycle table on S_n induced by the Clifford cover.
-    The assembled table is checked against normalization and the full
-    cocycle identity before it is returned."""
+    The assembled table is checked against normalization and the cocycle
+    identity (``validate_cocycle``) before it is returned."""
     from .groups import validate_cocycle
 
     group = symmetric_group(n)

@@ -1,8 +1,13 @@
 """Golden CLI outputs: stdout and exit code of `run_command`, byte for byte.
 
 The recordings in tests/golden/ were made by the code before the sparse-sum
-refactor; a refactor that changes any report shows up here.  To re-record
-after an intended change of output, run from the repository root:
+refactor (the pbw-check ones before the generator-only cocycle and exterior
+checks); a refactor that changes any report shows up here.  Each pbw-check
+case runs with --oracle on a kappa file from tests/golden/: ``basis`` is the
+last parameter-space basis vector, ``seeded`` three seeded random
+coordinates.  The seeded kappa fails on every problem but weyl2, whose
+parameter space is all of its kappa space.  To re-record after an intended
+change of output, run from the repository root:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -28,6 +33,7 @@ PROBLEM_COMMANDS = {
 }
 PROBLEM_NAMES = ["weyl2", "z2_negation", "klein_bicharacter_diag", "s3_natural_qminus",
                  "s4_twisted"]
+KAPPA_PROBLEMS = ["weyl2", "klein_bicharacter_diag", "s3_natural_qminus", "s4_twisted"]
 
 
 def _cases():
@@ -35,6 +41,10 @@ def _cases():
     for command, extra in PROBLEM_COMMANDS.items():
         for name in PROBLEM_NAMES:
             cases[f"{command}.{name}"] = [command, f"{name}.json", *extra]
+    for name in KAPPA_PROBLEMS:
+        for kind in ("basis", "seeded"):
+            cases[f"pbw-check.{name}.{kind}"] = [
+                "pbw-check", f"{name}.json", "--kappa", f"kappa.{name}.{kind}.json", "--oracle"]
     cases["alpha-table.4"] = ["alpha-table", "4"]
     cases["classify-symmetric.4"] = ["classify-symmetric", "--n", "4"]
     cases["classify-symmetric.4.twisted"] = ["classify-symmetric", "--n", "4", "--twisted"]
@@ -46,7 +56,8 @@ CASES = _cases()
 
 
 def _run(argv):
-    argv = [os.path.join(PROBLEMS, a) if a.endswith(".json") else a for a in argv]
+    argv = [os.path.join(GOLDEN if a.startswith("kappa.") else PROBLEMS, a)
+            if a.endswith(".json") else a for a in argv]
     out = io.StringIO()
     with redirect_stdout(out), redirect_stderr(io.StringIO()):
         code = run_command(argv)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from tqdha.groups import (
     Cocycle2,
     CocycleError,
+    FiniteGroup,
     GroupAlgebraElement,
     GroupConstructionError,
     bicharacter_cocycle,
@@ -23,7 +24,8 @@ from tqdha.groups import (
     twisted_conjugate,
     validate_cocycle,
 )
-from tqdha.scalars import MINUS_ONE, ONE, rational
+from tqdha.scalars import MINUS_ONE, ONE, rational, root_of_unity
+from tqdha.spin import spin_cocycle
 
 
 def klein_with_bicharacter():
@@ -200,3 +202,78 @@ def test_coset_reps_cover_class():
         reps = g.coset_reps_mod_centralizer(a)
         assert len(reps) == len(cls)
         assert sorted(g.conjugate(r, a) for r in reps) == list(cls)
+
+
+# ---------------------------------------------------------------------------
+# cocycle identity checked on generators, against every first argument
+# ---------------------------------------------------------------------------
+
+
+def every_first_argument(alpha):
+    """The same table on a copy of the group that records no generators, so
+    that ``validate_cocycle`` checks every triple."""
+    G = alpha.group
+    bare = FiniteGroup(G.mult, name=G.name, perms=G.perms, labels=G.labels)
+    return Cocycle2(bare, alpha.values)
+
+
+def coboundary_twist(alpha, rnd, order, normalized=True):
+    """alpha times d(f) for a seeded f: G -> mu_order,
+    d(f)(a, b) = f(a) f(b) / f(ab); f(1) = 1 keeps the table normalized."""
+    G = alpha.group
+    f = [root_of_unity(order, rnd.randrange(order)) for _ in range(G.size)]
+    if normalized:
+        f[0] = ONE
+    return Cocycle2(G, [[alpha(a, b) * f[a] * f[b] / f[G.mult[a][b]] for b in range(G.size)]
+                        for a in range(G.size)])
+
+
+def planted_break(alpha, rnd):
+    """Scale one value alpha(x, y) by -1 or a primitive cube root, with
+    x neither the identity nor a generator and y not the identity."""
+    G = alpha.group
+    x = rnd.choice([g for g in range(1, G.size) if g not in G.generator_indices])
+    y = rnd.randrange(1, G.size)
+    vals = [list(row) for row in alpha.values]
+    vals[x][y] = vals[x][y] * rnd.choice([MINUS_ONE, root_of_unity(3, 1)])
+    return Cocycle2(G, vals)
+
+
+def cocycle_instances():
+    """Valid tables with planted breaks; coboundary twists and unnormalized
+    variants on the small groups only (an exhaustive Z/6xZ/6 check takes
+    over a second)."""
+    rnd = random.Random(41)
+    klein = group_from_cyclic_orders([2, 2])
+    z6z6 = bicharacter_cocycle(
+        group_from_cyclic_orders([6, 6]), [[rnd.randrange(6) for _ in range(2)] for _ in range(2)], 6)
+    valid = [spin_cocycle(4), z6z6]
+    valid += [bicharacter_cocycle(klein, e) for e in ([[0, 0], [1, 0]], [[1, 1], [0, 1]])]
+    valid += [coboundary_twist(a, rnd, 4) for a in list(valid) if a.group.size <= 24]
+    for alpha in valid:
+        yield "valid", alpha
+        yield "broken", planted_break(alpha, rnd)
+        if alpha.group.size <= 24:
+            yield "unnormalized", coboundary_twist(alpha, rnd, 4, normalized=False)
+            yield "unnormalized", planted_break(
+                coboundary_twist(alpha, rnd, 4, normalized=False), rnd)
+
+
+def test_cocycle_identity_on_generators_matches_every_triple():
+    kinds = set()
+    for kind, alpha in cocycle_instances():
+        G = alpha.group
+        assert G.generator_indices
+        ours = validate_cocycle(alpha)
+        full = validate_cocycle(every_first_argument(alpha))
+        assert (ours["normalized"], ours["cocycle"]) == (full["normalized"], full["cocycle"])
+        assert ours["commuting_pair_invariants"] == full["commuting_pair_invariants"]
+        firsts = {0, *G.generator_indices}
+        assert all(w[1] in firsts for w in ours["failures"] if w[0] == "cocycle")
+        if kind == "valid":
+            assert ours["normalized"] and ours["cocycle"]
+        if kind == "broken":
+            assert ours["normalized"] and not ours["cocycle"]
+        kinds.add((kind, ours["normalized"], ours["cocycle"]))
+    # the twisted-but-unnormalized tables stay cocycles, the broken ones do not
+    assert {("unnormalized", False, True), ("unnormalized", False, False)} <= kinds

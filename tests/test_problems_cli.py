@@ -3,6 +3,8 @@
 import io
 import json
 import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -239,6 +241,29 @@ def test_cli_group_table_not_a_table_exits_3(tmp_path):
 def test_cli_diagonal_not_a_table_exits_3(tmp_path):
     code, rep = run_problem(tmp_path, dict(S2_DIAGONAL, action={"diagonal": 7}))
     assert code == 3 and rep["location"] == "action.diagonal"
+
+
+@pytest.mark.parametrize("rows", [
+    [["1/1", "1/1"], ["-1/1", "1/1"], ["-1/1", "1/1"]],  # t^2 acts as t, not t^2
+    [["1/1", "2/1"], ["1/1", "1/1"], ["1/1", "1/1"]],  # the identity does not act trivially
+], ids=["not-multiplicative", "identity"])
+def test_cli_diagonal_not_a_character_exits_3(tmp_path, rows):
+    problem = dict(S2_DIAGONAL, group={"cyclic_product": [3]}, action={"diagonal": rows})
+    code, rep = run_problem(tmp_path, problem)
+    assert code == 3 and rep["location"] == "action"
+
+
+def test_cli_runs_as_module_without_warnings():
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "tqdha.cli", "check-extension",
+         os.path.join(PROBLEMS, "s4_twisted.json")],
+        capture_output=True, text=True, env=env, cwd=root,
+    )
+    with open(os.path.join(root, "tests", "golden", "check-extension.s4_twisted.out")) as f:
+        golden = f.read()
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", golden)
 
 
 def test_cli_q_table_of_ints_exits_3(tmp_path):

@@ -236,17 +236,17 @@ def diagonal_z6z6(rnd):
     return diagonal_action(G, lam)
 
 
-def s3_reflection_zeta3():
-    """S3 on its reflection representation with q_01 = zeta_3: both
-    generators satisfy the exterior identity, their products do not."""
+def s3_reflection(q01):
+    """S3 on its reflection representation: the generators (1 2) and (2 3)
+    act by [[1, 1], [0, -1]] and [[-1, 0], [1, 1]]."""
     G = group_from_permutations([(1, 0, 2), (0, 2, 1)])
     gens = [[[ONE, ONE], [rational(0), MINUS_ONE]], [[MINUS_ONE, rational(0)], [ONE, ONE]]]
-    z = root_of_unity(3, 1)
-    return action_from_generator_matrices(G, gens, 2), QMatrix([[ONE, z], [z.inverse(), ONE]])
+    return action_from_generator_matrices(G, gens, 2), QMatrix([[ONE, q01], [q01.inverse(), ONE]])
 
 
 def extension_instances():
-    yield s3_reflection_zeta3()
+    yield s3_reflection(root_of_unity(3, 1))
+    yield s3_reflection(MINUS_ONE)
     rnd = random.Random(20)
     klein = group_from_permutations([(1, 0, 3, 2), (2, 3, 0, 1)])
     for G in (symmetric_group(3), symmetric_group(4), klein):
@@ -268,8 +268,7 @@ def test_extension_on_generators_matches_every_element():
         full = check_action_extends(GroupAction(bare, act.mats, validate=False), q)
         ours = check_action_extends(act, q)
         assert (ours["symmetric"], ours["exterior"]) == (full["symmetric"], full["exterior"])
-        assert ours["exterior_witnesses"] == full["exterior_witnesses"]
-        witnesses = ours["symmetric_witnesses"]
+        witnesses = ours["symmetric_witnesses"] + ours["exterior_witnesses"]
         assert all(w[0] in G.generator_indices for w in witnesses)
         # "mixed": the first generator extends, a later one does not
         mixed = witnesses and all(w[0] != G.generator_indices[0] for w in witnesses)
@@ -277,11 +276,16 @@ def test_extension_on_generators_matches_every_element():
     assert {(True, True, False), (False, False, False), (False, False, True)} <= verdicts
 
 
-def test_exterior_check_is_not_cut_to_generators():
-    act, q = s3_reflection_zeta3()
-    G = act.group
+@pytest.mark.parametrize("q01", [root_of_unity(3, 1), MINUS_ONE], ids=["zeta3", "minus1"])
+def test_exterior_check_tests_squares(q01):
+    # the generators map v_0, resp. v_1, to v_0 + v_1, whose square is
+    # (1 - q_10) v_0 v_1 != 0; the exterior identity without its i == j
+    # terms passes both generators, and with q = -1 every element
+    act, q = s3_reflection(q01)
+    s, t = act.group.generator_indices
     rep = check_action_extends(act, q, max_witnesses=100)
     assert not rep["exterior"]
-    failing = {w[0] for w in rep["exterior_witnesses"]}
-    three_cycles = {g for g in range(G.size) if all(G.perms[g][k] != k for k in range(3))}
-    assert three_cycles <= failing and not failing & set(G.generator_indices)
+    squares = {w for w in rep["exterior_witnesses"] if w[1] == w[2]}
+    assert squares == {(s, 0, 0, 0, 1), (t, 1, 1, 0, 1)}
+    if q01 == MINUS_ONE:
+        assert rep["exterior_witnesses"] == [(2, 0, 0, 0, 1), (1, 1, 1, 0, 1)]
