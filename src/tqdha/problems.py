@@ -159,11 +159,14 @@ def _validated(alpha: Cocycle2) -> Cocycle2:
 
 
 def _build_cocycle(data, group: FiniteGroup) -> Cocycle2:
-    """The problem's cocycle, validated.  A spin(n) table is not validated
-    again: ``spin_cocycle`` checks the table it builds."""
+    """The problem's cocycle, validated where that can fail.  The trivial
+    cocycle is not validated: it is the program's constant table of ONE, so
+    normalization and the identity 1 * 1 = 1 * 1 hold on any group.  A
+    spin(n) table is not validated again: ``spin_cocycle`` checks the table
+    it builds."""
     spec = data.get("cocycle", "trivial")
     if spec == "trivial":
-        return _validated(trivial_cocycle(group))
+        return trivial_cocycle(group)
     if isinstance(spec, str):
         m = re.fullmatch(r"spin\((\d+)\)", spec.strip())
         if m:

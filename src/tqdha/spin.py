@@ -7,7 +7,9 @@ coefficients in Q(zeta_8) so that sqrt(2) is available.  The generator t_r of
 the cover maps to (e_r - e_{r+1})/sqrt(2) and the central element z to the
 scalar -1.  Conjugation by a lifted permutation sends e_i to
 (-1)^sign(sigma) e_sigma(i), which is what makes every relation of the cover
-mechanically checkable; verify_cover exercises all of them.
+mechanically checkable; verify_cover exercises all of them.  spin_cocycle
+computes its table from the integer multiples sqrt(2)^k u_sigma instead, and
+the Q(zeta_8) model stays as the reference that the tests compare it with.
 
 Indices r, s here are 0-based positions into {0..n-1}; 1-based names
 appear only in serialized output.
@@ -68,40 +70,12 @@ class CliffordElement(SparseSum):
         return "<" + " + ".join(parts) + ">"
 
 
+@lru_cache(maxsize=None)
 def _blade_mul(S: tuple, T: tuple):
-    """e_S e_T = sign * e_(S xor T); sign counts anticommutations."""
-    inv = 0
-    # pairs (s, t) with s > t, counted by merging the sorted tuples
-    j = 0
-    below = 0  # elements of T strictly below the current s as we sweep S
-    # count inversions: for each t in T, number of s in S with s > t
-    for t in T:
-        # elements of S greater than t
-        lo, hi = 0, len(S)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if S[mid] > t:
-                hi = mid
-            else:
-                lo = mid + 1
-        inv += len(S) - lo
-    sign = -1 if inv & 1 else 1
-    # symmetric difference, both sorted
-    out = []
-    i = j = 0
-    while i < len(S) and j < len(T):
-        if S[i] == T[j]:
-            i += 1
-            j += 1
-        elif S[i] < T[j]:
-            out.append(S[i])
-            i += 1
-        else:
-            out.append(T[j])
-            j += 1
-    out.extend(S[i:])
-    out.extend(T[j:])
-    return sign, tuple(out)
+    """e_S e_T = sign * e_(S xor T); sign counts anticommutations, the pairs
+    s in S, t in T with s > t.  Cached: rank n has only 4^n blade pairs."""
+    inv = sum(s > t for s in S for t in T)
+    return -1 if inv & 1 else 1, tuple(sorted(set(S).symmetric_difference(T)))
 
 
 def clifford_multiply(x: CliffordElement, y: CliffordElement) -> CliffordElement:
@@ -115,21 +89,6 @@ def clifford_multiply(x: CliffordElement, y: CliffordElement) -> CliffordElement
     return x._like(out)
 
 
-def clifford_product_coefficient(x: CliffordElement, y: CliffordElement, blade: tuple) -> CyclotomicScalar:
-    """Coefficient of e_blade in x*y, without forming the whole product."""
-    acc = ZERO
-    for S, cs in x.coeffs.items():
-        # e_S e_T lands on e_blade exactly when T = S xor blade
-        _, need = _blade_mul(S, blade)
-        ct = y.coeffs.get(need)
-        if ct is None:
-            continue
-        sgn, _ = _blade_mul(S, need)
-        v = cs * ct
-        acc = acc + (v if sgn > 0 else -v)
-    return acc
-
-
 @lru_cache(maxsize=None)
 def _inv_sqrt2() -> CyclotomicScalar:
     # 1/sqrt(2) = (zeta_8 - zeta_8^3) / 2
@@ -141,13 +100,16 @@ def transposition_lift(r: int, s: int, n: int) -> CliffordElement:
     (r s); the defining recursion [rs] = t_r [r+1 s] t_r z (r < s-1) and
     [rs] = [sr] z (r > s) collapses to this closed form, which verify_cover
     checks against the recursion itself."""
+    return _lift(r, s, n, _inv_sqrt2())
+
+
+def _lift(r: int, s: int, n: int, c) -> CliffordElement:
+    """c (e_r - e_s), the one statement of the lifts' sign convention."""
     if r == s:
         raise ValueError("transposition needs two distinct points")
     if not (0 <= r < n and 0 <= s < n):
         raise ValueError("indices out of range")
-    c = _inv_sqrt2()
-    return CliffordElement(n, {(min(r, s),): c if r < s else -c,
-                               (max(r, s),): -c if r < s else c})
+    return CliffordElement(n, {(r,): c, (s,): -c})
 
 
 def transposition_lift_recursive(r: int, s: int, n: int) -> CliffordElement:
@@ -207,35 +169,57 @@ def spin_alpha(sigma: tuple, tau: tuple) -> CyclotomicScalar:
     raise ArithmeticError("u_sigma u_tau is not +-u_(sigma tau); cover model is broken")
 
 
-def _spin_alpha_fast(u_s: CliffordElement, u_t: CliffordElement, u_st: CliffordElement) -> CyclotomicScalar:
-    # compare one coefficient; the product is +-u_st whenever the model holds
-    blade = min(u_st.coeffs)
-    c = clifford_product_coefficient(u_s, u_t, blade)
-    ref = u_st.coeffs[blade]
-    if c == ref:
-        return ONE
-    if c == -ref:
-        return MINUS_ONE
-    raise ArithmeticError("u_sigma u_tau is not +-u_(sigma tau); cover model is broken")
+def _integer_section(sigma: tuple, n: int) -> dict:
+    """sqrt(2)^k u_sigma, k = len(section_factors(sigma)): the product of the
+    unnormalized lifts e_r - e_s, as a dict blade -> int."""
+    out = CliffordElement.scalar(n, ONE)
+    for r, s in section_factors(sigma):
+        out = clifford_multiply(out, _lift(r, s, n, ONE))
+    return {S: int(c.as_fraction()) for S, c in out.coeffs.items()}
 
 
 @lru_cache(maxsize=None)
 def spin_cocycle(n: int) -> Cocycle2:
-    """The full +-1 cocycle table on S_n induced by the Clifford cover.
-    The assembled table is checked against normalization and the cocycle
-    identity (``validate_cocycle``) before it is returned."""
+    """The full +-1 cocycle table on S_n induced by the Clifford cover,
+    computed in exact integer arithmetic.
+
+    Write k(sigma) = len(section_factors(sigma)) = n - #cycles(sigma) and
+    U_sigma = sqrt(2)^k(sigma) u_sigma, the product of the lifts e_r - e_s
+    (integer coefficients).  From u_sigma u_tau = alpha(sigma, tau)
+    u_(sigma tau) follows U_sigma U_tau = alpha(sigma, tau) 2^d U_(sigma tau)
+    with d = (k(sigma) + k(tau) - k(sigma tau)) / 2.  This d is a
+    nonnegative integer: k is the least number of transpositions with
+    product sigma, so k(sigma tau) <= k(sigma) + k(tau), and
+    (-1)^k(sigma) is the sign of sigma, so the numerator is even.  Hence one
+    coefficient of U_sigma U_tau, at the least blade of U_(sigma tau), must
+    be +-(its coefficient there) << d; anything else means the model is
+    broken.  The assembled table is checked against normalization and the
+    cocycle identity (``validate_cocycle``) before it is returned."""
     from .groups import validate_cocycle
 
     group = symmetric_group(n)
-    perms = group.perms
-    sections = [section_u(p, n) for p in perms]
-    size = group.size
+    sections = [_integer_section(p, n) for p in group.perms]
+    lengths = [len(section_factors(p)) for p in group.perms]
+    least = [min(u.items()) for u in sections]
     values = []
-    for a in range(size):
+    for a, ua in enumerate(sections):
         row = []
-        ua = sections[a]
-        for b in range(size):
-            row.append(_spin_alpha_fast(ua, sections[b], sections[group.mult[a][b]]))
+        for b, ub in enumerate(sections):
+            ab = group.mult[a][b]
+            blade, ref = least[ab]
+            c = 0
+            for S, cs in ua.items():
+                # e_S e_T lands on e_blade exactly when T = S xor blade
+                T = _blade_mul(S, blade)[1]
+                if T in ub:
+                    c += _blade_mul(S, T)[0] * cs * ub[T]
+            ref <<= (lengths[a] + lengths[b] - lengths[ab]) // 2
+            if c == ref:
+                row.append(ONE)
+            elif c == -ref:
+                row.append(MINUS_ONE)
+            else:
+                raise ArithmeticError("u_sigma u_tau is not +-u_(sigma tau); cover model is broken")
         values.append(row)
     alpha = Cocycle2(group, values, name=f"spin({n})")
     report = validate_cocycle(alpha)

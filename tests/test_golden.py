@@ -6,12 +6,15 @@ checks); a refactor that changes any report shows up here.  Each pbw-check
 case runs with --oracle on a kappa file from tests/golden/: ``basis`` is the
 last parameter-space basis vector, ``seeded`` three seeded random
 coordinates.  The seeded kappa fails on every problem but weyl2, whose
-parameter space is all of its kappa space.  To re-record after an intended
-change of output, run from the repository root:
+parameter space is all of its kappa space.  Outputs too large to commit
+(``alpha-table 5``, 201 kB, all 14,400 S5 values) are kept as the sha256 of
+stdout with the exit code, in tests/golden/digests.json.  To re-record after
+an intended change of output, run from the repository root:
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import hashlib
 import io
 import json
 import os
@@ -53,6 +56,7 @@ def _cases():
 
 
 CASES = _cases()
+DIGEST_CASES = {"alpha-table.5": ["alpha-table", "5"]}
 
 
 def _run(argv):
@@ -76,6 +80,19 @@ def test_golden_output(name, monkeypatch):
     assert out == expected_out
 
 
+def _digest(out):
+    return hashlib.sha256(out.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(DIGEST_CASES))
+def test_golden_digest(name, monkeypatch):
+    monkeypatch.delenv("TQDHA_SAMPLE_SIZE", raising=False)
+    with open(os.path.join(GOLDEN, "digests.json")) as f:
+        expected = json.load(f)[name]
+    code, out = _run(DIGEST_CASES[name])
+    assert {"exit_code": code, "sha256": _digest(out)} == expected
+
+
 def record():
     os.environ.pop("TQDHA_SAMPLE_SIZE", None)
     os.makedirs(GOLDEN, exist_ok=True)
@@ -86,6 +103,13 @@ def record():
             f.write(out)
     with open(os.path.join(GOLDEN, "exit_codes.json"), "w") as f:
         json.dump(codes, f, indent=2, sort_keys=True)
+        f.write("\n")
+    digests = {}
+    for name, argv in sorted(DIGEST_CASES.items()):
+        code, out = _run(argv)
+        digests[name] = {"exit_code": code, "sha256": _digest(out)}
+    with open(os.path.join(GOLDEN, "digests.json"), "w") as f:
+        json.dump(digests, f, indent=2, sort_keys=True)
         f.write("\n")
 
 

@@ -65,10 +65,10 @@ def test_size_cap():
 
 
 def test_trivial_cocycle_validates():
-    g = symmetric_group(3)
-    rep = validate_cocycle(trivial_cocycle(g))
-    assert rep["normalized"] and rep["cocycle"]
-    assert all(v.is_one() for v in rep["commuting_pair_invariants"].values())
+    for n in (3, 4):
+        rep = validate_cocycle(trivial_cocycle(symmetric_group(n)))
+        assert rep["normalized"] and rep["cocycle"]
+        assert all(v.is_one() for v in rep["commuting_pair_invariants"].values())
 
 
 def test_bicharacter_cocycle_klein():

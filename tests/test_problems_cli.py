@@ -9,7 +9,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from tqdha import cohomology, pbw
+from tqdha import cohomology, pbw, problems
 from tqdha.cli import run_command
 from tqdha.problems import ProblemValidationError, load_problem, parse_problem_file
 
@@ -37,6 +37,23 @@ def test_load_s5_problem_materializes_group():
     prob = parse_problem_file(problem_path("s5_twisted.json"))
     assert prob.group.size == 120
     assert prob.alpha.name == "spin(5)"
+
+
+def test_trivial_cocycle_is_not_validated_on_load(monkeypatch):
+    validated = []
+    real = problems.validate_cocycle
+
+    def recording(alpha, *args, **kwargs):
+        validated.append(alpha.name)
+        return real(alpha, *args, **kwargs)
+
+    monkeypatch.setattr(problems, "validate_cocycle", recording)
+    for name in ("weyl2.json", "z2_negation.json", "s3_natural_qminus.json"):
+        assert parse_problem_file(problem_path(name)).alpha.name == "trivial"
+    assert validated == []
+    # the patched name is the one the loader calls for cocycles it must check
+    parse_problem_file(problem_path("klein_bicharacter_diag.json"))
+    assert len(validated) == 1
 
 
 def test_validation_failure_names_location():

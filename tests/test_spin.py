@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tqdha import spin
 from tqdha.groups import validate_cocycle
 from tqdha.scalars import MINUS_ONE, ONE, rational
 from tqdha.spin import (
     CliffordElement,
     clifford_multiply,
-    clifford_product_coefficient,
     inequality_count,
     perm_from_two_cycle,
     section_factors,
@@ -52,24 +52,6 @@ def test_clifford_associativity_random():
         assert clifford_multiply(clifford_multiply(x, y), z) == clifford_multiply(
             x, clifford_multiply(y, z)
         )
-
-
-def test_product_coefficient_matches_full_product():
-    rnd = random.Random(4)
-    for _ in range(20):
-        x = CliffordElement(N, {
-            tuple(sorted(rnd.sample(range(N), rnd.randint(0, 3)))): rational(rnd.randint(-2, 2) or 1)
-            for _ in range(3)
-        })
-        y = CliffordElement(N, {
-            tuple(sorted(rnd.sample(range(N), rnd.randint(0, 3)))): rational(rnd.randint(-2, 2) or 1)
-            for _ in range(3)
-        })
-        full = clifford_multiply(x, y)
-        for blade in [(), (0,), (0, 1), (1, 2, 3)]:
-            assert clifford_product_coefficient(x, y, blade) == full.coeffs.get(
-                blade, rational(0)
-            )
 
 
 def test_lift_base_and_reversal():
@@ -130,12 +112,37 @@ def test_spin_cocycle_table_validates_and_is_nontrivial():
 
 
 def test_table_agrees_with_slow_alpha_on_sample():
+    """The integer table against the Q(zeta_8) products, on all 576 pairs."""
     alpha = spin_cocycle(4)
-    group = alpha.group
-    rnd = random.Random(9)
-    for _ in range(40):
-        a, b = rnd.randrange(24), rnd.randrange(24)
-        assert alpha(a, b) == spin_alpha(group.perms[a], group.perms[b])
+    perms = alpha.group.perms
+    for a, b in itertools.product(range(24), repeat=2):
+        assert alpha(a, b) == spin_alpha(perms[a], perms[b])
+
+
+def _least_plus_one(u):
+    u[min(u)] += 1
+
+
+def _negate_last(u):
+    u[max(u)] = -u[max(u)]
+
+
+@pytest.mark.parametrize("corrupt", [_least_plus_one, _negate_last])
+def test_corrupted_integer_section_is_caught(corrupt, monkeypatch):
+    """One wrong coefficient in one integer section fails the +-ref check
+    itself, before ``validate_cocycle`` sees the table."""
+    real = spin._integer_section
+    bad = (2, 0, 1, 3)  # the 3-cycle (0 2 1): U = (e_0 - e_1)(e_0 - e_2)
+
+    def corrupted(sigma, n):
+        u = real(sigma, n)
+        if sigma == bad:
+            corrupt(u)
+        return u
+
+    monkeypatch.setattr(spin, "_integer_section", corrupted)
+    with pytest.raises(ArithmeticError, match="cover model is broken"):
+        spin.spin_cocycle.__wrapped__(4)
 
 
 def test_table_agrees_with_slow_alpha_n5_sample():
