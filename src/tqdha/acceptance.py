@@ -364,16 +364,10 @@ def criterion_8(quick: bool = False) -> dict:
         sizes[n] = len(basis)
         fams = eta_family_basis(n)
         rows = []
-        npairs = n * (n - 1) // 2
-        pairs = [(r, s) for r in range(n) for s in range(r + 1, n)]
         for elt in fams:
             if not apply_dm_star(elt.cochain, action, q).is_zero():
                 membership_failures.append((n, elt.tag, elt.indices))
-            row = {}
-            for (gamma, g, beta), c in elt.cochain.coeffs.items():
-                r, s = [t for t in range(n) if beta[t]]
-                row[g * npairs + pairs.index((r, s))] = c
-            rows.append(row)
+            rows.append(elt.cochain.coeffs)
         counts = eta_family_counts(n)
         if len(fams) != sum(counts.values()):
             membership_failures.append((n, "count", len(fams)))

@@ -123,7 +123,7 @@ def cmd_parameter_space(args) -> int:
 
 def cmd_constant_cocycles(args) -> int:
     prob = parse_problem_file(args.problem)
-    basis = constant_cocycle_basis(prob.action, prob.q, prob.alpha)
+    basis = constant_cocycle_basis(prob.action, prob.q)
     out = []
     for c in basis:
         vec = {}

@@ -2,7 +2,8 @@
 of constant Hochschild 2-cocycles as kernels of d_3*, twisted G-invariance via
 the Reynolds projector, evaluation of the induced Hochschild cocycle on pairs
 of variables, quantum skew-symmetrization, and the resulting cohomological
-computation of the parameter space.
+computation of the parameter space, which needs the d_3* kernel at one
+representative of each conjugacy class only.
 
 Cochains are elements of S_q(V) t_g (x) Lambda^m_{q^-1}(V*): finite sums of
 (monomial exponent gamma, group element g, wedge index beta) with scalar
@@ -110,12 +111,12 @@ def _wedge_index(n: int, positions) -> tuple:
     return tuple(1 if t in positions else 0 for t in range(n))
 
 
-def constant_cocycle_basis(action: GroupAction, q: QMatrix, alpha=None) -> list[Cochain]:
-    """Per group element g, a kernel basis of d_3* restricted to the constant
-    cochains span{t_g (x) v_j* ^ v_k*}; the union over g spans all constant
+def constant_cocycle_basis(action: GroupAction, q: QMatrix, elements=None) -> list[Cochain]:
+    """Per group element g of elements (default: every element, in order), a
+    kernel basis of d_3* restricted to the constant cochains
+    span{t_g (x) v_j* ^ v_k*}; over all g the union spans all constant
     Hochschild 2-cocycles (the constant part of the image of d_2* is zero, so
-    kernel elements represent distinct classes).  The 2-cocycle alpha plays no
-    role here: the S_q(V)-bimodule structure does not depend on it.
+    kernel elements represent distinct classes).
     """
     rep = extension_report(action, q)
     if not rep["symmetric"] or not rep["exterior"]:
@@ -124,7 +125,7 @@ def constant_cocycle_basis(action: GroupAction, q: QMatrix, alpha=None) -> list[
     G = action.group
     pairs = [(j, k) for j in range(n) for k in range(j + 1, n)]
     basis: list[Cochain] = []
-    for g in range(G.size):
+    for g in range(G.size) if elements is None else elements:
         images = [
             apply_dm_star(Cochain.constant_two(n, g, j, k), action, q) for (j, k) in pairs
         ]
@@ -190,34 +191,14 @@ def act_on_cochain(h: int, x: Cochain, action: GroupAction, q: QMatrix, alpha: C
     return Cochain(n, 2, out)
 
 
-def reynolds_project(x, action: GroupAction, q: QMatrix, alpha: Cocycle2):
-    """Average over the twisted G-action: (1/|G|) sum_h h(x).  Idempotent;
-    accepts a degree-2 Cochain or a map on variable pairs
-    {(i, j): GroupAlgebraElement}."""
+def reynolds_project(x: Cochain, action: GroupAction, q: QMatrix, alpha: Cocycle2) -> Cochain:
+    """Average of the degree-2 cochain x over the twisted G-action:
+    (1/|G|) sum_h h(x).  Idempotent."""
     G = action.group
-    inv_order = rational(1) / rational(G.size)
-    if isinstance(x, Cochain):
-        total = Cochain(x.n, x.degree)
-        for h in range(G.size):
-            total = total + act_on_cochain(h, x, action, q, alpha)
-        return total.scale(inv_order)
-    # map on variable pairs: (h . mu)(v_i, v_j) =
-    #   sum_{k,l} (h^-1)^i_k (h^-1)^j_l  h(mu(v_k, v_l))
-    n = action.n
-    out = {}
-    for (i, j) in x:
-        acc = GroupAlgebraElement.zero()
-        for h in range(G.size):
-            hinv = G.inv[h]
-            rows = action.rows_nz[hinv]
-            for k, aik in rows[i]:
-                for l, ajl in rows[j]:
-                    base = x.get((k, l))
-                    if base is None or base.is_zero():
-                        continue
-                    acc = acc + twisted_conjugate(h, base, alpha).scale(aik * ajl)
-        out[(i, j)] = acc.scale(inv_order)
-    return out
+    total = Cochain(x.n, x.degree)
+    for h in range(G.size):
+        total = total + act_on_cochain(h, x, action, q, alpha)
+    return total.scale(rational(1) / rational(G.size))
 
 
 # ---------------------------------------------------------------------------
@@ -273,9 +254,20 @@ def skew_symmetrize(mu_pairs: dict, q: QMatrix, group, n: int) -> KappaMap:
 def cohomological_parameter_space(
     action: GroupAction, q: QMatrix, alpha: Cocycle2, recheck: bool = True
 ) -> list[KappaMap]:
-    """Parameter space through cohomology: constant 2-cocycle kernel, Reynolds
-    projection, rank filtering to an independent invariant spanning set, then
-    the induced Hochschild cocycle and its quantum skew-symmetrization.
+    """Parameter space through cohomology: constant 2-cocycle kernel at one
+    representative c of each conjugacy class, Reynolds projection, rank
+    filtering to an independent invariant spanning set, then the induced
+    Hochschild cocycle and its quantum skew-symmetrization.
+
+    The representatives suffice.  The extension check at entry makes d_3*
+    commute with the twisted action, which maps constant cochains at t_g to
+    constant cochains at t_(hgh^-1); so h(K_g) = K_(hgh^-1) for the kernels
+    K_g at g.  Since alpha is a 2-cocycle the twisted action is a group
+    action, and the Reynolds projector R satisfies R(h(x)) = R(x).  Hence
+    R(K_(hch^-1)) = R(K_c): no other member of c's class adds a vector.  The
+    output is also the same as with every element: classes are listed with
+    their least element first and the kernel is ordered by g, so the rank
+    filter has taken all of R(K_c) before it would reach another member.
 
     For each invariant representative eta the computed kappa must agree with
     the direct pairing kappa(v_i, v_j) = eta(v_i ^ v_j); that identity is
@@ -285,23 +277,12 @@ def cohomological_parameter_space(
     """
     n = action.n
     G = action.group
-    kernel = constant_cocycle_basis(action, q, alpha)
-    projected = [reynolds_project(c, action, q, alpha) for c in kernel]
+    reps = [cls[0] for cls in G.conjugacy_classes()]
     red = RowReducer()
-    npairs = n * (n - 1) // 2
-    pair_rank = {
-        (r, s): idx
-        for idx, (r, s) in enumerate((r, s) for r in range(n) for s in range(r + 1, n))
-    }
     invariants = []
-    for eta in projected:
-        if eta.is_zero():
-            continue
-        row = {}
-        for (gamma, g, beta), c in eta.coeffs.items():
-            r, s = [t for t in range(n) if beta[t]]
-            row[g * npairs + pair_rank[(r, s)]] = c
-        if red.insert(row) is not None:
+    for c in constant_cocycle_basis(action, q, reps):
+        eta = reynolds_project(c, action, q, alpha)
+        if red.insert(eta.coeffs) is not None:
             invariants.append(eta)
     basis = []
     for eta in invariants:

@@ -8,11 +8,11 @@ term is added to such a dict: it adds, and drops the key when the sum
 cancels.  ``SparseSum`` is the common base of the element classes and keeps
 the same invariant for their arithmetic.
 
-Rows are dicts mapping column index to a nonzero scalar.  The workhorse is an
-incremental row-echelon accumulator with deterministic pivoting (smallest
-column index, rows normalized monic at the pivot), from which ranks, kernels
-and row-space comparisons are derived.  Pivot division costs nothing on the
-plus/minus-one dominated systems this library produces.
+Rows are dicts mapping an ordered column key to a nonzero scalar.  The
+workhorse is an incremental row-echelon accumulator with deterministic
+pivoting (least column key, rows normalized monic at the pivot), from which
+ranks, kernels and row-space comparisons are derived.  Pivot division costs
+nothing on the plus/minus-one dominated systems this library produces.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 from .scalars import MINUS_ONE, ONE, ZERO, CyclotomicScalar
 
 
-Row = dict  # column index -> nonzero CyclotomicScalar
+Row = dict  # ordered column key -> nonzero CyclotomicScalar
 
 
 def bump(d: dict, key, val) -> None:
@@ -125,7 +125,8 @@ class RowReducer:
         return out
 
     def kernel(self, ncols: int) -> list[list[CyclotomicScalar]]:
-        """Basis of the solution space of (all inserted rows) . x = 0."""
+        """Basis of the solution space of (all inserted rows) . x = 0; the
+        column keys must be the integers 0..ncols-1."""
         rref = self.rref()
         free_cols = [c for c in range(ncols) if c not in rref]
         basis = []

@@ -333,11 +333,13 @@ def check_action_extends(action: GroupAction, q: QMatrix, max_witnesses: int = 5
     exterior algebra Lambda_q(V) by automorphisms.
 
     The symmetric check normalizes g(v_i) g(v_j) - q_ij g(v_j) g(v_i)
-    directly; the exterior check evaluates, for all i, j and k < l, the
-    scalar identity
+    directly; the exterior check evaluates, for i <= j and k < l, the
+    scalar identity E(i, j, k, l):
     (1 - q_ij q_lk) g^i_k g^j_l + (q_ij - q_lk) g^i_l g^j_k = 0.
-    For i = j (q_ii = 1) it reads 2 (1 - q_lk) g^i_k g^i_l = 0, the v_k v_l
-    coefficient of g(v_i)^2, so exterior witnesses may read (g, i, i, k, l).
+    As q_ij q_ji = 1, E(j, i, k, l) = q_ji E(i, j, k, l), so i > j adds
+    nothing.  For i = j (q_ii = 1) it reads 2 (1 - q_lk) g^i_k g^i_l = 0, the
+    v_k v_l coefficient of g(v_i)^2, so exterior witnesses may read
+    (g, i, i, k, l).
 
     Both checks run on the generators of G only (every element when the
     group records no generators), so their witnesses name generators.
@@ -377,7 +379,7 @@ def check_action_extends(action: GroupAction, q: QMatrix, max_witnesses: int = 5
                         report["symmetric_witnesses"].append((g, i, j))
         m = action.mats[g]
         for i in range(n):
-            for j in range(n):
+            for j in range(i, n):
                 for k in range(n):
                     for l in range(k + 1, n):
                         lhs = (ONE - q(i, j) * q(l, k)) * m[i][k] * m[j][l] + (

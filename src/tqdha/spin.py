@@ -301,8 +301,17 @@ def verify_cover(n: int, samples: int = 500, seed: int = 0) -> dict:
         if exhaustive
         else [(sample_perms(1)[0], *distinct_tuple(2)) for _ in range(samples)]
     )
+    sections: dict = {}
+
+    def sec(p, inverse=False):
+        """u_p, or u_p^-1, built once per permutation."""
+        key = (p, inverse)
+        if key not in sections:
+            sections[key] = (section_u_inverse if inverse else section_u)(p, n)
+        return sections[key]
+
     for p, r, s in cases:
-        u, uinv = section_u(p, n), section_u_inverse(p, n)
+        u, uinv = sec(p), sec(p, True)
         lhs = _conjugate(u, transposition_lift(r, s, n), uinv)
         rhs = transposition_lift(p[r], p[s], n)
         if perm_sign(p):
@@ -339,19 +348,16 @@ def verify_cover(n: int, samples: int = 500, seed: int = 0) -> dict:
         record("inequality-count flips", ok, ("dprops", r, s, rp, sp))
 
     # section properties (a), (b), (c)
-    def u_pair(p):
-        return section_u(p, n), section_u_inverse(p, n)
-
     cases_a = (
         [(p, r, s) for p in perms for r in range(n) for s in range(r + 1, n)]
         if exhaustive
         else [(sample_perms(1)[0], *sorted(distinct_tuple(2))) for _ in range(samples)]
     )
     for p, r, s in cases_a:
-        u, uinv = u_pair(p)
+        u, uinv = sec(p), sec(p, True)
         tr = perm_from_two_cycle(n, r, s)
-        lhs = _conjugate(u, section_u(tr, n), uinv)
-        rhs = section_u(perm_compose(perm_compose(p, tr), perm_inverse(p)), n)
+        lhs = _conjugate(u, sec(tr), uinv)
+        rhs = sec(perm_compose(perm_compose(p, tr), perm_inverse(p)))
         e = perm_sign(p) + (0 if p[r] < p[s] else 1)
         if e & 1:
             rhs = rhs.scale(MINUS_ONE)
@@ -370,10 +376,10 @@ def verify_cover(n: int, samples: int = 500, seed: int = 0) -> dict:
             if r < s and rp < sp and r < rp:
                 cases_b.append((p, r, s, rp, sp))
     for p, r, s, rp, sp in cases_b:
-        u, uinv = u_pair(p)
+        u, uinv = sec(p), sec(p, True)
         dbl = perm_from_cycles_pairs(n, (r, s), (rp, sp))
-        lhs = _conjugate(u, section_u(dbl, n), uinv)
-        rhs = section_u(perm_compose(perm_compose(p, dbl), perm_inverse(p)), n)
+        lhs = _conjugate(u, sec(dbl), uinv)
+        rhs = sec(perm_compose(perm_compose(p, dbl), perm_inverse(p)))
         if inequality_count(p[r], p[s], p[rp], p[sp]) & 1:
             rhs = rhs.scale(MINUS_ONE)
         record("section property (b)", lhs == rhs, ("sec-b", p, r, s, rp, sp))
@@ -391,10 +397,10 @@ def verify_cover(n: int, samples: int = 500, seed: int = 0) -> dict:
             if r < s and r < rp:
                 cases_c.append((p, r, s, rp))
     for p, r, s, rp in cases_c:
-        u, uinv = u_pair(p)
+        u, uinv = sec(p), sec(p, True)
         thr = perm_from_three_cycle(n, r, s, rp)
-        lhs = _conjugate(u, section_u(thr, n), uinv)
-        rhs = section_u(perm_compose(perm_compose(p, thr), perm_inverse(p)), n)
+        lhs = _conjugate(u, sec(thr), uinv)
+        rhs = sec(perm_compose(perm_compose(p, thr), perm_inverse(p)))
         record("section property (c)", lhs == rhs, ("sec-c", p, r, s, rp))
 
     results["all_passed"] = all(

@@ -2,10 +2,13 @@
 cohomology-to-kappa pipeline."""
 
 import itertools
+import os
 import random
 from fractions import Fraction
 
+import pytest
 
+from test_quantum import diagonal_z6z6, seeded_q
 from tqdha.classify import symmetric_instance, eta_family_basis, expected_image_value
 from tqdha.cohomology import (
     Cochain,
@@ -18,13 +21,15 @@ from tqdha.cohomology import (
 )
 from tqdha.groups import (
     GroupAlgebraElement,
+    bicharacter_cocycle,
     group_from_cyclic_orders,
     symmetric_group,
     trivial_cocycle,
     trivial_group,
 )
-from tqdha.linalg import same_span
+from tqdha.linalg import rows_rank, same_span
 from tqdha.pbw import solve_parameter_space
+from tqdha.problems import parse_problem_file
 from tqdha.quantum import (
     GroupAction,
     QMatrix,
@@ -139,20 +144,40 @@ def test_reynolds_diagonal_example():
         assert reynolds_project(c, act, q, alpha) == c
 
 
-def test_reynolds_on_pair_maps():
-    _, act, q = symmetric_instance(4)
-    alpha = spin_cocycle(4)
-    rnd = random.Random(8)
-    mu = {}
-    for i in range(4):
-        for j in range(4):
-            if i != j:
-                mu[(i, j)] = GroupAlgebraElement(
-                    {rnd.randrange(24): rational(rnd.randint(1, 2))}
-                )
-    p1 = reynolds_project(mu, act, q, alpha)
-    p2 = reynolds_project(p1, act, q, alpha)
-    assert all(p1[k] == p2[k] for k in p1)
+def _shortcut_case(name):
+    if name == "s3-natural":
+        s3 = symmetric_group(3)
+        return natural_permutation_action(s3), QMatrix.uniform(3, -1), trivial_cocycle(s3)
+    if name in ("s4-trivial", "s4-spin"):
+        s4, act, q = symmetric_instance(4)
+        return act, q, trivial_cocycle(s4) if name == "s4-trivial" else spin_cocycle(4)
+    if name == "klein-bicharacter":
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "problems",
+                            "klein_bicharacter_diag.json")
+        spec = parse_problem_file(path)
+        return spec.action, spec.q, spec.alpha
+    # Z/6 x Z/6 on three variables with the bicharacter cocycle
+    # zeta_6^(a_1 b_0); seed 5 gives a one-dimensional invariant space, so
+    # the spans compared are not zero
+    rnd = random.Random(5)
+    action = diagonal_z6z6(rnd)
+    return action, seeded_q(3, rnd, 12), bicharacter_cocycle(action.group, [[0, 0], [1, 0]], 6)
+
+
+@pytest.mark.parametrize(
+    "name", ["s3-natural", "s4-trivial", "s4-spin", "klein-bicharacter", "z6z6-seeded"]
+)
+def test_class_representatives_span_every_invariant(name):
+    # the pipeline's shortcut against the exhaustive computation: the
+    # Reynolds images of the d_3* kernel at class representatives span the
+    # images of the kernel at every element
+    action, q, alpha = _shortcut_case(name)
+    reps = [cls[0] for cls in action.group.conjugacy_classes()]
+    full = [reynolds_project(c, action, q, alpha).coeffs for c in constant_cocycle_basis(action, q)]
+    short = [reynolds_project(c, action, q, alpha).coeffs
+             for c in constant_cocycle_basis(action, q, reps)]
+    assert same_span(full, short)
+    assert len(cohomological_parameter_space(action, q, alpha, recheck=False)) == rows_rank(full)
 
 
 def test_induced_eval_on_averaged_families():

@@ -289,3 +289,21 @@ def test_exterior_check_tests_squares(q01):
     assert squares == {(s, 0, 0, 0, 1), (t, 1, 1, 0, 1)}
     if q01 == MINUS_ONE:
         assert rep["exterior_witnesses"] == [(2, 0, 0, 0, 1), (1, 1, 1, 0, 1)]
+
+
+def test_exterior_relation_listed_once():
+    # E(j, i, k, l) = q_ji E(i, j, k, l): each relation is evaluated once, so
+    # no witness appears both as (g, i, j, k, l) and as (g, j, i, k, l)
+    act = natural_permutation_action(symmetric_group(3))
+    q = seeded_q(3, random.Random(1), 6)
+    m = act.mats[2]
+
+    def E(i, j, k, l):
+        return (ONE - q(i, j) * q(l, k)) * m[i][k] * m[j][l] + (q(i, j) - q(l, k)) * m[i][l] * m[j][k]
+
+    for i, j, k, l in itertools.product(range(3), repeat=4):
+        assert E(j, i, k, l) == q(j, i) * E(i, j, k, l)
+    rep = check_action_extends(act, q, max_witnesses=1000)
+    wits = rep["exterior_witnesses"]
+    assert not rep["exterior"] and wits
+    assert not {(g, j, i, k, l) for (g, i, j, k, l) in wits if i != j} & set(wits)
