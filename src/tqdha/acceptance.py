@@ -89,27 +89,17 @@ def _trivial_instance(n: int):
     return group, action, QMatrix.uniform(n, 1), trivial_cocycle(group)
 
 
-def _klein_diag_instance(n3: bool = True):
+def _klein_diag_instance():
     group = group_from_cyclic_orders([2, 2])
-    if n3:
-        lam_by_label = {
-            (0, 0): [ONE, ONE, ONE],
-            (1, 0): [ONE, MINUS_ONE, MINUS_ONE],
-            (0, 1): [MINUS_ONE, ONE, MINUS_ONE],
-            (1, 1): [MINUS_ONE, MINUS_ONE, ONE],
-        }
-        n = 3
-    else:
-        lam_by_label = {
-            (0, 0): [ONE, ONE],
-            (1, 0): [ONE, MINUS_ONE],
-            (0, 1): [MINUS_ONE, ONE],
-            (1, 1): [MINUS_ONE, MINUS_ONE],
-        }
-        n = 2
+    lam_by_label = {
+        (0, 0): [ONE, ONE, ONE],
+        (1, 0): [ONE, MINUS_ONE, MINUS_ONE],
+        (0, 1): [MINUS_ONE, ONE, MINUS_ONE],
+        (1, 1): [MINUS_ONE, MINUS_ONE, ONE],
+    }
     lam = [lam_by_label[lab] for lab in group.labels]
     action = diagonal_action(group, lam)
-    return group, action, QMatrix.uniform(n, 1)
+    return group, action, QMatrix.uniform(3, 1)
 
 
 # ---------------------------------------------------------------------------

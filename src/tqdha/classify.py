@@ -19,6 +19,7 @@ from .groups import (
     Cocycle2,
     FiniteGroup,
     GroupAlgebraElement,
+    perm_from_cycles,
     symmetric_group,
     trivial_cocycle,
 )
@@ -26,12 +27,7 @@ from .linalg import same_span
 from .pbw import KappaMap
 from .quantum import GroupAction, QMatrix, natural_permutation_action
 from .scalars import ONE, ZERO, rational
-from .spin import (
-    perm_from_cycles_pairs,
-    perm_from_three_cycle,
-    perm_from_two_cycle,
-    spin_cocycle,
-)
+from .spin import spin_cocycle
 
 
 class DiagonalError(ValueError):
@@ -173,11 +169,11 @@ def eta_family_basis(n: int) -> list[EtaFamilyElement]:
             out.append(EtaFamilyElement(1, (r, s), _wedge_sum(n, group, ident, [(r, s)])))
     for r in range(n):
         for s in range(r + 1, n):
-            perm = perm_from_two_cycle(n, r, s)
+            perm = perm_from_cycles(n, [(r, s)])
             out.append(EtaFamilyElement(2, (r, s), _wedge_sum(n, group, perm, [(r, s)])))
     for r in range(n):
         for s in range(r + 1, n):
-            perm = perm_from_two_cycle(n, r, s)
+            perm = perm_from_cycles(n, [(r, s)])
             for rp in range(n):
                 if rp not in (r, s):
                     out.append(
@@ -190,7 +186,7 @@ def eta_family_basis(n: int) -> list[EtaFamilyElement]:
             for rp in range(r + 1, n):
                 for sp in range(rp + 1, n):
                     if len({r, s, rp, sp}) == 4:
-                        perm = perm_from_cycles_pairs(n, (r, s), (rp, sp))
+                        perm = perm_from_cycles(n, [(r, s), (rp, sp)])
                         out.append(
                             EtaFamilyElement(
                                 4,
@@ -205,7 +201,7 @@ def eta_family_basis(n: int) -> list[EtaFamilyElement]:
         for s in range(r + 1, n):
             for rp in range(r + 1, n):
                 if rp != s:
-                    perm = perm_from_three_cycle(n, r, s, rp)
+                    perm = perm_from_cycles(n, [(r, s, rp)])
                     out.append(
                         EtaFamilyElement(
                             5, (r, s, rp), _wedge_sum(n, group, perm, [(r, s), (s, rp), (r, rp)])
@@ -243,8 +239,8 @@ def kappa_two(n: int) -> KappaMap:
                 if k in (i, j):
                     continue
                 for perm in (
-                    perm_from_three_cycle(n, i, j, k),
-                    perm_from_three_cycle(n, i, k, j),
+                    perm_from_cycles(n, [(i, j, k)]),
+                    perm_from_cycles(n, [(i, k, j)]),
                 ):
                     g = group.perms.index(perm)
                     coeffs[g] = coeffs.get(g, ZERO) + ONE
@@ -319,8 +315,8 @@ def expected_image_value(n: int, a: int, i: int, j: int) -> GroupAlgebraElement:
         for k in range(n):
             if k in (i, j):
                 continue
-            g1 = group.perms.index(perm_from_three_cycle(n, i, j, k))
-            g2 = group.perms.index(perm_from_three_cycle(n, i, k, j))
+            g1 = group.perms.index(perm_from_cycles(n, [(i, j, k)]))
+            g2 = group.perms.index(perm_from_cycles(n, [(i, k, j)]))
             coeffs[g1] = coeffs.get(g1, ZERO) + f * rational(2)
             coeffs[g2] = coeffs.get(g2, ZERO) + f
         return GroupAlgebraElement(coeffs)

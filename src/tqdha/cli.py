@@ -4,15 +4,14 @@ Exit codes: 0 success, 2 usage error (unknown subcommand or bad flags),
 3 validation failure (bad problem file, bad kappa file, failed invariants),
 4 mathematical cross-check mismatch (engines disagree, or selftest failure).
 Reports go to stdout as JSON and are byte-identical across runs on the same
-input; the TQDHA_SAMPLE_SIZE environment variable (default 500) bounds the
-sampled verification families, and --seed fixes the sampling seed.
+input; --samples (a positive integer, default 500) bounds the sampled
+verification families, and --seed fixes the sampling seed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .classify import (
@@ -35,11 +34,15 @@ from .quantum import check_action_extends
 from .spin import spin_cocycle, verify_cover
 
 
-def _sample_size() -> int:
+def _positive_int(text: str) -> int:
+    """argparse type of --samples: an integer of at least 1."""
     try:
-        return max(1, int(os.environ.get("TQDHA_SAMPLE_SIZE", "500")))
+        value = int(text)
     except ValueError:
-        return 500
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
 
 
 def _emit(report) -> None:
@@ -201,7 +204,7 @@ def cmd_alpha_table(args) -> int:
 
 
 def cmd_verify_cover(args) -> int:
-    res = verify_cover(args.n, samples=args.samples or _sample_size(), seed=args.seed)
+    res = verify_cover(args.n, samples=args.samples, seed=args.seed)
     out = {}
     for fam, data in res.items():
         if fam == "all_passed":
@@ -218,7 +221,7 @@ def cmd_verify_cover(args) -> int:
 def cmd_selftest(args) -> int:
     from .acceptance import run_all
 
-    results = run_all(quick=args.quick, seed=args.seed, samples=args.samples or _sample_size())
+    results = run_all(quick=args.quick, seed=args.seed, samples=args.samples)
     for res in results:
         status = "PASS" if res["passed"] else "FAIL"
         print(f"{status} criterion {res['id']}: {res['description']}", file=sys.stderr)
@@ -281,12 +284,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("verify-cover", help="verify the Schur cover model and its lemmas")
     s.add_argument("--n", type=int, required=True)
-    s.add_argument("--samples", type=int, default=None)
+    s.add_argument("--samples", type=_positive_int, default=500)
     s.set_defaults(func=cmd_verify_cover)
 
     s = sub.add_parser("selftest", help="run the bundled acceptance suite")
     s.add_argument("--quick", action="store_true", help="skip the S5-sized checks")
-    s.add_argument("--samples", type=int, default=None)
+    s.add_argument("--samples", type=_positive_int, default=500)
     s.set_defaults(func=cmd_selftest)
 
     return p

@@ -125,9 +125,6 @@ class FiniteGroup:
     def commute(self, g: int, h: int) -> bool:
         return self.mult[g][h] == self.mult[h][g]
 
-    def is_abelian(self) -> bool:
-        return all(self.commute(g, h) for g in range(self.size) for h in range(g))
-
     def validate_associativity(self):
         for a in range(self.size):
             ma = self.mult[a]

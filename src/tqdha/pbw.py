@@ -304,12 +304,7 @@ def solve_parameter_space(
     n = action.n
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     red = RowReducer()
-    seen = set()
     for row in system.rows:
-        key = tuple(sorted((c, v.serialize()) for c, v in row.items()))
-        if key in seen:
-            continue
-        seen.add(key)
         red.insert(row)
     basis = []
     for vec in red.kernel(system.ncols):

@@ -55,7 +55,6 @@ class ProblemSpec:
     group: FiniteGroup
     action: GroupAction
     alpha: Cocycle2
-    source: dict
 
 
 def _parse_scalar_at(loc, s):
@@ -207,7 +206,7 @@ def load_problem(data: dict) -> ProblemSpec:
     group = _build_group(data)
     action = _build_action(data, group, n)
     alpha = _build_cocycle(data, group)
-    return ProblemSpec(n=n, q=q, group=group, action=action, alpha=alpha, source=data)
+    return ProblemSpec(n=n, q=q, group=group, action=action, alpha=alpha)
 
 
 def parse_problem_file(path: str) -> ProblemSpec:

@@ -119,12 +119,6 @@ class GroupAction:
                                 f"matrices violate the composition law at (s={s}, g={g})"
                             )
 
-    def matrix(self, g: int):
-        return self.mats[g]
-
-    def entry(self, g: int, i: int, k: int) -> CyclotomicScalar:
-        return self.mats[g][i][k]
-
     def is_diagonal(self) -> bool:
         return all(
             self.mats[g][i][k].is_zero()

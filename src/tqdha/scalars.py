@@ -191,9 +191,6 @@ class CyclotomicScalar:
     def is_one(self) -> bool:
         return self.order == 1 and self.coeffs[0] == 1
 
-    def is_rational(self) -> bool:
-        return self.order == 1
-
     def as_fraction(self) -> Fraction:
         if self.order != 1:
             raise ValueError(f"not a rational scalar: {self.serialize()}")

@@ -25,12 +25,13 @@ from .groups import (
     Cocycle2,
     perm_compose,
     perm_cycles,
+    perm_from_cycles,
     perm_inverse,
     perm_sign,
     symmetric_group,
 )
 from .linalg import SparseSum, bump
-from .scalars import MINUS_ONE, ONE, ZERO, CyclotomicScalar, rational, root_of_unity
+from .scalars import MINUS_ONE, ONE, CyclotomicScalar, rational, root_of_unity
 
 
 class CliffordElement(SparseSum):
@@ -51,14 +52,6 @@ class CliffordElement(SparseSum):
     @staticmethod
     def generator(n: int, i: int) -> "CliffordElement":
         return CliffordElement(n, {(i,): ONE})
-
-    def scalar_part(self):
-        """The scalar c if self == c * 1, else None."""
-        if not self.coeffs:
-            return ZERO
-        if len(self.coeffs) == 1 and () in self.coeffs:
-            return self.coeffs[()]
-        return None
 
     def __repr__(self):
         if not self.coeffs:
@@ -119,8 +112,7 @@ def transposition_lift_recursive(r: int, s: int, n: int) -> CliffordElement:
     if r > s:
         return transposition_lift_recursive(s, r, n).scale(MINUS_ONE)
     if s == r + 1:
-        c = _inv_sqrt2()
-        return CliffordElement(n, {(r,): c, (r + 1,): -c})
+        return transposition_lift(r, s, n)
     t_r = transposition_lift_recursive(r, r + 1, n)
     inner = transposition_lift_recursive(r + 1, s, n)
     return clifford_multiply(clifford_multiply(t_r, inner), t_r).scale(MINUS_ONE)
@@ -138,22 +130,24 @@ def section_factors(sigma: tuple) -> list[tuple[int, int]]:
     return factors
 
 
+def _lift_product(factors, n: int, c) -> CliffordElement:
+    """The product of the lifts c (e_r - e_s) over the factors (r, s), in order."""
+    out = CliffordElement.scalar(n, ONE)
+    for r, s in factors:
+        out = clifford_multiply(out, _lift(r, s, n, c))
+    return out
+
+
 def section_u(sigma: tuple, n: int | None = None) -> CliffordElement:
     """The section u_sigma of the covering projection, as a Clifford element."""
     n = len(sigma) if n is None else n
-    out = CliffordElement.scalar(n, ONE)
-    for r, s in section_factors(sigma):
-        out = clifford_multiply(out, transposition_lift(r, s, n))
-    return out
+    return _lift_product(section_factors(sigma), n, _inv_sqrt2())
 
 
 def section_u_inverse(sigma: tuple, n: int | None = None) -> CliffordElement:
     """u_sigma^-1: transposition lifts square to 1, so reverse the factors."""
     n = len(sigma) if n is None else n
-    out = CliffordElement.scalar(n, ONE)
-    for r, s in reversed(section_factors(sigma)):
-        out = clifford_multiply(out, transposition_lift(r, s, n))
-    return out
+    return _lift_product(reversed(section_factors(sigma)), n, _inv_sqrt2())
 
 
 def spin_alpha(sigma: tuple, tau: tuple) -> CyclotomicScalar:
@@ -172,9 +166,7 @@ def spin_alpha(sigma: tuple, tau: tuple) -> CyclotomicScalar:
 def _integer_section(sigma: tuple, n: int) -> dict:
     """sqrt(2)^k u_sigma, k = len(section_factors(sigma)): the product of the
     unnormalized lifts e_r - e_s, as a dict blade -> int."""
-    out = CliffordElement.scalar(n, ONE)
-    for r, s in section_factors(sigma):
-        out = clifford_multiply(out, _lift(r, s, n, ONE))
+    out = _lift_product(section_factors(sigma), n, ONE)
     return {S: int(c.as_fraction()) for S, c in out.coeffs.items()}
 
 
@@ -238,20 +230,23 @@ def inequality_count(r: int, s: int, rp: int, sp: int) -> int:
     return int(min(r, s) > min(rp, sp)) + int(r > s) + int(rp > sp)
 
 
-def _conjugate(u: CliffordElement, x: CliffordElement, u_inv: CliffordElement) -> CliffordElement:
-    return clifford_multiply(clifford_multiply(u, x), u_inv)
-
-
 def verify_cover(n: int, samples: int = 500, seed: int = 0) -> dict:
     """Check the presentation of the cover under the Clifford lift, the
     transposition-lift recursion, and the conjugation lemmas the symmetric
-    group pipeline relies on.  Exhaustive for n <= 4, sampled above."""
+    group pipeline relies on.
+
+    The presentation and the recursion are checked in full.  Each other
+    family ranges over tuples of distinct points, with a permutation p in
+    front where the family conjugates, and has an ordering condition on the
+    points (none for the relations).  At n <= 4 it takes every such case
+    that meets the condition; above, ``samples`` seeded draws that meet it
+    (the pair of property (a) is drawn sorted)."""
     if n < 4:
         raise ValueError("the presentation is stated for n >= 4")
+    if samples < 1:
+        raise ValueError("samples must be a positive integer")
     rng = random.Random(seed)
-    exhaustive = n <= 4
-    group = symmetric_group(n)
-    perms = group.perms
+    perms = symmetric_group(n).perms
     results: dict[str, dict] = {}
 
     def record(family, ok, witness=None):
@@ -262,168 +257,97 @@ def verify_cover(n: int, samples: int = 500, seed: int = 0) -> dict:
             if len(entry["witnesses"]) < 5:
                 entry["witnesses"].append(witness)
 
-    one = CliffordElement.scalar(n, ONE)
-    t = [transposition_lift(r, r + 1, n) for r in range(n - 1)]
+    def cases(k, with_perm, keep=lambda *pts: True, sort=False):
+        """The case rule.  A case is k distinct points, after a permutation
+        p if with_perm, and keep(*points) is the ordering condition: every
+        such case in lexicographic order at n <= 4, else ``samples`` seeded
+        draws (p first, then the points, sorted if sort)."""
+        if n <= 4:
+            heads = [(p,) for p in perms] if with_perm else [()]
+            return [h + t for h in heads for t in itertools.permutations(range(n), k) if keep(*t)]
+        out = []
+        while len(out) < samples:
+            head = (perms[rng.randrange(len(perms))],) if with_perm else ()
+            pts = rng.sample(range(n), k)
+            pts = tuple(sorted(pts) if sort else pts)
+            if keep(*pts):
+                out.append(head + pts)
+        return out
 
-    # presentation relations (z = -1 scalar, so z-relations are sign checks)
-    for r in range(n - 1):
-        record("t_r^2 = 1", clifford_multiply(t[r], t[r]) == one, ("square", r))
-    for r in range(n - 1):
-        for s in range(n - 1):
-            if abs(r - s) > 1:
-                lhs = clifford_multiply(t[r], t[s])
-                rhs = clifford_multiply(t[s], t[r]).scale(MINUS_ONE)
-                record("t_r t_s = t_s t_r z (|r-s|>1)", lhs == rhs, ("far-commute", r, s))
-    for r in range(n - 2):
-        lhs = clifford_multiply(clifford_multiply(t[r], t[r + 1]), t[r])
-        rhs = clifford_multiply(clifford_multiply(t[r + 1], t[r]), t[r + 1])
-        record("braid", lhs == rhs, ("braid", r))
+    def lifts(*pairs):
+        return _lift_product(pairs, n, _inv_sqrt2())
 
-    # transposition lift recursion agrees with the closed form
-    for r in range(n):
-        for s in range(n):
-            if r != s:
-                record(
-                    "[rs] recursion",
-                    transposition_lift_recursive(r, s, n) == transposition_lift(r, s, n),
-                    ("recursion", r, s),
-                )
+    def signed(x, odd):
+        return x.scale(MINUS_ONE) if odd else x
 
-    def sample_perms(k):
-        return [perms[rng.randrange(len(perms))] for _ in range(k)]
-
-    def distinct_tuple(k):
-        return tuple(rng.sample(range(n), k))
-
-    # Lemma: sigma |> [rs] = [sigma(r) sigma(s)] z^sign(sigma)
-    cases = (
-        [(p, r, s) for p in perms for r in range(n) for s in range(n) if r != s]
-        if exhaustive
-        else [(sample_perms(1)[0], *distinct_tuple(2)) for _ in range(samples)]
-    )
-    sections: dict = {}
-
+    @lru_cache(maxsize=None)
     def sec(p, inverse=False):
         """u_p, or u_p^-1, built once per permutation."""
-        key = (p, inverse)
-        if key not in sections:
-            sections[key] = (section_u_inverse if inverse else section_u)(p, n)
-        return sections[key]
+        return (section_u_inverse if inverse else section_u)(p, n)
 
-    for p, r, s in cases:
-        u, uinv = sec(p), sec(p, True)
-        lhs = _conjugate(u, transposition_lift(r, s, n), uinv)
-        rhs = transposition_lift(p[r], p[s], n)
-        if perm_sign(p):
-            rhs = rhs.scale(MINUS_ONE)
-        record("conjugation of [rs]", lhs == rhs, ("lemma-V", p, r, s))
+    def conj(p, x):
+        return clifford_multiply(clifford_multiply(sec(p), x), sec(p, True))
+
+    # presentation relations (z = -1 scalar, so z-relations are sign checks)
+    t = [(r, r + 1) for r in range(n - 1)]
+    for r in range(n - 1):
+        record("t_r^2 = 1", lifts(t[r], t[r]) == CliffordElement.scalar(n, ONE), ("square", r))
+    for r, s in itertools.product(range(n - 1), repeat=2):
+        if abs(r - s) > 1:
+            ok = lifts(t[r], t[s]) == signed(lifts(t[s], t[r]), True)
+            record("t_r t_s = t_s t_r z (|r-s|>1)", ok, ("far-commute", r, s))
+    for r in range(n - 2):
+        ok = lifts(t[r], t[r + 1], t[r]) == lifts(t[r + 1], t[r], t[r + 1])
+        record("braid", ok, ("braid", r))
+
+    # transposition lift recursion agrees with the closed form
+    for r, s in itertools.permutations(range(n), 2):
+        ok = transposition_lift_recursive(r, s, n) == transposition_lift(r, s, n)
+        record("[rs] recursion", ok, ("recursion", r, s))
+
+    # Lemma: sigma |> [rs] = [sigma(r) sigma(s)] z^sign(sigma)
+    for p, r, s in cases(2, True):
+        rhs = signed(transposition_lift(p[r], p[s], n), perm_sign(p))
+        ok = conj(p, transposition_lift(r, s, n)) == rhs
+        record("conjugation of [rs]", ok, ("lemma-V", p, r, s))
 
     # 3-cycle relation [rs][sr']z = [rr'][rs] = [r's][rr']z
-    cases = (
-        [(r, s, rp) for r in range(n) for s in range(n) for rp in range(n) if len({r, s, rp}) == 3]
-        if exhaustive
-        else [distinct_tuple(3) for _ in range(samples)]
-    )
-    for r, s, rp in cases:
-        a = clifford_multiply(transposition_lift(r, s, n), transposition_lift(s, rp, n)).scale(MINUS_ONE)
-        b = clifford_multiply(transposition_lift(r, rp, n), transposition_lift(r, s, n))
-        c = clifford_multiply(transposition_lift(rp, s, n), transposition_lift(r, rp, n)).scale(MINUS_ONE)
+    for r, s, rp in cases(3, False):
+        a = signed(lifts((r, s), (s, rp)), True)
+        b = lifts((r, rp), (r, s))
+        c = signed(lifts((rp, s), (r, rp)), True)
         record("3-cycle relation", a == b and b == c, ("3cycle", r, s, rp))
 
-    # commuting relation [rs][r's'] = [r's'][rs]z
-    cases = (
-        list(itertools.permutations(range(n), 4))
-        if exhaustive
-        else [distinct_tuple(4) for _ in range(samples)]
-    )
-    for r, s, rp, sp in cases:
-        a = clifford_multiply(transposition_lift(r, s, n), transposition_lift(rp, sp, n))
-        b = clifford_multiply(transposition_lift(rp, sp, n), transposition_lift(r, s, n)).scale(MINUS_ONE)
-        record("commuting relation", a == b, ("commute", r, s, rp, sp))
-
+    # commuting relation [rs][r's'] = [r's'][rs]z, and
     # |d(r,s,r',s') - d(r,s,s',r')| = 1 = |d(r,s,r',s') - d(s,r,r',s')|
-    for r, s, rp, sp in cases:
+    for r, s, rp, sp in cases(4, False):
+        ok = lifts((r, s), (rp, sp)) == signed(lifts((rp, sp), (r, s)), True)
+        record("commuting relation", ok, ("commute", r, s, rp, sp))
         d0 = inequality_count(r, s, rp, sp)
-        ok = abs(d0 - inequality_count(r, s, sp, rp)) == 1 and abs(d0 - inequality_count(s, r, rp, sp)) == 1
+        flips = (inequality_count(r, s, sp, rp), inequality_count(s, r, rp, sp))
+        ok = all(abs(d0 - d) == 1 for d in flips)
         record("inequality-count flips", ok, ("dprops", r, s, rp, sp))
 
-    # section properties (a), (b), (c)
-    cases_a = (
-        [(p, r, s) for p in perms for r in range(n) for s in range(r + 1, n)]
-        if exhaustive
-        else [(sample_perms(1)[0], *sorted(distinct_tuple(2))) for _ in range(samples)]
+    # section properties u_p u_x u_p^-1 = +-u_(p x p^-1), for x a
+    # transposition (a), two disjoint ones (b) and a 3-cycle (c):
+    # (family, tag, points, ordering condition, draws sorted, cycles of x,
+    # sign exponent)
+    section_properties = (
+        ("section property (a)", "sec-a", 2, lambda r, s: r < s, True,
+         lambda r, s: [(r, s)], lambda p, r, s: perm_sign(p) + (p[r] > p[s])),
+        ("section property (b)", "sec-b", 4, lambda r, s, rp, sp: r < s and rp < sp and r < rp,
+         False, lambda r, s, rp, sp: [(r, s), (rp, sp)],
+         lambda p, r, s, rp, sp: inequality_count(p[r], p[s], p[rp], p[sp])),
+        ("section property (c)", "sec-c", 3, lambda r, s, rp: r < s and r < rp, False,
+         lambda r, s, rp: [(r, s, rp)], lambda p, r, s, rp: 0),
     )
-    for p, r, s in cases_a:
-        u, uinv = sec(p), sec(p, True)
-        tr = perm_from_two_cycle(n, r, s)
-        lhs = _conjugate(u, sec(tr), uinv)
-        rhs = sec(perm_compose(perm_compose(p, tr), perm_inverse(p)))
-        e = perm_sign(p) + (0 if p[r] < p[s] else 1)
-        if e & 1:
-            rhs = rhs.scale(MINUS_ONE)
-        record("section property (a)", lhs == rhs, ("sec-a", p, r, s))
+    for family, tag, k, keep, sort, cycles, sign in section_properties:
+        for p, *pts in cases(k, True, keep, sort):
+            x = perm_from_cycles(n, cycles(*pts))
+            rhs = sec(perm_compose(perm_compose(p, x), perm_inverse(p)))
+            ok = conj(p, sec(x)) == signed(rhs, sign(p, *pts) & 1)
+            record(family, ok, (tag, p, *pts))
 
-    cases_b = []
-    if exhaustive:
-        for p in perms:
-            for r, s, rp, sp in itertools.permutations(range(n), 4):
-                if r < s and rp < sp and r < rp:
-                    cases_b.append((p, r, s, rp, sp))
-    else:
-        while len(cases_b) < samples:
-            p = sample_perms(1)[0]
-            r, s, rp, sp = distinct_tuple(4)
-            if r < s and rp < sp and r < rp:
-                cases_b.append((p, r, s, rp, sp))
-    for p, r, s, rp, sp in cases_b:
-        u, uinv = sec(p), sec(p, True)
-        dbl = perm_from_cycles_pairs(n, (r, s), (rp, sp))
-        lhs = _conjugate(u, sec(dbl), uinv)
-        rhs = sec(perm_compose(perm_compose(p, dbl), perm_inverse(p)))
-        if inequality_count(p[r], p[s], p[rp], p[sp]) & 1:
-            rhs = rhs.scale(MINUS_ONE)
-        record("section property (b)", lhs == rhs, ("sec-b", p, r, s, rp, sp))
-
-    cases_c = []
-    if exhaustive:
-        for p in perms:
-            for r, s, rp in itertools.permutations(range(n), 3):
-                if r < s and r < rp:
-                    cases_c.append((p, r, s, rp))
-    else:
-        while len(cases_c) < samples:
-            p = sample_perms(1)[0]
-            r, s, rp = distinct_tuple(3)
-            if r < s and r < rp:
-                cases_c.append((p, r, s, rp))
-    for p, r, s, rp in cases_c:
-        u, uinv = sec(p), sec(p, True)
-        thr = perm_from_three_cycle(n, r, s, rp)
-        lhs = _conjugate(u, sec(thr), uinv)
-        rhs = sec(perm_compose(perm_compose(p, thr), perm_inverse(p)))
-        record("section property (c)", lhs == rhs, ("sec-c", p, r, s, rp))
-
-    results["all_passed"] = all(
-        v["passed"] for k, v in results.items() if isinstance(v, dict)
-    )
+    results["all_passed"] = all(v["passed"] for v in results.values())
     return results
 
-
-def perm_from_two_cycle(n: int, r: int, s: int) -> tuple:
-    img = list(range(n))
-    img[r], img[s] = s, r
-    return tuple(img)
-
-
-def perm_from_three_cycle(n: int, r: int, s: int, rp: int) -> tuple:
-    """The 3-cycle r -> s -> rp -> r."""
-    img = list(range(n))
-    img[r], img[s], img[rp] = s, rp, r
-    return tuple(img)
-
-
-def perm_from_cycles_pairs(n: int, *pairs) -> tuple:
-    img = list(range(n))
-    for a, b in pairs:
-        img[a], img[b] = b, a
-    return tuple(img)

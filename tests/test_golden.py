@@ -8,8 +8,9 @@ last parameter-space basis vector, ``seeded`` three seeded random
 coordinates.  The seeded kappa fails on every problem but weyl2, whose
 parameter space is all of its kappa space.  Outputs too large to commit
 (``alpha-table 5``, 201 kB, all 14,400 S5 values) are kept as the sha256 of
-stdout with the exit code, in tests/golden/digests.json.  To re-record after
-an intended change of output, run from the repository root:
+stdout with the exit code, in tests/golden/digests.json; so is a sampled
+``verify-cover`` run, whose checked counts pin the sampling rule.  To
+re-record after an intended change of output, run from the repository root:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -56,7 +57,10 @@ def _cases():
 
 
 CASES = _cases()
-DIGEST_CASES = {"alpha-table.5": ["alpha-table", "5"]}
+DIGEST_CASES = {
+    "alpha-table.5": ["alpha-table", "5"],
+    "verify-cover.5.seed3.samples60": ["--seed", "3", "verify-cover", "--n", "5", "--samples", "60"],
+}
 
 
 def _run(argv):
@@ -69,8 +73,7 @@ def _run(argv):
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_golden_output(name, monkeypatch):
-    monkeypatch.delenv("TQDHA_SAMPLE_SIZE", raising=False)
+def test_golden_output(name):
     with open(os.path.join(GOLDEN, "exit_codes.json")) as f:
         expected_code = json.load(f)[name]
     with open(os.path.join(GOLDEN, name + ".out"), encoding="utf-8", newline="") as f:
@@ -85,8 +88,7 @@ def _digest(out):
 
 
 @pytest.mark.parametrize("name", sorted(DIGEST_CASES))
-def test_golden_digest(name, monkeypatch):
-    monkeypatch.delenv("TQDHA_SAMPLE_SIZE", raising=False)
+def test_golden_digest(name):
     with open(os.path.join(GOLDEN, "digests.json")) as f:
         expected = json.load(f)[name]
     code, out = _run(DIGEST_CASES[name])
@@ -94,7 +96,6 @@ def test_golden_digest(name, monkeypatch):
 
 
 def record():
-    os.environ.pop("TQDHA_SAMPLE_SIZE", None)
     os.makedirs(GOLDEN, exist_ok=True)
     codes = {}
     for name, argv in sorted(CASES.items()):

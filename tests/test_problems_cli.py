@@ -225,6 +225,15 @@ def test_cli_verify_cover_n4():
     assert rep["all_passed"]
 
 
+@pytest.mark.parametrize("value", ["0", "-5", "abc"])
+@pytest.mark.parametrize("command", [["verify-cover", "--n", "5"], ["selftest", "--quick"]])
+def test_cli_samples_must_be_a_positive_integer(command, value):
+    code, out, err = run([*command, "--samples", value])
+    assert code == 2
+    assert out == ""
+    assert "--samples" in err
+
+
 def test_cli_classify_symmetric_n4():
     code, out, _ = run(["classify-symmetric", "--n", "4", "--twisted"])
     assert code == 0

@@ -8,13 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tqdha import spin
-from tqdha.groups import validate_cocycle
+from tqdha.groups import perm_from_cycles, validate_cocycle
 from tqdha.scalars import MINUS_ONE, ONE, rational
 from tqdha.spin import (
     CliffordElement,
     clifford_multiply,
     inequality_count,
-    perm_from_two_cycle,
     section_factors,
     section_u,
     section_u_inverse,
@@ -90,8 +89,8 @@ def test_section_inverse():
 
 
 def test_alpha_examples():
-    s12 = perm_from_two_cycle(N, 0, 1)
-    s34 = perm_from_two_cycle(N, 2, 3)
+    s12 = perm_from_cycles(N, [(0, 1)])
+    s34 = perm_from_cycles(N, [(2, 3)])
     ident = tuple(range(N))
     assert spin_alpha(s12, ident).is_one()
     assert spin_alpha(ident, s34).is_one()
@@ -105,8 +104,8 @@ def test_spin_cocycle_table_validates_and_is_nontrivial():
     rep = validate_cocycle(alpha)
     assert rep["normalized"] and rep["cocycle"]
     group = alpha.group
-    g12 = group.perms.index(perm_from_two_cycle(4, 0, 1))
-    g34 = group.perms.index(perm_from_two_cycle(4, 2, 3))
+    g12 = group.perms.index(perm_from_cycles(4, [(0, 1)]))
+    g34 = group.perms.index(perm_from_cycles(4, [(2, 3)]))
     beta = rep["commuting_pair_invariants"][(g12, g34)]
     assert beta == MINUS_ONE
 
@@ -153,8 +152,8 @@ def test_table_agrees_with_slow_alpha_n5_sample():
         a, b = rnd.randrange(120), rnd.randrange(120)
         assert alpha(a, b) == spin_alpha(group.perms[a], group.perms[b])
     # the nontriviality certificate persists at n = 5
-    g12 = group.perms.index(perm_from_two_cycle(5, 0, 1))
-    g34 = group.perms.index(perm_from_two_cycle(5, 2, 3))
+    g12 = group.perms.index(perm_from_cycles(5, [(0, 1)]))
+    g34 = group.perms.index(perm_from_cycles(5, [(2, 3)]))
     assert alpha(g12, g34) / alpha(g34, g12) == MINUS_ONE
 
 
@@ -186,3 +185,27 @@ def test_verify_cover_n4_exhaustive():
 def test_verify_cover_rejects_small_n():
     with pytest.raises(ValueError):
         verify_cover(3)
+
+
+@pytest.mark.parametrize("samples", [0, -5])
+def test_verify_cover_rejects_nonpositive_samples(samples):
+    with pytest.raises(ValueError, match="samples"):
+        verify_cover(5, samples=samples)
+
+
+def test_sampled_cover_witnesses_pin_the_draw_order(monkeypatch):
+    """With every Clifford comparison failing, each family lists its first
+    cases as witnesses, so these pin the seeded draws family by family."""
+    monkeypatch.setattr(CliffordElement, "__eq__", lambda self, other: False)
+    res = verify_cover(5, samples=60, seed=3)
+    first = {fam: res[fam]["witnesses"][0] for fam in res if fam != "all_passed"
+             and res[fam]["witnesses"] and res[fam]["checked"] == 60}
+    assert first == {
+        "conjugation of [rs]": ("lemma-V", (1, 2, 0, 3, 4), 4, 1),
+        "3-cycle relation": ("3cycle", 2, 1, 3),
+        "commuting relation": ("commute", 4, 2, 0, 1),
+        "section property (a)": ("sec-a", (0, 1, 3, 4, 2), 3, 4),
+        "section property (b)": ("sec-b", (1, 2, 0, 3, 4), 0, 1, 2, 4),
+        "section property (c)": ("sec-c", (1, 4, 0, 2, 3), 0, 2, 4),
+    }
+    assert not res["all_passed"] and res["inequality-count flips"]["passed"]
