@@ -3,8 +3,13 @@
 the closed-form classification against the direct solver.
 
 Instances: sign actions of Z/2 and the Klein four-group, and a Z/4 action
-through i, with and without a twisting bicharacter where one exists.
+through i, with and without a twisting bicharacter where one exists.  Exits 1
+if the two disagree on any instance:
+
+    PYTHONPATH=src python scripts/diagonal_survey.py
 """
+
+import sys
 
 from tqdha.classify import diagonal_kappa_basis_labeled
 from tqdha.groups import bicharacter_cocycle, group_from_cyclic_orders, trivial_cocycle
@@ -40,7 +45,8 @@ def instance_z4():
     return "Z/4 via (i, -i), n=2", g, diagonal_action(g, lam), QMatrix.uniform(2, 1), [trivial_cocycle(g)]
 
 
-def main():
+def main() -> int:
+    disagreements = 0
     rows = [instance_z2_sign(2), instance_z2_sign(3), instance_klein(), instance_z4()]
     for name, group, action, q, cocycles in rows:
         for alpha in cocycles:
@@ -53,9 +59,11 @@ def main():
                     [k.coordinate_row() for k in direct],
                 )
             )
+            disagreements += not ok
             tags = ", ".join(f"(a={a}, r={r + 1}, s={s + 1})" for (a, r, s), _ in labeled) or "-"
             print(f"{name:26} alpha={alpha.name:16} dim={len(labeled)}  agree={ok}  basis: {tags}")
+    return 1 if disagreements else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

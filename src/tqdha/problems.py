@@ -7,7 +7,8 @@ multiplication table), the action ("natural-permutation", a diagonal
 eigenvalue table with one row per group element, or per-generator matrices),
 and the 2-cocycle ("trivial", "spin(n)", a dense table, or a bicharacter
 exponent matrix for cyclic products).  Everything is validated on load; the
-first failed invariant is reported with its location.
+first failed invariant is reported with its location.  The problem's scalars
+together may need no cyclotomic field past ``scalars.MAX_CONDUCTOR``.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from math import lcm
 
 from .groups import (
     Cocycle2,
@@ -37,7 +39,7 @@ from .quantum import (
     diagonal_action,
     natural_permutation_action,
 )
-from .scalars import ScalarParseError, parse_scalar
+from .scalars import MAX_CONDUCTOR, ScalarParseError, parse_scalar
 from .spin import spin_cocycle
 
 
@@ -57,11 +59,30 @@ class ProblemSpec:
     alpha: Cocycle2
 
 
-def _parse_scalar_at(loc, s):
-    try:
-        return parse_scalar(s)
-    except ScalarParseError as e:
-        raise ProblemValidationError(loc, str(e)) from e
+class _ScalarReader:
+    """Parses the problem's scalars, each located, and keeps the lcm of their
+    orders within MAX_CONDUCTOR.  Each table is read whole before any
+    arithmetic on it, so two entries that are admitted alone (z97 and z89,
+    say) never meet in a compositum past the bound (Q(zeta_8633))."""
+
+    def __init__(self):
+        self.conductor = 1
+
+    def __call__(self, loc, s):
+        try:
+            x = parse_scalar(s)
+        except ScalarParseError as e:
+            raise ProblemValidationError(loc, str(e)) from e
+        self.admit(loc, x)
+        return x
+
+    def admit(self, loc, x) -> None:
+        conductor = lcm(self.conductor, x.order)
+        if conductor > MAX_CONDUCTOR:
+            raise ProblemValidationError(
+                loc, f"the problem's scalars need Q(zeta_{conductor}), past "
+                f"MAX_CONDUCTOR = {MAX_CONDUCTOR}")
+        self.conductor = conductor
 
 
 def _require_table(loc, value, nrows=None, ncols=None) -> None:
@@ -72,7 +93,7 @@ def _require_table(loc, value, nrows=None, ncols=None) -> None:
         raise ProblemValidationError(loc, f"need a {nrows}x{ncols} table" if nrows else "need a table")
 
 
-def _build_q(data, n: int) -> QMatrix:
+def _build_q(data, n: int, read: _ScalarReader) -> QMatrix:
     spec = data.get("q", "all:1")
     try:
         if isinstance(spec, str):
@@ -82,7 +103,7 @@ def _build_q(data, n: int) -> QMatrix:
             return QMatrix.uniform(n, int(m.group(1)))
         _require_table("q", spec, n, n)
         return QMatrix(
-            [[_parse_scalar_at(f"q[{i}][{j}]", spec[i][j]) for j in range(n)] for i in range(n)]
+            [[read(f"q[{i}][{j}]", spec[i][j]) for j in range(n)] for i in range(n)]
         )
     except QMatrixError as e:
         raise ProblemValidationError("q", str(e)) from e
@@ -114,7 +135,7 @@ def _build_group(data) -> FiniteGroup:
         raise ProblemValidationError("group", str(e)) from e
 
 
-def _build_action(data, group: FiniteGroup, n: int) -> GroupAction:
+def _build_action(data, group: FiniteGroup, n: int, read: _ScalarReader) -> GroupAction:
     spec = data.get("action", "natural-permutation")
     try:
         if spec == "natural-permutation":
@@ -129,7 +150,7 @@ def _build_action(data, group: FiniteGroup, n: int) -> GroupAction:
                 rows = spec["diagonal"]
                 _require_table("action.diagonal", rows, group.size, n)
                 lam = [
-                    [_parse_scalar_at(f"action.diagonal[{g}][{i}]", rows[g][i]) for i in range(n)]
+                    [read(f"action.diagonal[{g}][{i}]", rows[g][i]) for i in range(n)]
                     for g in range(group.size)
                 ]
                 return diagonal_action(group, lam)
@@ -139,7 +160,7 @@ def _build_action(data, group: FiniteGroup, n: int) -> GroupAction:
                 for k, m in enumerate(given):
                     _require_table(f"action.generator_matrices[{k}]", m, n, n)
                 mats = [
-                    [[_parse_scalar_at(f"action.generator_matrices[{k}]", x) for x in row] for row in m]
+                    [[read(f"action.generator_matrices[{k}]", x) for x in row] for row in m]
                     for k, m in enumerate(given)
                 ]
                 return action_from_generator_matrices(group, mats, n)
@@ -157,7 +178,7 @@ def _validated(alpha: Cocycle2) -> Cocycle2:
     return alpha
 
 
-def _build_cocycle(data, group: FiniteGroup) -> Cocycle2:
+def _build_cocycle(data, group: FiniteGroup, read: _ScalarReader) -> Cocycle2:
     """The problem's cocycle, validated where that can fail.  The trivial
     cocycle is not validated: it is the program's constant table of ONE, so
     normalization and the identity 1 * 1 = 1 * 1 hold on any group.  A
@@ -182,7 +203,7 @@ def _build_cocycle(data, group: FiniteGroup) -> Cocycle2:
             rows = spec["table"]
             _require_table("cocycle.table", rows, group.size, group.size)
             vals = [
-                [_parse_scalar_at(f"cocycle.table[{g}][{h}]", rows[g][h]) for h in range(group.size)]
+                [read(f"cocycle.table[{g}][{h}]", rows[g][h]) for h in range(group.size)]
                 for g in range(group.size)
             ]
             return _validated(Cocycle2(group, vals, name="table"))
@@ -193,6 +214,9 @@ def _build_cocycle(data, group: FiniteGroup) -> Cocycle2:
                 )
             except Exception as e:
                 raise ProblemValidationError("cocycle.bicharacter_exponents", str(e)) from e
+            for row in alpha.values:
+                for x in row:
+                    read.admit("cocycle.bicharacter_exponents", x)
             return _validated(alpha)
     raise ProblemValidationError("cocycle", f"unrecognized description {spec!r}")
 
@@ -202,10 +226,11 @@ def load_problem(data: dict) -> ProblemSpec:
     if "n" not in data or not isinstance(data["n"], int) or data["n"] < 1:
         raise ProblemValidationError("n", "need a positive integer dimension")
     n = data["n"]
-    q = _build_q(data, n)
+    read = _ScalarReader()
+    q = _build_q(data, n, read)
     group = _build_group(data)
-    action = _build_action(data, group, n)
-    alpha = _build_cocycle(data, group)
+    action = _build_action(data, group, n, read)
+    alpha = _build_cocycle(data, group, read)
     return ProblemSpec(n=n, q=q, group=group, action=action, alpha=alpha)
 
 

@@ -1,12 +1,22 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_N).
 
-Every scalar in this library lives in some cyclotomic field.  An element is
-stored as a polynomial in zeta_N with rational coefficients, reduced modulo
-the N-th cyclotomic polynomial Phi_N, so representatives are unique within a
+Every scalar in this library lives in some cyclotomic field.  An element of
+Q(zeta_N) is stored as integer numerators over one denominator, the layout of
+ANTIC's ``nf_elem`` (Hart, *ANTIC*, 2015): ``coeffs`` holds the phi(N)
+coefficients of 1, zeta_N, ..., zeta_N^(phi(N)-1), reduced modulo the N-th
+cyclotomic polynomial Phi_N, and ``den > 0`` with gcd(den, *coeffs) == 1.
+Phi_N is monic, so reduction stays in the integers, and each operation
+normalizes its result once, with no gcd at all when the denominator is 1 (every
+root of unity, and every value of +-1).  Representatives are unique within a
 fixed ambient order N.  Elements whose reduced form is rational are always
-stored at N = 1, and arithmetic between different ambient orders goes through
-the compositum Q(zeta_lcm).  Serialization reduces to the minimal conductor
-first, so the printed form of a value does not depend on how it was computed.
+stored at N = 1, as (num,) over den, and arithmetic between different ambient
+orders goes through the compositum Q(zeta_lcm).  Serialization reduces to the
+minimal conductor first, so the printed form of a value does not depend on
+how it was computed.  ``Fraction`` appears only at the edges: ``rational``,
+``as_fraction`` and parsing.
+
+Parsing refuses a string whose terms need a field order above
+``MAX_CONDUCTOR``, before any table for that order is built.
 """
 
 from __future__ import annotations
@@ -16,8 +26,14 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-_F0 = Fraction(0)
-_F1 = Fraction(1)
+# The largest field order parse_scalar admits: the lcm of the root orders of
+# one string (problems.load_problem bounds the lcm over a whole problem the
+# same way).  Building Phi_N costs time polynomial in N (Phi_720720 alone takes
+# over a minute), and inverting a dense element of Q(zeta_N) takes about
+# phi(N)^3 / 2 integer products: 2.7 s at N = 251 and 69 s at N = 997 (2-core
+# box, Python 3.11).  Every order the library uses is at most 24; at 100,
+# parsing any element and inverting it take about 0.1 s.
+MAX_CONDUCTOR = 100
 
 
 class ScalarParseError(ValueError):
@@ -62,126 +78,114 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _neg_tail(n: int) -> tuple[Fraction, ...]:
-    # x^phi(n) expressed in the basis 1, x, ..., x^(phi-1) modulo Phi_n
-    phi = euler_phi(n)
+def _tail(n: int) -> tuple[tuple[int, int], ...]:
+    # x^phi(n) = sum of c * x^i over these (i, c), modulo Phi_n
     mod = cyclotomic_polynomial(n)
-    return tuple(Fraction(-c) for c in mod[:phi])
+    return tuple((i, -c) for i, c in enumerate(mod[:-1]) if c)
 
 
-@lru_cache(maxsize=None)
-def _x_power(n: int, e: int) -> tuple[Fraction, ...]:
-    # x^e mod Phi_n as a dense coefficient row of length phi(n)
+def _reduce(n: int, poly: list[int]) -> list[int]:
+    """The integer polynomial poly, of at least phi(n) coefficients, modulo
+    Phi_n as phi(n) coefficients.
+
+    Works in place: x^n = 1 folds the terms of degree n and up down first,
+    then long division by the monic Phi_n, using only its nonzero terms."""
     phi = euler_phi(n)
-    tail = _neg_tail(n)
-    vec = [_F1] + [_F0] * (phi - 1)
-    for _ in range(e):
-        top = vec[phi - 1]
-        vec = [_F0] + vec[:-1]
-        if top:
-            vec = [a + top * b for a, b in zip(vec, tail)]
-    return tuple(vec)
-
-
-def _reduce_mod(n: int, coeffs: list[Fraction]) -> list[Fraction]:
-    phi = euler_phi(n)
-    if len(coeffs) < phi:
-        return list(coeffs) + [_F0] * (phi - len(coeffs))
-    out = list(coeffs[:phi])
-    for j in range(phi, len(coeffs)):
-        c = coeffs[j]
+    if len(poly) > n:
+        for j in range(n, len(poly)):
+            poly[j % n] += poly[j]
+        del poly[n:]
+    tail = _tail(n)
+    for j in range(len(poly) - 1, phi - 1, -1):
+        c = poly[j]
         if c:
-            row = _x_power(n, j)
-            for k in range(phi):
-                if row[k]:
-                    out[k] += c * row[k]
-    return out
+            base = j - phi
+            for i, t in tail:
+                poly[base + i] += c * t
+    del poly[phi:]
+    return poly
+
+
+def _spread(n: int, terms) -> list[int]:
+    # the sum of c * zeta_n^e over the (e, c) in terms, as reduced numerators
+    poly = [0] * n
+    for e, c in terms:
+        poly[e % n] += c
+    return _reduce(n, poly)
+
+
+def _mul(n: int, a, b) -> list[int]:
+    # the product of two numerator rows at order n
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                prod[j] += x * y
+    return _reduce(n, prod)
+
+
+def _galois(n: int, a, u: int) -> list[int]:
+    # sigma_u: zeta_n -> zeta_n^u on a numerator row, for u prime to n
+    return _spread(n, ((k * u, c) for k, c in enumerate(a) if c))
 
 
 @lru_cache(maxsize=None)
-def _embedding_rows(m: int, n: int) -> tuple[tuple[Fraction, ...], ...]:
-    # zeta_m^k as elements of Q(zeta_n) for k < phi(m); requires m | n
+def _embedding_rows(m: int, n: int) -> tuple[tuple[int, ...], ...]:
+    # zeta_m^k as numerators in Q(zeta_n) for k < phi(m); requires m | n
     step = n // m
-    return tuple(_x_power(n, (k * step) % n) for k in range(euler_phi(m)))
+    return tuple(tuple(_spread(n, [(k * step, 1)])) for k in range(euler_phi(m)))
 
 
-def _poly_divmod_frac(num: list[Fraction], den: list[Fraction]):
-    num = list(num)
-    while num and not num[-1]:
-        num.pop()
-    dd = len(den) - 1
-    lead = den[dd]
-    quot = [_F0] * max(0, len(num) - dd)
-    for i in range(len(num) - dd - 1, -1, -1):
-        c = num[i + dd] / lead
-        if c:
-            quot[i] = c
-            for j, dj in enumerate(den):
-                num[i + j] -= c * dj
-    rem = num[:dd]
-    while rem and not rem[-1]:
-        rem.pop()
-    return quot, rem
-
-
-def _solve_exact(columns: list[tuple[Fraction, ...]], target: list[Fraction]):
-    """Solve sum_j x_j * columns[j] = target over Q; None if inconsistent."""
-    nrows = len(target)
-    ncols = len(columns)
-    aug = [[columns[j][i] for j in range(ncols)] + [target[i]] for i in range(nrows)]
-    piv_cols = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if aug[i][c]), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        pv = aug[r][c]
-        aug[r] = [v / pv for v in aug[r]]
-        for i in range(nrows):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == nrows:
-            break
-    for i in range(r, nrows):
-        if aug[i][ncols]:
-            return None
-    sol = [_F0] * ncols
-    for i, c in enumerate(piv_cols):
-        sol[c] = aug[i][ncols]
-    # free variables (if any) stay zero; verify consistency for them
-    for i in range(nrows):
-        acc = _F0
-        for j in range(ncols):
-            if sol[j]:
-                acc += sol[j] * columns[j][i]
-        if acc != target[i]:
-            return None
-    return sol
+def _solve_int(rows, target):
+    """(nums, scale) with sum_k nums[k] * rows[k] == scale * target, or None
+    if target is not in the rational span of the rows, which must be linearly
+    independent.  Fraction-free Gauss-Jordan: an equation is combined with
+    the pivot one by cross-multiplication and divided by its content."""
+    m = len(rows)
+    eqs = [[row[i] for row in rows] + [t] for i, t in enumerate(target)]
+    for c in range(m):
+        p = next(i for i in range(c, len(eqs)) if eqs[i][c])
+        eqs[c], eqs[p] = eqs[p], eqs[c]
+        pv = eqs[c]
+        for i, eq in enumerate(eqs):
+            f = eq[c]
+            if i != c and f:
+                new = [pv[c] * x - f * y for x, y in zip(eq, pv)]
+                g = gcd(*new)
+                eqs[i] = [x // g for x in new] if g > 1 else new
+    if any(eq[m] for eq in eqs[m:]):
+        return None
+    scale = 1
+    for k in range(m):
+        scale = _lcm(scale, abs(eqs[k][k]))
+    return [eqs[k][m] * (scale // eqs[k][k]) for k in range(m)], scale
 
 
 class CyclotomicScalar:
-    """An element of Q(zeta_N), canonically reduced modulo Phi_N.
+    """An element sum(coeffs[k] * zeta_order^k) / den of Q(zeta_order).
 
-    Instances are immutable.  Rationals are always stored at order 1, so the
-    representation of a rational value never depends on the field it was
-    computed in.
+    Instances are immutable and canonical within their order: coeffs are
+    reduced modulo Phi_order, den > 0 and gcd(den, *coeffs) == 1.  Rationals
+    are always stored at order 1, so the representation of a rational value
+    never depends on the field it was computed in.  The denominator does not
+    depend on the field either: it is the least d with d * self in
+    Z[zeta_order], and Z[zeta_m] is Z[zeta_n] cut down to Q(zeta_m).
     """
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "coeffs", "den")
 
-    def __init__(self, order: int, coeffs: tuple[Fraction, ...]):
+    def __init__(self, order: int, coeffs: tuple[int, ...], den: int):
         self.order = order
         self.coeffs = coeffs
+        self.den = den
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def from_rational(x) -> "CyclotomicScalar":
-        return CyclotomicScalar(1, (Fraction(x),))
+        if not isinstance(x, int):
+            x = Fraction(x)
+        return CyclotomicScalar(1, (x.numerator,), x.denominator)
 
     # -- predicates ----------------------------------------------------
 
@@ -189,52 +193,49 @@ class CyclotomicScalar:
         return self.order == 1 and not self.coeffs[0]
 
     def is_one(self) -> bool:
-        return self.order == 1 and self.coeffs[0] == 1
+        return self.order == 1 and self.coeffs[0] == 1 and self.den == 1
 
     def as_fraction(self) -> Fraction:
         if self.order != 1:
             raise ValueError(f"not a rational scalar: {self.serialize()}")
-        return self.coeffs[0]
+        return Fraction(self.coeffs[0], self.den)
 
     def __bool__(self) -> bool:
         return not self.is_zero()
 
     # -- arithmetic ----------------------------------------------------
 
-    def _dense_at(self, n: int) -> list[Fraction]:
+    def _dense_at(self, n: int) -> list[int]:
+        # the numerators of self in Q(zeta_n), over the same den; order | n
         if self.order == n:
             return list(self.coeffs)
-        if self.order == 1:
-            out = [_F0] * euler_phi(n)
-            out[0] = self.coeffs[0]
-            return out
         rows = _embedding_rows(self.order, n)
-        out = [_F0] * euler_phi(n)
-        for k, c in enumerate(self.coeffs):
+        out = [0] * len(rows[0])
+        for c, row in zip(self.coeffs, rows):
             if c:
-                row = rows[k]
-                for i in range(len(out)):
-                    if row[i]:
-                        out[i] += c * row[i]
+                for i, r in enumerate(row):
+                    out[i] += c * r
         return out
 
     def __add__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.order == other.order:
-            if self.order == 1:
-                return _make_rational(self.coeffs[0] + other.coeffs[0])
-            return _make(self.order, [a + b for a, b in zip(self.coeffs, other.coeffs)])
-        n = _lcm(self.order, other.order)
-        a = self._dense_at(n)
-        b = other._dense_at(n)
-        return _make(n, [x + y for x, y in zip(a, b)])
+        n = self.order
+        if n == other.order:
+            a, b = self.coeffs, other.coeffs
+        else:
+            n = _lcm(n, other.order)
+            a, b = self._dense_at(n), other._dense_at(n)
+        da, db = self.den, other.den
+        if da == db:
+            return _make(n, [x + y for x, y in zip(a, b)], da)
+        return _make(n, [x * db + y * da for x, y in zip(a, b)], da * db)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CyclotomicScalar(self.order, tuple(-c for c in self.coeffs))
+        return CyclotomicScalar(self.order, tuple(-c for c in self.coeffs), self.den)
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -252,57 +253,42 @@ class CyclotomicScalar:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.order == 1:
-            c = self.coeffs[0]
-            if other.order == 1:
-                return _make_rational(c * other.coeffs[0])
-            if not c:
-                return ZERO
-            return CyclotomicScalar(other.order, tuple(c * x for x in other.coeffs))
-        if other.order == 1:
-            c = other.coeffs[0]
-            if not c:
-                return ZERO
-            return CyclotomicScalar(self.order, tuple(c * x for x in self.coeffs))
-        if self.order == other.order:
-            n = self.order
-            a, b = self.coeffs, other.coeffs
-            phi = len(a)
-            prod = [_F0] * (2 * phi - 1)
-            for i, ai in enumerate(a):
-                if ai:
-                    for j, bj in enumerate(b):
-                        if bj:
-                            prod[i + j] += ai * bj
-            return _make(n, _reduce_mod(n, prod))
-        n = _lcm(self.order, other.order)
-        return _make(n, _reduce_mod(n, _conv(self._dense_at(n), other._dense_at(n))))
+        den = self.den * other.den
+        if self.order == 1 or other.order == 1:
+            c, x = (self.coeffs[0], other) if self.order == 1 else (other.coeffs[0], self)
+            return _make(x.order, [c * v for v in x.coeffs], den)
+        n = self.order
+        if n == other.order:
+            return _make(n, _mul(n, self.coeffs, other.coeffs), den)
+        n = _lcm(n, other.order)
+        return _make(n, _mul(n, self._dense_at(n), other._dense_at(n)), den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CyclotomicScalar":
+        """1 / self, in integers: for numerators a, 1/a = conj(a) / (a conj(a)).
+
+        b = a conj(a) is fixed by complex conjugation, so it lies in the real
+        subfield, and the product of b's conjugates under the units u with
+        1 < u < n/2 (one from each pair +-u) is c with b * c = N(a), a
+        nonzero integer.  So 1/a = conj(a) * c / N(a).  A root of unity has
+        b = 1 and costs one product."""
         if self.is_zero():
             raise ZeroDivisionError("division by zero in Q(zeta_N)")
-        if self.order == 1:
-            return _make_rational(1 / self.coeffs[0])
         n = self.order
-        mod = [Fraction(c) for c in cyclotomic_polynomial(n)]
-        # extended Euclid: find t with t*self == gcd mod Phi_n; Phi_n is
-        # irreducible over Q, so the gcd is a nonzero constant
-        r_prev, r_cur = mod, [c for c in self.coeffs]
-        while r_cur and not r_cur[-1]:
-            r_cur.pop()
-        t_prev, t_cur = [_F0], [_F1]
-        while len(r_cur) > 1:
-            q, rem = _poly_divmod_frac(r_prev, r_cur)
-            t_next = _poly_sub(t_prev, _poly_mul(q, t_cur))
-            r_prev, r_cur = r_cur, rem
-            t_prev, t_cur = t_cur, t_next
-        if not r_cur:
-            raise ArithmeticError("gcd with irreducible modulus collapsed")
-        g = r_cur[0]
-        inv = [c / g for c in t_cur]
-        return _make(n, _reduce_mod(n, inv))
+        if n == 1:
+            return _make(1, [self.den], self.coeffs[0])
+        a = self.coeffs
+        adj = _galois(n, a, -1)
+        norm = _mul(n, a, adj)
+        if any(norm[1:]):
+            rest = [1]
+            for u in range(2, (n + 1) // 2):
+                if gcd(u, n) == 1:
+                    rest = _mul(n, rest, _galois(n, norm, u))
+            adj = _mul(n, adj, rest)
+            norm = _mul(n, norm, rest)
+        return _make(n, [self.den * c for c in adj], norm[0])
 
     def __truediv__(self, other):
         other = _coerce(other)
@@ -334,27 +320,30 @@ class CyclotomicScalar:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if self.den != other.den:
+            return False
         if self.order == other.order:
             return self.coeffs == other.coeffs
+        if self.order == 1 or other.order == 1:
+            return False  # only order 1 holds rationals
         n = _lcm(self.order, other.order)
         return self._dense_at(n) == other._dense_at(n)
 
     def __hash__(self):
         r = self.reduced()
-        return hash((r.order, r.coeffs))
+        return hash((r.order, r.coeffs, r.den))
 
     def reduced(self) -> "CyclotomicScalar":
-        """Rewrite at the minimal conductor (smallest d with self in Q(zeta_d))."""
-        if self.order == 1:
-            return self
-        target = list(self.coeffs)
-        for d in divisors(self.order):
-            if d == self.order:
-                break
-            cols = list(_embedding_rows(d, self.order))
-            sol = _solve_exact(cols, target)
+        """Rewrite at the minimal conductor (smallest d with self in Q(zeta_d)).
+
+        Each proper divisor d > 1 is tried in increasing order by solving for
+        self in the integer rows of _embedding_rows(d, order); an element
+        stored at an order above 1 is never rational, so d = 1 is skipped."""
+        for d in divisors(self.order)[1:-1]:
+            sol = _solve_int(_embedding_rows(d, self.order), self.coeffs)
             if sol is not None:
-                return _make(d, sol)
+                nums, scale = sol
+                return _make(d, nums, self.den * scale)
         return self
 
     def multiplicative_order(self):
@@ -371,12 +360,12 @@ class CyclotomicScalar:
     def serialize(self) -> str:
         r = self.reduced()
         if r.order == 1:
-            c = r.coeffs[0]
-            return f"{c.numerator}/{c.denominator}"
+            return f"{r.coeffs[0]}/{r.den}"
         terms = []
         for k, c in enumerate(r.coeffs):
             if c:
-                terms.append(f"{c.numerator}/{c.denominator}*z{r.order}^{k}")
+                g = gcd(c, r.den)
+                terms.append(f"{c // g}/{r.den // g}*z{r.order}^{k}")
         return " + ".join(terms)
 
     def __repr__(self):
@@ -395,43 +384,19 @@ def _lcm(a: int, b: int) -> int:
     return a * b // gcd(a, b)
 
 
-def _conv(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    prod = [_F0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    prod[i + j] += ai * bj
-    return prod
-
-
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    return _conv(a, b)
-
-
-def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    a = list(a) + [_F0] * (n - len(a))
-    b = list(b) + [_F0] * (n - len(b))
-    out = [x - y for x, y in zip(a, b)]
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-def _make_rational(c: Fraction) -> CyclotomicScalar:
-    return CyclotomicScalar(1, (c,))
-
-
-def _make(order: int, coeffs: list[Fraction]) -> CyclotomicScalar:
-    phi = euler_phi(order)
-    if len(coeffs) != phi:
-        coeffs = _reduce_mod(order, list(coeffs))
+def _make(order: int, coeffs: list[int], den: int) -> CyclotomicScalar:
+    """The canonical element sum(coeffs[k] * zeta_order^k) / den, from phi(order)
+    reduced numerators and a nonzero den of either sign."""
+    if den != 1:
+        g = gcd(den, *coeffs)
+        if den < 0:
+            g = -g
+        if g != 1:
+            coeffs = [c // g for c in coeffs]
+            den //= g
     if order > 1 and not any(coeffs[1:]):
-        return CyclotomicScalar(1, (coeffs[0],))
-    return CyclotomicScalar(order, tuple(coeffs))
+        return CyclotomicScalar(1, (coeffs[0],), den)
+    return CyclotomicScalar(order, tuple(coeffs), den)
 
 
 ZERO = CyclotomicScalar.from_rational(0)
@@ -450,10 +415,9 @@ def root_of_unity(n: int, k: int) -> CyclotomicScalar:
         raise ValueError("order must be a positive integer")
     k %= n
     m = n // gcd(n, k)
-    kk = k * m // n
     if m == 1:
         return ONE
-    return _make(m, list(_x_power(m, kk)))
+    return _make(m, _spread(m, [(k * m // n, 1)]), 1)
 
 
 def sqrt2() -> CyclotomicScalar:
@@ -465,13 +429,19 @@ _TERM_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?(?:\*z(\d+)\^(\d+))?$")
 
 
 def parse_scalar(text: str) -> CyclotomicScalar:
-    """Parse the exchange format: 'a/b' or 'a_0/b_0*zN^k0 + a_1/b_1*zN^k1 + ...'."""
+    """Parse the exchange format: 'a/b' or 'a_0/b_0*zN^k0 + a_1/b_1*zN^k1 + ...'.
+
+    Every malformed string raises ScalarParseError: a bad term, a zero
+    denominator, a root order of 0, a number past Python's limit on digits,
+    or terms whose orders have an lcm above MAX_CONDUCTOR.  The orders are
+    checked before any root is built."""
     if not isinstance(text, str):
         raise ScalarParseError(f"expected a scalar string, got {text!r}")
     s = text.strip()
     if not s:
         raise ScalarParseError("empty scalar string")
-    total = ZERO
+    terms = []
+    conductor = 1
     for raw in s.split("+"):
         term = raw.strip()
         if not term:
@@ -479,12 +449,23 @@ def parse_scalar(text: str) -> CyclotomicScalar:
         m = _TERM_RE.match(term)
         if not m:
             raise ScalarParseError(f"malformed scalar term {term!r} in {text!r}")
-        num = int(m.group(1))
-        den = int(m.group(2)) if m.group(2) else 1
+        try:
+            num, den, order, k = (int(g) if g else d for g, d in zip(m.groups(), (0, 1, None, 0)))
+        except ValueError as e:
+            raise ScalarParseError(f"number too long in scalar term {term[:40]!r}...") from e
         if den == 0:
             raise ScalarParseError(f"zero denominator in {term!r}")
+        if order == 0:
+            raise ScalarParseError(f"root order 0 in {term!r}")
+        conductor = _lcm(conductor, order or 1)
+        if conductor > MAX_CONDUCTOR:
+            raise ScalarParseError(
+                f"scalar needs a field order above MAX_CONDUCTOR = {MAX_CONDUCTOR}: {text[:80]!r}")
+        terms.append((num, den, order, k))
+    total = ZERO
+    for num, den, order, k in terms:
         coef = rational(Fraction(num, den))
-        if m.group(3):
-            coef = coef * root_of_unity(int(m.group(3)), int(m.group(4)))
+        if order:
+            coef = coef * root_of_unity(order, k)
         total = total + coef
     return total

@@ -6,7 +6,11 @@ checks); a refactor that changes any report shows up here.  Each pbw-check
 case runs with --oracle on a kappa file from tests/golden/: ``basis`` is the
 last parameter-space basis vector, ``seeded`` three seeded random
 coordinates.  The seeded kappa fails on every problem but weyl2, whose
-parameter space is all of its kappa space.  Outputs too large to commit
+parameter space is all of its kappa space.  ``z6z6_zeta12`` is a seeded
+Z/6 x Z/6 diagonal problem over Q(zeta_12) with a bicharacter cocycle, kept
+in tests/golden/ with its seeded kappa of proper cyclotomic coordinates; its
+reports print values at conductors 3, 4 and 12, so they pin the
+serialization of non-rational scalars.  Outputs too large to commit
 (``alpha-table 5``, 201 kB, all 14,400 S5 values) are kept as the sha256 of
 stdout with the exit code, in tests/golden/digests.json; so is a sampled
 ``verify-cover`` run, whose checked counts pin the sampling rule.  To
@@ -38,6 +42,7 @@ PROBLEM_COMMANDS = {
 PROBLEM_NAMES = ["weyl2", "z2_negation", "klein_bicharacter_diag", "s3_natural_qminus",
                  "s4_twisted"]
 KAPPA_PROBLEMS = ["weyl2", "klein_bicharacter_diag", "s3_natural_qminus", "s4_twisted"]
+CYCLOTOMIC = "z6z6_zeta12"
 
 
 def _cases():
@@ -45,6 +50,11 @@ def _cases():
     for command, extra in PROBLEM_COMMANDS.items():
         for name in PROBLEM_NAMES:
             cases[f"{command}.{name}"] = [command, f"{name}.json", *extra]
+    for command in ("check-extension", "parameter-space", "classify-diagonal"):
+        cases[f"{command}.{CYCLOTOMIC}"] = [command, f"{CYCLOTOMIC}.json",
+                                            *PROBLEM_COMMANDS[command]]
+    cases[f"pbw-check.{CYCLOTOMIC}.seeded"] = [
+        "pbw-check", f"{CYCLOTOMIC}.json", "--kappa", f"kappa.{CYCLOTOMIC}.seeded.json", "--oracle"]
     for name in KAPPA_PROBLEMS:
         for kind in ("basis", "seeded"):
             cases[f"pbw-check.{name}.{kind}"] = [
@@ -64,7 +74,7 @@ DIGEST_CASES = {
 
 
 def _run(argv):
-    argv = [os.path.join(GOLDEN if a.startswith("kappa.") else PROBLEMS, a)
+    argv = [os.path.join(GOLDEN if os.path.exists(os.path.join(GOLDEN, a)) else PROBLEMS, a)
             if a.endswith(".json") else a for a in argv]
     out = io.StringIO()
     with redirect_stdout(out), redirect_stderr(io.StringIO()):

@@ -297,6 +297,23 @@ def test_cli_q_table_of_ints_exits_3(tmp_path):
     assert code == 3 and rep["location"] == "q[0][0]"
 
 
+@pytest.mark.parametrize("entry", [
+    "1/1*z0^1", "1" * 5000 + "/1", "1/1*z" + "7" * 5000 + "^1", "1/1*z720720^1",
+], ids=["order-0", "long-numerator", "long-order", "z720720"])
+def test_cli_bad_scalar_exits_3_with_location(tmp_path, entry):
+    code, rep = run_problem(tmp_path, dict(S2_DIAGONAL, q=[["1/1", entry], ["1/1", "1/1"]]))
+    assert code == 3 and rep["location"] == "q[0][1]"
+
+
+def test_cli_scalars_past_the_bound_together_exit_3(tmp_path):
+    # z97 and z89 are each admitted, but would meet in Q(zeta_8633)
+    q = [["1/1", "1/1*z97^1"], ["1/1*z97^96", "1/1"]]
+    action = {"diagonal": [["1/1", "1/1"], ["1/1*z89^1", "1/1"]]}
+    code, rep = run_problem(tmp_path, dict(S2_DIAGONAL, q=q, action=action))
+    assert code == 3 and rep["location"] == "action.diagonal[1][0]"
+    assert "MAX_CONDUCTOR" in rep["reason"]
+
+
 def test_cli_kappa_coefficients_not_an_object_exits_3(tmp_path):
     prob = tmp_path / "problem.json"
     prob.write_text(json.dumps(S2_DIAGONAL))

@@ -1,12 +1,14 @@
 """Exact cyclotomic arithmetic: canonical forms, field axioms, serialization."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tqdha.scalars import (
+    MAX_CONDUCTOR,
     MINUS_ONE,
     ONE,
     ZERO,
@@ -49,6 +51,13 @@ def test_field_arithmetic_examples():
     z3 = root_of_unity(3, 1)
     assert ONE / z3 == z3 * z3
     assert (z3 * (z3 * z3)).is_one()
+
+
+def test_equality_reads_the_denominator():
+    z12 = root_of_unity(12, 1)
+    assert rational(Fraction(1, 2)) != rational(Fraction(1, 3))
+    assert z12 * rational(Fraction(1, 2)) != z12 * rational(Fraction(1, 3))
+    assert z12 * rational(Fraction(1, 2)) != root_of_unity(24, 2) * rational(Fraction(1, 3))
 
 
 def test_division_by_zero_is_distinct_error():
@@ -98,13 +107,49 @@ def test_parse_rejects_garbage():
             parse_scalar(bad)
 
 
-_roots = st.sampled_from([(1, 0), (2, 1), (3, 1), (4, 1), (8, 1), (8, 3), (12, 7)])
+@pytest.mark.parametrize("bad", [
+    "1/1*z0^1",
+    "1" * 5000 + "/1",
+    "1/" + "7" * 5000,
+    "1/1*z" + "7" * 5000 + "^1",
+    "1/1*z3^" + "1" * 5000,
+    "1/1*z720720^1",
+    "1/1*z1000003^1",
+    f"1/1*z{MAX_CONDUCTOR + 1}^1",
+    "1/1*z97^1 + 1/1*z89^1",  # each order is admitted; their lcm is not
+], ids=["order-0", "long-numerator", "long-denominator", "long-order", "long-exponent",
+        "z720720", "z1000003", "past-bound", "compositum"])
+def test_parse_refuses_bad_orders_and_long_numbers_before_building(bad):
+    built = cyclotomic_polynomial.cache_info().currsize
+    with pytest.raises(ScalarParseError):
+        parse_scalar(bad)
+    assert cyclotomic_polynomial.cache_info().currsize == built
+
+
+def test_parse_admits_every_order_up_to_the_bound():
+    assert MAX_CONDUCTOR >= 24
+    for text in ["1/1*z24^5", f"1/1*z{MAX_CONDUCTOR}^1", "1/1*z97^1", "1/1*z3^1 + 1/1*z8^1"]:
+        x = parse_scalar(text)
+        assert (x * x.inverse()).is_one()
+
+
+# Values with Fraction(a, b) coefficients, b <= 6, on sums of roots of orders
+# 3, 4, 8 and 12, whose compositum is Q(zeta_24).
+_fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+_terms = st.lists(st.tuples(_fractions, st.sampled_from([3, 4, 8, 12]), st.integers(0, 23)),
+                  max_size=3)
 _scalar = st.builds(
-    lambda nk, a, b: root_of_unity(*nk) * rational(a) + rational(b),
-    _roots,
-    st.integers(-4, 4),
-    st.integers(-4, 4),
+    lambda c, terms: sum((rational(a) * root_of_unity(n, k) for a, n, k in terms), rational(c)),
+    _fractions,
+    _terms,
 )
+
+
+def _assert_canonical(x):
+    assert x.den > 0
+    assert gcd(x.den, *x.coeffs) == 1
+    assert len(x.coeffs) == euler_phi(x.order)
+    assert x.order == 1 or any(x.coeffs[1:])  # rationals sit at order 1
 
 
 @settings(max_examples=60, deadline=None)
@@ -123,7 +168,7 @@ def test_canonicalization_idempotent(a):
     r = a.reduced()
     assert r == a
     assert r.reduced().order == r.order
-    assert r.reduced().coeffs == r.coeffs
+    assert (r.reduced().coeffs, r.reduced().den) == (r.coeffs, r.den)
 
 
 @settings(max_examples=40, deadline=None)
@@ -131,3 +176,22 @@ def test_canonicalization_idempotent(a):
 def test_hash_consistent_with_equality(a, b):
     if a == b:
         assert hash(a) == hash(b)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_scalar, _scalar, st.sampled_from([1, 5, 7, 11, 13, 17, 19, 23]))
+def test_layout_round_trip_and_inverse(a, b, k):
+    assert (a == b) == (a - b).is_zero()
+    for x in (a, b, a * b, a + b, a.reduced()):
+        _assert_canonical(x)
+        text = x.serialize()
+        y = parse_scalar(text)
+        assert y == x and y.serialize() == text
+    # the same value computed in Q(zeta_24): equal, with an equal hash
+    lifted = a * root_of_unity(24, k) * root_of_unity(24, -k)
+    assert lifted.order in (1, 24)
+    _assert_canonical(lifted)
+    assert lifted == a and hash(lifted) == hash(a)
+    if not a.is_zero():
+        assert a * a.inverse() == ONE
+        _assert_canonical(a.inverse())
