@@ -4,34 +4,28 @@ S_n representation with q = -1.
 
 The twisted column uses the spin-cover 2-cocycle; the untwisted column the
 trivial one.  Both are computed through the cohomological pipeline and
-cross-checked against the direct linear solver before printing.
+cross-checked against the direct linear solver before printing; the script
+exits 1 if the two disagree:
+
+    PYTHONPATH=src python scripts/compare_twisted_untwisted.py --max-n 5
 """
 
 import argparse
+import sys
 import time
 
+from tqdha.classify import symmetric_instance
 from tqdha.cohomology import cohomological_parameter_space
-from tqdha.groups import symmetric_group, trivial_cocycle
-from tqdha.linalg import same_span
-from tqdha.pbw import solve_parameter_space
-from tqdha.quantum import QMatrix, natural_permutation_action
-from tqdha.spin import spin_cocycle
+from tqdha.pbw import same_space, solve_parameter_space
 
 
 def dimensions(n: int, twisted: bool, crosscheck: bool):
-    group = symmetric_group(n)
-    action = natural_permutation_action(group)
-    q = QMatrix.uniform(n, -1)
-    alpha = spin_cocycle(n) if twisted else trivial_cocycle(group)
+    _, action, q, alpha = symmetric_instance(n, twisted)
     t0 = time.time()
     basis = cohomological_parameter_space(action, q, alpha)
     elapsed = time.time() - t0
-    if crosscheck:
-        direct = solve_parameter_space(action, q, alpha)
-        assert len(direct) == len(basis) and same_span(
-            [k.coordinate_row() for k in direct],
-            [k.coordinate_row() for k in basis],
-        ), f"engine disagreement at n={n}, twisted={twisted}"
+    if crosscheck and not same_space(solve_parameter_space(action, q, alpha), basis):
+        sys.exit(f"engine disagreement at n={n}, twisted={twisted}")
     return len(basis), elapsed
 
 

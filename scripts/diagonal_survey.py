@@ -13,8 +13,7 @@ import sys
 
 from tqdha.classify import diagonal_kappa_basis_labeled
 from tqdha.groups import bicharacter_cocycle, group_from_cyclic_orders, trivial_cocycle
-from tqdha.linalg import same_span
-from tqdha.pbw import solve_parameter_space
+from tqdha.pbw import same_space, solve_parameter_space
 from tqdha.quantum import QMatrix, diagonal_action
 from tqdha.scalars import MINUS_ONE, ONE, root_of_unity
 
@@ -52,13 +51,7 @@ def main() -> int:
         for alpha in cocycles:
             labeled = diagonal_kappa_basis_labeled(action, q, alpha)
             direct = solve_parameter_space(action, q, alpha)
-            ok = len(labeled) == len(direct) and (
-                not labeled
-                or same_span(
-                    [k.coordinate_row() for _, k in labeled],
-                    [k.coordinate_row() for k in direct],
-                )
-            )
+            ok = same_space([k for _, k in labeled], direct)
             disagreements += not ok
             tags = ", ".join(f"(a={a}, r={r + 1}, s={s + 1})" for (a, r, s), _ in labeled) or "-"
             print(f"{name:26} alpha={alpha.name:16} dim={len(labeled)}  agree={ok}  basis: {tags}")

@@ -1,22 +1,28 @@
 """The bundled acceptance suite: one callable check per criterion.
 
 Each check returns {"id", "description", "passed", "details"}.  The checks
-share expensive artifacts (symmetric groups, spin cocycle tables, S5
-parameter spaces) through a module-level cache, so running the whole suite
-costs little more than its slowest member.  tests/test_acceptance.py asserts
-these, and the CLI `selftest` prints one line per criterion.
+share their expensive artifacts, so running the whole suite costs little
+more than its slowest member.  The S_n instances, cocycles included, come
+from the cached ``classify.symmetric_instance``.  ``_classification`` runs
+``symmetric_natural_classify`` once per (n, twisted), and its basis is also
+the cohomology route of criteria 6 and 9; the direct route is solved once,
+in criterion 6.  So each (instance, route) pair is computed once per process.
+tests/test_acceptance.py asserts these, and the CLI `selftest` prints one
+line per criterion.
 """
 
 from __future__ import annotations
 
 import random
 import time
+from functools import lru_cache
 
 from .classify import (
     diagonal_kappa_basis,
     eta_family_basis,
     eta_family_counts,
     expected_image_value,
+    symmetric_instance,
     symmetric_natural_classify,
 )
 from .cohomology import (
@@ -31,55 +37,19 @@ from .groups import (
     GroupAlgebraElement,
     bicharacter_cocycle,
     group_from_cyclic_orders,
-    symmetric_group,
     trivial_cocycle,
     trivial_group,
     validate_cocycle,
 )
-from .linalg import same_span
-from .pbw import KappaMap, check_pbw_conditions, solve_parameter_space, verify_ambiguities
-from .quantum import (
-    GroupAction,
-    QMatrix,
-    diagonal_action,
-    natural_permutation_action,
-)
+from .pbw import KappaMap, check_pbw_conditions, same_space, solve_parameter_space, verify_ambiguities
+from .quantum import GroupAction, QMatrix, diagonal_action
 from .scalars import MINUS_ONE, ONE, ZERO, rational
 from .spin import spin_cocycle, verify_cover
 
-_shared: dict = {}
 
-
-def _sym_instance(n: int, twisted: bool):
-    group = symmetric_group(n)
-    action = natural_permutation_action(group)
-    q = QMatrix.uniform(n, -1)
-    alpha = spin_cocycle(n) if twisted else trivial_cocycle(group)
-    return group, action, q, alpha
-
-
-def _direct_space(key, action, q, alpha):
-    if key not in _shared:
-        _shared[key] = solve_parameter_space(action, q, alpha)
-    return _shared[key]
-
-
-def _cohomology_space(key, action, q, alpha):
-    if key not in _shared:
-        _shared[key] = cohomological_parameter_space(action, q, alpha)
-    return _shared[key]
-
-
-def _classify_report(n: int, twisted: bool):
-    key = ("classify", n, twisted)
-    if key not in _shared:
-        rep = symmetric_natural_classify(n, twisted)
-        _shared[key] = rep
-        # the classification ran the cohomological pipeline; share its basis
-        # with the cross-check matrix
-        tag = f"S{n} natural q=-1, {'spin' if twisted else 'trivial'}"
-        _shared.setdefault(("coh", tag), rep["kappa_basis"])
-    return _shared[key]
+@lru_cache(maxsize=None)
+def _classification(n: int, twisted: bool) -> dict:
+    return symmetric_natural_classify(n, twisted)
 
 
 def _trivial_instance(n: int):
@@ -110,7 +80,7 @@ def _klein_diag_instance():
 def criterion_1() -> dict:
     """Twisted S5 classification: dimension 2, span{kappa_1, kappa_2}."""
     t0 = time.time()
-    rep = _classify_report(5, True)
+    rep = _classification(5, True)
     elapsed = time.time() - t0
     dim_ok = rep["dimension"] == 2
     span_ok = rep["matches_expected"] is True
@@ -126,7 +96,7 @@ def criterion_1() -> dict:
 
 def criterion_2() -> dict:
     """Induced-cocycle image table at n = 5 equals the closed forms."""
-    rep = _classify_report(5, True)
+    rep = _classification(5, True)
     mismatches = []
     for tag, data in rep["lemma_image"].items():
         for (i, j), img in data["images"].items():
@@ -206,10 +176,7 @@ def criterion_5(seed: int = 0, per_instance: int = 35) -> dict:
     q = 1, trivial and bicharacter cocycles)."""
     rng = random.Random(seed)
     instances = []
-    s3 = symmetric_group(3)
-    instances.append(("S3 natural q=-1, trivial",
-                      s3, natural_permutation_action(s3), QMatrix.uniform(3, -1),
-                      trivial_cocycle(s3)))
+    instances.append(("S3 natural q=-1, trivial", *symmetric_instance(3, False)))
     kg, kact, kq = _klein_diag_instance()
     instances.append(("Klein diagonal q=1, trivial", kg, kact, kq, trivial_cocycle(kg)))
     instances.append(("Klein diagonal q=1, bicharacter", kg, kact, kq,
@@ -249,43 +216,38 @@ def criterion_6(quick: bool = False) -> dict:
     instances) closed-form spans all agree."""
     rows = []
 
-    def add_case(name, action, q, alpha, diagonal):
-        key = name
-        direct = _direct_space(("direct", key), action, q, alpha)
-        coh = _cohomology_space(("coh", key), action, q, alpha)
-        ok = len(direct) == len(coh) and same_span(
-            [k.coordinate_row() for k in direct], [k.coordinate_row() for k in coh]
-        )
+    def add_case(name, action, q, alpha, coh=None):
+        direct = solve_parameter_space(action, q, alpha)
+        if coh is None:
+            coh = cohomological_parameter_space(action, q, alpha)
+        ok = same_space(direct, coh)
         extra = None
-        if diagonal:
+        if action.is_diagonal():
             closed = diagonal_kappa_basis(action, q, alpha)
             extra = len(closed)
-            ok = ok and len(closed) == len(direct) and same_span(
-                [k.coordinate_row() for k in closed],
-                [k.coordinate_row() for k in direct],
-            )
+            ok = ok and same_space(closed, direct)
         rows.append({"case": name, "direct": len(direct), "cohomology": len(coh),
                      "closed_form": extra, "agree": ok})
 
     for n in (1, 2, 3):
         _, action, q, alpha = _trivial_instance(n)
-        add_case(f"trivial group, q=1, n={n}", action, q, alpha, diagonal=True)
+        add_case(f"trivial group, q=1, n={n}", action, q, alpha)
 
     z2 = group_from_cyclic_orders([2])
     lam = [[ONE, ONE], [MINUS_ONE, MINUS_ONE]]
     act = diagonal_action(z2, lam)
-    add_case("Z/2 diag(-1,-1), q=1", act, QMatrix.uniform(2, 1), trivial_cocycle(z2), True)
+    add_case("Z/2 diag(-1,-1), q=1", act, QMatrix.uniform(2, 1), trivial_cocycle(z2))
 
     kg, kact, kq = _klein_diag_instance()
-    add_case("Klein diagonal q=1, trivial cocycle", kact, kq, trivial_cocycle(kg), True)
+    add_case("Klein diagonal q=1, trivial cocycle", kact, kq, trivial_cocycle(kg))
     add_case("Klein diagonal q=1, bicharacter", kact, kq,
-             bicharacter_cocycle(kg, [[0, 0], [1, 0]]), True)
+             bicharacter_cocycle(kg, [[0, 0], [1, 0]]))
 
     for n in (4,) if quick else (4, 5):
         for twisted in (False, True):
-            _, action, q, alpha = _sym_instance(n, twisted)
+            _, action, q, alpha = symmetric_instance(n, twisted)
             add_case(f"S{n} natural q=-1, {'spin' if twisted else 'trivial'}",
-                     action, q, alpha, diagonal=False)
+                     action, q, alpha, _classification(n, twisted)["kappa_basis"])
 
     return {
         "id": 6,
@@ -312,8 +274,7 @@ def criterion_7() -> dict:
         ["-1/1", "1/1", "1/1"],
     ])
     instances.append(("Z/2 diagonal, mixed q", diagonal_action(z2, lam), qz))
-    s3 = symmetric_group(3)
-    instances.append(("S3 natural, q=-1", natural_permutation_action(s3), QMatrix.uniform(3, -1)))
+    instances.append(("S3 natural, q=-1", *symmetric_instance(3)[1:]))
 
     n = 3
     gammas = [g for g in itertools.product(range(3), repeat=n) if sum(g) <= 2]
@@ -349,7 +310,7 @@ def criterion_8(quick: bool = False) -> dict:
     sizes = {}
     membership_failures = []
     for n in (4,) if quick else (4, 5):
-        _, action, q, _ = _sym_instance(n, False)
+        _, action, q = symmetric_instance(n)
         basis = constant_cocycle_basis(action, q)
         sizes[n] = len(basis)
         fams = eta_family_basis(n)
@@ -375,15 +336,14 @@ def criterion_8(quick: bool = False) -> dict:
 
 def criterion_9() -> dict:
     """The untwisted S5 parameter space strictly exceeds dimension 2."""
-    _, action, q, alpha = _sym_instance(5, False)
-    coh = _cohomology_space(("coh", "S5 natural q=-1, trivial"), action, q, alpha)
-    twisted_dim = _classify_report(5, True)["dimension"]
+    untwisted_dim = _classification(5, False)["dimension"]
+    twisted_dim = _classification(5, True)["dimension"]
     return {
         "id": 9,
         "description": "untwisted S5 (q=-1, trivial cocycle) parameter space "
                        "dimension strictly exceeds the twisted dimension 2",
-        "passed": len(coh) > 2 and twisted_dim == 2,
-        "details": {"untwisted_dimension": len(coh), "twisted_dimension": twisted_dim},
+        "passed": untwisted_dim > 2 and twisted_dim == 2,
+        "details": {"untwisted_dimension": untwisted_dim, "twisted_dimension": twisted_dim},
     }
 
 

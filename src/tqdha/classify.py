@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 
 from .cohomology import (
     Cochain,
@@ -23,8 +24,7 @@ from .groups import (
     symmetric_group,
     trivial_cocycle,
 )
-from .linalg import same_span
-from .pbw import KappaMap
+from .pbw import KappaMap, same_space
 from .quantum import GroupAction, QMatrix, natural_permutation_action
 from .scalars import ONE, ZERO, rational
 from .spin import spin_cocycle
@@ -57,6 +57,11 @@ def cg_membership(gamma, g: int, action: GroupAction, q: QMatrix) -> bool:
     return True
 
 
+def _q_lambda_holds(q: QMatrix, lam_g, n: int, r: int, s: int) -> bool:
+    """q_rr' q_sr' = lambda_{g,r'} for every r' outside {r, s}."""
+    return all(q(r, rp) * q(s, rp) == lam_g[rp] for rp in range(n) if rp not in (r, s))
+
+
 def diagonal_constant_basis(action: GroupAction, q: QMatrix) -> list[tuple[int, int, int]]:
     """All (g, r, s) with r < s and q_rr' q_sr' = lambda_{g,r'} for every
     r' outside {r, s}; these index the constant 2-cocycle basis t_g (x)
@@ -67,11 +72,7 @@ def diagonal_constant_basis(action: GroupAction, q: QMatrix) -> list[tuple[int, 
     for g in range(action.group.size):
         for r in range(n):
             for s in range(r + 1, n):
-                if all(
-                    q(r, rp) * q(s, rp) == lam[g][rp]
-                    for rp in range(n)
-                    if rp not in (r, s)
-                ):
+                if _q_lambda_holds(q, lam[g], n, r, s):
                     out.append((g, r, s))
     return out
 
@@ -94,11 +95,7 @@ def diagonal_kappa_basis_labeled(action: GroupAction, q: QMatrix, alpha: Cocycle
         a = cls[0]
         for r in range(n):
             for s in range(r + 1, n):
-                if not all(
-                    q(r, rp) * q(s, rp) == lam[a][rp]
-                    for rp in range(n)
-                    if rp not in (r, s)
-                ):
+                if not _q_lambda_holds(q, lam[a], n, r, s):
                     continue
                 if not all(
                     lam[h][r] * lam[h][s] == alpha(h, a) / alpha(a, h)
@@ -141,11 +138,16 @@ class EtaFamilyElement:
 
 
 @lru_cache(maxsize=None)
-def symmetric_instance(n: int):
-    group = symmetric_group(n)
-    action = natural_permutation_action(group)
-    q = QMatrix.uniform(n, -1)
-    return group, action, q
+def symmetric_instance(n: int, twisted: bool | None = None):
+    """S_n on its natural representation with q = -1: (group, action, q), and
+    given ``twisted`` also the cocycle, spin(n) if twisted, else trivial.
+    Cached, so callers share one cocycle object and the identity-keyed caches
+    of ``pbw`` hit across them; the cocycle is built only when asked for."""
+    if twisted is None:
+        group = symmetric_group(n)
+        return group, natural_permutation_action(group), QMatrix.uniform(n, -1)
+    group, action, q = symmetric_instance(n)
+    return group, action, q, spin_cocycle(n) if twisted else trivial_cocycle(group)
 
 
 def _wedge_sum(n: int, group: FiniteGroup, perm, pairs) -> Cochain:
@@ -156,58 +158,32 @@ def _wedge_sum(n: int, group: FiniteGroup, perm, pairs) -> Cochain:
     return c
 
 
+def _eta_family_table(n: int) -> list:
+    """(tag, indices, cycles of the group element, wedge pairs) for each
+    element of the five families, in basis order."""
+    pairs = list(combinations(range(n), 2))
+    return (
+        [(1, (r, s), [], [(r, s)]) for r, s in pairs]
+        + [(2, (r, s), [(r, s)], [(r, s)]) for r, s in pairs]
+        + [(3, (r, s, t), [(r, s)], [(r, t), (s, t)])
+           for r, s in pairs for t in range(n) if t not in (r, s)]
+        + [(4, (r, s, t, u), [(r, s), (t, u)], [(r, t), (r, u), (s, t), (s, u)])
+           for r, s in pairs for t, u in pairs if r < t and s not in (t, u)]
+        + [(5, (r, s, t), [(r, s, t)], [(r, s), (s, t), (r, t)])
+           for r, s in pairs for t in range(r + 1, n) if t != s]
+    )
+
+
 def eta_family_basis(n: int) -> list[EtaFamilyElement]:
     """All five families, expanded; counts are C(n,2), C(n,2), (n-2) C(n,2),
     3 C(n,4), 2 C(n,3).  Requires n >= 4 (the classification hypothesis)."""
     if n < 4:
         raise ValueError("the eta families are defined for n >= 4")
     group, _, _ = symmetric_instance(n)
-    ident = tuple(range(n))
-    out = []
-    for r in range(n):
-        for s in range(r + 1, n):
-            out.append(EtaFamilyElement(1, (r, s), _wedge_sum(n, group, ident, [(r, s)])))
-    for r in range(n):
-        for s in range(r + 1, n):
-            perm = perm_from_cycles(n, [(r, s)])
-            out.append(EtaFamilyElement(2, (r, s), _wedge_sum(n, group, perm, [(r, s)])))
-    for r in range(n):
-        for s in range(r + 1, n):
-            perm = perm_from_cycles(n, [(r, s)])
-            for rp in range(n):
-                if rp not in (r, s):
-                    out.append(
-                        EtaFamilyElement(
-                            3, (r, s, rp), _wedge_sum(n, group, perm, [(r, rp), (s, rp)])
-                        )
-                    )
-    for r in range(n):
-        for s in range(r + 1, n):
-            for rp in range(r + 1, n):
-                for sp in range(rp + 1, n):
-                    if len({r, s, rp, sp}) == 4:
-                        perm = perm_from_cycles(n, [(r, s), (rp, sp)])
-                        out.append(
-                            EtaFamilyElement(
-                                4,
-                                (r, s, rp, sp),
-                                _wedge_sum(
-                                    n, group, perm,
-                                    [(r, rp), (r, sp), (s, rp), (s, sp)],
-                                ),
-                            )
-                        )
-    for r in range(n):
-        for s in range(r + 1, n):
-            for rp in range(r + 1, n):
-                if rp != s:
-                    perm = perm_from_cycles(n, [(r, s, rp)])
-                    out.append(
-                        EtaFamilyElement(
-                            5, (r, s, rp), _wedge_sum(n, group, perm, [(r, s), (s, rp), (r, rp)])
-                        )
-                    )
-    return out
+    return [
+        EtaFamilyElement(tag, indices, _wedge_sum(n, group, perm_from_cycles(n, cycles), pairs))
+        for tag, indices, cycles, pairs in _eta_family_table(n)
+    ]
 
 
 def eta_family_counts(n: int) -> dict[int, int]:
@@ -267,8 +243,7 @@ def symmetric_natural_classify(n: int, twisted: bool) -> dict:
     """
     if n < 4:
         raise ValueError("the symmetric-group pipeline needs n >= 4")
-    group, action, q = symmetric_instance(n)
-    alpha = spin_cocycle(n) if twisted else trivial_cocycle(group)
+    _, action, q, alpha = symmetric_instance(n, twisted)
     basis = cohomological_parameter_space(action, q, alpha)
 
     image_table = {}
@@ -289,11 +264,7 @@ def symmetric_natural_classify(n: int, twisted: bool) -> dict:
         "eta_counts": eta_family_counts(n),
     }
     if twisted and n >= 5:
-        expected = [kappa_one(n), kappa_two(n)]
-        report["matches_expected"] = len(basis) == 2 and same_span(
-            [b.coordinate_row() for b in basis],
-            [k.coordinate_row() for k in expected],
-        )
+        report["matches_expected"] = same_space(basis, [kappa_one(n), kappa_two(n)])
     else:
         report["matches_expected"] = None
     return report

@@ -20,16 +20,15 @@ from .classify import (
     symmetric_natural_classify,
 )
 from .cohomology import cohomological_parameter_space, constant_cocycle_basis
-from .linalg import same_span
 from .pbw import (
     CrossCheckError,
     ExtensionError,
-    KappaMap,
     check_pbw_conditions,
+    same_space,
     solve_parameter_space,
     verify_ambiguities,
 )
-from .problems import ProblemValidationError, parse_problem_file
+from .problems import ProblemValidationError, load_kappa, parse_problem_file
 from .quantum import check_action_extends
 from .spin import spin_cocycle, verify_cover
 
@@ -77,7 +76,7 @@ def cmd_pbw_check(args) -> int:
         with open(args.kappa) as f:
             data = json.load(f)
         records = data["kappa"] if isinstance(data, dict) else data
-        kappa = KappaMap.from_records(prob.group, prob.n, prob.q, records)
+        kappa = load_kappa(prob, records)
     except (OSError, json.JSONDecodeError, KeyError, ValueError) as e:
         raise ProblemValidationError("kappa-file", str(e)) from e
     rep = check_pbw_conditions(kappa, prob.action, prob.q, prob.alpha)
@@ -111,9 +110,7 @@ def cmd_parameter_space(args) -> int:
         report["dimension"] = len(coh)
         report["basis"] = _kappa_records(coh)
     else:
-        agree = len(direct) == len(coh) and same_span(
-            [k.coordinate_row() for k in direct], [k.coordinate_row() for k in coh]
-        )
+        agree = same_space(direct, coh)
         report["spans_agree"] = agree
         report["dimension"] = len(direct)
         report["basis"] = _kappa_records(direct)
@@ -149,10 +146,7 @@ def cmd_classify_diagonal(args) -> int:
     report = {"dimension": len(labeled), "basis": basis}
     if args.crosscheck:
         direct = solve_parameter_space(prob.action, prob.q, prob.alpha)
-        agree = len(direct) == len(labeled) and same_span(
-            [k.coordinate_row() for _, k in labeled],
-            [k.coordinate_row() for k in direct],
-        )
+        agree = same_space([k for _, k in labeled], direct)
         report["direct_dimension"] = len(direct)
         report["spans_agree"] = agree
         if not agree:

@@ -20,7 +20,6 @@ from .pbw import CrossCheckError, ExtensionError, KappaMap, check_pbw_conditions
 from .quantum import (
     GroupAction,
     QMatrix,
-    act_monomial,
     mono_times_variable,
     variable_times_mono,
 )
@@ -168,10 +167,10 @@ def _contragredient_wedge2(action: GroupAction, q: QMatrix, h: int, r: int, s: i
 
 
 def act_on_cochain(h: int, x: Cochain, action: GroupAction, q: QMatrix, alpha: Cocycle2) -> Cochain:
-    """The twisted action of h: linear action on the polynomial part, twisted
-    conjugation on t_g, contragredient action on the dual wedge (degree 2)."""
-    if x.degree != 2:
-        raise ValueError("the cochain action is implemented in degree 2")
+    """The twisted action of h on a constant degree-2 cochain: twisted
+    conjugation on t_g, contragredient action on the dual wedge."""
+    if x.degree != 2 or not x.is_constant():
+        raise ValueError("the cochain action is implemented for constant degree-2 cochains")
     n = x.n
     G = action.group
     out: dict = {}
@@ -179,15 +178,8 @@ def act_on_cochain(h: int, x: Cochain, action: GroupAction, q: QMatrix, alpha: C
         ratio = alpha.conj_ratio(h, g)
         gc = G.conjugate(h, g)
         r, s = [t for t in range(n) if beta[t]]
-        wedges = _contragredient_wedge2(action, q, h, r, s)
-        if any(gamma):
-            polys = act_monomial(action, q, h, gamma)
-        else:
-            polys = {gamma: ONE}
-        for (k, l), wv in wedges.items():
-            nb = _wedge_index(n, (k, l))
-            for gam, pv in polys.items():
-                bump(out, (gam, gc, nb), c * ratio * wv * pv)
+        for (k, l), wv in _contragredient_wedge2(action, q, h, r, s).items():
+            bump(out, (gamma, gc, _wedge_index(n, (k, l))), c * ratio * wv)
     return Cochain(n, 2, out)
 
 

@@ -10,13 +10,26 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
+from math import prod
 
 from .linalg import SparseSum, bump
 from .scalars import ONE, ZERO, CyclotomicScalar, root_of_unity
 
 
+# A group is held as its dense |G| x |G| multiplication table, and the cocycle
+# table, conj_ratio and the solver's unknowns grow with it: S7's table of
+# 5,040^2 = 25.4M entries already takes 413 MB.  So no constructor builds a
+# table for a larger group.
+MAX_GROUP_ORDER = 5040
+
+
 class GroupConstructionError(ValueError):
     """The input data does not describe a valid finite group."""
+
+
+def _check_order(order: int) -> None:
+    if order > MAX_GROUP_ORDER:
+        raise GroupConstructionError(f"group order past MAX_GROUP_ORDER = {MAX_GROUP_ORDER}")
 
 
 class CocycleError(ValueError):
@@ -171,6 +184,7 @@ def trivial_group() -> FiniteGroup:
 
 def group_from_table(table, name="table-group") -> FiniteGroup:
     size = len(table)
+    _check_order(size)
     for i, row in enumerate(table):
         if len(row) != size:
             raise GroupConstructionError(f"row {i} has length {len(row)}, expected {size}")
@@ -181,7 +195,7 @@ def group_from_table(table, name="table-group") -> FiniteGroup:
     return g
 
 
-def group_from_permutations(generators, degree=None, size_cap=20000, name=None) -> FiniteGroup:
+def group_from_permutations(generators, degree=None, name=None) -> FiniteGroup:
     """Closure of permutation generators, canonically ordered: identity first,
     then sorted by image tuple.  Associativity is structural."""
     gens = [tuple(g) for g in generators]
@@ -190,7 +204,7 @@ def group_from_permutations(generators, degree=None, size_cap=20000, name=None) 
             raise GroupConstructionError("need a degree for an empty generator list")
         degree = len(gens[0])
     for g in gens:
-        if sorted(g) != list(range(degree)):
+        if len(g) != degree or sorted(g) != list(range(degree)):
             raise GroupConstructionError(f"generator {g} is not a permutation of 0..{degree - 1}")
     identity = tuple(range(degree))
     elements = {identity}
@@ -201,8 +215,7 @@ def group_from_permutations(generators, degree=None, size_cap=20000, name=None) 
             for g in gens:
                 q = perm_compose(g, p)
                 if q not in elements:
-                    if len(elements) >= size_cap:
-                        raise GroupConstructionError(f"closure exceeds size cap {size_cap}")
+                    _check_order(len(elements) + 1)
                     elements.add(q)
                     nxt.append(q)
         frontier = nxt
@@ -223,6 +236,7 @@ def group_from_cyclic_orders(orders, name=None) -> FiniteGroup:
     orders = tuple(int(c) for c in orders)
     if any(c < 1 for c in orders):
         raise GroupConstructionError("cyclic orders must be positive")
+    _check_order(prod(orders))
     labels = list(product(*[range(c) for c in orders]))
     index = {lab: i for i, lab in enumerate(labels)}
 

@@ -33,7 +33,7 @@ from operator import add
 from typing import NamedTuple
 
 from .groups import Cocycle2, FiniteGroup, GroupAlgebraElement
-from .linalg import RowReducer, bump
+from .linalg import RowReducer, bump, same_span
 from .quantum import GroupAction, QMatrix, check_action_extends
 from .scalars import ONE, ZERO, CyclotomicScalar, parse_scalar
 
@@ -149,6 +149,15 @@ class KappaMap:
                     raise ValueError(f"group element index {g} out of range")
             values[(i, j)] = GroupAlgebraElement(coeffs)
         return KappaMap(group, n, q, values)
+
+
+def same_space(a, b) -> bool:
+    """Whether two lists of kappa maps, each meant as a basis, span the same
+    space.  The lengths are compared as well, since a list with a dependent
+    member can span the same space as a basis."""
+    return len(a) == len(b) and same_span(
+        [k.coordinate_row() for k in a], [k.coordinate_row() for k in b]
+    )
 
 
 def _pair_index(i: int, j: int, n: int) -> int:

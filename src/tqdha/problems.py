@@ -3,12 +3,14 @@
 A problem file fixes the dimension n, the quantum matrix q (dense table of
 scalar strings or the shorthands "all:1" / "all:-1"), the group (trivial,
 cyclic product, permutation generators as 1-based image arrays, or an explicit
-multiplication table), the action ("natural-permutation", a diagonal
-eigenvalue table with one row per group element, or per-generator matrices),
-and the 2-cocycle ("trivial", "spin(n)", a dense table, or a bicharacter
-exponent matrix for cyclic products).  Everything is validated on load; the
-first failed invariant is reported with its location.  The problem's scalars
-together may need no cyclotomic field past ``scalars.MAX_CONDUCTOR``.
+multiplication table; of order at most ``groups.MAX_GROUP_ORDER``), the
+action ("natural-permutation", a diagonal eigenvalue table with one row per
+group element, or per-generator matrices), and the 2-cocycle ("trivial",
+"spin(n)", a dense table, or a bicharacter exponent matrix for cyclic
+products).  Everything is validated on load; the first failed invariant is
+reported with its location.  The problem's scalars together, and with those
+of a kappa file checked against it, may need no cyclotomic field past
+``scalars.MAX_CONDUCTOR``.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .groups import (
     trivial_group,
     validate_cocycle,
 )
+from .pbw import KappaMap
 from .quantum import (
     ActionError,
     GroupAction,
@@ -57,6 +60,7 @@ class ProblemSpec:
     group: FiniteGroup
     action: GroupAction
     alpha: Cocycle2
+    conductor: int = 1  # the lcm of the orders of the problem's scalars
 
 
 class _ScalarReader:
@@ -65,8 +69,8 @@ class _ScalarReader:
     arithmetic on it, so two entries that are admitted alone (z97 and z89,
     say) never meet in a compositum past the bound (Q(zeta_8633))."""
 
-    def __init__(self):
-        self.conductor = 1
+    def __init__(self, conductor: int = 1):
+        self.conductor = conductor
 
     def __call__(self, loc, s):
         try:
@@ -109,28 +113,44 @@ def _build_q(data, n: int, read: _ScalarReader) -> QMatrix:
         raise ProblemValidationError("q", str(e)) from e
 
 
+def _require_int_table(loc, value) -> None:
+    _require_table(loc, value)
+    if any(not isinstance(x, int) for row in value for x in row):
+        raise ProblemValidationError(loc, "entries must be integers")
+
+
+# each group form with the fields it may carry
+_GROUP_FIELDS = {"table": {"table"}, "permutation_generators": {"permutation_generators", "degree"},
+                 "cyclic_product": {"cyclic_product"}}
+
+
 def _build_group(data) -> FiniteGroup:
+    """The problem's group.  Each form is checked for its types here, and
+    against ``MAX_GROUP_ORDER`` by its constructor before any table."""
     spec = data.get("group", "trivial")
-    try:
-        if spec == "trivial":
-            return trivial_group()
-        if isinstance(spec, dict):
-            if "table" in spec:
-                table = spec["table"]
-                _require_table("group.table", table)
-                if any(not isinstance(x, int) for row in table for x in row):
-                    raise ProblemValidationError("group.table", "entries must be integers")
-                return group_from_table(table)
-            if "permutation_generators" in spec:
-                gens = [tuple(x - 1 for x in g) for g in spec["permutation_generators"]]
-                return group_from_permutations(
-                    gens,
-                    degree=spec.get("degree"),
-                    size_cap=spec.get("size_cap", 20000),
-                )
-            if "cyclic_product" in spec:
-                return group_from_cyclic_orders(spec["cyclic_product"])
+    if spec == "trivial":
+        return trivial_group()
+    form = next((f for f in _GROUP_FIELDS if isinstance(spec, dict) and f in spec), None)
+    if form is None:
         raise ProblemValidationError("group", f"unrecognized description {spec!r}")
+    unknown = sorted(set(spec) - _GROUP_FIELDS[form])
+    if unknown:
+        raise ProblemValidationError("group", f"unknown fields {unknown} in a {form} group")
+    try:
+        if form == "table":
+            _require_int_table("group.table", spec["table"])
+            return group_from_table(spec["table"])
+        if form == "permutation_generators":
+            gens = spec["permutation_generators"]
+            _require_int_table("group.permutation_generators", gens)
+            degree = spec.get("degree")
+            if degree is not None and not isinstance(degree, int):
+                raise ProblemValidationError("group.degree", "need an integer")
+            return group_from_permutations([tuple(x - 1 for x in g) for g in gens], degree)
+        orders = spec["cyclic_product"]
+        if not (isinstance(orders, list) and all(isinstance(c, int) for c in orders)):
+            raise ProblemValidationError("group.cyclic_product", "need a list of integers")
+        return group_from_cyclic_orders(orders)
     except GroupConstructionError as e:
         raise ProblemValidationError("group", str(e)) from e
 
@@ -231,7 +251,19 @@ def load_problem(data: dict) -> ProblemSpec:
     group = _build_group(data)
     action = _build_action(data, group, n, read)
     alpha = _build_cocycle(data, group, read)
-    return ProblemSpec(n=n, q=q, group=group, action=action, alpha=alpha)
+    return ProblemSpec(n, q, group, action, alpha, read.conductor)
+
+
+def load_kappa(prob: ProblemSpec, records) -> KappaMap:
+    """A kappa file's records on the problem.  Each coefficient is admitted
+    into the problem's conductor bound before any arithmetic: a kappa in
+    Q(zeta_97) against q in Q(zeta_89) would need Q(zeta_8633)."""
+    kappa = KappaMap.from_records(prob.group, prob.n, prob.q, records)
+    read = _ScalarReader(prob.conductor)
+    for (i, j), elt in kappa.values.items():
+        for g, c in elt.coeffs.items():
+            read.admit(f"kappa record i={i + 1}, j={j + 1}, element {g}", c)
+    return kappa
 
 
 def parse_problem_file(path: str) -> ProblemSpec:

@@ -1,5 +1,6 @@
 """Closed-form classifications and their cross-checks."""
 
+import hashlib
 import random
 
 import pytest
@@ -190,6 +191,19 @@ def test_eta_families_independent_and_in_kernel_n4():
     for e in fams:
         assert apply_dm_star(e.cochain, act, q).is_zero()
     assert rows_rank([e.cochain.coeffs for e in fams]) == len(fams) == 35
+
+
+def test_eta_family_order_is_pinned():
+    # sha256 of the (tag, indices) sequence, recorded before the families were
+    # generated from one table; the printed lemma table and criterion 8 read
+    # this order
+    digests = {
+        5: "4c88867bb862403cc8e76ffe2342a3c4bacf0c53e121ef94b8fc9919c6ade819",
+        6: "6acabf7ffda1bb385d9087bd9d8d93d7bb00adf8db0eec4d3fe6ff16d062bede",
+    }
+    for n, digest in digests.items():
+        seq = repr([(e.tag, e.indices) for e in eta_family_basis(n)])
+        assert hashlib.sha256(seq.encode()).hexdigest() == digest
 
 
 def test_eta_families_need_n_at_least_4():

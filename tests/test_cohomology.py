@@ -12,6 +12,7 @@ from test_quantum import diagonal_z6z6, seeded_q
 from tqdha.classify import symmetric_instance, eta_family_basis, expected_image_value
 from tqdha.cohomology import (
     Cochain,
+    act_on_cochain,
     apply_dm_star,
     cohomological_parameter_space,
     composition_image,
@@ -130,6 +131,16 @@ def test_reynolds_fixes_invariant_input():
     act, q, alpha = trivial_instance(2)
     c = Cochain.constant_two(2, 0, 0, 1)
     assert reynolds_project(c, act, q, alpha) == c
+
+
+def test_cochain_action_refuses_non_constant_cochains():
+    act, q, alpha = trivial_instance(2)
+    # v_0 t_1 (x) v_0* ^ v_1*: polynomial degree 1
+    c = Cochain(2, 2, {((1, 0), 0, (1, 1)): ONE})
+    with pytest.raises(ValueError, match="constant"):
+        act_on_cochain(0, c, act, q, alpha)
+    with pytest.raises(ValueError, match="constant"):
+        reynolds_project(c, act, q, alpha)
 
 
 def test_reynolds_diagonal_example():

@@ -1,6 +1,7 @@
 """Groups, cocycles, and the twisted group algebra."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tqdha.groups import (
+    MAX_GROUP_ORDER,
     Cocycle2,
     CocycleError,
     FiniteGroup,
@@ -60,8 +62,15 @@ def test_bad_table_rejected():
 
 
 def test_size_cap():
-    with pytest.raises(GroupConstructionError):
-        group_from_permutations([(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)], degree=5, size_cap=50)
+    # S8 has order 40,320, past MAX_GROUP_ORDER = |S7|
+    with pytest.raises(GroupConstructionError, match="MAX_GROUP_ORDER"):
+        group_from_permutations([(1, 0, 2, 3, 4, 5, 6, 7), (1, 2, 3, 4, 5, 6, 7, 0)], degree=8)
+    assert MAX_GROUP_ORDER == math.factorial(7)
+    # a 10^12-element cyclic group is refused from its orders alone
+    with pytest.raises(GroupConstructionError, match="MAX_GROUP_ORDER"):
+        group_from_cyclic_orders([1000000, 1000000])
+    with pytest.raises(GroupConstructionError, match="MAX_GROUP_ORDER"):
+        group_from_table([[0]] * (MAX_GROUP_ORDER + 1))
 
 
 def test_trivial_cocycle_validates():

@@ -22,6 +22,7 @@ from tqdha.pbw import (
     check_pbw_conditions,
     normal_form_reduce,
     parameter_space_rows,
+    same_space,
     solve_parameter_space,
     verify_ambiguities,
 )
@@ -91,6 +92,18 @@ def test_parameter_space_weyl():
     basis = solve_parameter_space(act, q, al)
     assert len(basis) == 1
     assert basis[0].value(0, 1) == GroupAlgebraElement.basis(0)
+
+
+def test_same_space_compares_lengths_and_spans():
+    g, act, q, al = weyl_instance(3)
+    basis = solve_parameter_space(act, q, al)
+    assert len(basis) == 3
+    # a repeated vector spans the same space, but the list is no basis of it
+    assert not same_space(basis, basis + [basis[0]])
+    other = [basis[0].add(basis[1]), basis[1].scale(rational(2)), basis[2].add(basis[0])]
+    assert same_space(basis, other) and same_space(other, basis)
+    # same length, smaller span
+    assert not same_space(basis, other[:2] + [basis[1]])
 
 
 def test_parameter_space_z2_negation():

@@ -314,6 +314,39 @@ def test_cli_scalars_past_the_bound_together_exit_3(tmp_path):
     assert "MAX_CONDUCTOR" in rep["reason"]
 
 
+def test_cli_kappa_file_shares_the_problem_conductor_bound(tmp_path):
+    # q_12 in mu_89 and a kappa coefficient in mu_97 are each admitted, but
+    # together they would need Q(zeta_8633)
+    q = [["1/1", "1/1*z89^1", "1/1"], ["1/1*z89^88", "1/1", "1/1"], ["1/1", "1/1", "1/1"]]
+    prob = tmp_path / "problem.json"
+    prob.write_text(json.dumps({"n": 3, "q": q, "group": "trivial",
+                                "action": {"generator_matrices": []}}))
+    kfile = tmp_path / "kappa.json"
+    kfile.write_text(json.dumps(
+        {"kappa": [{"i": 1, "j": 3, "coefficients": {"0": "1/1"}},
+                   {"i": 1, "j": 2, "coefficients": {"0": "1/1*z97^1"}}]}))
+    code, out, _ = run(["pbw-check", str(prob), "--kappa", str(kfile), "--oracle"])
+    rep = json.loads(out)
+    assert code == 3 and rep["location"] == "kappa-file"
+    assert "i=1, j=2" in rep["reason"] and "Q(zeta_8633)" in rep["reason"]
+
+
+@pytest.mark.parametrize("group", [
+    {"permutation_generators": 5},
+    {"permutation_generators": [[1, "a"]]},
+    {"permutation_generators": [[2, 1]], "size_cap": "x"},
+    {"permutation_generators": [[2, 1]], "degree": "2"},
+    {"cyclic_product": ["2"]},
+    {"cyclic_product": [1000000]},
+    {"permutation_generators": [[2, 1, 3, 4, 5, 6, 7, 8], [2, 3, 4, 5, 6, 7, 8, 1]]},
+    {"permutation_generators": [[1]], "degree": 10 ** 12},
+], ids=["generators-not-a-table", "generator-not-integers", "size-cap-field", "degree-string",
+        "order-string", "cyclic-past-bound", "s8-past-bound", "degree-past-generators"])
+def test_cli_bad_group_description_exits_3(tmp_path, group):
+    code, rep = run_problem(tmp_path, dict(S2_DIAGONAL, group=group))
+    assert code == 3 and rep["location"].split(".")[0] == "group"
+
+
 def test_cli_kappa_coefficients_not_an_object_exits_3(tmp_path):
     prob = tmp_path / "problem.json"
     prob.write_text(json.dumps(S2_DIAGONAL))
