@@ -11,6 +11,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 from math import prod
+from operator import mul, truediv
 
 from .linalg import SparseSum, bump
 from .scalars import ONE, ZERO, CyclotomicScalar, root_of_unity
@@ -203,6 +204,10 @@ def group_from_permutations(generators, degree=None, name=None) -> FiniteGroup:
         if not gens:
             raise GroupConstructionError("need a degree for an empty generator list")
         degree = len(gens[0])
+    if not 1 <= degree <= MAX_GROUP_ORDER:
+        # every element is stored as a degree-long tuple
+        raise GroupConstructionError(
+            f"degree {degree} is not from 1 to MAX_GROUP_ORDER = {MAX_GROUP_ORDER}")
     for g in gens:
         if len(g) != degree or sorted(g) != list(range(degree)):
             raise GroupConstructionError(f"generator {g} is not a permutation of 0..{degree - 1}")
@@ -275,35 +280,73 @@ def symmetric_group(n: int) -> FiniteGroup:
 # ---------------------------------------------------------------------------
 
 
+def _layout(x: CyclotomicScalar) -> tuple:
+    return x.order, x.coeffs, x.den
+
+
+class _PairTable(dict):
+    """op(x, y) on pairs of the distinct values of a cocycle table, at key
+    i * m + j for x = distinct[i], y = distinct[j] and m = len(distinct).
+
+    Each entry is computed on its first lookup, and results of one layout
+    are one shared object, so equal results of one order compare by ``is``."""
+
+    def __init__(self, distinct, op):
+        super().__init__()
+        self.distinct, self.op, self.shared = distinct, op, {}
+
+    def __missing__(self, key):
+        i, j = divmod(key, len(self.distinct))
+        r = self.op(self.distinct[i], self.distinct[j])
+        r = self[key] = self.shared.setdefault(_layout(r), r)
+        return r
+
+
 class Cocycle2:
     """A normalized 2-cocycle on a finite group, stored as a dense table of
-    nonzero scalars."""
+    nonzero scalars.
+
+    Entries of one layout (order, coeffs, den) are one shared object, the
+    first of them in row-major order; ``distinct`` lists these objects in
+    that order.  A table has few distinct values (two
+    for spin(n), at most the root order for a bicharacter), so whatever is
+    computed per distinct value or per pair of them (the zero check here,
+    the products of ``validate_cocycle``, the quotients of ``conj_ratio``)
+    is computed a few times rather than |G|^2 or |G|^3 times."""
 
     def __init__(self, group: FiniteGroup, values, name="cocycle"):
         self.group = group
-        self.values = tuple(tuple(row) for row in values)
         self.name = name
+        shared: dict = {}
+        self.values = tuple(tuple(shared.setdefault(_layout(x), x) for x in row) for row in values)
         if len(self.values) != group.size or any(len(r) != group.size for r in self.values):
             raise CocycleError("cocycle table dimensions do not match the group")
-        for g in range(group.size):
-            for h in range(group.size):
-                if self.values[g][h].is_zero():
-                    raise CocycleError(f"cocycle value at ({g}, {h}) is zero")
+        self.distinct = tuple(shared.values())
+        if any(x.is_zero() for x in self.distinct):
+            g, h = next((g, h) for g, row in enumerate(self.values)
+                        for h, x in enumerate(row) if x.is_zero())
+            raise CocycleError(f"cocycle value at ({g}, {h}) is zero")
         self._conj_ratio = None
 
     def __call__(self, g: int, h: int) -> CyclotomicScalar:
         return self.values[g][h]
 
+    def _index(self) -> list[list[int]]:
+        """The table of each entry's position in ``distinct``."""
+        pos = {id(x): k for k, x in enumerate(self.distinct)}
+        return [list(map(pos.__getitem__, map(id, row))) for row in self.values]
+
     def conj_ratio(self, h: int, g: int) -> CyclotomicScalar:
-        """alpha(h, g) / alpha(h g h^-1, h) -- the scalar in t_h t_g t_h^-1."""
+        """alpha(h, g) / alpha(h g h^-1, h) -- the scalar in t_h t_g t_h^-1.
+        The table divides each pair of distinct values once."""
         if self._conj_ratio is None:
             G = self.group
+            m, index = len(self.distinct), self._index()
+            quotients = _PairTable(self.distinct, truediv)
             self._conj_ratio = tuple(
-                tuple(
-                    self.values[hh][gg] / self.values[G.conjugate(hh, gg)][hh]
-                    for gg in range(G.size)
-                )
-                for hh in range(G.size)
+                tuple(quotients[row[gg] * m + index[G.conjugate(hh, gg)][hh]]
+                      for gg in range(G.size))
+                for hh, row in enumerate(index)
             )
         return self._conj_ratio[h][g]
 
@@ -361,33 +404,47 @@ def validate_cocycle(alpha: Cocycle2, max_witnesses: int = 10) -> dict:
     at (s, b, c, d) reads omega(s b, c, d) = omega(b, c, d).  So
     omega(g, ., .) = omega(1, ., .) for every g, a product of generators,
     and the identity row checks that this is 1.
+
+    Every such triple is still checked, but each side of the identity is a
+    product of two table entries, and the table holds one object per
+    distinct value (see ``Cocycle2``).  So each product of two distinct
+    values, and each quotient of the invariants, is computed once, in a memo
+    that lives for this call and holds at most one entry per side of a
+    triple checked.  Products of one layout are one object, so a side is
+    compared with ``lhs is rhs or lhs == rhs`` (list equality does exactly
+    that): ``is`` can only hold for equal values, and ``==`` decides the
+    rest exactly, also when equal values are stored at different orders.
+    The verdicts and witnesses are those of the per-triple loop.
     """
     G = alpha.group
     n = G.size
+    mult = G.mult
+    vals = alpha.values
+    m, index = len(alpha.distinct), alpha._index()
     report = {"normalized": True, "cocycle": True, "failures": []}
     for g in range(n):
-        if not alpha(g, 0).is_one() or not alpha(0, g).is_one():
+        if not vals[g][0].is_one() or not vals[0][g].is_one():
             report["normalized"] = False
             if len(report["failures"]) < max_witnesses:
                 report["failures"].append(("normalization", g))
+    products = _PairTable(alpha.distinct, mul)
     firsts = dict.fromkeys((0, *G.generator_indices)) if G.generator_indices else range(n)
     for g1 in firsts:
+        row1 = index[g1]
         for g2 in range(n):
-            g12 = G.mult[g1][g2]
-            lhs0 = alpha(g1, g2)
-            for g3 in range(n):
-                lhs = lhs0 * alpha(g12, g3)
-                rhs = alpha(g2, g3) * alpha(g1, G.mult[g2][g3])
-                if lhs != rhs:
-                    report["cocycle"] = False
-                    if len(report["failures"]) < max_witnesses:
+            left = row1[g2] * m
+            lhs = [products[left + k] for k in index[mult[g1][g2]]]
+            rhs = [products[k * m + row1[g23]] for k, g23 in zip(index[g2], mult[g2])]
+            if lhs != rhs:
+                report["cocycle"] = False
+                for g3, (x, y) in enumerate(zip(lhs, rhs)):
+                    if not (x is y or x == y) and len(report["failures"]) < max_witnesses:
                         report["failures"].append(("cocycle", g1, g2, g3))
-    invariants = {}
-    for g in range(n):
-        for h in range(n):
-            if G.commute(g, h):
-                invariants[(g, h)] = alpha(g, h) / alpha(h, g)
-    report["commuting_pair_invariants"] = invariants
+    quotients = _PairTable(alpha.distinct, truediv)
+    report["commuting_pair_invariants"] = {
+        (g, h): quotients[index[g][h] * m + index[h][g]]
+        for g in range(n) for h in range(n) if G.commute(g, h)
+    }
     return report
 
 

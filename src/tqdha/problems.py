@@ -1,9 +1,10 @@
 """Problem files: JSON descriptions of the quadruple (G, V, q, alpha).
 
-A problem file fixes the dimension n, the quantum matrix q (dense table of
-scalar strings or the shorthands "all:1" / "all:-1"), the group (trivial,
-cyclic product, permutation generators as 1-based image arrays, or an explicit
-multiplication table; of order at most ``groups.MAX_GROUP_ORDER``), the
+A problem file fixes the dimension n (at most ``MAX_DIMENSION``), the quantum
+matrix q (dense table of scalar strings or the shorthands "all:1" /
+"all:-1"), the group (trivial, cyclic product, permutation generators as
+1-based image arrays, or an explicit multiplication table; of order, and of
+permutation degree, at most ``groups.MAX_GROUP_ORDER``), the
 action ("natural-permutation", a diagonal eigenvalue table with one row per
 group element, or per-generator matrices), and the 2-cocycle ("trivial",
 "spin(n)", a dense table, or a bicharacter exponent matrix for cyclic
@@ -21,6 +22,7 @@ from dataclasses import dataclass
 from math import lcm
 
 from .groups import (
+    MAX_GROUP_ORDER,
     Cocycle2,
     FiniteGroup,
     GroupConstructionError,
@@ -44,6 +46,16 @@ from .quantum import (
 )
 from .scalars import MAX_CONDUCTOR, ScalarParseError, parse_scalar
 from .spin import spin_cocycle
+
+
+# The largest dimension n a problem may declare.  The work of every command
+# grows as a power of n before the group enters: the extension check tests
+# about n^4 / 4 relations per generator, and the solver has n(n-1)/2
+# unknowns and about n^4 / 6 condition-(2) rows per group element.  On the
+# trivial group (2-core box, Python 3.11) `check-extension` takes 5.3 s at
+# n = 32 and 69 s at n = 64, and `parameter-space --method direct` 110 s at
+# n = 32.  The paper's examples need n <= 7 (S7 on its natural representation).
+MAX_DIMENSION = 32
 
 
 class ProblemValidationError(ValueError):
@@ -144,8 +156,11 @@ def _build_group(data) -> FiniteGroup:
             gens = spec["permutation_generators"]
             _require_int_table("group.permutation_generators", gens)
             degree = spec.get("degree")
-            if degree is not None and not isinstance(degree, int):
-                raise ProblemValidationError("group.degree", "need an integer")
+            if degree is not None and not (
+                    isinstance(degree, int) and 1 <= degree <= MAX_GROUP_ORDER):
+                raise ProblemValidationError(
+                    "group.degree",
+                    f"need an integer from 1 to MAX_GROUP_ORDER = {MAX_GROUP_ORDER}")
             return group_from_permutations([tuple(x - 1 for x in g) for g in gens], degree)
         orders = spec["cyclic_product"]
         if not (isinstance(orders, list) and all(isinstance(c, int) for c in orders)):
@@ -246,6 +261,8 @@ def load_problem(data: dict) -> ProblemSpec:
     if "n" not in data or not isinstance(data["n"], int) or data["n"] < 1:
         raise ProblemValidationError("n", "need a positive integer dimension")
     n = data["n"]
+    if n > MAX_DIMENSION:
+        raise ProblemValidationError("n", f"dimension {n} past MAX_DIMENSION = {MAX_DIMENSION}")
     read = _ScalarReader()
     q = _build_q(data, n, read)
     group = _build_group(data)

@@ -286,3 +286,119 @@ def test_cocycle_identity_on_generators_matches_every_triple():
         kinds.add((kind, ours["normalized"], ours["cocycle"]))
     # the twisted-but-unnormalized tables stay cocycles, the broken ones do not
     assert {("unnormalized", False, True), ("unnormalized", False, False)} <= kinds
+
+
+# ---------------------------------------------------------------------------
+# memoized products against a per-triple reference
+# ---------------------------------------------------------------------------
+
+
+def per_triple_validation(alpha, max_witnesses=10):
+    """``validate_cocycle`` written as a plain loop: every factor read through
+    alpha(g, h) and every product and quotient computed afresh."""
+    G = alpha.group
+    n = G.size
+    report = {"normalized": True, "cocycle": True, "failures": []}
+    for g in range(n):
+        if not alpha(g, 0).is_one() or not alpha(0, g).is_one():
+            report["normalized"] = False
+            if len(report["failures"]) < max_witnesses:
+                report["failures"].append(("normalization", g))
+    firsts = dict.fromkeys((0, *G.generator_indices)) if G.generator_indices else range(n)
+    for a in firsts:
+        for b in range(n):
+            for c in range(n):
+                if alpha(a, b) * alpha(G.mult[a][b], c) != alpha(b, c) * alpha(a, G.mult[b][c]):
+                    report["cocycle"] = False
+                    if len(report["failures"]) < max_witnesses:
+                        report["failures"].append(("cocycle", a, b, c))
+    report["commuting_pair_invariants"] = {
+        (g, h): alpha(g, h) / alpha(h, g) for g in range(n) for h in range(n) if G.commute(g, h)}
+    return report
+
+
+def stored_at_order_12(x):
+    """x, a value of Q(zeta_6), stored at order 12 unless it is rational."""
+    z = root_of_unity(12, 1)
+    return x * z * root_of_unity(12, 11)
+
+
+def mixed_order_table():
+    """A Z/6 x Z/6 bicharacter table in mu_6 where every value on an odd row
+    is stored at order 12: equal values at two orders."""
+    G = group_from_cyclic_orders([6, 6])
+    alpha = bicharacter_cocycle(G, [[1, 2], [0, 5]], 6)
+    vals = [[stored_at_order_12(x) if a % 2 else x for x in row]
+            for a, row in enumerate(alpha.values)]
+    return Cocycle2(G, vals)
+
+
+def distinct_value_table():
+    """The rational coboundary f(a) f(b) / f(ab) on S4, f(g) the g-th prime
+    (f(1) = 1): every value off the identity row and column is distinct up
+    to the symmetry of commuting pairs."""
+    G = symmetric_group(4)
+    primes = [p for p in range(2, 100) if all(p % d for d in range(2, p))]
+    f = [ONE] + [rational(p) for p in primes[:G.size - 1]]
+    return Cocycle2(G, [[f[a] * f[b] / f[G.mult[a][b]] for b in range(G.size)]
+                        for a in range(G.size)])
+
+
+def test_stored_at_order_12_keeps_the_value():
+    x = root_of_unity(6, 1)
+    y = stored_at_order_12(x)
+    assert y.order == 12 and x.order == 6 and y == x
+
+
+def memo_instances():
+    rnd = random.Random(7)
+    yield from (alpha for _, alpha in cocycle_instances())
+    mixed = mixed_order_table()
+    assert {x.order for x in mixed.distinct} == {1, 3, 6, 12}
+    distinct = distinct_value_table()
+    assert len(distinct.distinct) > distinct.group.size ** 2 // 2
+    for alpha in (mixed, distinct):
+        yield alpha
+        yield planted_break(alpha, rnd)
+
+
+def test_validation_memo_matches_the_per_triple_loop():
+    for alpha in memo_instances():
+        tables = [alpha] + ([every_first_argument(alpha)] if alpha.group.size <= 24 else [])
+        for table in tables:
+            ref = per_triple_validation(table)
+            for max_witnesses in (3, 10):
+                # witnesses are listed in loop order, so a shorter list is a prefix
+                ours = validate_cocycle(table, max_witnesses)
+                assert ours["normalized"] == ref["normalized"]
+                assert ours["cocycle"] == ref["cocycle"]
+                assert ours["failures"] == ref["failures"][:max_witnesses]
+                assert ours["commuting_pair_invariants"] == ref["commuting_pair_invariants"]
+
+
+def test_mixed_order_table_validates():
+    rep = validate_cocycle(mixed_order_table())
+    assert rep["normalized"] and rep["cocycle"] and not rep["failures"]
+
+
+def test_cocycle_shares_one_object_per_layout():
+    alpha = spin_cocycle(4)
+    assert len(alpha.distinct) == 2
+    ones = {id(x) for row in alpha.values for x in row if x.is_one()}
+    assert len(ones) == 1
+    # a fresh table of equal but separately built values is shared as well
+    G = group_from_cyclic_orders([6])
+    beta = Cocycle2(G, [[root_of_unity(6, a * b) for b in range(6)] for a in range(6)])
+    assert len({id(x) for row in beta.values for x in row}) == len(beta.distinct) == 6
+
+
+def test_conj_ratio_matches_the_direct_quotient():
+    rnd = random.Random(3)
+    z6z6 = group_from_cyclic_orders([6, 6])
+    tables = [spin_cocycle(4), bicharacter_cocycle(z6z6, [[1, 2], [3, 5]], 6),
+              coboundary_twist(spin_cocycle(4), rnd, 4), mixed_order_table()]
+    for alpha in tables:
+        G = alpha.group
+        for h in range(G.size):
+            for g in range(G.size):
+                assert alpha.conj_ratio(h, g) == alpha(h, g) / alpha(G.conjugate(h, g), h)

@@ -347,6 +347,50 @@ def test_cli_bad_group_description_exits_3(tmp_path, group):
     assert code == 3 and rep["location"].split(".")[0] == "group"
 
 
+@pytest.mark.parametrize("degree", [10 ** 6, 10 ** 12])
+def test_cli_degree_past_bound_exits_3_before_any_group(tmp_path, monkeypatch, degree):
+    def constructing(*args, **kwargs):
+        raise AssertionError("a group was built before the degree was checked")
+
+    monkeypatch.setattr(problems, "group_from_permutations", constructing)
+    group = {"permutation_generators": [], "degree": degree}
+    code, rep = run_problem(tmp_path, dict(S2_DIAGONAL, group=group))
+    assert code == 3 and rep["location"] == "group.degree"
+    assert "MAX_GROUP_ORDER" in rep["reason"]
+
+
+def test_degree_bound_holds_in_the_group_constructor():
+    from tqdha.groups import MAX_GROUP_ORDER, GroupConstructionError, group_from_permutations
+
+    with pytest.raises(GroupConstructionError, match="degree"):
+        group_from_permutations([], degree=10 ** 12)
+    assert group_from_permutations([], degree=MAX_GROUP_ORDER).size == 1
+
+
+@pytest.mark.parametrize("n", [problems.MAX_DIMENSION + 1, 10 ** 9])
+def test_cli_dimension_past_bound_exits_3_before_any_table(tmp_path, monkeypatch, n):
+    def building(*args, **kwargs):
+        raise AssertionError("a table was built before the dimension was checked")
+
+    monkeypatch.setattr(problems.QMatrix, "uniform", building)
+    monkeypatch.setattr(problems, "_build_group", building)
+    problem = {"n": n, "q": "all:1", "group": "trivial", "action": {"generator_matrices": []}}
+    code, rep = run_problem(tmp_path, problem)
+    assert code == 3 and rep["location"] == "n"
+    assert "MAX_DIMENSION" in rep["reason"]
+
+
+def test_dimension_bound_admits_the_bundled_problems_and_s7():
+    assert problems.MAX_DIMENSION >= 7
+    for name in sorted(os.listdir(PROBLEMS)):
+        with open(problem_path(name)) as f:
+            assert json.load(f)["n"] <= problems.MAX_DIMENSION
+    n = problems.MAX_DIMENSION
+    prob = load_problem({"n": n, "q": "all:1", "group": "trivial",
+                         "action": {"generator_matrices": []}})
+    assert prob.n == n
+
+
 def test_cli_kappa_coefficients_not_an_object_exits_3(tmp_path):
     prob = tmp_path / "problem.json"
     prob.write_text(json.dumps(S2_DIAGONAL))
