@@ -22,6 +22,7 @@ from .groups import (
     FiniteGroup,
     GroupAlgebraElement,
     bicharacter_cocycle,
+    cocycle_from_columns,
     group_from_cyclic_orders,
     group_from_permutations,
     group_from_table,

@@ -44,7 +44,7 @@ from .groups import (
 from .pbw import KappaMap, check_pbw_conditions, same_space, solve_parameter_space, verify_ambiguities
 from .quantum import GroupAction, QMatrix, diagonal_action
 from .scalars import MINUS_ONE, ONE, ZERO, rational
-from .spin import spin_cocycle, verify_cover
+from .spin import verify_cover
 
 
 @lru_cache(maxsize=None)
@@ -118,7 +118,7 @@ def criterion_3() -> dict:
     records no generators, so ``validate_cocycle`` tries every first
     argument."""
     t0 = time.time()
-    alpha = spin_cocycle(4)
+    alpha = symmetric_instance(4, True)[3]
     group = alpha.group
     bare = FiniteGroup(group.mult, name=group.name, perms=group.perms)
     rep = validate_cocycle(Cocycle2(bare, alpha.values))

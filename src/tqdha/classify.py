@@ -147,7 +147,7 @@ def symmetric_instance(n: int, twisted: bool | None = None):
         group = symmetric_group(n)
         return group, natural_permutation_action(group), QMatrix.uniform(n, -1)
     group, action, q = symmetric_instance(n)
-    return group, action, q, spin_cocycle(n) if twisted else trivial_cocycle(group)
+    return group, action, q, spin_cocycle(group) if twisted else trivial_cocycle(group)
 
 
 def _wedge_sum(n: int, group: FiniteGroup, perm, pairs) -> Cochain:

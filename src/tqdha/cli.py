@@ -20,6 +20,7 @@ from .classify import (
     symmetric_natural_classify,
 )
 from .cohomology import cohomological_parameter_space, constant_cocycle_basis
+from .groups import symmetric_group
 from .pbw import (
     CrossCheckError,
     ExtensionError,
@@ -187,7 +188,7 @@ def cmd_alpha_table(args) -> int:
         _emit({"error": "validation", "reason": "alpha-table needs n (positional or --n)"})
         return 3
     args.n = n
-    alpha = spin_cocycle(args.n)
+    alpha = spin_cocycle(symmetric_group(args.n))
     group = alpha.group
     perms = [[x + 1 for x in p] for p in group.perms]
     values = [

@@ -117,16 +117,14 @@ class FiniteGroup:
         for g in range(self.size):
             if self.mult[0][g] != g or self.mult[g][0] != g:
                 raise GroupConstructionError("index 0 is not a two-sided identity")
-        inv = [None] * self.size
-        for g in range(self.size):
-            for h in range(self.size):
-                if self.mult[g][h] == 0:
-                    if self.mult[h][g] != 0:
-                        raise GroupConstructionError(f"one-sided inverse at element {g}")
-                    inv[g] = h
-                    break
-            if inv[g] is None:
+        inv = []
+        for g, row in enumerate(self.mult):
+            if 0 not in row:
                 raise GroupConstructionError(f"element {g} has no inverse")
+            h = row.index(0)
+            if self.mult[h][g] != 0:
+                raise GroupConstructionError(f"one-sided inverse at element {g}")
+            inv.append(h)
         self.inv = tuple(inv)
 
     def __repr__(self):
@@ -196,9 +194,30 @@ def group_from_table(table, name="table-group") -> FiniteGroup:
     return g
 
 
+def _walk(maps) -> list[tuple[int, int, int]]:
+    """The breadth-first tree from index 0 under the index maps: its edges
+    (a, k, maps[k][a]), each to an index not reached before, in the order
+    the walk finds them."""
+    seen, queue, edges = {0}, [0], []
+    for a in queue:
+        for k, f in enumerate(maps):
+            b = f[a]
+            if b not in seen:
+                seen.add(b)
+                queue.append(b)
+                edges.append((a, k, b))
+    return edges
+
+
 def group_from_permutations(generators, degree=None, name=None) -> FiniteGroup:
     """Closure of permutation generators, canonically ordered: identity first,
-    then sorted by image tuple.  Associativity is structural."""
+    then sorted by image tuple.  Associativity is structural.
+
+    The table is filled from the generators: the only permutations composed
+    are a generator s times each element, which gives left multiplication by
+    s as a map L_s on indices, and (s a) b = s (a b) gives row s a of the
+    table as L_s applied to row a.  The walk from the identity, whose row is
+    0..|G|-1, along the L_s reaches every row this way."""
     gens = [tuple(g) for g in generators]
     if degree is None:
         if not gens:
@@ -226,7 +245,11 @@ def group_from_permutations(generators, degree=None, name=None) -> FiniteGroup:
         frontier = nxt
     ordered = sorted(elements)  # identity is lexicographically least
     index = {p: i for i, p in enumerate(ordered)}
-    mult = [[index[perm_compose(a, b)] for b in ordered] for a in ordered]
+    left = [[index[perm_compose(g, p)] for p in ordered] for g in gens]
+    mult = [None] * len(ordered)
+    mult[0] = tuple(range(len(ordered)))
+    for a, k, b in _walk(left):
+        mult[b] = tuple(map(left[k].__getitem__, mult[a]))
     return FiniteGroup(
         mult,
         name=name or f"perm-group(deg {degree}, order {len(ordered)})",
@@ -264,9 +287,15 @@ def group_from_cyclic_orders(orders, name=None) -> FiniteGroup:
 
 @lru_cache(maxsize=None)
 def symmetric_group(n: int) -> FiniteGroup:
-    """S_n acting on {0..n-1}, canonically ordered by image tuple."""
+    """S_n acting on {0..n-1}, canonically ordered by image tuple.  An n
+    with n! past ``MAX_GROUP_ORDER`` is refused before any permutation is
+    built (and before any factorial past the bound is computed)."""
     if n < 1:
         raise GroupConstructionError("n must be at least 1")
+    order = 1
+    for k in range(2, n + 1):
+        order *= k
+        _check_order(order)
     if n == 1:
         return FiniteGroup([[0]], name="S1", perms=[(0,)])
     gens = [perm_from_cycles(n, [(0, 1)])]
@@ -387,6 +416,37 @@ def bicharacter_cocycle(group: FiniteGroup, exponents, root_order: int = 2) -> C
             row.append(root_of_unity(root_order, e))
         vals.append(row)
     return Cocycle2(group, vals, name=f"bicharacter(z{root_order})")
+
+
+def cocycle_from_columns(group: FiniteGroup, root_order: int, columns, name="cocycle") -> Cocycle2:
+    """The normalized table alpha with alpha(g, s) = zeta_m^columns[k][g] at
+    each generator s = group.generator_indices[k], m = root_order.
+
+    The identity at (g, h, s), alpha(g, h) alpha(gh, s) = alpha(h, s)
+    alpha(g, hs), gives the column of hs from the column of h and the
+    generator column of s: alpha(g, hs) = alpha(g, h) alpha(gh, s) /
+    alpha(h, s).  Column 1 is 1, and the walk from 1 by right
+    multiplication by the generators reaches every h, so the generator
+    columns fix the table.  It is filled in exponents mod m, on integers
+    only.  The identity holds by construction only at the walk's edges
+    (g, h, s), so the table is a cocycle only if the columns are those of
+    one; ``validate_cocycle`` decides that."""
+    G, m = group, root_order
+    if len(columns) != len(G.generator_indices) or any(len(c) != G.size for c in columns):
+        raise CocycleError("need one column of |G| exponents per generator")
+    by_column = list(zip(*G.mult))  # by_column[h][g] = g h
+    cols = [None] * G.size
+    cols[0] = [0] * G.size
+    for h, k, hs in _walk([by_column[s] for s in G.generator_indices]):
+        e, eh = columns[k], columns[k][h]
+        cols[hs] = [(x + e[gh] - eh) % m for x, gh in zip(cols[h], by_column[h])]
+    if None in cols:
+        raise CocycleError("the group's generators do not reach every element")
+    for k, s in enumerate(G.generator_indices):
+        if cols[s] != [e % m for e in columns[k]]:
+            raise CocycleError(f"column {k} is not that of a normalized cocycle")
+    roots = [root_of_unity(m, e) for e in range(m)]
+    return Cocycle2(G, (map(roots.__getitem__, row) for row in zip(*cols)), name=name)
 
 
 def validate_cocycle(alpha: Cocycle2, max_witnesses: int = 10) -> dict:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from math import lcm
+from math import factorial, lcm
 
 from .groups import (
     MAX_GROUP_ORDER,
@@ -217,21 +217,24 @@ def _build_cocycle(data, group: FiniteGroup, read: _ScalarReader) -> Cocycle2:
     """The problem's cocycle, validated where that can fail.  The trivial
     cocycle is not validated: it is the program's constant table of ONE, so
     normalization and the identity 1 * 1 = 1 * 1 hold on any group.  A
-    spin(n) table is not validated again: ``spin_cocycle`` checks the table
+    spin(n) table is built on the declared group, once that is seen to be
+    S_n (degree n, then order n!, so no n past the group's bounds is ever
+    built on), and is not validated again: ``spin_cocycle`` checks the table
     it builds."""
     spec = data.get("cocycle", "trivial")
     if spec == "trivial":
         return trivial_cocycle(group)
     if isinstance(spec, str):
-        m = re.fullmatch(r"spin\((\d+)\)", spec.strip())
+        # n without leading zeros is compared with the degree as text, so no
+        # int is made of however many digits the file gives
+        m = re.fullmatch(r"spin\(0*(\d+)\)", spec.strip())
         if m:
-            n = int(m.group(1))
-            alpha = spin_cocycle(n)
-            if alpha.group.size != group.size or alpha.group.perms != group.perms:
+            if (group.perms is None or m.group(1) != str(len(group.perms[0]))
+                    or group.size != factorial(len(group.perms[0]))):
                 raise ProblemValidationError(
-                    "cocycle", f"spin({n}) does not live on the declared group"
+                    "cocycle", f"spin({m.group(1)}) does not live on the declared group"
                 )
-            return Cocycle2(group, alpha.values, name=alpha.name)
+            return spin_cocycle(group)
         raise ProblemValidationError("cocycle", f"unknown shorthand {spec!r}")
     if isinstance(spec, dict):
         if "table" in spec:

@@ -8,8 +8,8 @@ the cover maps to (e_r - e_{r+1})/sqrt(2) and the central element z to the
 scalar -1.  Conjugation by a lifted permutation sends e_i to
 (-1)^sign(sigma) e_sigma(i), which is what makes every relation of the cover
 mechanically checkable; verify_cover exercises all of them.  spin_cocycle
-computes its table from the integer multiples sqrt(2)^k u_sigma instead, and
-the Q(zeta_8) model stays as the reference that the tests compare it with.
+reads its table's generator columns from the integer multiples
+sqrt(2)^k u_sigma instead, and the Q(zeta_8) model stays as the reference.
 
 Indices r, s here are 0-based positions into {0..n-1}; 1-based names
 appear only in serialized output.
@@ -23,12 +23,15 @@ from functools import lru_cache
 
 from .groups import (
     Cocycle2,
+    FiniteGroup,
+    cocycle_from_columns,
     perm_compose,
     perm_cycles,
     perm_from_cycles,
     perm_inverse,
     perm_sign,
     symmetric_group,
+    validate_cocycle,
 )
 from .linalg import SparseSum, bump
 from .scalars import MINUS_ONE, ONE, CyclotomicScalar, rational, root_of_unity
@@ -170,10 +173,9 @@ def _integer_section(sigma: tuple, n: int) -> dict:
     return {S: int(c.as_fraction()) for S, c in out.coeffs.items()}
 
 
-@lru_cache(maxsize=None)
-def spin_cocycle(n: int) -> Cocycle2:
-    """The full +-1 cocycle table on S_n induced by the Clifford cover,
-    computed in exact integer arithmetic.
+def spin_cocycle(group: FiniteGroup) -> Cocycle2:
+    """The +-1 cocycle of the Clifford cover on a permutation group of
+    degree n (spin(n) on S_n), in exact integer arithmetic.
 
     Write k(sigma) = len(section_factors(sigma)) = n - #cycles(sigma) and
     U_sigma = sqrt(2)^k(sigma) u_sigma, the product of the lifts e_r - e_s
@@ -185,40 +187,37 @@ def spin_cocycle(n: int) -> Cocycle2:
     (-1)^k(sigma) is the sign of sigma, so the numerator is even.  Hence one
     coefficient of U_sigma U_tau, at the least blade of U_(sigma tau), must
     be +-(its coefficient there) << d; anything else means the model is
-    broken.  The assembled table is checked against normalization and the
-    cocycle identity (``validate_cocycle``) before it is returned."""
-    from .groups import validate_cocycle
+    broken.
 
-    group = symmetric_group(n)
-    sections = [_integer_section(p, n) for p in group.perms]
-    lengths = [len(section_factors(p)) for p in group.perms]
+    Only the columns alpha(g, s) at the group's generators s are read so
+    (2|G| coefficients for S_n); ``cocycle_from_columns`` fills the rest by
+    alpha(g, hs) = alpha(g, h) alpha(gh, s) / alpha(h, s).  The table is then
+    checked by ``validate_cocycle``, which is not vacuous: the fill makes the
+    identity hold only at the triples (g, h, s) along its walk's tree, while
+    the check tests every (s, b, c) with s a generator."""
+    perms = group.perms
+    n = len(perms[0])
+    sections = [_integer_section(p, n) for p in perms]
+    lengths = [len(section_factors(p)) for p in perms]
     least = [min(u.items()) for u in sections]
-    values = []
-    for a, ua in enumerate(sections):
-        row = []
-        for b, ub in enumerate(sections):
-            ab = group.mult[a][b]
-            blade, ref = least[ab]
-            c = 0
-            for S, cs in ua.items():
-                # e_S e_T lands on e_blade exactly when T = S xor blade
-                T = _blade_mul(S, blade)[1]
-                if T in ub:
-                    c += _blade_mul(S, T)[0] * cs * ub[T]
-            ref <<= (lengths[a] + lengths[b] - lengths[ab]) // 2
-            if c == ref:
-                row.append(ONE)
-            elif c == -ref:
-                row.append(MINUS_ONE)
-            else:
-                raise ArithmeticError("u_sigma u_tau is not +-u_(sigma tau); cover model is broken")
-        values.append(row)
-    alpha = Cocycle2(group, values, name=f"spin({n})")
+
+    def exponent(g, s):
+        """0 or 1 as alpha(g, s) is 1 or -1, read from one coefficient of U_g U_s."""
+        us, gs = sections[s], group.mult[g][s]
+        blade, ref = least[gs]
+        # e_S e_T lands on e_blade exactly when T = S xor blade
+        c = sum(_blade_mul(S, T)[0] * cs * us[T] for S, cs in sections[g].items()
+                if (T := _blade_mul(S, blade)[1]) in us)
+        ref <<= (lengths[g] + lengths[s] - lengths[gs]) // 2
+        if c != ref and c != -ref:
+            raise ArithmeticError("u_sigma u_tau is not +-u_(sigma tau); cover model is broken")
+        return int(c != ref)
+
+    columns = [[exponent(g, s) for g in range(group.size)] for s in group.generator_indices]
+    alpha = cocycle_from_columns(group, 2, columns, name=f"spin({n})")
     report = validate_cocycle(alpha)
     if not (report["normalized"] and report["cocycle"]):
-        raise ArithmeticError(
-            f"assembled spin({n}) table fails validation: {report['failures'][:3]}"
-        )
+        raise ArithmeticError(f"assembled spin({n}) table fails validation: {report['failures'][:3]}")
     return alpha
 
 

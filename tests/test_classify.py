@@ -237,7 +237,7 @@ def test_symmetric_classify_n4_regression():
     from tqdha.spin import spin_cocycle
 
     _, act, q = symmetric_instance(4)
-    direct = solve_parameter_space(act, q, spin_cocycle(4))
+    direct = solve_parameter_space(act, q, spin_cocycle(symmetric_group(4)))
     assert len(direct) == 3
     assert same_span(
         [b.coordinate_row() for b in rep["kappa_basis"]],

@@ -117,7 +117,7 @@ def test_constant_basis_s4_dimension():
 
 def test_reynolds_idempotent_and_preserves_kernel():
     _, act, q = symmetric_instance(4)
-    alpha = spin_cocycle(4)
+    alpha = spin_cocycle(symmetric_group(4))
     basis = constant_cocycle_basis(act, q)
     rnd = random.Random(5)
     for c in rnd.sample(basis, 6):
@@ -161,7 +161,7 @@ def _shortcut_case(name):
         return natural_permutation_action(s3), QMatrix.uniform(3, -1), trivial_cocycle(s3)
     if name in ("s4-trivial", "s4-spin"):
         s4, act, q = symmetric_instance(4)
-        return act, q, trivial_cocycle(s4) if name == "s4-trivial" else spin_cocycle(4)
+        return act, q, trivial_cocycle(s4) if name == "s4-trivial" else spin_cocycle(symmetric_group(4))
     if name == "klein-bicharacter":
         path = os.path.join(os.path.dirname(__file__), os.pardir, "problems",
                             "klein_bicharacter_diag.json")
@@ -196,7 +196,7 @@ def test_induced_eval_on_averaged_families():
     # as the raw lemma row; the averages of eta_2 and eta_4 vanish outright
     n = 4
     _, act, q = symmetric_instance(n)
-    alpha = spin_cocycle(n)
+    alpha = spin_cocycle(symmetric_group(n))
     fams = {}
     for e in eta_family_basis(n):
         fams.setdefault(e.tag, e)
@@ -211,7 +211,7 @@ def test_lemma_rows_raw_at_n4():
     # the a = 1, 2, 4, 5 rows hold already at n = 4 (a = 3 needs n >= 5)
     n = 4
     _, act, q = symmetric_instance(n)
-    alpha = spin_cocycle(n)
+    alpha = spin_cocycle(symmetric_group(n))
     fams = {}
     for e in eta_family_basis(n):
         fams.setdefault(e.tag, e)

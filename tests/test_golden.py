@@ -11,7 +11,8 @@ Z/6 x Z/6 diagonal problem over Q(zeta_12) with a bicharacter cocycle, kept
 in tests/golden/ with its seeded kappa of proper cyclotomic coordinates; its
 reports print values at conductors 3, 4 and 12, so they pin the
 serialization of non-rational scalars.  Outputs too large to commit
-(``alpha-table 5``, 201 kB, all 14,400 S5 values) are kept as the sha256 of
+(``alpha-table 5``, 201 kB, all 14,400 S5 values, and ``alpha-table 6``,
+7.0 MB, all 518,400 S6 values) are kept as the sha256 of
 stdout with the exit code, in tests/golden/digests.json; so is a sampled
 ``verify-cover`` run, whose checked counts pin the sampling rule.  To
 re-record after an intended change of output, run from the repository root:
@@ -69,6 +70,7 @@ def _cases():
 CASES = _cases()
 DIGEST_CASES = {
     "alpha-table.5": ["alpha-table", "5"],
+    "alpha-table.6": ["alpha-table", "6"],
     "verify-cover.5.seed3.samples60": ["--seed", "3", "verify-cover", "--n", "5", "--samples", "60"],
 }
 

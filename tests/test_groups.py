@@ -15,10 +15,13 @@ from tqdha.groups import (
     FiniteGroup,
     GroupAlgebraElement,
     GroupConstructionError,
+    _walk,
     bicharacter_cocycle,
+    cocycle_from_columns,
     group_from_cyclic_orders,
     group_from_permutations,
     group_from_table,
+    perm_compose,
     symmetric_group,
     tga_inverse_of_basis,
     tga_multiply,
@@ -44,6 +47,76 @@ def test_build_group_s5_closure():
     g = group_from_permutations([(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)], degree=5)
     assert g.size == 120
     assert g.perms[0] == (0, 1, 2, 3, 4)
+
+
+def table_cases():
+    """Generating lists, each with its degree: S3 to S6 as ``symmetric_group``
+    builds them, A5 from 3-cycles, D5, a list with the identity and a
+    repeated generator, and the empty list."""
+    for n in range(3, 7):
+        yield f"S{n}", None, n
+    yield "A5", [(1, 2, 0, 3, 4), (0, 1, 3, 4, 2), (0, 2, 3, 1, 4)], 5
+    yield "D5", [(1, 2, 3, 4, 0), (0, 4, 3, 2, 1)], 5
+    yield "identity-and-repeat", [(0, 1, 2, 3), (1, 0, 2, 3), (1, 0, 2, 3), (1, 2, 3, 0)], 4
+    yield "empty", [], 3
+
+
+@pytest.mark.parametrize("name, gens, degree", list(table_cases()),
+                         ids=[c[0] for c in table_cases()])
+def test_multiplication_table_is_direct_composition(name, gens, degree):
+    G = symmetric_group(degree) if gens is None else group_from_permutations(gens, degree)
+    index = {p: i for i, p in enumerate(G.perms)}
+    assert G.perms[0] == tuple(range(degree)) and list(G.perms) == sorted(G.perms)
+    assert G.mult == tuple(tuple(index[perm_compose(a, b)] for b in G.perms) for a in G.perms)
+    assert all(G.mult[g][G.inv[g]] == 0 for g in range(G.size))
+    if gens is not None:
+        assert G.generator_indices == tuple(index[g] for g in gens)
+    assert G.size == {"A5": 60, "D5": 10, "identity-and-repeat": 24, "empty": 1}.get(
+        name, math.factorial(degree))
+
+
+def bicharacter_columns(G, exponents, m):
+    """alpha(g, s) = zeta_m^(sum_i E[i][k] g_i) at the unit generator s of
+    coordinate k, as exponents mod m."""
+    return [[sum(exponents[i][G.labels[s].index(1)] * g[i] for i in range(len(g))) % m
+             for g in G.labels] for s in G.generator_indices]
+
+
+def test_cocycle_fill_reproduces_a_bicharacter():
+    G = group_from_cyclic_orders([6, 6])
+    exponents = [[1, 2], [3, 5]]
+    filled = cocycle_from_columns(G, 6, bicharacter_columns(G, exponents, 6))
+    assert filled.values == bicharacter_cocycle(G, exponents, 6).values
+
+
+def test_cocycle_fill_checks_its_columns():
+    G = group_from_cyclic_orders([6, 6])
+    columns = bicharacter_columns(G, [[1, 2], [3, 5]], 6)
+    with pytest.raises(CocycleError, match="one column"):
+        cocycle_from_columns(G, 6, columns[:1])
+    columns[1][0] = 1  # alpha(1, s) != 1
+    with pytest.raises(CocycleError, match="column 1"):
+        cocycle_from_columns(G, 6, columns)
+    bare = FiniteGroup(G.mult)
+    with pytest.raises(CocycleError, match="reach"):
+        cocycle_from_columns(bare, 6, [])
+
+
+def test_flipped_column_entry_off_the_tree_is_rejected():
+    """The fill imposes the identity only along its walk's tree, so a wrong
+    column value on an edge outside the tree still yields a table, and
+    ``validate_cocycle`` must reject it."""
+    alpha = spin_cocycle(symmetric_group(4))
+    G = alpha.group
+    columns = [[int(alpha(g, s) == MINUS_ONE) for g in range(G.size)] for s in G.generator_indices]
+    assert cocycle_from_columns(G, 2, columns).values == alpha.values
+    tree = {(h, k) for h, k, _ in _walk([[G.mult[h][s] for h in range(G.size)]
+                                          for s in G.generator_indices])}
+    g, k = next((g, k) for g in range(1, G.size) for k in range(len(columns))
+                if (g, k) not in tree)
+    columns[k][g] ^= 1
+    rep = validate_cocycle(cocycle_from_columns(G, 2, columns))
+    assert rep["normalized"] and not rep["cocycle"]
 
 
 def test_build_group_klein_self_inverse():
@@ -256,7 +329,7 @@ def cocycle_instances():
     klein = group_from_cyclic_orders([2, 2])
     z6z6 = bicharacter_cocycle(
         group_from_cyclic_orders([6, 6]), [[rnd.randrange(6) for _ in range(2)] for _ in range(2)], 6)
-    valid = [spin_cocycle(4), z6z6]
+    valid = [spin_cocycle(symmetric_group(4)), z6z6]
     valid += [bicharacter_cocycle(klein, e) for e in ([[0, 0], [1, 0]], [[1, 1], [0, 1]])]
     valid += [coboundary_twist(a, rnd, 4) for a in list(valid) if a.group.size <= 24]
     for alpha in valid:
@@ -382,7 +455,7 @@ def test_mixed_order_table_validates():
 
 
 def test_cocycle_shares_one_object_per_layout():
-    alpha = spin_cocycle(4)
+    alpha = spin_cocycle(symmetric_group(4))
     assert len(alpha.distinct) == 2
     ones = {id(x) for row in alpha.values for x in row if x.is_one()}
     assert len(ones) == 1
@@ -395,8 +468,8 @@ def test_cocycle_shares_one_object_per_layout():
 def test_conj_ratio_matches_the_direct_quotient():
     rnd = random.Random(3)
     z6z6 = group_from_cyclic_orders([6, 6])
-    tables = [spin_cocycle(4), bicharacter_cocycle(z6z6, [[1, 2], [3, 5]], 6),
-              coboundary_twist(spin_cocycle(4), rnd, 4), mixed_order_table()]
+    tables = [spin_cocycle(symmetric_group(4)), bicharacter_cocycle(z6z6, [[1, 2], [3, 5]], 6),
+              coboundary_twist(spin_cocycle(symmetric_group(4)), rnd, 4), mixed_order_table()]
     for alpha in tables:
         G = alpha.group
         for h in range(G.size):

@@ -329,7 +329,7 @@ def generator_row_instances():
     klein, kact = klein_diagonal()
     yield "S3", natural_permutation_action(s3), QMatrix.uniform(3, -1), trivial_cocycle(s3)
     yield "S4", natural_permutation_action(s4), QMatrix.uniform(4, -1), trivial_cocycle(s4)
-    yield "S4 spin", natural_permutation_action(s4), QMatrix.uniform(4, -1), spin_cocycle(4)
+    yield "S4 spin", natural_permutation_action(s4), QMatrix.uniform(4, -1), spin_cocycle(symmetric_group(4))
     yield ("Klein bicharacter", kact, QMatrix.uniform(3, 1),
            bicharacter_cocycle(klein, [[0, 0], [1, 0]]))
     yield ("Z/6xZ/6 cyclotomic", *cyclotomic_diagonal_instance(6))
@@ -394,7 +394,7 @@ def test_kappa_free_families_never_read_kappa():
 
 def test_checker_matches_full_group_rows_on_s4_twisted():
     s4 = symmetric_group(4)
-    act, q, al = natural_permutation_action(s4), QMatrix.uniform(4, -1), spin_cocycle(4)
+    act, q, al = natural_permutation_action(s4), QMatrix.uniform(4, -1), spin_cocycle(symmetric_group(4))
     full_act, full_al = without_generators(act, al)
     space = solve_parameter_space(act, q, al)
     rnd = random.Random(29)

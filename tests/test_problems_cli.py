@@ -9,9 +9,11 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from tqdha import cohomology, pbw, problems
+from tqdha import cohomology, groups, pbw, problems
 from tqdha.cli import run_command
+from tqdha.groups import symmetric_group
 from tqdha.problems import ProblemValidationError, load_problem, parse_problem_file
+from tqdha.spin import spin_cocycle
 
 PROBLEMS = os.path.join(os.path.dirname(__file__), os.pardir, "problems")
 
@@ -365,6 +367,60 @@ def test_degree_bound_holds_in_the_group_constructor():
     with pytest.raises(GroupConstructionError, match="degree"):
         group_from_permutations([], degree=10 ** 12)
     assert group_from_permutations([], degree=MAX_GROUP_ORDER).size == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["alpha-table", "8"], ["alpha-table", "4000"], ["classify-symmetric", "--n", "4000"],
+    ["classify-symmetric", "--n", "4000", "--twisted"], ["verify-cover", "--n", "4000"],
+    ["alpha-table", str(10 ** 6)],
+], ids=["alpha-table-8", "alpha-table-4000", "classify-4000", "classify-4000-twisted",
+        "verify-cover-4000", "alpha-table-10^6"])
+def test_cli_symmetric_n_past_bound_exits_3_before_any_permutation(monkeypatch, argv):
+    def constructing(*args, **kwargs):
+        raise AssertionError("a permutation group was built before n! was checked")
+
+    monkeypatch.setattr(groups, "group_from_permutations", constructing)
+    code, out, _ = run(argv)
+    assert code == 3 and "MAX_GROUP_ORDER" in json.loads(out)["reason"]
+
+
+@pytest.mark.parametrize("spec", ["spin(4000)", "spin(0)", "spin(" + "9" * 5000 + ")"])
+def test_cli_spin_off_the_declared_group_exits_3_at_cocycle(tmp_path, monkeypatch, spec):
+    def constructing(*args, **kwargs):
+        raise AssertionError("something was built for a spin(n) that cannot fit")
+
+    monkeypatch.setattr(groups, "group_from_permutations", constructing)
+    monkeypatch.setattr(problems, "spin_cocycle", constructing)
+    problem = {"n": 1, "group": "trivial", "cocycle": spec, "action": {"generator_matrices": []}}
+    code, rep = run_problem(tmp_path, problem)
+    assert code == 3 and rep["location"] == "cocycle"
+    assert "does not live on the declared group" in rep["reason"]
+
+
+def test_spin_problem_builds_one_group_and_one_table(monkeypatch):
+    built = []
+    real = problems.group_from_permutations
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(problems, "group_from_permutations", counting)
+    monkeypatch.setattr(groups, "group_from_permutations", counting)
+    prob = parse_problem_file(problem_path("s5_twisted.json"))
+    assert len(built) == 1 and prob.alpha.group is prob.group
+
+
+def test_spin_on_adjacent_transpositions_is_spin_cocycle():
+    """S5 given by its four adjacent transpositions: the same elements in the
+    same order as ``symmetric_group(5)``, other generators, the same table."""
+    adjacent = [[k + 1 + (k == i) - (k == i + 1) for k in range(5)] for i in range(4)]
+    prob = load_problem({"n": 5, "q": "all:-1", "group": {"permutation_generators": adjacent},
+                         "cocycle": "spin(5)"})
+    reference = spin_cocycle(symmetric_group(5))
+    assert prob.group.generator_indices != reference.group.generator_indices
+    assert prob.group.perms == reference.group.perms
+    assert prob.alpha.values == reference.values and prob.alpha.name == "spin(5)"
 
 
 @pytest.mark.parametrize("n", [problems.MAX_DIMENSION + 1, 10 ** 9])

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tqdha import spin
-from tqdha.groups import perm_from_cycles, validate_cocycle
+from tqdha.groups import perm_from_cycles, symmetric_group, validate_cocycle
 from tqdha.scalars import MINUS_ONE, ONE, rational
 from tqdha.spin import (
     CliffordElement,
@@ -100,7 +100,7 @@ def test_alpha_examples():
 
 
 def test_spin_cocycle_table_validates_and_is_nontrivial():
-    alpha = spin_cocycle(4)
+    alpha = spin_cocycle(symmetric_group(4))
     rep = validate_cocycle(alpha)
     assert rep["normalized"] and rep["cocycle"]
     group = alpha.group
@@ -112,7 +112,7 @@ def test_spin_cocycle_table_validates_and_is_nontrivial():
 
 def test_table_agrees_with_slow_alpha_on_sample():
     """The integer table against the Q(zeta_8) products, on all 576 pairs."""
-    alpha = spin_cocycle(4)
+    alpha = spin_cocycle(symmetric_group(4))
     perms = alpha.group.perms
     for a, b in itertools.product(range(24), repeat=2):
         assert alpha(a, b) == spin_alpha(perms[a], perms[b])
@@ -141,11 +141,11 @@ def test_corrupted_integer_section_is_caught(corrupt, monkeypatch):
 
     monkeypatch.setattr(spin, "_integer_section", corrupted)
     with pytest.raises(ArithmeticError, match="cover model is broken"):
-        spin.spin_cocycle.__wrapped__(4)
+        spin.spin_cocycle(symmetric_group(4))
 
 
 def test_table_agrees_with_slow_alpha_n5_sample():
-    alpha = spin_cocycle(5)
+    alpha = spin_cocycle(symmetric_group(5))
     group = alpha.group
     rnd = random.Random(21)
     for _ in range(25):
