@@ -264,8 +264,10 @@ def cohomological_parameter_space(
     For each invariant representative eta the computed kappa must agree with
     the direct pairing kappa(v_i, v_j) = eta(v_i ^ v_j); that identity is
     asserted, as an internal consistency check of the whole chain.  Unless
-    disabled, every kappa is then re-verified by check_pbw_conditions; this
-    derivation never reads the condition rows, so that check is independent.
+    disabled, every kappa is then re-verified by check_pbw_conditions, whose
+    verdict needs condition (2) at class representatives only (see the
+    ``pbw`` module docstring); this derivation never reads the condition
+    rows, so that check is independent.
     """
     n = action.n
     G = action.group
@@ -294,7 +296,7 @@ def cohomological_parameter_space(
         basis.append(kappa)
     if recheck:
         for kappa in basis:
-            rep = check_pbw_conditions(kappa, action, q, alpha)
+            rep = check_pbw_conditions(kappa, action, q, alpha, representatives=True)
             if not rep["passed"]:
                 raise CrossCheckError(
                     "cohomological pipeline produced a kappa failing the PBW "

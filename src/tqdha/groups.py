@@ -355,7 +355,8 @@ class Cocycle2:
             g, h = next((g, h) for g, row in enumerate(self.values)
                         for h, x in enumerate(row) if x.is_zero())
             raise CocycleError(f"cocycle value at ({g}, {h}) is zero")
-        self._conj_ratio = None
+        self._conj_ratio = [None] * group.size  # rows, built on first use
+        self._quotients = _PairTable(self.distinct, truediv)
 
     def __call__(self, g: int, h: int) -> CyclotomicScalar:
         return self.values[g][h]
@@ -367,17 +368,18 @@ class Cocycle2:
 
     def conj_ratio(self, h: int, g: int) -> CyclotomicScalar:
         """alpha(h, g) / alpha(h g h^-1, h) -- the scalar in t_h t_g t_h^-1.
-        The table divides each pair of distinct values once."""
-        if self._conj_ratio is None:
-            G = self.group
-            m, index = len(self.distinct), self._index()
-            quotients = _PairTable(self.distinct, truediv)
-            self._conj_ratio = tuple(
-                tuple(quotients[row[gg] * m + index[G.conjugate(hh, gg)][hh]]
-                      for gg in range(G.size))
-                for hh, row in enumerate(index)
+        Row h of the table is built on its first use (the condition rows use
+        only the generators' rows), dividing each pair of distinct values
+        once."""
+        row = self._conj_ratio[h]
+        if row is None:
+            pos = {id(x): k for k, x in enumerate(self.distinct)}
+            G, m, values, quotients = self.group, len(self.distinct), self.values, self._quotients
+            row = self._conj_ratio[h] = tuple(
+                quotients[pos[id(values[h][g])] * m + pos[id(values[G.conjugate(h, g)][h])]]
+                for g in range(G.size)
             )
-        return self._conj_ratio[h][g]
+        return row[g]
 
     def tg_inverse_coeff(self, g: int) -> CyclotomicScalar:
         """(t_g)^-1 = coeff * t_{g^-1}."""

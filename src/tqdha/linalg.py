@@ -13,6 +13,8 @@ workhorse is an incremental row-echelon accumulator with deterministic
 pivoting (least column key, rows normalized monic at the pivot), from which
 ranks, kernels and row-space comparisons are derived.  Pivot division costs
 nothing on the plus/minus-one dominated systems this library produces.
+``kernel_basis`` settles the rows with one or two entries by a weighted
+union-find first and eliminates only the longer ones.
 """
 
 from __future__ import annotations
@@ -150,8 +152,81 @@ def _reduced(rows) -> RowReducer:
 
 
 def kernel_basis(rows, ncols: int) -> list[list[CyclotomicScalar]]:
-    """Basis of the right null space of the sparse rows over ncols columns."""
-    return _reduced(rows).kernel(ncols)
+    """Basis of the right null space of the sparse rows over the columns
+    0..ncols-1: the unique basis that is the identity on the free columns of
+    the least-column RREF of the rows, as ``RowReducer.kernel`` gives it.
+
+    Rows with one or two entries never reach elimination.  A weighted
+    union-find over them writes every column as x_u = w_u x_r, r the largest
+    column of u's class.  A one-term row forces its class to zero, and so
+    does a two-term row whose columns already share a root unless
+    c_a w_a + c_b w_b = 0 (a cycle of weights with product other than 1).
+    The longer rows are rewritten over the surviving roots, and their kernel
+    there is expanded back to every column.  That expansion is the canonical
+    basis: the vector of free root f is 1 at column f, 0 at the other free
+    roots and nonzero elsewhere only in classes of roots p < f, all of whose
+    columns are at most p.  So it is monic with its last nonzero entry at f
+    and zero at the other such columns, and the null space has exactly one
+    basis of that shape, the canonical one.
+    """
+    parent = list(range(ncols))
+    weight = [ONE] * ncols  # x_u = weight[u] * x_parent[u]
+    dead = [False] * ncols  # read at roots: the class is forced to zero
+
+    def find(u):
+        path = []
+        while parent[u] != u:
+            path.append(u)
+            u = parent[u]
+        for v in reversed(path):
+            p = parent[v]
+            if p != u:
+                weight[v] = weight[v] * weight[p]
+                parent[v] = u
+        return u
+
+    longer = []
+    for row in rows:
+        if len(row) > 2:
+            longer.append(row)
+            continue
+        terms = [(find(col), c * weight[col]) for col, c in row.items()]
+        if len(terms) == 1:
+            dead[terms[0][0]] = True
+        elif len(terms) == 2:
+            (ra, ca), (rb, cb) = sorted(terms, key=lambda t: t[0])
+            if ra == rb:
+                if not (ca + cb).is_zero():
+                    dead[ra] = True
+                continue
+            # ca x_ra + cb x_rb = 0: the smaller root hangs below the larger
+            parent[ra] = rb
+            weight[ra] = -(cb / ca)
+            dead[rb] = dead[rb] or dead[ra]
+
+    root = [find(u) for u in range(ncols)]
+    index = {}  # surviving roots, in increasing order
+    for u in range(ncols):
+        if root[u] == u and not dead[u]:
+            index[u] = len(index)
+    red = RowReducer()
+    for row in longer:
+        rewritten: Row = {}
+        for col, c in row.items():
+            r = index.get(root[col])
+            if r is not None:
+                bump(rewritten, r, c * weight[col])
+        if rewritten:
+            red.insert(rewritten)
+    basis = []
+    for vec in red.kernel(len(index)):
+        expanded = [ZERO] * ncols
+        for u in range(ncols):
+            r = index.get(root[u])
+            if r is not None and not vec[r].is_zero():
+                expanded[u] = weight[u] * vec[r]
+        basis.append(expanded)
+    return basis
 
 
 def rows_rank(rows) -> int:

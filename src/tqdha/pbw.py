@@ -4,10 +4,16 @@ Diamond-Lemma rewriting oracle for the filtered quotients H_{q,kappa,alpha}.
 The two PBW conditions are linear in kappa, so the space of all valid maps is
 the kernel of an explicit sparse system over the unknowns kappa_g(v_i, v_j),
 g in G, i < j.  ``parameter_space_rows`` is the only place the conditions are
-written down; it runs once per problem, and the solver takes the kernel of
-its rows while the checker multiplies them with a kappa's coordinates.  The
-rewriting oracle never looks at the conditions: it reduces the four families
-of overlap words both ways and compares normal forms.
+written down.  It is built at most twice per problem: with condition (2) at
+every element, whose rows ``pbw-check`` and its witness lists use, and with
+condition (2) at one representative per conjugacy class, for the solver and
+for verdict-only rechecks.  The solver takes the kernel of the second with
+``linalg.kernel_basis``, whose union-find pre-pass settles the one- and
+two-term rows of condition (1) (for a monomial action, all of them): a
+solution is a scalar multiple of one value along each G-orbit of unknowns.
+The checker multiplies the rows with a kappa's coordinates.  The rewriting
+oracle never looks at the conditions: it reduces the four families of
+overlap words both ways and compares normal forms.
 
 * Generators suffice for condition (1).  Condition (1) for h says that kappa
   is fixed by kappa -> t_h kappa(h^-1 ., h^-1 .) t_h^-1.  Conjugation by t_h
@@ -16,6 +22,29 @@ of overlap words both ways and compares normal forms.
   h that fix kappa thus form a subgroup, and the rows for the generators of
   G cut out the same space as the rows for all of G.  A group that records
   no generators gets rows for every element.
+* Once condition (1) holds, condition (2) at g is condition (2) at every
+  conjugate hgh^-1, so one element per class suffices.  Let P in V (x) V be
+  spanned by p_ab = v_a v_b - q_ab v_b v_a, and K: V (x) V -> C^alpha G the
+  bilinear map v_a (x) v_b -> kappa(v_a, v_b), so K(p_ab) = 2 kappa(v_a, v_b).
+  For k > j > i the tensor
+      w_kji = p_kj (x) v_i - q_ji p_ki (x) v_j + q_kj q_ki p_ji (x) v_k
+            = v_k (x) p_ji - q_kj v_j (x) p_ki + q_ji q_ki v_i (x) p_kj
+  lies in W = (P (x) V) n (V (x) P), and Phi = K (x) 1 - 1 (x) K, with its
+  products taken in T(V) # C^alpha G (where t_g v = g(v) t_g), sends it to
+  twice sum_g E_g t_g, E_g in V the left side of condition (2) at (g, i, j,
+  k).  The w_kji span W: a tensor x in W has x_abc = -q_ba x_bac and
+  x_abc = -q_cb x_acb, and vanishes on words with a letter twice (x_aab = 0,
+  x_aba = -q_ab x_aab), so its C(n, 3) coefficients on strictly decreasing
+  words fix it.  The extension check makes every h preserve P, so h acts
+  on W (diagonally, bijectively).  Condition (1) says
+  K(h u (x) h v) = t_h K(u (x) v) t_h^-1, so Phi(h w) = t_h Phi(w) t_h^-1,
+  and t_h (v t_g) t_h^-1 = h(v) t_h t_g t_h^-1 is a nonzero multiple of
+  h(v) t_(hgh^-1).  Hence the t_(hgh^-1) components of Phi(W) are h applied
+  to the t_g components up to a scalar: they all vanish, or none does.  So
+  with condition (1) for every h (its generator rows suffice, above), the
+  rows of condition (2) at class representatives cut out the same kernel,
+  and a kappa passes both conditions exactly when it passes condition (1)
+  and condition (2) at the representatives.
 * The ttt and ttv overlap families never read kappa: their words contain at
   most one variable letter, so v_j v_i -> q_ji v_i v_j + kappa(v_j, v_i)
   never fires.  Their reports are computed once per problem.
@@ -33,7 +62,7 @@ from operator import add
 from typing import NamedTuple
 
 from .groups import Cocycle2, FiniteGroup, GroupAlgebraElement
-from .linalg import RowReducer, bump, same_span
+from .linalg import bump, kernel_basis, same_span
 from .quantum import GroupAction, QMatrix, check_action_extends
 from .scalars import ONE, ZERO, CyclotomicScalar, parse_scalar
 
@@ -191,14 +220,18 @@ class ConditionSystem(NamedTuple):
     tags: tuple
 
 
-def parameter_space_rows(action: GroupAction, q: QMatrix, alpha: Cocycle2) -> ConditionSystem:
+def parameter_space_rows(
+    action: GroupAction, q: QMatrix, alpha: Cocycle2, elements=None
+) -> ConditionSystem:
     """The homogeneous linear system whose kernel is the parameter space.
 
     Condition (1), for g in G, h a generator of G (see the module docstring)
     and i < j:
         alpha(h,g)/alpha(hgh^-1,h) kappa_g(v_j,v_i)
             = sum_{k<l} ddet_ijkl(h) kappa_{hgh^-1}(v_l,v_k).
-    Condition (2), for all g and i < j < k, as an equation in V:
+    Condition (2), for g in elements (default every element, in order; one
+    per conjugacy class suffices, see the module docstring) and i < j < k,
+    as an equation in V:
         kappa_g(v_k,v_j)(g(v_i) - q_ji q_ki v_i)
       + kappa_g(v_k,v_i)(q_kj v_j - q_ji g(v_j))
       + kappa_g(v_j,v_i)(q_kj q_ki g(v_k) - v_k) = 0.
@@ -212,31 +245,38 @@ def parameter_space_rows(action: GroupAction, q: QMatrix, alpha: Cocycle2) -> Co
     def unknown(g, i, j):
         return g * npairs + _pair_index(i, j, n)
 
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     rows, tags = [], []
     # condition (1), with kappa_g(v_j, v_i) = -q_ji x[g, i, j]
     for h in G.generator_indices or range(G.size):
         hrows = action.rows_nz[h]
+        # per pair (i, j): -q_ji and the right-hand side as (pair index of
+        # (k, l), coefficient), the same for every g
+        images = []
+        for i, j in pairs:
+            qji = q(j, i)
+            image: dict = {}
+            for k, hik in hrows[i]:
+                for l, hjl in hrows[j]:
+                    if k < l:
+                        bump(image, _pair_index(k, l, n), hjl * hik * q(l, k))
+            for l, hil in hrows[i]:
+                for k, hjk in hrows[j]:
+                    if k < l:
+                        bump(image, _pair_index(k, l, n), -qji * hil * hjk * q(l, k))
+            images.append((-qji, tuple(image.items())))
         for g in range(G.size):
-            gc = G.conjugate(h, g)
+            at_g, at_gc = g * npairs, G.conjugate(h, g) * npairs
             ratio = alpha.conj_ratio(h, g)
-            for i in range(n):
-                for j in range(i + 1, n):
-                    row: dict = {}
-                    qji = q(j, i)
-                    bump(row, unknown(g, i, j), ratio * (-qji))
-                    for k, hik in hrows[i]:
-                        for l, hjl in hrows[j]:
-                            if k < l:
-                                bump(row, unknown(gc, k, l), hjl * hik * q(l, k))
-                    for l, hil in hrows[i]:
-                        for k, hjk in hrows[j]:
-                            if k < l:
-                                bump(row, unknown(gc, k, l), -qji * hil * hjk * q(l, k))
-                    if row:
-                        rows.append(row)
-                        tags.append((1, g, h, i, j))
+            for p, (minus_qji, image) in enumerate(images):
+                row: dict = {at_g + p: ratio * minus_qji}
+                for kl, c in image:
+                    bump(row, at_gc + kl, c)
+                if row:
+                    rows.append(row)
+                    tags.append((1, g, h, *pairs[p]))
     # condition (2): n coefficient equations per (g, i<j<k)
-    for g in range(G.size):
+    for g in range(G.size) if elements is None else elements:
         m = action.mats[g]
         for i in range(n):
             for j in range(i + 1, n):
@@ -256,17 +296,31 @@ def parameter_space_rows(action: GroupAction, q: QMatrix, alpha: Cocycle2) -> Co
     return ConditionSystem(tuple(rows), G.size * npairs, tuple(tags))
 
 
+def condition_system(
+    action: GroupAction, q: QMatrix, alpha: Cocycle2, representatives: bool = False
+) -> ConditionSystem:
+    """``parameter_space_rows`` of the problem, built once per kind and
+    shared by the solver, the checker and repeated calls.  With
+    ``representatives`` condition (2) is written at one element of each
+    conjugacy class only (its least), which cuts out the same kernel (see
+    the module docstring); when every class is a single element that is the
+    exhaustive system, and the same object is returned.  Raises
+    ExtensionError when the action does not extend to S_q(V)."""
+    classes = action.group.conjugacy_classes()
+    elements = None
+    if representatives and len(classes) < action.group.size:
+        elements = tuple(cls[0] for cls in classes)
+    return _condition_system(action, q, alpha, elements)
+
+
 @lru_cache(maxsize=8)
-def condition_system(action: GroupAction, q: QMatrix, alpha: Cocycle2) -> ConditionSystem:
-    """``parameter_space_rows`` of the problem, built once and shared by the
-    solver, the checker and repeated calls.  Raises ExtensionError when the
-    action does not extend to S_q(V)."""
+def _condition_system(action, q, alpha, elements) -> ConditionSystem:
     rep = extension_report(action, q)
     if not rep["symmetric"]:
         raise ExtensionError(
             f"action does not extend to S_q(V); witnesses {rep['symmetric_witnesses']}"
         )
-    return parameter_space_rows(action, q, alpha)
+    return parameter_space_rows(action, q, alpha, elements)
 
 
 # the violation fields named by a row tag, by condition
@@ -277,14 +331,25 @@ _TAG_FIELDS = {
 
 
 def check_pbw_conditions(
-    kappa: KappaMap, action: GroupAction, q: QMatrix, alpha: Cocycle2, max_witnesses: int = 10
+    kappa: KappaMap,
+    action: GroupAction,
+    q: QMatrix,
+    alpha: Cocycle2,
+    max_witnesses: int = 10,
+    representatives: bool = False,
 ) -> dict:
     """Evaluate both PBW conditions exactly: the product of every row of the
     condition system (``parameter_space_rows``) with kappa's coordinates.
     A nonzero product is a violation, named by the row's tag, with the
     product as its defect.  Condition-(1) violations name generators h only.
+
+    With ``representatives`` the rows of condition (2) are those at class
+    representatives only.  Then ``passed`` is still the exhaustive verdict
+    (a kappa that fails condition (1) fails both ways, and one that satisfies
+    it fails condition (2) at g exactly when it fails at g's class
+    representative), but ``condition2`` and the violations may differ.
     """
-    system = condition_system(action, q, alpha)
+    system = condition_system(action, q, alpha, representatives)
     x = kappa.coordinate_row()
     report = {"condition1": True, "condition2": True, "violations": []}
     for row, tag in zip(system.rows, system.tags):
@@ -308,15 +373,12 @@ def solve_parameter_space(
     """Kernel basis of the PBW condition system, as KappaMaps.  Unless
     disabled, every basis element is re-verified by the rewriting oracle's
     families ttv, tvv and vvv, which do not use the rows."""
-    system = condition_system(action, q, alpha)
+    system = condition_system(action, q, alpha, representatives=True)
     G = action.group
     n = action.n
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    red = RowReducer()
-    for row in system.rows:
-        red.insert(row)
     basis = []
-    for vec in red.kernel(system.ncols):
+    for vec in kernel_basis(system.rows, system.ncols):
         coords = {}
         for idx, c in enumerate(vec):
             if not c.is_zero():

@@ -2,7 +2,10 @@
 
 The recordings in tests/golden/ were made by the code before the sparse-sum
 refactor (the pbw-check ones before the generator-only cocycle and exterior
-checks); a refactor that changes any report shows up here.  Each pbw-check
+checks, and the S5 ones, ``parameter-space.s5_twisted`` and
+``classify-symmetric.5``, before the solver's union-find pre-pass and its
+condition (2) at class representatives); a refactor that changes any report
+shows up here.  Each pbw-check
 case runs with --oracle on a kappa file from tests/golden/: ``basis`` is the
 last parameter-space basis vector, ``seeded`` three seeded random
 coordinates.  The seeded kappa fails on every problem but weyl2, whose
@@ -64,6 +67,9 @@ def _cases():
     cases["classify-symmetric.4"] = ["classify-symmetric", "--n", "4"]
     cases["classify-symmetric.4.twisted"] = ["classify-symmetric", "--n", "4", "--twisted"]
     cases["verify-cover.4"] = ["verify-cover", "--n", "4"]
+    cases["parameter-space.s5_twisted"] = ["parameter-space", "s5_twisted.json", "--method", "both"]
+    cases["classify-symmetric.5"] = ["classify-symmetric", "--n", "5"]
+    cases["classify-symmetric.5.twisted"] = ["classify-symmetric", "--n", "5", "--twisted"]
     return cases
 
 

@@ -92,3 +92,53 @@ def test_sparse_sums_keep_their_shape_and_no_zero():
     assert GroupAlgebraElement({0: ONE, 1: ZERO}).coeffs == {0: ONE}
     assert GroupAlgebraElement({0: ONE}) != SkewElement({0: ONE})
     assert GroupAlgebraElement({0: ONE}) == GroupAlgebraElement.basis(0)
+
+
+def plain_kernel(rows, ncols):
+    """The kernel by elimination of every row, with no union-find pre-pass."""
+    red = RowReducer()
+    for row in rows:
+        red.insert(row)
+    return red.kernel(ncols)
+
+
+def test_one_term_row_forces_its_class_to_zero():
+    # x0 = x1 = -x2 (two-term rows), and x1 = 0 (one term): only x3 is free
+    rows = [{0: ONE, 1: MINUS_ONE}, {1: ONE, 2: ONE}, {1: rational(3)}]
+    basis = kernel_basis(rows, 4)
+    assert basis == [[ZERO, ZERO, ZERO, ONE]] == plain_kernel(rows, 4)
+
+
+def test_inconsistent_cycle_forces_its_class_to_zero():
+    i = root_of_unity(4, 1)
+    # x1 = i x0, x2 = i x1, x0 = x2 would need i^2 = 1
+    cycle = [{0: i, 1: MINUS_ONE}, {1: i, 2: MINUS_ONE}, {0: ONE, 2: MINUS_ONE}]
+    assert kernel_basis(cycle, 3) == [] == plain_kernel(cycle, 3)
+    # x0 = -x2 closes the cycle consistently: one free value
+    consistent = cycle[:2] + [{0: ONE, 2: ONE}]
+    basis = kernel_basis(consistent, 3)
+    assert len(basis) == 1 and basis == plain_kernel(consistent, 3)
+    assert annihilates(consistent, basis[0])
+
+
+def test_mixed_two_and_three_term_rows():
+    rnd = random.Random(7)
+    values = [ONE, MINUS_ONE, rational(2), root_of_unity(3, 1), root_of_unity(6, 5)]
+    for trial in range(200):
+        ncols = rnd.randint(3, 8)
+        rows = []
+        for _ in range(rnd.randint(1, 7)):
+            cols = rnd.sample(range(ncols), rnd.choice([2, 2, 3]))
+            rows.append({c: rnd.choice(values) for c in cols})
+        basis = kernel_basis(rows, ncols)
+        assert basis == plain_kernel(rows, ncols)
+        for v in basis:
+            assert annihilates(rows, v)
+
+
+def test_column_no_row_mentions_is_free():
+    rows = [{0: ONE, 2: ONE}, {0: ONE, 2: ONE, 3: ONE}]
+    basis = kernel_basis(rows, 4)
+    assert basis == plain_kernel(rows, 4)
+    # x3 = 0 and x2 = -x0; columns 1 and 2 are free
+    assert basis == [[ZERO, ONE, ZERO, ZERO], [MINUS_ONE, ZERO, ONE, ZERO]]
