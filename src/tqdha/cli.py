@@ -84,7 +84,7 @@ def cmd_pbw_check(args) -> int:
     out = {"condition1": rep["condition1"], "condition2": rep["condition2"],
            "passed": rep["passed"], "violations": rep["violations"]}
     if args.oracle:
-        amb = verify_ambiguities(kappa, prob.action, prob.q, prob.alpha)
+        amb = verify_ambiguities(kappa, prob.action, prob.q, prob.alpha, exhaustive=True)
         out["ambiguities_resolvable"] = amb["resolvable"]
         out["ambiguities_checked"] = amb["checked"]
         if amb["resolvable"] != rep["passed"]:

@@ -47,11 +47,61 @@ overlap words both ways and compares normal forms.
   and condition (2) at the representatives.
 * The ttt and ttv overlap families never read kappa: their words contain at
   most one variable letter, so v_j v_i -> q_ji v_i v_j + kappa(v_j, v_i)
-  never fires.  Their reports are computed once per problem.
+  never fires.  Their reports are computed once per problem, at
+  generators and exhaustively.
 * The solver's recheck is independent.  The checker evaluates the solver's
   own rows, so the solver re-verifies its basis with the oracle families
   ttv, tvv and vvv instead; ttt is the cocycle identity, which
   ``validate_cocycle`` checks when a problem is loaded.
+
+By default the oracle writes the last group letter of each word only at
+generators s of G (every element when the group records none): t_g t_h t_s,
+t_g t_s v_i and t_s v_j v_i, for all g, h and i; vvv has no group letter,
+and ``exhaustive=True`` writes every word.  Each step below
+shows that the last group letters at which a family resolves are closed
+under products, hence form a subgroup of the finite group G, which is all of
+G once it holds the generators.  The proofs use the rewriting rules only,
+none of the checker's lemmas, so the oracle stays independent.  ttt is still
+run at generators although ``validate_cocycle`` covers it at load time: the
+oracle does not assume what it could check.
+
+* ttt.  t_g t_h t_k resolves exactly when
+  alpha(g, h) alpha(gh, k) = alpha(h, k) alpha(g, hk), call it A(g, h, k).
+  Let k1 and k2 satisfy A(., ., k) for every g and h.  Then A(gh, k1, k2),
+  A(g, h, k1), A(g, hk1, k2) and A(h, k1, k2) give in turn
+      alpha(g, h) alpha(gh, k1k2) alpha(k1, k2)
+          = alpha(g, h) alpha(gh, k1) alpha(ghk1, k2)
+          = alpha(h, k1) alpha(g, hk1) alpha(ghk1, k2)
+          = alpha(h, k1) alpha(hk1, k2) alpha(g, hk1k2)
+          = alpha(k1, k2) alpha(h, k1k2) alpha(g, hk1k2),
+  and alpha(k1, k2) != 0, so A(g, h, k1k2) holds.
+* ttv.  t_g t_h v_i rewrites on the left to
+  alpha(g, h) (gh)(v_i) t_(gh) and on the right to
+  alpha(g, h) g(h(v_i)) t_(gh), so it resolves exactly when
+  (gh)(v_i) = g(h(v_i)).  If h1 and h2 satisfy this for every g and i, then
+  (g h1 h2)(v) = (g h1)(h2(v)) = g(h1(h2(v))) = g((h1 h2)(v)).
+* tvv.  Once ttt and ttv resolve at every element, the rules t_g t_h and
+  t_g v_i alone are confluent, so B = T(V) # C^alpha G has the words w t_g
+  (w a word in the v_i) as a basis, and reducing with those rules computes
+  products in B.  On B_2 = span{w t_g : |w| <= 2} the rule
+  v_a v_b -> q_ab v_b v_a + kappa(v_a, v_b) (a > b) reduces every word in
+  one way; call the result pi, a projection onto the ordered words.  Let
+  r_ab = v_a v_b - q_ab v_b v_a - kappa(v_a, v_b) and
+  M = span{r_ab t_g : a > b, g in G}.  Each r_ab t_g is v_a v_b t_g plus
+  ordered words, and pi kills it, so B_2 = (ordered words) + M and
+  M = ker pi.  Both reductions of t_h v_a v_b (a > b) first compute in B
+  and then apply pi, and they differ by pi(t_h r_ab): the word resolves
+  exactly when t_h r_ab lies in M.  M t_g lies in M, as
+  r_ab t_k t_g = alpha(k, g) r_ab t_(kg).  So if h1 and h2 pass for every
+  a > b, then t_(h2) r_ab is a sum of terms c r_cd t_g, and
+  alpha(h1, h2) t_(h1 h2) r_ab = t_(h1) t_(h2) r_ab is a sum of terms
+  c (t_(h1) r_cd) t_g in M t_g, inside M.
+
+So ttt and ttv at generators give their exhaustive verdicts, and tvv at
+generators gives its exhaustive verdict whenever ttt and ttv resolve; a
+loaded problem guarantees that, since its cocycle and its action are
+validated.  The verdict of all four families is the exhaustive one in every
+case: if ttt or ttv fails somewhere, it fails at a generator.
 """
 
 from __future__ import annotations
@@ -500,29 +550,34 @@ KAPPA_FREE = ("ttt", "ttv")
 RECHECK_FAMILIES = ("ttv", "tvv", "vvv")
 
 
-def _overlap_words(family: str, G: FiniteGroup, n: int):
-    """The overlap words of one family, as (letters, witness tag)."""
+def _overlap_words(family: str, G: FiniteGroup, n: int, letters):
+    """The overlap words of one family, as (letters, witness tag).  The last
+    group letter of a word (t_k, t_h and t_h in t_g t_h t_k, t_g t_h v_i and
+    t_h v_j v_i) ranges over the elements ``letters``, every other group
+    letter over all of G."""
+    elements = range(G.size)
     if family == "ttt":
-        for g, h, k in product(range(G.size), repeat=3):
+        for g, h, k in product(elements, elements, letters):
             yield (n + g, n + h, n + k), ("ttt", g, h, k)
     elif family == "ttv":
-        for g, h, i in product(range(G.size), range(G.size), range(n)):
+        for g, h, i in product(elements, letters, range(n)):
             yield (n + g, n + h, i), ("ttv", g, h, i)
     elif family == "tvv":
-        for h, (i, j) in product(range(G.size), combinations(range(n), 2)):
+        for h, (i, j) in product(letters, combinations(range(n), 2)):
             yield (n + h, j, i), ("tvv", h, j, i)
     elif family == "vvv":
         for i, j, k in combinations(range(n), 3):
             yield (k, j, i), ("vvv", k, j, i)
 
 
-def _family_report(family, kappa, action, q, alpha, max_witnesses) -> dict:
-    n = action.n
+def _family_report(family, kappa, action, q, alpha, max_witnesses, exhaustive) -> dict:
+    n, G = action.n, action.group
+    letters = range(G.size) if exhaustive else G.generator_indices or range(G.size)
     report = {"resolvable": True, "checked": 0, "witnesses": []}
-    for letters, tag in _overlap_words(family, action.group, n):
+    for word, tag in _overlap_words(family, G, n, letters):
         left, right = (
             _reduce_letter_terms(
-                _apply_rule(letters, p, n, kappa, action, q, alpha), n, kappa, action, q, alpha
+                _apply_rule(word, p, n, kappa, action, q, alpha), n, kappa, action, q, alpha
             )
             for p in (0, 1)
         )
@@ -535,25 +590,48 @@ def _family_report(family, kappa, action, q, alpha, max_witnesses) -> dict:
 
 
 @lru_cache(maxsize=32)
-def _kappa_free_report(family, action, q, alpha, max_witnesses) -> dict:
-    return _family_report(family, None, action, q, alpha, max_witnesses)
+def _kappa_free_report(family, action, q, alpha, max_witnesses, exhaustive) -> dict:
+    return _family_report(family, None, action, q, alpha, max_witnesses, exhaustive)
 
 
 def verify_ambiguities(
-    kappa, action: GroupAction, q: QMatrix, alpha: Cocycle2, families=None, max_witnesses: int = 5
+    kappa,
+    action: GroupAction,
+    q: QMatrix,
+    alpha: Cocycle2,
+    families=None,
+    max_witnesses: int = 5,
+    exhaustive: bool = False,
 ) -> dict:
-    """Resolve every overlap ambiguity of the reduction system both ways and
+    """Resolve the overlap ambiguities of the reduction system both ways and
     compare normal forms.  The overlap words are t_g t_h t_k, t_g t_h v_i,
     t_h v_j v_i (j > i) and v_k v_j v_i (k > j > i), each reduced once
-    starting at the left overlap and once at the right.  The families run
-    in that order whatever the order of ``families``; the kappa-free ttt and
-    ttv reports are computed once per problem (see the module docstring).
+    starting at the left overlap and once at the right.
+
+    By default the last group letter of a word (k, h and h above) is a
+    generator of G only (every element when the group records none).  The
+    module docstring proves that this gives the exhaustive verdict of all
+    the families together, and of each family alone; for tvv alone that
+    needs ttt and ttv to resolve, as they do for every loaded problem.  With
+    ``exhaustive`` it ranges over all of G, and ``checked`` counts every
+    overlap word, as ``pbw-check --oracle`` reports.
+
+    ``families`` is a collection of names from FAMILIES (default all of
+    them); an unknown name, or a bare string, raises ValueError.  The
+    families run in the order of FAMILIES whatever the order given; the
+    kappa-free ttt and ttv reports are computed once per problem and kind
+    (see the module docstring).
     """
+    if isinstance(families, str):
+        raise ValueError(f"families must be a collection of names, not the string {families!r}")
     families = families or FAMILIES
+    unknown = [f for f in families if f not in FAMILIES]
+    if unknown:
+        raise ValueError(f"unknown overlap families {unknown}; known: {list(FAMILIES)}")
     parts = [
-        _kappa_free_report(family, action, q, alpha, max_witnesses)
+        _kappa_free_report(family, action, q, alpha, max_witnesses, exhaustive)
         if family in KAPPA_FREE
-        else _family_report(family, kappa, action, q, alpha, max_witnesses)
+        else _family_report(family, kappa, action, q, alpha, max_witnesses, exhaustive)
         for family in FAMILIES
         if family in families
     ]

@@ -183,9 +183,14 @@ def test_empty_word_is_unit():
 
 def test_ambiguities_zero_kappa_resolvable():
     g, act, q, al = s3_instance()
+    assert len(g.generator_indices) == 2
     rep = verify_ambiguities(KappaMap.zero(g, 3, q), act, q, al)
     assert rep["resolvable"]
-    assert rep["checked"] == 6 ** 3 + 6 * 6 * 3 + 6 * 3 + 1
+    # the last group letter at the two generators only
+    assert rep["checked"] == 6 * 6 * 2 + 6 * 2 * 3 + 2 * 3 + 1
+    full = verify_ambiguities(KappaMap.zero(g, 3, q), act, q, al, exhaustive=True)
+    assert full["resolvable"]
+    assert full["checked"] == 6 ** 3 + 6 * 6 * 3 + 6 * 3 + 1
 
 
 def test_failing_kappa_flagged_by_both_with_witness():
@@ -380,7 +385,9 @@ def test_kappa_free_families_never_read_kappa():
     g2, act2, q2, al2 = s3_instance()
     fresh = verify_ambiguities(KappaMap.zero(g2, 3, q2), act2, q2, al2, families=KAPPA_FREE)
     assert first == again == fresh
-    assert fresh == {"resolvable": True, "checked": 6 ** 3 + 6 * 6 * 3, "witnesses": []}
+    assert fresh == {"resolvable": True, "checked": 6 * 6 * 2 + 6 * 2 * 3, "witnesses": []}
+    full = verify_ambiguities(bad, act, q, al, families=KAPPA_FREE, exhaustive=True)
+    assert full == {"resolvable": True, "checked": 6 ** 3 + 6 * 6 * 3, "witnesses": []}
     # a whole report with memoized ttt and ttv equals one computed afresh
     kappa = KappaMap(g, 3, q, {(0, 1): GroupAlgebraElement({1: ONE})})
     kappa2 = KappaMap(g2, 3, q2, {(0, 1): GroupAlgebraElement({1: ONE})})
