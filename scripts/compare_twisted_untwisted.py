@@ -4,8 +4,9 @@ S_n representation with q = -1.
 
 The twisted column uses the spin-cover 2-cocycle; the untwisted column the
 trivial one.  Both are computed through the cohomological pipeline and
-cross-checked against the direct linear solver before printing; the script
-exits 1 if the two disagree:
+cross-checked against the direct linear solver before printing.  The script
+exits 1 if the two disagree, or if a twisted dimension is not strictly below
+the untwisted one:
 
     PYTHONPATH=src python scripts/compare_twisted_untwisted.py --max-n 5
 """
@@ -37,11 +38,16 @@ def main():
     args = ap.parse_args()
 
     print(f"{'n':>3} {'untwisted':>10} {'twisted':>8}  (cohomological pipeline)")
+    not_smaller = []
     for n in range(4, args.max_n + 1):
         du, tu = dimensions(n, False, not args.no_crosscheck)
         dt, tt = dimensions(n, True, not args.no_crosscheck)
         print(f"{n:>3} {du:>10} {dt:>8}   [{tu + tt:.1f}s]")
-    print("\nThe twisted space is strictly smaller wherever the rows differ.")
+        if dt >= du:
+            not_smaller.append(n)
+    if not_smaller:
+        sys.exit(f"the twisted space is not strictly smaller at n = {not_smaller}")
+    print("\nThe twisted space is strictly smaller at every n.")
 
 
 if __name__ == "__main__":

@@ -23,6 +23,7 @@ from .groups import (
     GroupAlgebraElement,
     bicharacter_cocycle,
     cocycle_from_columns,
+    cocycle_from_values,
     group_from_cyclic_orders,
     group_from_permutations,
     group_from_table,

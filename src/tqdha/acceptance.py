@@ -121,7 +121,7 @@ def criterion_3() -> dict:
     alpha = symmetric_instance(4, True)[3]
     group = alpha.group
     bare = FiniteGroup(group.mult, name=group.name, perms=group.perms)
-    rep = validate_cocycle(Cocycle2(bare, alpha.values))
+    rep = validate_cocycle(Cocycle2(bare, alpha.distinct, alpha.index))
     g12 = group.perms.index((1, 0, 2, 3))
     g34 = group.perms.index((0, 1, 3, 2))
     beta = rep["commuting_pair_invariants"][(g12, g34)]

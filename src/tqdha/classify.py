@@ -24,9 +24,10 @@ from .groups import (
     symmetric_group,
     trivial_cocycle,
 )
+from .linalg import bump
 from .pbw import KappaMap, same_space
 from .quantum import GroupAction, QMatrix, natural_permutation_action
-from .scalars import ONE, ZERO, rational
+from .scalars import ONE, rational
 from .spin import spin_cocycle
 
 
@@ -111,7 +112,7 @@ def diagonal_kappa_basis_labeled(action: GroupAction, q: QMatrix, alpha: Cocycle
                         * lam[g][r].inverse()
                         * lam[g][s].inverse()
                     )
-                    coeffs[target] = coeffs.get(target, ZERO) + val
+                    bump(coeffs, target, val)
                 kappa = KappaMap(G, n, q, {(r, s): GroupAlgebraElement(coeffs)})
                 out.append(((a, r, s), kappa))
     return out
@@ -219,7 +220,7 @@ def kappa_two(n: int) -> KappaMap:
                     perm_from_cycles(n, [(i, k, j)]),
                 ):
                     g = group.perms.index(perm)
-                    coeffs[g] = coeffs.get(g, ZERO) + ONE
+                    bump(coeffs, g, ONE)
             values[(i, j)] = GroupAlgebraElement(coeffs)
     return KappaMap(group, n, q, values)
 
@@ -288,7 +289,7 @@ def expected_image_value(n: int, a: int, i: int, j: int) -> GroupAlgebraElement:
                 continue
             g1 = group.perms.index(perm_from_cycles(n, [(i, j, k)]))
             g2 = group.perms.index(perm_from_cycles(n, [(i, k, j)]))
-            coeffs[g1] = coeffs.get(g1, ZERO) + f * rational(2)
-            coeffs[g2] = coeffs.get(g2, ZERO) + f
+            bump(coeffs, g1, f * rational(2))
+            bump(coeffs, g2, f)
         return GroupAlgebraElement(coeffs)
     raise ValueError("family tag must be 1..5")

@@ -23,7 +23,7 @@ from .quantum import (
     mono_times_variable,
     variable_times_mono,
 )
-from .scalars import MINUS_ONE, ONE, ZERO, rational
+from .scalars import MINUS_ONE, ONE, rational
 
 
 class Cochain(SparseSum):
@@ -60,7 +60,7 @@ class Cochain(SparseSum):
             if any(gamma):
                 raise ValueError("wedge_value needs a constant cochain")
             if beta[r] and beta[s]:
-                coeffs[g] = coeffs.get(g, ZERO) + c
+                bump(coeffs, g, c)
         return GroupAlgebraElement(coeffs)
 
     def __repr__(self):
@@ -213,8 +213,7 @@ def composition_image(
     values: dict = {}
     for (gamma, g, beta), c in eta.coeffs.items():
         r, s = [t for t in range(eta.n) if beta[t]]
-        values.setdefault((r, s), {})
-        values[(r, s)][g] = values[(r, s)].get(g, ZERO) + c
+        bump(values.setdefault((r, s), {}), g, c)
     pair_elts = {k: GroupAlgebraElement(v) for k, v in values.items()}
     acc = GroupAlgebraElement.zero()
     for g in range(G.size):

@@ -4,17 +4,21 @@ Groups are index tables: elements are integers 0..size-1 with 0 the identity,
 multiplication is a dense table, and mult[g][h] is the product g*h (for
 permutation groups this is function composition, h applied first).
 Permutations are stored as 0-based image tuples.
+
+A 2-cocycle is stored the same way, as its distinct values and an integer
+table of positions in them; ``cocycle_from_values`` is the one place that
+deduplicates a table of scalars.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import product
-from math import prod
+from math import gcd, lcm, prod
 from operator import mul, truediv
 
 from .linalg import SparseSum, bump
-from .scalars import ONE, ZERO, CyclotomicScalar, root_of_unity
+from .scalars import MAX_CONDUCTOR, ONE, ZERO, CyclotomicScalar, root_of_unity
 
 
 # A group is held as its dense |G| x |G| multiplication table, and the cocycle
@@ -309,10 +313,6 @@ def symmetric_group(n: int) -> FiniteGroup:
 # ---------------------------------------------------------------------------
 
 
-def _layout(x: CyclotomicScalar) -> tuple:
-    return x.order, x.coeffs, x.den
-
-
 class _PairTable(dict):
     """op(x, y) on pairs of the distinct values of a cocycle table, at key
     i * m + j for x = distinct[i], y = distinct[j] and m = len(distinct).
@@ -327,44 +327,39 @@ class _PairTable(dict):
     def __missing__(self, key):
         i, j = divmod(key, len(self.distinct))
         r = self.op(self.distinct[i], self.distinct[j])
-        r = self[key] = self.shared.setdefault(_layout(r), r)
+        r = self[key] = self.shared.setdefault((r.order, r.coeffs, r.den), r)
         return r
 
 
 class Cocycle2:
-    """A normalized 2-cocycle on a finite group, stored as a dense table of
-    nonzero scalars.
+    """A normalized 2-cocycle on a finite group, stored as a tuple
+    ``distinct`` of nonzero scalars and an integer table ``index``:
+    alpha(g, h) = distinct[index[g][h]].  ``distinct`` may hold values that
+    no entry uses (``cocycle_from_columns`` lists every m-th root of unity).
+    A table has few distinct values (two for spin(n), at most the root order
+    for a bicharacter), so whatever is computed per distinct value or per
+    pair of them (the zero check here, the products of ``validate_cocycle``,
+    the quotients of ``conj_ratio``) is computed a few times rather than
+    |G|^2 or |G|^3 times."""
 
-    Entries of one layout (order, coeffs, den) are one shared object, the
-    first of them in row-major order; ``distinct`` lists these objects in
-    that order.  A table has few distinct values (two
-    for spin(n), at most the root order for a bicharacter), so whatever is
-    computed per distinct value or per pair of them (the zero check here,
-    the products of ``validate_cocycle``, the quotients of ``conj_ratio``)
-    is computed a few times rather than |G|^2 or |G|^3 times."""
-
-    def __init__(self, group: FiniteGroup, values, name="cocycle"):
+    def __init__(self, group: FiniteGroup, distinct, index, name="cocycle"):
         self.group = group
         self.name = name
-        shared: dict = {}
-        self.values = tuple(tuple(shared.setdefault(_layout(x), x) for x in row) for row in values)
-        if len(self.values) != group.size or any(len(r) != group.size for r in self.values):
+        self.distinct = tuple(distinct)
+        self.index = tuple(map(tuple, index))
+        n = group.size
+        if len(self.index) != n or any(len(r) != n for r in self.index):
             raise CocycleError("cocycle table dimensions do not match the group")
-        self.distinct = tuple(shared.values())
-        if any(x.is_zero() for x in self.distinct):
-            g, h = next((g, h) for g, row in enumerate(self.values)
-                        for h, x in enumerate(row) if x.is_zero())
-            raise CocycleError(f"cocycle value at ({g}, {h}) is zero")
-        self._conj_ratio = [None] * group.size  # rows, built on first use
+        zeros = {k for k, x in enumerate(self.distinct) if x.is_zero()}
+        for g, row in enumerate(self.index if zeros else ()):
+            if not zeros.isdisjoint(row):
+                h = next(h for h, k in enumerate(row) if k in zeros)
+                raise CocycleError(f"cocycle value at ({g}, {h}) is zero")
+        self._conj_ratio = [None] * n  # rows, built on first use
         self._quotients = _PairTable(self.distinct, truediv)
 
     def __call__(self, g: int, h: int) -> CyclotomicScalar:
-        return self.values[g][h]
-
-    def _index(self) -> list[list[int]]:
-        """The table of each entry's position in ``distinct``."""
-        pos = {id(x): k for k, x in enumerate(self.distinct)}
-        return [list(map(pos.__getitem__, map(id, row))) for row in self.values]
+        return self.distinct[self.index[g][h]]
 
     def conj_ratio(self, h: int, g: int) -> CyclotomicScalar:
         """alpha(h, g) / alpha(h g h^-1, h) -- the scalar in t_h t_g t_h^-1.
@@ -373,29 +368,39 @@ class Cocycle2:
         once."""
         row = self._conj_ratio[h]
         if row is None:
-            pos = {id(x): k for k, x in enumerate(self.distinct)}
-            G, m, values, quotients = self.group, len(self.distinct), self.values, self._quotients
+            G, m, index, quotients = self.group, len(self.distinct), self.index, self._quotients
             row = self._conj_ratio[h] = tuple(
-                quotients[pos[id(values[h][g])] * m + pos[id(values[G.conjugate(h, g)][h])]]
-                for g in range(G.size)
+                quotients[k * m + index[G.conjugate(h, g)][h]] for g, k in enumerate(index[h])
             )
         return row[g]
 
     def tg_inverse_coeff(self, g: int) -> CyclotomicScalar:
         """(t_g)^-1 = coeff * t_{g^-1}."""
-        return self.values[g][self.group.inv[g]].inverse()
+        return self(g, self.group.inv[g]).inverse()
+
+
+def cocycle_from_values(group: FiniteGroup, values, name="cocycle") -> Cocycle2:
+    """The cocycle with table values[g][h].  This is the one place that
+    deduplicates scalars: values of one layout (order, coeffs, den) become
+    one entry of ``distinct``, the first of them in row-major order."""
+    shared: dict = {}
+    index = [[shared.setdefault((x.order, x.coeffs, x.den), (len(shared), x))[0] for x in row]
+             for row in values]
+    return Cocycle2(group, [x for _, x in shared.values()], index, name)
 
 
 def trivial_cocycle(group: FiniteGroup) -> Cocycle2:
-    row = tuple(ONE for _ in range(group.size))
-    return Cocycle2(group, [row] * group.size, name="trivial")
+    row = (0,) * group.size
+    return Cocycle2(group, (ONE,), (row,) * group.size, name="trivial")
 
 
 def bicharacter_cocycle(group: FiniteGroup, exponents, root_order: int = 2) -> Cocycle2:
     """alpha(a, b) = zeta_m^(sum_ij E[i][j] a_i b_j) on a product of cyclic
     groups carrying exponent-tuple labels.  The exponent a_i b_j is only
     defined modulo the coordinate orders, so E[i][j] * c_i and E[i][j] * c_j
-    must both vanish mod m; anything else is rejected."""
+    must both vanish mod m; anything else is rejected.  The table is filled
+    in exponents e mod m, and zeta_m^e has order m / gcd(m, e), so values
+    past ``MAX_CONDUCTOR`` are refused before any root is built."""
     if group.labels is None:
         raise CocycleError("bicharacter cocycles need a cyclic-product group")
     k = len(group.labels[0])
@@ -410,14 +415,16 @@ def bicharacter_cocycle(group: FiniteGroup, exponents, root_order: int = 2) -> C
                     f"exponent E[{i}][{j}] = {e} is not well-defined on "
                     f"Z/{orders[i]} x Z/{orders[j]} with a root of order {root_order}"
                 )
-    vals = []
-    for a in group.labels:
-        row = []
-        for b in group.labels:
-            e = sum(exponents[i][j] * a[i] * b[j] for i in range(k) for j in range(k))
-            row.append(root_of_unity(root_order, e))
-        vals.append(row)
-    return Cocycle2(group, vals, name=f"bicharacter(z{root_order})")
+    pos: dict = {}  # each exponent that occurs -> its position in distinct
+    index = [[pos.setdefault(sum(exponents[i][j] * a[i] * b[j] for i in range(k)
+                                 for j in range(k)) % root_order, len(pos))
+              for b in group.labels] for a in group.labels]
+    conductor = reduce(lcm, (root_order // gcd(root_order, e) for e in pos), 1)
+    if conductor > MAX_CONDUCTOR:
+        raise CocycleError(
+            f"the table's values need Q(zeta_{conductor}), past MAX_CONDUCTOR = {MAX_CONDUCTOR}")
+    return Cocycle2(group, [root_of_unity(root_order, e) for e in pos], index,
+                    name=f"bicharacter(z{root_order})")
 
 
 def cocycle_from_columns(group: FiniteGroup, root_order: int, columns, name="cocycle") -> Cocycle2:
@@ -447,8 +454,7 @@ def cocycle_from_columns(group: FiniteGroup, root_order: int, columns, name="coc
     for k, s in enumerate(G.generator_indices):
         if cols[s] != [e % m for e in columns[k]]:
             raise CocycleError(f"column {k} is not that of a normalized cocycle")
-    roots = [root_of_unity(m, e) for e in range(m)]
-    return Cocycle2(G, (map(roots.__getitem__, row) for row in zip(*cols)), name=name)
+    return Cocycle2(G, [root_of_unity(m, e) for e in range(m)], zip(*cols), name=name)
 
 
 def validate_cocycle(alpha: Cocycle2, max_witnesses: int = 10) -> dict:
@@ -468,8 +474,8 @@ def validate_cocycle(alpha: Cocycle2, max_witnesses: int = 10) -> dict:
     and the identity row checks that this is 1.
 
     Every such triple is still checked, but each side of the identity is a
-    product of two table entries, and the table holds one object per
-    distinct value (see ``Cocycle2``).  So each product of two distinct
+    product of two table entries, and the table is stored as positions in
+    its distinct values (see ``Cocycle2``).  So each product of two distinct
     values, and each quotient of the invariants, is computed once, in a memo
     that lives for this call and holds at most one entry per side of a
     triple checked.  Products of one layout are one object, so a side is
@@ -481,11 +487,11 @@ def validate_cocycle(alpha: Cocycle2, max_witnesses: int = 10) -> dict:
     G = alpha.group
     n = G.size
     mult = G.mult
-    vals = alpha.values
-    m, index = len(alpha.distinct), alpha._index()
+    m, index = len(alpha.distinct), alpha.index
+    ones = [x.is_one() for x in alpha.distinct]
     report = {"normalized": True, "cocycle": True, "failures": []}
     for g in range(n):
-        if not vals[g][0].is_one() or not vals[0][g].is_one():
+        if not ones[index[g][0]] or not ones[index[0][g]]:
             report["normalized"] = False
             if len(report["failures"]) < max_witnesses:
                 report["failures"].append(("normalization", g))

@@ -27,6 +27,7 @@ from .groups import (
     FiniteGroup,
     GroupConstructionError,
     bicharacter_cocycle,
+    cocycle_from_values,
     group_from_cyclic_orders,
     group_from_permutations,
     group_from_table,
@@ -244,7 +245,7 @@ def _build_cocycle(data, group: FiniteGroup, read: _ScalarReader) -> Cocycle2:
                 [read(f"cocycle.table[{g}][{h}]", rows[g][h]) for h in range(group.size)]
                 for g in range(group.size)
             ]
-            return _validated(Cocycle2(group, vals, name="table"))
+            return _validated(cocycle_from_values(group, vals, name="table"))
         if "bicharacter_exponents" in spec:
             try:
                 alpha = bicharacter_cocycle(
@@ -252,9 +253,8 @@ def _build_cocycle(data, group: FiniteGroup, read: _ScalarReader) -> Cocycle2:
                 )
             except Exception as e:
                 raise ProblemValidationError("cocycle.bicharacter_exponents", str(e)) from e
-            for row in alpha.values:
-                for x in row:
-                    read.admit("cocycle.bicharacter_exponents", x)
+            for x in alpha.distinct:
+                read.admit("cocycle.bicharacter_exponents", x)
             return _validated(alpha)
     raise ProblemValidationError("cocycle", f"unrecognized description {spec!r}")
 

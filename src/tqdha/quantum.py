@@ -10,7 +10,7 @@ matrices compose as M[gh] = M[h] . M[g].
 
 from __future__ import annotations
 
-from .groups import Cocycle2, FiniteGroup
+from .groups import Cocycle2, FiniteGroup, _walk
 from .linalg import SparseSum, bump
 from .scalars import ONE, ZERO, CyclotomicScalar, parse_scalar, rational
 
@@ -165,38 +165,25 @@ def diagonal_action(group: FiniteGroup, lam) -> GroupAction:
 
 def action_from_generator_matrices(group: FiniteGroup, gen_matrices, n: int) -> GroupAction:
     """Extend n x n matrices given on the group's generators to all elements
-    along the Cayley graph, then validate the composition law."""
+    by M[sg] = M[g] . M[s] along the walk from the identity, check that each
+    generator (also one listed twice, or the identity) got the matrix given
+    for it, and validate the composition law."""
     gens = group.generator_indices
     if len(gens) != len(gen_matrices):
         raise ActionError(
             f"group has {len(gens)} generators but {len(gen_matrices)} matrices were given"
         )
     mats: list = [None] * group.size
-    ident = [[ONE if i == k else ZERO for k in range(n)] for i in range(n)]
-    mats[0] = ident
-    for s, m in zip(gens, gen_matrices):
-        mats[s] = [list(row) for row in m]
-    frontier = [0] + [s for s in dict.fromkeys(gens) if s != 0]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for s, ms in zip(gens, gen_matrices):
-                sg = group.mult[s][g]
-                if mats[sg] is None:
-                    # M[sg] = M[g] . M[s]
-                    mg = mats[g]
-                    prod = [
-                        [
-                            sum((mg[i][k] * ms[k][l] for k in range(n)), ZERO)
-                            for l in range(n)
-                        ]
-                        for i in range(n)
-                    ]
-                    mats[sg] = prod
-                    nxt.append(sg)
-        frontier = nxt
+    mats[0] = [[ONE if i == k else ZERO for k in range(n)] for i in range(n)]
+    for g, k, sg in _walk([group.mult[s] for s in gens]):
+        mg, ms = mats[g], gen_matrices[k]
+        mats[sg] = [[sum((mg[i][j] * ms[j][l] for j in range(n)), ZERO) for l in range(n)]
+                    for i in range(n)]
     if any(m is None for m in mats):
         raise ActionError("generators do not generate the whole group")
+    for k, (s, m) in enumerate(zip(gens, gen_matrices)):
+        if mats[s] != [list(row) for row in m]:
+            raise ActionError(f"element {s} (generator {k}) is given conflicting matrices")
     return GroupAction(group, mats, validate=True)
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tqdha import groups
 from tqdha.groups import (
     MAX_GROUP_ORDER,
     Cocycle2,
@@ -18,6 +19,7 @@ from tqdha.groups import (
     _walk,
     bicharacter_cocycle,
     cocycle_from_columns,
+    cocycle_from_values,
     group_from_cyclic_orders,
     group_from_permutations,
     group_from_table,
@@ -29,8 +31,13 @@ from tqdha.groups import (
     twisted_conjugate,
     validate_cocycle,
 )
-from tqdha.scalars import MINUS_ONE, ONE, rational, root_of_unity
+from tqdha.scalars import MAX_CONDUCTOR, MINUS_ONE, ONE, ZERO, rational, root_of_unity
 from tqdha.spin import spin_cocycle
+
+
+def table(alpha):
+    n = alpha.group.size
+    return [[alpha(g, h) for h in range(n)] for g in range(n)]
 
 
 def klein_with_bicharacter():
@@ -86,7 +93,7 @@ def test_cocycle_fill_reproduces_a_bicharacter():
     G = group_from_cyclic_orders([6, 6])
     exponents = [[1, 2], [3, 5]]
     filled = cocycle_from_columns(G, 6, bicharacter_columns(G, exponents, 6))
-    assert filled.values == bicharacter_cocycle(G, exponents, 6).values
+    assert table(filled) == table(bicharacter_cocycle(G, exponents, 6))
 
 
 def test_cocycle_fill_checks_its_columns():
@@ -109,7 +116,7 @@ def test_flipped_column_entry_off_the_tree_is_rejected():
     alpha = spin_cocycle(symmetric_group(4))
     G = alpha.group
     columns = [[int(alpha(g, s) == MINUS_ONE) for g in range(G.size)] for s in G.generator_indices]
-    assert cocycle_from_columns(G, 2, columns).values == alpha.values
+    assert table(cocycle_from_columns(G, 2, columns)) == table(alpha)
     tree = {(h, k) for h, k, _ in _walk([[G.mult[h][s] for h in range(G.size)]
                                           for s in G.generator_indices])}
     g, k = next((g, k) for g in range(1, G.size) for k in range(len(columns))
@@ -173,7 +180,7 @@ def test_commuting_invariants_multiply_to_one():
 def test_broken_cocycle_reported_with_triple():
     g = group_from_cyclic_orders([3])
     vals = [[ONE, ONE, ONE], [ONE, ONE, ONE], [ONE, rational(2), ONE]]
-    rep = validate_cocycle(Cocycle2(g, vals))
+    rep = validate_cocycle(cocycle_from_values(g, vals))
     assert rep["normalized"]
     assert not rep["cocycle"]
     assert rep["failures"] and rep["failures"][0][0] == "cocycle"
@@ -181,10 +188,8 @@ def test_broken_cocycle_reported_with_triple():
 
 def test_zero_cocycle_value_rejected():
     g = group_from_cyclic_orders([2])
-    from tqdha.scalars import ZERO
-
     with pytest.raises(CocycleError):
-        Cocycle2(g, [[ONE, ONE], [ONE, ZERO]])
+        cocycle_from_values(g, [[ONE, ONE], [ONE, ZERO]])
 
 
 def test_tga_identity_and_inverse():
@@ -296,7 +301,7 @@ def every_first_argument(alpha):
     that ``validate_cocycle`` checks every triple."""
     G = alpha.group
     bare = FiniteGroup(G.mult, name=G.name, perms=G.perms, labels=G.labels)
-    return Cocycle2(bare, alpha.values)
+    return Cocycle2(bare, alpha.distinct, alpha.index)
 
 
 def coboundary_twist(alpha, rnd, order, normalized=True):
@@ -306,8 +311,8 @@ def coboundary_twist(alpha, rnd, order, normalized=True):
     f = [root_of_unity(order, rnd.randrange(order)) for _ in range(G.size)]
     if normalized:
         f[0] = ONE
-    return Cocycle2(G, [[alpha(a, b) * f[a] * f[b] / f[G.mult[a][b]] for b in range(G.size)]
-                        for a in range(G.size)])
+    return cocycle_from_values(G, [[alpha(a, b) * f[a] * f[b] / f[G.mult[a][b]]
+                                    for b in range(G.size)] for a in range(G.size)])
 
 
 def planted_break(alpha, rnd):
@@ -316,9 +321,9 @@ def planted_break(alpha, rnd):
     G = alpha.group
     x = rnd.choice([g for g in range(1, G.size) if g not in G.generator_indices])
     y = rnd.randrange(1, G.size)
-    vals = [list(row) for row in alpha.values]
+    vals = table(alpha)
     vals[x][y] = vals[x][y] * rnd.choice([MINUS_ONE, root_of_unity(3, 1)])
-    return Cocycle2(G, vals)
+    return cocycle_from_values(G, vals)
 
 
 def cocycle_instances():
@@ -402,8 +407,8 @@ def mixed_order_table():
     G = group_from_cyclic_orders([6, 6])
     alpha = bicharacter_cocycle(G, [[1, 2], [0, 5]], 6)
     vals = [[stored_at_order_12(x) if a % 2 else x for x in row]
-            for a, row in enumerate(alpha.values)]
-    return Cocycle2(G, vals)
+            for a, row in enumerate(table(alpha))]
+    return cocycle_from_values(G, vals)
 
 
 def distinct_value_table():
@@ -413,8 +418,8 @@ def distinct_value_table():
     G = symmetric_group(4)
     primes = [p for p in range(2, 100) if all(p % d for d in range(2, p))]
     f = [ONE] + [rational(p) for p in primes[:G.size - 1]]
-    return Cocycle2(G, [[f[a] * f[b] / f[G.mult[a][b]] for b in range(G.size)]
-                        for a in range(G.size)])
+    return cocycle_from_values(G, [[f[a] * f[b] / f[G.mult[a][b]] for b in range(G.size)]
+                                   for a in range(G.size)])
 
 
 def test_stored_at_order_12_keeps_the_value():
@@ -457,12 +462,12 @@ def test_mixed_order_table_validates():
 def test_cocycle_shares_one_object_per_layout():
     alpha = spin_cocycle(symmetric_group(4))
     assert len(alpha.distinct) == 2
-    ones = {id(x) for row in alpha.values for x in row if x.is_one()}
+    ones = {id(x) for row in table(alpha) for x in row if x.is_one()}
     assert len(ones) == 1
     # a fresh table of equal but separately built values is shared as well
     G = group_from_cyclic_orders([6])
-    beta = Cocycle2(G, [[root_of_unity(6, a * b) for b in range(6)] for a in range(6)])
-    assert len({id(x) for row in beta.values for x in row}) == len(beta.distinct) == 6
+    beta = cocycle_from_values(G, [[root_of_unity(6, a * b) for b in range(6)] for a in range(6)])
+    assert len({id(x) for row in table(beta) for x in row}) == len(beta.distinct) == 6
 
 
 def test_conj_ratio_matches_the_direct_quotient():
@@ -475,3 +480,60 @@ def test_conj_ratio_matches_the_direct_quotient():
         for h in range(G.size):
             for g in range(G.size):
                 assert alpha.conj_ratio(h, g) == alpha(h, g) / alpha(G.conjugate(h, g), h)
+
+
+# ---------------------------------------------------------------------------
+# the stored form: distinct values and an integer index table
+# ---------------------------------------------------------------------------
+
+
+def test_each_fill_is_the_table_of_its_own_values():
+    """The trivial, bicharacter and column fills, built from integers, store
+    what ``cocycle_from_values`` makes of their values: the same distinct
+    values in row-major order of first use, and the same index table."""
+    s4 = symmetric_group(4)
+    z6z6 = group_from_cyclic_orders([6, 6])
+    spin4 = spin_cocycle(s4)
+    columns = [[int(spin4(g, s) == MINUS_ONE) for g in range(s4.size)]
+               for s in s4.generator_indices]
+    for alpha in (trivial_cocycle(s4), bicharacter_cocycle(z6z6, [[1, 2], [3, 5]], 6),
+                  cocycle_from_columns(s4, 2, columns)):
+        ref = cocycle_from_values(alpha.group, table(alpha))
+        assert alpha.distinct == ref.distinct and alpha.index == ref.index
+        assert all(isinstance(k, int) for row in alpha.index for k in row)
+
+
+def test_spin5_table_has_two_distinct_values():
+    assert len(spin_cocycle(symmetric_group(5)).distinct) == 2
+
+
+def test_zero_in_distinct_names_the_first_entry_that_holds_it():
+    G = group_from_cyclic_orders([3])
+    index = [[0, 0, 0], [0, 0, 1], [0, 1, 1]]
+    with pytest.raises(CocycleError, match=r"\(1, 2\) is zero"):
+        Cocycle2(G, (ONE, ZERO), index)
+    # a zero that no entry uses is never read
+    assert Cocycle2(G, (ONE, ZERO), [[0] * 3] * 3)(2, 2) == ONE
+
+
+@pytest.mark.parametrize("index", [[[0] * 3] * 2, [[0] * 3, [0] * 3, [0] * 2]])
+def test_wrong_sized_index_table_is_rejected(index):
+    with pytest.raises(CocycleError, match="dimensions"):
+        Cocycle2(group_from_cyclic_orders([3]), (ONE,), index)
+
+
+def test_bicharacter_past_the_conductor_bound_builds_no_root(monkeypatch):
+    """Z/101 with zeta_101 needs Q(zeta_101): refused from the exponents,
+    before any root of unity is built."""
+    real = groups.root_of_unity
+
+    def bounded(n, k):
+        assert n // math.gcd(n, k) <= MAX_CONDUCTOR, f"root zeta_{n}^{k} built"
+        return real(n, k)
+
+    monkeypatch.setattr(groups, "root_of_unity", bounded)
+    with pytest.raises(CocycleError, match="MAX_CONDUCTOR"):
+        bicharacter_cocycle(group_from_cyclic_orders([101]), [[1]], 101)
+    # zeta_1000^500 = -1: a large root order whose values are small roots
+    alpha = bicharacter_cocycle(group_from_cyclic_orders([2]), [[500]], 1000)
+    assert alpha.distinct == (ONE, MINUS_ONE) and alpha(1, 1) == MINUS_ONE

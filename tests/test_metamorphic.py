@@ -16,7 +16,7 @@ import pytest
 
 from tqdha.classify import symmetric_instance
 from tqdha.cohomology import cohomological_parameter_space
-from tqdha.groups import Cocycle2, bicharacter_cocycle, group_from_cyclic_orders, validate_cocycle
+from tqdha.groups import bicharacter_cocycle, cocycle_from_values, group_from_cyclic_orders, validate_cocycle
 from tqdha.pbw import KappaMap, same_space, solve_parameter_space
 from tqdha.quantum import QMatrix, diagonal_action
 from tqdha.scalars import ONE, root_of_unity
@@ -24,8 +24,8 @@ from tqdha.scalars import ONE, root_of_unity
 
 def coboundary_twisted(alpha, beta):
     G = alpha.group
-    return Cocycle2(G, [[alpha(a, b) * beta[a] * beta[b] / beta[G.mult[a][b]]
-                         for b in range(G.size)] for a in range(G.size)])
+    return cocycle_from_values(G, [[alpha(a, b) * beta[a] * beta[b] / beta[G.mult[a][b]]
+                                    for b in range(G.size)] for a in range(G.size)])
 
 
 def z6_diagonal():

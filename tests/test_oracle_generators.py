@@ -14,7 +14,7 @@ from collections import Counter
 import pytest
 
 from test_orbit_solver import LEMMA_CASES, bundled, random_kappa
-from tqdha.groups import Cocycle2, GroupAlgebraElement
+from tqdha.groups import GroupAlgebraElement, cocycle_from_values
 from tqdha.pbw import FAMILIES, KappaMap, solve_parameter_space, verify_ambiguities
 from tqdha.quantum import GroupAction
 from tqdha.scalars import MINUS_ONE, rational
@@ -81,9 +81,9 @@ def planted_cocycle(alpha):
     without the load-time check."""
     G = alpha.group
     g = non_generators(G)[0]
-    values = [list(row) for row in alpha.values]
+    values = [[alpha(a, b) for b in range(G.size)] for a in range(G.size)]
     values[g][g] = values[g][g] * MINUS_ONE
-    return Cocycle2(G, values)
+    return cocycle_from_values(G, values)
 
 
 def planted_action(action):

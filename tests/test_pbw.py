@@ -286,7 +286,7 @@ def without_generators(action, alpha):
     so that condition (1) gets rows for every element."""
     G = action.group
     bare = FiniteGroup(G.mult, name=G.name, perms=G.perms, labels=G.labels)
-    return GroupAction(bare, action.mats), Cocycle2(bare, alpha.values)
+    return GroupAction(bare, action.mats), Cocycle2(bare, alpha.distinct, alpha.index)
 
 
 def klein_diagonal():

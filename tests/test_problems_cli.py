@@ -420,7 +420,8 @@ def test_spin_on_adjacent_transpositions_is_spin_cocycle():
     reference = spin_cocycle(symmetric_group(5))
     assert prob.group.generator_indices != reference.group.generator_indices
     assert prob.group.perms == reference.group.perms
-    assert prob.alpha.values == reference.values and prob.alpha.name == "spin(5)"
+    assert prob.alpha.distinct == reference.distinct and prob.alpha.index == reference.index
+    assert prob.alpha.name == "spin(5)"
 
 
 @pytest.mark.parametrize("n", [problems.MAX_DIMENSION + 1, 10 ** 9])
@@ -487,3 +488,40 @@ def test_cli_nontrivial_table_group_without_matrices_exits_3(tmp_path):
     code, rep = run_problem(tmp_path, prob)
     assert code == 3 and rep["location"] == "action"
     assert "do not generate" in rep["reason"]
+
+
+@pytest.mark.parametrize("generators, matrices", [
+    # [2, 1] listed twice, as the swap and as -I
+    ([[2, 1], [2, 1]], [[["0", "1"], ["1", "0"]], [["-1", "0"], ["0", "-1"]]]),
+    # the identity given -I
+    ([[1, 2]], [[["-1", "0"], ["0", "-1"]]]),
+])
+def test_cli_conflicting_generator_matrices_exit_3_at_action(tmp_path, generators, matrices):
+    prob = {"n": 2, "q": "all:1", "group": {"permutation_generators": generators},
+            "action": {"generator_matrices": matrices}, "cocycle": "trivial"}
+    f = tmp_path / "problem.json"
+    f.write_text(json.dumps(prob))
+    code, out, _ = run(["check-extension", str(f)])
+    rep = json.loads(out)
+    assert code == 3 and rep["location"] == "action"
+
+
+def test_cli_bicharacter_past_the_conductor_bound_exits_3_before_any_root(tmp_path, monkeypatch):
+    real = groups.root_of_unity
+
+    def bounded(n, k):
+        raise AssertionError(f"root zeta_{n}^{k} built")
+
+    monkeypatch.setattr(groups, "root_of_unity", bounded)
+    prob = {"n": 1, "q": "all:1", "group": {"cyclic_product": [101]},
+            "action": {"diagonal": [["1/1"]] * 101},
+            "cocycle": {"bicharacter_exponents": [[1]], "root_order": 101}}
+    code, rep = run_problem(tmp_path, prob)
+    assert code == 3 and rep["location"] == "cocycle.bicharacter_exponents"
+    assert "MAX_CONDUCTOR" in rep["reason"]
+    # zeta_1000^500 = -1: the values are +-1 and the problem loads
+    monkeypatch.setattr(groups, "root_of_unity", real)
+    alpha = load_problem({"n": 1, "q": "all:1", "group": {"cyclic_product": [2]},
+                          "action": {"diagonal": [["1/1"], ["1/1"]]},
+                          "cocycle": {"bicharacter_exponents": [[500]], "root_order": 1000}}).alpha
+    assert [x.serialize() for x in alpha.distinct] == ["1/1", "-1/1"]
