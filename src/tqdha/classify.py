@@ -247,14 +247,11 @@ def symmetric_natural_classify(n: int, twisted: bool) -> dict:
     _, action, q, alpha = symmetric_instance(n, twisted)
     basis = cohomological_parameter_space(action, q, alpha)
 
-    image_table = {}
-    for tag, elt in sorted(_family_representatives(n).items()):
-        per_pair = {}
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    per_pair[(i, j)] = composition_image(elt.cochain, i, j, action, q, alpha)
-        image_table[tag] = {"indices": elt.indices, "images": per_pair}
+    image_table = {
+        tag: {"indices": elt.indices,
+              "images": composition_image(elt.cochain, action, q, alpha)}
+        for tag, elt in sorted(_family_representatives(n).items())
+    }
 
     report = {
         "n": n,

@@ -128,9 +128,9 @@ def cmd_constant_cocycles(args) -> int:
     out = []
     for c in basis:
         vec = {}
-        for (gamma, g, beta), coeff in sorted(c.coeffs.items(), key=lambda kv: kv[0][1:]):
-            r, s = [t for t in range(prob.n) if beta[t]]
-            vec.setdefault(str(g), {})[_pair_key(r, s)] = coeff.serialize()
+        for (r, s), coeffs in c.pair_form().items():
+            for g, coeff in coeffs.items():
+                vec.setdefault(str(g), {})[_pair_key(r, s)] = coeff.serialize()
         out.append(vec)
     _emit({"dimension": len(basis), "kernel_basis": out})
     return 0
@@ -273,8 +273,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=cmd_classify_symmetric)
 
     s = sub.add_parser("alpha-table", help="full spin-cover cocycle table on S_n")
-    s.add_argument("n_pos", nargs="?", type=int, metavar="n")
-    s.add_argument("--n", type=int, default=None)
+    given = s.add_mutually_exclusive_group()
+    given.add_argument("n_pos", nargs="?", type=int, metavar="n")
+    given.add_argument("--n", type=int, default=None)
     s.set_defaults(func=cmd_alpha_table)
 
     s = sub.add_parser("verify-cover", help="verify the Schur cover model and its lemmas")

@@ -1,20 +1,23 @@
 """Quantum Koszul complex machinery: the dual differentials d_m*, extraction
-of constant Hochschild 2-cocycles as kernels of d_3*, twisted G-invariance via
-the Reynolds projector, evaluation of the induced Hochschild cocycle on pairs
-of variables, quantum skew-symmetrization, and the resulting cohomological
-computation of the parameter space, which needs the d_3* kernel at one
-representative of each conjugacy class only.
+of constant Hochschild 2-cocycles as kernels of d_3*, the induced Hochschild
+cocycle Theta_2* R_2 Psi_2* on pairs of variables, quantum
+skew-symmetrization, and the resulting cohomological computation of the
+parameter space, which needs the d_3* kernel at one representative of each
+conjugacy class only.
 
 Cochains are elements of S_q(V) t_g (x) Lambda^m_{q^-1}(V*): finite sums of
 (monomial exponent gamma, group element g, wedge index beta) with scalar
-coefficients.  The group acts by the linear action on polynomial parts, by
-twisted conjugation t_g -> t_h t_g t_h^-1 on group parts, and by the
-inverse-transpose (contragredient) action on dual wedges.
+coefficients.  A constant degree-2 cochain is read as its pair form
+{(r, s): {g: c}}, the C^alpha G value on each dual wedge v_r* ^ v_s*.  The
+twisted G-average of such forms is written once, in ``composition_image``:
+t_h eta(h^-1 v_i, h^-1 v_j) t_h^-1 averaged over h, for every ordered pair
+in one pass over G.  The Reynolds projector onto the invariant cochains is
+its quantum skew-symmetrization (proof at ``reynolds_project``).
 """
 
 from __future__ import annotations
 
-from .groups import Cocycle2, GroupAlgebraElement, twisted_conjugate
+from .groups import Cocycle2, GroupAlgebraElement
 from .linalg import RowReducer, SparseSum, bump, kernel_basis
 from .pbw import CrossCheckError, ExtensionError, KappaMap, check_pbw_conditions, extension_report
 from .quantum import (
@@ -52,16 +55,16 @@ class Cochain(SparseSum):
     def is_constant(self) -> bool:
         return all(not any(gamma) for (gamma, _, _) in self.coeffs)
 
-    def wedge_value(self, r: int, s: int) -> GroupAlgebraElement:
-        """For constant degree-2 cochains: the C^alpha G value on v_r ^ v_s
-        (r < s), i.e. sum_g coeff(g, r, s) t_g."""
-        coeffs = {}
-        for (gamma, g, beta), c in self.coeffs.items():
-            if any(gamma):
-                raise ValueError("wedge_value needs a constant cochain")
-            if beta[r] and beta[s]:
-                bump(coeffs, g, c)
-        return GroupAlgebraElement(coeffs)
+    def pair_form(self) -> dict:
+        """For a constant degree-2 cochain, the C^alpha G value on each dual
+        wedge: {(r, s): {g: coefficient of t_g (x) v_r* ^ v_s*}}, r < s."""
+        if self.degree != 2 or not self.is_constant():
+            raise ValueError("the pair form is defined for constant degree-2 cochains")
+        form: dict = {}
+        for (_, g, beta), c in self.coeffs.items():
+            r, s = (t for t, b in enumerate(beta) if b)
+            form.setdefault((r, s), {})[g] = c
+        return form
 
     def __repr__(self):
         parts = []
@@ -117,9 +120,7 @@ def constant_cocycle_basis(action: GroupAction, q: QMatrix, elements=None) -> li
     Hochschild 2-cocycles (the constant part of the image of d_2* is zero, so
     kernel elements represent distinct classes).
     """
-    rep = extension_report(action, q)
-    if not rep["symmetric"] or not rep["exterior"]:
-        raise ExtensionError("action must extend to S_q(V) and Lambda_q(V)")
+    _require_extension(action, q)
     n = action.n
     G = action.group
     pairs = [(j, k) for j in range(n) for k in range(j + 1, n)]
@@ -143,91 +144,75 @@ def constant_cocycle_basis(action: GroupAction, q: QMatrix, elements=None) -> li
 
 
 # ---------------------------------------------------------------------------
-# G-action on cochains and the Reynolds projector
+# the induced Hochschild cocycle and the Reynolds projector
 # ---------------------------------------------------------------------------
 
 
-def _contragredient_wedge2(action: GroupAction, q: QMatrix, h: int, r: int, s: int):
-    """h(v_r* ^ v_s*) expanded on the wedge basis: the coefficient of
-    v_k* ^ v_l* (k < l) is B[k][r] B[l][s] - q_kl B[l][r] B[k][s], where B is
-    the matrix of h^-1 (inverse-transpose action on V*)."""
-    hinv = action.group.inv[h]
-    colr = action.cols_nz[hinv][r]
-    cols = action.cols_nz[hinv][s]
-    out = {}
-    for k, bkr in colr:
-        for l, bls in cols:
-            if k == l:
-                continue
-            if k < l:
-                bump(out, (k, l), bkr * bls)
-            else:
-                bump(out, (l, k), -(q(l, k) * bkr * bls))
-    return out
-
-
-def act_on_cochain(h: int, x: Cochain, action: GroupAction, q: QMatrix, alpha: Cocycle2) -> Cochain:
-    """The twisted action of h on a constant degree-2 cochain: twisted
-    conjugation on t_g, contragredient action on the dual wedge."""
-    if x.degree != 2 or not x.is_constant():
-        raise ValueError("the cochain action is implemented for constant degree-2 cochains")
-    n = x.n
-    G = action.group
-    out: dict = {}
-    for (gamma, g, beta), c in x.coeffs.items():
-        ratio = alpha.conj_ratio(h, g)
-        gc = G.conjugate(h, g)
-        r, s = [t for t in range(n) if beta[t]]
-        for (k, l), wv in _contragredient_wedge2(action, q, h, r, s).items():
-            bump(out, (gamma, gc, _wedge_index(n, (k, l))), c * ratio * wv)
-    return Cochain(n, 2, out)
-
-
-def reynolds_project(x: Cochain, action: GroupAction, q: QMatrix, alpha: Cocycle2) -> Cochain:
-    """Average of the degree-2 cochain x over the twisted G-action:
-    (1/|G|) sum_h h(x).  Idempotent."""
-    G = action.group
-    total = Cochain(x.n, x.degree)
-    for h in range(G.size):
-        total = total + act_on_cochain(h, x, action, q, alpha)
-    return total.scale(rational(1) / rational(G.size))
-
-
-# ---------------------------------------------------------------------------
-# the induced Hochschild cocycle on pairs of variables
-# ---------------------------------------------------------------------------
+def _require_extension(action: GroupAction, q: QMatrix) -> None:
+    rep = extension_report(action, q)
+    if not rep["symmetric"] or not rep["exterior"]:
+        raise ExtensionError("action must extend to S_q(V) and Lambda_q(V)")
 
 
 def composition_image(
-    eta: Cochain, i: int, j: int, action: GroupAction, q: QMatrix, alpha: Cocycle2
-) -> GroupAlgebraElement:
-    """[Theta_2* R_2 Psi_2*(eta)](v_i (x) v_j) for a constant degree-2 eta:
+    eta: Cochain, action: GroupAction, q: QMatrix, alpha: Cocycle2
+) -> dict:
+    """[Theta_2* R_2 Psi_2*(eta)](v_i (x) v_j) for a constant degree-2 eta,
+    at every ordered pair i != j (a zero value kept as the empty element):
 
-        (1/|G|) sum_g  g( eta( Psi_2(1 (x) g^-1(v_i) (x) g^-1(v_j) (x) 1) ) )
+        (1/|G|) sum_h  t_h eta( Psi_2(1 (x) h^-1(v_i) (x) h^-1(v_j) (x) 1) ) t_h^-1
 
-    with Psi_2 keeping only tensor factors v_k (x) v_l with k < l.
+    with Psi_2 keeping only tensor factors v_k (x) v_l with k < l.  One pass
+    over G: the term of h at eta's pair (k, l) reaches each (i, j) whose
+    h^-1(v_i) and h^-1(v_j) have a v_k and a v_l component.
     """
-    if not eta.is_constant():
-        raise ValueError("the induced cocycle is defined for constant cochains")
+    form = eta.pair_form()
     G = action.group
-    values: dict = {}
-    for (gamma, g, beta), c in eta.coeffs.items():
-        r, s = [t for t in range(eta.n) if beta[t]]
-        bump(values.setdefault((r, s), {}), g, c)
-    pair_elts = {k: GroupAlgebraElement(v) for k, v in values.items()}
-    acc = GroupAlgebraElement.zero()
-    for g in range(G.size):
-        ginv = G.inv[g]
-        rows = action.rows_nz[ginv]
-        for k, aik in rows[i]:
-            for l, ajl in rows[j]:
-                if k >= l:
-                    continue
-                base = pair_elts.get((k, l))
-                if base is None:
-                    continue
-                acc = acc + twisted_conjugate(g, base, alpha).scale(aik * ajl)
-    return acc.scale(rational(1) / rational(G.size))
+    n = eta.n
+    acc = {(i, j): {} for i in range(n) for j in range(n) if i != j}
+    for h in range(G.size):
+        cols = action.cols_nz[G.inv[h]]
+        for (k, l), coeffs in form.items():
+            conj = [(G.conjugate(h, g), c * alpha.conj_ratio(h, g)) for g, c in coeffs.items()]
+            for i, aik in cols[k]:
+                for j, ajl in cols[l]:
+                    if i != j:
+                        out = acc[(i, j)]
+                        for target, c in conj:
+                            bump(out, target, c * aik * ajl)
+    scale = rational(1) / rational(G.size)
+    return {pair: GroupAlgebraElement(coeffs).scale(scale) for pair, coeffs in acc.items()}
+
+
+def reynolds_project(x: Cochain, action: GroupAction, q: QMatrix, alpha: Cocycle2) -> Cochain:
+    """The average (1/|G|) sum_h h(x) of a constant degree-2 cochain x over
+    the twisted G-action (twisted conjugation on t_g, contragredient action
+    on the dual wedges), computed as the cochain of
+    skew_symmetrize(composition_image(x)).  Idempotent, and onto the
+    invariant cochains.  Raises ExtensionError when the action does not
+    extend to S_q(V) and Lambda_q(V).
+
+    Why the two agree.  Read x as the q-antisymmetric bilinear form
+    x(v_r, v_s) = x_rs, x(v_s, v_r) = -q_sr x_rs (r < s), on which h acts by
+    (h.f)(u, w) = t_h f(h^-1 u, h^-1 w) t_h^-1; on dual wedges the
+    contragredient action is this pull-back along h^-1 (x) h^-1.  Write c(v_a (x) v_b) = q_ab v_b (x) v_a for the braiding
+    and S(f) = f o (1 - c), so S(f)(v_i, v_j) = f(v_i, v_j) - q_ij f(v_j, v_i)
+    is ``skew_symmetrize``; Psi keeps x's values at k < l and zero below.
+    First, S o Psi is the identity on q-antisymmetric forms: at i < j it
+    gives x_ij - q_ij * 0.  Second, the average commutes with S.  Since
+    q_ab q_ba = 1, c is an involution; its -1 eigenspace is spanned by
+    v_a (x) v_b - q_ab v_b (x) v_a, the relations of S_q(V), and its +1
+    eigenspace by v_a (x) v_b + q_ab v_b (x) v_a and v_a (x) v_a, the
+    relations of Lambda_q(V).  The extension check says h (x) h preserves
+    both, so h (x) h commutes with c and S(h.f) = h.S(f).  Hence
+    S(average(Psi x)) = average(S(Psi x)) = average(x).
+    """
+    _require_extension(action, q)
+    n = x.n
+    kappa = skew_symmetrize(composition_image(x, action, q, alpha), q, action.group, n)
+    return Cochain(n, 2, {
+        ((0,) * n, g, _wedge_index(n, (i, j))): c for (g, i, j), c in kappa.coordinates().items()
+    })
 
 
 def skew_symmetrize(mu_pairs: dict, q: QMatrix, group, n: int) -> KappaMap:
@@ -261,33 +246,28 @@ def cohomological_parameter_space(
     filter has taken all of R(K_c) before it would reach another member.
 
     For each invariant representative eta the computed kappa must agree with
-    the direct pairing kappa(v_i, v_j) = eta(v_i ^ v_j); that identity is
-    asserted, as an internal consistency check of the whole chain.  Unless
-    disabled, every kappa is then re-verified by check_pbw_conditions, whose
-    verdict needs condition (2) at class representatives only (see the
-    ``pbw`` module docstring); this derivation never reads the condition
-    rows, so that check is independent.
+    the direct pairing kappa(v_i, v_j) = eta(v_i ^ v_j); that identity, the
+    idempotence of the Reynolds projector on eta, is asserted as an internal
+    consistency check of the whole chain.  Unless disabled, every kappa is
+    then re-verified by check_pbw_conditions, whose verdict needs condition
+    (2) at class representatives only (see the ``pbw`` module docstring);
+    this derivation never reads the condition rows, so that check is
+    independent.
     """
     n = action.n
     G = action.group
     reps = [cls[0] for cls in G.conjugacy_classes()]
     red = RowReducer()
-    invariants = []
+    basis = []
     for c in constant_cocycle_basis(action, q, reps):
         eta = reynolds_project(c, action, q, alpha)
-        if red.insert(eta.coeffs) is not None:
-            invariants.append(eta)
-    basis = []
-    for eta in invariants:
-        mu = {}
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    mu[(i, j)] = composition_image(eta, i, j, action, q, alpha)
-        kappa = skew_symmetrize(mu, q, G, n)
+        if red.insert(eta.coeffs) is None:
+            continue
+        kappa = skew_symmetrize(composition_image(eta, action, q, alpha), q, G, n)
+        form = eta.pair_form()
         for i in range(n):
             for j in range(i + 1, n):
-                if kappa.value(i, j) != eta.wedge_value(i, j):
+                if kappa.value(i, j) != GroupAlgebraElement(form.get((i, j))):
                     raise CrossCheckError(
                         "skew-symmetrized induced cocycle disagrees with the "
                         f"wedge pairing at ({i}, {j}); engine inconsistency"

@@ -222,10 +222,16 @@ class KappaMap:
                     and isinstance(rec.get("i"), int) and isinstance(rec.get("j"), int)):
                 raise ValueError(f"kappa record {rec!r} needs integer i, j and coefficients")
             i, j = rec["i"] - 1, rec["j"] - 1
-            coeffs = {int(g): parse_scalar(s) for g, s in rec["coefficients"].items()}
-            for g in coeffs:
+            if (i, j) in values:
+                raise ValueError(f"kappa record {rec!r} repeats the pair ({i + 1}, {j + 1})")
+            coeffs = {}
+            for key, s in rec["coefficients"].items():
+                g = int(key)
                 if not (0 <= g < group.size):
                     raise ValueError(f"group element index {g} out of range")
+                if g in coeffs:
+                    raise ValueError(f"kappa record {rec!r} names group element {g} twice")
+                coeffs[g] = parse_scalar(s)
             values[(i, j)] = GroupAlgebraElement(coeffs)
         return KappaMap(group, n, q, values)
 

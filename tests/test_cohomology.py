@@ -12,7 +12,6 @@ from test_quantum import diagonal_z6z6, seeded_q
 from tqdha.classify import symmetric_instance, eta_family_basis, expected_image_value
 from tqdha.cohomology import (
     Cochain,
-    act_on_cochain,
     apply_dm_star,
     cohomological_parameter_space,
     composition_image,
@@ -25,11 +24,13 @@ from tqdha.groups import (
     bicharacter_cocycle,
     group_from_cyclic_orders,
     symmetric_group,
+    tga_inverse_of_basis,
+    tga_multiply,
     trivial_cocycle,
     trivial_group,
 )
 from tqdha.linalg import rows_rank, same_span
-from tqdha.pbw import solve_parameter_space
+from tqdha.pbw import ExtensionError, solve_parameter_space
 from tqdha.problems import parse_problem_file
 from tqdha.quantum import (
     GroupAction,
@@ -138,8 +139,6 @@ def test_cochain_action_refuses_non_constant_cochains():
     # v_0 t_1 (x) v_0* ^ v_1*: polynomial degree 1
     c = Cochain(2, 2, {((1, 0), 0, (1, 1)): ONE})
     with pytest.raises(ValueError, match="constant"):
-        act_on_cochain(0, c, act, q, alpha)
-    with pytest.raises(ValueError, match="constant"):
         reynolds_project(c, act, q, alpha)
 
 
@@ -153,6 +152,73 @@ def test_reynolds_diagonal_example():
     for g in range(2):
         c = Cochain.constant_two(2, g, 0, 1)
         assert reynolds_project(c, act, q, alpha) == c
+
+
+def _literal_average(x, action, alpha):
+    """(1/|G|) sum_h t_h x(Psi(h^-1 v_i (x) h^-1 v_j)) t_h^-1 at every pair
+    i != j, term by term in the twisted group algebra: h^-1 v_i is row i of
+    the matrix of h^-1, and Psi keeps the factors v_k (x) v_l with k < l."""
+    G = action.group
+    n = x.n
+    wedges = {}
+    for (_, g, beta), c in x.coeffs.items():
+        k, l = [t for t in range(n) if beta[t]]
+        wedges[(k, l)] = wedges.get((k, l), GroupAlgebraElement.zero()) + GroupAlgebraElement({g: c})
+    out = {}
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            total = GroupAlgebraElement.zero()
+            for h in range(G.size):
+                m = action.mats[G.inv[h]]
+                value = GroupAlgebraElement.zero()
+                for (k, l), elt in wedges.items():
+                    value = value + elt.scale(m[i][k] * m[j][l])
+                conj = tga_multiply(GroupAlgebraElement.basis(h), value, alpha)
+                total = total + tga_multiply(conj, tga_inverse_of_basis(h, alpha), alpha)
+            out[(i, j)] = total.scale(rational(Fraction(1, G.size)))
+    return out
+
+
+def _reference_case(name):
+    if name == "s4-spin":
+        _, action, q, alpha = symmetric_instance(4, True)
+        return action, q, alpha
+    here = os.path.dirname(__file__)
+    folder = os.path.join(here, "golden") if name == "z6z6_zeta12" else os.path.join(
+        here, os.pardir, "problems")
+    spec = parse_problem_file(os.path.join(folder, name + ".json"))
+    return spec.action, spec.q, spec.alpha
+
+
+@pytest.mark.parametrize("name", ["s4-spin", "klein_bicharacter_diag", "weyl2", "z6z6_zeta12"])
+def test_one_pass_average_matches_the_literal_sum(name):
+    # composition_image against the defining sum at every pair, and its
+    # quantum skew-symmetrization against reynolds_project, on every d_3*
+    # kernel vector; weyl2's action is not monomial
+    action, q, alpha = _reference_case(name)
+    n = action.n
+    nonzero = 0
+    for x in constant_cocycle_basis(action, q):
+        ref = _literal_average(x, action, alpha)
+        assert composition_image(x, action, q, alpha) == ref
+        projected = reynolds_project(x, action, q, alpha)
+        for i in range(n):
+            for j in range(i + 1, n):
+                expected = ref[(i, j)] - ref[(j, i)].scale(q(i, j))
+                assert GroupAlgebraElement(projected.pair_form().get((i, j))) == expected
+                nonzero += not expected.is_zero()
+    assert nonzero
+
+
+def test_reynolds_refuses_an_action_that_does_not_extend():
+    g = symmetric_group(3)
+    i = root_of_unity(4, 1)
+    q = QMatrix([[ONE, i, MINUS_ONE], [i.inverse(), ONE, MINUS_ONE], [MINUS_ONE, MINUS_ONE, ONE]])
+    with pytest.raises(ExtensionError):
+        reynolds_project(Cochain.constant_two(3, 0, 0, 1), natural_permutation_action(g), q,
+                         trivial_cocycle(g))
 
 
 def _shortcut_case(name):
@@ -201,7 +267,7 @@ def test_induced_eval_on_averaged_families():
     for e in eta_family_basis(n):
         fams.setdefault(e.tag, e)
     avg1 = reynolds_project(fams[1].cochain, act, q, alpha)
-    val = composition_image(avg1, 0, 1, act, q, alpha)
+    val = composition_image(avg1, act, q, alpha)[(0, 1)]
     assert val == GroupAlgebraElement({0: rational(Fraction(1, n * (n - 1)))})
     for tag in (2, 4):
         assert reynolds_project(fams[tag].cochain, act, q, alpha).is_zero()
@@ -216,9 +282,9 @@ def test_lemma_rows_raw_at_n4():
     for e in eta_family_basis(n):
         fams.setdefault(e.tag, e)
     for tag in (1, 2, 4, 5):
+        images = composition_image(fams[tag].cochain, act, q, alpha)
         for (i, j) in [(0, 1), (1, 3), (2, 0)]:
-            got = composition_image(fams[tag].cochain, i, j, act, q, alpha)
-            assert got == expected_image_value(n, tag, i, j), (tag, i, j)
+            assert images[(i, j)] == expected_image_value(n, tag, i, j), (tag, i, j)
 
 
 def test_skew_symmetrize_examples():

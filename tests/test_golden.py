@@ -4,9 +4,11 @@ The recordings in tests/golden/ were made by the code before the sparse-sum
 refactor (the pbw-check ones before the generator-only cocycle and exterior
 checks, and the S5 ones, ``parameter-space.s5_twisted`` and
 ``classify-symmetric.5``, before the solver's union-find pre-pass and its
-condition (2) at class representatives); a refactor that changes any report
-shows up here.  Each pbw-check
-case runs with --oracle on a kappa file from tests/golden/: ``basis`` is the
+condition (2) at class representatives, and the ``.cohomology`` ones, which
+pin the cohomology route's basis on all six bundled problems and on
+``z6z6_zeta12``, before the Reynolds projector became the skew-symmetrized
+induced cocycle); a refactor that changes any report shows up here.  Each
+pbw-check case runs with --oracle on a kappa file from tests/golden/: ``basis`` is the
 last parameter-space basis vector, ``seeded`` three seeded random
 coordinates.  The seeded kappa fails on every problem but weyl2, whose
 parameter space is all of its kappa space.  ``z6z6_zeta12`` is a seeded
@@ -54,9 +56,12 @@ def _cases():
     for command, extra in PROBLEM_COMMANDS.items():
         for name in PROBLEM_NAMES:
             cases[f"{command}.{name}"] = [command, f"{name}.json", *extra]
-    for command in ("check-extension", "parameter-space", "classify-diagonal"):
+    for command in PROBLEM_COMMANDS:
         cases[f"{command}.{CYCLOTOMIC}"] = [command, f"{CYCLOTOMIC}.json",
                                             *PROBLEM_COMMANDS[command]]
+    for name in PROBLEM_NAMES + ["s5_twisted", CYCLOTOMIC]:
+        cases[f"parameter-space.{name}.cohomology"] = [
+            "parameter-space", f"{name}.json", "--method", "cohomology"]
     cases[f"pbw-check.{CYCLOTOMIC}.seeded"] = [
         "pbw-check", f"{CYCLOTOMIC}.json", "--kappa", f"kappa.{CYCLOTOMIC}.seeded.json", "--oracle"]
     for name in KAPPA_PROBLEMS:

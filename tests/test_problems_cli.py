@@ -333,6 +333,28 @@ def test_cli_kappa_file_shares_the_problem_conductor_bound(tmp_path):
     assert "i=1, j=2" in rep["reason"] and "Q(zeta_8633)" in rep["reason"]
 
 
+@pytest.mark.parametrize("records", [
+    [{"i": 1, "j": 2, "coefficients": {"0": "1/1"}},
+     {"i": 1, "j": 2, "coefficients": {"0": "-1/1"}}],
+    [{"i": 1, "j": 2, "coefficients": {"0": "1/1", "00": "-1/1"}}],
+], ids=["pair-twice", "element-twice"])
+def test_cli_kappa_file_naming_a_value_twice_exits_3(tmp_path, records):
+    # kept silently, the last record or key would win and the report would
+    # be that of an input the file does not state
+    kfile = tmp_path / "kappa.json"
+    kfile.write_text(json.dumps({"kappa": records}))
+    code, out, _ = run(["pbw-check", problem_path("s3_natural_qminus.json"), "--kappa", str(kfile)])
+    rep = json.loads(out)
+    assert code == 3 and rep["location"] == "kappa-file"
+    assert repr(records[-1]) in rep["reason"]
+
+
+def test_cli_alpha_table_given_n_twice_is_a_usage_error():
+    for argv in (["alpha-table", "4", "--n", "5"], ["alpha-table", "--n", "4", "4"]):
+        code, out, err = run(argv)
+        assert code == 2 and out == "" and "not allowed" in err
+
+
 @pytest.mark.parametrize("group", [
     {"permutation_generators": 5},
     {"permutation_generators": [[1, "a"]]},
