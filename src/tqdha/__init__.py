@@ -31,7 +31,6 @@ from .groups import (
     tga_multiply,
     trivial_cocycle,
     trivial_group,
-    twisted_conjugate,
     validate_cocycle,
 )
 from .quantum import (

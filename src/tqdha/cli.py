@@ -59,15 +59,7 @@ def _pair_key(i: int, j: int) -> str:
 
 def cmd_check_extension(args) -> int:
     prob = parse_problem_file(args.problem)
-    rep = check_action_extends(prob.action, prob.q)
-    _emit(
-        {
-            "symmetric": rep["symmetric"],
-            "exterior": rep["exterior"],
-            "symmetric_witnesses": rep["symmetric_witnesses"],
-            "exterior_witnesses": rep["exterior_witnesses"],
-        }
-    )
+    _emit(check_action_extends(prob.action, prob.q))
     return 0
 
 
@@ -80,14 +72,12 @@ def cmd_pbw_check(args) -> int:
         kappa = load_kappa(prob, records)
     except (OSError, json.JSONDecodeError, KeyError, ValueError) as e:
         raise ProblemValidationError("kappa-file", str(e)) from e
-    rep = check_pbw_conditions(kappa, prob.action, prob.q, prob.alpha)
-    out = {"condition1": rep["condition1"], "condition2": rep["condition2"],
-           "passed": rep["passed"], "violations": rep["violations"]}
+    out = dict(check_pbw_conditions(kappa, prob.action, prob.q, prob.alpha))
     if args.oracle:
         amb = verify_ambiguities(kappa, prob.action, prob.q, prob.alpha, exhaustive=True)
         out["ambiguities_resolvable"] = amb["resolvable"]
         out["ambiguities_checked"] = amb["checked"]
-        if amb["resolvable"] != rep["passed"]:
+        if amb["resolvable"] != out["passed"]:
             _emit(out)
             return 4
     _emit(out)

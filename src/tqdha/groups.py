@@ -537,9 +537,6 @@ class GroupAlgebraElement(SparseSum):
     def coefficient(self, g: int) -> CyclotomicScalar:
         return self.coeffs.get(g, ZERO)
 
-    def __hash__(self):
-        return hash(frozenset((g, c) for g, c in self.coeffs.items()))
-
     def __repr__(self):
         if not self.coeffs:
             return "<0>"
@@ -563,11 +560,3 @@ def tga_multiply(x: GroupAlgebraElement, y: GroupAlgebraElement, alpha: Cocycle2
 def tga_inverse_of_basis(g: int, alpha: Cocycle2) -> GroupAlgebraElement:
     """(t_g)^-1 = alpha(g, g^-1)^-1 t_{g^-1}."""
     return GroupAlgebraElement({alpha.group.inv[g]: alpha.tg_inverse_coeff(g)})
-
-
-def twisted_conjugate(h: int, x: GroupAlgebraElement, alpha: Cocycle2) -> GroupAlgebraElement:
-    """t_h x (t_h)^-1, i.e. t_g -> (alpha(h,g)/alpha(hgh^-1,h)) t_{hgh^-1}.
-    Conjugation by h permutes G and the ratio is nonzero, so no two terms
-    meet and none vanishes."""
-    G = alpha.group
-    return x._like({G.conjugate(h, g): c * alpha.conj_ratio(h, g) for g, c in x.coeffs.items()})

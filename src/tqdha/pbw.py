@@ -219,7 +219,7 @@ class KappaMap:
         values = {}
         for rec in records:
             if not (isinstance(rec, dict) and isinstance(rec.get("coefficients"), dict)
-                    and isinstance(rec.get("i"), int) and isinstance(rec.get("j"), int)):
+                    and type(rec.get("i")) is int and type(rec.get("j")) is int):
                 raise ValueError(f"kappa record {rec!r} needs integer i, j and coefficients")
             i, j = rec["i"] - 1, rec["j"] - 1
             if (i, j) in values:

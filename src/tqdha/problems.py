@@ -11,7 +11,9 @@ group element, or per-generator matrices), and the 2-cocycle ("trivial",
 products).  Everything is validated on load; the first failed invariant is
 reported with its location.  The problem's scalars together, and with those
 of a kappa file checked against it, may need no cyclotomic field past
-``scalars.MAX_CONDUCTOR``.
+``scalars.MAX_CONDUCTOR``.  Where a field needs an integer, JSON's ``true``
+and ``false`` are refused: Python reads them as ints, so the checks are on
+``type(x) is int``.
 """
 
 from __future__ import annotations
@@ -128,7 +130,7 @@ def _build_q(data, n: int, read: _ScalarReader) -> QMatrix:
 
 def _require_int_table(loc, value) -> None:
     _require_table(loc, value)
-    if any(not isinstance(x, int) for row in value for x in row):
+    if any(type(x) is not int for row in value for x in row):
         raise ProblemValidationError(loc, "entries must be integers")
 
 
@@ -158,13 +160,13 @@ def _build_group(data) -> FiniteGroup:
             _require_int_table("group.permutation_generators", gens)
             degree = spec.get("degree")
             if degree is not None and not (
-                    isinstance(degree, int) and 1 <= degree <= MAX_GROUP_ORDER):
+                    type(degree) is int and 1 <= degree <= MAX_GROUP_ORDER):
                 raise ProblemValidationError(
                     "group.degree",
                     f"need an integer from 1 to MAX_GROUP_ORDER = {MAX_GROUP_ORDER}")
             return group_from_permutations([tuple(x - 1 for x in g) for g in gens], degree)
         orders = spec["cyclic_product"]
-        if not (isinstance(orders, list) and all(isinstance(c, int) for c in orders)):
+        if not (isinstance(orders, list) and all(type(c) is int for c in orders)):
             raise ProblemValidationError("group.cyclic_product", "need a list of integers")
         return group_from_cyclic_orders(orders)
     except GroupConstructionError as e:
@@ -247,10 +249,12 @@ def _build_cocycle(data, group: FiniteGroup, read: _ScalarReader) -> Cocycle2:
             ]
             return _validated(cocycle_from_values(group, vals, name="table"))
         if "bicharacter_exponents" in spec:
+            exponents, root_order = spec["bicharacter_exponents"], spec.get("root_order", 2)
+            _require_int_table("cocycle.bicharacter_exponents", exponents)
+            if type(root_order) is not int or root_order < 1:
+                raise ProblemValidationError("cocycle.root_order", "need a positive integer")
             try:
-                alpha = bicharacter_cocycle(
-                    group, spec["bicharacter_exponents"], spec.get("root_order", 2)
-                )
+                alpha = bicharacter_cocycle(group, exponents, root_order)
             except Exception as e:
                 raise ProblemValidationError("cocycle.bicharacter_exponents", str(e)) from e
             for x in alpha.distinct:
@@ -261,7 +265,7 @@ def _build_cocycle(data, group: FiniteGroup, read: _ScalarReader) -> Cocycle2:
 
 def load_problem(data: dict) -> ProblemSpec:
     """Validate and build a problem from parsed JSON data."""
-    if "n" not in data or not isinstance(data["n"], int) or data["n"] < 1:
+    if type(data.get("n")) is not int or data["n"] < 1:
         raise ProblemValidationError("n", "need a positive integer dimension")
     n = data["n"]
     if n > MAX_DIMENSION:

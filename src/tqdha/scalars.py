@@ -15,6 +15,10 @@ minimal conductor first, so the printed form of a value does not depend on
 how it was computed.  ``Fraction`` appears only at the edges: ``rational``,
 ``as_fraction`` and parsing.
 
+Arithmetic takes scalars only: ``+ - * /`` with an ``int`` or a ``Fraction``
+on either side raises, and ``==`` with one is False.  An int or a Fraction
+becomes a scalar through ``rational``, the one constructor from Q.
+
 Parsing refuses a string whose terms need a field order above
 ``MAX_CONDUCTOR``, before any table for that order is built.
 """
@@ -179,14 +183,6 @@ class CyclotomicScalar:
         self.coeffs = coeffs
         self.den = den
 
-    # -- constructors -------------------------------------------------
-
-    @staticmethod
-    def from_rational(x) -> "CyclotomicScalar":
-        if not isinstance(x, int):
-            x = Fraction(x)
-        return CyclotomicScalar(1, (x.numerator,), x.denominator)
-
     # -- predicates ----------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -218,9 +214,6 @@ class CyclotomicScalar:
         return out
 
     def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         n = self.order
         if n == other.order:
             a, b = self.coeffs, other.coeffs
@@ -232,27 +225,13 @@ class CyclotomicScalar:
             return _make(n, [x + y for x, y in zip(a, b)], da)
         return _make(n, [x * db + y * da for x, y in zip(a, b)], da * db)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return CyclotomicScalar(self.order, tuple(-c for c in self.coeffs), self.den)
 
     def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         den = self.den * other.den
         if self.order == 1 or other.order == 1:
             c, x = (self.coeffs[0], other) if self.order == 1 else (other.coeffs[0], self)
@@ -262,8 +241,6 @@ class CyclotomicScalar:
             return _make(n, _mul(n, self.coeffs, other.coeffs), den)
         n = _lcm(n, other.order)
         return _make(n, _mul(n, self._dense_at(n), other._dense_at(n)), den)
-
-    __rmul__ = __mul__
 
     def inverse(self) -> "CyclotomicScalar":
         """1 / self, in integers: for numerators a, 1/a = conj(a) / (a conj(a)).
@@ -291,16 +268,7 @@ class CyclotomicScalar:
         return _make(n, [self.den * c for c in adj], norm[0])
 
     def __truediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other * self.inverse()
 
     def __pow__(self, e: int):
         if e < 0:
@@ -317,8 +285,7 @@ class CyclotomicScalar:
     # -- comparison and canonicalization --------------------------------
 
     def __eq__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, CyclotomicScalar):
             return NotImplemented
         if self.den != other.den:
             return False
@@ -328,10 +295,6 @@ class CyclotomicScalar:
             return False  # only order 1 holds rationals
         n = _lcm(self.order, other.order)
         return self._dense_at(n) == other._dense_at(n)
-
-    def __hash__(self):
-        r = self.reduced()
-        return hash((r.order, r.coeffs, r.den))
 
     def reduced(self) -> "CyclotomicScalar":
         """Rewrite at the minimal conductor (smallest d with self in Q(zeta_d)).
@@ -345,15 +308,6 @@ class CyclotomicScalar:
                 nums, scale = sol
                 return _make(d, nums, self.den * scale)
         return self
-
-    def multiplicative_order(self):
-        """Order of self in Q(zeta_N)^x, or None if not a root of unity."""
-        x = self
-        for k in range(1, 2 * self.order + 3):
-            if x.is_one():
-                return k
-            x = x * self
-        return None
 
     # -- serialization ---------------------------------------------------
 
@@ -370,14 +324,6 @@ class CyclotomicScalar:
 
     def __repr__(self):
         return f"<{self.serialize()}>"
-
-
-def _coerce(x):
-    if isinstance(x, CyclotomicScalar):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return CyclotomicScalar.from_rational(x)
-    return NotImplemented
 
 
 def _lcm(a: int, b: int) -> int:
@@ -399,14 +345,16 @@ def _make(order: int, coeffs: list[int], den: int) -> CyclotomicScalar:
     return CyclotomicScalar(order, tuple(coeffs), den)
 
 
-ZERO = CyclotomicScalar.from_rational(0)
-ONE = CyclotomicScalar.from_rational(1)
-MINUS_ONE = CyclotomicScalar.from_rational(-1)
-
-
 def rational(x) -> CyclotomicScalar:
-    """The rational number x as a scalar."""
-    return CyclotomicScalar.from_rational(x)
+    """The rational number x, an int or a Fraction, as a scalar."""
+    if not isinstance(x, int):
+        x = Fraction(x)
+    return CyclotomicScalar(1, (x.numerator,), x.denominator)
+
+
+ZERO = rational(0)
+ONE = rational(1)
+MINUS_ONE = rational(-1)
 
 
 def root_of_unity(n: int, k: int) -> CyclotomicScalar:

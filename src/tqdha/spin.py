@@ -34,7 +34,7 @@ from .groups import (
     validate_cocycle,
 )
 from .linalg import SparseSum, bump
-from .scalars import MINUS_ONE, ONE, CyclotomicScalar, rational, root_of_unity
+from .scalars import MINUS_ONE, ONE, CyclotomicScalar, rational, sqrt2
 
 
 class CliffordElement(SparseSum):
@@ -87,8 +87,7 @@ def clifford_multiply(x: CliffordElement, y: CliffordElement) -> CliffordElement
 
 @lru_cache(maxsize=None)
 def _inv_sqrt2() -> CyclotomicScalar:
-    # 1/sqrt(2) = (zeta_8 - zeta_8^3) / 2
-    return (root_of_unity(8, 1) + root_of_unity(8, 7)) * rational(1) / rational(2)
+    return sqrt2() / rational(2)
 
 
 def transposition_lift(r: int, s: int, n: int) -> CliffordElement:

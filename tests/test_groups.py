@@ -28,7 +28,6 @@ from tqdha.groups import (
     tga_inverse_of_basis,
     tga_multiply,
     trivial_cocycle,
-    twisted_conjugate,
     validate_cocycle,
 )
 from tqdha.scalars import MAX_CONDUCTOR, MINUS_ONE, ONE, ZERO, rational, root_of_unity
@@ -223,38 +222,45 @@ def test_tga_associativity_exhaustive_small():
             assert left == right
 
 
-def test_twisted_conjugate_matches_triple_product():
-    g, alpha = klein_with_bicharacter()
-    for h, x in itertools.product(range(4), repeat=2):
-        tx = GroupAlgebraElement.basis(x)
-        direct = twisted_conjugate(h, tx, alpha)
-        via_product = tga_multiply(
-            tga_multiply(GroupAlgebraElement.basis(h), tx, alpha),
-            tga_inverse_of_basis(h, alpha),
-            alpha,
-        )
-        assert direct == via_product
+def _conjugate_by(h, x, alpha):
+    # t_h x t_h^-1 term by term: t_g -> conj_ratio(h, g) t_{hgh^-1}
+    G = alpha.group
+    return x._like({G.conjugate(h, g): c * alpha.conj_ratio(h, g) for g, c in x.coeffs.items()})
 
 
-def test_twisted_conjugate_is_group_action_and_automorphism():
-    g, alpha = klein_with_bicharacter()
-    rnd = random.Random(1)
-    elts = [
-        GroupAlgebraElement({0: rational(2), 2: MINUS_ONE}),
-        GroupAlgebraElement({1: ONE, 3: rational(-3)}),
-    ]
-    for h1, h2 in itertools.product(range(4), repeat=2):
-        for x in elts:
-            once = twisted_conjugate(h1, twisted_conjugate(h2, x, alpha), alpha)
-            joint = twisted_conjugate(g.mult[h1][h2], x, alpha)
-            assert once == joint
-    for h in range(4):
-        for x, y in itertools.product(elts, repeat=2):
-            lhs = twisted_conjugate(h, tga_multiply(x, y, alpha), alpha)
-            rhs = tga_multiply(
-                twisted_conjugate(h, x, alpha), twisted_conjugate(h, y, alpha), alpha
+def _twisted_cases():
+    s4 = symmetric_group(4)
+    return [klein_with_bicharacter(), (s4, spin_cocycle(s4))]
+
+
+def test_conj_ratio_matches_triple_product():
+    for g, alpha in _twisted_cases():
+        for h, x in itertools.product(range(g.size), repeat=2):
+            tx = GroupAlgebraElement.basis(x)
+            via_product = tga_multiply(
+                tga_multiply(GroupAlgebraElement.basis(h), tx, alpha),
+                tga_inverse_of_basis(h, alpha),
+                alpha,
             )
-            assert lhs == rhs
+            assert GroupAlgebraElement({g.conjugate(h, x): alpha.conj_ratio(h, x)}) == via_product
+
+
+def test_conj_ratio_is_group_action_and_automorphism():
+    for g, alpha in _twisted_cases():
+        elts = [
+            GroupAlgebraElement({0: rational(2), 2: MINUS_ONE}),
+            GroupAlgebraElement({1: ONE, 3: rational(-3)}),
+        ]
+        for h1, h2 in itertools.product(range(g.size), repeat=2):
+            for x in elts:
+                once = _conjugate_by(h1, _conjugate_by(h2, x, alpha), alpha)
+                joint = _conjugate_by(g.mult[h1][h2], x, alpha)
+                assert once == joint
+        for h in range(g.size):
+            for x, y in itertools.product(elts, repeat=2):
+                lhs = _conjugate_by(h, tga_multiply(x, y, alpha), alpha)
+                rhs = tga_multiply(_conjugate_by(h, x, alpha), _conjugate_by(h, y, alpha), alpha)
+                assert lhs == rhs
 
 
 @settings(max_examples=40, deadline=None)

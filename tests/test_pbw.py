@@ -1,6 +1,7 @@
 """PBW conditions, the parameter-space solver, and the rewriting oracle."""
 
 import itertools
+import os
 import random
 
 import pytest
@@ -31,8 +32,10 @@ from tqdha.quantum import (
     QMatrix,
     diagonal_action,
     natural_permutation_action,
+    quantum_minor,
 )
-from tqdha.linalg import rows_rank, same_span
+from tqdha.linalg import bump, rows_rank, same_span
+from tqdha.problems import parse_problem_file
 from tqdha.scalars import MINUS_ONE, ONE, ZERO, rational, root_of_unity
 from tqdha.spin import spin_cocycle
 
@@ -367,6 +370,51 @@ def test_group_without_generators_gets_rows_for_every_element():
     # the identity fixes every kappa, so it contributes no rows
     assert condition1_h(parameter_space_rows(bare_act, q, bare_al)) == set(range(1, 6))
     assert condition1_h(parameter_space_rows(act, q, al)) == set(g.generator_indices)
+
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+
+
+def condition1_instances():
+    for name in ("s3_natural_qminus", "s4_twisted", "weyl2"):
+        prob = parse_problem_file(os.path.join(HERE, os.pardir, "problems", f"{name}.json"))
+        yield name, prob.action, prob.q, prob.alpha
+    s4 = symmetric_group(4)
+    yield "S4", natural_permutation_action(s4), QMatrix.uniform(4, -1), trivial_cocycle(s4)
+    prob = parse_problem_file(os.path.join(HERE, "golden", "z6z6_zeta12.json"))
+    yield "z6z6_zeta12", prob.action, prob.q, prob.alpha
+
+
+@pytest.mark.parametrize("name", ["s3_natural_qminus", "S4", "s4_twisted", "weyl2",
+                                  "z6z6_zeta12"])
+def test_condition1_rows_are_the_paper_formula(name):
+    # alpha(h,g)/alpha(hgh^-1,h) kappa_g(v_j,v_i)
+    #     = sum_{k<l} ddet_ijkl(h) kappa_{hgh^-1}(v_l,v_k),
+    # with kappa_g(v_j, v_i) = -q_ji x[g, i, j] for i < j; a row is lhs - rhs
+    action, q, alpha = next(inst for inst in condition1_instances() if inst[0] == name)[1:]
+    G, n = action.group, action.n
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+    def unknown(g, pair):
+        return g * len(pairs) + pairs.index(pair)
+
+    expected = {}
+    for h in G.generator_indices or range(G.size):
+        for g in range(G.size):
+            gc = G.conjugate(h, g)
+            for i, j in pairs:
+                row = {}
+                bump(row, unknown(g, (i, j)), alpha.conj_ratio(h, g) * -q(j, i))
+                for k, l in pairs:
+                    bump(row, unknown(gc, (k, l)),
+                         quantum_minor(h, action, q, i, j, k, l) * q(l, k))
+                if row:
+                    expected[(1, g, h, i, j)] = row
+    system = parameter_space_rows(action, q, alpha)
+    got = {tag: row for tag, row in zip(system.tags, system.rows) if tag[0] == 1}
+    assert got == expected
+    if name != "weyl2":
+        assert expected, "the instance should have condition-(1) rows"
 
 
 class UnreadableKappa(KappaMap):

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -264,6 +265,35 @@ def run_problem(tmp_path, problem, *extra):
 def test_cli_group_table_not_a_table_exits_3(tmp_path):
     code, rep = run_problem(tmp_path, dict(S2_DIAGONAL, group={"table": 5}))
     assert code == 3 and rep["location"] == "group.table"
+
+
+KLEIN = json.loads(Path(problem_path("klein_bicharacter_diag.json")).read_text())
+
+
+@pytest.mark.parametrize("problem, location", [
+    ({"n": True, "action": {"generator_matrices": []}}, "n"),
+    ({"n": 2, "group": {"permutation_generators": [[2, True]]}}, "group.permutation_generators"),
+    ({"n": 2, "group": {"permutation_generators": [[2, 1]], "degree": True}}, "group.degree"),
+    ({"n": 1, "group": {"table": [[False]]}}, "group.table"),
+    (dict(S2_DIAGONAL, group={"cyclic_product": [True, 2]}), "group.cyclic_product"),
+    (dict(KLEIN, cocycle={"bicharacter_exponents": [[0, 0], [True, 0]]}),
+     "cocycle.bicharacter_exponents"),
+    *[(dict(KLEIN, cocycle={"bicharacter_exponents": [[0, 0], [1, 0]], "root_order": m}),
+       "cocycle.root_order") for m in (True, 0, -2, "2")],
+], ids=["n", "generator-entry", "degree", "table-entry", "cyclic-order", "exponent",
+        "root-order", "root-order-0", "root-order-negative", "root-order-string"])
+def test_cli_bad_integer_field_exits_3_at_its_location(tmp_path, problem, location):
+    # Python reads JSON true as 1 and false as 0; an integer field refuses both
+    code, rep = run_problem(tmp_path, problem)
+    assert code == 3 and rep["location"] == location
+
+
+def test_cli_kappa_record_with_boolean_index_exits_3(tmp_path):
+    kfile = tmp_path / "kappa.json"
+    kfile.write_text(json.dumps({"kappa": [{"i": True, "j": 2, "coefficients": {"0": "1/1"}}]}))
+    code, out, _ = run(["pbw-check", problem_path("s3_natural_qminus.json"), "--kappa", str(kfile)])
+    rep = json.loads(out)
+    assert code == 3 and rep["location"] == "kappa-file"
 
 
 def test_cli_diagonal_not_a_table_exits_3(tmp_path):
