@@ -305,7 +305,7 @@ def criterion_8(quick: bool = False) -> dict:
     """Constant-cocycle kernel dimension 35 at n=4 and 85 at n=5, and every
     expanded eta family element lies in the kernel (and the families are
     linearly independent, so they are a basis of it)."""
-    from .linalg import rows_rank
+    from .linalg import RowReducer, rows_rank
 
     sizes = {}
     membership_failures = []
@@ -313,12 +313,16 @@ def criterion_8(quick: bool = False) -> dict:
         _, action, q = symmetric_instance(n)
         basis = constant_cocycle_basis(action, q)
         sizes[n] = len(basis)
+        kernel = RowReducer()
+        for kappa in basis:
+            kernel.insert(kappa.coordinate_row())
         fams = eta_family_basis(n)
         rows = []
         for elt in fams:
-            if not apply_dm_star(elt.cochain, action, q).is_zero():
+            row = elt.kappa.coordinate_row()
+            if kernel.reduce_row(row):
                 membership_failures.append((n, elt.tag, elt.indices))
-            rows.append(elt.cochain.coeffs)
+            rows.append(row)
         counts = eta_family_counts(n)
         if len(fams) != sum(counts.values()):
             membership_failures.append((n, "count", len(fams)))

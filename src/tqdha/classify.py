@@ -11,11 +11,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from .cohomology import (
-    Cochain,
-    cohomological_parameter_space,
-    composition_image,
-)
+from .cohomology import cohomological_parameter_space, composition_image
 from .groups import (
     Cocycle2,
     FiniteGroup,
@@ -98,21 +94,16 @@ def diagonal_kappa_basis_labeled(action: GroupAction, q: QMatrix, alpha: Cocycle
             for s in range(r + 1, n):
                 if not _q_lambda_holds(q, lam[a], n, r, s):
                     continue
+                # alpha(h, a) / alpha(a, h) is conj_ratio(h, a) for h in C_G(a)
                 if not all(
-                    lam[h][r] * lam[h][s] == alpha(h, a) / alpha(a, h)
+                    lam[h][r] * lam[h][s] == alpha.conj_ratio(h, a)
                     for h in G.centralizer(a)
                 ):
                     continue
                 coeffs: dict = {}
                 for g in G.coset_reps_mod_centralizer(a):
-                    target = G.conjugate(g, a)
-                    val = (
-                        alpha(g, a)
-                        / alpha(target, g)
-                        * lam[g][r].inverse()
-                        * lam[g][s].inverse()
-                    )
-                    bump(coeffs, target, val)
+                    val = alpha.conj_ratio(g, a) * lam[g][r].inverse() * lam[g][s].inverse()
+                    bump(coeffs, G.conjugate(g, a), val)
                 kappa = KappaMap(G, n, q, {(r, s): GroupAlgebraElement(coeffs)})
                 out.append(((a, r, s), kappa))
     return out
@@ -130,12 +121,12 @@ def diagonal_kappa_basis(action: GroupAction, q: QMatrix, alpha: Cocycle2) -> li
 @dataclass(frozen=True)
 class EtaFamilyElement:
     """One expanded basis element of the constant 2-cocycle space for the
-    natural S_n action with q = -1; tag is the family number 1..5 and indices
-    are the defining 0-based tuple."""
+    natural S_n action with q = -1, as the kappa it pairs to; tag is the
+    family number 1..5 and indices are the defining 0-based tuple."""
 
     tag: int
     indices: tuple
-    cochain: Cochain
+    kappa: KappaMap
 
 
 @lru_cache(maxsize=None)
@@ -151,12 +142,10 @@ def symmetric_instance(n: int, twisted: bool | None = None):
     return group, action, q, spin_cocycle(group) if twisted else trivial_cocycle(group)
 
 
-def _wedge_sum(n: int, group: FiniteGroup, perm, pairs) -> Cochain:
-    g = group.perms.index(perm)
-    c = Cochain(n, 2)
-    for a, b in pairs:
-        c = c + Cochain.constant_two(n, g, min(a, b), max(a, b))
-    return c
+def _wedge_sum(n: int, group: FiniteGroup, q: QMatrix, perm, pairs) -> KappaMap:
+    """t_perm (x) the sum of the wedges v_a* ^ v_b* over the (distinct) pairs."""
+    t = GroupAlgebraElement.basis(group.perms.index(perm))
+    return KappaMap(group, n, q, {(min(a, b), max(a, b)): t for a, b in pairs})
 
 
 def _eta_family_table(n: int) -> list:
@@ -180,9 +169,9 @@ def eta_family_basis(n: int) -> list[EtaFamilyElement]:
     3 C(n,4), 2 C(n,3).  Requires n >= 4 (the classification hypothesis)."""
     if n < 4:
         raise ValueError("the eta families are defined for n >= 4")
-    group, _, _ = symmetric_instance(n)
+    group, _, q = symmetric_instance(n)
     return [
-        EtaFamilyElement(tag, indices, _wedge_sum(n, group, perm_from_cycles(n, cycles), pairs))
+        EtaFamilyElement(tag, indices, _wedge_sum(n, group, q, perm_from_cycles(n, cycles), pairs))
         for tag, indices, cycles, pairs in _eta_family_table(n)
     ]
 
@@ -249,7 +238,7 @@ def symmetric_natural_classify(n: int, twisted: bool) -> dict:
 
     image_table = {
         tag: {"indices": elt.indices,
-              "images": composition_image(elt.cochain, action, q, alpha)}
+              "images": composition_image(elt.kappa, action, q, alpha)}
         for tag, elt in sorted(_family_representatives(n).items())
     }
 

@@ -29,7 +29,7 @@ from .pbw import (
     solve_parameter_space,
     verify_ambiguities,
 )
-from .problems import ProblemValidationError, load_kappa, parse_problem_file
+from .problems import ProblemValidationError, parse_kappa_file, parse_problem_file
 from .quantum import check_action_extends
 from .spin import spin_cocycle, verify_cover
 
@@ -65,13 +65,7 @@ def cmd_check_extension(args) -> int:
 
 def cmd_pbw_check(args) -> int:
     prob = parse_problem_file(args.problem)
-    try:
-        with open(args.kappa) as f:
-            data = json.load(f)
-        records = data["kappa"] if isinstance(data, dict) else data
-        kappa = load_kappa(prob, records)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as e:
-        raise ProblemValidationError("kappa-file", str(e)) from e
+    kappa = parse_kappa_file(prob, args.kappa)
     out = dict(check_pbw_conditions(kappa, prob.action, prob.q, prob.alpha))
     if args.oracle:
         amb = verify_ambiguities(kappa, prob.action, prob.q, prob.alpha, exhaustive=True)
@@ -116,10 +110,10 @@ def cmd_constant_cocycles(args) -> int:
     prob = parse_problem_file(args.problem)
     basis = constant_cocycle_basis(prob.action, prob.q)
     out = []
-    for c in basis:
+    for kappa in basis:
         vec = {}
-        for (r, s), coeffs in c.pair_form().items():
-            for g, coeff in coeffs.items():
+        for (r, s), elt in kappa.values.items():
+            for g, coeff in elt.coeffs.items():
                 vec.setdefault(str(g), {})[_pair_key(r, s)] = coeff.serialize()
         out.append(vec)
     _emit({"dimension": len(basis), "kernel_basis": out})

@@ -7,12 +7,15 @@ conjugacy class only.
 
 Cochains are elements of S_q(V) t_g (x) Lambda^m_{q^-1}(V*): finite sums of
 (monomial exponent gamma, group element g, wedge index beta) with scalar
-coefficients.  A constant degree-2 cochain is read as its pair form
-{(r, s): {g: c}}, the C^alpha G value on each dual wedge v_r* ^ v_s*.  The
-twisted G-average of such forms is written once, in ``composition_image``:
-t_h eta(h^-1 v_i, h^-1 v_j) t_h^-1 averaged over h, for every ordered pair
-in one pass over G.  The Reynolds projector onto the invariant cochains is
-its quantum skew-symmetrization (proof at ``reynolds_project``).
+coefficients; ``Cochain`` holds them where d_3* is computed.  A constant
+degree-2 cochain sum c_rs t_g (x) v_r* ^ v_s* (r < s) is held as the kappa
+it pairs to, the ``KappaMap`` with kappa(v_r, v_s) = sum c_rs t_g: that is
+the output of ``constant_cocycle_basis`` and the input and output of the
+Reynolds projector.  The twisted G-average of such a map is written once,
+in ``composition_image``: t_h eta(h^-1 v_i, h^-1 v_j) t_h^-1 averaged over
+h, for every ordered pair in one pass over G.  The Reynolds projector onto
+the invariant cochains is its quantum skew-symmetrization (proof at
+``reynolds_project``).
 """
 
 from __future__ import annotations
@@ -51,20 +54,6 @@ class Cochain(SparseSum):
         """t_g (x) v_r* ^ v_s* with r < s."""
         beta = tuple(1 if t in (r, s) else 0 for t in range(n))
         return Cochain(n, 2, {((0,) * n, g, beta): coeff})
-
-    def is_constant(self) -> bool:
-        return all(not any(gamma) for (gamma, _, _) in self.coeffs)
-
-    def pair_form(self) -> dict:
-        """For a constant degree-2 cochain, the C^alpha G value on each dual
-        wedge: {(r, s): {g: coefficient of t_g (x) v_r* ^ v_s*}}, r < s."""
-        if self.degree != 2 or not self.is_constant():
-            raise ValueError("the pair form is defined for constant degree-2 cochains")
-        form: dict = {}
-        for (_, g, beta), c in self.coeffs.items():
-            r, s = (t for t, b in enumerate(beta) if b)
-            form.setdefault((r, s), {})[g] = c
-        return form
 
     def __repr__(self):
         parts = []
@@ -109,22 +98,19 @@ def apply_dm_star(x: Cochain, action: GroupAction, q: QMatrix) -> Cochain:
     return Cochain(n, x.degree + 1, out)
 
 
-def _wedge_index(n: int, positions) -> tuple:
-    return tuple(1 if t in positions else 0 for t in range(n))
-
-
-def constant_cocycle_basis(action: GroupAction, q: QMatrix, elements=None) -> list[Cochain]:
+def constant_cocycle_basis(action: GroupAction, q: QMatrix, elements=None) -> list[KappaMap]:
     """Per group element g of elements (default: every element, in order), a
     kernel basis of d_3* restricted to the constant cochains
-    span{t_g (x) v_j* ^ v_k*}; over all g the union spans all constant
-    Hochschild 2-cocycles (the constant part of the image of d_2* is zero, so
-    kernel elements represent distinct classes).
+    span{t_g (x) v_j* ^ v_k*}, each vector as the kappa it pairs to; over all
+    g the union spans all constant Hochschild 2-cocycles (the constant part
+    of the image of d_2* is zero, so kernel elements represent distinct
+    classes).
     """
     _require_extension(action, q)
     n = action.n
     G = action.group
     pairs = [(j, k) for j in range(n) for k in range(j + 1, n)]
-    basis: list[Cochain] = []
+    basis: list[KappaMap] = []
     for g in range(G.size) if elements is None else elements:
         images = [
             apply_dm_star(Cochain.constant_two(n, g, j, k), action, q) for (j, k) in pairs
@@ -134,12 +120,9 @@ def constant_cocycle_basis(action: GroupAction, q: QMatrix, elements=None) -> li
             for key, c in img.coeffs.items():
                 rows[key][col] = c
         for vec in kernel_basis(rows.values(), len(pairs)):
-            coeffs = {}
-            for col, c in enumerate(vec):
-                if not c.is_zero():
-                    j, k = pairs[col]
-                    coeffs[((0,) * n, g, _wedge_index(n, (j, k)))] = c
-            basis.append(Cochain(n, 2, coeffs))
+            basis.append(KappaMap(G, n, q, {
+                pair: GroupAlgebraElement({g: c}) for pair, c in zip(pairs, vec)
+            }))
     return basis
 
 
@@ -155,7 +138,7 @@ def _require_extension(action: GroupAction, q: QMatrix) -> None:
 
 
 def composition_image(
-    eta: Cochain, action: GroupAction, q: QMatrix, alpha: Cocycle2
+    eta: KappaMap, action: GroupAction, q: QMatrix, alpha: Cocycle2
 ) -> dict:
     """[Theta_2* R_2 Psi_2*(eta)](v_i (x) v_j) for a constant degree-2 eta,
     at every ordered pair i != j (a zero value kept as the empty element):
@@ -166,14 +149,13 @@ def composition_image(
     over G: the term of h at eta's pair (k, l) reaches each (i, j) whose
     h^-1(v_i) and h^-1(v_j) have a v_k and a v_l component.
     """
-    form = eta.pair_form()
     G = action.group
     n = eta.n
     acc = {(i, j): {} for i in range(n) for j in range(n) if i != j}
     for h in range(G.size):
         cols = action.cols_nz[G.inv[h]]
-        for (k, l), coeffs in form.items():
-            conj = [(G.conjugate(h, g), c * alpha.conj_ratio(h, g)) for g, c in coeffs.items()]
+        for (k, l), elt in eta.values.items():
+            conj = [(G.conjugate(h, g), c * alpha.conj_ratio(h, g)) for g, c in elt.coeffs.items()]
             for i, aik in cols[k]:
                 for j, ajl in cols[l]:
                     if i != j:
@@ -184,19 +166,19 @@ def composition_image(
     return {pair: GroupAlgebraElement(coeffs).scale(scale) for pair, coeffs in acc.items()}
 
 
-def reynolds_project(x: Cochain, action: GroupAction, q: QMatrix, alpha: Cocycle2) -> Cochain:
+def reynolds_project(x: KappaMap, action: GroupAction, q: QMatrix, alpha: Cocycle2) -> KappaMap:
     """The average (1/|G|) sum_h h(x) of a constant degree-2 cochain x over
     the twisted G-action (twisted conjugation on t_g, contragredient action
-    on the dual wedges), computed as the cochain of
-    skew_symmetrize(composition_image(x)).  Idempotent, and onto the
-    invariant cochains.  Raises ExtensionError when the action does not
-    extend to S_q(V) and Lambda_q(V).
+    on the dual wedges), computed as skew_symmetrize(composition_image(x)).
+    Idempotent, and onto the invariant cochains.  Raises ExtensionError when
+    the action does not extend to S_q(V) and Lambda_q(V).
 
-    Why the two agree.  Read x as the q-antisymmetric bilinear form
+    Why the two agree.  The kappa x is the q-antisymmetric bilinear form
     x(v_r, v_s) = x_rs, x(v_s, v_r) = -q_sr x_rs (r < s), on which h acts by
     (h.f)(u, w) = t_h f(h^-1 u, h^-1 w) t_h^-1; on dual wedges the
-    contragredient action is this pull-back along h^-1 (x) h^-1.  Write c(v_a (x) v_b) = q_ab v_b (x) v_a for the braiding
-    and S(f) = f o (1 - c), so S(f)(v_i, v_j) = f(v_i, v_j) - q_ij f(v_j, v_i)
+    contragredient action is this pull-back along h^-1 (x) h^-1.  Write
+    c(v_a (x) v_b) = q_ab v_b (x) v_a for the braiding and
+    S(f) = f o (1 - c), so S(f)(v_i, v_j) = f(v_i, v_j) - q_ij f(v_j, v_i)
     is ``skew_symmetrize``; Psi keeps x's values at k < l and zero below.
     First, S o Psi is the identity on q-antisymmetric forms: at i < j it
     gives x_ij - q_ij * 0.  Second, the average commutes with S.  Since
@@ -208,11 +190,7 @@ def reynolds_project(x: Cochain, action: GroupAction, q: QMatrix, alpha: Cocycle
     S(average(Psi x)) = average(S(Psi x)) = average(x).
     """
     _require_extension(action, q)
-    n = x.n
-    kappa = skew_symmetrize(composition_image(x, action, q, alpha), q, action.group, n)
-    return Cochain(n, 2, {
-        ((0,) * n, g, _wedge_index(n, (i, j))): c for (g, i, j), c in kappa.coordinates().items()
-    })
+    return skew_symmetrize(composition_image(x, action, q, alpha), q, action.group, x.n)
 
 
 def skew_symmetrize(mu_pairs: dict, q: QMatrix, group, n: int) -> KappaMap:
@@ -231,9 +209,10 @@ def cohomological_parameter_space(
     action: GroupAction, q: QMatrix, alpha: Cocycle2, recheck: bool = True
 ) -> list[KappaMap]:
     """Parameter space through cohomology: constant 2-cocycle kernel at one
-    representative c of each conjugacy class, Reynolds projection, rank
-    filtering to an independent invariant spanning set, then the induced
-    Hochschild cocycle and its quantum skew-symmetrization.
+    representative c of each conjugacy class, Reynolds projection (the
+    quantum skew-symmetrized induced Hochschild cocycle), and rank filtering
+    to an independent invariant spanning set.  Each kept invariant eta is
+    the kappa it pairs to, kappa(v_i, v_j) = eta(v_i ^ v_j).
 
     The representatives suffice.  The extension check at entry makes d_3*
     commute with the twisted action, which maps constant cochains at t_g to
@@ -245,34 +224,24 @@ def cohomological_parameter_space(
     their least element first and the kernel is ordered by g, so the rank
     filter has taken all of R(K_c) before it would reach another member.
 
-    For each invariant representative eta the computed kappa must agree with
-    the direct pairing kappa(v_i, v_j) = eta(v_i ^ v_j); that identity, the
-    idempotence of the Reynolds projector on eta, is asserted as an internal
-    consistency check of the whole chain.  Unless disabled, every kappa is
-    then re-verified by check_pbw_conditions, whose verdict needs condition
-    (2) at class representatives only (see the ``pbw`` module docstring);
-    this derivation never reads the condition rows, so that check is
-    independent.
+    The idempotence of the Reynolds projector on each kept eta is asserted
+    as an internal consistency check of the whole chain.  Unless disabled,
+    every kappa is then re-verified by check_pbw_conditions, whose verdict
+    needs condition (2) at class representatives only (see the ``pbw``
+    module docstring); this derivation never reads the condition rows, so
+    that check is independent.
     """
-    n = action.n
-    G = action.group
-    reps = [cls[0] for cls in G.conjugacy_classes()]
+    reps = [cls[0] for cls in action.group.conjugacy_classes()]
     red = RowReducer()
     basis = []
     for c in constant_cocycle_basis(action, q, reps):
         eta = reynolds_project(c, action, q, alpha)
-        if red.insert(eta.coeffs) is None:
+        if red.insert(eta.coordinate_row()) is None:
             continue
-        kappa = skew_symmetrize(composition_image(eta, action, q, alpha), q, G, n)
-        form = eta.pair_form()
-        for i in range(n):
-            for j in range(i + 1, n):
-                if kappa.value(i, j) != GroupAlgebraElement(form.get((i, j))):
-                    raise CrossCheckError(
-                        "skew-symmetrized induced cocycle disagrees with the "
-                        f"wedge pairing at ({i}, {j}); engine inconsistency"
-                    )
-        basis.append(kappa)
+        if reynolds_project(eta, action, q, alpha) != eta:
+            raise CrossCheckError(
+                "the Reynolds projector does not fix its own image; engine inconsistency")
+        basis.append(eta)
     if recheck:
         for kappa in basis:
             rep = check_pbw_conditions(kappa, action, q, alpha, representatives=True)

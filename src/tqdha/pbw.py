@@ -216,6 +216,9 @@ class KappaMap:
 
     @staticmethod
     def from_records(group, n, q, records) -> "KappaMap":
+        # an element's key is its index as str(g) writes it, which int() would
+        # also read from " 1", "+1", "01" or "0_1"
+        index = {str(g): g for g in range(group.size)}
         values = {}
         for rec in records:
             if not (isinstance(rec, dict) and isinstance(rec.get("coefficients"), dict)
@@ -226,12 +229,10 @@ class KappaMap:
                 raise ValueError(f"kappa record {rec!r} repeats the pair ({i + 1}, {j + 1})")
             coeffs = {}
             for key, s in rec["coefficients"].items():
-                g = int(key)
-                if not (0 <= g < group.size):
-                    raise ValueError(f"group element index {g} out of range")
-                if g in coeffs:
-                    raise ValueError(f"kappa record {rec!r} names group element {g} twice")
-                coeffs[g] = parse_scalar(s)
+                if key not in index:
+                    raise ValueError(f"kappa record {rec!r}: {key!r} is not a group element "
+                                     f"index 0..{group.size - 1}")
+                coeffs[index[key]] = parse_scalar(s)
             values[(i, j)] = GroupAlgebraElement(coeffs)
         return KappaMap(group, n, q, values)
 

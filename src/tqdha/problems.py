@@ -13,7 +13,8 @@ reported with its location.  The problem's scalars together, and with those
 of a kappa file checked against it, may need no cyclotomic field past
 ``scalars.MAX_CONDUCTOR``.  Where a field needs an integer, JSON's ``true``
 and ``false`` are refused: Python reads them as ints, so the checks are on
-``type(x) is int``.
+``type(x) is int``.  Problem and kappa files are read by one JSON reader,
+which refuses a key named twice in one object.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from math import factorial, lcm
 from .groups import (
     MAX_GROUP_ORDER,
     Cocycle2,
+    CocycleError,
     FiniteGroup,
     GroupConstructionError,
     bicharacter_cocycle,
@@ -247,7 +249,11 @@ def _build_cocycle(data, group: FiniteGroup, read: _ScalarReader) -> Cocycle2:
                 [read(f"cocycle.table[{g}][{h}]", rows[g][h]) for h in range(group.size)]
                 for g in range(group.size)
             ]
-            return _validated(cocycle_from_values(group, vals, name="table"))
+            try:
+                alpha = cocycle_from_values(group, vals, name="table")
+            except CocycleError as e:
+                raise ProblemValidationError("cocycle.table", str(e)) from e
+            return _validated(alpha)
         if "bicharacter_exponents" in spec:
             exponents, root_order = spec["bicharacter_exponents"], spec.get("root_order", 2)
             _require_int_table("cocycle.bicharacter_exponents", exponents)
@@ -255,7 +261,7 @@ def _build_cocycle(data, group: FiniteGroup, read: _ScalarReader) -> Cocycle2:
                 raise ProblemValidationError("cocycle.root_order", "need a positive integer")
             try:
                 alpha = bicharacter_cocycle(group, exponents, root_order)
-            except Exception as e:
+            except CocycleError as e:
                 raise ProblemValidationError("cocycle.bicharacter_exponents", str(e)) from e
             for x in alpha.distinct:
                 read.admit("cocycle.bicharacter_exponents", x)
@@ -278,26 +284,51 @@ def load_problem(data: dict) -> ProblemSpec:
     return ProblemSpec(n, q, group, action, alpha, read.conductor)
 
 
-def load_kappa(prob: ProblemSpec, records) -> KappaMap:
-    """A kappa file's records on the problem.  Each coefficient is admitted
-    into the problem's conductor bound before any arithmetic: a kappa in
-    Q(zeta_97) against q in Q(zeta_89) would need Q(zeta_8633)."""
-    kappa = KappaMap.from_records(prob.group, prob.n, prob.q, records)
-    read = _ScalarReader(prob.conductor)
-    for (i, j), elt in kappa.values.items():
-        for g, c in elt.coeffs.items():
-            read.admit(f"kappa record i={i + 1}, j={j + 1}, element {g}", c)
-    return kappa
+def _unique_keys(pairs) -> dict:
+    """object_pairs_hook of the JSON reader: a key named twice in one object
+    is refused, where json would keep the last value silently."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"key {key!r} appears twice in one object")
+        obj[key] = value
+    return obj
+
+
+def _read_json(path: str, location: str):
+    try:
+        with open(path) as f:
+            return json.load(f, object_pairs_hook=_unique_keys)
+    except OSError as e:
+        raise ProblemValidationError(location, str(e)) from e
+    except (ValueError, RecursionError) as e:
+        # malformed JSON, a repeated key, undecodable bytes, or nesting past
+        # the interpreter's recursion limit
+        raise ProblemValidationError(location, f"not valid JSON: {e}") from e
 
 
 def parse_problem_file(path: str) -> ProblemSpec:
-    try:
-        with open(path) as f:
-            data = json.load(f)
-    except OSError as e:
-        raise ProblemValidationError("file", str(e)) from e
-    except json.JSONDecodeError as e:
-        raise ProblemValidationError("file", f"not valid JSON: {e}") from e
+    data = _read_json(path, "file")
     if not isinstance(data, dict):
         raise ProblemValidationError("file", "top level must be a JSON object")
     return load_problem(data)
+
+
+def parse_kappa_file(prob: ProblemSpec, path: str) -> KappaMap:
+    """A kappa file on the problem: a list of records, or an object holding
+    that list under "kappa".  Each coefficient is admitted into the
+    problem's conductor bound before any arithmetic: a kappa in Q(zeta_97)
+    against q in Q(zeta_89) would need Q(zeta_8633)."""
+    data = _read_json(path, "kappa-file")
+    records = data.get("kappa") if isinstance(data, dict) else data
+    try:
+        if not isinstance(records, list):
+            raise ValueError('need a list of records, or an object with one under "kappa"')
+        kappa = KappaMap.from_records(prob.group, prob.n, prob.q, records)
+        read = _ScalarReader(prob.conductor)
+        for (i, j), elt in kappa.values.items():
+            for g, c in elt.coeffs.items():
+                read.admit(f"kappa record i={i + 1}, j={j + 1}, element {g}", c)
+    except ValueError as e:
+        raise ProblemValidationError("kappa-file", str(e)) from e
+    return kappa

@@ -9,6 +9,8 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tqdha import cohomology, groups, pbw, problems
 from tqdha.cli import run_command
@@ -577,3 +579,108 @@ def test_cli_bicharacter_past_the_conductor_bound_exits_3_before_any_root(tmp_pa
                           "action": {"diagonal": [["1/1"], ["1/1"]]},
                           "cocycle": {"bicharacter_exponents": [[500]], "root_order": 1000}}).alpha
     assert [x.serialize() for x in alpha.distinct] == ["1/1", "-1/1"]
+
+
+@pytest.mark.parametrize("content", ["5", "null", '{"kappa": 5}', "{}", '{"kappa": {"i": 1}}',
+                                     '"kappa"'],
+                         ids=["number", "null", "kappa-number", "no-kappa", "kappa-object",
+                              "string"])
+def test_cli_kappa_file_not_a_list_of_records_exits_3(tmp_path, content):
+    kfile = tmp_path / "kappa.json"
+    kfile.write_text(content)
+    code, out, _ = run(["pbw-check", problem_path("s3_natural_qminus.json"), "--kappa", str(kfile)])
+    assert code == 3 and json.loads(out)["location"] == "kappa-file"
+
+
+def test_cli_problem_file_naming_a_key_twice_exits_3(tmp_path):
+    # json would keep the last value and load the problem with n = 3
+    f = tmp_path / "problem.json"
+    f.write_text('{"n": 2, "n": 3, "group": "trivial", "action": {"generator_matrices": []}}')
+    code, out, _ = run(["check-extension", str(f)])
+    rep = json.loads(out)
+    assert code == 3 and rep["location"] == "file" and "'n'" in rep["reason"]
+
+
+def test_cli_json_nested_past_the_recursion_limit_exits_3(tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000)
+    for argv, location in (
+        (["check-extension", str(deep)], "file"),
+        (["pbw-check", problem_path("s3_natural_qminus.json"), "--kappa", str(deep)], "kappa-file"),
+    ):
+        code, out, _ = run(argv)
+        assert code == 3 and json.loads(out)["location"] == location
+
+
+def test_cli_kappa_file_naming_a_key_twice_exits_3(tmp_path):
+    kfile = tmp_path / "kappa.json"
+    kfile.write_text('{"kappa": [{"i": 1, "j": 2, "coefficients": {"0": "1/1", "0": "-1/1"}}]}')
+    code, out, _ = run(["pbw-check", problem_path("s3_natural_qminus.json"), "--kappa", str(kfile)])
+    rep = json.loads(out)
+    assert code == 3 and rep["location"] == "kappa-file" and "'0'" in rep["reason"]
+
+
+@pytest.mark.parametrize("key", ["1_0", " 1", "+1", "01", "1 ", "١"])
+def test_cli_kappa_element_key_is_the_index_as_written(tmp_path, key):
+    # int() reads each of these as an element of S4 (10, 1, 1, 1, 1, 1)
+    kfile = tmp_path / "kappa.json"
+    records = [{"i": 1, "j": 2, "coefficients": {key: "1/1"}}]
+    kfile.write_text(json.dumps({"kappa": records}))
+    code, out, _ = run(["pbw-check", problem_path("s4_twisted.json"), "--kappa", str(kfile)])
+    rep = json.loads(out)
+    assert code == 3 and rep["location"] == "kappa-file" and repr(key) in rep["reason"]
+    kfile.write_text(json.dumps({"kappa": [{"i": 1, "j": 2, "coefficients": {"10": "1/1"}}]}))
+    assert run(["pbw-check", problem_path("s4_twisted.json"), "--kappa", str(kfile)])[0] == 0
+
+
+def test_cli_zero_cocycle_table_entry_exits_3_at_cocycle_table(tmp_path):
+    cocycle = {"table": [["1/1", "1/1"], ["1/1", "0/1"]]}
+    code, rep = run_problem(tmp_path, dict(S2_DIAGONAL, cocycle=cocycle))
+    assert code == 3 and rep["location"] == "cocycle.table"
+    assert rep["reason"] == "cocycle value at (1, 1) is zero"
+
+
+def test_bicharacter_programming_error_is_not_reported_as_bad_input(monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("a fault in the program, not in the file")
+
+    monkeypatch.setattr(problems, "bicharacter_cocycle", broken)
+    with pytest.raises(RuntimeError):
+        load_problem(KLEIN)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 40) | st.floats(allow_nan=False)
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                               max_size=3),
+    max_leaves=8,
+)
+_ELEMENT_KEY = st.sampled_from(["0", "1", "5", "6", "00", " 1", "-1", "x", ""]) | st.text(max_size=3)
+_SCALAR = st.sampled_from(["1/1", "0/1", "-2/3", "1/1*z4^1", "1/0", "z", ""]) | _JSON
+_RECORD = st.fixed_dictionaries({
+    "i": st.integers(-1, 4) | _JSON,
+    "j": st.integers(-1, 4) | _JSON,
+    "coefficients": st.dictionaries(_ELEMENT_KEY, _SCALAR, max_size=3) | _JSON,
+}) | _JSON
+_KAPPA_FILE = (st.lists(_RECORD, max_size=3) | _JSON).flatmap(
+    lambda records: st.sampled_from([records, {"kappa": records}]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(kappa=_KAPPA_FILE)
+def test_any_json_kappa_file_exits_0_or_3(tmp_path_factory, kappa):
+    kfile = tmp_path_factory.getbasetemp() / "any_kappa.json"
+    kfile.write_text(json.dumps(kappa))
+    code, _, _ = run(["pbw-check", problem_path("s3_natural_qminus.json"), "--kappa", str(kfile)])
+    assert code in (0, 3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(field=st.sampled_from(["n", "q", "group", "action", "cocycle"]),
+       value=_JSON | st.sampled_from(["all:-1", "trivial", "spin(2)", "natural-permutation"]))
+def test_any_json_problem_field_exits_0_or_3(tmp_path_factory, field, value):
+    f = tmp_path_factory.getbasetemp() / "any_problem.json"
+    f.write_text(json.dumps(dict(KLEIN, **{field: value})))
+    code, _, _ = run(["check-extension", str(f)])
+    assert code in (0, 3)
