@@ -13,14 +13,24 @@ it pairs to, the ``KappaMap`` with kappa(v_r, v_s) = sum c_rs t_g: that is
 the output of ``constant_cocycle_basis`` and the input and output of the
 Reynolds projector.  The twisted G-average of such a map is written once,
 in ``composition_image``: t_h eta(h^-1 v_i, h^-1 v_j) t_h^-1 averaged over
-h, for every ordered pair in one pass over G.  The Reynolds projector onto
-the invariant cochains is its quantum skew-symmetrization (proof at
+h, for every ordered pair at once.  The Reynolds projector onto the
+invariant cochains is its quantum skew-symmetrization (proof at
 ``reynolds_project``).
+
+The average is taken by induction through the centralizer, not term by term
+over G.  Since alpha is a 2-cocycle the twisted action is a group action, so
+averaging h(f) gives the average of f: each term at t_g is first moved to
+its class representative c by one transporter x, x g x^-1 = c.  G is the
+disjoint union of the cosets r Z(c) over a transversal r of G/Z(c), and
+acting by rz is acting by z and then by r, so the sum over G is the sum over
+Z(c), which keeps t_c, followed by the sum over the transversal.  The
+class data come from ``groups.class_data``, once per group; the proof in
+full is at ``composition_image``.
 """
 
 from __future__ import annotations
 
-from .groups import Cocycle2, GroupAlgebraElement
+from .groups import Cocycle2, GroupAlgebraElement, class_data
 from .linalg import RowReducer, SparseSum, bump, kernel_basis
 from .pbw import CrossCheckError, ExtensionError, KappaMap, check_pbw_conditions, extension_report
 from .quantum import (
@@ -145,25 +155,75 @@ def composition_image(
 
         (1/|G|) sum_h  t_h eta( Psi_2(1 (x) h^-1(v_i) (x) h^-1(v_j) (x) 1) ) t_h^-1
 
-    with Psi_2 keeping only tensor factors v_k (x) v_l with k < l.  One pass
-    over G: the term of h at eta's pair (k, l) reaches each (i, j) whose
-    h^-1(v_i) and h^-1(v_j) have a v_k and a v_l component.
+    with Psi_2 keeping only tensor factors v_k (x) v_l with k < l.
+
+    Computed by induction through the centralizer.  Write Psi(eta) for the
+    bilinear form V x V -> C^alpha G with eta's values at k < l and zero at
+    every other (k, l), diagonal included, and T_h for the twisted action
+    on such forms, T_h(f)(u, w) = t_h f(h^-1 u, h^-1 w) t_h^-1, so the sum
+    above is (1/|G|) sum_h T_h(Psi(eta)) read off the diagonal.  Since alpha
+    is a 2-cocycle, t_h t_k = alpha(h, k) t_hk and the scalar cancels in
+    conjugation, so T_h T_k = T_hk: a group action.  Let c be the class
+    representative of g and x its transporter, x g x^-1 = c
+    (``groups.class_data``).  Then
+
+    1. sum_h T_h(f t_g) = sum_h T_hx^-1 (T_x(f t_g)) = sum_h T_h(T_x(f t_g))
+       for a scalar form f, and T_x(f t_g) is a scalar form times t_c: each
+       term of Psi(eta) is pulled back to its representative once.
+    2. G is the disjoint union of the cosets r Z(c) over c's transversal r,
+       and T_rz = T_r T_z, so sum_h T_h = sum_r T_r (sum_z T_z), where
+       every T_z, z in Z(c), keeps t_c.  The inner sum keeps all n^2
+       entries: the matrix of a non-monomial z^-1 mixes the diagonal
+       entries of a form into the others.
+    3. The outer sum over the transversal gives the result, whose diagonal
+       is dropped only now, scaled by 1/|G|.
+
+    That is one T_x per transporter met and |Z(c)| + |G : Z(c)| per class
+    met, instead of |G| for every term of eta.  The sums are exact, so the
+    result is the one of the pass over all of G.
     """
     G = action.group
     n = eta.n
+    data = class_data(G)
+    by_transporter: dict = {}
+    for pair, elt in eta.values.items():
+        for g, c in elt.coeffs.items():
+            by_transporter.setdefault(data.transporter[g], {}).setdefault(pair, {})[g] = c
+    pulled: dict = {}
+    for x, form in by_transporter.items():
+        _act(pulled, x, form, action, alpha)
+    at_rep: dict = {}
+    for pair, coeffs in pulled.items():
+        for c, value in coeffs.items():
+            at_rep.setdefault(c, {})[pair] = {c: value}
     acc = {(i, j): {} for i in range(n) for j in range(n) if i != j}
-    for h in range(G.size):
-        cols = action.cols_nz[G.inv[h]]
-        for (k, l), elt in eta.values.items():
-            conj = [(G.conjugate(h, g), c * alpha.conj_ratio(h, g)) for g, c in elt.coeffs.items()]
-            for i, aik in cols[k]:
-                for j, ajl in cols[l]:
-                    if i != j:
-                        out = acc[(i, j)]
-                        for target, c in conj:
-                            bump(out, target, c * aik * ajl)
+    for c, form in at_rep.items():
+        fixed: dict = {}
+        for z in data.centralizer[c]:
+            _act(fixed, z, form, action, alpha)
+        for r in data.transversal[c]:
+            _act(acc, r, fixed, action, alpha, diagonal=False)
     scale = rational(1) / rational(G.size)
     return {pair: GroupAlgebraElement(coeffs).scale(scale) for pair, coeffs in acc.items()}
+
+
+def _act(acc: dict, h: int, form: dict, action: GroupAction, alpha: Cocycle2,
+         diagonal: bool = True) -> None:
+    """Add T_h(form) into acc, where form and acc map ordered pairs (k, l)
+    to the coefficients {g: c} of sum_g c t_g, and T_h(f)(v_i, v_j) =
+    t_h f(h^-1 v_i, h^-1 v_j) t_h^-1: the term of f at (k, l) reaches each
+    (i, j) whose h^-1(v_i) and h^-1(v_j) have a v_k and a v_l component.
+    Without ``diagonal`` the pairs i = j are left out."""
+    G = action.group
+    cols = action.cols_nz[G.inv[h]]
+    for (k, l), coeffs in form.items():
+        conj = [(G.conjugate(h, g), c * alpha.conj_ratio(h, g)) for g, c in coeffs.items()]
+        for i, aik in cols[k]:
+            for j, ajl in cols[l]:
+                if diagonal or i != j:
+                    out = acc.setdefault((i, j), {})
+                    for target, c in conj:
+                        bump(out, target, c * aik * ajl)
 
 
 def reynolds_project(x: KappaMap, action: GroupAction, q: QMatrix, alpha: Cocycle2) -> KappaMap:

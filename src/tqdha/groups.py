@@ -16,13 +16,14 @@ from functools import lru_cache, reduce
 from itertools import product
 from math import gcd, lcm, prod
 from operator import mul, truediv
+from typing import NamedTuple
 
 from .linalg import SparseSum, bump
 from .scalars import MAX_CONDUCTOR, ONE, ZERO, CyclotomicScalar, root_of_unity
 
 
 # A group is held as its dense |G| x |G| multiplication table, and the cocycle
-# table, conj_ratio and the solver's unknowns grow with it: S7's table of
+# table and the solver's unknowns grow with it: S7's table of
 # 5,040^2 = 25.4M entries already takes 413 MB.  So no constructor builds a
 # table for a larger group.
 MAX_GROUP_ORDER = 5040
@@ -154,31 +155,72 @@ class FiniteGroup:
                         )
 
     def conjugacy_classes(self) -> list[tuple[int, ...]]:
-        """Classes as sorted tuples, ordered by least element."""
-        seen = [False] * self.size
-        classes = []
-        for a in range(self.size):
-            if not seen[a]:
-                cls = sorted({self.conjugate(h, a) for h in range(self.size)})
-                for x in cls:
-                    seen[x] = True
-                classes.append(tuple(cls))
-        return classes
+        """Classes as sorted tuples, ordered by least element (read from
+        ``class_data``)."""
+        members: dict = {}
+        for g, c in enumerate(class_data(self).rep):
+            members.setdefault(c, []).append(g)
+        return [tuple(m) for m in members.values()]
 
     def centralizer(self, a: int) -> tuple[int, ...]:
-        return tuple(h for h in range(self.size) if self.commute(h, a))
+        """Z(a) in ascending order.  With x a x^-1 = c for a's transporter x
+        and representative c (``class_data``), Z(a) = x^-1 Z(c) x."""
+        data = class_data(self)
+        x = data.transporter[a]
+        return tuple(sorted(self.conjugate(self.inv[x], z) for z in data.centralizer[data.rep[a]]))
 
     def coset_reps_mod_centralizer(self, a: int) -> tuple[int, ...]:
-        """Minimal representatives of left cosets of the centralizer of a;
-        g and g' represent the same coset iff g a g^-1 = g' a g'^-1."""
-        reps = []
-        seen = set()
-        for g in range(self.size):
-            c = self.conjugate(g, a)
-            if c not in seen:
-                seen.add(c)
-                reps.append(g)
-        return tuple(reps)
+        """Minimal representatives of left cosets of the centralizer of a,
+        ascending; g and g' represent the same coset iff g a g^-1 = g' a g'^-1.
+        With x a x^-1 = c as above, g a g^-1 = b exactly when g x^-1 lies in
+        r Z(c) for the member r of c's transversal with r c r^-1 = b, so the
+        cosets of Z(a) are the sets r Z(c) x."""
+        data = class_data(self)
+        c, x, mult = data.rep[a], data.transporter[a], self.mult
+        cent = data.centralizer[c]
+        return tuple(sorted(min(mult[mult[r][z]][x] for z in cent) for r in data.transversal[c]))
+
+
+class ClassData(NamedTuple):
+    """The conjugacy classes of a group: per element g its representative
+    ``rep[g]``, the least element of its class, and a ``transporter[g]`` h
+    with h g h^-1 = rep[g]; per representative c its centralizer
+    ``centralizer[c]`` and ``transversal[c]``, the least element of each
+    left coset of Z(c) (so r -> r c r^-1 maps it onto c's class), both
+    ascending.  The transporter of a representative is the identity."""
+
+    rep: tuple
+    transporter: tuple
+    centralizer: dict
+    transversal: dict
+
+
+# Keyed on the group object itself (FiniteGroup defines no equality), as the
+# per-problem caches of ``pbw`` are; every caller gets the same result, which
+# no caller modifies.
+@lru_cache(maxsize=8)
+def class_data(group: FiniteGroup) -> ClassData:
+    """One conjugation pass over G per class: scanning h upwards, each new
+    conjugate b = h c h^-1 of the class's least element c gets c as its
+    representative and h^-1 as its transporter, h joins the transversal
+    (the least element of h Z(c), which is {h' : h' c h'^-1 = b}), and the
+    h with b = c form Z(c)."""
+    size, conjugate, inv = group.size, group.conjugate, group.inv
+    rep, transporter = [None] * size, [None] * size
+    centralizer, transversal = {}, {}
+    for c in range(size):
+        if rep[c] is not None:
+            continue
+        cent, reps = [], []
+        for h in range(size):
+            b = conjugate(h, c)
+            if b == c:
+                cent.append(h)
+            if rep[b] is None:
+                rep[b], transporter[b] = c, inv[h]
+                reps.append(h)
+        centralizer[c], transversal[c] = tuple(cent), tuple(reps)
+    return ClassData(tuple(rep), tuple(transporter), centralizer, transversal)
 
 
 def trivial_group() -> FiniteGroup:
@@ -340,7 +382,8 @@ class Cocycle2:
     for a bicharacter), so whatever is computed per distinct value or per
     pair of them (the zero check here, the products of ``validate_cocycle``,
     the quotients of ``conj_ratio``) is computed a few times rather than
-    |G|^2 or |G|^3 times."""
+    |G|^2 or |G|^3 times.  Beyond the table nothing is kept per element:
+    ``conj_ratio`` looks each entry up in the quotients when it is asked."""
 
     def __init__(self, group: FiniteGroup, distinct, index, name="cocycle"):
         self.group = group
@@ -355,7 +398,6 @@ class Cocycle2:
             if not zeros.isdisjoint(row):
                 h = next(h for h, k in enumerate(row) if k in zeros)
                 raise CocycleError(f"cocycle value at ({g}, {h}) is zero")
-        self._conj_ratio = [None] * n  # rows, built on first use
         self._quotients = _PairTable(self.distinct, truediv)
 
     def __call__(self, g: int, h: int) -> CyclotomicScalar:
@@ -363,16 +405,10 @@ class Cocycle2:
 
     def conj_ratio(self, h: int, g: int) -> CyclotomicScalar:
         """alpha(h, g) / alpha(h g h^-1, h) -- the scalar in t_h t_g t_h^-1.
-        Row h of the table is built on its first use (the condition rows use
-        only the generators' rows), dividing each pair of distinct values
-        once."""
-        row = self._conj_ratio[h]
-        if row is None:
-            G, m, index, quotients = self.group, len(self.distinct), self.index, self._quotients
-            row = self._conj_ratio[h] = tuple(
-                quotients[k * m + index[G.conjugate(h, g)][h]] for g, k in enumerate(index[h])
-            )
-        return row[g]
+        One entry, computed on demand: the quotient of two distinct values,
+        each such pair divided once (``_quotients``)."""
+        m, index = len(self.distinct), self.index
+        return self._quotients[index[h][g] * m + index[self.group.conjugate(h, g)][h]]
 
     def tg_inverse_coeff(self, g: int) -> CyclotomicScalar:
         """(t_g)^-1 = coeff * t_{g^-1}."""

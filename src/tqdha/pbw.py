@@ -224,6 +224,8 @@ class KappaMap:
             if not (isinstance(rec, dict) and isinstance(rec.get("coefficients"), dict)
                     and type(rec.get("i")) is int and type(rec.get("j")) is int):
                 raise ValueError(f"kappa record {rec!r} needs integer i, j and coefficients")
+            if not 1 <= rec["i"] < rec["j"] <= n:
+                raise ValueError(f"kappa record {rec!r} needs 1 <= i < j <= {n}")
             i, j = rec["i"] - 1, rec["j"] - 1
             if (i, j) in values:
                 raise ValueError(f"kappa record {rec!r} repeats the pair ({i + 1}, {j + 1})")

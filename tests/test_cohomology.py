@@ -175,10 +175,37 @@ def _literal_average(x, action, alpha):
     return out
 
 
+def _difference_basis_action(group):
+    """S_n on C^n in the basis b_k = e_k - e_(k+1) (k < n - 1) and
+    b_(n-1) = sum_i e_i.  A transposition (k k+1) sends b_(k-1) to
+    b_(k-1) + b_k, so the action is not monomial."""
+    n = len(group.perms[0])
+    mats = []
+    for p in group.perms:
+        rows = []
+        for k in range(n - 1):
+            # g(b_k) = e_p(k) - e_p(k+1) = sum_i beta_i b_i, beta_i its
+            # partial sums of e-coordinates
+            u = [0] * n
+            u[p[k]] += 1
+            u[p[k + 1]] -= 1
+            rows.append([sum(u[: i + 1]) for i in range(n - 1)] + [0])
+        rows.append([0] * (n - 1) + [1])
+        mats.append([[rational(x) for x in row] for row in rows])
+    return GroupAction(group, mats)
+
+
 def _reference_case(name):
     if name == "s4-spin":
         _, action, q, alpha = symmetric_instance(4, True)
         return action, q, alpha
+    if name.startswith("difference"):
+        # e.g. "difference-s3-spin": S_n, n = 3, on the difference basis
+        # with q = 1 and the named cocycle
+        _, group_name, cocycle = name.split("-")
+        G = symmetric_group(int(group_name[1:]))
+        alpha = spin_cocycle(G) if cocycle == "spin" else trivial_cocycle(G)
+        return _difference_basis_action(G), QMatrix.uniform(len(G.perms[0]), 1), alpha
     here = os.path.dirname(__file__)
     folder = os.path.join(here, "golden") if name == "z6z6_zeta12" else os.path.join(
         here, os.pardir, "problems")
@@ -186,14 +213,19 @@ def _reference_case(name):
     return spec.action, spec.q, spec.alpha
 
 
-@pytest.mark.parametrize("name", ["s4-spin", "klein_bicharacter_diag", "weyl2", "z6z6_zeta12"])
+@pytest.mark.parametrize("name", [
+    "s4-spin", "klein_bicharacter_diag", "weyl2", "z6z6_zeta12", "difference-s3-trivial",
+    "difference-s3-spin", "difference-s4-trivial", "difference-s4-spin"])
 def test_one_pass_average_matches_the_literal_sum(name):
-    # composition_image against the defining sum at every pair, and its
-    # quantum skew-symmetrization against reynolds_project, on every d_3*
-    # kernel vector; weyl2's action is not monomial
+    # composition_image (induction through the centralizer) against the
+    # defining sum over G at every pair, and its quantum skew-symmetrization
+    # against reynolds_project, on every d_3* kernel vector, and the same
+    # sum on its Reynolds image, whose support is a whole class; weyl2 and
+    # the difference-basis cases are not monomial, and the latter not abelian
     action, q, alpha = _reference_case(name)
     n = action.n
-    nonzero = 0
+    classes = action.group.conjugacy_classes()
+    nonzero = spread = 0
     for x in constant_cocycle_basis(action, q):
         ref = _literal_average(x, action, alpha)
         assert composition_image(x, action, q, alpha) == ref
@@ -203,7 +235,12 @@ def test_one_pass_average_matches_the_literal_sum(name):
                 expected = ref[(i, j)] - ref[(j, i)].scale(q(i, j))
                 assert projected.value(i, j) == expected
                 nonzero += not expected.is_zero()
+        assert composition_image(projected, action, q, alpha) == _literal_average(
+            projected, action, alpha)
+        support = {g for elt in projected.values.values() for g in elt.coeffs}
+        spread += any(len(cls) > 1 and set(cls) <= support for cls in classes)
     assert nonzero
+    assert spread or len(classes) == action.group.size
 
 
 def test_reynolds_refuses_an_action_that_does_not_extend():

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import os
 import random
 
 import pytest
@@ -18,6 +19,7 @@ from tqdha.groups import (
     GroupConstructionError,
     _walk,
     bicharacter_cocycle,
+    class_data,
     cocycle_from_columns,
     cocycle_from_values,
     group_from_cyclic_orders,
@@ -30,6 +32,7 @@ from tqdha.groups import (
     trivial_cocycle,
     validate_cocycle,
 )
+from tqdha.problems import parse_problem_file
 from tqdha.scalars import MAX_CONDUCTOR, MINUS_ONE, ONE, ZERO, rational, root_of_unity
 from tqdha.spin import spin_cocycle
 
@@ -295,6 +298,39 @@ def test_coset_reps_cover_class():
         reps = g.coset_reps_mod_centralizer(a)
         assert len(reps) == len(cls)
         assert sorted(g.conjugate(r, a) for r in reps) == list(cls)
+
+
+
+def _class_data_case(name):
+    if name == "klein_bicharacter_diag":
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "problems", name + ".json")
+        return parse_problem_file(path).action.group
+    return symmetric_group(4) if name == "s4" else group_from_cyclic_orders([6, 6])
+
+
+@pytest.mark.parametrize("name", ["s4", "klein_bicharacter_diag", "z6xz6"])
+def test_class_data_matches_the_exhaustive_computation(name):
+    # the cached class data against one conjugation pass over G per element
+    G = _class_data_case(name)
+    data = class_data(G)
+    classes, seen = [], set()
+    for a in range(G.size):
+        if a not in seen:
+            classes.append(tuple(sorted({G.conjugate(h, a) for h in range(G.size)})))
+            seen.update(classes[-1])
+    assert G.conjugacy_classes() == classes
+    for cls in classes:
+        c = cls[0]
+        assert data.transporter[c] == 0
+        assert len(data.centralizer[c]) * len(data.transversal[c]) == G.size
+    for g in range(G.size):
+        assert G.conjugate(data.transporter[g], g) == data.rep[g]
+        assert data.rep[g] == next(cls[0] for cls in classes if g in cls)
+        assert G.centralizer(g) == tuple(h for h in range(G.size) if G.commute(h, g))
+        first: dict = {}
+        for h in range(G.size):
+            first.setdefault(G.conjugate(h, g), h)
+        assert G.coset_reps_mod_centralizer(g) == tuple(first.values())
 
 
 # ---------------------------------------------------------------------------

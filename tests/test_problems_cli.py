@@ -290,6 +290,18 @@ def test_cli_bad_integer_field_exits_3_at_its_location(tmp_path, problem, locati
     assert code == 3 and rep["location"] == location
 
 
+@pytest.mark.parametrize("i, j", [(2, 1), (1, 9), (0, 2), (2, 2)])
+def test_cli_kappa_record_off_the_pairs_exits_3_naming_it(tmp_path, i, j):
+    # the record and the 1-based range are named, not a 0-based pair
+    record = {"i": i, "j": j, "coefficients": {"0": "1/1"}}
+    kfile = tmp_path / "kappa.json"
+    kfile.write_text(json.dumps({"kappa": [record]}))
+    code, out, _ = run(["pbw-check", problem_path("s3_natural_qminus.json"), "--kappa", str(kfile)])
+    rep = json.loads(out)
+    assert code == 3 and rep["location"] == "kappa-file"
+    assert repr(record) in rep["reason"] and "1 <= i < j <= 3" in rep["reason"]
+
+
 def test_cli_kappa_record_with_boolean_index_exits_3(tmp_path):
     kfile = tmp_path / "kappa.json"
     kfile.write_text(json.dumps({"kappa": [{"i": True, "j": 2, "coefficients": {"0": "1/1"}}]}))
