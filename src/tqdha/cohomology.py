@@ -30,6 +30,8 @@ full is at ``composition_image``.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .groups import Cocycle2, GroupAlgebraElement, class_data
 from .linalg import RowReducer, SparseSum, bump, kernel_basis
 from .pbw import CrossCheckError, ExtensionError, KappaMap, check_pbw_conditions, extension_report
@@ -81,31 +83,57 @@ def apply_dm_star(x: Cochain, action: GroupAction, q: QMatrix) -> Cochain:
       sum_{i: beta_i = 0} (-1)^(beta_0+..+beta_i)
         [ (prod_{s<=i} q_si^beta_s) v_i a
           - (prod_{s>=i} q_is^beta_s) a g(v_i) ] t_g (x) (v*)^(beta+[i]).
+
+    For a = c v^gamma the sign, the two q products and the normal ordering
+    of v_i v^gamma and of v^gamma v_k depend on (q, gamma, beta) alone, not
+    on g or c: ``_dm_star_terms`` takes them once per problem, and each term
+    multiplies them with c and with the nonzero entries of g's row i only.
+    The image is the one of the term-by-term evaluation: each coefficient
+    is the same exact product, reassociated, added in the same order.
     """
-    n = x.n
     out: dict = {}
     for (gamma, g, beta), c in x.coeffs.items():
-        for i in range(n):
-            if beta[i]:
-                continue
-            sign = MINUS_ONE if (sum(beta[: i + 1]) & 1) else ONE
-            newbeta = tuple(b + (1 if t == i else 0) for t, b in enumerate(beta))
-            left = ONE
-            for s in range(i + 1):
-                if beta[s]:
-                    left = left * q(s, i)
-            right = ONE
-            for s in range(i, n):
-                if beta[s]:
-                    right = right * q(i, s)
+        grows = action.rows_nz[g]
+        for i, newbeta, gam1, left, rights in _dm_star_terms(q, gamma, beta):
             # v_i * v^gamma
-            f, gam1 = variable_times_mono(i, gamma, q)
-            bump(out, (gam1, g, newbeta), c * sign * left * f)
-            # v^gamma * g(v_i)
-            for k, m in action.rows_nz[g][i]:
-                f2, gam2 = mono_times_variable(gamma, k, q)
-                bump(out, (gam2, g, newbeta), -(c * sign * right * m * f2))
-    return Cochain(n, x.degree + 1, out)
+            bump(out, (gam1, g, newbeta), c * left)
+            # -v^gamma * g(v_i)
+            for k, m in grows[i]:
+                gam2, minus_right = rights[k]
+                bump(out, (gam2, g, newbeta), c * m * minus_right)
+    return Cochain(x.n, x.degree + 1, out)
+
+
+@lru_cache(maxsize=1024)
+def _dm_star_terms(q: QMatrix, gamma: tuple, beta: tuple) -> tuple:
+    """The parts of d_m*(c v^gamma t_g (x) (v*)^beta) that depend on neither
+    g nor c, for each i with beta_i = 0: (i, beta + e_i, the monomial of
+    v_i v^gamma with its scalar, and per k the monomial of v^gamma v_k with
+    its scalar).  Each scalar includes the sign and the q product of its
+    side, and the right-hand ones are negated.  Keyed on the QMatrix object,
+    as the ``pbw`` caches are."""
+    n = len(gamma)
+    out = []
+    for i in range(n):
+        if beta[i]:
+            continue
+        sign = MINUS_ONE if (sum(beta[: i + 1]) & 1) else ONE
+        newbeta = tuple(b + (1 if t == i else 0) for t, b in enumerate(beta))
+        left = ONE
+        for s in range(i + 1):
+            if beta[s]:
+                left = left * q(s, i)
+        right = ONE
+        for s in range(i, n):
+            if beta[s]:
+                right = right * q(i, s)
+        f, gam1 = variable_times_mono(i, gamma, q)
+        rights = []
+        for k in range(n):
+            f2, gam2 = mono_times_variable(gamma, k, q)
+            rights.append((gam2, -(sign * right * f2)))
+        out.append((i, newbeta, gam1, sign * left * f, tuple(rights)))
+    return tuple(out)
 
 
 def constant_cocycle_basis(action: GroupAction, q: QMatrix, elements=None) -> list[KappaMap]:
@@ -143,8 +171,13 @@ def constant_cocycle_basis(action: GroupAction, q: QMatrix, elements=None) -> li
 
 def _require_extension(action: GroupAction, q: QMatrix) -> None:
     rep = extension_report(action, q)
-    if not rep["symmetric"] or not rep["exterior"]:
-        raise ExtensionError("action must extend to S_q(V) and Lambda_q(V)")
+    failures = [
+        f"{algebra} (witnesses {rep[kind + '_witnesses']})"
+        for kind, algebra in (("symmetric", "S_q(V)"), ("exterior", "Lambda_q(V)"))
+        if not rep[kind]
+    ]
+    if failures:
+        raise ExtensionError("action does not extend to " + " nor to ".join(failures))
 
 
 def composition_image(

@@ -114,7 +114,7 @@ from typing import NamedTuple
 from .groups import Cocycle2, FiniteGroup, GroupAlgebraElement
 from .linalg import bump, kernel_basis, same_span
 from .quantum import GroupAction, QMatrix, check_action_extends
-from .scalars import ONE, ZERO, CyclotomicScalar, parse_scalar
+from .scalars import ONE, CyclotomicScalar, parse_scalar
 
 
 class ExtensionError(ValueError):
@@ -296,14 +296,24 @@ def parameter_space_rows(
       + kappa_g(v_j,v_i)(q_kj q_ki g(v_k) - v_k) = 0.
     A row's product with kappa's coordinates is lhs - rhs of its equation.
     Equations that hold for every kappa give no row.
+
+    The q products do not depend on g, so they are taken once per problem:
+    condition (1)'s right-hand sides once per generator h, and condition
+    (2)'s six factors once per triple i < j < k, with which the coefficient
+    of v_t, in the unknowns x[g, a, b] = kappa_g(v_a, v_b) (a < b), reads
+        x[g,j,k] (g^i_t (-q_kj) + [t = i] q_kj q_ji q_ki)
+      + x[g,i,k] (g^j_t q_ki q_ji - [t = j] q_ki q_kj)
+      + x[g,i,j] (g^k_t (-q_ji q_kj q_ki) + [t = k] q_ji).
+    At each g only the nonzero entries of g's rows i, j and k are read, and
+    only the t in {i, j, k} or in the supports of those rows are visited:
+    at any other t every term is zero, and the equation gives no row.  So
+    the rows are those of a dense evaluation at every t, in the same order,
+    with the same keys in the same order and the same tags; each value is
+    the same exact product, reassociated.
     """
     G = action.group
     n = action.n
     npairs = n * (n - 1) // 2
-
-    def unknown(g, i, j):
-        return g * npairs + _pair_index(i, j, n)
-
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     rows, tags = [], []
     # condition (1), with kappa_g(v_j, v_i) = -q_ji x[g, i, j]
@@ -334,24 +344,32 @@ def parameter_space_rows(
                 if row:
                     rows.append(row)
                     tags.append((1, g, h, *pairs[p]))
-    # condition (2): n coefficient equations per (g, i<j<k)
+    # condition (2): per triple, (pair index, the row r of g read, the
+    # factor of g^r_t, the constant at t = r) for each of its three unknowns
+    triples = []
+    for i, j, k in combinations(range(n), 3):
+        qji, qki, qkj = q(j, i), q(k, i), q(k, j)
+        qkji = qkj * qji * qki
+        triples.append(((i, j, k), (
+            (_pair_index(j, k, n), i, -qkj, qkji),
+            (_pair_index(i, k, n), j, qki * qji, -(qki * qkj)),
+            (_pair_index(i, j, n), k, -qkji, qji),
+        )))
     for g in range(G.size) if elements is None else elements:
-        m = action.mats[g]
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(j + 1, n):
-                    qji, qki, qkj = q(j, i), q(k, i), q(k, j)
-                    for t in range(n):
-                        row = {}
-                        bump(row, unknown(g, j, k),
-                             (-qkj) * (m[i][t] - (qji * qki if t == i else ZERO)))
-                        bump(row, unknown(g, i, k),
-                             (-qki) * ((qkj if t == j else ZERO) - qji * m[j][t]))
-                        bump(row, unknown(g, i, j),
-                             (-qji) * (qkj * qki * m[k][t] - (ONE if t == k else ZERO)))
-                        if row:
-                            rows.append(row)
-                            tags.append((2, g, i, j, k, t))
+        at = g * npairs
+        grows = [dict(r) for r in action.rows_nz[g]]
+        for (i, j, k), terms in triples:
+            for t in sorted({i, j, k}.union(grows[i], grows[j], grows[k])):
+                row = {}
+                for p, r, a, b in terms:
+                    entry = grows[r].get(t)
+                    if entry is not None:
+                        bump(row, at + p, entry * a)
+                    if t == r:
+                        bump(row, at + p, b)
+                if row:
+                    rows.append(row)
+                    tags.append((2, g, i, j, k, t))
     return ConditionSystem(tuple(rows), G.size * npairs, tuple(tags))
 
 

@@ -54,12 +54,13 @@ from .spin import spin_cocycle
 
 
 # The largest dimension n a problem may declare.  The work of every command
-# grows as a power of n before the group enters: the extension check tests
-# about n^4 / 4 relations per generator, and the solver has n(n-1)/2
-# unknowns and about n^4 / 6 condition-(2) rows per group element.  On the
-# trivial group (2-core box, Python 3.11) `check-extension` takes 5.3 s at
-# n = 32 and 69 s at n = 64, and `parameter-space --method direct` 110 s at
-# n = 32.  The paper's examples need n <= 7 (S7 on its natural representation).
+# grows as a power of n before the group enters: for a dense action the
+# extension check tests about n^4 / 4 relations per generator, and the
+# solver has n(n-1)/2 unknowns and about n^4 / 6 condition-(2) equations
+# per group element.  At n = 32 (2-core box, Python 3.11) `check-extension`
+# takes 11 s for Z/2 acting by a dense reflection, and `parameter-space
+# --method direct` takes 59 s on the trivial group.  The paper's examples
+# need n <= 7 (S7 on its natural representation).
 MAX_DIMENSION = 32
 
 

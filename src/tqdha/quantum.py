@@ -10,6 +10,10 @@ matrices compose as M[gh] = M[h] . M[g].
 
 from __future__ import annotations
 
+from functools import reduce
+from itertools import combinations
+from operator import add
+
 from .groups import Cocycle2, FiniteGroup, _walk
 from .linalg import SparseSum, bump
 from .scalars import ONE, ZERO, CyclotomicScalar, parse_scalar, rational
@@ -331,6 +335,15 @@ def check_action_extends(action: GroupAction, q: QMatrix, max_witnesses: int = 5
     g and h both do, so does their composite, the map of gh.  The g that
     pass are thus closed under products, hence a subgroup of the finite
     group G, and it is all of G once it holds the generators.
+
+    The q products do not depend on g, so they are taken once per call:
+    the normally ordered v_k v_l for every k and l, and 1 - q_ij q_lk and
+    q_ij - q_lk once per (i, j, k, l) met.  At each g only the nonzero
+    matrix entries are multiplied.  E(i, j, k, l) is zero unless k and l
+    both lie in the supports of rows i and j together, so only those (k, l)
+    are evaluated, and each (i, j) keeps its factors only while it is
+    checked at every generator.  The verdicts and the witness lists, in
+    order and truncated, are those of the dense evaluation.
     """
     n = action.n
     gens = action.group.generator_indices or range(action.group.size)
@@ -339,6 +352,7 @@ def check_action_extends(action: GroupAction, q: QMatrix, max_witnesses: int = 5
     def unit(k):
         return tuple(1 if t == k else 0 for t in range(n))
 
+    ordered = {(k, l): mono_times_variable(unit(k), l, q) for k in range(n) for l in range(n)}
     for g in gens:
         rows = action.rows_nz[g]
         for i in range(n):
@@ -347,27 +361,36 @@ def check_action_extends(action: GroupAction, q: QMatrix, max_witnesses: int = 5
                 acc: dict = {}
                 for k, mik in rows[i]:
                     for l, mjl in rows[j]:
-                        f, gam = mono_times_variable(unit(k), l, q)
+                        f, gam = ordered[(k, l)]
                         bump(acc, gam, mik * mjl * f)
                 qij = q(i, j)
                 for k, mjk in rows[j]:
                     for l, mil in rows[i]:
-                        f, gam = mono_times_variable(unit(k), l, q)
+                        f, gam = ordered[(k, l)]
                         bump(acc, gam, -(qij * mjk * mil * f))
                 if acc:
                     report["symmetric"] = False
                     if len(report["symmetric_witnesses"]) < max_witnesses:
                         report["symmetric_witnesses"].append((g, i, j))
-        m = action.mats[g]
-        for i in range(n):
-            for j in range(i, n):
-                for k in range(n):
-                    for l in range(k + 1, n):
-                        lhs = (ONE - q(i, j) * q(l, k)) * m[i][k] * m[j][l] + (
-                            q(i, j) - q(l, k)
-                        ) * m[i][l] * m[j][k]
-                        if not lhs.is_zero():
-                            report["exterior"] = False
-                            if len(report["exterior_witnesses"]) < max_witnesses:
-                                report["exterior_witnesses"].append((g, i, j, k, l))
+    # the exterior check runs g innermost, so that each (i, j) keeps its
+    # factors for every generator; each generator's witnesses are listed in
+    # the order of (i, j, k, l) and joined in the order of the generators
+    grows = [[dict(r) for r in action.rows_nz[g]] for g in gens]
+    witnesses: list = [[] for _ in gens]
+    for i in range(n):
+        for j in range(i, n):
+            factors: dict = {}
+            for g, grow, found in zip(gens, grows, witnesses):
+                ri, rj = grow[i], grow[j]
+                for k, l in combinations(sorted(ri.keys() | rj.keys()), 2):
+                    if (k, l) not in factors:
+                        factors[(k, l)] = (ONE - q(i, j) * q(l, k), q(i, j) - q(l, k))
+                    one_minus, diff = factors[(k, l)]
+                    terms = [f * ri[a] * rj[b] for f, a, b in ((one_minus, k, l), (diff, l, k))
+                             if a in ri and b in rj]
+                    if terms and not reduce(add, terms).is_zero():
+                        report["exterior"] = False
+                        if len(found) < max_witnesses:
+                            found.append((g, i, j, k, l))
+    report["exterior_witnesses"] = [w for found in witnesses for w in found][:max_witnesses]
     return report

@@ -39,6 +39,7 @@ from tqdha.quantum import (
     SkewElement,
     diagonal_action,
     natural_permutation_action,
+    qsym_multiply,
     skew_multiply,
 )
 from tqdha.scalars import MINUS_ONE, ONE, ZERO, rational, root_of_unity
@@ -84,6 +85,75 @@ def test_d_squared_zero_exhaustive_n3():
                     c = Cochain(3, sum(beta), {(gamma, g, beta): ONE})
                     dd = apply_dm_star(apply_dm_star(c, action, q), action, q)
                     assert dd.is_zero(), (gamma, g, beta)
+
+
+def _literal_dm_star(x, action, q):
+    """d_m* term by term from its formula: v_i a and a g(v_i) multiplied out
+    in S_q(V) with ``qsym_multiply``, g(v_i) = sum_k M[g][i][k] v_k read off
+    the dense matrix, and the sign and q products taken as written."""
+    n = x.n
+    out = Cochain(n, x.degree + 1)
+    for (gamma, g, beta), c in x.coeffs.items():
+        a = SkewElement.monomial(gamma, 0, c)
+        for i in range(n):
+            if beta[i]:
+                continue
+            sign = rational((-1) ** sum(beta[: i + 1]))
+            left = right = ONE
+            for s in range(n):
+                if s <= i:
+                    left = left * q(s, i) ** beta[s]
+                if s >= i:
+                    right = right * q(i, s) ** beta[s]
+            g_vi = SkewElement({(tuple(1 if t == k else 0 for t in range(n)), 0): action.mats[g][i][k]
+                                for k in range(n)})
+            value = (qsym_multiply(SkewElement.variable(i, n), a, q).scale(left)
+                     - qsym_multiply(a, g_vi, q).scale(right)).scale(sign)
+            newbeta = tuple(b + (t == i) for t, b in enumerate(beta))
+            out = out + Cochain(n, x.degree + 1,
+                                {(gam, g, newbeta): v for (gam, _), v in value.coeffs.items()})
+    return out
+
+
+@pytest.mark.parametrize("name", ["difference-s4-cyclotomic", "z6z6_zeta12"])
+def test_dm_star_is_the_formula(name):
+    # non-constant cochains (gamma != 0) of degrees 1 to 3 with seeded
+    # coefficients, against the formula; the difference basis is not
+    # monomial, and the formula holds for its q in mu_12 whether or not
+    # the action extends
+    rnd = random.Random(4)
+    if name == "z6z6_zeta12":
+        action, q, _ = _reference_case(name)
+    else:
+        action, q = _difference_basis_action(symmetric_group(4)), seeded_q(4, rnd, 12)
+    n, G = action.n, action.group
+    for degree in (1, 2, 3):
+        betas = [b for b in itertools.product((0, 1), repeat=n) if sum(b) == degree]
+        coeffs = {}
+        while len(coeffs) < 8:
+            gamma = tuple(rnd.randrange(3) for _ in range(n))
+            if any(gamma):
+                coeffs[(gamma, rnd.randrange(G.size), rnd.choice(betas))] = root_of_unity(
+                    12, rnd.randrange(12)) * rational(rnd.randrange(1, 4))
+        x = Cochain(n, degree, coeffs)
+        image = apply_dm_star(x, action, q)
+        assert image == _literal_dm_star(x, action, q)
+        assert not image.is_zero()
+
+
+def test_dm_star_cache_keeps_q_matrices_apart():
+    # two q matrices on one group and action: every d_3* kernel, computed
+    # with the other's terms cached, equals the one computed afresh
+    action, q1, _ = _reference_case("z6z6_zeta12")
+    q2 = seeded_q(action.n, random.Random(9), 12)
+    cached = [constant_cocycle_basis(action, q) for q in (q1, q2, q1)]
+    assert cohomology._dm_star_terms.cache_info().hits
+    fresh = []
+    for q in (q1, q2):
+        cohomology._dm_star_terms.cache_clear()
+        fresh.append(constant_cocycle_basis(action, q))
+    assert cached == [fresh[0], fresh[1], fresh[0]]
+    assert fresh[0] != fresh[1]
 
 
 def wedge(action, q, g, r, s):

@@ -8,18 +8,32 @@ kappa' is a parameter of the new algebra exactly when kappa_g =
 beta(g) kappa'_g is one of the old: each g-coordinate of the space is scaled
 by beta(g)^-1.  The twisted tables carry many distinct values, so they also
 exercise ``validate_cocycle``'s products where its memo hits least.
+
+A Galois conjugation zeta_12 -> zeta_12^u of q, the action and alpha must
+likewise map the condition rows entrywise and the parameter space
+coordinatewise, by the direct and the cohomology route.
 """
 
+import os
 import random
+from fractions import Fraction
 
 import pytest
 
+from test_pbw import cyclotomic_diagonal_instance
 from tqdha.classify import symmetric_instance
 from tqdha.cohomology import cohomological_parameter_space
-from tqdha.groups import bicharacter_cocycle, cocycle_from_values, group_from_cyclic_orders, validate_cocycle
-from tqdha.pbw import KappaMap, same_space, solve_parameter_space
-from tqdha.quantum import QMatrix, diagonal_action
-from tqdha.scalars import ONE, root_of_unity
+from tqdha.groups import (
+    Cocycle2,
+    bicharacter_cocycle,
+    cocycle_from_values,
+    group_from_cyclic_orders,
+    validate_cocycle,
+)
+from tqdha.pbw import KappaMap, parameter_space_rows, same_space, solve_parameter_space
+from tqdha.problems import parse_problem_file
+from tqdha.quantum import GroupAction, QMatrix, diagonal_action
+from tqdha.scalars import ONE, ZERO, rational, root_of_unity
 
 
 def coboundary_twisted(alpha, beta):
@@ -73,3 +87,61 @@ def test_coboundary_twist_rescales_the_parameter_space(name):
         # diagonal problem's space is spanned by single coordinates, which any
         # rescaling keeps, so there only the dimensions and the route agree.
         assert not same_space(direct, direct_tw)
+
+
+def galois(s, u):
+    """sigma_u: zeta_N -> zeta_N^u on a scalar stored in Q(zeta_N), u prime
+    to N: each numerator c_k of zeta_N^k goes to zeta_N^(k u)."""
+    total = ZERO
+    for k, c in enumerate(s.coeffs):
+        if c:
+            total = total + rational(c) * root_of_unity(s.order, k * u)
+    return total * rational(Fraction(1, s.den))
+
+
+def galois_problem(action, q, alpha, u):
+    G, n = action.group, action.n
+    mats = [[[galois(x, u) for x in row] for row in m] for m in action.mats]
+    return (GroupAction(G, mats),
+            QMatrix([[galois(q(i, j), u) for j in range(n)] for i in range(n)]),
+            Cocycle2(G, [galois(x, u) for x in alpha.distinct], alpha.index, name=alpha.name))
+
+
+def galois_kappas(kappas, u):
+    return [KappaMap.from_coordinates(k.group, k.n, k.q, {key: galois(c, u)
+                                                         for key, c in k.coordinates().items()})
+            for k in kappas]
+
+
+def cyclotomic_problems():
+    spec = parse_problem_file(os.path.join(os.path.dirname(__file__), "golden", "z6z6_zeta12.json"))
+    yield "z6z6_zeta12", (spec.action, spec.q, spec.alpha)
+    for seed in (3, 8):
+        yield f"seeded-{seed}", cyclotomic_diagonal_instance(seed)
+
+
+@pytest.mark.parametrize("name", ["z6z6_zeta12", "seeded-3", "seeded-8"])
+def test_galois_conjugation_maps_the_parameter_space(name):
+    # sigma_u for u in (Z/12)^x is a field automorphism fixing Q, so it maps
+    # the condition rows of a problem entrywise to those of its conjugate,
+    # and its parameter space coordinatewise onto the conjugate's, by either
+    # route.  These spaces are spanned by unit coordinates, which sigma_u
+    # fixes; the rows, whose q products are genuinely cyclotomic, move.
+    problem = dict(cyclotomic_problems())[name]
+    system = parameter_space_rows(*problem)
+    direct = solve_parameter_space(*problem)
+    coh = cohomological_parameter_space(*problem)
+    assert direct and len(coh) == len(direct)
+    moved = False
+    for u in (5, 7, 11):
+        conjugate = galois_problem(*problem, u)
+        system_u = parameter_space_rows(*conjugate)
+        assert system_u.tags == system.tags
+        assert [list(row.items()) for row in system_u.rows] == [
+            [(key, galois(c, u)) for key, c in row.items()] for row in system.rows]
+        moved |= system_u.rows != system.rows
+        for basis, route in ((direct, solve_parameter_space),
+                             (coh, cohomological_parameter_space)):
+            mapped, got = galois_kappas(basis, u), route(*conjugate)
+            assert mapped == got and same_space(mapped, got)
+    assert moved

@@ -6,6 +6,8 @@ import random
 
 import pytest
 
+from test_cohomology import _difference_basis_action
+from test_quantum import seeded_q
 from tqdha.groups import (
     Cocycle2,
     FiniteGroup,
@@ -415,6 +417,56 @@ def test_condition1_rows_are_the_paper_formula(name):
     assert got == expected
     if name != "weyl2":
         assert expected, "the instance should have condition-(1) rows"
+
+
+def condition2_instances():
+    # the difference bases are not monomial, so g's row i need not contain
+    # i; the rows are a formula in q and the matrices whether or not the
+    # action extends, and a seeded q in mu_12 makes every q product count
+    rnd = random.Random(2)
+    for n in (3, 4):
+        yield (f"S{n} difference", _difference_basis_action(symmetric_group(n)),
+               seeded_q(n, rnd, 12), trivial_cocycle(symmetric_group(n)))
+    for name, action, q, alpha in condition1_instances():
+        if name in ("s4_twisted", "weyl2", "z6z6_zeta12"):
+            yield name, action, q, alpha
+
+
+@pytest.mark.parametrize("name", ["S3 difference", "S4 difference", "s4_twisted", "weyl2",
+                                  "z6z6_zeta12"])
+def test_condition2_rows_are_the_paper_formula(name):
+    # kappa_g(v_k,v_j)(g(v_i) - q_ji q_ki v_i) + kappa_g(v_k,v_i)(q_kj v_j - q_ji g(v_j))
+    #   + kappa_g(v_j,v_i)(q_kj q_ki g(v_k) - v_k) = 0 for i < j < k, with
+    # kappa_g(v_b, v_a) = -q_ba x[g, a, b] for a < b; the row at t is its v_t
+    # coefficient, evaluated densely at every t, and the rows must match in
+    # order, tags and key order
+    action, q, alpha = next(inst for inst in condition2_instances() if inst[0] == name)[1:]
+    G, n = action.group, action.n
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+    def unknown(g, a, b):
+        return g * len(pairs) + pairs.index((a, b))
+
+    def delta(s, t):
+        return ONE if s == t else ZERO
+
+    expected = []
+    for g in range(G.size):
+        m = action.mats[g]
+        for i, j, k in itertools.combinations(range(n), 3):
+            for t in range(n):
+                row = {}
+                bump(row, unknown(g, j, k), -q(k, j) * (m[i][t] - q(j, i) * q(k, i) * delta(i, t)))
+                bump(row, unknown(g, i, k), -q(k, i) * (q(k, j) * delta(j, t) - q(j, i) * m[j][t]))
+                bump(row, unknown(g, i, j),
+                     -q(j, i) * (q(k, j) * q(k, i) * m[k][t] - delta(k, t)))
+                if row:
+                    expected.append(((2, g, i, j, k, t), list(row.items())))
+    system = parameter_space_rows(action, q, alpha)
+    got = [(tag, list(row.items())) for tag, row in zip(system.tags, system.rows) if tag[0] == 2]
+    assert got == expected
+    if n >= 3:
+        assert expected, "the instance should have condition-(2) rows"
 
 
 class UnreadableKappa(KappaMap):

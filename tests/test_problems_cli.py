@@ -191,6 +191,28 @@ def test_cli_check_extension():
     assert rep["symmetric"] and rep["exterior"]
 
 
+# Z/2 swapping v_1 and v_2 with q_12 = zeta_4: the action extends neither to
+# S_q(V) nor to Lambda_q(V)
+Z2_SWAP_ZETA4 = {"n": 2, "q": [["1/1", "1/1*z4^1"], ["1/1*z4^3", "1/1"]],
+                 "group": {"permutation_generators": [[2, 1]]},
+                 "action": "natural-permutation", "cocycle": "trivial"}
+
+
+@pytest.mark.parametrize("argv", [["parameter-space", "--method", "direct"],
+                                  ["parameter-space", "--method", "cohomology"],
+                                  ["constant-cocycles"]])
+def test_cli_extension_failure_exits_3_naming_witnesses(tmp_path, argv):
+    f = tmp_path / "problem.json"
+    f.write_text(json.dumps(Z2_SWAP_ZETA4))
+    code, out, _ = run([argv[0], str(f), *argv[1:]])
+    reason = json.loads(out)["reason"]
+    assert code == 3
+    assert "S_q(V)" in reason and "[(1, 0, 1)]" in reason
+    if argv[-1] != "direct":
+        # the cohomology route needs both algebras and names both failures
+        assert "Lambda_q(V)" in reason and "[(1, 0, 1, 0, 1)]" in reason
+
+
 def test_cli_constant_cocycles():
     code, out, _ = run(["constant-cocycles", problem_path("z2_negation.json")])
     assert code == 0

@@ -276,6 +276,66 @@ def test_extension_on_generators_matches_every_element():
     assert {(True, True, False), (False, False, False), (False, False, True)} <= verdicts
 
 
+def dense_extension_report(action, q, max_witnesses):
+    """Both extension checks at each generator with every matrix entry, zero
+    or not: g(v_i) g(v_j) - q_ij g(v_j) g(v_i) multiplied out in S_q(V) by
+    ``qsym_multiply``, and E(i, j, k, l) at every i <= j and k < l."""
+    n = action.n
+    report = {"symmetric": True, "exterior": True, "symmetric_witnesses": [],
+              "exterior_witnesses": []}
+
+    def image(m, i):
+        return SkewElement({(tuple(int(t == k) for t in range(n)), 0): m[i][k] for k in range(n)})
+
+    def fail(kind, witness):
+        report[kind] = False
+        if len(report[kind + "_witnesses"]) < max_witnesses:
+            report[kind + "_witnesses"].append(witness)
+
+    for g in action.group.generator_indices or range(action.group.size):
+        m = action.mats[g]
+        for i, j in itertools.combinations(range(n), 2):
+            gi, gj = image(m, i), image(m, j)
+            if not (qsym_multiply(gi, gj, q) - qsym_multiply(gj, gi, q).scale(q(i, j))).is_zero():
+                fail("symmetric", (g, i, j))
+        for i, j in itertools.combinations_with_replacement(range(n), 2):
+            for k, l in itertools.combinations(range(n), 2):
+                lhs = ((ONE - q(i, j) * q(l, k)) * m[i][k] * m[j][l]
+                       + (q(i, j) - q(l, k)) * m[i][l] * m[j][k])
+                if not lhs.is_zero():
+                    fail("exterior", (g, i, j, k, l))
+    return report
+
+
+def z2_swap(q01):
+    """Z/2 swapping v_0 and v_1."""
+    act = natural_permutation_action(group_from_permutations([(1, 0)]))
+    return act, QMatrix([[ONE, q01], [q01.inverse(), ONE]])
+
+
+def test_extension_check_matches_the_dense_evaluation():
+    # verdicts and witness lists, in order and truncated, on actions that
+    # extend and actions that do not, and a group that lists a generator twice
+    rnd = random.Random(21)
+    twice = group_from_permutations([(1, 0, 2), (0, 2, 1), (1, 0, 2)])
+    instances = [z2_swap(root_of_unity(4, 1)), z2_swap(MINUS_ONE), s3_reflection(root_of_unity(3, 1)),
+                 (natural_permutation_action(symmetric_group(4)), seeded_q(4, rnd, 6)),
+                 (natural_permutation_action(symmetric_group(4)), QMatrix.uniform(4, -1)),
+                 (natural_permutation_action(twice), seeded_q(3, rnd, 4)),
+                 (diagonal_z6z6(rnd), seeded_q(3, rnd, 12))]
+    verdicts = set()
+    for act, q in instances:
+        for max_witnesses in (1, 2, 5, 1000):
+            dense = dense_extension_report(act, q, max_witnesses)
+            assert check_action_extends(act, q, max_witnesses) == dense
+        verdicts.add((dense["symmetric"], dense["exterior"]))
+    assert {(True, True), (False, False)} <= verdicts
+    # the swap with q_01 = zeta_4 fails both checks at the generator
+    rep = check_action_extends(*z2_swap(root_of_unity(4, 1)))
+    assert rep["symmetric_witnesses"] == [(1, 0, 1)]
+    assert rep["exterior_witnesses"] == [(1, 0, 1, 0, 1)]
+
+
 @pytest.mark.parametrize("q01", [root_of_unity(3, 1), MINUS_ONE], ids=["zeta3", "minus1"])
 def test_exterior_check_tests_squares(q01):
     # the generators map v_0, resp. v_1, to v_0 + v_1, whose square is
