@@ -16,6 +16,7 @@ from .groups import (
     Cocycle2,
     FiniteGroup,
     GroupAlgebraElement,
+    class_data,
     perm_from_cycles,
     symmetric_group,
     trivial_cocycle,
@@ -27,20 +28,10 @@ from .scalars import ONE, rational
 from .spin import spin_cocycle
 
 
-class DiagonalError(ValueError):
-    """The operation needs an action that is diagonal on the chosen basis."""
-
-
-def _eigenvalues(action: GroupAction):
-    if not action.is_diagonal():
-        raise DiagonalError("action is not diagonal on the chosen basis")
-    return action.eigenvalue_table()
-
-
 def cg_membership(gamma, g: int, action: GroupAction, q: QMatrix) -> bool:
     """Whether gamma (entries in N union {-1}) lies in C_g: for every i,
     either gamma_i = -1 or prod_s q_is^gamma_s = lambda_{g,i}."""
-    lam = _eigenvalues(action)
+    lam = action.eigenvalue_table()
     n = action.n
     for i in range(n):
         if gamma[i] == -1:
@@ -63,7 +54,7 @@ def diagonal_constant_basis(action: GroupAction, q: QMatrix) -> list[tuple[int, 
     """All (g, r, s) with r < s and q_rr' q_sr' = lambda_{g,r'} for every
     r' outside {r, s}; these index the constant 2-cocycle basis t_g (x)
     v_r* ^ v_s* of the diagonal theory."""
-    lam = _eigenvalues(action)
+    lam = action.eigenvalue_table()
     n = action.n
     out = []
     for g in range(action.group.size):
@@ -83,13 +74,16 @@ def diagonal_kappa_basis_labeled(action: GroupAction, q: QMatrix, alpha: Cocycle
 
     over class representatives a and pairs r < s satisfying both the q-lambda
     condition and the centralizer condition
-    lambda_{h,r} lambda_{h,s} = alpha(h,a)/alpha(a,h) for all h in C_G(a)."""
-    lam = _eigenvalues(action)
+    lambda_{h,r} lambda_{h,s} = alpha(h,a)/alpha(a,h) for all h in C_G(a).
+    The representatives a, their centralizers and the coset
+    representatives [G/C_G(a)], the least element of each coset g C_G(a),
+    are read from ``groups.class_data``, all ascending."""
+    lam = action.eigenvalue_table()
     n = action.n
     G = action.group
+    data = class_data(G)
     out = []
-    for cls in G.conjugacy_classes():
-        a = cls[0]
+    for a, centralizer in data.centralizer.items():
         for r in range(n):
             for s in range(r + 1, n):
                 if not _q_lambda_holds(q, lam[a], n, r, s):
@@ -97,11 +91,11 @@ def diagonal_kappa_basis_labeled(action: GroupAction, q: QMatrix, alpha: Cocycle
                 # alpha(h, a) / alpha(a, h) is conj_ratio(h, a) for h in C_G(a)
                 if not all(
                     lam[h][r] * lam[h][s] == alpha.conj_ratio(h, a)
-                    for h in G.centralizer(a)
+                    for h in centralizer
                 ):
                     continue
                 coeffs: dict = {}
-                for g in G.coset_reps_mod_centralizer(a):
+                for g in data.transversal[a]:
                     val = alpha.conj_ratio(g, a) * lam[g][r].inverse() * lam[g][s].inverse()
                     bump(coeffs, G.conjugate(g, a), val)
                 kappa = KappaMap(G, n, q, {(r, s): GroupAlgebraElement(coeffs)})

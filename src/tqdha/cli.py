@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 usage error (unknown subcommand or bad flags),
 3 validation failure (bad problem file, bad kappa file, failed invariants),
-4 mathematical cross-check mismatch (engines disagree, or selftest failure).
+4 mathematical cross-check mismatch (engines disagree, or selftest failure),
+1 when stdout is closed before the report is written (no traceback).
 Reports go to stdout as JSON and are byte-identical across runs on the same
 input; --samples (a positive integer, default 500) bounds the sampled
 verification families, and --seed fixes the sampling seed.
@@ -12,18 +13,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
-from .classify import (
-    DiagonalError,
-    diagonal_kappa_basis_labeled,
-    symmetric_natural_classify,
-)
+from .classify import diagonal_kappa_basis_labeled, symmetric_natural_classify
 from .cohomology import cohomological_parameter_space, constant_cocycle_basis
 from .groups import symmetric_group
 from .pbw import (
     CrossCheckError,
-    ExtensionError,
     check_pbw_conditions,
     same_space,
     solve_parameter_space,
@@ -286,7 +283,7 @@ def run_command(argv) -> int:
     except ProblemValidationError as e:
         _emit({"error": "validation", "location": e.location, "reason": e.reason})
         return 3
-    except (DiagonalError, ExtensionError, ValueError) as e:
+    except ValueError as e:  # ExtensionError, ActionError and other failed invariants
         _emit({"error": "validation", "reason": str(e)})
         return 3
     except CrossCheckError as e:
@@ -295,7 +292,15 @@ def run_command(argv) -> int:
 
 
 def main() -> None:
-    sys.exit(run_command(sys.argv[1:]))
+    try:
+        code = run_command(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (`tqdha ... | head`): point stdout at
+        # os.devnull, so that the flush at shutdown does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -31,16 +31,12 @@ full is at ``composition_image``.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import add
 
 from .groups import Cocycle2, GroupAlgebraElement, class_data
 from .linalg import RowReducer, SparseSum, bump, kernel_basis
 from .pbw import CrossCheckError, ExtensionError, KappaMap, check_pbw_conditions, extension_report
-from .quantum import (
-    GroupAction,
-    QMatrix,
-    mono_times_variable,
-    variable_times_mono,
-)
+from .quantum import GroupAction, QMatrix, reorder_factor
 from .scalars import MINUS_ONE, ONE, rational
 
 
@@ -113,12 +109,15 @@ def _dm_star_terms(q: QMatrix, gamma: tuple, beta: tuple) -> tuple:
     side, and the right-hand ones are negated.  Keyed on the QMatrix object,
     as the ``pbw`` caches are."""
     n = len(gamma)
+    units = [tuple(int(t == k) for t in range(n)) for k in range(n)]
+    # v^gamma v_k, monomial and q factor, for every k
+    after = [(tuple(map(add, gamma, e)), reorder_factor(gamma, e, q)) for e in units]
     out = []
     for i in range(n):
         if beta[i]:
             continue
         sign = MINUS_ONE if (sum(beta[: i + 1]) & 1) else ONE
-        newbeta = tuple(b + (1 if t == i else 0) for t, b in enumerate(beta))
+        newbeta = tuple(map(add, beta, units[i]))
         left = ONE
         for s in range(i + 1):
             if beta[s]:
@@ -127,12 +126,9 @@ def _dm_star_terms(q: QMatrix, gamma: tuple, beta: tuple) -> tuple:
         for s in range(i, n):
             if beta[s]:
                 right = right * q(i, s)
-        f, gam1 = variable_times_mono(i, gamma, q)
-        rights = []
-        for k in range(n):
-            f2, gam2 = mono_times_variable(gamma, k, q)
-            rights.append((gam2, -(sign * right * f2)))
-        out.append((i, newbeta, gam1, sign * left * f, tuple(rights)))
+        rights = tuple((gam2, -(sign * right * f2)) for gam2, f2 in after)
+        out.append((i, newbeta, tuple(map(add, units[i], gamma)),
+                    sign * left * reorder_factor(units[i], gamma, q), rights))
     return tuple(out)
 
 
@@ -279,7 +275,9 @@ def reynolds_project(x: KappaMap, action: GroupAction, q: QMatrix, alpha: Cocycl
     v_a (x) v_b - q_ab v_b (x) v_a, the relations of S_q(V), and its +1
     eigenspace by v_a (x) v_b + q_ab v_b (x) v_a and v_a (x) v_a, the
     relations of Lambda_q(V).  The extension check says h (x) h preserves
-    both, so h (x) h commutes with c and S(h.f) = h.S(f).  Hence
+    both (it decides exactly that, by the eigenspace statement in
+    ``quantum.check_action_extends``), so h (x) h commutes with c and
+    S(h.f) = h.S(f).  Hence
     S(average(Psi x)) = average(S(Psi x)) = average(x).
     """
     _require_extension(action, q)

@@ -162,24 +162,6 @@ class FiniteGroup:
             members.setdefault(c, []).append(g)
         return [tuple(m) for m in members.values()]
 
-    def centralizer(self, a: int) -> tuple[int, ...]:
-        """Z(a) in ascending order.  With x a x^-1 = c for a's transporter x
-        and representative c (``class_data``), Z(a) = x^-1 Z(c) x."""
-        data = class_data(self)
-        x = data.transporter[a]
-        return tuple(sorted(self.conjugate(self.inv[x], z) for z in data.centralizer[data.rep[a]]))
-
-    def coset_reps_mod_centralizer(self, a: int) -> tuple[int, ...]:
-        """Minimal representatives of left cosets of the centralizer of a,
-        ascending; g and g' represent the same coset iff g a g^-1 = g' a g'^-1.
-        With x a x^-1 = c as above, g a g^-1 = b exactly when g x^-1 lies in
-        r Z(c) for the member r of c's transversal with r c r^-1 = b, so the
-        cosets of Z(a) are the sets r Z(c) x."""
-        data = class_data(self)
-        c, x, mult = data.rep[a], data.transporter[a], self.mult
-        cent = data.centralizer[c]
-        return tuple(sorted(min(mult[mult[r][z]][x] for z in cent) for r in data.transversal[c]))
-
 
 class ClassData(NamedTuple):
     """The conjugacy classes of a group: per element g its representative
@@ -495,9 +477,10 @@ def cocycle_from_columns(group: FiniteGroup, root_order: int, columns, name="coc
 
 def validate_cocycle(alpha: Cocycle2, max_witnesses: int = 10) -> dict:
     """Check normalization and the 2-cocycle identity
-    alpha(a, b) alpha(ab, c) = alpha(b, c) alpha(a, bc), and report the
-    coboundary-invariant ratios beta(g, h) = alpha(g, h)/alpha(h, g) on
-    commuting pairs (these certify nontriviality of the class).
+    alpha(a, b) alpha(ab, c) = alpha(b, c) alpha(a, bc).  The
+    coboundary-invariant ratio beta(g, h) = alpha(g, h)/alpha(h, g) of a
+    commuting pair, which certifies nontriviality of the class, is
+    ``alpha.conj_ratio(g, h)``.
 
     The identity is checked for first arguments a in the identity and the
     generators of G only (every a when the group records no generators), so
@@ -512,12 +495,12 @@ def validate_cocycle(alpha: Cocycle2, max_witnesses: int = 10) -> dict:
     Every such triple is still checked, but each side of the identity is a
     product of two table entries, and the table is stored as positions in
     its distinct values (see ``Cocycle2``).  So each product of two distinct
-    values, and each quotient of the invariants, is computed once, in a memo
-    that lives for this call and holds at most one entry per side of a
-    triple checked.  Products of one layout are one object, so a side is
-    compared with ``lhs is rhs or lhs == rhs`` (list equality does exactly
-    that): ``is`` can only hold for equal values, and ``==`` decides the
-    rest exactly, also when equal values are stored at different orders.
+    values is computed once, in a memo that lives for this call and holds
+    at most one entry per side of a triple checked.  Products of one layout
+    are one object, so a side is compared with ``lhs is rhs or lhs == rhs``
+    (list equality does exactly that): ``is`` can only hold for equal
+    values, and ``==`` decides the rest exactly, also when equal values are
+    stored at different orders.
     The verdicts and witnesses are those of the per-triple loop.
     """
     G = alpha.group
@@ -544,11 +527,6 @@ def validate_cocycle(alpha: Cocycle2, max_witnesses: int = 10) -> dict:
                 for g3, (x, y) in enumerate(zip(lhs, rhs)):
                     if not (x is y or x == y) and len(report["failures"]) < max_witnesses:
                         report["failures"].append(("cocycle", g1, g2, g3))
-    quotients = _PairTable(alpha.distinct, truediv)
-    report["commuting_pair_invariants"] = {
-        (g, h): quotients[index[g][h] * m + index[h][g]]
-        for g in range(n) for h in range(n) if G.commute(g, h)
-    }
     return report
 
 

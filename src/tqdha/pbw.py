@@ -35,8 +35,10 @@ overlap words both ways and compares normal forms.
   k).  The w_kji span W: a tensor x in W has x_abc = -q_ba x_bac and
   x_abc = -q_cb x_acb, and vanishes on words with a letter twice (x_aab = 0,
   x_aba = -q_ab x_aab), so its C(n, 3) coefficients on strictly decreasing
-  words fix it.  The extension check makes every h preserve P, so h acts
-  on W (diagonally, bijectively).  Condition (1) says
+  words fix it.  P is E_-, the -1 eigenspace of the braiding, and the
+  extension check makes h (x) h preserve it for every h (the eigenspace
+  statement in ``quantum.check_action_extends``), so h acts on W
+  (diagonally, bijectively).  Condition (1) says
   K(h u (x) h v) = t_h K(u (x) v) t_h^-1, so Phi(h w) = t_h Phi(w) t_h^-1,
   and t_h (v t_g) t_h^-1 = h(v) t_h t_g t_h^-1 is a nonzero multiple of
   h(v) t_(hgh^-1).  Hence the t_(hgh^-1) components of Phi(W) are h applied

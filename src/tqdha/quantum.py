@@ -10,8 +10,7 @@ matrices compose as M[gh] = M[h] . M[g].
 
 from __future__ import annotations
 
-from functools import reduce
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from operator import add
 
 from .groups import Cocycle2, FiniteGroup, _walk
@@ -227,7 +226,9 @@ class SkewElement(SparseSum):
 
 def reorder_factor(gamma, delta, q: QMatrix) -> CyclotomicScalar:
     """Scalar picked up normal-ordering v^gamma . v^delta in S_q(V):
-    prod over j > i of q(j, i)^(gamma_j * delta_i)."""
+    prod over j > i of q(j, i)^(gamma_j * delta_i).  The one q-commutation
+    rule: every product of monomials takes its factor here, a product with
+    one variable v_k as delta (or gamma) = e_k."""
     f = ONE
     for j, gj in enumerate(gamma):
         if gj:
@@ -236,28 +237,6 @@ def reorder_factor(gamma, delta, q: QMatrix) -> CyclotomicScalar:
                 if di:
                     f = f * q(j, i) ** (gj * di)
     return f
-
-
-def mono_times_variable(gamma, k: int, q: QMatrix):
-    """(v^gamma . v_k) = factor * v^(gamma + e_k)."""
-    f = ONE
-    for j in range(k + 1, len(gamma)):
-        if gamma[j]:
-            f = f * q(j, k) ** gamma[j]
-    new = list(gamma)
-    new[k] += 1
-    return f, tuple(new)
-
-
-def variable_times_mono(i: int, gamma, q: QMatrix):
-    """(v_i . v^gamma) = factor * v^(gamma + e_i)."""
-    f = ONE
-    for j in range(i):
-        if gamma[j]:
-            f = f * q(i, j) ** gamma[j]
-    new = list(gamma)
-    new[i] += 1
-    return f, tuple(new)
 
 
 def qsym_multiply(a: SkewElement, b: SkewElement, q: QMatrix) -> SkewElement:
@@ -278,14 +257,15 @@ def act_monomial(action: GroupAction, q: QMatrix, g: int, gamma) -> dict:
     """g(v^gamma) expanded and normally ordered in S_q(V); returns a dict
     mapping exponent tuples to scalars."""
     n = action.n
+    units = [tuple(int(t == k) for t in range(n)) for k in range(n)]
     acc: dict = {(0,) * n: ONE}
     for i, e in enumerate(gamma):
         for _ in range(e):
             nxt: dict = {}
             for gam, c in acc.items():
                 for k, m in action.rows_nz[g][i]:
-                    f, newgam = mono_times_variable(gam, k, q)
-                    bump(nxt, newgam, c * m * f)
+                    e_k = units[k]
+                    bump(nxt, tuple(map(add, gam, e_k)), c * m * reorder_factor(gam, e_k, q))
             acc = nxt
     return acc
 
@@ -317,80 +297,76 @@ def check_action_extends(action: GroupAction, q: QMatrix, max_witnesses: int = 5
     """Whether the linear action extends to S_q(V) and to the quantum
     exterior algebra Lambda_q(V) by automorphisms.
 
-    The symmetric check normalizes g(v_i) g(v_j) - q_ij g(v_j) g(v_i)
-    directly; the exterior check evaluates, for i <= j and k < l, the
-    scalar identity E(i, j, k, l):
-    (1 - q_ij q_lk) g^i_k g^j_l + (q_ij - q_lk) g^i_l g^j_k = 0.
-    As q_ij q_ji = 1, E(j, i, k, l) = q_ji E(i, j, k, l), so i > j adds
-    nothing.  For i = j (q_ii = 1) it reads 2 (1 - q_lk) g^i_k g^i_l = 0, the
-    v_k v_l coefficient of g(v_i)^2, so exterior witnesses may read
-    (g, i, i, k, l).
+    One identity decides both.  The braiding c(v_a (x) v_b) = q_ab v_b (x) v_a
+    on V (x) V squares to 1, as q_ab q_ba = 1.  For e = -1 and e = +1 the
+    tensors r^e_ij = v_i (x) v_j + e q_ij v_j (x) v_i span its e-eigenspace
+    E_e (r^+_ii = 2 v_i (x) v_i gives the squares), and S_q(V) and
+    Lambda_q(V) are the tensor algebra modulo the ideals generated by E_-
+    and E_+.  The ideal meets degree 2 in E_e alone and g (x) g keeps
+    degrees, so g extends to the e-algebra iff g (x) g maps E_e into E_e,
+    that is iff every g(v_i) g(v_j) + e q_ij g(v_j) g(v_i) is zero modulo the
+    relations.  There v_l v_k = -e q_lk v_k v_l, and its v_k v_l coefficient
+    is, with g(v_i) = sum_k g^i_k v_k,
+
+        F_e(i, j, k, l) = (1 - q_ij q_lk) g^i_k g^j_l + e (q_ij - q_lk) g^i_l g^j_k.
+
+    The e = -1 (S_q(V)) check reads it at k <= l, where k = l gives twice
+    the v_k^2 coefficient; the e = +1 (Lambda_q(V)) check reads it at k < l,
+    and at i = j it is the v_k v_l coefficient of 2 g(v_i)^2.  Since
+    r^e_ji = e q_ji r^e_ij, F_e(j, i, k, l) = e q_ji F_e(i, j, k, l), so
+    i <= j suffices; r^-_ii = 0, so F_-1 vanishes at i = j.  Witnesses read
+    (g, i, j) for S_q(V) and (g, i, j, k, l) for Lambda_q(V).
 
     Both checks run on the generators of G only (every element when the
     group records no generators), so their witnesses name generators.
     That suffices: each check tests that the linear map of g, extended
     multiplicatively to the tensor algebra of V, maps every defining
-    relation of S_q(V) (resp. Lambda_q(V): v_j v_i + q_ji v_i v_j and
-    v_i^2), hence the ideal they generate, into that ideal.  If the maps of
-    g and h both do, so does their composite, the map of gh.  The g that
-    pass are thus closed under products, hence a subgroup of the finite
-    group G, and it is all of G once it holds the generators.
+    relation of S_q(V) (resp. Lambda_q(V)), hence the ideal they generate,
+    into that ideal.  If the maps of g and h both do, so does their
+    composite, the map of gh.  The g that pass are thus closed under
+    products, hence a subgroup of the finite group G, and it is all of G
+    once it holds the generators.
 
-    The q products do not depend on g, so they are taken once per call:
-    the normally ordered v_k v_l for every k and l, and 1 - q_ij q_lk and
-    q_ij - q_lk once per (i, j, k, l) met.  At each g only the nonzero
-    matrix entries are multiplied.  E(i, j, k, l) is zero unless k and l
-    both lie in the supports of rows i and j together, so only those (k, l)
-    are evaluated, and each (i, j) keeps its factors only while it is
-    checked at every generator.  The verdicts and the witness lists, in
-    order and truncated, are those of the dense evaluation.
+    Write F_e = x + e y with x = (1 - q_ij q_lk) g^i_k g^j_l and
+    y = (q_ij - q_lk) g^i_l g^j_k, so F_e vanishes iff x = -e y.  The two q
+    factors depend on neither g nor e: with g innermost they are taken once
+    per (i, j, k, l) met, and each (i, j) keeps them only while it is
+    checked at every generator.  x and y are zero unless k and l lie in the
+    supports of rows i and j, so only those (k, l) are visited, and a
+    (k, l) where neither product is present is skipped.  Each generator
+    keeps at most ``max_witnesses`` of each kind, in the order of
+    (i, j, k, l), and the lists are joined in the order of the generators,
+    so the reports are those of checking one generator after another.
     """
     n = action.n
     gens = action.group.generator_indices or range(action.group.size)
-    report = {"symmetric": True, "exterior": True, "symmetric_witnesses": [], "exterior_witnesses": []}
-
-    def unit(k):
-        return tuple(1 if t == k else 0 for t in range(n))
-
-    ordered = {(k, l): mono_times_variable(unit(k), l, q) for k in range(n) for l in range(n)}
-    for g in gens:
-        rows = action.rows_nz[g]
-        for i in range(n):
-            for j in range(i + 1, n):
-                # normalize g(v_i) g(v_j) - q_ij g(v_j) g(v_i)
-                acc: dict = {}
-                for k, mik in rows[i]:
-                    for l, mjl in rows[j]:
-                        f, gam = ordered[(k, l)]
-                        bump(acc, gam, mik * mjl * f)
-                qij = q(i, j)
-                for k, mjk in rows[j]:
-                    for l, mil in rows[i]:
-                        f, gam = ordered[(k, l)]
-                        bump(acc, gam, -(qij * mjk * mil * f))
-                if acc:
-                    report["symmetric"] = False
-                    if len(report["symmetric_witnesses"]) < max_witnesses:
-                        report["symmetric_witnesses"].append((g, i, j))
-    # the exterior check runs g innermost, so that each (i, j) keeps its
-    # factors for every generator; each generator's witnesses are listed in
-    # the order of (i, j, k, l) and joined in the order of the generators
+    report = {"symmetric": True, "exterior": True}
     grows = [[dict(r) for r in action.rows_nz[g]] for g in gens]
-    witnesses: list = [[] for _ in gens]
+    symmetric, exterior = [[] for _ in gens], [[] for _ in gens]
     for i in range(n):
         for j in range(i, n):
+            pairs = combinations_with_replacement if i < j else combinations
             factors: dict = {}
-            for g, grow, found in zip(gens, grows, witnesses):
+            for g, grow, sym, ext in zip(gens, grows, symmetric, exterior):
                 ri, rj = grow[i], grow[j]
-                for k, l in combinations(sorted(ri.keys() | rj.keys()), 2):
+                symmetric_done = i == j
+                for k, l in pairs(sorted(ri.keys() | rj.keys()), 2):
+                    has_x, has_y = k in ri and l in rj, l in ri and k in rj
+                    if not (has_x or has_y):
+                        continue
                     if (k, l) not in factors:
                         factors[(k, l)] = (ONE - q(i, j) * q(l, k), q(i, j) - q(l, k))
                     one_minus, diff = factors[(k, l)]
-                    terms = [f * ri[a] * rj[b] for f, a, b in ((one_minus, k, l), (diff, l, k))
-                             if a in ri and b in rj]
-                    if terms and not reduce(add, terms).is_zero():
+                    x = one_minus * ri[k] * rj[l] if has_x else ZERO
+                    y = diff * ri[l] * rj[k] if has_y else ZERO
+                    if not symmetric_done and x != y:
+                        symmetric_done, report["symmetric"] = True, False
+                        if len(sym) < max_witnesses:
+                            sym.append((g, i, j))
+                    if k < l and x != -y:
                         report["exterior"] = False
-                        if len(found) < max_witnesses:
-                            found.append((g, i, j, k, l))
-    report["exterior_witnesses"] = [w for found in witnesses for w in found][:max_witnesses]
+                        if len(ext) < max_witnesses:
+                            ext.append((g, i, j, k, l))
+    report["symmetric_witnesses"] = [w for ws in symmetric for w in ws][:max_witnesses]
+    report["exterior_witnesses"] = [w for ws in exterior for w in ws][:max_witnesses]
     return report

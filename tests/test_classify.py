@@ -6,7 +6,6 @@ import random
 import pytest
 
 from tqdha.classify import (
-    DiagonalError,
     cg_membership,
     diagonal_constant_basis,
     diagonal_kappa_basis,
@@ -22,6 +21,7 @@ from tqdha.cohomology import constant_cocycle_basis
 from tqdha.groups import (
     GroupAlgebraElement,
     bicharacter_cocycle,
+    class_data,
     group_from_cyclic_orders,
     symmetric_group,
     trivial_cocycle,
@@ -29,7 +29,13 @@ from tqdha.groups import (
 )
 from tqdha.linalg import rows_rank, same_span
 from tqdha.pbw import check_pbw_conditions, solve_parameter_space
-from tqdha.quantum import GroupAction, QMatrix, diagonal_action, natural_permutation_action
+from tqdha.quantum import (
+    ActionError,
+    GroupAction,
+    QMatrix,
+    diagonal_action,
+    natural_permutation_action,
+)
 from tqdha.scalars import MINUS_ONE, ONE, ZERO
 
 
@@ -75,7 +81,7 @@ def test_cg_membership_bridges_to_pair_condition():
 def test_cg_requires_diagonal():
     s3 = symmetric_group(3)
     act = natural_permutation_action(s3)
-    with pytest.raises(DiagonalError):
+    with pytest.raises(ActionError, match="action is not diagonal on the chosen basis"):
         cg_membership((0, 0, 0), 0, act, QMatrix.uniform(3, -1))
 
 
@@ -145,24 +151,22 @@ def test_klein_trivial_vs_bicharacter():
 
 
 def test_representative_independence():
-    # recomputing f_{r,s,a} with any other choice of coset representatives
-    # yields the identical element
+    # recomputing f_{r,s,a} with any other choice of coset representatives,
+    # r z for r in the transversal of Z(a) and a random z in Z(a), yields the
+    # identical element
     klein, act, q = klein_instance()
     twisted = bicharacter_cocycle(klein, [[0, 0], [1, 0]])
     labeled = diagonal_kappa_basis_labeled(act, q, twisted)
     lam = act.eigenvalue_table()
     G = klein
+    data = class_data(G)
     rnd = random.Random(3)
     for (a, r, s), kappa in labeled:
-        cent = set(G.centralizer(a))
         for _ in range(5):
             coeffs = {}
-            seen = set()
-            for g in rnd.sample(range(G.size), G.size):
+            for t in data.transversal[a]:
+                g = G.mult[t][rnd.choice(data.centralizer[a])]
                 target = G.conjugate(g, a)
-                if target in seen:
-                    continue
-                seen.add(target)
                 val = (
                     twisted(g, a) / twisted(target, g)
                     * lam[g][r].inverse() * lam[g][s].inverse()

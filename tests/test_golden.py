@@ -15,7 +15,13 @@ parameter space is all of its kappa space.  ``z6z6_zeta12`` is a seeded
 Z/6 x Z/6 diagonal problem over Q(zeta_12) with a bicharacter cocycle, kept
 in tests/golden/ with its seeded kappa of proper cyclotomic coordinates; its
 reports print values at conductors 3, 4 and 12, so they pin the
-serialization of non-rational scalars.  Outputs too large to commit
+serialization of non-rational scalars.  Two problems in tests/golden/ do
+not extend, so their reports pin the extension check's witnesses and the
+error each route prints: ``z2_swap_zeta4``, Z/2 swapping v_1 and v_2 with
+q_12 = zeta_4, fails both checks at the generator, and
+``s3_reflection_zeta3``, S3 on its reflection representation in a basis
+that is not monomial with q_12 = zeta_3, fails the exterior check only on
+squares, with witnesses (g, i, i, k, l).  Outputs too large to commit
 (``alpha-table 5``, 201 kB, all 14,400 S5 values, and ``alpha-table 6``,
 7.0 MB, all 518,400 S6 values) are kept as the sha256 of
 stdout with the exit code, in tests/golden/digests.json; so are a sampled
@@ -51,6 +57,7 @@ PROBLEM_NAMES = ["weyl2", "z2_negation", "klein_bicharacter_diag", "s3_natural_q
                  "s4_twisted"]
 KAPPA_PROBLEMS = ["weyl2", "klein_bicharacter_diag", "s3_natural_qminus", "s4_twisted"]
 CYCLOTOMIC = "z6z6_zeta12"
+NOT_EXTENDING = ["z2_swap_zeta4", "s3_reflection_zeta3"]
 
 
 def _cases():
@@ -64,6 +71,12 @@ def _cases():
     for name in PROBLEM_NAMES + ["s5_twisted", CYCLOTOMIC]:
         cases[f"parameter-space.{name}.cohomology"] = [
             "parameter-space", f"{name}.json", "--method", "cohomology"]
+    for name in NOT_EXTENDING:
+        cases[f"check-extension.{name}"] = ["check-extension", f"{name}.json"]
+        cases[f"constant-cocycles.{name}"] = ["constant-cocycles", f"{name}.json"]
+        for method in ("direct", "cohomology"):
+            cases[f"parameter-space.{name}.{method}"] = [
+                "parameter-space", f"{name}.json", "--method", method]
     cases[f"pbw-check.{CYCLOTOMIC}.seeded"] = [
         "pbw-check", f"{CYCLOTOMIC}.json", "--kappa", f"kappa.{CYCLOTOMIC}.seeded.json", "--oracle"]
     for name in KAPPA_PROBLEMS:

@@ -157,9 +157,12 @@ def test_size_cap():
 
 def test_trivial_cocycle_validates():
     for n in (3, 4):
-        rep = validate_cocycle(trivial_cocycle(symmetric_group(n)))
+        G = symmetric_group(n)
+        alpha = trivial_cocycle(G)
+        rep = validate_cocycle(alpha)
         assert rep["normalized"] and rep["cocycle"]
-        assert all(v.is_one() for v in rep["commuting_pair_invariants"].values())
+        assert all(alpha.conj_ratio(g, h).is_one()
+                   for g in range(G.size) for h in range(G.size) if G.commute(g, h))
 
 
 def test_bicharacter_cocycle_klein():
@@ -168,15 +171,14 @@ def test_bicharacter_cocycle_klein():
     assert rep["normalized"] and rep["cocycle"]
     u = g.labels.index((1, 0))
     w = g.labels.index((0, 1))
-    assert rep["commuting_pair_invariants"][(u, w)] == MINUS_ONE
+    assert alpha.conj_ratio(u, w) == MINUS_ONE
 
 
 def test_commuting_invariants_multiply_to_one():
     g, alpha = klein_with_bicharacter()
-    rep = validate_cocycle(alpha)
-    inv = rep["commuting_pair_invariants"]
-    for (a, b), v in inv.items():
-        assert (v * inv[(b, a)]).is_one()
+    for a in range(g.size):
+        for b in range(g.size):
+            assert (alpha.conj_ratio(a, b) * alpha.conj_ratio(b, a)).is_one()
 
 
 def test_broken_cocycle_reported_with_triple():
@@ -295,7 +297,7 @@ def test_coset_reps_cover_class():
     g = symmetric_group(4)
     for cls in g.conjugacy_classes():
         a = cls[0]
-        reps = g.coset_reps_mod_centralizer(a)
+        reps = class_data(g).transversal[a]
         assert len(reps) == len(cls)
         assert sorted(g.conjugate(r, a) for r in reps) == list(cls)
 
@@ -323,14 +325,14 @@ def test_class_data_matches_the_exhaustive_computation(name):
         c = cls[0]
         assert data.transporter[c] == 0
         assert len(data.centralizer[c]) * len(data.transversal[c]) == G.size
+        assert data.centralizer[c] == tuple(h for h in range(G.size) if G.commute(h, c))
+        first: dict = {}
+        for h in range(G.size):
+            first.setdefault(G.conjugate(h, c), h)
+        assert data.transversal[c] == tuple(first.values())
     for g in range(G.size):
         assert G.conjugate(data.transporter[g], g) == data.rep[g]
         assert data.rep[g] == next(cls[0] for cls in classes if g in cls)
-        assert G.centralizer(g) == tuple(h for h in range(G.size) if G.commute(h, g))
-        first: dict = {}
-        for h in range(G.size):
-            first.setdefault(G.conjugate(h, g), h)
-        assert G.coset_reps_mod_centralizer(g) == tuple(first.values())
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +398,6 @@ def test_cocycle_identity_on_generators_matches_every_triple():
         ours = validate_cocycle(alpha)
         full = validate_cocycle(every_first_argument(alpha))
         assert (ours["normalized"], ours["cocycle"]) == (full["normalized"], full["cocycle"])
-        assert ours["commuting_pair_invariants"] == full["commuting_pair_invariants"]
         firsts = {0, *G.generator_indices}
         assert all(w[1] in firsts for w in ours["failures"] if w[0] == "cocycle")
         if kind == "valid":
@@ -408,6 +409,17 @@ def test_cocycle_identity_on_generators_matches_every_triple():
     assert {("unnormalized", False, True), ("unnormalized", False, False)} <= kinds
 
 
+def test_conj_ratio_is_the_commuting_pair_quotient():
+    # beta(g, h) = alpha(g, h) / alpha(h, g) on commuting pairs, on every
+    # table, unnormalized and broken ones included
+    for _, alpha in cocycle_instances():
+        G = alpha.group
+        for g in range(G.size):
+            for h in range(G.size):
+                if G.commute(g, h):
+                    assert alpha.conj_ratio(g, h) == alpha(g, h) / alpha(h, g)
+
+
 # ---------------------------------------------------------------------------
 # memoized products against a per-triple reference
 # ---------------------------------------------------------------------------
@@ -415,7 +427,7 @@ def test_cocycle_identity_on_generators_matches_every_triple():
 
 def per_triple_validation(alpha, max_witnesses=10):
     """``validate_cocycle`` written as a plain loop: every factor read through
-    alpha(g, h) and every product and quotient computed afresh."""
+    alpha(g, h) and every product computed afresh."""
     G = alpha.group
     n = G.size
     report = {"normalized": True, "cocycle": True, "failures": []}
@@ -432,8 +444,6 @@ def per_triple_validation(alpha, max_witnesses=10):
                     report["cocycle"] = False
                     if len(report["failures"]) < max_witnesses:
                         report["failures"].append(("cocycle", a, b, c))
-    report["commuting_pair_invariants"] = {
-        (g, h): alpha(g, h) / alpha(h, g) for g in range(n) for h in range(n) if G.commute(g, h)}
     return report
 
 
@@ -493,7 +503,6 @@ def test_validation_memo_matches_the_per_triple_loop():
                 assert ours["normalized"] == ref["normalized"]
                 assert ours["cocycle"] == ref["cocycle"]
                 assert ours["failures"] == ref["failures"][:max_witnesses]
-                assert ours["commuting_pair_invariants"] == ref["commuting_pair_invariants"]
 
 
 def test_mixed_order_table_validates():

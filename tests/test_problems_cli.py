@@ -360,6 +360,20 @@ def test_cli_runs_as_module_without_warnings():
     assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", golden)
 
 
+def test_cli_closed_stdout_exits_without_traceback():
+    # the reader takes a few bytes of the 201 kB report and closes the pipe,
+    # as `tqdha alpha-table 5 | head -c 10` does
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    proc = subprocess.Popen([sys.executable, "-m", "tqdha.cli", "alpha-table", "5"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, cwd=root)
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (1, "")
+
+
 def test_cli_q_table_of_ints_exits_3(tmp_path):
     code, rep = run_problem(tmp_path, dict(S2_DIAGONAL, q=[[1, 1], [1, 1]]))
     assert code == 3 and rep["location"] == "q[0][0]"

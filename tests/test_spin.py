@@ -106,8 +106,7 @@ def test_spin_cocycle_table_validates_and_is_nontrivial():
     group = alpha.group
     g12 = group.perms.index(perm_from_cycles(4, [(0, 1)]))
     g34 = group.perms.index(perm_from_cycles(4, [(2, 3)]))
-    beta = rep["commuting_pair_invariants"][(g12, g34)]
-    assert beta == MINUS_ONE
+    assert alpha.conj_ratio(g12, g34) == MINUS_ONE
 
 
 def test_table_agrees_with_slow_alpha_on_sample():
