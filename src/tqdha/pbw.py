@@ -47,10 +47,19 @@ overlap words both ways and compares normal forms.
   rows of condition (2) at class representatives cut out the same kernel,
   and a kappa passes both conditions exactly when it passes condition (1)
   and condition (2) at the representatives.
-* The ttt and ttv overlap families never read kappa: their words contain at
-  most one variable letter, so v_j v_i -> q_ji v_i v_j + kappa(v_j, v_i)
-  never fires.  Their reports are computed once per problem, at
-  generators and exhaustively.
+* Each overlap word's normal forms are affine in kappa, so each family is
+  reduced once per problem with kappa left open.  The kappa rule
+  v_j v_i -> q_ji v_i v_j + kappa(v_j, v_i) writes terms with two variable
+  letters fewer and an overlap word has at most three, so it fires at most
+  once on any path, never in ttt and ttv.  Reduce with kappa = 0, deferring
+  each firing on a term c head v_j v_i tail as (head, j, i, tail, c).  The
+  work list reduces each term on its own, so reducing the deferred
+  c kappa(v_j, v_i) between head and tail alone gives the same sum: over
+  the events, c sum_g kappa_g(v_j, v_i) NF(head t_g tail), where head t_g
+  tail needs no kappa rule.  With kappa_g(v_j, v_i) = -q_ji x[g, i, j]
+  (i < j), left minus right is D_0 + sum_u x_u col_u, the terms of D_0 of
+  the word's variable degree and those of the columns two lower, so a word
+  resolves exactly when D_0 = 0 and the sum over kappa's coordinates does.
 * The solver's recheck is independent.  The checker evaluates the solver's
   own rows, so the solver re-verifies its basis with the oracle families
   ttv, tvv and vvv instead; ttt is the cocycle identity, which
@@ -108,9 +117,9 @@ case: if ttt or ttv fails somewhere, it fails at a generator.
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
-from itertools import combinations, product
-from operator import add
+from array import array
+from functools import lru_cache
+from itertools import accumulate, combinations, product
 from typing import NamedTuple
 
 from .groups import Cocycle2, FiniteGroup, GroupAlgebraElement
@@ -385,11 +394,14 @@ def condition_system(
     the module docstring); when every class is a single element that is the
     exhaustive system, and the same object is returned.  Raises
     ExtensionError when the action does not extend to S_q(V)."""
-    classes = action.group.conjugacy_classes()
-    elements = None
-    if representatives and len(classes) < action.group.size:
-        elements = tuple(cls[0] for cls in classes)
-    return _condition_system(action, q, alpha, elements)
+    return _condition_system(action, q, alpha, _condition_elements(action.group, representatives))
+
+
+def _condition_elements(group: FiniteGroup, representatives: bool):
+    classes = group.conjugacy_classes()
+    if representatives and len(classes) < group.size:
+        return tuple(cls[0] for cls in classes)
+    return None
 
 
 @lru_cache(maxsize=8)
@@ -400,6 +412,25 @@ def _condition_system(action, q, alpha, elements) -> ConditionSystem:
             f"action does not extend to S_q(V); witnesses {rep['symmetric_witnesses']}"
         )
     return parameter_space_rows(action, q, alpha, elements)
+
+
+@lru_cache(maxsize=8)
+def _rows_by_column(action, q, alpha, elements) -> tuple:
+    """The rows' entries by column, in row order: column c holds (rows[k],
+    entries[k]) for start[c] <= k < start[c + 1], in flat arrays (a pair per
+    entry took 50 MB more at twisted S7).  Built on the first check only."""
+    system = _condition_system(action, q, alpha, elements)
+    counts = array("l", [0]) * (system.ncols + 1)
+    for row in system.rows:
+        for col in row:
+            counts[col + 1] += 1
+    start = array("l", accumulate(counts))
+    free, rows, entries = array("l", start), array("l", [0]) * start[-1], [None] * start[-1]
+    for r, row in enumerate(system.rows):
+        for col, c in row.items():
+            k = free[col]
+            rows[k], entries[k], free[col] = r, c, k + 1
+    return start, rows, entries
 
 
 # the violation fields named by a row tag, by condition
@@ -418,9 +449,11 @@ def check_pbw_conditions(
     representatives: bool = False,
 ) -> dict:
     """Evaluate both PBW conditions exactly: the product of every row of the
-    condition system (``parameter_space_rows``) with kappa's coordinates.
-    A nonzero product is a violation, named by the row's tag, with the
-    product as its defect.  Condition-(1) violations name generators h only.
+    condition system (``parameter_space_rows``) with kappa's coordinates,
+    summed over kappa's support through the rows' column index.  A nonzero
+    product is a violation, named by the row's tag, with the product as its
+    defect; violations are listed in row order.  Condition-(1) violations
+    name generators h only.
 
     With ``representatives`` the rows of condition (2) are those at class
     representatives only.  Then ``passed`` is still the exhaustive verdict
@@ -428,19 +461,21 @@ def check_pbw_conditions(
     it fails condition (2) at g exactly when it fails at g's class
     representative), but ``condition2`` and the violations may differ.
     """
-    system = condition_system(action, q, alpha, representatives)
-    x = kappa.coordinate_row()
+    elements = _condition_elements(action.group, representatives)
+    system = _condition_system(action, q, alpha, elements)
+    start, rows, entries = _rows_by_column(action, q, alpha, elements)
+    # the rows that meet kappa's support, with the products a row-by-row walk takes
+    defects: dict = {}
+    for col, x in kappa.coordinate_row().items():
+        lo, hi = start[col], start[col + 1]
+        for r, c in zip(rows[lo:hi], entries[lo:hi]):
+            bump(defects, r, c * x)
     report = {"condition1": True, "condition2": True, "violations": []}
-    for row, tag in zip(system.rows, system.tags):
-        terms = [c * x[col] for col, c in row.items() if col in x]
-        if not terms:
-            continue
-        defect = reduce(add, terms)
-        if defect.is_zero():
-            continue
+    for r in sorted(defects):
+        tag = system.tags[r]
         report[f"condition{tag[0]}"] = False
         if len(report["violations"]) < max_witnesses:
-            violation = dict(zip(_TAG_FIELDS[tag[0]], tag), defect=defect.serialize())
+            violation = dict(zip(_TAG_FIELDS[tag[0]], tag), defect=defects[r].serialize())
             report["violations"].append(violation)
     report["passed"] = report["condition1"] and report["condition2"]
     return report
@@ -557,7 +592,10 @@ def normal_form_reduce(word, kappa, action: GroupAction, q: QMatrix, alpha: Cocy
     return out
 
 
-def _reduce_letter_terms(terms, n, kappa, action, q, alpha):
+def _reduce_letter_terms(terms, n, kappa, action, q, alpha, events=None):
+    """The sum of the normal forms of terms, as {letters: scalar}.  With
+    ``events`` (and kappa None) each firing of the kappa rule on a term
+    c head v_j v_i tail is appended to it as (head, j, i, tail, c)."""
     out: dict = {}
     work = list(terms)
     while work:
@@ -566,6 +604,8 @@ def _reduce_letter_terms(terms, n, kappa, action, q, alpha):
         if p is None:
             bump(out, letters, coeff)
             continue
+        if letters[p] < n and events is not None:
+            events.append((letters[:p], letters[p], letters[p + 1], letters[p + 2:], coeff))
         for c, w in _apply_rule(letters, p, n, kappa, action, q, alpha):
             v = coeff * c
             if not v.is_zero():
@@ -574,8 +614,6 @@ def _reduce_letter_terms(terms, n, kappa, action, q, alpha):
 
 
 FAMILIES = ("ttt", "ttv", "tvv", "vvv")
-# overlap words with at most one variable letter: the kappa rule never fires
-KAPPA_FREE = ("ttt", "ttv")
 RECHECK_FAMILIES = ("ttv", "tvv", "vvv")
 
 
@@ -599,28 +637,66 @@ def _overlap_words(family: str, G: FiniteGroup, n: int, letters):
             yield (k, j, i), ("vvv", k, j, i)
 
 
-def _family_report(family, kappa, action, q, alpha, max_witnesses, exhaustive) -> dict:
-    n, G = action.n, action.group
-    letters = range(G.size) if exhaustive else G.generator_indices or range(G.size)
-    report = {"resolvable": True, "checked": 0, "witnesses": []}
-    for word, tag in _overlap_words(family, G, n, letters):
-        left, right = (
-            _reduce_letter_terms(
-                _apply_rule(word, p, n, kappa, action, q, alpha), n, kappa, action, q, alpha
-            )
-            for p in (0, 1)
-        )
-        report["checked"] += 1
-        if left != right:
-            report["resolvable"] = False
-            if len(report["witnesses"]) < max_witnesses:
-                report["witnesses"].append(tag)
-    return report
+def _rewrite_at(word, p, n, action, q, alpha, events):
+    """The kappa-free normal form of word rewritten first at p; kappa rules go to events."""
+    if word[p] < n:
+        events.append((word[:p], word[p], word[p + 1], word[p + 2:], ONE))
+    terms = _apply_rule(word, p, n, None, action, q, alpha)
+    return _reduce_letter_terms(terms, n, None, action, q, alpha, events)
+
+
+class _OverlapTable:
+    """One overlap family of one problem, reduced both ways once with kappa
+    left open (see the module docstring).  Only the words that fail for
+    every kappa (D_0 != 0) and those with deferred kappa terms keep their
+    witness tags; ``checked`` counts them all.  The column of an unknown
+    (g, i, j), the kappa part of left minus right per unit x[g, i, j] as
+    ((word number, letters), scalar) pairs, is built on its first use."""
+
+    def __init__(self, family, action, q, alpha, exhaustive):
+        n, G = action.n, action.group
+        letters = range(G.size) if exhaustive else G.generator_indices or range(G.size)
+        self.n, self.args = n, (action, q, alpha)
+        self.tags = {}  # word number -> witness tag
+        self.fixed = []  # the word numbers with D_0 != 0, ascending
+        self.deferred = {}  # (i, j) -> [(word number, head, tail, factor of x[g, i, j])]
+        self.columns = {}  # (g, i, j) -> column
+        self.forms = {}  # (head, g, tail) -> normal form of head t_g tail
+        w = -1
+        for w, (word, tag) in enumerate(_overlap_words(family, G, n, letters)):
+            events = []
+            left = _rewrite_at(word, 0, n, action, q, alpha, events)
+            split = len(events)
+            fails = left != _rewrite_at(word, 1, n, action, q, alpha, events)
+            if fails:
+                self.fixed.append(w)
+            if fails or events:
+                self.tags[w] = tag
+            for k, (head, j, i, tail, c) in enumerate(events):
+                # kappa(v_j, v_i) = -q_ji x[g, i, j]; right-hand events count -1
+                factor = -q(j, i) * c if k < split else q(j, i) * c
+                self.deferred.setdefault((i, j), []).append((w, head, tail, factor))
+        self.checked = w + 1
+
+    def column(self, g, i, j) -> tuple:
+        col = self.columns.get((g, i, j))
+        if col is None:
+            entries: dict = {}
+            for w, head, tail, factor in self.deferred.get((i, j), ()):
+                form = self.forms.get((head, g, tail))
+                if form is None:
+                    form = _reduce_letter_terms(
+                        [(ONE, head + (self.n + g,) + tail)], self.n, None, *self.args)
+                    self.forms[head, g, tail] = form
+                for letters, c in form.items():
+                    bump(entries, (w, letters), factor * c)
+            col = self.columns[g, i, j] = tuple(entries.items())
+        return col
 
 
 @lru_cache(maxsize=32)
-def _kappa_free_report(family, action, q, alpha, max_witnesses, exhaustive) -> dict:
-    return _family_report(family, None, action, q, alpha, max_witnesses, exhaustive)
+def _overlap_table(family, action, q, alpha, exhaustive) -> _OverlapTable:
+    return _OverlapTable(family, action, q, alpha, exhaustive)
 
 
 def verify_ambiguities(
@@ -647,9 +723,10 @@ def verify_ambiguities(
 
     ``families`` is a collection of names from FAMILIES (default all of
     them); an unknown name, or a bare string, raises ValueError.  The
-    families run in the order of FAMILIES whatever the order given; the
-    kappa-free ttt and ttv reports are computed once per problem and kind
-    (see the module docstring).
+    families run in the order of FAMILIES whatever the order given.  Each
+    family is reduced once per problem and kind with kappa left open (see
+    the module docstring), and a call sums the columns of kappa's own
+    coordinates; ttt and ttv have none and never read kappa.
     """
     if isinstance(families, str):
         raise ValueError(f"families must be a collection of names, not the string {families!r}")
@@ -657,15 +734,16 @@ def verify_ambiguities(
     unknown = [f for f in families if f not in FAMILIES]
     if unknown:
         raise ValueError(f"unknown overlap families {unknown}; known: {list(FAMILIES)}")
-    parts = [
-        _kappa_free_report(family, action, q, alpha, max_witnesses, exhaustive)
-        if family in KAPPA_FREE
-        else _family_report(family, kappa, action, q, alpha, max_witnesses, exhaustive)
-        for family in FAMILIES
-        if family in families
-    ]
-    return {
-        "resolvable": all(p["resolvable"] for p in parts),
-        "checked": sum(p["checked"] for p in parts),
-        "witnesses": [w for p in parts for w in p["witnesses"]][:max_witnesses],
-    }
+    checked, witnesses, coords = 0, [], None
+    for family in [f for f in FAMILIES if f in families]:
+        table = _overlap_table(family, action, q, alpha, exhaustive)
+        checked += table.checked
+        defects: dict = {}
+        if table.deferred:
+            coords = kappa.coordinates() if coords is None else coords
+            for (g, i, j), x in coords.items():
+                for key, c in table.column(g, i, j):
+                    bump(defects, key, x * c)
+        failed = sorted(set(table.fixed).union(w for w, _ in defects))
+        witnesses += [table.tags[w] for w in failed]
+    return {"resolvable": not witnesses, "checked": checked, "witnesses": witnesses[:max_witnesses]}

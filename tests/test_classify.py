@@ -150,30 +150,45 @@ def test_klein_trivial_vs_bicharacter():
     assert rep["passed"]
 
 
+def sign_instance():
+    """S3 acting on two variables by the sign character, q = 1: its labeled
+    basis has classes whose transversals hold two and three elements."""
+    G = symmetric_group(3)
+    sign = [MINUS_ONE if (p[0] > p[1]) + (p[0] > p[2]) + (p[1] > p[2]) & 1 else ONE
+            for p in G.perms]
+    return G, diagonal_action(G, [[s, s] for s in sign]), QMatrix.uniform(2, 1)
+
+
 def test_representative_independence():
     # recomputing f_{r,s,a} with any other choice of coset representatives,
     # r z for r in the transversal of Z(a) and a random z in Z(a), yields the
     # identical element
-    klein, act, q = klein_instance()
-    twisted = bicharacter_cocycle(klein, [[0, 0], [1, 0]])
-    labeled = diagonal_kappa_basis_labeled(act, q, twisted)
-    lam = act.eigenvalue_table()
-    G = klein
-    data = class_data(G)
+    klein, klein_act, klein_q = klein_instance()
+    s3, sign_act, sign_q = sign_instance()
     rnd = random.Random(3)
-    for (a, r, s), kappa in labeled:
-        for _ in range(5):
-            coeffs = {}
-            for t in data.transversal[a]:
-                g = G.mult[t][rnd.choice(data.centralizer[a])]
-                target = G.conjugate(g, a)
-                val = (
-                    twisted(g, a) / twisted(target, g)
-                    * lam[g][r].inverse() * lam[g][s].inverse()
-                )
-                coeffs[target] = coeffs.get(target, ZERO) + val
-            rebuilt = GroupAlgebraElement(coeffs)
-            assert rebuilt == kappa.value(r, s)
+    for G, act, q, twisted in (
+        (klein, klein_act, klein_q, bicharacter_cocycle(klein, [[0, 0], [1, 0]])),
+        (s3, sign_act, sign_q, trivial_cocycle(s3)),
+    ):
+        labeled = diagonal_kappa_basis_labeled(act, q, twisted)
+        lam = act.eigenvalue_table()
+        data = class_data(G)
+        if G is s3:
+            # the non-abelian instance varies the coset representatives
+            assert any(len(data.transversal[a]) > 1 for (a, _, _), _ in labeled)
+        for (a, r, s), kappa in labeled:
+            for _ in range(5):
+                coeffs = {}
+                for t in data.transversal[a]:
+                    g = G.mult[t][rnd.choice(data.centralizer[a])]
+                    target = G.conjugate(g, a)
+                    val = (
+                        twisted(g, a) / twisted(target, g)
+                        * lam[g][r].inverse() * lam[g][s].inverse()
+                    )
+                    coeffs[target] = coeffs.get(target, ZERO) + val
+                rebuilt = GroupAlgebraElement(coeffs)
+                assert rebuilt == kappa.value(r, s)
 
 
 def test_eta_family_counts():

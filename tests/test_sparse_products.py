@@ -1,0 +1,196 @@
+"""The checker and the rewriting oracle by sparse products, against dense
+references written here.
+
+``check_pbw_conditions`` sums over kappa's support through a column index of
+the condition rows, and ``verify_ambiguities`` sums precomputed columns of
+each overlap family (the normal forms are affine in kappa; see the ``pbw``
+module docstring).  The references evaluate every row, and reduce both sides
+of every overlap word with the public ``normal_form_reduce``, for dense,
+sparse and single-coordinate kappas, and must give the same reports:
+verdicts, counts, and witnesses and violations in the same order.
+"""
+
+import random
+from itertools import combinations, product
+
+import pytest
+
+from test_oracle_generators import planted_action, planted_cocycle
+from test_orbit_solver import random_kappa
+from test_pbw import cyclotomic_diagonal_instance, s3_instance
+from tqdha.classify import symmetric_instance
+from tqdha.groups import GroupAlgebraElement
+from tqdha.linalg import bump
+from tqdha.pbw import (
+    FAMILIES,
+    KappaMap,
+    check_pbw_conditions,
+    condition_system,
+    normal_form_reduce,
+    solve_parameter_space,
+    verify_ambiguities,
+)
+from tqdha.scalars import rational
+
+CASES = {
+    "S3 q=-1": lambda: s3_instance()[1:],
+    "S4 twisted": lambda: symmetric_instance(4, True)[1:],
+    "Z/6xZ/6 cyclotomic": lambda: cyclotomic_diagonal_instance(6),
+}
+
+# every witness, and a cut inside the list
+WITNESS_LIMITS = (10 ** 6, 3)
+
+
+def kappas(action, q, alpha, rnd):
+    G, n = action.group, action.n
+    space = solve_parameter_space(action, q, alpha)
+    yield "zero", KappaMap.zero(G, n, q)
+    yield "dense", random_kappa(action, q, rnd, range(G.size), 0.7)
+    yield "sparse", random_kappa(action, q, rnd, range(G.size), 0.1)
+    for _ in range(2):
+        i, j = sorted(rnd.sample(range(n), 2))
+        one = {(i, j): GroupAlgebraElement({rnd.randrange(G.size): rational(rnd.choice([-1, 2]))})}
+        yield "single coordinate", KappaMap(G, n, q, one)
+    if space:
+        combo = KappaMap.zero(G, n, q)
+        for b in space:
+            combo = combo.add(b.scale(rational(rnd.choice([-2, -1, 1, 2]))))
+        yield "in the space", combo
+        i, j = sorted(rnd.sample(range(n), 2))
+        moved = {(i, j): GroupAlgebraElement({rnd.randrange(G.size): rational(1)})}
+        yield "moved off the space", combo.add(KappaMap(G, n, q, moved))
+
+
+# -- the oracle ---------------------------------------------------------------
+
+
+def overlap_words(family, G, n, letters):
+    """(word in the public format, witness tag), in the oracle's order."""
+    elements = range(G.size)
+    if family == "ttt":
+        for g, h, k in product(elements, elements, letters):
+            yield [("t", g), ("t", h), ("t", k)], ("ttt", g, h, k)
+    elif family == "ttv":
+        for g, h, i in product(elements, letters, range(n)):
+            yield [("t", g), ("t", h), ("v", i)], ("ttv", g, h, i)
+    elif family == "tvv":
+        for h, (i, j) in product(letters, combinations(range(n), 2)):
+            yield [("t", h), ("v", j), ("v", i)], ("tvv", h, j, i)
+    elif family == "vvv":
+        for i, j, k in combinations(range(n), 3):
+            yield [("v", k), ("v", j), ("v", i)], ("vvv", k, j, i)
+
+
+def rewrite_pair(word, p, kappa, action, q, alpha):
+    """The word with its letters p and p + 1 rewritten by their rule, as
+    (coefficient, word) pairs."""
+    G = action.group
+    (a, x), (b, y) = word[p], word[p + 1]
+    head, tail = word[:p], word[p + 2:]
+    if a == "t" and b == "t":
+        return [(alpha(x, y), head + [("t", G.mult[x][y])] + tail)]
+    if a == "t":
+        row = action.mats[x][y]
+        return [(row[k], head + [("v", k), ("t", x)] + tail)
+                for k in range(action.n) if not row[k].is_zero()]
+    out = [(q(x, y), head + [("v", y), ("v", x)] + tail)]
+    for g, c in kappa.value(x, y).coeffs.items():
+        out.append((c, head + [("t", g)] + tail))
+    return out
+
+
+def reference_oracle(kappa, action, q, alpha, families, exhaustive):
+    G, n = action.group, action.n
+    letters = range(G.size) if exhaustive else G.generator_indices or range(G.size)
+    checked, witnesses = 0, []
+    for family in FAMILIES:
+        if family not in families:
+            continue
+        for word, tag in overlap_words(family, G, n, letters):
+            checked += 1
+            left, right = (
+                normal_form_reduce(rewrite_pair(word, p, kappa, action, q, alpha),
+                                   kappa, action, q, alpha)
+                for p in (0, 1))
+            if left != right:
+                witnesses.append(tag)
+    return {"resolvable": not witnesses, "checked": checked, "witnesses": witnesses}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_oracle_equals_reducing_every_overlap_word(name):
+    action, q, alpha = CASES[name]()
+    rnd = random.Random(41)
+    cut = 0
+    for kind, kappa in kappas(action, q, alpha, rnd):
+        runs = [(FAMILIES, False), (("tvv", "vvv"), True)]
+        # every family exhaustively for one kappa: ttt and ttv never meet the
+        # kappa rule (46,656 ttt words at Z/6 x Z/6, so not there)
+        if kind == "dense" and name != "Z/6xZ/6 cyclotomic":
+            runs.append((FAMILIES, True))
+        for families, exhaustive in runs:
+            want = reference_oracle(kappa, action, q, alpha, families, exhaustive)
+            cut += len(want["witnesses"]) > min(WITNESS_LIMITS)
+            for limit in WITNESS_LIMITS:
+                got = verify_ambiguities(kappa, action, q, alpha, families=families,
+                                         max_witnesses=limit, exhaustive=exhaustive)
+                assert got == dict(want, witnesses=want["witnesses"][:limit]), (
+                    kind, families, exhaustive, limit)
+    assert cut, "some report should be cut by the small limit"
+
+
+@pytest.mark.parametrize("name", ["S3 q=-1", "S4 twisted"])
+def test_oracle_equals_the_reference_on_planted_faults(name):
+    """Words that fail whatever kappa is, beside words that fail by kappa:
+    a cocycle and an action planted wrong away from the generators."""
+    action, q, alpha = CASES[name]()
+    rnd = random.Random(47)
+    dense = random_kappa(action, q, rnd, range(action.group.size), 0.7)
+    for act, al in ((action, planted_cocycle(alpha)), (planted_action(action), alpha)):
+        for exhaustive in (False, True):
+            want = reference_oracle(dense, act, q, al, FAMILIES, exhaustive)
+            assert {w[0] for w in want["witnesses"]} > {"tvv"}
+            got = verify_ambiguities(dense, act, q, al, max_witnesses=10 ** 6,
+                                     exhaustive=exhaustive)
+            assert got == want, exhaustive
+
+
+# -- the checker --------------------------------------------------------------
+
+
+def reference_checker(kappa, action, q, alpha, max_witnesses, representatives):
+    system = condition_system(action, q, alpha, representatives)
+    x = kappa.coordinate_row()
+    report = {"condition1": True, "condition2": True, "violations": []}
+    fields = {1: ("condition", "g", "h", "i", "j"),
+              2: ("condition", "g", "i", "j", "k", "coefficient_of")}
+    for row, tag in zip(system.rows, system.tags):
+        defect = {}
+        for col, c in row.items():
+            if col in x:
+                bump(defect, 0, c * x[col])
+        if not defect:
+            continue
+        report[f"condition{tag[0]}"] = False
+        if len(report["violations"]) < max_witnesses:
+            report["violations"].append(
+                dict(zip(fields[tag[0]], tag), defect=defect[0].serialize()))
+    report["passed"] = report["condition1"] and report["condition2"]
+    return report
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_checker_equals_row_by_row_evaluation(name):
+    action, q, alpha = CASES[name]()
+    rnd = random.Random(43)
+    cut = 0
+    for kind, kappa in kappas(action, q, alpha, rnd):
+        for representatives in (False, True):
+            for limit in WITNESS_LIMITS:
+                got = check_pbw_conditions(kappa, action, q, alpha, max_witnesses=limit,
+                                           representatives=representatives)
+                want = reference_checker(kappa, action, q, alpha, limit, representatives)
+                assert got == want, (kind, representatives, limit)
+                cut += len(want["violations"]) == limit
+    assert cut, "some report should be cut by the small limit"
