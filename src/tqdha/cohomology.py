@@ -97,7 +97,9 @@ def apply_dm_star(x: Cochain, action: GroupAction, q: QMatrix) -> Cochain:
             for k, m in grows[i]:
                 gam2, minus_right = rights[k]
                 bump(out, (gam2, g, newbeta), c * m * minus_right)
-    return Cochain(x.n, x.degree + 1, out)
+    res = x._like(out)  # zero-free, and each newbeta = beta + e_i has weight degree + 1
+    res.degree += 1
+    return res
 
 
 @lru_cache(maxsize=1024)
@@ -246,13 +248,16 @@ def _act(acc: dict, h: int, form: dict, action: GroupAction, alpha: Cocycle2,
     G = action.group
     cols = action.cols_nz[G.inv[h]]
     for (k, l), coeffs in form.items():
+        if not coeffs:  # cancelled to zero: no product aik * ajl is needed
+            continue
         conj = [(G.conjugate(h, g), c * alpha.conj_ratio(h, g)) for g, c in coeffs.items()]
         for i, aik in cols[k]:
             for j, ajl in cols[l]:
                 if diagonal or i != j:
                     out = acc.setdefault((i, j), {})
+                    a = aik * ajl
                     for target, c in conj:
-                        bump(out, target, c * aik * ajl)
+                        bump(out, target, c * a)
 
 
 def reynolds_project(x: KappaMap, action: GroupAction, q: QMatrix, alpha: Cocycle2) -> KappaMap:

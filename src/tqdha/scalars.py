@@ -5,15 +5,16 @@ Q(zeta_N) is stored as integer numerators over one denominator, the layout of
 ANTIC's ``nf_elem`` (Hart, *ANTIC*, 2015): ``coeffs`` holds the phi(N)
 coefficients of 1, zeta_N, ..., zeta_N^(phi(N)-1), reduced modulo the N-th
 cyclotomic polynomial Phi_N, and ``den > 0`` with gcd(den, *coeffs) == 1.
-Phi_N is monic, so reduction stays in the integers, and each operation
-normalizes its result once, with no gcd at all when the denominator is 1 (every
-root of unity, and every value of +-1).  Representatives are unique within a
-fixed ambient order N.  Elements whose reduced form is rational are always
-stored at N = 1, as (num,) over den, and arithmetic between different ambient
-orders goes through the compositum Q(zeta_lcm).  Serialization reduces to the
-minimal conductor first, so the printed form of a value does not depend on
-how it was computed.  ``Fraction`` appears only at the edges: ``rational``,
-``as_fraction`` and parsing.
+Phi_N is monic, so reduction stays in the integers.  ``_make`` normalizes a
+general result once; a result canonical as computed is built directly (proofs
+at ``__mul__``): a product or sum of two rationals, cut by one gcd and by none
+over den 1, and a nonzero integer times a value of order N > 1 over den 1.
+Representatives are unique within a fixed ambient order N.  Elements whose
+reduced form is rational are always stored at N = 1, as (num,) over den, and
+arithmetic between different ambient orders goes through the compositum
+Q(zeta_lcm).  Serialization reduces to the minimal conductor first, so the
+printed form of a value does not depend on how it was computed.  ``Fraction``
+appears only at the edges: ``rational``, ``as_fraction`` and parsing.
 
 Arithmetic takes scalars only: ``+ - * /`` with an ``int`` or a ``Fraction``
 on either side raises, and ``==`` with one is False.  An int or a Fraction
@@ -214,13 +215,19 @@ class CyclotomicScalar:
         return out
 
     def __add__(self, other):
-        n = self.order
-        if n == other.order:
+        n, m, da, db = self.order, other.order, self.den, other.den
+        if n == 1 == m:
+            a, b = self.coeffs[0], other.coeffs[0]
+            p, d = (a + b, da) if da == db else (a * db + b * da, da * db)
+            if d != 1:
+                g = gcd(p, d)
+                p, d = p // g, d // g
+            return CyclotomicScalar(1, (p,), d)
+        if n == m:
             a, b = self.coeffs, other.coeffs
         else:
-            n = _lcm(n, other.order)
+            n = _lcm(n, m)
             a, b = self._dense_at(n), other._dense_at(n)
-        da, db = self.den, other.den
         if da == db:
             return _make(n, [x + y for x, y in zip(a, b)], da)
         return _make(n, [x * db + y * da for x, y in zip(a, b)], da * db)
@@ -232,15 +239,32 @@ class CyclotomicScalar:
         return self + (-other)
 
     def __mul__(self, other):
-        den = self.den * other.den
-        if self.order == 1 or other.order == 1:
-            c, x = (self.coeffs[0], other) if self.order == 1 else (other.coeffs[0], self)
-            return _make(x.order, [c * v for v in x.coeffs], den)
-        n = self.order
-        if n == other.order:
-            return _make(n, _mul(n, self.coeffs, other.coeffs), den)
-        n = _lcm(n, other.order)
-        return _make(n, _mul(n, self._dense_at(n), other._dense_at(n)), den)
+        """self * other.  Built directly, without ``_make``, for
+
+        - two rationals: p/d = (a b)/(da db) cut by g = gcd(p, d) > 0 (none
+          when d = 1), so d/g > 0 and gcd(p/g, d/g) = 1; ``__add__`` does
+          the same for p/d = (a db + b da)/(da db), or (a + b)/da;
+        - an integer c != 0 times x of order n > 1 over den 1: c * x.coeffs
+          are phi(n) reduced numerators, den 1 is prime to them, and one of
+          c * x.coeffs[1:] is nonzero as one of x's is (x is not rational),
+          so the value is not rational either.  For c = 1 it is x itself.
+        Both operands are read first, so a non-scalar operand raises."""
+        n, m, da, db = self.order, other.order, self.den, other.den
+        if n == 1 == m:
+            p, d = self.coeffs[0] * other.coeffs[0], da * db
+            if d != 1:
+                g = gcd(p, d)
+                p, d = p // g, d // g
+            return CyclotomicScalar(1, (p,), d)
+        if n == 1 or m == 1:
+            (c,), x = (self.coeffs, other) if n == 1 else (other.coeffs, self)
+            if da == db == 1 and c:
+                return x if c == 1 else CyclotomicScalar(x.order, tuple([c * v for v in x.coeffs]), 1)
+            return _make(x.order, [c * v for v in x.coeffs], da * db)
+        if n == m:
+            return _make(n, _mul(n, self.coeffs, other.coeffs), da * db)
+        n = _lcm(n, m)
+        return _make(n, _mul(n, self._dense_at(n), other._dense_at(n)), da * db)
 
     def inverse(self) -> "CyclotomicScalar":
         """1 / self, in integers: for numerators a, 1/a = conj(a) / (a conj(a)).
@@ -249,12 +273,13 @@ class CyclotomicScalar:
         subfield, and the product of b's conjugates under the units u with
         1 < u < n/2 (one from each pair +-u) is c with b * c = N(a), a
         nonzero integer.  So 1/a = conj(a) * c / N(a).  A root of unity has
-        b = 1 and costs one product."""
+        b = 1 and costs one product.  +-1 is its own inverse, returned as is."""
         if self.is_zero():
             raise ZeroDivisionError("division by zero in Q(zeta_N)")
         n = self.order
         if n == 1:
-            return _make(1, [self.den], self.coeffs[0])
+            a, d = self.coeffs[0], self.den
+            return self if d == 1 == abs(a) else _make(1, [d], a)
         a = self.coeffs
         adj = _galois(n, a, -1)
         norm = _mul(n, a, adj)

@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tqdha.scalars import (
@@ -14,6 +14,8 @@ from tqdha.scalars import (
     ONE,
     ZERO,
     ScalarParseError,
+    _make,
+    _mul,
     cyclotomic_polynomial,
     euler_phi,
     parse_scalar,
@@ -50,6 +52,20 @@ def test_arithmetic_takes_only_scalars():
     assert (ONE == 1) is False and (ONE == Fraction(1)) is False
     assert ONE != 1
     assert rational(1) == ONE and rational(Fraction(1, 2)) * rational(2) == ONE
+
+
+@pytest.mark.parametrize("x", [MINUS_ONE, rational(3), rational(Fraction(1, 2)),
+                               rational(2) * root_of_unity(12, 1)],
+                         ids=["minus-one", "three", "half", "two-zeta12"])
+def test_arithmetic_takes_only_scalars_on_the_direct_paths(x):
+    # each operand here takes a direct path of __mul__, __add__ or inverse
+    # against a scalar, and must still raise against an int or a Fraction
+    for other in (1, -1, 3, Fraction(1, 2)):
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            with pytest.raises((TypeError, AttributeError)):
+                op(x, other)
+            with pytest.raises((TypeError, AttributeError)):
+                op(other, x)
 
 
 def test_sqrt2_squares_to_two():
@@ -202,3 +218,57 @@ def test_layout_round_trip_and_inverse(a, b, k):
     if not a.is_zero():
         assert a * a.inverse() == ONE
         _assert_canonical(a.inverse())
+
+
+# Operands for the direct paths of __mul__, __add__ and inverse: 0, +-1,
+# large integers, fractions, roots of unity, and integer and fractional
+# combinations of roots (the last two over den 1 and over den > 1).
+_big = st.integers(-(10**40), 10**40)
+_root = st.builds(root_of_unity, st.sampled_from([3, 4, 6, 8, 12]), st.integers(0, 23))
+_int_roots = st.lists(st.tuples(st.integers(-9, 9), _root), min_size=1, max_size=3).map(
+    lambda terms: sum((rational(c) * z for c, z in terms), ZERO))
+_operand = st.one_of(
+    st.sampled_from([ZERO, ONE, MINUS_ONE]),
+    st.integers(-3, 3).map(rational),
+    _big.map(rational),
+    st.builds(Fraction, _big, st.integers(1, 10**12)).map(rational),
+    _root,
+    _int_roots,
+    _scalar,
+)
+
+
+def _reference(op, a, b):
+    # op(a, b) by the general route: both operands at the lcm order, the
+    # schoolbook product or the sum over da * db, normalized by _make
+    n = a.order * b.order // gcd(a.order, b.order)
+    x, y = a._dense_at(n), b._dense_at(n)
+    if op is operator.mul:
+        return _make(n, _mul(n, x, y), a.den * b.den)
+    return _make(n, [u * b.den + v * a.den for u, v in zip(x, y)], a.den * b.den)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_operand, _operand)
+@example(rational(6), rational(Fraction(1, 4)))
+@example(rational(Fraction(3, 4)), rational(Fraction(2, 3)))
+@example(rational(Fraction(1, 6)), rational(Fraction(1, 3)))
+@example(rational(-4), root_of_unity(12, 5) + root_of_unity(3, 1))
+@example(rational(2), rational(Fraction(1, 2)) * root_of_unity(8, 1))
+@example(root_of_unity(8, 3), ONE)
+@example(ZERO, root_of_unity(4, 1))
+def test_direct_paths_match_the_general_normalizer(a, b):
+    cases = [(a * b, _reference(operator.mul, a, b)), (a + b, _reference(operator.add, a, b)),
+             (a - b, _reference(operator.add, a, -b))]
+    for got, ref in cases:
+        assert (got.order, got.coeffs, got.den) == (ref.order, ref.coeffs, ref.den)
+        _assert_canonical(got)
+    # a product by 1 shares the other operand; +-1 is its own inverse
+    if b.is_one() and a.order > 1 and a.den == 1:
+        assert a * b is a and b * a is a
+    if a.order == 1 and not a.is_zero():
+        inv = a.inverse()
+        ref = _make(1, [a.den], a.coeffs[0])
+        assert (inv.order, inv.coeffs, inv.den) == (ref.order, ref.coeffs, ref.den)
+        _assert_canonical(inv)
+        assert (inv is a) == (a.den == 1 and abs(a.coeffs[0]) == 1)
