@@ -20,12 +20,12 @@ from tqdha.cohomology import cohomological_parameter_space
 from tqdha.pbw import same_space, solve_parameter_space
 
 
-def dimensions(n: int, twisted: bool, crosscheck: bool):
+def dimensions(n: int, twisted: bool):
     _, action, q, alpha = symmetric_instance(n, twisted)
     t0 = time.time()
     basis = cohomological_parameter_space(action, q, alpha)
     elapsed = time.time() - t0
-    if crosscheck and not same_space(solve_parameter_space(action, q, alpha), basis):
+    if not same_space(solve_parameter_space(action, q, alpha), basis):
         sys.exit(f"engine disagreement at n={n}, twisted={twisted}")
     return len(basis), elapsed
 
@@ -33,15 +33,13 @@ def dimensions(n: int, twisted: bool, crosscheck: bool):
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--max-n", type=int, default=5)
-    ap.add_argument("--no-crosscheck", action="store_true",
-                    help="skip the direct-solver comparison (faster)")
     args = ap.parse_args()
 
     print(f"{'n':>3} {'untwisted':>10} {'twisted':>8}  (cohomological pipeline)")
     not_smaller = []
     for n in range(4, args.max_n + 1):
-        du, tu = dimensions(n, False, not args.no_crosscheck)
-        dt, tt = dimensions(n, True, not args.no_crosscheck)
+        du, tu = dimensions(n, False)
+        dt, tt = dimensions(n, True)
         print(f"{n:>3} {du:>10} {dt:>8}   [{tu + tt:.1f}s]")
         if dt >= du:
             not_smaller.append(n)

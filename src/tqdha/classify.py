@@ -2,6 +2,10 @@
 engines: the diagonal-action parameter space (conjugacy classes, centralizer
 conditions, coset-averaged basis maps) and the symmetric-group natural
 representation with q = -1, twisted by the spin-cover cocycle.
+
+The S_n maps all come from one table, ``_eta_family_table``: each eta family
+element is the map of one row, and kappa_1 and kappa_2 are the sums of the
+rows of families 1 and 5.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ from itertools import combinations
 from .cohomology import cohomological_parameter_space, composition_image
 from .groups import (
     Cocycle2,
-    FiniteGroup,
     GroupAlgebraElement,
     class_data,
     perm_from_cycles,
@@ -45,11 +48,6 @@ def cg_membership(gamma, g: int, action: GroupAction, q: QMatrix) -> bool:
     return True
 
 
-def _q_lambda_holds(q: QMatrix, lam_g, n: int, r: int, s: int) -> bool:
-    """q_rr' q_sr' = lambda_{g,r'} for every r' outside {r, s}."""
-    return all(q(r, rp) * q(s, rp) == lam_g[rp] for rp in range(n) if rp not in (r, s))
-
-
 def diagonal_constant_basis(action: GroupAction, q: QMatrix) -> list[tuple[int, int, int]]:
     """All (g, r, s) with r < s and q_rr' q_sr' = lambda_{g,r'} for every
     r' outside {r, s}; these index the constant 2-cocycle basis t_g (x)
@@ -60,7 +58,8 @@ def diagonal_constant_basis(action: GroupAction, q: QMatrix) -> list[tuple[int, 
     for g in range(action.group.size):
         for r in range(n):
             for s in range(r + 1, n):
-                if _q_lambda_holds(q, lam[g], n, r, s):
+                if all(q(r, rp) * q(s, rp) == lam[g][rp]
+                       for rp in range(n) if rp not in (r, s)):
                     out.append((g, r, s))
     return out
 
@@ -72,34 +71,32 @@ def diagonal_kappa_basis_labeled(action: GroupAction, q: QMatrix, alpha: Cocycle
             sum_{g in [G/C_G(a)]} alpha(g,a)/alpha(gag^-1,g)
                                   lambda_{g,r}^-1 lambda_{g,s}^-1 t_{gag^-1}
 
-    over class representatives a and pairs r < s satisfying both the q-lambda
-    condition and the centralizer condition
-    lambda_{h,r} lambda_{h,s} = alpha(h,a)/alpha(a,h) for all h in C_G(a).
+    over the (a, r, s) of ``diagonal_constant_basis`` (the q-lambda
+    condition) with a a class representative that satisfy the centralizer
+    condition lambda_{h,r} lambda_{h,s} = alpha(h,a)/alpha(a,h) for all h in
+    C_G(a).
     The representatives a, their centralizers and the coset
     representatives [G/C_G(a)], the least element of each coset g C_G(a),
     are read from ``groups.class_data``, all ascending."""
     lam = action.eigenvalue_table()
-    n = action.n
     G = action.group
     data = class_data(G)
     out = []
-    for a, centralizer in data.centralizer.items():
-        for r in range(n):
-            for s in range(r + 1, n):
-                if not _q_lambda_holds(q, lam[a], n, r, s):
-                    continue
-                # alpha(h, a) / alpha(a, h) is conj_ratio(h, a) for h in C_G(a)
-                if not all(
-                    lam[h][r] * lam[h][s] == alpha.conj_ratio(h, a)
-                    for h in centralizer
-                ):
-                    continue
-                coeffs: dict = {}
-                for g in data.transversal[a]:
-                    val = alpha.conj_ratio(g, a) * lam[g][r].inverse() * lam[g][s].inverse()
-                    bump(coeffs, G.conjugate(g, a), val)
-                kappa = KappaMap(G, n, q, {(r, s): GroupAlgebraElement(coeffs)})
-                out.append(((a, r, s), kappa))
+    for a, r, s in diagonal_constant_basis(action, q):
+        if data.rep[a] != a:
+            continue
+        # alpha(h, a) / alpha(a, h) is conj_ratio(h, a) for h in C_G(a)
+        if not all(
+            lam[h][r] * lam[h][s] == alpha.conj_ratio(h, a)
+            for h in data.centralizer[a]
+        ):
+            continue
+        coeffs: dict = {}
+        for g in data.transversal[a]:
+            val = alpha.conj_ratio(g, a) * lam[g][r].inverse() * lam[g][s].inverse()
+            bump(coeffs, G.conjugate(g, a), val)
+        kappa = KappaMap(G, action.n, q, {(r, s): GroupAlgebraElement(coeffs)})
+        out.append(((a, r, s), kappa))
     return out
 
 
@@ -136,10 +133,17 @@ def symmetric_instance(n: int, twisted: bool | None = None):
     return group, action, q, spin_cocycle(group) if twisted else trivial_cocycle(group)
 
 
-def _wedge_sum(n: int, group: FiniteGroup, q: QMatrix, perm, pairs) -> KappaMap:
-    """t_perm (x) the sum of the wedges v_a* ^ v_b* over the (distinct) pairs."""
-    t = GroupAlgebraElement.basis(group.perms.index(perm))
-    return KappaMap(group, n, q, {(min(a, b), max(a, b)): t for a, b in pairs})
+def _wedge_sum(n: int, rows) -> KappaMap:
+    """The sum over the given ``_eta_family_table`` rows of t_g (x) the sum
+    of the wedges v_a* ^ v_b* over the row's (distinct) pairs, g the
+    element with the row's cycles."""
+    group, _, q = symmetric_instance(n)
+    values: dict = {}
+    for _, _, cycles, pairs in rows:
+        g = group.perms.index(perm_from_cycles(n, cycles))
+        for a, b in pairs:
+            bump(values.setdefault((min(a, b), max(a, b)), {}), g, ONE)
+    return KappaMap(group, n, q, {k: GroupAlgebraElement(v) for k, v in values.items()})
 
 
 def _eta_family_table(n: int) -> list:
@@ -163,10 +167,9 @@ def eta_family_basis(n: int) -> list[EtaFamilyElement]:
     3 C(n,4), 2 C(n,3).  Requires n >= 4 (the classification hypothesis)."""
     if n < 4:
         raise ValueError("the eta families are defined for n >= 4")
-    group, _, q = symmetric_instance(n)
     return [
-        EtaFamilyElement(tag, indices, _wedge_sum(n, group, q, perm_from_cycles(n, cycles), pairs))
-        for tag, indices, cycles, pairs in _eta_family_table(n)
+        EtaFamilyElement(row[0], row[1], _wedge_sum(n, [row]))
+        for row in _eta_family_table(n)
     ]
 
 
@@ -178,41 +181,22 @@ def eta_family_counts(n: int) -> dict[int, int]:
 
 
 def kappa_one(n: int) -> KappaMap:
-    """kappa_1(v_i, v_j) = t_1 for all i != j."""
-    group, _, q = symmetric_instance(n)
-    values = {
-        (i, j): GroupAlgebraElement.basis(0)
-        for i in range(n)
-        for j in range(i + 1, n)
-    }
-    return KappaMap(group, n, q, values)
+    """kappa_1(v_i, v_j) = t_1 for all i != j: the sum of eta family 1."""
+    return _wedge_sum(n, [row for row in _eta_family_table(n) if row[0] == 1])
 
 
 def kappa_two(n: int) -> KappaMap:
-    """kappa_2(v_i, v_j) = sum_{k != i,j} (t_(ijk) + t_(ikj))."""
-    group, _, q = symmetric_instance(n)
-    values = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            coeffs: dict = {}
-            for k in range(n):
-                if k in (i, j):
-                    continue
-                for perm in (
-                    perm_from_cycles(n, [(i, j, k)]),
-                    perm_from_cycles(n, [(i, k, j)]),
-                ):
-                    g = group.perms.index(perm)
-                    bump(coeffs, g, ONE)
-            values[(i, j)] = GroupAlgebraElement(coeffs)
-    return KappaMap(group, n, q, values)
+    """kappa_2(v_i, v_j) = sum_{k != i,j} (t_(ijk) + t_(ikj)): the sum of eta
+    family 5, whose rows are the 3-cycles, each with all three of its pairs."""
+    return _wedge_sum(n, [row for row in _eta_family_table(n) if row[0] == 5])
 
 
 def _family_representatives(n: int) -> dict[int, EtaFamilyElement]:
+    """The first element of each eta family, built from its row alone."""
     reps = {}
-    for elt in eta_family_basis(n):
-        if elt.tag not in reps:
-            reps[elt.tag] = elt
+    for row in _eta_family_table(n):
+        if row[0] not in reps:
+            reps[row[0]] = EtaFamilyElement(row[0], row[1], _wedge_sum(n, [row]))
     return reps
 
 

@@ -327,7 +327,7 @@ def cohomological_parameter_space(
     module docstring); this derivation never reads the condition rows, so
     that check is independent.
     """
-    reps = [cls[0] for cls in action.group.conjugacy_classes()]
+    reps = list(class_data(action.group).centralizer)
     red = RowReducer()
     basis = []
     for c in constant_cocycle_basis(action, q, reps):

@@ -61,19 +61,7 @@ def perm_inverse(a: tuple) -> tuple:
 
 def perm_sign(a: tuple) -> int:
     """Parity of the permutation: 0 for even, 1 for odd."""
-    n = len(a)
-    seen = [False] * n
-    sign = 0
-    for i in range(n):
-        if not seen[i]:
-            j = i
-            clen = 0
-            while not seen[j]:
-                seen[j] = True
-                j = a[j]
-                clen += 1
-            sign ^= (clen - 1) & 1
-    return sign
+    return sum(len(c) - 1 for c in perm_cycles(a)) & 1
 
 
 def perm_cycles(a: tuple) -> list[tuple]:
@@ -392,10 +380,6 @@ class Cocycle2:
         m, index = len(self.distinct), self.index
         return self._quotients[index[h][g] * m + index[self.group.conjugate(h, g)][h]]
 
-    def tg_inverse_coeff(self, g: int) -> CyclotomicScalar:
-        """(t_g)^-1 = coeff * t_{g^-1}."""
-        return self(g, self.group.inv[g]).inverse()
-
 
 def cocycle_from_values(group: FiniteGroup, values, name="cocycle") -> Cocycle2:
     """The cocycle with table values[g][h].  This is the one place that
@@ -573,4 +557,5 @@ def tga_multiply(x: GroupAlgebraElement, y: GroupAlgebraElement, alpha: Cocycle2
 
 def tga_inverse_of_basis(g: int, alpha: Cocycle2) -> GroupAlgebraElement:
     """(t_g)^-1 = alpha(g, g^-1)^-1 t_{g^-1}."""
-    return GroupAlgebraElement({alpha.group.inv[g]: alpha.tg_inverse_coeff(g)})
+    inv = alpha.group.inv[g]
+    return GroupAlgebraElement({inv: alpha(g, inv).inverse()})

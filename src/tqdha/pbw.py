@@ -122,7 +122,7 @@ from functools import lru_cache
 from itertools import accumulate, combinations, product
 from typing import NamedTuple
 
-from .groups import Cocycle2, FiniteGroup, GroupAlgebraElement
+from .groups import Cocycle2, FiniteGroup, GroupAlgebraElement, class_data
 from .linalg import bump, kernel_basis, same_span
 from .quantum import GroupAction, QMatrix, check_action_extends
 from .scalars import ONE, CyclotomicScalar, parse_scalar
@@ -398,9 +398,9 @@ def condition_system(
 
 
 def _condition_elements(group: FiniteGroup, representatives: bool):
-    classes = group.conjugacy_classes()
-    if representatives and len(classes) < group.size:
-        return tuple(cls[0] for cls in classes)
+    reps = tuple(class_data(group).centralizer)
+    if representatives and len(reps) < group.size:
+        return reps
     return None
 
 

@@ -76,12 +76,10 @@ class GroupAction:
             ident = self.mats[0]
             for i in range(self.n):
                 for k in range(self.n):
-                    expect_one = i == k
-                    if expect_one != ident[i][k].is_one() and not (
-                        not expect_one and ident[i][k].is_zero()
-                    ):
+                    if ident[i][k] != (ONE if i == k else ZERO):
                         raise ActionError("identity element must act as the identity matrix")
             self._validate_composition()
+        self._eigenvalues = None  # built by the first eigenvalue_table call
         # sparse access caches
         self.rows_nz = tuple(
             tuple(
@@ -133,9 +131,11 @@ class GroupAction:
 
     def eigenvalue_table(self):
         """lambda[g][i] with g(v_i) = lambda[g][i] v_i, for diagonal actions."""
-        if not self.is_diagonal():
-            raise ActionError("action is not diagonal on the chosen basis")
-        return tuple(tuple(self.mats[g][i][i] for i in range(self.n)) for g in range(self.group.size))
+        if self._eigenvalues is None:
+            if not self.is_diagonal():
+                raise ActionError("action is not diagonal on the chosen basis")
+            self._eigenvalues = tuple(tuple(m[i][i] for i in range(self.n)) for m in self.mats)
+        return self._eigenvalues
 
 
 def natural_permutation_action(group: FiniteGroup) -> GroupAction:

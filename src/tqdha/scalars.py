@@ -29,7 +29,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 # The largest field order parse_scalar admits: the lcm of the root orders of
 # one string (problems.load_problem bounds the lcm over a whole problem the
@@ -162,7 +162,7 @@ def _solve_int(rows, target):
         return None
     scale = 1
     for k in range(m):
-        scale = _lcm(scale, abs(eqs[k][k]))
+        scale = lcm(scale, abs(eqs[k][k]))
     return [eqs[k][m] * (scale // eqs[k][k]) for k in range(m)], scale
 
 
@@ -226,7 +226,7 @@ class CyclotomicScalar:
         if n == m:
             a, b = self.coeffs, other.coeffs
         else:
-            n = _lcm(n, m)
+            n = lcm(n, m)
             a, b = self._dense_at(n), other._dense_at(n)
         if da == db:
             return _make(n, [x + y for x, y in zip(a, b)], da)
@@ -263,7 +263,7 @@ class CyclotomicScalar:
             return _make(x.order, [c * v for v in x.coeffs], da * db)
         if n == m:
             return _make(n, _mul(n, self.coeffs, other.coeffs), da * db)
-        n = _lcm(n, m)
+        n = lcm(n, m)
         return _make(n, _mul(n, self._dense_at(n), other._dense_at(n)), da * db)
 
     def inverse(self) -> "CyclotomicScalar":
@@ -318,7 +318,7 @@ class CyclotomicScalar:
             return self.coeffs == other.coeffs
         if self.order == 1 or other.order == 1:
             return False  # only order 1 holds rationals
-        n = _lcm(self.order, other.order)
+        n = lcm(self.order, other.order)
         return self._dense_at(n) == other._dense_at(n)
 
     def reduced(self) -> "CyclotomicScalar":
@@ -349,10 +349,6 @@ class CyclotomicScalar:
 
     def __repr__(self):
         return f"<{self.serialize()}>"
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
 
 
 def _make(order: int, coeffs: list[int], den: int) -> CyclotomicScalar:
@@ -430,7 +426,7 @@ def parse_scalar(text: str) -> CyclotomicScalar:
             raise ScalarParseError(f"zero denominator in {term!r}")
         if order == 0:
             raise ScalarParseError(f"root order 0 in {term!r}")
-        conductor = _lcm(conductor, order or 1)
+        conductor = lcm(conductor, order or 1)
         if conductor > MAX_CONDUCTOR:
             raise ScalarParseError(
                 f"scalar needs a field order above MAX_CONDUCTOR = {MAX_CONDUCTOR}: {text[:80]!r}")

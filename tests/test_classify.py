@@ -2,10 +2,12 @@
 
 import hashlib
 import random
+from itertools import combinations
 
 import pytest
 
 from tqdha.classify import (
+    _family_representatives,
     cg_membership,
     diagonal_constant_basis,
     diagonal_kappa_basis,
@@ -23,12 +25,13 @@ from tqdha.groups import (
     bicharacter_cocycle,
     class_data,
     group_from_cyclic_orders,
+    perm_from_cycles,
     symmetric_group,
     trivial_cocycle,
     trivial_group,
 )
 from tqdha.linalg import rows_rank, same_span
-from tqdha.pbw import check_pbw_conditions, solve_parameter_space
+from tqdha.pbw import KappaMap, check_pbw_conditions, solve_parameter_space
 from tqdha.quantum import (
     ActionError,
     GroupAction,
@@ -191,6 +194,50 @@ def test_representative_independence():
                 assert rebuilt == kappa.value(r, s)
 
 
+def labeled_by_pairs(action, q, alpha):
+    """The labeled diagonal basis as the paper states it: per class
+    representative a (the least element of its class), per pair r < s, the
+    q-lambda and centralizer conditions, then the sum over the least g that
+    reaches each conjugate g a g^-1."""
+    G, n = action.group, action.n
+    lam = action.eigenvalue_table()
+    out = []
+    for a in sorted({min(G.conjugate(h, c) for h in range(G.size)) for c in range(G.size)}):
+        for r, s in combinations(range(n), 2):
+            if not all(q(r, rp) * q(s, rp) == lam[a][rp] for rp in range(n) if rp not in (r, s)):
+                continue
+            if not all(lam[h][r] * lam[h][s] == alpha(h, a) / alpha(a, h)
+                       for h in range(G.size) if G.commute(h, a)):
+                continue
+            coeffs = {}
+            for g in range(G.size):
+                b = G.conjugate(g, a)
+                if b not in coeffs:
+                    coeffs[b] = (alpha(g, a) / alpha(b, g)
+                                 * lam[g][r].inverse() * lam[g][s].inverse())
+            out.append(((a, r, s), KappaMap(G, n, q, {(r, s): GroupAlgebraElement(coeffs)})))
+    return out
+
+
+def test_labeled_basis_matches_the_representatives_by_pairs_loop():
+    klein, klein_act, klein_q = klein_instance()
+    z2, z2_act, z2_q, _ = z2_123_instance()
+    s3, sign_act, sign_q = sign_instance()
+    for act, q, alpha in (
+        (klein_act, klein_q, trivial_cocycle(klein)),
+        (klein_act, klein_q, bicharacter_cocycle(klein, [[0, 0], [1, 0]])),
+        (z2_act, z2_q, trivial_cocycle(z2)),
+        (sign_act, sign_q, trivial_cocycle(s3)),
+    ):
+        got = diagonal_kappa_basis_labeled(act, q, alpha)
+        expected = labeled_by_pairs(act, q, alpha)
+        assert [label for label, _ in got] == [label for label, _ in expected]
+        assert [k.to_records() for _, k in got] == [k.to_records() for _, k in expected]
+    # in the non-abelian instance some (a, r, s) of the constant basis have a
+    # that is no class representative, and the labeled basis leaves them out
+    assert any(class_data(s3).rep[a] != a for a, _, _ in diagonal_constant_basis(sign_act, sign_q))
+
+
 def test_eta_family_counts():
     assert eta_family_counts(4) == {1: 6, 2: 6, 3: 12, 4: 3, 5: 8}
     assert eta_family_counts(5) == {1: 10, 2: 10, 3: 30, 4: 15, 5: 20}
@@ -245,6 +292,38 @@ def test_kappa_one_two_shapes():
     val = k2.value(0, 1)
     assert len(val.coeffs) == 2 * (n - 2)
     assert all(c == ONE for c in val.coeffs.values())
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_kappa_one_two_match_the_paper_formulas(n):
+    # kappa_1(v_i, v_j) = t_1 and kappa_2(v_i, v_j) = sum_{k != i, j}
+    # (t_(ijk) + t_(ikj)), written here from the formulas, not the eta table
+    group, _, q = symmetric_instance(n)
+
+    def t(*cycle):
+        return group.perms.index(perm_from_cycles(n, [cycle]))
+
+    pairs = list(combinations(range(n), 2))
+    one = KappaMap(group, n, q, {pair: GroupAlgebraElement.basis(0) for pair in pairs})
+    two = KappaMap(group, n, q, {
+        (i, j): GroupAlgebraElement(
+            {g: ONE for k in range(n) if k not in (i, j) for g in (t(i, j, k), t(i, k, j))})
+        for i, j in pairs
+    })
+    assert kappa_one(n).to_records() == one.to_records()
+    assert kappa_two(n).to_records() == two.to_records()
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_family_representatives_are_the_first_of_each_family(n):
+    first = {}
+    for elt in eta_family_basis(n):
+        first.setdefault(elt.tag, elt)
+    reps = _family_representatives(n)
+    assert sorted(reps) == sorted(first) == [1, 2, 3, 4, 5]
+    for tag, elt in first.items():
+        assert (reps[tag].tag, reps[tag].indices) == (elt.tag, elt.indices)
+        assert reps[tag].kappa.to_records() == elt.kappa.to_records()
 
 
 def test_symmetric_classify_n4_regression():

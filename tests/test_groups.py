@@ -26,6 +26,7 @@ from tqdha.groups import (
     group_from_permutations,
     group_from_table,
     perm_compose,
+    perm_sign,
     symmetric_group,
     tga_inverse_of_basis,
     tga_multiply,
@@ -285,6 +286,12 @@ def test_bicharacters_validate_or_are_rejected(exponents, root_order):
     else:
         with pytest.raises(CocycleError):
             bicharacter_cocycle(g, exponents, root_order)
+
+
+def test_perm_sign_is_the_parity_of_the_inversions():
+    for p in itertools.permutations(range(5)):
+        inversions = sum(p[i] > p[j] for i, j in itertools.combinations(range(5), 2))
+        assert perm_sign(p) == inversions % 2
 
 
 def test_conjugacy_classes_s4():

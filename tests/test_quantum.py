@@ -27,7 +27,7 @@ from tqdha.quantum import (
     quantum_minor,
     skew_multiply,
 )
-from tqdha.scalars import MINUS_ONE, ONE, rational, root_of_unity
+from tqdha.scalars import MINUS_ONE, ONE, ZERO, rational, root_of_unity
 
 
 def generic_q2():
@@ -191,6 +191,19 @@ def test_generator_matrix_extension_consistency():
     bad[0][0][0] = rational(2)
     with pytest.raises(ActionError):
         action_from_generator_matrices(s3, bad, 3)
+
+
+def test_identity_element_must_act_as_the_identity_matrix():
+    # a nonzero off-diagonal entry of the identity's matrix (2, or -1) is
+    # reported as such, not as a failure of the composition law
+    trivial = FiniteGroup([[0]], name="trivial")
+    z2 = group_from_cyclic_orders([2])
+    for group, mats in (
+        (trivial, [[[ONE, rational(2)], [ZERO, ONE]]]),
+        (z2, [[[ONE, MINUS_ONE], [ZERO, ONE]], [[MINUS_ONE, ZERO], [ZERO, ONE]]]),
+    ):
+        with pytest.raises(ActionError, match="identity element must act as the identity matrix"):
+            GroupAction(group, mats)
 
 
 # ---------------------------------------------------------------------------
