@@ -121,14 +121,23 @@ class EtaFamilyElement:
 
 
 @lru_cache(maxsize=None)
+def _symmetric_lookup(n: int):
+    """S_n, its index of each permutation, and q = -1: what the closed forms
+    read, with no action built."""
+    group = symmetric_group(n)
+    return group, {p: g for g, p in enumerate(group.perms)}, QMatrix.uniform(n, -1)
+
+
+@lru_cache(maxsize=None)
 def symmetric_instance(n: int, twisted: bool | None = None):
     """S_n on its natural representation with q = -1: (group, action, q), and
     given ``twisted`` also the cocycle, spin(n) if twisted, else trivial.
     Cached, so callers share one cocycle object and the identity-keyed caches
-    of ``pbw`` hit across them; the cocycle is built only when asked for."""
+    of ``pbw`` hit across them; the cocycle is built only when asked for.
+    The group and q are those of the closed forms (``_symmetric_lookup``)."""
     if twisted is None:
-        group = symmetric_group(n)
-        return group, natural_permutation_action(group), QMatrix.uniform(n, -1)
+        group, _, q = _symmetric_lookup(n)
+        return group, natural_permutation_action(group), q
     group, action, q = symmetric_instance(n)
     return group, action, q, spin_cocycle(group) if twisted else trivial_cocycle(group)
 
@@ -137,10 +146,10 @@ def _wedge_sum(n: int, rows) -> KappaMap:
     """The sum over the given ``_eta_family_table`` rows of t_g (x) the sum
     of the wedges v_a* ^ v_b* over the row's (distinct) pairs, g the
     element with the row's cycles."""
-    group, _, q = symmetric_instance(n)
+    group, index, q = _symmetric_lookup(n)
     values: dict = {}
     for _, _, cycles, pairs in rows:
-        g = group.perms.index(perm_from_cycles(n, cycles))
+        g = index[perm_from_cycles(n, cycles)]
         for a, b in pairs:
             bump(values.setdefault((min(a, b), max(a, b)), {}), g, ONE)
     return KappaMap(group, n, q, {k: GroupAlgebraElement(v) for k, v in values.items()})
@@ -240,7 +249,7 @@ def expected_image_value(n: int, a: int, i: int, j: int) -> GroupAlgebraElement:
     in the twisted setting with n >= 5: (1/(n(n-1))) t_1 for a = 1, zero for
     a in {2, 3, 4}, and (1/(n(n-1)(n-2))) sum_k (2 t_(ijk) + t_(ikj)) for
     a = 5."""
-    group, _, _ = symmetric_instance(n)
+    _, index, _ = _symmetric_lookup(n)
     if a == 1:
         return GroupAlgebraElement({0: rational(Fraction(1, n * (n - 1)))})
     if a in (2, 3, 4):
@@ -251,8 +260,8 @@ def expected_image_value(n: int, a: int, i: int, j: int) -> GroupAlgebraElement:
         for k in range(n):
             if k in (i, j):
                 continue
-            g1 = group.perms.index(perm_from_cycles(n, [(i, j, k)]))
-            g2 = group.perms.index(perm_from_cycles(n, [(i, k, j)]))
+            g1 = index[perm_from_cycles(n, [(i, j, k)])]
+            g2 = index[perm_from_cycles(n, [(i, k, j)])]
             bump(coeffs, g1, f * rational(2))
             bump(coeffs, g2, f)
         return GroupAlgebraElement(coeffs)

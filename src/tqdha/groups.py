@@ -23,7 +23,7 @@ from .scalars import MAX_CONDUCTOR, ONE, ZERO, CyclotomicScalar, root_of_unity
 
 
 # A group is held as its dense |G| x |G| multiplication table, and the cocycle
-# table and the solver's unknowns grow with it: S7's table of
+# table and the checker's unknowns grow with it: S7's table of
 # 5,040^2 = 25.4M entries already takes 413 MB.  So no constructor builds a
 # table for a larger group.
 MAX_GROUP_ORDER = 5040
@@ -193,6 +193,58 @@ def class_data(group: FiniteGroup) -> ClassData:
     return ClassData(tuple(rep), tuple(transporter), centralizer, transversal)
 
 
+@lru_cache(maxsize=8)
+def centralizer_generators(group: FiniteGroup) -> dict:
+    """Generators of Z(c) for each class representative c of ``class_data``,
+    in its order.  When Z(c) is all of G they are G's recorded generators
+    (every element when it records none, as for condition (1) in ``pbw``);
+    otherwise each element of Z(c), in ascending order, that the ones chosen
+    before it do not generate."""
+    everything = group.generator_indices or tuple(range(group.size))
+    out = {}
+    for c, cent in class_data(group).centralizer.items():
+        if len(cent) == group.size:
+            out[c] = everything
+            continue
+        gens, reached = [], {0}
+        for z in cent:
+            if z not in reached:
+                gens.append(z)
+                reached = _generated(group.mult, gens)
+        out[c] = tuple(gens)
+    return out
+
+
+def _generated(mult, gens) -> set:
+    """The subgroup generated by gens: the closure of {1} under right
+    multiplication by them (in a finite group that is closed under
+    inverses too)."""
+    reached, queue = {0}, [0]
+    for a in queue:
+        row = mult[a]
+        for s in gens:
+            b = row[s]
+            if b not in reached:
+                reached.add(b)
+                queue.append(b)
+    return reached
+
+
+@lru_cache(maxsize=8)
+def conjugation_walk(group: FiniteGroup) -> tuple:
+    """Each conjugacy class reached from its representative c (as in
+    ``class_data``, in its order) by conjugation g -> s^-1 g s with the
+    generators s of G (every element when it records none): the edges
+    (b, s, s^-1 b s) of the breadth-first trees, each to an element not
+    reached before, class after class.  Every element but the
+    representatives is reached once."""
+    gens = group.generator_indices or tuple(range(group.size))
+    conjugate, inv = group.conjugate, group.inv
+    maps = [[conjugate(inv[s], g) for g in range(group.size)] for s in gens]
+    return tuple((b, gens[k], g) for c in class_data(group).centralizer
+                 for b, k, g in _walk(maps, c))
+
+
 def trivial_group() -> FiniteGroup:
     return FiniteGroup([[0]], name="trivial")
 
@@ -210,11 +262,11 @@ def group_from_table(table, name="table-group") -> FiniteGroup:
     return g
 
 
-def _walk(maps) -> list[tuple[int, int, int]]:
-    """The breadth-first tree from index 0 under the index maps: its edges
-    (a, k, maps[k][a]), each to an index not reached before, in the order
-    the walk finds them."""
-    seen, queue, edges = {0}, [0], []
+def _walk(maps, start: int = 0) -> list[tuple[int, int, int]]:
+    """The breadth-first tree from index ``start`` under the index maps: its
+    edges (a, k, maps[k][a]), each to an index not reached before, in the
+    order the walk finds them."""
+    seen, queue, edges = {start}, [start], []
     for a in queue:
         for k, f in enumerate(maps):
             b = f[a]

@@ -168,6 +168,11 @@ def kernel_basis(rows, ncols: int) -> list[list[CyclotomicScalar]]:
     columns are at most p.  So it is monic with its last nonzero entry at f
     and zero at the other such columns, and the null space has exactly one
     basis of that shape, the canonical one.
+
+    The shape depends on the order of the columns.  The direct solver of
+    ``pbw`` takes the kernel over the unknowns at class representatives only,
+    expands it to every unknown, and brings it back to this shape over all
+    of them with ``echelon_basis``.
     """
     parent = list(range(ncols))
     weight = [ONE] * ncols  # x_u = weight[u] * x_parent[u]
@@ -227,6 +232,18 @@ def kernel_basis(rows, ncols: int) -> list[list[CyclotomicScalar]]:
                 expanded[u] = weight[u] * vec[r]
         basis.append(expanded)
     return basis
+
+
+def echelon_basis(vectors) -> list[Row]:
+    """The basis of the span of the sparse vectors in ``kernel_basis``'s
+    shape: each monic at its last nonzero column and zero at the last
+    nonzero columns of the others, ordered by that column.  A subspace has
+    exactly one basis of that shape, so for a kernel this is the basis
+    ``kernel_basis`` gives.  The vectors are row-reduced with the column
+    order reversed (pivots at the largest column) and back-substituted."""
+    red = _reduced({-c: x for c, x in vec.items()} for vec in vectors)
+    rref = red.rref()
+    return [{-c: x for c, x in rref[p].items()} for p in sorted(rref, reverse=True)]
 
 
 def rows_rank(rows) -> int:

@@ -4,13 +4,11 @@ Diamond-Lemma rewriting oracle for the filtered quotients H_{q,kappa,alpha}.
 The two PBW conditions are linear in kappa, so the space of all valid maps is
 the kernel of an explicit sparse system over the unknowns kappa_g(v_i, v_j),
 g in G, i < j.  ``parameter_space_rows`` is the only place the conditions are
-written down.  It is built at most twice per problem: with condition (2) at
-every element, whose rows ``pbw-check`` and its witness lists use, and with
-condition (2) at one representative per conjugacy class, for the solver and
-for verdict-only rechecks.  The solver takes the kernel of the second with
-``linalg.kernel_basis``, whose union-find pre-pass settles the one- and
-two-term rows of condition (1) (for a monomial action, all of them): a
-solution is a scalar multiple of one value along each G-orbit of unknowns.
+written down.  Each of its three kinds of system is built at most once per
+problem: condition (2) at every element, whose rows ``pbw-check`` and its
+witness lists use; condition (2) at class representatives, for verdict-only
+rechecks; and the solver's ``class_local_system``, over the unknowns at the
+class representatives only.  For an abelian group all three are the first.
 The checker multiplies the rows with a kappa's coordinates.  The rewriting
 oracle never looks at the conditions: it reduces the four families of
 overlap words both ways and compares normal forms.
@@ -47,6 +45,27 @@ overlap words both ways and compares normal forms.
   rows of condition (2) at class representatives cut out the same kernel,
   and a kappa passes both conditions exactly when it passes condition (1)
   and condition (2) at the representatives.
+* The class-local system gives the whole parameter space.  Let rho(h) be
+  the map kappa -> t_h kappa(h^-1 ., h^-1 .) t_h^-1 above.  As alpha is a
+  2-cocycle, C^alpha G is associative and t_h t_k = alpha(h, k) t_(hk), so
+  rho is an action of G.  rho(h) sends the t_g component of kappa to the
+  t_(hgh^-1) one, and condition (1) at (h, g) says that kappa_(hgh^-1) is
+  the image of kappa_g.  Fix a representative c per class.  A solution of
+  condition (1) has each kappa_c fixed by Z(c) and kappa_(hch^-1) =
+  rho(h) kappa_c, so its kappa_c determine it.  Conversely, Z(c)-fixed
+  kappa_c define kappa_(hch^-1) = rho(h) kappa_c consistently (h' = hz with
+  z in Z(c) gives rho(h') kappa_c = rho(h) kappa_c), and the result
+  satisfies condition (1), as rho(k) rho(h) = rho(kh).  So
+  kappa -> (kappa_c)_c is a linear bijection from the solutions of
+  condition (1) onto the tuples of Z(c)-fixed kappa_c.  The z fixing kappa_c
+  form a subgroup, so the generators of Z(c) suffice (first bullet), and
+  condition (2) at c reads kappa_c only (second bullet).  The solver expands
+  each kernel vector along ``groups.conjugation_walk``: on an edge
+  (b, s, g), g = s^-1 b s, the condition-(1) row at (s, g) gives
+  kappa_g = rho(s^-1) kappa_b, the value of the one solution with these
+  kappa_c whatever the path.  A subspace has one basis of
+  ``linalg.kernel_basis``'s shape, which ``linalg.echelon_basis`` finds, so
+  the output is that of plain elimination of every row.
 * Each overlap word's normal forms are affine in kappa, so each family is
   reduced once per problem with kappa left open.  The kappa rule
   v_j v_i -> q_ji v_i v_j + kappa(v_j, v_i) writes terms with two variable
@@ -60,10 +79,11 @@ overlap words both ways and compares normal forms.
   (i < j), left minus right is D_0 + sum_u x_u col_u, the terms of D_0 of
   the word's variable degree and those of the columns two lower, so a word
   resolves exactly when D_0 = 0 and the sum over kappa's coordinates does.
-* The solver's recheck is independent.  The checker evaluates the solver's
-  own rows, so the solver re-verifies its basis with the oracle families
-  ttv, tvv and vvv instead; ttt is the cocycle identity, which
-  ``validate_cocycle`` checks when a problem is loaded.
+* The solver's recheck is independent.  The checker evaluates rows written
+  by the function that wrote the solver's, so the solver re-verifies its
+  basis with the oracle families ttv, tvv and vvv instead; ttt is the
+  cocycle identity, which ``validate_cocycle`` checks when a problem is
+  loaded.
 
 By default the oracle writes the last group letter of each word only at
 generators s of G (every element when the group records none): t_g t_h t_s,
@@ -122,8 +142,15 @@ from functools import lru_cache
 from itertools import accumulate, combinations, product
 from typing import NamedTuple
 
-from .groups import Cocycle2, FiniteGroup, GroupAlgebraElement, class_data
-from .linalg import bump, kernel_basis, same_span
+from .groups import (
+    Cocycle2,
+    FiniteGroup,
+    GroupAlgebraElement,
+    centralizer_generators,
+    class_data,
+    conjugation_walk,
+)
+from .linalg import bump, echelon_basis, kernel_basis, same_span
 from .quantum import GroupAction, QMatrix, check_action_extends
 from .scalars import ONE, CyclotomicScalar, parse_scalar
 
@@ -290,13 +317,34 @@ class ConditionSystem(NamedTuple):
     tags: tuple
 
 
+def _condition_one_images(action: GroupAction, q: QMatrix, h: int) -> list:
+    """Condition (1)'s coefficients at h, the same for every g: per pair
+    (i, j), in order, -q_ji and the right-hand side as (pair index of
+    (k, l), coefficient), with kappa_g(v_j, v_i) = -q_ji x[g, i, j]."""
+    n, hrows = action.n, action.rows_nz[h]
+    images = []
+    for i, j in combinations(range(n), 2):
+        qji = q(j, i)
+        image: dict = {}
+        for k, hik in hrows[i]:
+            for l, hjl in hrows[j]:
+                if k < l:
+                    bump(image, _pair_index(k, l, n), hjl * hik * q(l, k))
+        for l, hil in hrows[i]:
+            for k, hjk in hrows[j]:
+                if k < l:
+                    bump(image, _pair_index(k, l, n), -qji * hil * hjk * q(l, k))
+        images.append((-qji, tuple(image.items())))
+    return images
+
+
 def parameter_space_rows(
-    action: GroupAction, q: QMatrix, alpha: Cocycle2, elements=None
+    action: GroupAction, q: QMatrix, alpha: Cocycle2, elements=None, links=None
 ) -> ConditionSystem:
     """The homogeneous linear system whose kernel is the parameter space.
 
-    Condition (1), for g in G, h a generator of G (see the module docstring)
-    and i < j:
+    Condition (1), for each (h, g) in ``links`` (default: for each generator
+    h of G, see the module docstring, every g in order) and i < j:
         alpha(h,g)/alpha(hgh^-1,h) kappa_g(v_j,v_i)
             = sum_{k<l} ddet_ijkl(h) kappa_{hgh^-1}(v_l,v_k).
     Condition (2), for g in elements (default every element, in order; one
@@ -308,10 +356,16 @@ def parameter_space_rows(
     A row's product with kappa's coordinates is lhs - rhs of its equation.
     Equations that hold for every kappa give no row.
 
+    The unknowns are x[g, i, j], at column g * npairs + (the rank of
+    (i, j)).  Given ``links``, they are those at ``elements`` only, the
+    block of elements[k] at column k * npairs, and each link (h, g) has g
+    and hgh^-1 among them.
+
     The q products do not depend on g, so they are taken once per problem:
-    condition (1)'s right-hand sides once per generator h, and condition
-    (2)'s six factors once per triple i < j < k, with which the coefficient
-    of v_t, in the unknowns x[g, a, b] = kappa_g(v_a, v_b) (a < b), reads
+    condition (1)'s right-hand sides once per h (``_condition_one_images``),
+    and condition (2)'s six factors once per triple i < j < k, with which the
+    coefficient of v_t, in the unknowns x[g, a, b] = kappa_g(v_a, v_b)
+    (a < b), reads
         x[g,j,k] (g^i_t (-q_kj) + [t = i] q_kj q_ji q_ki)
       + x[g,i,k] (g^j_t q_ki q_ji - [t = j] q_ki q_kj)
       + x[g,i,j] (g^k_t (-q_ji q_kj q_ki) + [t = k] q_ji).
@@ -325,36 +379,26 @@ def parameter_space_rows(
     G = action.group
     n = action.n
     npairs = n * (n - 1) // 2
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    pairs = list(combinations(range(n), 2))
+    if links is None:
+        links = product(G.generator_indices or range(G.size), range(G.size))
+        block = range(G.size)
+    else:
+        block = {g: k for k, g in enumerate(elements)}
     rows, tags = [], []
-    # condition (1), with kappa_g(v_j, v_i) = -q_ji x[g, i, j]
-    for h in G.generator_indices or range(G.size):
-        hrows = action.rows_nz[h]
-        # per pair (i, j): -q_ji and the right-hand side as (pair index of
-        # (k, l), coefficient), the same for every g
-        images = []
-        for i, j in pairs:
-            qji = q(j, i)
-            image: dict = {}
-            for k, hik in hrows[i]:
-                for l, hjl in hrows[j]:
-                    if k < l:
-                        bump(image, _pair_index(k, l, n), hjl * hik * q(l, k))
-            for l, hil in hrows[i]:
-                for k, hjk in hrows[j]:
-                    if k < l:
-                        bump(image, _pair_index(k, l, n), -qji * hil * hjk * q(l, k))
-            images.append((-qji, tuple(image.items())))
-        for g in range(G.size):
-            at_g, at_gc = g * npairs, G.conjugate(h, g) * npairs
-            ratio = alpha.conj_ratio(h, g)
-            for p, (minus_qji, image) in enumerate(images):
-                row: dict = {at_g + p: ratio * minus_qji}
-                for kl, c in image:
-                    bump(row, at_gc + kl, c)
-                if row:
-                    rows.append(row)
-                    tags.append((1, g, h, *pairs[p]))
+    images: dict = {}  # h -> _condition_one_images(action, q, h)
+    for h, g in links:
+        if h not in images:
+            images[h] = _condition_one_images(action, q, h)
+        at_g, at_gc = block[g] * npairs, block[G.conjugate(h, g)] * npairs
+        ratio = alpha.conj_ratio(h, g)
+        for p, (minus_qji, image) in enumerate(images[h]):
+            row: dict = {at_g + p: ratio * minus_qji}
+            for kl, c in image:
+                bump(row, at_gc + kl, c)
+            if row:
+                rows.append(row)
+                tags.append((1, g, h, *pairs[p]))
     # condition (2): per triple, (pair index, the row r of g read, the
     # factor of g^r_t, the constant at t = r) for each of its three unknowns
     triples = []
@@ -367,7 +411,7 @@ def parameter_space_rows(
             (_pair_index(i, j, n), k, -qkji, qji),
         )))
     for g in range(G.size) if elements is None else elements:
-        at = g * npairs
+        at = block[g] * npairs
         grows = [dict(r) for r in action.rows_nz[g]]
         for (i, j, k), terms in triples:
             for t in sorted({i, j, k}.union(grows[i], grows[j], grows[k])):
@@ -381,20 +425,31 @@ def parameter_space_rows(
                 if row:
                     rows.append(row)
                     tags.append((2, g, i, j, k, t))
-    return ConditionSystem(tuple(rows), G.size * npairs, tuple(tags))
+    return ConditionSystem(tuple(rows), len(block) * npairs, tuple(tags))
 
 
 def condition_system(
     action: GroupAction, q: QMatrix, alpha: Cocycle2, representatives: bool = False
 ) -> ConditionSystem:
-    """``parameter_space_rows`` of the problem, built once per kind and
-    shared by the solver, the checker and repeated calls.  With
-    ``representatives`` condition (2) is written at one element of each
-    conjugacy class only (its least), which cuts out the same kernel (see
-    the module docstring); when every class is a single element that is the
-    exhaustive system, and the same object is returned.  Raises
-    ExtensionError when the action does not extend to S_q(V)."""
-    return _condition_system(action, q, alpha, _condition_elements(action.group, representatives))
+    """``parameter_space_rows`` of the problem for the checker, built once
+    per kind and shared by repeated calls.  With ``representatives``
+    condition (2) is written at one element of each conjugacy class only
+    (its least), which cuts out the same kernel (see the module docstring);
+    when every class is a single element that is the exhaustive system, and
+    the same object is returned.  Raises ExtensionError when the action does
+    not extend to S_q(V)."""
+    return _condition_system(
+        action, q, alpha, _condition_elements(action.group, representatives), False)
+
+
+def class_local_system(action: GroupAction, q: QMatrix, alpha: Cocycle2) -> ConditionSystem:
+    """The solver's system, built once per problem: the unknowns at the
+    class representatives c only (in ``class_data`` order), condition (1)
+    at (z, c) for the generators z of Z(c) (``groups.centralizer_generators``)
+    and condition (2) at c.  When every class is a single element this is
+    the exhaustive system, and the checker's object is returned."""
+    elements = _condition_elements(action.group, True)
+    return _condition_system(action, q, alpha, elements, elements is not None)
 
 
 def _condition_elements(group: FiniteGroup, representatives: bool):
@@ -405,13 +460,17 @@ def _condition_elements(group: FiniteGroup, representatives: bool):
 
 
 @lru_cache(maxsize=8)
-def _condition_system(action, q, alpha, elements) -> ConditionSystem:
+def _condition_system(action, q, alpha, elements, local) -> ConditionSystem:
     rep = extension_report(action, q)
     if not rep["symmetric"]:
         raise ExtensionError(
             f"action does not extend to S_q(V); witnesses {rep['symmetric_witnesses']}"
         )
-    return parameter_space_rows(action, q, alpha, elements)
+    links = None
+    if local:
+        gens = centralizer_generators(action.group)
+        links = [(z, c) for c in elements for z in gens[c]]
+    return parameter_space_rows(action, q, alpha, elements, links)
 
 
 @lru_cache(maxsize=8)
@@ -419,7 +478,7 @@ def _rows_by_column(action, q, alpha, elements) -> tuple:
     """The rows' entries by column, in row order: column c holds (rows[k],
     entries[k]) for start[c] <= k < start[c + 1], in flat arrays (a pair per
     entry took 50 MB more at twisted S7).  Built on the first check only."""
-    system = _condition_system(action, q, alpha, elements)
+    system = _condition_system(action, q, alpha, elements, False)
     counts = array("l", [0]) * (system.ncols + 1)
     for row in system.rows:
         for col in row:
@@ -462,7 +521,7 @@ def check_pbw_conditions(
     representative), but ``condition2`` and the violations may differ.
     """
     elements = _condition_elements(action.group, representatives)
-    system = _condition_system(action, q, alpha, elements)
+    system = _condition_system(action, q, alpha, elements, False)
     start, rows, entries = _rows_by_column(action, q, alpha, elements)
     # the rows that meet kappa's support, with the products a row-by-row walk takes
     defects: dict = {}
@@ -481,23 +540,64 @@ def check_pbw_conditions(
     return report
 
 
+def _expand_along_classes(solutions, action, q, alpha) -> None:
+    """Extend each solution, {element: {pair index: value}} at the class
+    representatives, to their classes in place: on each edge (b, s, g) of
+    ``groups.conjugation_walk`` the condition-(1) row at (s, g) reads
+        ratio(s, g) (-q_ji) x[g, i, j] + sum_kl c_kl x[b, k, l] = 0,
+    the c_kl from ``_condition_one_images(s)``."""
+    transposed = {}  # s -> ([1 / -q_ji per pair], {kl: [(pair, c_kl)]})
+    for b, s, g in conjugation_walk(action.group):
+        for x in solutions:
+            xb = x.get(b)
+            if not xb:
+                continue
+            if s not in transposed:
+                images, by_kl = _condition_one_images(action, q, s), {}
+                for p, (_, image) in enumerate(images):
+                    for kl, c in image:
+                        by_kl.setdefault(kl, []).append((p, c))
+                transposed[s] = ([minus_qji.inverse() for minus_qji, _ in images], by_kl)
+            inverses, by_kl = transposed[s]
+            acc: dict = {}
+            for kl, v in xb.items():
+                for p, c in by_kl.get(kl, ()):
+                    bump(acc, p, c * v)
+            f = -alpha.conj_ratio(s, g).inverse()
+            x[g] = {p: a * f * inverses[p] for p, a in acc.items()}
+
+
 def solve_parameter_space(
     action: GroupAction, q: QMatrix, alpha: Cocycle2, recheck: bool = True
 ) -> list[KappaMap]:
-    """Kernel basis of the PBW condition system, as KappaMaps.  Unless
-    disabled, every basis element is re-verified by the rewriting oracle's
-    families ttv, tvv and vvv, which do not use the rows."""
-    system = condition_system(action, q, alpha, representatives=True)
+    """The parameter space as KappaMaps, in the basis ``linalg.kernel_basis``
+    gives for the exhaustive system: the kernel of ``class_local_system``
+    expanded along conjugation and brought to that shape (see the module
+    docstring).  Unless disabled, every basis element is re-verified by the
+    rewriting oracle's families ttv, tvv and vvv, which do not use the rows."""
     G = action.group
     n = action.n
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    basis = []
+    npairs = n * (n - 1) // 2
+    pairs = list(combinations(range(n), 2))
+    system = class_local_system(action, q, alpha)
+    reps = tuple(class_data(G).centralizer)  # the system's column blocks
+    solutions = []  # per kernel vector, element -> {pair index: value}
     for vec in kernel_basis(system.rows, system.ncols):
-        coords = {}
-        for idx, c in enumerate(vec):
+        x: dict = {}
+        for col, c in enumerate(vec):
             if not c.is_zero():
-                g, rem = divmod(idx, len(pairs))
-                coords[(g, *pairs[rem])] = c
+                r, p = divmod(col, npairs)
+                x.setdefault(reps[r], {})[p] = c
+        solutions.append(x)
+    _expand_along_classes(solutions, action, q, alpha)
+    vectors = [{g * npairs + p: v for g, xg in x.items() for p, v in xg.items()}
+               for x in solutions]
+    basis = []
+    for vec in echelon_basis(vectors):
+        coords = {}
+        for col, c in vec.items():
+            g, p = divmod(col, npairs)
+            coords[(g, *pairs[p])] = c
         basis.append(KappaMap.from_coordinates(G, n, q, coords))
     if recheck:
         for kappa in basis:

@@ -4,7 +4,7 @@ import random
 
 from tqdha.cohomology import Cochain
 from tqdha.groups import GroupAlgebraElement
-from tqdha.linalg import RowReducer, bump, kernel_basis, rows_rank, same_span
+from tqdha.linalg import RowReducer, bump, echelon_basis, kernel_basis, rows_rank, same_span
 from tqdha.quantum import SkewElement
 from tqdha.spin import CliffordElement
 from tqdha.scalars import MINUS_ONE, ONE, ZERO, rational, root_of_unity
@@ -134,6 +134,18 @@ def test_mixed_two_and_three_term_rows():
         assert basis == plain_kernel(rows, ncols)
         for v in basis:
             assert annihilates(rows, v)
+        # any other basis of the kernel, reversed and mixed by a unit
+        # triangular matrix, has this one as its echelon basis
+        sparse = [{c: x for c, x in enumerate(v) if not x.is_zero()} for v in basis]
+        mixed = []
+        for k, v in enumerate(sparse):
+            w = dict(v)
+            for u in sparse[k + 1:]:
+                f = rational(rnd.randint(-2, 2))
+                for c, x in u.items():
+                    bump(w, c, f * x)
+            mixed.append(w)
+        assert echelon_basis(mixed[::-1]) == sparse
 
 
 def test_column_no_row_mentions_is_free():

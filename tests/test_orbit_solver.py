@@ -1,10 +1,13 @@
-"""The direct solver's two short cuts, each against the exhaustive system.
+"""The direct solver's short cuts, each against the exhaustive system.
 
-The solver writes condition (2) at class representatives only and settles
-the one- and two-term rows by union-find (``linalg.kernel_basis``).  Here its
-output is compared byte for byte with plain ``RowReducer`` elimination of the
-exhaustive rows, and the class-representative verdict of the checker with
-the exhaustive verdict, on planted kappas that fail in each possible way.
+The solver solves for kappa at class representatives only (condition (1) at
+the generators of each centralizer, condition (2) at the representative),
+settles the one- and two-term rows by union-find (``linalg.kernel_basis``)
+and expands the solutions along conjugation.  Here its output is compared
+byte for byte with plain ``RowReducer`` elimination of the exhaustive rows,
+the chosen centralizer generators and the conjugation walk with the groups
+they describe, and the class-representative verdict of the checker with the
+exhaustive verdict, on planted kappas that fail in each possible way.
 """
 
 import os
@@ -17,11 +20,26 @@ from test_pbw import cyclotomic_diagonal_instance, s3_instance
 from tqdha import pbw
 from tqdha.classify import symmetric_instance
 from tqdha.cohomology import cohomological_parameter_space
-from tqdha.groups import GroupAlgebraElement, group_from_permutations, symmetric_group, trivial_cocycle
+from tqdha.groups import (
+    GroupAlgebraElement,
+    _generated,
+    centralizer_generators,
+    class_data,
+    conjugation_walk,
+    group_from_permutations,
+    group_from_table,
+    symmetric_group,
+    trivial_cocycle,
+)
 from tqdha.linalg import RowReducer, kernel_basis
 from tqdha.pbw import KappaMap, check_pbw_conditions, condition_system, solve_parameter_space
 from tqdha.problems import parse_problem_file
-from tqdha.quantum import QMatrix, action_from_generator_matrices, natural_permutation_action
+from tqdha.quantum import (
+    GroupAction,
+    QMatrix,
+    action_from_generator_matrices,
+    natural_permutation_action,
+)
 from tqdha.scalars import MINUS_ONE, ONE, ZERO, rational
 from tqdha.spin import spin_cocycle
 
@@ -55,7 +73,28 @@ def reflection_instance(n):
     return action_from_generator_matrices(G, gens, m), QMatrix.uniform(m, 1), trivial_cocycle(G)
 
 
+def dihedral_instance():
+    """D4 on C^2 by its eight signed permutation matrices, q = 1 and the
+    trivial cocycle, as a bare table: the group records no generators, and
+    its centre holds -1 besides the identity."""
+    mats = [((1, 0), (0, 1))]
+    mats += sorted(({((a, 0), (0, b)) for a in (1, -1) for b in (1, -1)}
+                    | {((0, a), (b, 0)) for a in (1, -1) for b in (1, -1)}) - {mats[0]})
+    index = {m: k for k, m in enumerate(mats)}
+
+    def times(x, y):  # the matrix of x y is M[y] M[x]
+        a, b = mats[y], mats[x]
+        return index[tuple(tuple(sum(a[i][k] * b[k][j] for k in range(2)) for j in range(2))
+                           for i in range(2))]
+
+    G = group_from_table([[times(x, y) for y in range(8)] for x in range(8)], name="D4")
+    action = GroupAction(G, [[[rational(e) for e in row] for row in m] for m in mats])
+    return action, QMatrix.uniform(2, 1), trivial_cocycle(G)
+
+
 def instance(name):
+    if name == "D4 table":
+        return dihedral_instance()
     if name.startswith("S"):
         n, kind = int(name[1]), name[3:]
         if kind == "reflection":
@@ -83,8 +122,8 @@ def plain_solve(action, q, alpha):
 
 
 SOLVER_CASES = ["S3 untwisted", "S3 twisted", "S4 untwisted", "S4 twisted", "S5 untwisted",
-                "S5 twisted", "S3 reflection", "S4 reflection", "klein_bicharacter_diag",
-                "weyl2", "z2_negation", "z6z6_zeta12"]
+                "S5 twisted", "S3 reflection", "S4 reflection", "D4 table",
+                "klein_bicharacter_diag", "weyl2", "z2_negation", "z6z6_zeta12"]
 
 
 @pytest.mark.parametrize("name", SOLVER_CASES)
@@ -94,6 +133,45 @@ def test_solver_matches_plain_elimination_of_every_row(name):
     plain = plain_solve(action, q, alpha)
     assert [k.to_records() for k in ours] == [k.to_records() for k in plain]
     assert ours, "the instance should have a nonzero parameter space"
+
+
+@pytest.mark.parametrize("name", ["S4 untwisted", "S5 untwisted", "S4 twisted", "S4 reflection",
+                                  "D4 table"])
+def test_centralizer_generators_generate_each_centralizer(name):
+    G = instance(name)[0].group
+    data = class_data(G)
+    gens = centralizer_generators(G)
+    assert list(gens) == list(data.centralizer)
+    for c, cent in data.centralizer.items():
+        assert sorted(_generated(G.mult, gens[c])) == list(cent), c
+        if len(cent) == G.size:
+            assert gens[c] == (G.generator_indices or tuple(range(G.size)))
+    # D4 has a central element besides the identity, and records no generators
+    if name == "D4 table":
+        central = [c for c, cent in data.centralizer.items() if len(cent) == G.size]
+        assert len(central) == 2 and gens[central[1]] == tuple(range(8))
+
+
+@pytest.mark.parametrize("name", ["S4 untwisted", "S4 reflection", "D4 table",
+                                  "klein_bicharacter_diag"])
+def test_conjugation_walk_reaches_each_non_representative_once(name):
+    G = instance(name)[0].group
+    data = class_data(G)
+    walk = conjugation_walk(G)
+    assert sorted(g for _, _, g in walk) == [g for g in range(G.size) if data.rep[g] != g]
+    seen = set(data.centralizer)
+    for b, s, g in walk:
+        assert b in seen and data.rep[b] == data.rep[g]
+        assert G.conjugate(s, g) == b and (not G.generator_indices or s in G.generator_indices)
+        seen.add(g)
+
+
+def test_solver_system_is_local_to_the_representatives():
+    action, q, alpha = instance("S5 twisted")
+    system = pbw.class_local_system(action, q, alpha)
+    assert system.ncols == 7 * 10
+    assert {tag[1] for tag in system.tags} == set(class_data(action.group).centralizer)
+    assert len(system.rows) < len(condition_system(action, q, alpha, True).rows) / 5
 
 
 def test_reflection_action_gives_rows_of_three_or_more_terms():
@@ -225,9 +303,11 @@ def count_row_builds(monkeypatch):
     builds = Counter()
     real = pbw.parameter_space_rows
 
-    def counting(action, q, alpha, elements=None):
-        builds["exhaustive" if elements is None else "representatives"] += 1
-        return real(action, q, alpha, elements)
+    def counting(action, q, alpha, elements=None, links=None):
+        kind = ("exhaustive" if elements is None else "representatives" if links is None
+                else "class-local")
+        builds[kind] += 1
+        return real(action, q, alpha, elements, links)
 
     monkeypatch.setattr(pbw, "parameter_space_rows", counting)
     return builds
@@ -245,7 +325,7 @@ def test_s4_builds_each_kind_of_rows_once(monkeypatch):
     builds = count_row_builds(monkeypatch)
     action = natural_permutation_action(symmetric_group(4))
     exercise(action, QMatrix.uniform(4, -1), spin_cocycle(symmetric_group(4)))
-    assert builds == {"exhaustive": 1, "representatives": 1}
+    assert builds == {"exhaustive": 1, "representatives": 1, "class-local": 1}
 
 
 def test_abelian_group_shares_one_system(monkeypatch):
