@@ -194,25 +194,51 @@ def class_data(group: FiniteGroup) -> ClassData:
 
 
 @lru_cache(maxsize=8)
+def centralizer_chains(group: FiniteGroup) -> dict:
+    """Z(c) as a chain of subgroups 1 = H_0 < H_1 < ... < H_k = Z(c), for
+    each class representative c of ``class_data``, in its order.  Scanning
+    Z(c) upwards, each z outside the subgroup H built so far opens a step
+    H' = <H, z>, recorded as the least element t of each left coset tH in
+    H', ascending.  The first is the identity and the second is z itself,
+    since every element of Z(c) below z is in H.  H' is the disjoint union
+    of the cosets tH, so each element of Z(c) is exactly one product
+    t_k ... t_2 t_1 with t_i from step i; the step sizes are the indices
+    |H_i : H_(i-1)|.  Equal centralizers share one chain."""
+    mult = group.mult
+    shared, out = {}, {}
+    for c, cent in class_data(group).centralizer.items():
+        steps = shared.get(cent)
+        if steps is None:
+            steps, gens, inside = [], [], {0}
+            for z in cent:
+                if z in inside:
+                    continue
+                gens.append(z)
+                grown = _generated(mult, gens)
+                covered, step = set(), []
+                for t in sorted(grown):
+                    if t not in covered:
+                        step.append(t)
+                        covered.update(mult[t][h] for h in inside)
+                steps.append(tuple(step))
+                inside = grown
+            steps = shared[cent] = tuple(steps)
+        out[c] = steps
+    return out
+
+
+@lru_cache(maxsize=8)
 def centralizer_generators(group: FiniteGroup) -> dict:
     """Generators of Z(c) for each class representative c of ``class_data``,
     in its order.  When Z(c) is all of G they are G's recorded generators
     (every element when it records none, as for condition (1) in ``pbw``);
-    otherwise each element of Z(c), in ascending order, that the ones chosen
-    before it do not generate."""
+    otherwise the elements that open the steps of ``centralizer_chains``:
+    each element of Z(c), in ascending order, that the ones chosen before
+    it do not generate."""
     everything = group.generator_indices or tuple(range(group.size))
-    out = {}
-    for c, cent in class_data(group).centralizer.items():
-        if len(cent) == group.size:
-            out[c] = everything
-            continue
-        gens, reached = [], {0}
-        for z in cent:
-            if z not in reached:
-                gens.append(z)
-                reached = _generated(group.mult, gens)
-        out[c] = tuple(gens)
-    return out
+    chains = centralizer_chains(group)
+    return {c: everything if len(cent) == group.size else tuple(step[1] for step in chains[c])
+            for c, cent in class_data(group).centralizer.items()}
 
 
 def _generated(mult, gens) -> set:

@@ -7,7 +7,10 @@ and expands the solutions along conjugation.  Here its output is compared
 byte for byte with plain ``RowReducer`` elimination of the exhaustive rows,
 the chosen centralizer generators and the conjugation walk with the groups
 they describe, and the class-representative verdict of the checker with the
-exhaustive verdict, on planted kappas that fail in each possible way.
+exhaustive verdict, on planted kappas that fail in each possible way.  The
+cohomology route's short cuts are here too: the subgroup chains it sums each
+centralizer through, and its rank filter at class representatives against
+the defining average over G of every kernel vector.
 """
 
 import os
@@ -16,13 +19,15 @@ from collections import Counter
 
 import pytest
 
+from test_cohomology import _literal_average
 from test_pbw import cyclotomic_diagonal_instance, s3_instance
 from tqdha import pbw
 from tqdha.classify import symmetric_instance
-from tqdha.cohomology import cohomological_parameter_space
+from tqdha.cohomology import cohomological_parameter_space, constant_cocycle_basis, skew_symmetrize
 from tqdha.groups import (
     GroupAlgebraElement,
     _generated,
+    centralizer_chains,
     centralizer_generators,
     class_data,
     conjugation_walk,
@@ -30,6 +35,7 @@ from tqdha.groups import (
     group_from_table,
     symmetric_group,
     trivial_cocycle,
+    trivial_group,
 )
 from tqdha.linalg import RowReducer, kernel_basis
 from tqdha.pbw import KappaMap, check_pbw_conditions, condition_system, solve_parameter_space
@@ -95,6 +101,9 @@ def dihedral_instance():
 def instance(name):
     if name == "D4 table":
         return dihedral_instance()
+    if name == "trivial":
+        G = trivial_group()
+        return GroupAction(G, [[[ONE, ZERO], [ZERO, ONE]]]), QMatrix.uniform(2, 1), trivial_cocycle(G)
     if name.startswith("S"):
         n, kind = int(name[1]), name[3:]
         if kind == "reflection":
@@ -150,6 +159,48 @@ def test_centralizer_generators_generate_each_centralizer(name):
     if name == "D4 table":
         central = [c for c, cent in data.centralizer.items() if len(cent) == G.size]
         assert len(central) == 2 and gens[central[1]] == tuple(range(8))
+
+
+@pytest.mark.parametrize("name", ["S4 untwisted", "S5 untwisted", "S4 reflection", "D4 table",
+                                  "z6z6_zeta12", "trivial"])
+def test_centralizer_chain_lists_each_centralizer_element_once(name):
+    # one element t_i of each step, the last step's leftmost: the products
+    # t_k ... t_2 t_1 are the elements of Z(c), each once
+    G = instance(name)[0].group
+    data = class_data(G)
+    chains = centralizer_chains(G)
+    assert list(chains) == list(data.centralizer)
+    for c, steps in chains.items():
+        products = [0]
+        for step in steps:
+            assert step[0] == 0 and list(step) == sorted(step), (c, step)
+            products = [G.mult[t][h] for t in step for h in products]
+        assert sorted(products) == list(data.centralizer[c]), c
+    if name == "S5 untwisted":
+        assert tuple(map(len, chains[0])) == (2, 3, 4, 5)
+
+
+def reference_parameter_space(action, q, alpha):
+    """The Reynolds image of every d_3* kernel vector at the class
+    representatives by the defining sum over G, rank-filtered on its
+    coordinates at every element."""
+    reps = [cls[0] for cls in action.group.conjugacy_classes()]
+    red, basis = RowReducer(), []
+    for x in constant_cocycle_basis(action, q, reps):
+        eta = skew_symmetrize(_literal_average(x, action, alpha), q, action.group, action.n)
+        if red.insert(eta.coordinate_row()) is not None:
+            basis.append(eta)
+    return basis
+
+
+@pytest.mark.parametrize("name", ["S3 untwisted", "S3 twisted", "S4 untwisted", "S4 twisted",
+                                  "S3 reflection", "D4 table", "weyl2", "z6z6_zeta12"])
+def test_cohomology_filter_at_representatives_matches_the_whole_filter(name):
+    action, q, alpha = instance(name)
+    ours = cohomological_parameter_space(action, q, alpha, recheck=False)
+    assert ours, "the instance should have a nonzero parameter space"
+    assert ([k.to_records() for k in ours]
+            == [k.to_records() for k in reference_parameter_space(action, q, alpha)])
 
 
 @pytest.mark.parametrize("name", ["S4 untwisted", "S4 reflection", "D4 table",
