@@ -343,7 +343,7 @@ def skew_symmetrize(mu_pairs: dict, q: QMatrix, group, n: int) -> KappaMap:
         for j in range(i + 1, n):
             a = mu_pairs.get((i, j), GroupAlgebraElement.zero())
             b = mu_pairs.get((j, i), GroupAlgebraElement.zero())
-            values[(i, j)] = a - b.scale(q(i, j))
+            values[(i, j)] = a + b.scale(-q(i, j))
     return KappaMap(group, n, q, values)
 
 

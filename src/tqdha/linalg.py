@@ -19,7 +19,7 @@ union-find first and eliminates only the longer ones.
 
 from __future__ import annotations
 
-from .scalars import MINUS_ONE, ONE, ZERO, CyclotomicScalar
+from .scalars import ONE, ZERO, CyclotomicScalar
 
 
 Row = dict  # ordered column key -> nonzero CyclotomicScalar
@@ -64,7 +64,10 @@ class SparseSum:
         return self._like(out)
 
     def __sub__(self, other):
-        return self + other.scale(MINUS_ONE)
+        out = dict(self.coeffs)
+        for k, c in other.coeffs.items():
+            bump(out, k, -c)
+        return self._like(out)
 
     def scale(self, s: CyclotomicScalar):
         if s.is_zero():

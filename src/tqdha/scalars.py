@@ -16,6 +16,19 @@ Q(zeta_lcm).  Serialization reduces to the minimal conductor first, so the
 printed form of a value does not depend on how it was computed.  ``Fraction``
 appears only at the edges: ``rational``, ``as_fraction`` and parsing.
 
+Products of two values of order > 1, sums with an operand of order > 1, and
+the lift of a value to a larger order are memoized (``_product``, ``_sum``,
+``_lift``): ``lru_cache(maxsize=1024)`` each, keyed on the full canonical
+triple (order, coeffs, den) of every operand.  This is safe because a triple
+fixes its value and every result is an immutable canonical scalar (or, for
+a lift, a tuple), so a hit returns exactly what the kernel would compute
+again.  It pays because the same pairs recur: the three seeded Z/6 x Z/6
+problems in Q(zeta_12) of the benchmark make 4,468 such products over 135
+distinct pairs and 4,541 sums over 134, well inside the bound.  A full
+cache of order-24 entries holds about 1.3 MB (``_product``), 1.1 MB
+(``_sum``) and 0.45 MB (``_lift``), operands included, measured with
+``tracemalloc`` on random numerators of up to three digits (Python 3.11).
+
 Arithmetic takes scalars only: ``+ - * /`` with an ``int`` or a ``Fraction``
 on either side raises, and ``==`` with one is False.  An int or a Fraction
 becomes a scalar through ``rational``, the one constructor from Q.
@@ -202,18 +215,6 @@ class CyclotomicScalar:
 
     # -- arithmetic ----------------------------------------------------
 
-    def _dense_at(self, n: int) -> list[int]:
-        # the numerators of self in Q(zeta_n), over the same den; order | n
-        if self.order == n:
-            return list(self.coeffs)
-        rows = _embedding_rows(self.order, n)
-        out = [0] * len(rows[0])
-        for c, row in zip(self.coeffs, rows):
-            if c:
-                for i, r in enumerate(row):
-                    out[i] += c * r
-        return out
-
     def __add__(self, other):
         n, m, da, db = self.order, other.order, self.den, other.den
         if n == 1 == m:
@@ -223,14 +224,7 @@ class CyclotomicScalar:
                 g = gcd(p, d)
                 p, d = p // g, d // g
             return CyclotomicScalar(1, (p,), d)
-        if n == m:
-            a, b = self.coeffs, other.coeffs
-        else:
-            n = lcm(n, m)
-            a, b = self._dense_at(n), other._dense_at(n)
-        if da == db:
-            return _make(n, [x + y for x, y in zip(a, b)], da)
-        return _make(n, [x * db + y * da for x, y in zip(a, b)], da * db)
+        return _sum(n, self.coeffs, da, m, other.coeffs, db)
 
     def __neg__(self):
         return CyclotomicScalar(self.order, tuple(-c for c in self.coeffs), self.den)
@@ -261,10 +255,7 @@ class CyclotomicScalar:
             if da == db == 1 and c:
                 return x if c == 1 else CyclotomicScalar(x.order, tuple([c * v for v in x.coeffs]), 1)
             return _make(x.order, [c * v for v in x.coeffs], da * db)
-        if n == m:
-            return _make(n, _mul(n, self.coeffs, other.coeffs), da * db)
-        n = lcm(n, m)
-        return _make(n, _mul(n, self._dense_at(n), other._dense_at(n)), da * db)
+        return _product(n, self.coeffs, da, m, other.coeffs, db)
 
     def inverse(self) -> "CyclotomicScalar":
         """1 / self, in integers: for numerators a, 1/a = conj(a) / (a conj(a)).
@@ -319,7 +310,7 @@ class CyclotomicScalar:
         if self.order == 1 or other.order == 1:
             return False  # only order 1 holds rationals
         n = lcm(self.order, other.order)
-        return self._dense_at(n) == other._dense_at(n)
+        return _lift(self.order, self.coeffs, n) == _lift(other.order, other.coeffs, n)
 
     def reduced(self) -> "CyclotomicScalar":
         """Rewrite at the minimal conductor (smallest d with self in Q(zeta_d)).
@@ -364,6 +355,42 @@ def _make(order: int, coeffs: list[int], den: int) -> CyclotomicScalar:
     if order > 1 and not any(coeffs[1:]):
         return CyclotomicScalar(1, (coeffs[0],), den)
     return CyclotomicScalar(order, tuple(coeffs), den)
+
+
+# The memoized kernels; the module docstring gives their keys and bounds.
+@lru_cache(maxsize=1024)
+def _lift(order: int, coeffs: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """The numerators of sum(coeffs[k] * zeta_order^k) in Q(zeta_n), over
+    the same denominator; order | n."""
+    if order == n:
+        return coeffs
+    rows = _embedding_rows(order, n)
+    out = [0] * len(rows[0])
+    for c, row in zip(coeffs, rows):
+        if c:
+            for i, r in enumerate(row):
+                out[i] += c * r
+    return tuple(out)
+
+
+@lru_cache(maxsize=1024)
+def _product(n: int, a: tuple[int, ...], da: int, m: int, b: tuple[int, ...], db: int) -> CyclotomicScalar:
+    """(a / da at order n) * (b / db at order m), in Q(zeta_lcm(n, m))."""
+    if n != m:
+        k = lcm(n, m)
+        n, a, b = k, _lift(n, a, k), _lift(m, b, k)
+    return _make(n, _mul(n, a, b), da * db)
+
+
+@lru_cache(maxsize=1024)
+def _sum(n: int, a: tuple[int, ...], da: int, m: int, b: tuple[int, ...], db: int) -> CyclotomicScalar:
+    """(a / da at order n) + (b / db at order m), in Q(zeta_lcm(n, m))."""
+    if n != m:
+        k = lcm(n, m)
+        n, a, b = k, _lift(n, a, k), _lift(m, b, k)
+    if da == db:
+        return _make(n, [x + y for x, y in zip(a, b)], da)
+    return _make(n, [x * db + y * da for x, y in zip(a, b)], da * db)
 
 
 def rational(x) -> CyclotomicScalar:

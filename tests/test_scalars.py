@@ -14,8 +14,12 @@ from tqdha.scalars import (
     ONE,
     ZERO,
     ScalarParseError,
+    _embedding_rows,
+    _lift,
     _make,
     _mul,
+    _product,
+    _sum,
     cyclotomic_polynomial,
     euler_phi,
     parse_scalar,
@@ -238,11 +242,18 @@ _operand = st.one_of(
 )
 
 
+def _lifted(x, n):
+    # x's numerators at order n, summed over the rows of _embedding_rows
+    rows = _embedding_rows(x.order, n)
+    return [sum(c * row[i] for c, row in zip(x.coeffs, rows)) for i in range(euler_phi(n))]
+
+
 def _reference(op, a, b):
-    # op(a, b) by the general route: both operands at the lcm order, the
-    # schoolbook product or the sum over da * db, normalized by _make
+    # op(a, b) by the general route, with no memoized kernel: both operands
+    # at the lcm order, the schoolbook product or the sum over da * db,
+    # normalized by _make
     n = a.order * b.order // gcd(a.order, b.order)
-    x, y = a._dense_at(n), b._dense_at(n)
+    x, y = _lifted(a, n), _lifted(b, n)
     if op is operator.mul:
         return _make(n, _mul(n, x, y), a.den * b.den)
     return _make(n, [u * b.den + v * a.den for u, v in zip(x, y)], a.den * b.den)
@@ -257,12 +268,20 @@ def _reference(op, a, b):
 @example(rational(2), rational(Fraction(1, 2)) * root_of_unity(8, 1))
 @example(root_of_unity(8, 3), ONE)
 @example(ZERO, root_of_unity(4, 1))
+@example(root_of_unity(12, 1) * root_of_unity(12, 3), root_of_unity(3, 1))
 def test_direct_paths_match_the_general_normalizer(a, b):
     cases = [(a * b, _reference(operator.mul, a, b)), (a + b, _reference(operator.add, a, b)),
              (a - b, _reference(operator.add, a, -b))]
     for got, ref in cases:
         assert (got.order, got.coeffs, got.den) == (ref.order, ref.coeffs, ref.den)
         _assert_canonical(got)
+    # the memo returns what the kernels compute afresh
+    for cache in (_lift, _product, _sum):
+        cache.cache_clear()
+    for (got, _), again in zip(cases, (a * b, a + b, a - b)):
+        assert (got.order, got.coeffs, got.den) == (again.order, again.coeffs, again.den)
+    # equality across orders (a value of Q(zeta_3) may be stored at order 12)
+    assert (a == b) == (a - b).is_zero() == (b == a)
     # a product by 1 shares the other operand; +-1 is its own inverse
     if b.is_one() and a.order > 1 and a.den == 1:
         assert a * b is a and b * a is a
@@ -272,3 +291,8 @@ def test_direct_paths_match_the_general_normalizer(a, b):
         assert (inv.order, inv.coeffs, inv.den) == (ref.order, ref.coeffs, ref.den)
         _assert_canonical(inv)
         assert (inv is a) == (a.den == 1 and abs(a.coeffs[0]) == 1)
+
+
+def test_memoized_kernels_are_bounded():
+    for cache in (_lift, _product, _sum):
+        assert cache.cache_info().maxsize is not None
