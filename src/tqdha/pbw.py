@@ -13,6 +13,17 @@ The checker multiplies the rows with a kappa's coordinates.  The rewriting
 oracle never looks at the conditions: it reduces the four families of
 overlap words both ways and compares normal forms.
 
+Both stop once their report is settled.  A report keeps the first
+``max_witnesses`` failures, in row or word order, and its flags, and a flag
+needs only one failure.  The checker evaluates the rows that meet kappa's
+support in row order, condition (1) before condition (2), and once a
+condition has failed with the list full it skips that condition's remaining
+rows.  The oracle decides the words in family and word order and stops at
+max(max_witnesses, 1) witnesses (``resolvable`` needs one, even when none is
+listed).  The rows and words evaluated up to the stop are the same, in the
+same order, with the same exact defects, so the report is that of
+evaluating all of them; a kappa that passes has every one evaluated.
+
 * Generators suffice for condition (1).  Condition (1) for h says that kappa
   is fixed by kappa -> t_h kappa(h^-1 ., h^-1 .) t_h^-1.  Conjugation by t_h
   is an automorphism of C^alpha G, and the alpha scalars cancel in
@@ -79,6 +90,8 @@ overlap words both ways and compares normal forms.
   (i < j), left minus right is D_0 + sum_u x_u col_u, the terms of D_0 of
   the word's variable degree and those of the columns two lower, so a word
   resolves exactly when D_0 = 0 and the sum over kappa's coordinates does.
+  The columns are kept by word, so a call reads the sum for one word at a
+  time, in word order.
 * The solver's recheck is independent.  The checker evaluates rows written
   by the function that wrote the solver's, so the solver re-verifies its
   basis with the oracle families ttv, tvv and vvv instead; ttt is the
@@ -138,6 +151,7 @@ case: if ttt or ttv fails somewhere, it fails at a generator.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from functools import lru_cache
 from itertools import accumulate, combinations, product
 from typing import NamedTuple
@@ -475,21 +489,24 @@ def _condition_system(action, q, alpha, elements, local) -> ConditionSystem:
 
 @lru_cache(maxsize=8)
 def _rows_by_column(action, q, alpha, elements) -> tuple:
-    """The rows' entries by column, in row order: column c holds (rows[k],
-    entries[k]) for start[c] <= k < start[c + 1], in flat arrays (a pair per
-    entry took 50 MB more at twisted S7).  Built on the first check only."""
+    """The row numbers by column, ascending: rows[k] for start[c] <= k <
+    start[c + 1] are the rows with an entry in column c, in flat arrays (a
+    pair per entry took 50 MB more at twisted S7).  Row numbers only: the
+    checker finds with them the rows that meet a kappa's support, and reads
+    the rows themselves from ``system.rows``.  Built on the first check
+    only."""
     system = _condition_system(action, q, alpha, elements, False)
     counts = array("l", [0]) * (system.ncols + 1)
     for row in system.rows:
         for col in row:
             counts[col + 1] += 1
     start = array("l", accumulate(counts))
-    free, rows, entries = array("l", start), array("l", [0]) * start[-1], [None] * start[-1]
+    free, rows = array("l", start), array("l", [0]) * start[-1]
     for r, row in enumerate(system.rows):
-        for col, c in row.items():
+        for col in row:
             k = free[col]
-            rows[k], entries[k], free[col] = r, c, k + 1
-    return start, rows, entries
+            rows[k], free[col] = r, k + 1
+    return start, rows
 
 
 # the violation fields named by a row tag, by condition
@@ -507,12 +524,22 @@ def check_pbw_conditions(
     max_witnesses: int = 10,
     representatives: bool = False,
 ) -> dict:
-    """Evaluate both PBW conditions exactly: the product of every row of the
-    condition system (``parameter_space_rows``) with kappa's coordinates,
-    summed over kappa's support through the rows' column index.  A nonzero
-    product is a violation, named by the row's tag, with the product as its
-    defect; violations are listed in row order.  Condition-(1) violations
-    name generators h only.
+    """Evaluate both PBW conditions exactly: the product of each row of the
+    condition system (``parameter_space_rows``) with kappa's coordinates.  A
+    nonzero product is a violation, named by the row's tag, with the product
+    as its defect; violations are listed in row order, at most
+    ``max_witnesses`` of them.  Condition-(1) violations name generators h
+    only.
+
+    Only the rows that meet kappa's support can fail; the rows' column index
+    names them without a product, and they are evaluated in row order, the
+    rows of condition (1) before those of condition (2).  A condition's flag
+    needs one failing row, so once a condition has failed with the list
+    full, its remaining rows can change nothing and are skipped: after
+    condition (1) the evaluation goes on to condition (2), after condition
+    (2) it stops.  The rows evaluated before the stop, their order and their
+    exact products are those of evaluating every row, so the report is the
+    same; a passing kappa has every row that meets its support evaluated.
 
     With ``representatives`` the rows of condition (2) are those at class
     representatives only.  Then ``passed`` is still the exhaustive verdict
@@ -522,20 +549,27 @@ def check_pbw_conditions(
     """
     elements = _condition_elements(action.group, representatives)
     system = _condition_system(action, q, alpha, elements, False)
-    start, rows, entries = _rows_by_column(action, q, alpha, elements)
-    # the rows that meet kappa's support, with the products a row-by-row walk takes
-    defects: dict = {}
-    for col, x in kappa.coordinate_row().items():
-        lo, hi = start[col], start[col + 1]
-        for r, c in zip(rows[lo:hi], entries[lo:hi]):
-            bump(defects, r, c * x)
+    start, rows = _rows_by_column(action, q, alpha, elements)
+    x = kappa.coordinate_row()
+    met = sorted(set().union(*(rows[start[col]:start[col + 1]] for col in x)))
+    # condition (1)'s rows come first: tags (1, ...) < (2,) < (2, ...)
+    split = bisect_left(met, bisect_left(system.tags, (2,)))
     report = {"condition1": True, "condition2": True, "violations": []}
-    for r in sorted(defects):
-        tag = system.tags[r]
-        report[f"condition{tag[0]}"] = False
-        if len(report["violations"]) < max_witnesses:
-            violation = dict(zip(_TAG_FIELDS[tag[0]], tag), defect=defects[r].serialize())
-            report["violations"].append(violation)
+    violations = report["violations"]
+    for part in (met[:split], met[split:]):
+        for r in part:
+            defect: dict = {}
+            for col, c in system.rows[r].items():
+                if col in x:
+                    bump(defect, r, c * x[col])
+            if not defect:
+                continue
+            tag = system.tags[r]
+            report[f"condition{tag[0]}"] = False
+            if len(violations) < max_witnesses:
+                violations.append(dict(zip(_TAG_FIELDS[tag[0]], tag), defect=defect[r].serialize()))
+            if len(violations) >= max_witnesses:
+                break  # this condition's report is settled
     report["passed"] = report["condition1"] and report["condition2"]
     return report
 
@@ -750,15 +784,16 @@ class _OverlapTable:
     left open (see the module docstring).  Only the words that fail for
     every kappa (D_0 != 0) and those with deferred kappa terms keep their
     witness tags; ``checked`` counts them all.  The column of an unknown
-    (g, i, j), the kappa part of left minus right per unit x[g, i, j] as
-    ((word number, letters), scalar) pairs, is built on its first use."""
+    (g, i, j), the kappa part of left minus right per unit x[g, i, j], is
+    built on its first use: per word it meets, in word order, the word
+    number and that word's (letters, scalar) pairs."""
 
     def __init__(self, family, action, q, alpha, exhaustive):
         n, G = action.n, action.group
         letters = range(G.size) if exhaustive else G.generator_indices or range(G.size)
         self.n, self.args = n, (action, q, alpha)
         self.tags = {}  # word number -> witness tag
-        self.fixed = []  # the word numbers with D_0 != 0, ascending
+        self.fixed = set()  # the word numbers with D_0 != 0
         self.deferred = {}  # (i, j) -> [(word number, head, tail, factor of x[g, i, j])]
         self.columns = {}  # (g, i, j) -> column
         self.forms = {}  # (head, g, tail) -> normal form of head t_g tail
@@ -769,7 +804,7 @@ class _OverlapTable:
             split = len(events)
             fails = left != _rewrite_at(word, 1, n, action, q, alpha, events)
             if fails:
-                self.fixed.append(w)
+                self.fixed.add(w)
             if fails or events:
                 self.tags[w] = tag
             for k, (head, j, i, tail, c) in enumerate(events):
@@ -781,16 +816,18 @@ class _OverlapTable:
     def column(self, g, i, j) -> tuple:
         col = self.columns.get((g, i, j))
         if col is None:
-            entries: dict = {}
+            entries: dict = {}  # word number -> {letters: scalar}; words come in order
             for w, head, tail, factor in self.deferred.get((i, j), ()):
                 form = self.forms.get((head, g, tail))
                 if form is None:
                     form = _reduce_letter_terms(
                         [(ONE, head + (self.n + g,) + tail)], self.n, None, *self.args)
                     self.forms[head, g, tail] = form
+                at_w = entries.setdefault(w, {})
                 for letters, c in form.items():
-                    bump(entries, (w, letters), factor * c)
-            col = self.columns[g, i, j] = tuple(entries.items())
+                    bump(at_w, letters, factor * c)
+            col = self.columns[g, i, j] = tuple(
+                (w, tuple(at_w.items())) for w, at_w in entries.items() if at_w)
         return col
 
 
@@ -825,8 +862,16 @@ def verify_ambiguities(
     them); an unknown name, or a bare string, raises ValueError.  The
     families run in the order of FAMILIES whatever the order given.  Each
     family is reduced once per problem and kind with kappa left open (see
-    the module docstring), and a call sums the columns of kappa's own
-    coordinates; ttt and ttv have none and never read kappa.
+    the module docstring); ttt and ttv have no columns and never read kappa.
+    A call groups the columns of kappa's own coordinates by overlap word,
+    which takes no product, and decides the words in word order: a word
+    with D_0 != 0 fails, any other fails when the sum of its entries times
+    kappa's coordinates is nonzero.  ``resolvable`` needs one witness and
+    the report lists the first ``max_witnesses``, so the evaluation stops
+    once it holds max(max_witnesses, 1) of them, and the later families add
+    only their ``checked``.  The words decided before the stop, their order
+    and their exact sums are those of deciding every word, so the report is
+    the same; a resolvable kappa has every word decided.
     """
     if isinstance(families, str):
         raise ValueError(f"families must be a collection of names, not the string {families!r}")
@@ -835,15 +880,27 @@ def verify_ambiguities(
     if unknown:
         raise ValueError(f"unknown overlap families {unknown}; known: {list(FAMILIES)}")
     checked, witnesses, coords = 0, [], None
+    settled = max(max_witnesses, 1)
     for family in [f for f in FAMILIES if f in families]:
         table = _overlap_table(family, action, q, alpha, exhaustive)
         checked += table.checked
-        defects: dict = {}
+        if len(witnesses) >= settled:
+            continue
+        by_word: dict = {}  # word number -> [(x, that word's entries of x's column)]
         if table.deferred:
             coords = kappa.coordinates() if coords is None else coords
             for (g, i, j), x in coords.items():
-                for key, c in table.column(g, i, j):
-                    bump(defects, key, x * c)
-        failed = sorted(set(table.fixed).union(w for w, _ in defects))
-        witnesses += [table.tags[w] for w in failed]
+                for w, entries in table.column(g, i, j):
+                    by_word.setdefault(w, []).append((x, entries))
+        for w in sorted(table.fixed.union(by_word)):
+            if w not in table.fixed:
+                defect: dict = {}
+                for x, entries in by_word[w]:
+                    for letters, c in entries:
+                        bump(defect, letters, x * c)
+                if not defect:
+                    continue
+            witnesses.append(table.tags[w])
+            if len(witnesses) >= settled:
+                break
     return {"resolvable": not witnesses, "checked": checked, "witnesses": witnesses[:max_witnesses]}

@@ -1,13 +1,21 @@
 """The checker and the rewriting oracle by sparse products, against dense
 references written here.
 
-``check_pbw_conditions`` sums over kappa's support through a column index of
-the condition rows, and ``verify_ambiguities`` sums precomputed columns of
-each overlap family (the normal forms are affine in kappa; see the ``pbw``
-module docstring).  The references evaluate every row, and reduce both sides
-of every overlap word with the public ``normal_form_reduce``, for dense,
-sparse and single-coordinate kappas, and must give the same reports:
-verdicts, counts, and witnesses and violations in the same order.
+``check_pbw_conditions`` finds the rows that meet kappa's support through a
+column index of the condition rows, and ``verify_ambiguities`` groups
+precomputed columns of each overlap family by word (the normal forms are
+affine in kappa; see the ``pbw`` module docstring).  Both evaluate in row or
+word order and stop once the report is settled: the witness list is full and
+each flag has a failing row (the checker), or they hold max(limit, 1)
+witnesses (the oracle).  The references evaluate every row, and reduce both
+sides of every overlap word with the public ``normal_form_reduce``, and must
+give the same reports: verdicts, counts, and witnesses and violations in the
+same order.  The kappas are dense, sparse and single-coordinate, in and off
+the parameter space, and ones that fail only condition (1) or only condition
+(2), so that one condition is settled by a failing row while the other must
+read all of its rows; each report is compared at four witness limits,
+including 0, where a report lists nothing but must still say whether kappa
+fails.
 """
 
 import random
@@ -19,6 +27,7 @@ from test_oracle_generators import planted_action, planted_cocycle
 from test_orbit_solver import random_kappa
 from test_pbw import cyclotomic_diagonal_instance, s3_instance
 from tqdha.classify import symmetric_instance
+from tqdha.cohomology import constant_cocycle_basis, reynolds_project
 from tqdha.groups import GroupAlgebraElement
 from tqdha.linalg import bump
 from tqdha.pbw import (
@@ -38,8 +47,14 @@ CASES = {
     "Z/6xZ/6 cyclotomic": lambda: cyclotomic_diagonal_instance(6),
 }
 
-# every witness, and a cut inside the list
-WITNESS_LIMITS = (10 ** 6, 3)
+# every witness, cuts inside the list, and none: a report that lists no
+# witness must still give the verdict
+WITNESS_LIMITS = (10 ** 6, 3, 1, 0)
+
+# the checker's flags (condition1, condition2) on the kappas that fail one
+# condition only
+ONE_CONDITION_FLAGS = {"fails condition (1) only": (False, True),
+                       "fails condition (2) only": (True, False)}
 
 
 def kappas(action, q, alpha, rnd):
@@ -60,6 +75,16 @@ def kappas(action, q, alpha, rnd):
         i, j = sorted(rnd.sample(range(n), 2))
         moved = {(i, j): GroupAlgebraElement({rnd.randrange(G.size): rational(1)})}
         yield "moved off the space", combo.add(KappaMap(G, n, q, moved))
+    # a d_3* kernel vector at one element g satisfies condition (2) there (and
+    # trivially elsewhere); conjugation moves it off g when g is not central
+    noncentral = [g for g in range(G.size) if any(G.conjugate(h, g) != g for h in range(G.size))]
+    if noncentral:
+        yield "fails condition (1) only", constant_cocycle_basis(action, q, noncentral[:1])[0]
+    # an invariant satisfies condition (1); at n = 3 there is one triple, and
+    # every invariant satisfies condition (2) too
+    if n > 3:
+        dense = random_kappa(action, q, rnd, range(G.size), 0.7)
+        yield "fails condition (2) only", reynolds_project(dense, action, q, alpha)
 
 
 # -- the oracle ---------------------------------------------------------------
@@ -131,7 +156,7 @@ def test_oracle_equals_reducing_every_overlap_word(name):
             runs.append((FAMILIES, True))
         for families, exhaustive in runs:
             want = reference_oracle(kappa, action, q, alpha, families, exhaustive)
-            cut += len(want["witnesses"]) > min(WITNESS_LIMITS)
+            cut += len(want["witnesses"]) > WITNESS_LIMITS[1]
             for limit in WITNESS_LIMITS:
                 got = verify_ambiguities(kappa, action, q, alpha, families=families,
                                          max_witnesses=limit, exhaustive=exhaustive)
@@ -186,11 +211,14 @@ def test_checker_equals_row_by_row_evaluation(name):
     rnd = random.Random(43)
     cut = 0
     for kind, kappa in kappas(action, q, alpha, rnd):
+        if kind in ONE_CONDITION_FLAGS:
+            want = reference_checker(kappa, action, q, alpha, 10 ** 6, False)
+            assert (want["condition1"], want["condition2"]) == ONE_CONDITION_FLAGS[kind], kind
         for representatives in (False, True):
             for limit in WITNESS_LIMITS:
                 got = check_pbw_conditions(kappa, action, q, alpha, max_witnesses=limit,
                                            representatives=representatives)
                 want = reference_checker(kappa, action, q, alpha, limit, representatives)
                 assert got == want, (kind, representatives, limit)
-                cut += len(want["violations"]) == limit
+                cut += 0 < limit == len(want["violations"])
     assert cut, "some report should be cut by the small limit"
