@@ -220,5 +220,5 @@ def test_checker_equals_row_by_row_evaluation(name):
                                            representatives=representatives)
                 want = reference_checker(kappa, action, q, alpha, limit, representatives)
                 assert got == want, (kind, representatives, limit)
-                cut += 0 < limit == len(want["violations"])
+                cut += limit == WITNESS_LIMITS[1] == len(want["violations"])
     assert cut, "some report should be cut by the small limit"
