@@ -390,10 +390,10 @@ def cohomological_parameter_space(
 
     The idempotence of the Reynolds projector on each kept eta is asserted
     as an internal consistency check of the whole chain.  Unless disabled,
-    every kappa is then re-verified by check_pbw_conditions, whose verdict
-    needs condition (2) at class representatives only (see the ``pbw``
-    module docstring); this derivation never reads the condition rows, so
-    that check is independent.
+    every kappa is then re-verified by check_pbw_conditions, which
+    evaluates the exhaustive conditions at the sites that meet the kappa's
+    support; this derivation never reads the condition rows, so that check
+    is independent.
     """
     G, n = action.group, action.n
     red = RowReducer()
@@ -411,7 +411,7 @@ def cohomological_parameter_space(
         basis.append(eta)
     if recheck:
         for kappa in basis:
-            rep = check_pbw_conditions(kappa, action, q, alpha, representatives=True)
+            rep = check_pbw_conditions(kappa, action, q, alpha)
             if not rep["passed"]:
                 raise CrossCheckError(
                     "cohomological pipeline produced a kappa failing the PBW "

@@ -3,15 +3,15 @@ Diamond-Lemma rewriting oracle for the filtered quotients H_{q,kappa,alpha}.
 
 The two PBW conditions are linear in kappa, so the space of all valid maps is
 the kernel of an explicit sparse system over the unknowns kappa_g(v_i, v_j),
-g in G, i < j.  ``parameter_space_rows`` is the only place the conditions are
-written down.  Each of its three kinds of system is built at most once per
-problem: condition (2) at every element, whose rows ``pbw-check`` and its
-witness lists use; condition (2) at class representatives, for verdict-only
-rechecks; and the solver's ``class_local_system``, over the unknowns at the
-class representatives only.  For an abelian group all three are the first.
-The checker multiplies the rows with a kappa's coordinates.  The rewriting
-oracle never looks at the conditions: it reduces the four families of
-overlap words both ways and compares normal forms.
+g in G, i < j.  ``_ConditionSites`` is the only place the conditions are
+written down, a site at a time: condition (1) at a link (h, g), condition (2)
+at an element g.  Two systems are built from it, each once per problem: the
+exhaustive ``condition_system`` and the solver's ``class_local_system``, over
+the unknowns at class representatives (for an abelian group they are one).
+The checker builds neither: it multiplies kappa's coordinates with the rows
+at the sites that meet kappa's support, each written on its first use.  The
+rewriting oracle never looks at the conditions: it reduces the four families
+of overlap words both ways and compares normal forms.
 
 Both stop once their report is settled.  A report keeps the first
 ``max_witnesses`` failures, in row or word order, and its flags, and a flag
@@ -93,7 +93,7 @@ evaluating all of them; a kappa that passes has every one evaluated.
   The columns are kept by word, so a call reads the sum for one word at a
   time, in word order.
 * The solver's recheck is independent.  The checker evaluates rows written
-  by the function that wrote the solver's, so the solver re-verifies its
+  by the writers that wrote the solver's, so the solver re-verifies its
   basis with the oracle families ttv, tvv and vvv instead; ttt is the
   cocycle identity, which ``validate_cocycle`` checks when a problem is
   loaded.
@@ -150,10 +150,8 @@ case: if ttt or ttv fails somewhere, it fails at a generator.
 
 from __future__ import annotations
 
-from array import array
-from bisect import bisect_left
 from functools import lru_cache
-from itertools import accumulate, combinations, product
+from itertools import chain, combinations, product
 from typing import NamedTuple
 
 from .groups import (
@@ -352,28 +350,13 @@ def _condition_one_images(action: GroupAction, q: QMatrix, h: int) -> list:
     return images
 
 
-def parameter_space_rows(
-    action: GroupAction, q: QMatrix, alpha: Cocycle2, elements=None, links=None
-) -> ConditionSystem:
-    """The homogeneous linear system whose kernel is the parameter space.
-
-    Condition (1), for each (h, g) in ``links`` (default: for each generator
-    h of G, see the module docstring, every g in order) and i < j:
-        alpha(h,g)/alpha(hgh^-1,h) kappa_g(v_j,v_i)
-            = sum_{k<l} ddet_ijkl(h) kappa_{hgh^-1}(v_l,v_k).
-    Condition (2), for g in elements (default every element, in order; one
-    per conjugacy class suffices, see the module docstring) and i < j < k,
-    as an equation in V:
-        kappa_g(v_k,v_j)(g(v_i) - q_ji q_ki v_i)
-      + kappa_g(v_k,v_i)(q_kj v_j - q_ji g(v_j))
-      + kappa_g(v_j,v_i)(q_kj q_ki g(v_k) - v_k) = 0.
-    A row's product with kappa's coordinates is lhs - rhs of its equation.
-    Equations that hold for every kappa give no row.
-
-    The unknowns are x[g, i, j], at column g * npairs + (the rank of
-    (i, j)).  Given ``links``, they are those at ``elements`` only, the
-    block of elements[k] at column k * npairs, and each link (h, g) has g
-    and hgh^-1 among them.
+class _ConditionSites:
+    """The two conditions of one problem, written one site at a time:
+    ``condition_one`` at a link (h, g) and ``condition_two`` at an element
+    g, each as (row, tag) pairs in row order, from the given column offsets.
+    ``parameter_space_rows`` loops over them.  The checker reads ``rows``,
+    which writes a site in global columns (g's block at g * npairs) on its
+    first use and keeps it, as ``_OverlapTable`` keeps its columns.
 
     The q products do not depend on g, so they are taken once per problem:
     condition (1)'s right-hand sides once per h (``_condition_one_images``),
@@ -390,46 +373,46 @@ def parameter_space_rows(
     with the same keys in the same order and the same tags; each value is
     the same exact product, reassociated.
     """
-    G = action.group
-    n = action.n
-    npairs = n * (n - 1) // 2
-    pairs = list(combinations(range(n), 2))
-    if links is None:
-        links = product(G.generator_indices or range(G.size), range(G.size))
-        block = range(G.size)
-    else:
-        block = {g: k for k, g in enumerate(elements)}
-    rows, tags = [], []
-    images: dict = {}  # h -> _condition_one_images(action, q, h)
-    for h, g in links:
-        if h not in images:
-            images[h] = _condition_one_images(action, q, h)
-        at_g, at_gc = block[g] * npairs, block[G.conjugate(h, g)] * npairs
-        ratio = alpha.conj_ratio(h, g)
-        for p, (minus_qji, image) in enumerate(images[h]):
+
+    def __init__(self, action: GroupAction, q: QMatrix, alpha: Cocycle2):
+        n = action.n
+        self.action, self.q, self.alpha = action, q, alpha
+        self.npairs, self.pairs = n * (n - 1) // 2, list(combinations(range(n), 2))
+        self.images: dict = {}  # h -> _condition_one_images(action, q, h)
+        self.sites: dict = {}  # (1, h, g) or (2, g) -> its rows, in global columns
+        # condition (2): per triple, (pair index, the row r of g read, the
+        # factor of g^r_t, the constant at t = r) for each of its three unknowns
+        self.triples = []
+        for i, j, k in combinations(range(n), 3):
+            qji, qki, qkj = q(j, i), q(k, i), q(k, j)
+            qkji = qkj * qji * qki
+            self.triples.append(((i, j, k), (
+                (_pair_index(j, k, n), i, -qkj, qkji),
+                (_pair_index(i, k, n), j, qki * qji, -(qki * qkj)),
+                (_pair_index(i, j, n), k, -qkji, qji),
+            )))
+
+    def condition_one(self, h: int, g: int, at_g: int, at_gc: int) -> list:
+        """Condition (1) at (h, g), the unknowns at g and hgh^-1 from columns
+        at_g and at_gc."""
+        if h not in self.images:
+            self.images[h] = _condition_one_images(self.action, self.q, h)
+        ratio, out = self.alpha.conj_ratio(h, g), []
+        for p, (minus_qji, image) in enumerate(self.images[h]):
             row: dict = {at_g + p: ratio * minus_qji}
             for kl, c in image:
                 bump(row, at_gc + kl, c)
             if row:
-                rows.append(row)
-                tags.append((1, g, h, *pairs[p]))
-    # condition (2): per triple, (pair index, the row r of g read, the
-    # factor of g^r_t, the constant at t = r) for each of its three unknowns
-    triples = []
-    for i, j, k in combinations(range(n), 3):
-        qji, qki, qkj = q(j, i), q(k, i), q(k, j)
-        qkji = qkj * qji * qki
-        triples.append(((i, j, k), (
-            (_pair_index(j, k, n), i, -qkj, qkji),
-            (_pair_index(i, k, n), j, qki * qji, -(qki * qkj)),
-            (_pair_index(i, j, n), k, -qkji, qji),
-        )))
-    for g in range(G.size) if elements is None else elements:
-        at = block[g] * npairs
-        grows = [dict(r) for r in action.rows_nz[g]]
-        for (i, j, k), terms in triples:
+                out.append((row, (1, g, h, *self.pairs[p])))
+        return out
+
+    def condition_two(self, g: int, at: int) -> list:
+        """Condition (2) at g, the unknowns at g from column at."""
+        grows = [dict(r) for r in self.action.rows_nz[g]]
+        out = []
+        for (i, j, k), terms in self.triples:
             for t in sorted({i, j, k}.union(grows[i], grows[j], grows[k])):
-                row = {}
+                row: dict = {}
                 for p, r, a, b in terms:
                     entry = grows[r].get(t)
                     if entry is not None:
@@ -437,76 +420,99 @@ def parameter_space_rows(
                     if t == r:
                         bump(row, at + p, b)
                 if row:
-                    rows.append(row)
-                    tags.append((2, g, i, j, k, t))
-    return ConditionSystem(tuple(rows), len(block) * npairs, tuple(tags))
+                    out.append((row, (2, g, i, j, k, t)))
+        return out
+
+    def rows(self, site: tuple) -> list:
+        """The rows at the site (1, h, g) or (2, g), in global columns."""
+        if site not in self.sites:
+            g, npairs = site[-1], self.npairs
+            if site[0] == 1:
+                gc = self.action.group.conjugate(site[1], g)
+                self.sites[site] = self.condition_one(site[1], g, g * npairs, gc * npairs)
+            else:
+                self.sites[site] = self.condition_two(g, g * npairs)
+        return self.sites[site]
 
 
-def condition_system(
-    action: GroupAction, q: QMatrix, alpha: Cocycle2, representatives: bool = False
+def parameter_space_rows(
+    action: GroupAction, q: QMatrix, alpha: Cocycle2, elements=None, links=None
 ) -> ConditionSystem:
-    """``parameter_space_rows`` of the problem for the checker, built once
-    per kind and shared by repeated calls.  With ``representatives``
-    condition (2) is written at one element of each conjugacy class only
-    (its least), which cuts out the same kernel (see the module docstring);
-    when every class is a single element that is the exhaustive system, and
-    the same object is returned.  Raises ExtensionError when the action does
-    not extend to S_q(V)."""
-    return _condition_system(
-        action, q, alpha, _condition_elements(action.group, representatives), False)
+    """The homogeneous linear system whose kernel is the parameter space.
+
+    Condition (1), for each (h, g) in ``links`` (default: for each generator
+    h of G, see the module docstring, every g in order) and i < j:
+        alpha(h,g)/alpha(hgh^-1,h) kappa_g(v_j,v_i)
+            = sum_{k<l} ddet_ijkl(h) kappa_{hgh^-1}(v_l,v_k).
+    Condition (2), for g in elements (default every element, in order; one
+    per conjugacy class suffices, see the module docstring) and i < j < k,
+    as an equation in V:
+        kappa_g(v_k,v_j)(g(v_i) - q_ji q_ki v_i)
+      + kappa_g(v_k,v_i)(q_kj v_j - q_ji g(v_j))
+      + kappa_g(v_j,v_i)(q_kj q_ki g(v_k) - v_k) = 0.
+    A row's product with kappa's coordinates is lhs - rhs of its equation.
+    Equations that hold for every kappa give no row.  Each site's rows come
+    from ``_ConditionSites``.
+
+    The unknowns are x[g, i, j], at column g * npairs + (the rank of
+    (i, j)).  Given ``links``, they are those at ``elements`` only, the
+    block of elements[k] at column k * npairs, and each link (h, g) has g
+    and hgh^-1 among them.
+    """
+    G = action.group
+    npairs = action.n * (action.n - 1) // 2
+    if links is None:
+        links = product(G.generator_indices or range(G.size), range(G.size))
+        block = range(G.size)
+    else:
+        block = {g: k for k, g in enumerate(elements)}
+    write = _ConditionSites(action, q, alpha)
+    sites = [write.condition_one(h, g, block[g] * npairs, block[G.conjugate(h, g)] * npairs)
+             for h, g in links]
+    sites += [write.condition_two(g, block[g] * npairs)
+              for g in (range(G.size) if elements is None else elements)]
+    entries = list(chain.from_iterable(sites))
+    return ConditionSystem(tuple(row for row, _ in entries), len(block) * npairs,
+                           tuple(tag for _, tag in entries))
 
 
-def class_local_system(action: GroupAction, q: QMatrix, alpha: Cocycle2) -> ConditionSystem:
-    """The solver's system, built once per problem: the unknowns at the
-    class representatives c only (in ``class_data`` order), condition (1)
-    at (z, c) for the generators z of Z(c) (``groups.centralizer_generators``)
-    and condition (2) at c.  When every class is a single element this is
-    the exhaustive system, and the checker's object is returned."""
-    elements = _condition_elements(action.group, True)
-    return _condition_system(action, q, alpha, elements, elements is not None)
-
-
-def _condition_elements(group: FiniteGroup, representatives: bool):
-    reps = tuple(class_data(group).centralizer)
-    if representatives and len(reps) < group.size:
-        return reps
-    return None
-
-
-@lru_cache(maxsize=8)
-def _condition_system(action, q, alpha, elements, local) -> ConditionSystem:
+def _require_extension(action: GroupAction, q: QMatrix) -> None:
     rep = extension_report(action, q)
     if not rep["symmetric"]:
         raise ExtensionError(
             f"action does not extend to S_q(V); witnesses {rep['symmetric_witnesses']}"
         )
-    links = None
-    if local:
-        gens = centralizer_generators(action.group)
-        links = [(z, c) for c in elements for z in gens[c]]
-    return parameter_space_rows(action, q, alpha, elements, links)
 
 
 @lru_cache(maxsize=8)
-def _rows_by_column(action, q, alpha, elements) -> tuple:
-    """The row numbers by column, ascending: rows[k] for start[c] <= k <
-    start[c + 1] are the rows with an entry in column c, in flat arrays (a
-    pair per entry took 50 MB more at twisted S7).  Row numbers only: the
-    checker finds with them the rows that meet a kappa's support, and reads
-    the rows themselves from ``system.rows``.  Built on the first check
-    only."""
-    system = _condition_system(action, q, alpha, elements, False)
-    counts = array("l", [0]) * (system.ncols + 1)
-    for row in system.rows:
-        for col in row:
-            counts[col + 1] += 1
-    start = array("l", accumulate(counts))
-    free, rows = array("l", start), array("l", [0]) * start[-1]
-    for r, row in enumerate(system.rows):
-        for col in row:
-            k = free[col]
-            rows[k], free[col] = r, k + 1
-    return start, rows
+def condition_system(action: GroupAction, q: QMatrix, alpha: Cocycle2) -> ConditionSystem:
+    """``parameter_space_rows`` of the problem, condition (2) at every
+    element, built once per problem.  Raises ExtensionError when the action
+    does not extend to S_q(V)."""
+    _require_extension(action, q)
+    return parameter_space_rows(action, q, alpha)
+
+
+@lru_cache(maxsize=8)
+def class_local_system(action: GroupAction, q: QMatrix, alpha: Cocycle2) -> ConditionSystem:
+    """The solver's system, built once per problem: the unknowns at the
+    class representatives c only (in ``class_data`` order), condition (1)
+    at (z, c) for the generators z of Z(c) (``groups.centralizer_generators``)
+    and condition (2) at c.  When every class is a single element this is
+    the exhaustive system, and ``condition_system``'s object is returned."""
+    G = action.group
+    reps = tuple(class_data(G).centralizer)
+    if len(reps) == G.size:
+        return condition_system(action, q, alpha)
+    _require_extension(action, q)
+    gens = centralizer_generators(G)
+    return parameter_space_rows(action, q, alpha, reps, [(z, c) for c in reps for z in gens[c]])
+
+
+@lru_cache(maxsize=8)
+def _condition_sites(action, q, alpha) -> _ConditionSites:
+    _require_extension(action, q)
+    return _ConditionSites(action, q, alpha)
 
 
 # the violation fields named by a row tag, by condition
@@ -517,57 +523,50 @@ _TAG_FIELDS = {
 
 
 def check_pbw_conditions(
-    kappa: KappaMap,
-    action: GroupAction,
-    q: QMatrix,
-    alpha: Cocycle2,
-    max_witnesses: int = 10,
-    representatives: bool = False,
+    kappa: KappaMap, action: GroupAction, q: QMatrix, alpha: Cocycle2, max_witnesses: int = 10
 ) -> dict:
     """Evaluate both PBW conditions exactly: the product of each row of the
-    condition system (``parameter_space_rows``) with kappa's coordinates.  A
+    exhaustive system (``condition_system``) with kappa's coordinates.  A
     nonzero product is a violation, named by the row's tag, with the product
     as its defect; violations are listed in row order, at most
     ``max_witnesses`` of them.  Condition-(1) violations name generators h
     only.
 
-    Only the rows that meet kappa's support can fail; the rows' column index
-    names them without a product, and they are evaluated in row order, the
-    rows of condition (1) before those of condition (2).  A condition's flag
-    needs one failing row, so once a condition has failed with the list
-    full, its remaining rows can change nothing and are skipped: after
-    condition (1) the evaluation goes on to condition (2), after condition
-    (2) it stops.  The rows evaluated before the stop, their order and their
-    exact products are those of evaluating every row, so the report is the
-    same; a passing kappa has every row that meets its support evaluated.
-
-    With ``representatives`` the rows of condition (2) are those at class
-    representatives only.  Then ``passed`` is still the exhaustive verdict
-    (a kappa that fails condition (1) fails both ways, and one that satisfies
-    it fails condition (2) at g exactly when it fails at g's class
-    representative), but ``condition2`` and the violations may differ.
+    A row of condition (1) at (h, g) reads kappa_g and kappa_(hgh^-1) only,
+    one of condition (2) at g reads kappa_g only, so only the rows at the
+    sites that meet kappa's support S can fail.  Those are evaluated in row
+    order: condition (1) at (s, g) for each generator s (every element when
+    the group records none) and g in S or s^-1 S s, then condition (2) at g
+    in S.  Each site is written on its first use and kept for the problem
+    (``_ConditionSites``).  A condition's flag needs one failing row, so
+    once a condition has failed with the list full, its remaining rows can
+    change nothing and are skipped: after condition (1) the evaluation goes
+    on to condition (2), after condition (2) it stops.  The rows evaluated
+    before the stop, their order and their exact products are those of
+    evaluating every row, so the report is the same; a passing kappa has
+    every row that meets its support evaluated.
     """
-    elements = _condition_elements(action.group, representatives)
-    system = _condition_system(action, q, alpha, elements, False)
-    start, rows = _rows_by_column(action, q, alpha, elements)
-    x = kappa.coordinate_row()
-    met = sorted(set().union(*(rows[start[col]:start[col + 1]] for col in x)))
-    # condition (1)'s rows come first: tags (1, ...) < (2,) < (2, ...)
-    split = bisect_left(met, bisect_left(system.tags, (2,)))
+    sites = _condition_sites(action, q, alpha)
+    G, x = action.group, kappa.coordinate_row()
+    support = {col // sites.npairs for col in x}
+    conditions = (
+        [(1, s, g) for s in G.generator_indices or range(G.size)
+         for g in sorted(support.union(G.conjugate(G.inv[s], c) for c in support))],
+        [(2, g) for g in sorted(support)],
+    )
     report = {"condition1": True, "condition2": True, "violations": []}
     violations = report["violations"]
-    for part in (met[:split], met[split:]):
-        for r in part:
+    for condition in conditions:
+        for row, tag in chain.from_iterable(map(sites.rows, condition)):
             defect: dict = {}
-            for col, c in system.rows[r].items():
+            for col, c in row.items():
                 if col in x:
-                    bump(defect, r, c * x[col])
+                    bump(defect, 0, c * x[col])
             if not defect:
                 continue
-            tag = system.tags[r]
             report[f"condition{tag[0]}"] = False
             if len(violations) < max_witnesses:
-                violations.append(dict(zip(_TAG_FIELDS[tag[0]], tag), defect=defect[r].serialize()))
+                violations.append(dict(zip(_TAG_FIELDS[tag[0]], tag), defect=defect[0].serialize()))
             if len(violations) >= max_witnesses:
                 break  # this condition's report is settled
     report["passed"] = report["condition1"] and report["condition2"]

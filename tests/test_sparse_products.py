@@ -1,13 +1,14 @@
 """The checker and the rewriting oracle by sparse products, against dense
 references written here.
 
-``check_pbw_conditions`` finds the rows that meet kappa's support through a
-column index of the condition rows, and ``verify_ambiguities`` groups
-precomputed columns of each overlap family by word (the normal forms are
-affine in kappa; see the ``pbw`` module docstring).  Both evaluate in row or
+``check_pbw_conditions`` evaluates the rows at the sites that meet kappa's
+support, each site written on its first use, and ``verify_ambiguities``
+groups precomputed columns of each overlap family by word (the normal forms
+are affine in kappa; see the ``pbw`` module docstring).  Both evaluate in row or
 word order and stop once the report is settled: the witness list is full and
 each flag has a failing row (the checker), or they hold max(limit, 1)
-witnesses (the oracle).  The references evaluate every row, and reduce both
+witnesses (the oracle).  The references evaluate every row of the
+exhaustive ``condition_system``, and reduce both
 sides of every overlap word with the public ``normal_form_reduce``, and must
 give the same reports: verdicts, counts, and witnesses and violations in the
 same order.  The kappas are dense, sparse and single-coordinate, in and off
@@ -26,9 +27,10 @@ import pytest
 from test_oracle_generators import planted_action, planted_cocycle
 from test_orbit_solver import random_kappa
 from test_pbw import cyclotomic_diagonal_instance, s3_instance
-from tqdha.classify import symmetric_instance
+from tqdha import pbw
+from tqdha.classify import kappa_one, symmetric_instance
 from tqdha.cohomology import constant_cocycle_basis, reynolds_project
-from tqdha.groups import GroupAlgebraElement
+from tqdha.groups import GroupAlgebraElement, symmetric_group
 from tqdha.linalg import bump
 from tqdha.pbw import (
     FAMILIES,
@@ -39,7 +41,9 @@ from tqdha.pbw import (
     solve_parameter_space,
     verify_ambiguities,
 )
+from tqdha.quantum import QMatrix, natural_permutation_action
 from tqdha.scalars import rational
+from tqdha.spin import spin_cocycle
 
 CASES = {
     "S3 q=-1": lambda: s3_instance()[1:],
@@ -184,8 +188,8 @@ def test_oracle_equals_the_reference_on_planted_faults(name):
 # -- the checker --------------------------------------------------------------
 
 
-def reference_checker(kappa, action, q, alpha, max_witnesses, representatives):
-    system = condition_system(action, q, alpha, representatives)
+def reference_checker(kappa, action, q, alpha, max_witnesses):
+    system = condition_system(action, q, alpha)
     x = kappa.coordinate_row()
     report = {"condition1": True, "condition2": True, "violations": []}
     fields = {1: ("condition", "g", "h", "i", "j"),
@@ -212,13 +216,47 @@ def test_checker_equals_row_by_row_evaluation(name):
     cut = 0
     for kind, kappa in kappas(action, q, alpha, rnd):
         if kind in ONE_CONDITION_FLAGS:
-            want = reference_checker(kappa, action, q, alpha, 10 ** 6, False)
+            want = reference_checker(kappa, action, q, alpha, 10 ** 6)
             assert (want["condition1"], want["condition2"]) == ONE_CONDITION_FLAGS[kind], kind
-        for representatives in (False, True):
-            for limit in WITNESS_LIMITS:
-                got = check_pbw_conditions(kappa, action, q, alpha, max_witnesses=limit,
-                                           representatives=representatives)
-                want = reference_checker(kappa, action, q, alpha, limit, representatives)
-                assert got == want, (kind, representatives, limit)
-                cut += limit == WITNESS_LIMITS[1] == len(want["violations"])
+        for limit in WITNESS_LIMITS:
+            got = check_pbw_conditions(kappa, action, q, alpha, max_witnesses=limit)
+            want = reference_checker(kappa, action, q, alpha, limit)
+            assert got == want, (kind, limit)
+            cut += limit == WITNESS_LIMITS[1] == len(want["violations"])
     assert cut, "some report should be cut by the small limit"
+
+
+def test_checker_writes_the_sites_that_meet_kappa_only(monkeypatch):
+    """Condition (1) at (s, g) reads kappa_g and kappa_(sgs^-1), condition (2)
+    at g reads kappa_g: the checker writes those sites only, once each."""
+    written = []
+    real_one, real_two = pbw._ConditionSites.condition_one, pbw._ConditionSites.condition_two
+
+    def one(self, h, g, at_g, at_gc):
+        written.append((1, h, g))
+        return real_one(self, h, g, at_g, at_gc)
+
+    def two(self, g, at):
+        written.append((2, g))
+        return real_two(self, g, at)
+
+    monkeypatch.setattr(pbw._ConditionSites, "condition_one", one)
+    monkeypatch.setattr(pbw._ConditionSites, "condition_two", two)
+    G = symmetric_group(5)
+    action, q, alpha = natural_permutation_action(G), QMatrix.uniform(5, -1), spin_cocycle(G)
+    gens = G.generator_indices
+    assert check_pbw_conditions(KappaMap.zero(G, 5, q), action, q, alpha)["passed"]
+    assert written == []
+    # kappa_1 lives at the identity, 0
+    kappa = KappaMap.from_records(G, 5, q, kappa_one(5).to_records())
+    assert check_pbw_conditions(kappa, action, q, alpha)["passed"]
+    assert written == [(1, s, 0) for s in gens] + [(2, 0)]
+    assert check_pbw_conditions(kappa, action, q, alpha)["passed"]
+    assert len(written) == len(gens) + 1
+    # one coordinate at a 3-cycle g: condition (1) at (s, g) and (s, s^-1 g s)
+    g = next(x for x in range(1, G.size) if G.mult[G.mult[x][x]][x] == 0)
+    del written[:]
+    single = KappaMap(G, 5, q, {(0, 1): GroupAlgebraElement({g: rational(1)})})
+    assert not check_pbw_conditions(single, action, q, alpha, max_witnesses=10 ** 6)["passed"]
+    assert written == [(1, s, x) for s in gens
+                       for x in sorted({g, G.conjugate(G.inv[s], g)})] + [(2, g)]
