@@ -12,7 +12,10 @@ Rows are dicts mapping an ordered column key to a nonzero scalar.  The
 workhorse is an incremental row-echelon accumulator with deterministic
 pivoting (least column key, rows normalized monic at the pivot), from which
 ranks, kernels and row-space comparisons are derived.  Pivot division costs
-nothing on the plus/minus-one dominated systems this library produces.
+nothing on the plus/minus-one dominated systems this library produces, and
+their sums and products mostly come out 0 or +-1: the shared ``ZERO``,
+``ONE`` and ``MINUS_ONE`` of ``scalars``, so they allocate nothing, and
+``bump`` finds a cancelled sum with ``is ZERO``.
 ``kernel_basis`` settles the rows with one or two entries by a weighted
 union-find first and eliminates only the longer ones.
 """
@@ -26,10 +29,11 @@ Row = dict  # ordered column key -> nonzero CyclotomicScalar
 
 
 def bump(d: dict, key, val) -> None:
-    """d[key] += val, keeping no zero coefficient in d."""
+    """d[key] += val, keeping no zero coefficient in d.  The sum is tested
+    with ``is ZERO``: ZERO is the only scalar of value 0 (``scalars``)."""
     acc = d.get(key)
     acc = val if acc is None else acc + val
-    if acc.is_zero():
+    if acc is ZERO:
         d.pop(key, None)
     else:
         d[key] = acc
