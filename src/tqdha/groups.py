@@ -517,23 +517,56 @@ def cocycle_from_columns(group: FiniteGroup, root_order: int, columns, name="coc
     alpha(h, s).  Column 1 is 1, and the walk from 1 by right
     multiplication by the generators reaches every h, so the generator
     columns fix the table.  It is filled in exponents mod m, on integers
-    only.  The identity holds by construction only at the walk's edges
-    (g, h, s), so the table is a cocycle only if the columns are those of
-    one; ``validate_cocycle`` decides that."""
+    only, along the walk's breadth-first tree.  The same expression is
+    computed at each Cayley edge (h, s) off the tree and compared with the
+    stored column hs; the first mismatch raises ``CocycleError`` naming
+    the edge.  Each given column must also read alpha(1, s) = 1.
+
+    These checks prove the table a normalized cocycle.  Let omega =
+    d(alpha), omega(a, b, c) = alpha(b, c) alpha(a, bc) / (alpha(a, b)
+    alpha(ab, c)).
+    * d(omega) = 1 holds for any table of nonzero values.  At (a, b, c, s)
+      it reads omega(b, c, s) omega(a, bc, s) omega(a, b, c) =
+      omega(ab, c, s) omega(a, b, cs), so omega(a, b, cs) = omega(a, b, c)
+      once omega(., ., s) = 1.
+    * Column s of the table is the given column: s is reached from 1 at
+      the walk's first step, where the fill gives alpha(g, s) = e(g) -
+      e(1) = e(g) with e(1) = 0 (in exponents), and a generator listed
+      twice, or the identity listed, is an edge off the tree from 1,
+      which is checked against the column stored first.
+    * So the fill makes omega(a, h, s) = 1 for every a at each tree edge
+      (h, s), and the check does the same at the other edges.  Every h
+      is reached, so omega(., ., s) = 1 for every generator s.
+    * Normalization holds by construction: column 1 is 0, and the fill
+      gives alpha(1, hs) = alpha(1, h) along the walk, so row 1 is 0
+      too.  Column 1 gives omega(a, b, 1) = 1, and the walk reaches every
+      c from 1 by right multiplication by generators, so omega = 1
+      everywhere by the first point.
+    A table that passes needs no ``validate_cocycle``, which stays the
+    independent check of tables given by value."""
     G, m = group, root_order
     if len(columns) != len(G.generator_indices) or any(len(c) != G.size for c in columns):
         raise CocycleError("need one column of |G| exponents per generator")
+    for k, e in enumerate(columns):
+        if e[0] % m:
+            raise CocycleError(f"column {k} is not that of a normalized cocycle")
     by_column = list(zip(*G.mult))  # by_column[h][g] = g h
     cols = [None] * G.size
     cols[0] = [0] * G.size
-    for h, k, hs in _walk([by_column[s] for s in G.generator_indices]):
-        e, eh = columns[k], columns[k][h]
-        cols[hs] = [(x + e[gh] - eh) % m for x, gh in zip(cols[h], by_column[h])]
+    queue = [0]
+    for h in queue:
+        col_h, gh = cols[h], by_column[h]
+        for k, s in enumerate(G.generator_indices):
+            e, eh, hs = columns[k], columns[k][h], by_column[s][h]
+            filled = [(x + e[y] - eh) % m for x, y in zip(col_h, gh)]
+            if cols[hs] is None:
+                cols[hs] = filled
+                queue.append(hs)
+            elif filled != cols[hs]:
+                raise CocycleError(
+                    f"the columns are not those of a cocycle: the identity fails at edge ({h}, {s})")
     if None in cols:
         raise CocycleError("the group's generators do not reach every element")
-    for k, s in enumerate(G.generator_indices):
-        if cols[s] != [e % m for e in columns[k]]:
-            raise CocycleError(f"column {k} is not that of a normalized cocycle")
     return Cocycle2(G, [root_of_unity(m, e) for e in range(m)], zip(*cols), name=name)
 
 

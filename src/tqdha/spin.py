@@ -23,6 +23,7 @@ from functools import lru_cache
 
 from .groups import (
     Cocycle2,
+    CocycleError,
     FiniteGroup,
     cocycle_from_columns,
     perm_compose,
@@ -31,7 +32,6 @@ from .groups import (
     perm_inverse,
     perm_sign,
     symmetric_group,
-    validate_cocycle,
 )
 from .linalg import SparseSum, bump
 from .scalars import MINUS_ONE, ONE, CyclotomicScalar, rational, sqrt2
@@ -167,9 +167,18 @@ def spin_alpha(sigma: tuple, tau: tuple) -> CyclotomicScalar:
 
 def _integer_section(sigma: tuple, n: int) -> dict:
     """sqrt(2)^k u_sigma, k = len(section_factors(sigma)): the product of the
-    unnormalized lifts e_r - e_s, as a dict blade -> int."""
-    out = _lift_product(section_factors(sigma), n, ONE)
-    return {S: int(c.as_fraction()) for S, c in out.coeffs.items()}
+    unnormalized lifts e_r - e_s, as a dict blade -> nonzero int, multiplied
+    on ints through ``_blade_mul`` (``section_u`` over Q(zeta_8) is the
+    reference)."""
+    out = {(): 1}
+    for r, s in section_factors(sigma):
+        prod: dict = {}
+        for S, c in out.items():
+            for T, d in (((r,), c), ((s,), -c)):
+                sign, blade = _blade_mul(S, T)
+                prod[blade] = prod.get(blade, 0) + sign * d
+        out = {S: c for S, c in prod.items() if c}
+    return out
 
 
 def spin_cocycle(group: FiniteGroup) -> Cocycle2:
@@ -190,10 +199,13 @@ def spin_cocycle(group: FiniteGroup) -> Cocycle2:
 
     Only the columns alpha(g, s) at the group's generators s are read so
     (2|G| coefficients for S_n); ``cocycle_from_columns`` fills the rest by
-    alpha(g, hs) = alpha(g, h) alpha(gh, s) / alpha(h, s).  The table is then
-    checked by ``validate_cocycle``, which is not vacuous: the fill makes the
-    identity hold only at the triples (g, h, s) along its walk's tree, while
-    the check tests every (s, b, c) with s a generator."""
+    alpha(g, hs) = alpha(g, h) alpha(gh, s) / alpha(h, s) along its walk's
+    tree, and checks the same expression at the walk's other Cayley edges.
+    That proves the table a normalized cocycle (the proof is in its
+    docstring), so the table is not checked again here.  Columns that are
+    not a cocycle's raise ``CocycleError`` there, which is re-raised as the
+    ``ArithmeticError`` of a broken model.  ``validate_cocycle`` stays the
+    independent reference that the tests hold the table to."""
     perms = group.perms
     n = len(perms[0])
     sections = [_integer_section(p, n) for p in perms]
@@ -213,11 +225,10 @@ def spin_cocycle(group: FiniteGroup) -> Cocycle2:
         return int(c != ref)
 
     columns = [[exponent(g, s) for g in range(group.size)] for s in group.generator_indices]
-    alpha = cocycle_from_columns(group, 2, columns, name=f"spin({n})")
-    report = validate_cocycle(alpha)
-    if not (report["normalized"] and report["cocycle"]):
-        raise ArithmeticError(f"assembled spin({n}) table fails validation: {report['failures'][:3]}")
-    return alpha
+    try:
+        return cocycle_from_columns(group, 2, columns, name=f"spin({n})")
+    except CocycleError as e:
+        raise ArithmeticError(f"assembled spin({n}) table: {e}; cover model is broken") from e
 
 
 def inequality_count(r: int, s: int, rp: int, sp: int) -> int:

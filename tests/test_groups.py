@@ -4,6 +4,7 @@ import itertools
 import math
 import os
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -112,21 +113,136 @@ def test_cocycle_fill_checks_its_columns():
         cocycle_from_columns(bare, 6, [])
 
 
+def walk_tree(G):
+    """The (h, k) of the tree edges of ``cocycle_from_columns``'s walk."""
+    return {(h, k) for h, k, _ in _walk([[G.mult[h][s] for h in range(G.size)]
+                                         for s in G.generator_indices])}
+
+
 def test_flipped_column_entry_off_the_tree_is_rejected():
     """The fill imposes the identity only along its walk's tree, so a wrong
-    column value on an edge outside the tree still yields a table, and
-    ``validate_cocycle`` must reject it."""
+    column value on an edge outside the tree must be caught by the check
+    at the walk's other edges: ``cocycle_from_columns`` refuses the columns
+    and names an edge (h, s) off the tree, and the plain fill of the same
+    columns is a table that ``validate_cocycle`` rejects."""
     alpha = spin_cocycle(symmetric_group(4))
     G = alpha.group
     columns = [[int(alpha(g, s) == MINUS_ONE) for g in range(G.size)] for s in G.generator_indices]
     assert table(cocycle_from_columns(G, 2, columns)) == table(alpha)
-    tree = {(h, k) for h, k, _ in _walk([[G.mult[h][s] for h in range(G.size)]
-                                          for s in G.generator_indices])}
+    tree = walk_tree(G)
     g, k = next((g, k) for g in range(1, G.size) for k in range(len(columns))
                 if (g, k) not in tree)
     columns[k][g] ^= 1
-    rep = validate_cocycle(cocycle_from_columns(G, 2, columns))
+    with pytest.raises(CocycleError, match=r"at edge \(\d+, \d+\)") as err:
+        cocycle_from_columns(G, 2, columns)
+    h, s = map(int, re.search(r"edge \((\d+), (\d+)\)", str(err.value)).groups())
+    assert (h, G.generator_indices.index(s)) not in tree
+    rep = validate_cocycle(plain_fill(G, 2, columns))
     assert rep["normalized"] and not rep["cocycle"]
+
+
+def plain_fill(G, m, columns):
+    """The table that the identity alpha(g, hs) = alpha(g, h) alpha(gh, s) /
+    alpha(h, s) forces from the columns along the walk's tree, in exponents
+    mod m, with no check of any kind."""
+    cols = {0: [0] * G.size}
+    for h, k, hs in _walk([[G.mult[h][s] for h in range(G.size)] for s in G.generator_indices]):
+        e = columns[k]
+        cols[hs] = [(x + e[G.mult[g][h]] - e[h]) % m for g, x in enumerate(cols[h])]
+    return Cocycle2(G, [root_of_unity(m, e) for e in range(m)],
+                    zip(*(cols[h] for h in range(G.size))))
+
+
+def reference_verdict(G, m, columns, every_triple=False):
+    """Whether some normalized cocycle has these generator columns, decided
+    without ``cocycle_from_columns``'s checks: the identity forces the plain
+    fill, so that is the only candidate.  It must be a normalized cocycle
+    (``validate_cocycle``, or, with every_triple, the per-triple loop over
+    all |G|^3 triples) and keep the given columns."""
+    alpha = plain_fill(G, m, columns)
+    if every_triple:
+        rep = per_triple_validation(every_first_argument(alpha))
+    else:
+        rep = validate_cocycle(alpha)
+    keeps = all(alpha.index[g][s] == columns[k][g] % m
+                for k, s in enumerate(G.generator_indices) for g in range(G.size))
+    return rep["normalized"] and rep["cocycle"] and keeps, alpha
+
+
+def exponent_table(alpha, m):
+    """alpha(a, b) = zeta_m^e, as the table of exponents e mod m."""
+    exps = [next(e for e in range(m) if root_of_unity(m, e) == x) for x in alpha.distinct]
+    return [[exps[k] for k in row] for row in alpha.index]
+
+
+def flipped(columns, m, positions, rnd):
+    """A copy of the columns with each (g, k) in positions moved by a seeded
+    nonzero amount mod m."""
+    out = [list(c) for c in columns]
+    for g, k in positions:
+        out[k][g] = (out[k][g] + rnd.randrange(1, m)) % m
+    return out
+
+
+def column_instances():
+    """Seeded column sets (kind, name, group, m, columns, table): the spin
+    columns of S4 and S5, mod 2 and lifted to mod 4, and a Z/6 x Z/6
+    bicharacter's at m = 6, each with the exponent table it must give;
+    their coboundary twists by d(f), f: G -> Z/m seeded with f(1) = 0, with
+    the twisted table; one- and two-entry moves at positions (g, k) on the
+    walk's tree and off it; and a constant added to one whole column, which
+    leaves the fill unchanged but makes alpha(1, s) != 1."""
+    rnd = random.Random(30)
+    z6z6 = group_from_cyclic_orders([6, 6])
+    bases = [(f"S{n} spin mod {m}", spin_cocycle(symmetric_group(n)), m)
+             for n in (4, 5) for m in (2, 4)]
+    bases.append(("Z/6xZ/6", bicharacter_cocycle(z6z6, [[1, 2], [3, 5]], 6), 6))
+    for name, alpha, m in bases:
+        G = alpha.group
+        exps = exponent_table(alpha, m)
+        columns = [[row[s] for row in exps] for s in G.generator_indices]
+        if G.labels is not None:
+            assert columns == bicharacter_columns(G, [[1, 2], [3, 5]], 6)
+        yield "valid", name, G, m, columns, exps
+        f = [0] + [rnd.randrange(m) for _ in range(G.size - 1)]
+        twisted = [[(e + f[a] + f[b] - f[G.mult[a][b]]) % m for b, e in enumerate(row)]
+                   for a, row in enumerate(exps)]
+        yield ("twisted", name, G, m, [[row[s] for row in twisted] for s in G.generator_indices],
+               twisted)
+        tree = sorted(walk_tree(G))
+        off = sorted({(g, k) for g in range(G.size) for k in range(len(columns))} - set(tree))
+        for where, pool in (("tree", tree), ("off-tree", off)):
+            for count in (1, 2, 2):
+                yield (f"move on {where}", f"{name}, {count} at {where}", G, m,
+                       flipped(columns, m, rnd.sample(pool, count), rnd), None)
+        k, shift = rnd.randrange(len(columns)), rnd.randrange(1, m)
+        shifted = [[(e + shift) % m for e in c] if j == k else c for j, c in enumerate(columns)]
+        yield "shift", name, G, m, shifted, None
+
+
+def test_column_fill_verdict_matches_the_full_checks():
+    """``cocycle_from_columns`` accepts exactly the column sets whose plain
+    fill passes ``validate_cocycle`` and keeps the given columns, and then
+    returns that fill.  At S4 the per-triple loop over every (a, b, c) is a
+    second reference."""
+    verdicts = {}
+    for kind, name, G, m, columns, exps in column_instances():
+        ref, filled = reference_verdict(G, m, columns)
+        if G.size <= 24:
+            assert reference_verdict(G, m, columns, every_triple=True)[0] == ref, name
+        try:
+            ours = cocycle_from_columns(G, m, columns)
+        except CocycleError:
+            ours = None
+        assert (ours is not None) == ref, name
+        if ours is not None:
+            assert ours.index == filled.index, name
+        if exps is not None:
+            assert ours is not None and [list(r) for r in ours.index] == exps, name
+        verdicts.setdefault(kind, set()).add(ref)
+    # the valid and twisted sets are accepted above; each kind of change is
+    # refused at least once
+    assert all(False in verdicts[kind] for kind in ("move on tree", "move on off-tree", "shift"))
 
 
 def test_build_group_klein_self_inverse():

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tqdha import spin
-from tqdha.groups import perm_from_cycles, symmetric_group, validate_cocycle
-from tqdha.scalars import MINUS_ONE, ONE, rational
+from tqdha.groups import CocycleError, perm_from_cycles, symmetric_group, validate_cocycle
+from tqdha.scalars import MINUS_ONE, ONE, rational, sqrt2
 from tqdha.spin import (
     CliffordElement,
     clifford_multiply,
@@ -100,13 +100,28 @@ def test_alpha_examples():
 
 
 def test_spin_cocycle_table_validates_and_is_nontrivial():
-    alpha = spin_cocycle(symmetric_group(4))
-    rep = validate_cocycle(alpha)
-    assert rep["normalized"] and rep["cocycle"]
-    group = alpha.group
-    g12 = group.perms.index(perm_from_cycles(4, [(0, 1)]))
-    g34 = group.perms.index(perm_from_cycles(4, [(2, 3)]))
-    assert alpha.conj_ratio(g12, g34) == MINUS_ONE
+    """``spin_cocycle`` proves its own table through the fill's check;
+    ``validate_cocycle`` certifies it independently, at n = 4, 5 and 6."""
+    for n in (4, 5, 6):
+        alpha = spin_cocycle(symmetric_group(n))
+        rep = validate_cocycle(alpha)
+        assert rep["normalized"] and rep["cocycle"], n
+        group = alpha.group
+        g12 = group.perms.index(perm_from_cycles(n, [(0, 1)]))
+        g34 = group.perms.index(perm_from_cycles(n, [(2, 3)]))
+        assert alpha.conj_ratio(g12, g34) == MINUS_ONE, n
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_integer_section_is_the_scaled_section(n):
+    """The integer product of the lifts e_r - e_s is sqrt(2)^k u_sigma, k the
+    number of factors, coefficient by coefficient, against the Q(zeta_8)
+    model, for every permutation."""
+    for sigma in itertools.permutations(range(n)):
+        ints = spin._integer_section(sigma, n)
+        assert all(type(c) is int and c for c in ints.values())
+        scaled = section_u(sigma, n).scale(sqrt2() ** len(section_factors(sigma)))
+        assert {S: rational(c) for S, c in ints.items()} == scaled.coeffs
 
 
 def test_table_agrees_with_slow_alpha_on_sample():
@@ -128,7 +143,8 @@ def _negate_last(u):
 @pytest.mark.parametrize("corrupt", [_least_plus_one, _negate_last])
 def test_corrupted_integer_section_is_caught(corrupt, monkeypatch):
     """One wrong coefficient in one integer section fails the +-ref check
-    itself, before ``validate_cocycle`` sees the table."""
+    itself, before the fill's check at the walk's non-tree edges sees the
+    columns."""
     real = spin._integer_section
     bad = (2, 0, 1, 3)  # the 3-cycle (0 2 1): U = (e_0 - e_1)(e_0 - e_2)
 
@@ -141,6 +157,21 @@ def test_corrupted_integer_section_is_caught(corrupt, monkeypatch):
     monkeypatch.setattr(spin, "_integer_section", corrupted)
     with pytest.raises(ArithmeticError, match="cover model is broken"):
         spin.spin_cocycle(symmetric_group(4))
+
+
+def test_columns_that_are_no_cocycle_mean_a_broken_model(monkeypatch):
+    """Generator columns that pass the +-ref check but are not a cocycle's
+    are refused by the fill, and ``spin_cocycle`` reports a broken model."""
+    real = spin.cocycle_from_columns
+
+    def moved(group, m, columns, name):
+        columns[0][5] ^= 1
+        return real(group, m, columns, name=name)
+
+    monkeypatch.setattr(spin, "cocycle_from_columns", moved)
+    with pytest.raises(ArithmeticError, match="cover model is broken") as err:
+        spin.spin_cocycle(symmetric_group(4))
+    assert isinstance(err.value.__cause__, CocycleError)
 
 
 def test_table_agrees_with_slow_alpha_n5_sample():
