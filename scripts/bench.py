@@ -6,7 +6,7 @@ The entries are every golden case of tests/test_golden.py (digest cases
 included), ``classify-symmetric`` at n = 6 and 7 with and without
 ``--twisted``, the diagonal survey, ``compare_twisted_untwisted.py --max-n
 7``, ``selftest`` and the tier-1 suite with ``--durations=0``.  For each run
-it records the wall time, the child's peak RSS (``ru_maxrss`` from
+it records the wall time, the command's own peak RSS (``ru_maxrss`` from
 ``os.wait4``), the exit code and the sha256 of stdout; ``--repeat k`` runs
 every entry k times, entry after entry, and reports the median, min and max.
 The report also holds ``nproc``, the Python version and the git revision.
@@ -99,19 +99,33 @@ def entries() -> dict:
     return out
 
 
+# Linux carries a process's peak RSS across exec, so a command started
+# straight from this script would report at least this script's own RSS
+# (tens of MB once the goldens are read).  A bare Python starts it instead
+# and hands back its wall time, its own ru_maxrss and its exit code.
+LAUNCHER = """
+import os, sys, time
+start = time.perf_counter()
+pid = os.fork()
+if pid == 0:
+    os.execv(sys.argv[2], sys.argv[2:])
+_, status, usage = os.wait4(pid, 0)
+with open(sys.argv[1], "w") as f:
+    f.write(f"{time.perf_counter() - start} {usage.ru_maxrss} {os.waitstatus_to_exitcode(status)}")
+"""
+
+
 def run_once(argv, env) -> dict:
-    """One child run: its stdout goes to a temporary file, and ``os.wait4``
-    gives that child's own resource usage."""
-    with tempfile.TemporaryFile() as stdout:
-        start = time.perf_counter()
-        proc = subprocess.Popen(argv, cwd=ROOT, env=env, stdout=stdout, stderr=subprocess.DEVNULL)
-        _, status, usage = os.wait4(proc.pid, 0)
-        wall = time.perf_counter() - start
-        proc.returncode = os.waitstatus_to_exitcode(status)
+    """One run of argv in a grandchild of this script, through ``LAUNCHER``;
+    its stdout goes to a temporary file."""
+    with tempfile.TemporaryFile() as stdout, tempfile.NamedTemporaryFile("r") as result:
+        subprocess.run([sys.executable, "-I", "-S", "-c", LAUNCHER, result.name, *argv], cwd=ROOT,
+                       env=env, stdout=stdout, stderr=subprocess.DEVNULL, check=True)
+        wall, rss_kb, code = result.read().split()
         stdout.seek(0)
         sha = _digest(stdout.read())
-    return {"wall_s": round(wall, 4), "peak_rss_mb": round(usage.ru_maxrss / 1024, 1),
-            "exit_code": proc.returncode, "sha256": sha}
+    return {"wall_s": round(float(wall), 4), "peak_rss_mb": round(int(rss_kb) / 1024, 1),
+            "exit_code": int(code), "sha256": sha}
 
 
 def spread(values) -> dict:
