@@ -19,8 +19,6 @@ are bytecode-free (``PYTHONDONTWRITEBYTECODE=1``), and a tree that holds a
 start-up faster and the numbers incomparable.  From the repository root:
 
     python scripts/bench.py --out BENCH_30.json --repeat 3
-    python scripts/bench.py --only ci/classify-symmetric.7.twisted --repeat 3 \\
-        --baseline parent.json --out BENCH_30.json
 """
 
 from __future__ import annotations
@@ -151,10 +149,6 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--out", help="write the JSON report here (default: stdout)")
     ap.add_argument("--repeat", type=int, default=1, help="runs per entry (default 1)")
-    ap.add_argument("--only", action="append", default=[],
-                    help="run only the entries whose name contains this text (repeatable)")
-    ap.add_argument("--baseline", help="an earlier report (say, of the parent commit), kept "
-                                       "under \"baseline\" in this one")
     args = ap.parse_args(argv)
     if args.repeat < 1:
         ap.error("--repeat must be at least 1")
@@ -162,10 +156,6 @@ def main(argv=None) -> int:
     if cached:
         print(f"refusing a tree with cached bytecode: {', '.join(cached[:5])}", file=sys.stderr)
         return 2
-    chosen = {name: e for name, e in entries().items()
-              if not args.only or any(text in name for text in args.only)}
-    if not chosen:
-        ap.error("--only matches no entry")
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONIOENCODING="utf-8",
                PYTHONPATH=os.pathsep.join(filter(None, [os.path.join(ROOT, "src"),
                                                         os.environ.get("PYTHONPATH")])))
@@ -177,7 +167,7 @@ def main(argv=None) -> int:
         "entries": {},
     }
     failures = []
-    for name, (cmd, code, sha) in chosen.items():
+    for name, (cmd, code, sha) in entries().items():
         runs = [run_once(cmd, env) for _ in range(args.repeat)]
         bad = [r for r in runs if r["exit_code"] != code or (sha is not None and r["sha256"] != sha)]
         if bad:
@@ -195,9 +185,6 @@ def main(argv=None) -> int:
               f"{'' if not bad else ', OUTPUT OR EXIT CODE DIFFERS'}", file=sys.stderr)
     report["ok"] = not failures
     report["failures"] = failures
-    if args.baseline:
-        with open(args.baseline) as f:
-            report["baseline"] = json.load(f)
     text = json.dumps(report, indent=2) + "\n"
     if args.out:
         with open(args.out, "w") as f:

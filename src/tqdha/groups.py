@@ -517,10 +517,10 @@ def cocycle_from_columns(group: FiniteGroup, root_order: int, columns, name="coc
     alpha(h, s).  Column 1 is 1, and the walk from 1 by right
     multiplication by the generators reaches every h, so the generator
     columns fix the table.  It is filled in exponents mod m, on integers
-    only, along the walk's breadth-first tree.  The same expression is
-    computed at each Cayley edge (h, s) off the tree and compared with the
-    stored column hs; the first mismatch raises ``CocycleError`` naming
-    the edge.  Each given column must also read alpha(1, s) = 1.
+    only, along the breadth-first tree of ``_walk`` from 1.  The same
+    expression is then computed at each Cayley edge (h, s) off that tree
+    and compared with the stored column hs; the first mismatch raises
+    ``CocycleError`` naming the edge.  Each given column must also read alpha(1, s) = 1.
 
     These checks prove the table a normalized cocycle.  Let omega =
     d(alpha), omega(a, b, c) = alpha(b, c) alpha(a, bc) / (alpha(a, b)
@@ -551,22 +551,25 @@ def cocycle_from_columns(group: FiniteGroup, root_order: int, columns, name="coc
         if e[0] % m:
             raise CocycleError(f"column {k} is not that of a normalized cocycle")
     by_column = list(zip(*G.mult))  # by_column[h][g] = g h
+    maps = [by_column[s] for s in G.generator_indices]
+    tree = _walk(maps)
+    if len(tree) != G.size - 1:
+        raise CocycleError("the group's generators do not reach every element")
     cols = [None] * G.size
     cols[0] = [0] * G.size
-    queue = [0]
-    for h in queue:
-        col_h, gh = cols[h], by_column[h]
+
+    def fill(h, k):  # the column of h s_k, from the column of h
+        e, eh = columns[k], columns[k][h]
+        return [(x + e[gh] - eh) % m for x, gh in zip(cols[h], by_column[h])]
+
+    for h, k, hs in tree:
+        cols[hs] = fill(h, k)
+    on_tree = {(h, k) for h, k, _ in tree}
+    for h in range(G.size):
         for k, s in enumerate(G.generator_indices):
-            e, eh, hs = columns[k], columns[k][h], by_column[s][h]
-            filled = [(x + e[y] - eh) % m for x, y in zip(col_h, gh)]
-            if cols[hs] is None:
-                cols[hs] = filled
-                queue.append(hs)
-            elif filled != cols[hs]:
+            if (h, k) not in on_tree and fill(h, k) != cols[maps[k][h]]:
                 raise CocycleError(
                     f"the columns are not those of a cocycle: the identity fails at edge ({h}, {s})")
-    if None in cols:
-        raise CocycleError("the group's generators do not reach every element")
     return Cocycle2(G, [root_of_unity(m, e) for e in range(m)], zip(*cols), name=name)
 
 

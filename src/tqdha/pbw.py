@@ -95,8 +95,10 @@ evaluating all of them; a kappa that passes has every one evaluated.
 * The solver's recheck is independent.  The checker evaluates rows written
   by the writers that wrote the solver's, so the solver re-verifies its
   basis with the oracle families ttv, tvv and vvv instead; ttt is the
-  cocycle identity, which ``validate_cocycle`` checks when a problem is
-  loaded.
+  cocycle identity, which holds once a problem is loaded: ``validate_cocycle``
+  checks a table given by value, ``cocycle_from_columns``'s check at its
+  walk's non-tree edges proves a spin(n) table, and the trivial table
+  satisfies it by construction.
 
 By default the oracle writes the last group letter of each word only at
 generators s of G (every element when the group records none): t_g t_h t_s,
@@ -106,8 +108,8 @@ shows that the last group letters at which a family resolves are closed
 under products, hence form a subgroup of the finite group G, which is all of
 G once it holds the generators.  The proofs use the rewriting rules only,
 none of the checker's lemmas, so the oracle stays independent.  ttt is still
-run at generators although ``validate_cocycle`` covers it at load time: the
-oracle does not assume what it could check.
+run at generators although the load-time checks cover it: the oracle does
+not assume what it could check.
 
 * ttt.  t_g t_h t_k resolves exactly when
   alpha(g, h) alpha(gh, k) = alpha(h, k) alpha(g, hk), call it A(g, h, k).

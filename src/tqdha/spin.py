@@ -98,13 +98,19 @@ def transposition_lift(r: int, s: int, n: int) -> CliffordElement:
     return _lift(r, s, n, _inv_sqrt2())
 
 
+def _lift_terms(r: int, s: int, c) -> tuple:
+    """The (blade, coefficient) terms of c (e_r - e_s), the one statement of
+    the lifts' sign convention."""
+    return ((r,), c), ((s,), -c)
+
+
 def _lift(r: int, s: int, n: int, c) -> CliffordElement:
-    """c (e_r - e_s), the one statement of the lifts' sign convention."""
+    """c (e_r - e_s) as a Clifford element."""
     if r == s:
         raise ValueError("transposition needs two distinct points")
     if not (0 <= r < n and 0 <= s < n):
         raise ValueError("indices out of range")
-    return CliffordElement(n, {(r,): c, (s,): -c})
+    return CliffordElement(n, dict(_lift_terms(r, s, c)))
 
 
 def transposition_lift_recursive(r: int, s: int, n: int) -> CliffordElement:
@@ -174,7 +180,7 @@ def _integer_section(sigma: tuple, n: int) -> dict:
     for r, s in section_factors(sigma):
         prod: dict = {}
         for S, c in out.items():
-            for T, d in (((r,), c), ((s,), -c)):
+            for T, d in _lift_terms(r, s, c):
                 sign, blade = _blade_mul(S, T)
                 prod[blade] = prod.get(blade, 0) + sign * d
         out = {S: c for S, c in prod.items() if c}
