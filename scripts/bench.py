@@ -4,8 +4,11 @@ commands, each run in a child process, written as one JSON report.
 
 The entries are every golden case of tests/test_golden.py (digest cases
 included), ``classify-symmetric`` at n = 6 and 7 with and without
-``--twisted``, the diagonal survey, ``compare_twisted_untwisted.py --max-n
-7``, ``selftest`` and the tier-1 suite with ``--durations=0``.  For each run
+``--twisted``, the diagonal survey, the exhaustive rewriting oracle on
+twisted S5 (``ci/pbw-check.s5_twisted.oracle``: ``pbw-check
+problems/s5_twisted.json --kappa <kappa_1> --oracle``, kappa_1 written to a
+temporary file as the CI step does), ``compare_twisted_untwisted.py
+--max-n 7``, ``selftest`` and the tier-1 suite with ``--durations=0``.  For each run
 it records the wall time, the command's own peak RSS (``ru_maxrss`` from
 ``os.wait4``), the exit code and the sha256 of stdout; ``--repeat k`` runs
 every entry k times, entry after entry, and reports the median, min and max.
@@ -18,7 +21,7 @@ are bytecode-free (``PYTHONDONTWRITEBYTECODE=1``), and a tree that holds a
 ``__pycache__`` directory is refused, since cached bytecode makes every
 start-up faster and the numbers incomparable.  From the repository root:
 
-    python scripts/bench.py --out BENCH_30.json --repeat 3
+    python scripts/bench.py --out BENCH_31.json --repeat 3
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
 
 import test_golden  # noqa: E402  (the golden cases, read from their one definition)
+from tqdha import classify  # noqa: E402
 
 WORKFLOW = os.path.join(ROOT, ".github", "workflows", "tests.yml")
 CLI = [sys.executable, "-m", "tqdha.cli"]
@@ -59,8 +63,9 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def entries() -> dict:
-    """name -> (argv, expected exit code, expected sha256 or None)."""
+def entries(scratch: str) -> dict:
+    """name -> (argv, expected exit code, expected sha256 or None).  The
+    files an argv reads beyond the repository are written under scratch."""
     with open(os.path.join(test_golden.GOLDEN, "exit_codes.json")) as f:
         codes = json.load(f)
     with open(os.path.join(test_golden.GOLDEN, "digests.json")) as f:
@@ -88,6 +93,12 @@ def entries() -> dict:
     out["ci/diagonal_survey"] = (
         [sys.executable, os.path.join(ROOT, "scripts", "diagonal_survey.py")], 0,
         pins["diagonal_survey.txt"])
+    kappa = os.path.join(scratch, "kappa_one_s5.json")
+    with open(kappa, "w") as f:
+        f.write(json.dumps(classify.kappa_one(5).to_records()))
+    out["ci/pbw-check.s5_twisted.oracle"] = (
+        CLI + ["pbw-check", os.path.join(test_golden.PROBLEMS, "s5_twisted.json"), "--kappa", kappa,
+               "--oracle"], 0, None)
     out["compare_twisted_untwisted.max-n.7"] = (
         [sys.executable, os.path.join(ROOT, "scripts", "compare_twisted_untwisted.py"),
          "--max-n", "7"], 0, None)
@@ -167,22 +178,24 @@ def main(argv=None) -> int:
         "entries": {},
     }
     failures = []
-    for name, (cmd, code, sha) in entries().items():
-        runs = [run_once(cmd, env) for _ in range(args.repeat)]
-        bad = [r for r in runs if r["exit_code"] != code or (sha is not None and r["sha256"] != sha)]
-        if bad:
-            failures.append(name)
-        report["entries"][name] = {
-            "argv": [os.path.relpath(a, ROOT) if os.path.isabs(a) and a.startswith(ROOT) else a
-                     for a in cmd[1:]],
-            "expected_exit_code": code, "expected_sha256": sha, "ok": not bad,
-            "wall_s": spread([r["wall_s"] for r in runs]),
-            "peak_rss_mb": spread([r["peak_rss_mb"] for r in runs]),
-            "runs": runs,
-        }
-        print(f"{name}: {report['entries'][name]['wall_s']['median']:.2f} s, "
-              f"{report['entries'][name]['peak_rss_mb']['median']:.1f} MB"
-              f"{'' if not bad else ', OUTPUT OR EXIT CODE DIFFERS'}", file=sys.stderr)
+    with tempfile.TemporaryDirectory() as scratch:
+        for name, (cmd, code, sha) in entries(scratch).items():
+            runs = [run_once(cmd, env) for _ in range(args.repeat)]
+            bad = [r for r in runs
+                   if r["exit_code"] != code or (sha is not None and r["sha256"] != sha)]
+            if bad:
+                failures.append(name)
+            report["entries"][name] = {
+                "argv": [os.path.relpath(a, ROOT) if os.path.isabs(a) and a.startswith(ROOT)
+                         else a.replace(scratch, "<tmp>") for a in cmd[1:]],
+                "expected_exit_code": code, "expected_sha256": sha, "ok": not bad,
+                "wall_s": spread([r["wall_s"] for r in runs]),
+                "peak_rss_mb": spread([r["peak_rss_mb"] for r in runs]),
+                "runs": runs,
+            }
+            print(f"{name}: {report['entries'][name]['wall_s']['median']:.2f} s, "
+                  f"{report['entries'][name]['peak_rss_mb']['median']:.1f} MB"
+                  f"{'' if not bad else ', OUTPUT OR EXIT CODE DIFFERS'}", file=sys.stderr)
     report["ok"] = not failures
     report["failures"] = failures
     text = json.dumps(report, indent=2) + "\n"

@@ -10,8 +10,10 @@ exhaustive ``condition_system`` and the solver's ``class_local_system``, over
 the unknowns at class representatives (for an abelian group they are one).
 The checker builds neither: it multiplies kappa's coordinates with the rows
 at the sites that meet kappa's support, each written on its first use.  The
-rewriting oracle never looks at the conditions: it reduces the four families
-of overlap words both ways and compares normal forms.
+rewriting oracle never looks at the conditions: it compares the two normal
+forms of each overlap word.  It reduces the words of tvv and vvv both ways;
+those of ttt and ttv have one reduction path a side, and it reads their
+normal forms from the closed forms written out below.
 
 Both stop once their report is settled.  A report keeps the first
 ``max_witnesses`` failures, in row or word order, and its flags, and a flag
@@ -78,10 +80,11 @@ evaluating all of them; a kappa that passes has every one evaluated.
   ``linalg.kernel_basis``'s shape, which ``linalg.echelon_basis`` finds, so
   the output is that of plain elimination of every row.
 * Each overlap word's normal forms are affine in kappa, so each family is
-  reduced once per problem with kappa left open.  The kappa rule
+  decided once per problem with kappa left open.  The kappa rule
   v_j v_i -> q_ji v_i v_j + kappa(v_j, v_i) writes terms with two variable
   letters fewer and an overlap word has at most three, so it fires at most
-  once on any path, never in ttt and ttv.  Reduce with kappa = 0, deferring
+  once on any path, never in ttt and ttv, which are decided in closed form
+  (below) and have no columns.  Reduce tvv and vvv with kappa = 0, deferring
   each firing on a term c head v_j v_i tail as (head, j, i, tail, c).  The
   work list reduces each term on its own, so reducing the deferred
   c kappa(v_j, v_i) between head and tail alone gives the same sum: over
@@ -111,8 +114,16 @@ none of the checker's lemmas, so the oracle stays independent.  ttt is still
 run at generators although the load-time checks cover it: the oracle does
 not assume what it could check.
 
-* ttt.  t_g t_h t_k resolves exactly when
-  alpha(g, h) alpha(gh, k) = alpha(h, k) alpha(g, hk), call it A(g, h, k).
+* ttt.  The first step fixes the side; after it each term is two group
+  letters, then one, so each side has one reduction path:
+      left:  t_g t_h t_k -> alpha(g, h) t_(gh) t_k
+                         -> alpha(g, h) alpha(gh, k) t_((gh)k),
+      right: t_g t_h t_k -> alpha(h, k) t_g t_(hk)
+                         -> alpha(h, k) alpha(g, hk) t_(g(hk)).
+  The coefficients are nonzero, so t_g t_h t_k resolves exactly when
+  (gh)k = g(hk) in the group table and
+  alpha(g, h) alpha(gh, k) = alpha(h, k) alpha(g, hk), call it A(g, h, k);
+  ``_associativity_failures`` tests the two for each word.
   Let k1 and k2 satisfy A(., ., k) for every g and h.  Then A(gh, k1, k2),
   A(g, h, k1), A(g, hk1, k2) and A(h, k1, k2) give in turn
       alpha(g, h) alpha(gh, k1k2) alpha(k1, k2)
@@ -121,10 +132,19 @@ not assume what it could check.
           = alpha(h, k1) alpha(hk1, k2) alpha(g, hk1k2)
           = alpha(k1, k2) alpha(h, k1k2) alpha(g, hk1k2),
   and alpha(k1, k2) != 0, so A(g, h, k1k2) holds.
-* ttv.  t_g t_h v_i rewrites on the left to
-  alpha(g, h) (gh)(v_i) t_(gh) and on the right to
-  alpha(g, h) g(h(v_i)) t_(gh), so it resolves exactly when
-  (gh)(v_i) = g(h(v_i)).  If h1 and h2 satisfy this for every g and i, then
+* ttv.  Write g(v_k) = sum_l g^k_l v_l.  After the first step each term
+  has one redex, its pair t v or t t: a variable before a group letter is
+  none, and no two variables meet, so the kappa rule never fires.  So each
+  side has one reduction path, term by term:
+      left:  t_g t_h v_i -> alpha(g, h) t_(gh) v_i
+                         -> alpha(g, h) sum_l (gh)^i_l v_l t_(gh),
+      right: t_g t_h v_i -> sum_k h^i_k t_g v_k t_h
+                         -> sum_k sum_l h^i_k g^k_l v_l t_g t_h
+                         -> alpha(g, h) sum_l (sum_k h^i_k g^k_l) v_l t_(gh).
+  The v_l t_(gh) are distinct irreducible words and alpha(g, h) != 0, so
+  t_g t_h v_i resolves exactly when (gh)^i_l = sum_k h^i_k g^k_l for every
+  l, that is (gh)(v_i) = g(h(v_i)); ``_composition_failures`` tests this
+  for each word.  If h1 and h2 satisfy this for every g and i, then
   (g h1 h2)(v) = (g h1)(h2(v)) = g(h1(h2(v))) = g((h1 h2)(v)).
 * tvv.  Once ttt and ttv resolve at every element, the rules t_g t_h and
   t_g v_i alone are confluent, so B = T(V) # C^alpha G has the words w t_g
@@ -154,12 +174,14 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import chain, combinations, product
+from operator import mul
 from typing import NamedTuple
 
 from .groups import (
     Cocycle2,
     FiniteGroup,
     GroupAlgebraElement,
+    _PairTable,
     centralizer_generators,
     class_data,
     conjugation_walk,
@@ -780,26 +802,80 @@ def _rewrite_at(word, p, n, action, q, alpha, events):
     return _reduce_letter_terms(terms, n, None, action, q, alpha, events)
 
 
+def _associativity_failures(words, action, alpha):
+    """ttt in closed form (module docstring): the failing words among the
+    numbered words, as {word number: tag}, and the number of words.  t_g t_h
+    t_k fails exactly when (gh)k != g(hk) or alpha(g, h) alpha(gh, k) !=
+    alpha(h, k) alpha(g, hk); the products of two distinct values of alpha
+    come from one ``groups._PairTable``, as in ``validate_cocycle``."""
+    mult, index, m = action.group.mult, alpha.index, len(alpha.distinct)
+    products = _PairTable(alpha.distinct, mul)
+    failures, w = {}, -1
+    for w, (_, tag) in words:
+        _, g, h, k = tag
+        gh, hk = mult[g][h], mult[h][k]
+        x = products[index[g][h] * m + index[gh][k]]
+        y = products[index[h][k] * m + index[g][hk]]
+        if mult[gh][k] != mult[g][hk] or not (x is y or x == y):
+            failures[w] = tag
+    return failures, w + 1
+
+
+def _composition_failures(words, action, alpha):
+    """ttv in closed form (module docstring), in ``_associativity_failures``'
+    shape.  t_g t_h v_i fails exactly when row i of gh differs from the
+    sparse product of h's row i with g's rows; the factor alpha(g, h) of
+    both normal forms is nonzero and drops out, so alpha is not read."""
+    rows, mult = action.rows_nz, action.group.mult
+    failures, w = {}, -1
+    for w, (_, tag) in words:
+        _, g, h, i = tag
+        image: dict = {}
+        for k, c in rows[h][i]:
+            for l, d in rows[g][k]:
+                bump(image, l, c * d)
+        if image != dict(rows[mult[g][h]][i]):
+            failures[w] = tag
+    return failures, w + 1
+
+
+# the families that never meet the kappa rule, decided from their normal forms
+_CLOSED_FORMS = {"ttt": _associativity_failures, "ttv": _composition_failures}
+
+
 class _OverlapTable:
-    """One overlap family of one problem, reduced both ways once with kappa
-    left open (see the module docstring).  Only the words that fail for
-    every kappa (D_0 != 0) and those with deferred kappa terms keep their
-    witness tags; ``checked`` counts them all.  The column of an unknown
-    (g, i, j), the kappa part of left minus right per unit x[g, i, j], is
-    built on its first use: per word it meets, in word order, the word
-    number and that word's (letters, scalar) pairs."""
+    """One overlap family of one problem, decided once with kappa left open
+    (see the module docstring): ttt and ttv in closed form
+    (``_CLOSED_FORMS``), tvv and vvv by reducing every word both ways.  Only
+    the words that fail for every kappa (D_0 != 0) and those with deferred
+    kappa terms keep their witness tags; ``checked`` counts them all.  The
+    column of an unknown (g, i, j), the kappa part of left minus right per
+    unit x[g, i, j], is built on its first use: per word it meets, in word
+    order, the word number and that word's (letters, scalar) pairs; ttt and
+    ttv defer nothing, so they have none."""
 
     def __init__(self, family, action, q, alpha, exhaustive):
         n, G = action.n, action.group
         letters = range(G.size) if exhaustive else G.generator_indices or range(G.size)
         self.n, self.args = n, (action, q, alpha)
-        self.tags = {}  # word number -> witness tag
-        self.fixed = set()  # the word numbers with D_0 != 0
         self.deferred = {}  # (i, j) -> [(word number, head, tail, factor of x[g, i, j])]
         self.columns = {}  # (g, i, j) -> column
         self.forms = {}  # (head, g, tail) -> normal form of head t_g tail
+        words = enumerate(_overlap_words(family, G, n, letters))
+        if family in _CLOSED_FORMS:
+            self.tags, self.checked = _CLOSED_FORMS[family](words, action, alpha)
+            self.fixed = set(self.tags)
+        else:
+            self.tags = {}  # word number -> witness tag
+            self.fixed = set()  # the word numbers with D_0 != 0
+            self.checked = self._reduce(words)
+
+    def _reduce(self, words) -> int:
+        """Reduce each numbered word both ways, deferring its kappa terms;
+        returns the number of words."""
+        n, (action, q, alpha) = self.n, self.args
         w = -1
-        for w, (word, tag) in enumerate(_overlap_words(family, G, n, letters)):
+        for w, (word, tag) in words:
             events = []
             left = _rewrite_at(word, 0, n, action, q, alpha, events)
             split = len(events)
@@ -812,7 +888,7 @@ class _OverlapTable:
                 # kappa(v_j, v_i) = -q_ji x[g, i, j]; right-hand events count -1
                 factor = -q(j, i) * c if k < split else q(j, i) * c
                 self.deferred.setdefault((i, j), []).append((w, head, tail, factor))
-        self.checked = w + 1
+        return w + 1
 
     def column(self, g, i, j) -> tuple:
         col = self.columns.get((g, i, j))
@@ -859,11 +935,13 @@ def verify_ambiguities(
     ``exhaustive`` it ranges over all of G, and ``checked`` counts every
     overlap word, as ``pbw-check --oracle`` reports.
 
-    ``families`` is a collection of names from FAMILIES (default all of
-    them); an unknown name, or a bare string, raises ValueError.  The
-    families run in the order of FAMILIES whatever the order given.  Each
-    family is reduced once per problem and kind with kappa left open (see
-    the module docstring); ttt and ttv have no columns and never read kappa.
+    ``families`` is a nonempty iterable of names from FAMILIES, read once
+    (None, the default, means all of them); an empty one, an unknown name or
+    a bare string raises ValueError.  The families run in the order of FAMILIES
+    whatever the order given.  Each family is decided once per problem and
+    kind with kappa left open (see the module docstring): tvv and vvv by
+    reducing every word, ttt and ttv in closed form, with no columns and
+    without reading kappa.
     A call groups the columns of kappa's own coordinates by overlap word,
     which takes no product, and decides the words in word order: a word
     with D_0 != 0 fails, any other fails when the sum of its entries times
@@ -876,7 +954,9 @@ def verify_ambiguities(
     """
     if isinstance(families, str):
         raise ValueError(f"families must be a collection of names, not the string {families!r}")
-    families = families or FAMILIES
+    families = FAMILIES if families is None else tuple(families)
+    if not families:
+        raise ValueError("families must name at least one family; None means all of them")
     unknown = [f for f in families if f not in FAMILIES]
     if unknown:
         raise ValueError(f"unknown overlap families {unknown}; known: {list(FAMILIES)}")

@@ -115,3 +115,13 @@ def test_unknown_family_names_are_refused():
         verify_ambiguities(zero, action, q, alpha, families=("tv",))
     with pytest.raises(ValueError, match="'tvv'"):
         verify_ambiguities(zero, action, q, alpha, families="tvv")
+    # only None means every family: an empty selection is refused
+    for empty in ((), [], set(), iter(())):
+        with pytest.raises(ValueError, match="at least one family"):
+            verify_ambiguities(zero, action, q, alpha, families=empty)
+    # a one-pass iterable is read once: its family runs
+    once = verify_ambiguities(zero, action, q, alpha, families=iter(["vvv"]))
+    assert once == verify_ambiguities(zero, action, q, alpha, families=("vvv",))
+    assert once["checked"] > 0
+    assert verify_ambiguities(zero, action, q, alpha, families=None) == verify_ambiguities(
+        zero, action, q, alpha, families=FAMILIES)

@@ -25,7 +25,7 @@ from itertools import combinations, product
 import pytest
 
 from test_oracle_generators import planted_action, planted_cocycle
-from test_orbit_solver import random_kappa
+from test_orbit_solver import bundled, random_kappa
 from test_pbw import cyclotomic_diagonal_instance, s3_instance
 from tqdha import pbw
 from tqdha.classify import kappa_one, symmetric_instance
@@ -183,6 +183,49 @@ def test_oracle_equals_the_reference_on_planted_faults(name):
             got = verify_ambiguities(dense, act, q, al, max_witnesses=10 ** 6,
                                      exhaustive=exhaustive)
             assert got == want, exhaustive
+
+
+CLOSED_FORM_CASES = {
+    "S3 q=-1": lambda: s3_instance()[1:],
+    "S4 twisted": lambda: symmetric_instance(4, True)[1:],
+    "Klein": lambda: bundled("klein_bicharacter_diag"),
+    "Z/6xZ/6 seed 1": lambda: cyclotomic_diagonal_instance(1),
+}
+
+
+def reduced_table(family, action, q, alpha, exhaustive):
+    """The failing words of ttt or ttv, {word number: tag} in word order, and
+    the number of words, from reducing every word both ways with
+    ``pbw._rewrite_at``; the kappa rule must never fire."""
+    G, n = action.group, action.n
+    letters = range(G.size) if exhaustive else G.generator_indices or range(G.size)
+    failures, events, checked = {}, [], 0
+    for w, (word, tag) in enumerate(pbw._overlap_words(family, G, n, letters)):
+        checked += 1
+        if (pbw._rewrite_at(word, 0, n, action, q, alpha, events)
+                != pbw._rewrite_at(word, 1, n, action, q, alpha, events)):
+            failures[w] = tag
+    assert not events, family
+    return failures, checked
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_FORM_CASES))
+def test_closed_form_tables_equal_reducing_every_word(name):
+    """ttt and ttv are decided from their normal forms written out (the
+    ``pbw`` module docstring); the tables must be those of the reducer:
+    ``checked``, the failing words with their numbers, tags and order, and
+    nothing deferred.  The planted cocycle and action fail at some words."""
+    action, q, alpha = CLOSED_FORM_CASES[name]()
+    problems = {"as loaded": (action, alpha), "planted cocycle": (action, planted_cocycle(alpha)),
+                "planted action": (planted_action(action), alpha)}
+    for (kind, (act, al)), family, exhaustive in product(problems.items(), ("ttt", "ttv"),
+                                                         (False, True)):
+        failures, checked = reduced_table(family, act, q, al, exhaustive)
+        table = pbw._OverlapTable(family, act, q, al, exhaustive)
+        assert (table.checked, list(table.tags.items()), table.fixed, table.deferred) == (
+            checked, list(failures.items()), set(failures), {}), (kind, family, exhaustive)
+        planted = {"planted cocycle": "ttt", "planted action": "ttv"}.get(kind)
+        assert bool(failures) == (family == planted), (kind, family, exhaustive)
 
 
 # -- the checker --------------------------------------------------------------
