@@ -4,7 +4,8 @@ commands, each run in a child process, written as one JSON report.
 
 The entries are every golden case of tests/test_golden.py (digest cases
 included), ``classify-symmetric`` at n = 6 and 7 with and without
-``--twisted``, the diagonal survey, the exhaustive rewriting oracle on
+``--twisted``, the diagonal survey, the loaded structures
+(``scripts/load_digest.py``), the exhaustive rewriting oracle on
 twisted S5 (``ci/pbw-check.s5_twisted.oracle``: ``pbw-check
 problems/s5_twisted.json --kappa <kappa_1> --oracle``, kappa_1 written to a
 temporary file as the CI step does), ``compare_twisted_untwisted.py
@@ -93,6 +94,8 @@ def entries(scratch: str) -> dict:
     out["ci/diagonal_survey"] = (
         [sys.executable, os.path.join(ROOT, "scripts", "diagonal_survey.py")], 0,
         pins["diagonal_survey.txt"])
+    out["ci/load_digest"] = (
+        [sys.executable, os.path.join(ROOT, "scripts", "load_digest.py")], 0, pins["load_digest.txt"])
     kappa = os.path.join(scratch, "kappa_one_s5.json")
     with open(kappa, "w") as f:
         f.write(json.dumps(classify.kappa_one(5).to_records()))

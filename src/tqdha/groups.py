@@ -303,15 +303,27 @@ def _walk(maps, start: int = 0) -> list[tuple[int, int, int]]:
     return edges
 
 
+def _table_from_left(size: int, left) -> list:
+    """The multiplication table of a group of the given size from the left
+    translations L_s of its generators, as index maps (L_s[a] is the index
+    of s a), which must reach every element from the identity.
+    (s a) b = s (a b) gives row s a of the table as L_s applied to row a.
+    The walk from the identity, whose row is 0..size-1, along the L_s
+    reaches every row this way."""
+    mult = [None] * size
+    mult[0] = tuple(range(size))
+    for a, k, b in _walk(left):
+        mult[b] = tuple(map(left[k].__getitem__, mult[a]))
+    return mult
+
+
 def group_from_permutations(generators, degree=None, name=None) -> FiniteGroup:
     """Closure of permutation generators, canonically ordered: identity first,
     then sorted by image tuple.  Associativity is structural.
 
-    The table is filled from the generators: the only permutations composed
-    are a generator s times each element, which gives left multiplication by
-    s as a map L_s on indices, and (s a) b = s (a b) gives row s a of the
-    table as L_s applied to row a.  The walk from the identity, whose row is
-    0..|G|-1, along the L_s reaches every row this way."""
+    The table is filled from the generators (``_table_from_left``): the
+    only permutations composed are a generator s times each element, which
+    gives left multiplication by s as a map L_s on indices."""
     gens = [tuple(g) for g in generators]
     if degree is None:
         if not gens:
@@ -340,12 +352,8 @@ def group_from_permutations(generators, degree=None, name=None) -> FiniteGroup:
     ordered = sorted(elements)  # identity is lexicographically least
     index = {p: i for i, p in enumerate(ordered)}
     left = [[index[perm_compose(g, p)] for p in ordered] for g in gens]
-    mult = [None] * len(ordered)
-    mult[0] = tuple(range(len(ordered)))
-    for a, k, b in _walk(left):
-        mult[b] = tuple(map(left[k].__getitem__, mult[a]))
     return FiniteGroup(
-        mult,
+        _table_from_left(len(ordered), left),
         name=name or f"perm-group(deg {degree}, order {len(ordered)})",
         perms=ordered,
         generator_indices=[index[g] for g in gens],
@@ -354,28 +362,34 @@ def group_from_permutations(generators, degree=None, name=None) -> FiniteGroup:
 
 def group_from_cyclic_orders(orders, name=None) -> FiniteGroup:
     """Direct product Z/c1 x ... x Z/ck; elements are exponent tuples in
-    mixed-radix order with the identity (0, ..., 0) first."""
-    orders = tuple(int(c) for c in orders)
+    mixed-radix order with the identity (0, ..., 0) first, and the
+    generators are the unit tuples e_i with c_i > 1.  Each order must be an
+    ``int`` (not a bool) of at least 1.
+
+    The table is filled from the generators (``_table_from_left``), with no
+    tuple added.  The index of a label a is sum_i a_i w_i with the weight
+    w_i = c_(i+1) ... c_k, so e_i has index w_i, and left translation by
+    e_i adds 1 to digit i modulo c_i: it maps index x to x + w_i, or to
+    x - (c_i - 1) w_i when digit i of x, (x // w_i) mod c_i, is c_i - 1.
+    Row e_i + a of the table is that map applied to row a, as
+    (e_i + a) + b = e_i + (a + b), and every label is a sum of multiples
+    of the e_i, so the walk from the identity, whose row is 0..|G|-1,
+    along these maps reaches every row."""
+    orders = tuple(orders)
+    if any(type(c) is not int for c in orders):
+        raise GroupConstructionError(f"cyclic orders must be ints, got {list(orders)!r}")
     if any(c < 1 for c in orders):
         raise GroupConstructionError("cyclic orders must be positive")
-    _check_order(prod(orders))
-    labels = list(product(*[range(c) for c in orders]))
-    index = {lab: i for i, lab in enumerate(labels)}
-
-    def add(a, b):
-        return tuple((x + y) % c for x, y, c in zip(a, b, orders))
-
-    mult = [[index[add(a, b)] for b in labels] for a in labels]
-    gen_indices = []
-    for i in range(len(orders)):
-        if orders[i] > 1:
-            unit = tuple(1 if j == i else 0 for j in range(len(orders)))
-            gen_indices.append(index[unit])
+    size = prod(orders)
+    _check_order(size)
+    weights = [prod(orders[i + 1:]) for i in range(len(orders))]
+    gens = [(w, c) for w, c in zip(weights, orders) if c > 1]
+    left = [[x + w if x // w % c < c - 1 else x - (c - 1) * w for x in range(size)] for w, c in gens]
     return FiniteGroup(
-        mult,
+        _table_from_left(size, left),
         name=name or ("Z/" + "xZ/".join(str(c) for c in orders) if orders else "trivial"),
-        labels=labels,
-        generator_indices=gen_indices,
+        labels=list(product(*map(range, orders))),
+        generator_indices=[w for w, _ in gens],
     )
 
 
@@ -476,11 +490,16 @@ def trivial_cocycle(group: FiniteGroup) -> Cocycle2:
 
 def bicharacter_cocycle(group: FiniteGroup, exponents, root_order: int = 2) -> Cocycle2:
     """alpha(a, b) = zeta_m^(sum_ij E[i][j] a_i b_j) on a product of cyclic
-    groups carrying exponent-tuple labels.  The exponent a_i b_j is only
-    defined modulo the coordinate orders, so E[i][j] * c_i and E[i][j] * c_j
-    must both vanish mod m; anything else is rejected.  The table is filled
-    in exponents e mod m, and zeta_m^e has order m / gcd(m, e), so values
-    past ``MAX_CONDUCTOR`` are refused before any root is built."""
+    groups carrying exponent-tuple labels, for a positive ``int`` m =
+    root_order (a bool is refused).  The exponent a_i b_j is only defined
+    modulo the coordinate orders, so E[i][j] * c_i and E[i][j] * c_j must
+    both vanish mod m; anything else is rejected.  The table is filled in
+    exponents e mod m: the linear form u_a = E^T a, u_a[j] = sum_i E[i][j]
+    a_i, is computed once per a, and entry (a, b) is (u_a . b) mod m, which
+    is the double sum.  zeta_m^e has order m / gcd(m, e), so values past
+    ``MAX_CONDUCTOR`` are refused before any root is built."""
+    if type(root_order) is not int or root_order < 1:
+        raise CocycleError(f"root_order must be a positive int, got {root_order!r}")
     if group.labels is None:
         raise CocycleError("bicharacter cocycles need a cyclic-product group")
     k = len(group.labels[0])
@@ -495,10 +514,10 @@ def bicharacter_cocycle(group: FiniteGroup, exponents, root_order: int = 2) -> C
                     f"exponent E[{i}][{j}] = {e} is not well-defined on "
                     f"Z/{orders[i]} x Z/{orders[j]} with a root of order {root_order}"
                 )
+    forms = [[sum(map(mul, col, a)) for col in zip(*exponents)] for a in group.labels]
     pos: dict = {}  # each exponent that occurs -> its position in distinct
-    index = [[pos.setdefault(sum(exponents[i][j] * a[i] * b[j] for i in range(k)
-                                 for j in range(k)) % root_order, len(pos))
-              for b in group.labels] for a in group.labels]
+    index = [[pos.setdefault(sum(map(mul, u, b)) % root_order, len(pos)) for b in group.labels]
+             for u in forms]
     conductor = reduce(lcm, (root_order // gcd(root_order, e) for e in pos), 1)
     if conductor > MAX_CONDUCTOR:
         raise CocycleError(

@@ -72,14 +72,9 @@ class GroupAction:
         self.mats = tuple(tuple(tuple(row) for row in m) for m in matrices)
         if len(self.mats) != group.size:
             raise ActionError("need one matrix per group element")
-        if validate:
-            ident = self.mats[0]
-            for i in range(self.n):
-                for k in range(self.n):
-                    if ident[i][k] != (ONE if i == k else ZERO):
-                        raise ActionError("identity element must act as the identity matrix")
-            self._validate_composition()
-        self._eigenvalues = None  # built by the first eigenvalue_table call
+        if validate and any(self.mats[0][i][k] != (ONE if i == k else ZERO)
+                            for i in range(self.n) for k in range(self.n)):
+            raise ActionError("identity element must act as the identity matrix")
         # sparse access caches
         self.rows_nz = tuple(
             tuple(
@@ -95,30 +90,37 @@ class GroupAction:
             )
             for m in self.mats
         )
+        if validate:
+            self._validate_composition()
+        self._eigenvalues = None  # built by the first eigenvalue_table call
 
     def _validate_composition(self):
         """M[sg] = M[g] . M[s] for every generator s (every element when the
         group records no generators) and every g.  That suffices: if x and
         y satisfy it for all g, then M[xyg] = M[yg] M[x] = M[g] M[y] M[x]
         = M[g] M[xy], so the x that satisfy it are closed under products,
-        hence a subgroup, and it is all of G once it holds the generators."""
-        G = self.group
-        gens = G.generator_indices or tuple(range(G.size))
-        for s in gens:
-            ms = self.mats[s]
-            for g in range(G.size):
-                mg = self.mats[g]
-                target = self.mats[G.mult[s][g]]
-                for i in range(self.n):
-                    for l in range(self.n):
-                        acc = ZERO
-                        for k in range(self.n):
-                            if not mg[i][k].is_zero() and not ms[k][l].is_zero():
-                                acc = acc + mg[i][k] * ms[k][l]
-                        if acc != target[i][l]:
-                            raise ActionError(
-                                f"matrices violate the composition law at (s={s}, g={g})"
-                            )
+        hence a subgroup, and it is all of G once it holds the generators.
+
+        Row i of M[g] . M[s] is the sum of M[g][i][k] times row k of M[s],
+        so it is summed from the sparse rows ``rows_nz`` with
+        ``linalg.bump``, which keeps no zero, and compared with row i of
+        M[sg] as a dict of its nonzero entries: a product of two nonzero
+        scalars is nonzero, and only products the dense sum has are added.
+        The (s, g) are checked in the same order, so the first failure and
+        its message are those of the dense product."""
+        G, rows = self.group, self.rows_nz
+        for s in G.generator_indices or range(G.size):
+            rs = rows[s]
+            for g, rg in enumerate(rows):
+                for row, target in zip(rg, rows[G.mult[s][g]]):
+                    acc: dict = {}
+                    for k, x in row:
+                        for l, y in rs[k]:
+                            bump(acc, l, x * y)
+                    if acc != dict(target):
+                        raise ActionError(
+                            f"matrices violate the composition law at (s={s}, g={g})"
+                        )
 
     def is_diagonal(self) -> bool:
         return all(
@@ -155,7 +157,9 @@ def natural_permutation_action(group: FiniteGroup) -> GroupAction:
 def diagonal_action(group: FiniteGroup, lam) -> GroupAction:
     """Action with common eigenvectors: g(v_i) = lam[g][i] v_i.  For
     diagonal matrices the composition law that ``GroupAction`` checks on
-    generators is the character property lam[sg][i] = lam[s][i] lam[g][i]."""
+    generators is the character property lam[sg][i] = lam[s][i] lam[g][i];
+    each sparse row holds the one entry lam[g][i], so the check takes one
+    product per (s, g, i)."""
     n = len(lam[0])
     mats = []
     for row in lam:

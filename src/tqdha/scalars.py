@@ -29,6 +29,16 @@ cache of order-24 entries holds about 1.3 MB (``_product``), 1.1 MB
 (``_sum``) and 0.45 MB (``_lift``), operands included, measured with
 ``tracemalloc`` on random numerators of up to three digits (Python 3.11).
 
+Parsing is memoized the same way (``_parse``, ``lru_cache(maxsize=1024)``),
+keyed on the string itself, after ``parse_scalar`` has refused every value
+that is not a str.  A string fixes its value and the result is an
+immutable canonical scalar, so a hit returns what parsing would again; a
+string that raises is not kept, so it raises on every call.  The three
+seeded Z/6 x Z/6 problems of the benchmark parse 480 strings, 10 of them
+distinct.  A full memo holds about 0.1 MB (one-term strings at order 12)
+to 0.6 MB (three-term strings at order 24) beyond the strings, which it
+keeps alive, measured as above.
+
 The values 0, 1 and -1 exist once, as ``ZERO``, ``ONE`` and ``MINUS_ONE``.
 Proof: a value has one canonical form within an order, and a rational one
 lives at order 1, so 0, 1 and -1 each have exactly one form, (1, (p,), 1).
@@ -487,12 +497,22 @@ _TERM_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?(?:\*z(\d+)\^(\d+))?$")
 def parse_scalar(text: str) -> CyclotomicScalar:
     """Parse the exchange format: 'a/b' or 'a_0/b_0*zN^k0 + a_1/b_1*zN^k1 + ...'.
 
-    Every malformed string raises ScalarParseError: a bad term, a zero
-    denominator, a root order of 0, a number past Python's limit on digits,
-    or terms whose orders have an lcm above MAX_CONDUCTOR.  The orders are
-    checked before any root is built."""
+    Every malformed string raises ScalarParseError: a value that is not a
+    str (an unhashable one among them, refused before the memo sees it), a
+    bad term, a zero denominator, a root order of 0, a number past Python's
+    limit on digits, or terms whose orders have an lcm above MAX_CONDUCTOR.
+    The orders are checked before any root is built.  The work is done
+    once per distinct string, in the memo ``_parse`` (module docstring):
+    equal strings give equal values (one shared object while the string is
+    in the memo), and a string that raises raises again."""
     if not isinstance(text, str):
         raise ScalarParseError(f"expected a scalar string, got {text!r}")
+    return _parse(text)
+
+
+@lru_cache(maxsize=1024)
+def _parse(text: str) -> CyclotomicScalar:
+    """``parse_scalar`` of a str; lru_cache keeps no call that raised."""
     s = text.strip()
     if not s:
         raise ScalarParseError("empty scalar string")
