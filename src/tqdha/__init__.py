@@ -22,7 +22,7 @@ from .groups import (
     FiniteGroup,
     GroupAlgebraElement,
     bicharacter_cocycle,
-    cocycle_from_columns,
+    cocycle_from_rows,
     cocycle_from_values,
     group_from_cyclic_orders,
     group_from_permutations,

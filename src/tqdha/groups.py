@@ -102,6 +102,8 @@ class FiniteGroup:
 
     def __init__(self, mult, name="group", perms=None, labels=None, generator_indices=None):
         self.size = len(mult)
+        if not self.size:
+            raise GroupConstructionError("a group has at least one element, its identity")
         self.mult = tuple(tuple(row) for row in mult)
         self.name = name
         self.perms = tuple(perms) if perms is not None else None
@@ -439,7 +441,7 @@ class Cocycle2:
     """A normalized 2-cocycle on a finite group, stored as a tuple
     ``distinct`` of nonzero scalars and an integer table ``index``:
     alpha(g, h) = distinct[index[g][h]].  ``distinct`` may hold values that
-    no entry uses (``cocycle_from_columns`` lists every m-th root of unity).
+    no entry uses (``cocycle_from_rows`` lists every m-th root of unity).
     A table has few distinct values (two for spin(n), at most the root order
     for a bicharacter), so whatever is computed per distinct value or per
     pair of them (the zero check here, the products of ``validate_cocycle``,
@@ -526,70 +528,65 @@ def bicharacter_cocycle(group: FiniteGroup, exponents, root_order: int = 2) -> C
                     name=f"bicharacter(z{root_order})")
 
 
-def cocycle_from_columns(group: FiniteGroup, root_order: int, columns, name="cocycle") -> Cocycle2:
-    """The normalized table alpha with alpha(g, s) = zeta_m^columns[k][g] at
+def cocycle_from_rows(group: FiniteGroup, root_order: int, rows, name="cocycle") -> Cocycle2:
+    """The normalized table alpha with alpha(s, h) = zeta_m^rows[k][h] at
     each generator s = group.generator_indices[k], m = root_order.
 
-    The identity at (g, h, s), alpha(g, h) alpha(gh, s) = alpha(h, s)
-    alpha(g, hs), gives the column of hs from the column of h and the
-    generator column of s: alpha(g, hs) = alpha(g, h) alpha(gh, s) /
-    alpha(h, s).  Column 1 is 1, and the walk from 1 by right
-    multiplication by the generators reaches every h, so the generator
-    columns fix the table.  It is filled in exponents mod m, on integers
-    only, along the breadth-first tree of ``_walk`` from 1.  The same
-    expression is then computed at each Cayley edge (h, s) off that tree
-    and compared with the stored column hs; the first mismatch raises
-    ``CocycleError`` naming the edge.  Each given column must also read alpha(1, s) = 1.
+    The identity at (s, a, h), alpha(s, a) alpha(sa, h) = alpha(a, h)
+    alpha(s, ah), gives the row of sa from the row of a and the generator
+    row of s: alpha(sa, h) = alpha(a, h) alpha(s, ah) / alpha(s, a).  Row 1
+    is 1, and the walk from 1 by the left translations a -> sa (the rows
+    ``G.mult[s]``, as in ``_table_from_left``) reaches every a, so the
+    generator rows fix the table.  It is filled in exponents mod m, on
+    integers only, along the breadth-first tree of ``_walk`` from 1.  The
+    same expression is then computed at each edge (a, s) off that tree and
+    compared with the stored row sa; the first mismatch raises
+    ``CocycleError`` naming the edge.  Each given row must also read
+    alpha(s, 1) = 1.
 
     These checks prove the table a normalized cocycle.  Let omega =
     d(alpha), omega(a, b, c) = alpha(b, c) alpha(a, bc) / (alpha(a, b)
-    alpha(ab, c)).
-    * d(omega) = 1 holds for any table of nonzero values.  At (a, b, c, s)
-      it reads omega(b, c, s) omega(a, bc, s) omega(a, b, c) =
-      omega(ab, c, s) omega(a, b, cs), so omega(a, b, cs) = omega(a, b, c)
-      once omega(., ., s) = 1.
-    * Column s of the table is the given column: s is reached from 1 at
-      the walk's first step, where the fill gives alpha(g, s) = e(g) -
-      e(1) = e(g) with e(1) = 0 (in exponents), and a generator listed
-      twice, or the identity listed, is an edge off the tree from 1,
-      which is checked against the column stored first.
-    * So the fill makes omega(a, h, s) = 1 for every a at each tree edge
-      (h, s), and the check does the same at the other edges.  Every h
-      is reached, so omega(., ., s) = 1 for every generator s.
-    * Normalization holds by construction: column 1 is 0, and the fill
-      gives alpha(1, hs) = alpha(1, h) along the walk, so row 1 is 0
-      too.  Column 1 gives omega(a, b, 1) = 1, and the walk reaches every
-      c from 1 by right multiplication by generators, so omega = 1
-      everywhere by the first point.
-    A table that passes needs no ``validate_cocycle``, which stays the
-    independent check of tables given by value."""
+    alpha(ab, c)).  The fill at an edge (a, s) is exactly omega(s, a, .) =
+    1, and the check asserts the same at every other edge, so omega(s, ., .)
+    = 1 for each generator s.  Row s of the table is the given row: s is
+    reached from 1 at the walk's first step, where the fill gives
+    alpha(s, h) = e(h) - e(1) = e(h) (in exponents), and a generator listed
+    twice, or the identity listed, is an edge off the tree from 1, checked
+    against the row stored first.  Row 1 is 0, and the fill keeps column 1
+    at 0 along the walk, as alpha(sa, 1) = alpha(a, 1).  So the table is
+    normalized, omega(1, ., .) = 1, and the argument of ``validate_cocycle``
+    gives omega = 1 everywhere.  A table that passes needs no
+    ``validate_cocycle``, which stays the independent check of tables given
+    by value.
+
+    The group table is read by rows only, and the rows are returned as
+    built, so no table is transposed or copied."""
     G, m = group, root_order
-    if len(columns) != len(G.generator_indices) or any(len(c) != G.size for c in columns):
-        raise CocycleError("need one column of |G| exponents per generator")
-    for k, e in enumerate(columns):
+    if len(rows) != len(G.generator_indices) or any(len(e) != G.size for e in rows):
+        raise CocycleError("need one row of |G| exponents per generator")
+    for k, e in enumerate(rows):
         if e[0] % m:
-            raise CocycleError(f"column {k} is not that of a normalized cocycle")
-    by_column = list(zip(*G.mult))  # by_column[h][g] = g h
-    maps = [by_column[s] for s in G.generator_indices]
+            raise CocycleError(f"row {k} is not that of a normalized cocycle")
+    maps = [G.mult[s] for s in G.generator_indices]
     tree = _walk(maps)
     if len(tree) != G.size - 1:
         raise CocycleError("the group's generators do not reach every element")
-    cols = [None] * G.size
-    cols[0] = [0] * G.size
+    table = [None] * G.size
+    table[0] = (0,) * G.size
 
-    def fill(h, k):  # the column of h s_k, from the column of h
-        e, eh = columns[k], columns[k][h]
-        return [(x + e[gh] - eh) % m for x, gh in zip(cols[h], by_column[h])]
+    def fill(a, k):  # the row of s_k a, from the row of a
+        e, ea = rows[k], rows[k][a]
+        return tuple([(x + e[ah] - ea) % m for x, ah in zip(table[a], G.mult[a])])
 
-    for h, k, hs in tree:
-        cols[hs] = fill(h, k)
-    on_tree = {(h, k) for h, k, _ in tree}
-    for h in range(G.size):
+    for a, k, sa in tree:
+        table[sa] = fill(a, k)
+    on_tree = {(a, k) for a, k, _ in tree}
+    for a in range(G.size):
         for k, s in enumerate(G.generator_indices):
-            if (h, k) not in on_tree and fill(h, k) != cols[maps[k][h]]:
+            if (a, k) not in on_tree and fill(a, k) != table[maps[k][a]]:
                 raise CocycleError(
-                    f"the columns are not those of a cocycle: the identity fails at edge ({h}, {s})")
-    return Cocycle2(G, [root_of_unity(m, e) for e in range(m)], zip(*cols), name=name)
+                    f"the rows are not those of a cocycle: the identity fails at edge ({a}, {s})")
+    return Cocycle2(G, [root_of_unity(m, e) for e in range(m)], table, name=name)
 
 
 def validate_cocycle(alpha: Cocycle2, max_witnesses: int = 10) -> dict:

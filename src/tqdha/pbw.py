@@ -99,7 +99,7 @@ evaluating all of them; a kappa that passes has every one evaluated.
   by the writers that wrote the solver's, so the solver re-verifies its
   basis with the oracle families ttv, tvv and vvv instead; ttt is the
   cocycle identity, which holds once a problem is loaded: ``validate_cocycle``
-  checks a table given by value, ``cocycle_from_columns``'s check at its
+  checks a table given by value, ``cocycle_from_rows``'s check at its
   walk's non-tree edges proves a spin(n) table, and the trivial table
   satisfies it by construction.
 

@@ -63,33 +63,34 @@ class QMatrix:
         return [[self.q[i][j].serialize() for j in range(self.n)] for i in range(self.n)]
 
 
+def _nonzero(entries) -> tuple:
+    """The (position, entry) pairs of the nonzero entries of a matrix row or
+    column."""
+    return tuple((k, x) for k, x in enumerate(entries) if not x.is_zero())
+
+
 class GroupAction:
     """A linear action of a finite group on V, one n x n matrix per element."""
 
     def __init__(self, group: FiniteGroup, matrices, validate: bool = True):
         self.group = group
-        self.n = len(matrices[0])
         self.mats = tuple(tuple(tuple(row) for row in m) for m in matrices)
         if len(self.mats) != group.size:
             raise ActionError("need one matrix per group element")
+        # shapes and entry types are checked with or without validate: the
+        # sparse rows below read every entry of an n x n matrix
+        self.n = len(self.mats[0])
+        for g, m in enumerate(self.mats):
+            if len(m) != self.n or any(len(row) != self.n for row in m):
+                raise ActionError(f"matrix of element {g} is not {self.n} x {self.n}")
+            if not all(isinstance(x, CyclotomicScalar) for row in m for x in row):
+                raise ActionError(f"matrix of element {g} has an entry that is not a scalar")
         if validate and any(self.mats[0][i][k] != (ONE if i == k else ZERO)
                             for i in range(self.n) for k in range(self.n)):
             raise ActionError("identity element must act as the identity matrix")
         # sparse access caches
-        self.rows_nz = tuple(
-            tuple(
-                tuple((k, m[i][k]) for k in range(self.n) if not m[i][k].is_zero())
-                for i in range(self.n)
-            )
-            for m in self.mats
-        )
-        self.cols_nz = tuple(
-            tuple(
-                tuple((i, m[i][k]) for i in range(self.n) if not m[i][k].is_zero())
-                for k in range(self.n)
-            )
-            for m in self.mats
-        )
+        self.rows_nz = tuple(tuple(map(_nonzero, m)) for m in self.mats)
+        self.cols_nz = tuple(tuple(map(_nonzero, zip(*m))) for m in self.mats)
         if validate:
             self._validate_composition()
         self._eigenvalues = None  # built by the first eigenvalue_table call
@@ -123,13 +124,7 @@ class GroupAction:
                         )
 
     def is_diagonal(self) -> bool:
-        return all(
-            self.mats[g][i][k].is_zero()
-            for g in range(self.group.size)
-            for i in range(self.n)
-            for k in range(self.n)
-            if i != k
-        )
+        return all(k == i for rows in self.rows_nz for i, row in enumerate(rows) for k, _ in row)
 
     def eigenvalue_table(self):
         """lambda[g][i] with g(v_i) = lambda[g][i] v_i, for diagonal actions."""

@@ -8,7 +8,7 @@ the cover maps to (e_r - e_{r+1})/sqrt(2) and the central element z to the
 scalar -1.  Conjugation by a lifted permutation sends e_i to
 (-1)^sign(sigma) e_sigma(i), which is what makes every relation of the cover
 mechanically checkable; verify_cover exercises all of them.  spin_cocycle
-reads its table's generator columns from the integer multiples
+reads its table's generator rows from the integer multiples
 sqrt(2)^k u_sigma instead, and the Q(zeta_8) model stays as the reference.
 
 Indices r, s here are 0-based positions into {0..n-1}; 1-based names
@@ -25,7 +25,7 @@ from .groups import (
     Cocycle2,
     CocycleError,
     FiniteGroup,
-    cocycle_from_columns,
+    cocycle_from_rows,
     perm_compose,
     perm_cycles,
     perm_from_cycles,
@@ -203,13 +203,13 @@ def spin_cocycle(group: FiniteGroup) -> Cocycle2:
     be +-(its coefficient there) << d; anything else means the model is
     broken.
 
-    Only the columns alpha(g, s) at the group's generators s are read so
-    (2|G| coefficients for S_n); ``cocycle_from_columns`` fills the rest by
-    alpha(g, hs) = alpha(g, h) alpha(gh, s) / alpha(h, s) along its walk's
-    tree, and checks the same expression at the walk's other Cayley edges.
-    That proves the table a normalized cocycle (the proof is in its
-    docstring), so the table is not checked again here.  Columns that are
-    not a cocycle's raise ``CocycleError`` there, which is re-raised as the
+    Only the rows alpha(s, h) at the group's generators s are read so
+    (2|G| coefficients for S_n); ``cocycle_from_rows`` fills the rest by
+    alpha(sa, h) = alpha(a, h) alpha(s, ah) / alpha(s, a) along its walk's
+    tree, and checks the same expression at the walk's other edges.  That
+    proves the table a normalized cocycle (the proof is in its docstring),
+    so the table is not checked again here.  Rows that are not a cocycle's
+    raise ``CocycleError`` there, which is re-raised as the
     ``ArithmeticError`` of a broken model.  ``validate_cocycle`` stays the
     independent reference that the tests hold the table to."""
     perms = group.perms
@@ -218,21 +218,21 @@ def spin_cocycle(group: FiniteGroup) -> Cocycle2:
     lengths = [len(section_factors(p)) for p in perms]
     least = [min(u.items()) for u in sections]
 
-    def exponent(g, s):
-        """0 or 1 as alpha(g, s) is 1 or -1, read from one coefficient of U_g U_s."""
-        us, gs = sections[s], group.mult[g][s]
-        blade, ref = least[gs]
+    def exponent(g, h):
+        """0 or 1 as alpha(g, h) is 1 or -1, read from one coefficient of U_g U_h."""
+        uh, gh = sections[h], group.mult[g][h]
+        blade, ref = least[gh]
         # e_S e_T lands on e_blade exactly when T = S xor blade
-        c = sum(_blade_mul(S, T)[0] * cs * us[T] for S, cs in sections[g].items()
-                if (T := _blade_mul(S, blade)[1]) in us)
-        ref <<= (lengths[g] + lengths[s] - lengths[gs]) // 2
+        c = sum(_blade_mul(S, T)[0] * cs * uh[T] for S, cs in sections[g].items()
+                if (T := _blade_mul(S, blade)[1]) in uh)
+        ref <<= (lengths[g] + lengths[h] - lengths[gh]) // 2
         if c != ref and c != -ref:
             raise ArithmeticError("u_sigma u_tau is not +-u_(sigma tau); cover model is broken")
         return int(c != ref)
 
-    columns = [[exponent(g, s) for g in range(group.size)] for s in group.generator_indices]
+    rows = [[exponent(s, h) for h in range(group.size)] for s in group.generator_indices]
     try:
-        return cocycle_from_columns(group, 2, columns, name=f"spin({n})")
+        return cocycle_from_rows(group, 2, rows, name=f"spin({n})")
     except CocycleError as e:
         raise ArithmeticError(f"assembled spin({n}) table: {e}; cover model is broken") from e
 

@@ -21,7 +21,7 @@ from tqdha.groups import (
     _walk,
     bicharacter_cocycle,
     class_data,
-    cocycle_from_columns,
+    cocycle_from_rows,
     cocycle_from_values,
     group_from_cyclic_orders,
     group_from_permutations,
@@ -86,86 +86,89 @@ def test_multiplication_table_is_direct_composition(name, gens, degree):
         name, math.factorial(degree))
 
 
-def bicharacter_columns(G, exponents, m):
-    """alpha(g, s) = zeta_m^(sum_i E[i][k] g_i) at the unit generator s of
+def bicharacter_rows(G, exponents, m):
+    """alpha(s, h) = zeta_m^(sum_j E[k][j] h_j) at the unit generator s of
     coordinate k, as exponents mod m."""
-    return [[sum(exponents[i][G.labels[s].index(1)] * g[i] for i in range(len(g))) % m
-             for g in G.labels] for s in G.generator_indices]
+    return [[sum(exponents[G.labels[s].index(1)][j] * h[j] for j in range(len(h))) % m
+             for h in G.labels] for s in G.generator_indices]
 
 
 def test_cocycle_fill_reproduces_a_bicharacter():
     G = group_from_cyclic_orders([6, 6])
     exponents = [[1, 2], [3, 5]]
-    filled = cocycle_from_columns(G, 6, bicharacter_columns(G, exponents, 6))
+    filled = cocycle_from_rows(G, 6, bicharacter_rows(G, exponents, 6))
     assert table(filled) == table(bicharacter_cocycle(G, exponents, 6))
 
 
-def test_cocycle_fill_checks_its_columns():
+def test_cocycle_fill_checks_its_rows():
     G = group_from_cyclic_orders([6, 6])
-    columns = bicharacter_columns(G, [[1, 2], [3, 5]], 6)
-    with pytest.raises(CocycleError, match="one column"):
-        cocycle_from_columns(G, 6, columns[:1])
-    columns[1][0] = 1  # alpha(1, s) != 1
-    with pytest.raises(CocycleError, match="column 1"):
-        cocycle_from_columns(G, 6, columns)
+    rows = bicharacter_rows(G, [[1, 2], [3, 5]], 6)
+    with pytest.raises(CocycleError, match="one row"):
+        cocycle_from_rows(G, 6, rows[:1])
+    with pytest.raises(CocycleError, match="one row"):
+        cocycle_from_rows(G, 6, [rows[0], rows[1][:-1]])
+    rows[1][0] = 1  # alpha(s, 1) != 1
+    with pytest.raises(CocycleError, match="row 1"):
+        cocycle_from_rows(G, 6, rows)
     bare = FiniteGroup(G.mult)
     with pytest.raises(CocycleError, match="reach"):
-        cocycle_from_columns(bare, 6, [])
+        cocycle_from_rows(bare, 6, [])
 
 
 def walk_tree(G):
-    """The (h, k) of the tree edges of ``cocycle_from_columns``'s walk."""
-    return {(h, k) for h, k, _ in _walk([[G.mult[h][s] for h in range(G.size)]
-                                         for s in G.generator_indices])}
+    """The (a, k) of the tree edges a -> s_k a of ``cocycle_from_rows``'s walk."""
+    return {(a, k) for a, k, _ in _walk([G.mult[s] for s in G.generator_indices])}
 
 
-def test_flipped_column_entry_off_the_tree_is_rejected():
+def test_flipped_row_entry_off_the_tree_is_rejected():
     """The fill imposes the identity only along its walk's tree, so a wrong
-    column value on an edge outside the tree must be caught by the check
-    at the walk's other edges: ``cocycle_from_columns`` refuses the columns
-    and names an edge (h, s) off the tree, and the plain fill of the same
-    columns is a table that ``validate_cocycle`` rejects."""
+    row value on an edge outside the tree must be caught by the check at
+    the walk's other edges: ``cocycle_from_rows`` refuses the rows and
+    names an edge (a, s) off the tree, and the plain fill of the same rows
+    is a table that ``validate_cocycle`` rejects."""
     alpha = spin_cocycle(symmetric_group(4))
     G = alpha.group
-    columns = [[int(alpha(g, s) == MINUS_ONE) for g in range(G.size)] for s in G.generator_indices]
-    assert table(cocycle_from_columns(G, 2, columns)) == table(alpha)
+    rows = [[int(alpha(s, h) == MINUS_ONE) for h in range(G.size)] for s in G.generator_indices]
+    assert table(cocycle_from_rows(G, 2, rows)) == table(alpha)
     tree = walk_tree(G)
-    g, k = next((g, k) for g in range(1, G.size) for k in range(len(columns))
-                if (g, k) not in tree)
-    columns[k][g] ^= 1
+    h, k = next((h, k) for h in range(1, G.size) for k in range(len(rows))
+                if (h, k) not in tree)
+    rows[k][h] ^= 1
     with pytest.raises(CocycleError, match=r"at edge \(\d+, \d+\)") as err:
-        cocycle_from_columns(G, 2, columns)
-    h, s = map(int, re.search(r"edge \((\d+), (\d+)\)", str(err.value)).groups())
-    assert (h, G.generator_indices.index(s)) not in tree
-    rep = validate_cocycle(plain_fill(G, 2, columns))
+        cocycle_from_rows(G, 2, rows)
+    a, s = map(int, re.search(r"edge \((\d+), (\d+)\)", str(err.value)).groups())
+    assert (a, G.generator_indices.index(s)) not in tree
+    rep = validate_cocycle(plain_fill(G, 2, rows))
     assert rep["normalized"] and not rep["cocycle"]
 
 
-def plain_fill(G, m, columns):
-    """The table that the identity alpha(g, hs) = alpha(g, h) alpha(gh, s) /
-    alpha(h, s) forces from the columns along the walk's tree, in exponents
-    mod m, with no check of any kind."""
-    cols = {0: [0] * G.size}
-    for h, k, hs in _walk([[G.mult[h][s] for h in range(G.size)] for s in G.generator_indices]):
-        e = columns[k]
-        cols[hs] = [(x + e[G.mult[g][h]] - e[h]) % m for g, x in enumerate(cols[h])]
+def plain_fill(G, m, rows):
+    """The table that the identity alpha(sa, h) = alpha(a, h) alpha(s, ah) /
+    alpha(s, a) forces from the generator rows along the walk's tree, in
+    exponents mod m, with no check of any kind: each entry is written on
+    its own, from the product a h looked up in the group table."""
+    gens = G.generator_indices
+    filled = {0: [0] * G.size}
+    for a, k, sa in _walk([[G.mult[s][a] for a in range(G.size)] for s in gens]):
+        e = rows[k]
+        filled[sa] = [(filled[a][h] + e[G.mult[a][h]] - e[a]) % m for h in range(G.size)]
     return Cocycle2(G, [root_of_unity(m, e) for e in range(m)],
-                    zip(*(cols[h] for h in range(G.size))))
+                    [filled[a] for a in range(G.size)])
 
 
-def reference_verdict(G, m, columns, every_triple=False):
-    """Whether some normalized cocycle has these generator columns, decided
-    without ``cocycle_from_columns``'s checks: the identity forces the plain
+def reference_verdict(G, m, rows, every_triple=False):
+    """Whether some normalized cocycle has these generator rows, decided
+    without ``cocycle_from_rows``'s checks: the identity forces the plain
     fill, so that is the only candidate.  It must be a normalized cocycle
     (``validate_cocycle``, or, with every_triple, the per-triple loop over
-    all |G|^3 triples) and keep the given columns."""
-    alpha = plain_fill(G, m, columns)
+    all |G|^3 triples) and keep the given rows."""
+    alpha = plain_fill(G, m, rows)
     if every_triple:
         rep = per_triple_validation(every_first_argument(alpha))
     else:
         rep = validate_cocycle(alpha)
-    keeps = all(alpha.index[g][s] == columns[k][g] % m
-                for k, s in enumerate(G.generator_indices) for g in range(G.size))
+    keeps = all(alpha.index[s][h] == rows[k][h] % m
+                for k, s in enumerate(G.generator_indices) for h in range(G.size))
     return rep["normalized"] and rep["cocycle"] and keeps, alpha
 
 
@@ -175,23 +178,23 @@ def exponent_table(alpha, m):
     return [[exps[k] for k in row] for row in alpha.index]
 
 
-def flipped(columns, m, positions, rnd):
-    """A copy of the columns with each (g, k) in positions moved by a seeded
+def flipped(rows, m, positions, rnd):
+    """A copy of the rows with each (h, k) in positions moved by a seeded
     nonzero amount mod m."""
-    out = [list(c) for c in columns]
-    for g, k in positions:
-        out[k][g] = (out[k][g] + rnd.randrange(1, m)) % m
+    out = [list(e) for e in rows]
+    for h, k in positions:
+        out[k][h] = (out[k][h] + rnd.randrange(1, m)) % m
     return out
 
 
-def column_instances():
-    """Seeded column sets (kind, name, group, m, columns, table): the spin
-    columns of S4 and S5, mod 2 and lifted to mod 4, and a Z/6 x Z/6
-    bicharacter's at m = 6, each with the exponent table it must give;
-    their coboundary twists by d(f), f: G -> Z/m seeded with f(1) = 0, with
-    the twisted table; one- and two-entry moves at positions (g, k) on the
-    walk's tree and off it; and a constant added to one whole column, which
-    leaves the fill unchanged but makes alpha(1, s) != 1."""
+def row_instances():
+    """Seeded row sets (kind, name, group, m, rows, table): the spin rows of
+    S4 and S5, mod 2 and lifted to mod 4, and a Z/6 x Z/6 bicharacter's at
+    m = 6, each with the exponent table it must give; their coboundary
+    twists by d(f), f: G -> Z/m seeded with f(1) = 0, with the twisted
+    table; one- and two-entry moves at positions (h, k) on the walk's tree
+    and off it; and a constant added to one whole row, which leaves the
+    fill unchanged but makes alpha(s, 1) != 1."""
     rnd = random.Random(30)
     z6z6 = group_from_cyclic_orders([6, 6])
     bases = [(f"S{n} spin mod {m}", spin_cocycle(symmetric_group(n)), m)
@@ -200,38 +203,37 @@ def column_instances():
     for name, alpha, m in bases:
         G = alpha.group
         exps = exponent_table(alpha, m)
-        columns = [[row[s] for row in exps] for s in G.generator_indices]
+        rows = [list(exps[s]) for s in G.generator_indices]
         if G.labels is not None:
-            assert columns == bicharacter_columns(G, [[1, 2], [3, 5]], 6)
-        yield "valid", name, G, m, columns, exps
+            assert rows == bicharacter_rows(G, [[1, 2], [3, 5]], 6)
+        yield "valid", name, G, m, rows, exps
         f = [0] + [rnd.randrange(m) for _ in range(G.size - 1)]
         twisted = [[(e + f[a] + f[b] - f[G.mult[a][b]]) % m for b, e in enumerate(row)]
                    for a, row in enumerate(exps)]
-        yield ("twisted", name, G, m, [[row[s] for row in twisted] for s in G.generator_indices],
-               twisted)
+        yield ("twisted", name, G, m, [list(twisted[s]) for s in G.generator_indices], twisted)
         tree = sorted(walk_tree(G))
-        off = sorted({(g, k) for g in range(G.size) for k in range(len(columns))} - set(tree))
+        off = sorted({(h, k) for h in range(G.size) for k in range(len(rows))} - set(tree))
         for where, pool in (("tree", tree), ("off-tree", off)):
             for count in (1, 2, 2):
                 yield (f"move on {where}", f"{name}, {count} at {where}", G, m,
-                       flipped(columns, m, rnd.sample(pool, count), rnd), None)
-        k, shift = rnd.randrange(len(columns)), rnd.randrange(1, m)
-        shifted = [[(e + shift) % m for e in c] if j == k else c for j, c in enumerate(columns)]
+                       flipped(rows, m, rnd.sample(pool, count), rnd), None)
+        k, shift = rnd.randrange(len(rows)), rnd.randrange(1, m)
+        shifted = [[(e + shift) % m for e in r] if j == k else r for j, r in enumerate(rows)]
         yield "shift", name, G, m, shifted, None
 
 
-def test_column_fill_verdict_matches_the_full_checks():
-    """``cocycle_from_columns`` accepts exactly the column sets whose plain
-    fill passes ``validate_cocycle`` and keeps the given columns, and then
-    returns that fill.  At S4 the per-triple loop over every (a, b, c) is a
-    second reference."""
+def test_row_fill_verdict_matches_the_full_checks():
+    """``cocycle_from_rows`` accepts exactly the row sets whose plain fill
+    passes ``validate_cocycle`` and keeps the given rows, and then returns
+    that fill.  At S4 the per-triple loop over every (a, b, c) is a second
+    reference."""
     verdicts = {}
-    for kind, name, G, m, columns, exps in column_instances():
-        ref, filled = reference_verdict(G, m, columns)
+    for kind, name, G, m, rows, exps in row_instances():
+        ref, filled = reference_verdict(G, m, rows)
         if G.size <= 24:
-            assert reference_verdict(G, m, columns, every_triple=True)[0] == ref, name
+            assert reference_verdict(G, m, rows, every_triple=True)[0] == ref, name
         try:
-            ours = cocycle_from_columns(G, m, columns)
+            ours = cocycle_from_rows(G, m, rows)
         except CocycleError:
             ours = None
         assert (ours is not None) == ref, name
@@ -662,16 +664,16 @@ def test_conj_ratio_matches_the_direct_quotient():
 
 
 def test_each_fill_is_the_table_of_its_own_values():
-    """The trivial, bicharacter and column fills, built from integers, store
+    """The trivial, bicharacter and row fills, built from integers, store
     what ``cocycle_from_values`` makes of their values: the same distinct
     values in row-major order of first use, and the same index table."""
     s4 = symmetric_group(4)
     z6z6 = group_from_cyclic_orders([6, 6])
     spin4 = spin_cocycle(s4)
-    columns = [[int(spin4(g, s) == MINUS_ONE) for g in range(s4.size)]
-               for s in s4.generator_indices]
+    rows = [[int(spin4(s, h) == MINUS_ONE) for h in range(s4.size)]
+            for s in s4.generator_indices]
     for alpha in (trivial_cocycle(s4), bicharacter_cocycle(z6z6, [[1, 2], [3, 5]], 6),
-                  cocycle_from_columns(s4, 2, columns)):
+                  cocycle_from_rows(s4, 2, rows)):
         ref = cocycle_from_values(alpha.group, table(alpha))
         assert alpha.distinct == ref.distinct and alpha.index == ref.index
         assert all(isinstance(k, int) for row in alpha.index for k in row)

@@ -291,6 +291,20 @@ def test_cli_group_table_not_a_table_exits_3(tmp_path):
     assert code == 3 and rep["location"] == "group.table"
 
 
+def test_empty_group_table_exits_3_at_group(tmp_path):
+    """A table with no rows describes no group: the constructor refuses
+    order 0 before any action or cocycle is built on it."""
+    problem = {"n": 2, "group": {"table": []}, "action": {"diagonal": []}}
+    with pytest.raises(ProblemValidationError) as err:
+        load_problem(problem)
+    assert err.value.location == "group" and "at least one element" in err.value.reason
+    for action in ({"diagonal": []}, {"generator_matrices": []}):
+        code, rep = run_problem(tmp_path, dict(problem, action=action))
+        assert code == 3 and rep["location"] == "group"
+    with pytest.raises(groups.GroupConstructionError):
+        groups.FiniteGroup([])
+
+
 KLEIN = json.loads(Path(problem_path("klein_bicharacter_diag.json")).read_text())
 
 

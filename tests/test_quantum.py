@@ -206,6 +206,24 @@ def test_identity_element_must_act_as_the_identity_matrix():
             GroupAction(group, mats)
 
 
+@pytest.mark.parametrize("validate", [True, False])
+@pytest.mark.parametrize("group, mats, match", [
+    (group_from_cyclic_orders([2]), [], "one matrix per group element"),
+    (group_from_cyclic_orders([2]), [[[ONE, ZERO], [ZERO, ONE]], [[ONE, ZERO], [ZERO]]],
+     r"element 1 is not 2 x 2"),
+    (group_from_cyclic_orders([2]), [[[ONE, ZERO], [ZERO, ONE]], [[ONE, ZERO]]],
+     r"element 1 is not 2 x 2"),
+    (FiniteGroup([[0]]), [[[ONE, ZERO, ZERO], [ZERO, ONE, ZERO]]], r"element 0 is not 2 x 2"),
+    (group_from_cyclic_orders([2]), [[[ONE]], [[-1]]], "entry that is not a scalar"),
+    (FiniteGroup([[0]]), [[[True]]], "entry that is not a scalar"),
+], ids=["no-matrices", "short-row", "too-few-rows", "non-square", "int-entry", "bool-entry"])
+def test_malformed_matrices_are_an_action_error(group, mats, match, validate):
+    """Shapes and entry types are checked before any entry is read, also
+    when the composition law is not validated."""
+    with pytest.raises(ActionError, match=match):
+        GroupAction(group, mats, validate=validate)
+
+
 # ---------------------------------------------------------------------------
 # extension checked on generators only, against every element
 # ---------------------------------------------------------------------------

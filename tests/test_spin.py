@@ -144,7 +144,7 @@ def _negate_last(u):
 def test_corrupted_integer_section_is_caught(corrupt, monkeypatch):
     """One wrong coefficient in one integer section fails the +-ref check
     itself, before the fill's check at the walk's non-tree edges sees the
-    columns."""
+    rows."""
     real = spin._integer_section
     bad = (2, 0, 1, 3)  # the 3-cycle (0 2 1): U = (e_0 - e_1)(e_0 - e_2)
 
@@ -159,16 +159,16 @@ def test_corrupted_integer_section_is_caught(corrupt, monkeypatch):
         spin.spin_cocycle(symmetric_group(4))
 
 
-def test_columns_that_are_no_cocycle_mean_a_broken_model(monkeypatch):
-    """Generator columns that pass the +-ref check but are not a cocycle's
-    are refused by the fill, and ``spin_cocycle`` reports a broken model."""
-    real = spin.cocycle_from_columns
+def test_rows_that_are_no_cocycle_mean_a_broken_model(monkeypatch):
+    """Generator rows that pass the +-ref check but are not a cocycle's are
+    refused by the fill, and ``spin_cocycle`` reports a broken model."""
+    real = spin.cocycle_from_rows
 
-    def moved(group, m, columns, name):
-        columns[0][5] ^= 1
-        return real(group, m, columns, name=name)
+    def moved(group, m, rows, name):
+        rows[0][5] ^= 1
+        return real(group, m, rows, name=name)
 
-    monkeypatch.setattr(spin, "cocycle_from_columns", moved)
+    monkeypatch.setattr(spin, "cocycle_from_rows", moved)
     with pytest.raises(ArithmeticError, match="cover model is broken") as err:
         spin.spin_cocycle(symmetric_group(4))
     assert isinstance(err.value.__cause__, CocycleError)
