@@ -1,28 +1,33 @@
 #!/usr/bin/env python3
-"""Wall time, peak memory, exit code and stdout digest of the repository's
-commands, each run in a child process, written as one JSON report.
+"""Every check of the repository, each run in a child process: the one list
+of checks that CI runs, measured and written as one JSON report.
 
-The entries are every golden case of tests/test_golden.py (digest cases
-included), ``classify-symmetric`` at n = 6 and 7 with and without
-``--twisted``, the diagonal survey, the loaded structures
-(``scripts/load_digest.py``), the exhaustive rewriting oracle on
-twisted S5 (``ci/pbw-check.s5_twisted.oracle``: ``pbw-check
-problems/s5_twisted.json --kappa <kappa_1> --oracle``, kappa_1 written to a
-temporary file as the CI step does), ``compare_twisted_untwisted.py
---max-n 7``, ``selftest`` and the tier-1 suite with ``--durations=0``.  For each run
-it records the wall time, the command's own peak RSS (``ru_maxrss`` from
-``os.wait4``), the exit code and the sha256 of stdout; ``--repeat k`` runs
-every entry k times, entry after entry, and reports the median, min and max.
-The report also holds ``nproc``, the Python version and the git revision.
+``entries()`` is that list.  Each record (``Check``) holds the argv, the
+expected exit code, the sha256 pin of stdout, assertions on fields of the
+JSON that stdout holds, and upper bounds.  A bound names a measurement of
+the run (``wall_s``, ``peak_rss_mb``) or a field of its JSON stdout (the
+solver child's ``solve_s``).  The entries are every golden case of
+tests/test_golden.py (digest cases included), ``classify-symmetric`` at
+n = 6 and 7 with and without ``--twisted``, the diagonal survey, the loaded
+structures (``scripts/load_digest.py``), the exhaustive rewriting oracle on
+twisted S5, the direct solver against the cohomology route on untwisted S7
+(``SOLVER_CHILD``), ``compare_twisted_untwisted.py --max-n 7``, five short
+perfbench runs, ``selftest`` and the tier-1 suite with ``--durations=0``.
 
-The bench also checks outputs: it exits 1 when a digest differs from its
-golden (tests/golden/) or its CI pin (.github/workflows/tests.yml), or when
-an exit code differs from the golden's (0 for entries without one).  Runs
-are bytecode-free (``PYTHONDONTWRITEBYTECODE=1``), and a tree that holds a
+For each run it records the wall time, the command's own peak RSS
+(``ru_maxrss`` from ``os.wait4``), the exit code, the sha256 of stdout and
+the JSON fields the record asserts or bounds; ``--repeat k`` runs every
+entry k times, entry after entry, and reports the median, min and max next
+to the record's pin, assertions and bounds.  Every run is checked on its
+own, not on a median: a wrong exit code or digest, a failed assertion or a
+crossed bound fails the entry, and the script prints what failed, with the
+value and its limit, and the last lines of that run's stdout and stderr,
+and exits 1.  Runs are bytecode-free (``PYTHONDONTWRITEBYTECODE=1``) and
+turn warnings into errors (``PYTHONWARNINGS=error``); a tree that holds a
 ``__pycache__`` directory is refused, since cached bytecode makes every
 start-up faster and the numbers incomparable.  From the repository root:
 
-    python scripts/bench.py --out BENCH_31.json --repeat 3
+    python scripts/bench.py --out BENCH_38.json --repeat 3
 """
 
 from __future__ import annotations
@@ -32,12 +37,11 @@ import hashlib
 import json
 import os
 import platform
-import re
 import statistics
 import subprocess
 import sys
 import tempfile
-import time
+from typing import NamedTuple
 
 sys.dont_write_bytecode = True
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -46,18 +50,58 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
 import test_golden  # noqa: E402  (the golden cases, read from their one definition)
 from tqdha import classify  # noqa: E402
 
-WORKFLOW = os.path.join(ROOT, ".github", "workflows", "tests.yml")
 CLI = [sys.executable, "-m", "tqdha.cli"]
+MEASURED = ("wall_s", "peak_rss_mb")
+TAIL_LINES = 20
 
 
-def ci_pins() -> dict:
-    """The sha256 pins of the CI workflow, by the file name its step writes
-    stdout to: each ``out="$RUNNER_TEMP/<name>"`` followed, before the next
-    such line, by ``echo "<sha256>  $out" | sha256sum -c -``."""
-    with open(WORKFLOW) as f:
-        text = f.read()
-    step = r'out="\$RUNNER_TEMP/([^"]+)"((?:(?!out=").)*?)echo "([0-9a-f]{64})  \$out"'
-    return {name: sha for name, _, sha in re.findall(step, text, re.S)}
+class Check(NamedTuple):
+    """One entry: a run passes when it exits with ``exit_code``, its stdout
+    has the digest ``sha256`` (None: any), the JSON on stdout has each field
+    of ``expect`` with that value and type, and each reading named in
+    ``under`` is strictly below its limit."""
+    argv: list
+    exit_code: int = 0
+    sha256: str | None = None
+    expect: dict = {}
+    under: dict = {}
+
+
+# The direct solver on untwisted S7 (dimension 5) against the cohomology
+# route.  The class-local solver takes about 0.1 s and adds no memory, so the
+# child (S7's table, both routes) stays under 6 s and 300 MB, where the
+# whole-group solver took 3 s and 115 MB more (3.1-3.8 s and 229 MB on a
+# 2-core box with Python 3.11); the cohomology route, summing each
+# centralizer through its subgroup chain and expanding only the kept
+# invariants, stays under 1 s (0.2 s; 1.7-1.9 s when it summed over every
+# element of each centralizer).
+SOLVER_CHILD = """
+import json, time
+from tqdha.classify import symmetric_instance
+from tqdha.cohomology import cohomological_parameter_space
+from tqdha.pbw import same_space, solve_parameter_space
+_, action, q, alpha = symmetric_instance(7, False)
+start = time.perf_counter()
+direct = solve_parameter_space(action, q, alpha, recheck=False)
+solve_s = time.perf_counter() - start
+start = time.perf_counter()
+coh = cohomological_parameter_space(action, q, alpha, recheck=False)
+coh_s = time.perf_counter() - start
+print(json.dumps({"dimension": len(direct), "same_space": same_space(direct, coh),
+                  "solve_s": solve_s, "cohomology_s": coh_s}))
+"""
+
+# The benchmark's own correctness check, one short run per workload: every
+# route's answers are checked against the benchmark's references.  The
+# cyclotomic run solves three problems in one process in its 12 s budget, so
+# a memoized scalar carried from one problem to the next meets the labels;
+# its second seed has Galois-conjugated problems, which mix the shared
+# scalars 0 and +-1 with values in Q(zeta_12) another way.  The kappa stream
+# runs at two seeds, so two sets of failing kappas, on which the checker and
+# the oracle stop early, meet the benchmark's in-span reference.
+PERFBENCH_RUNS = [("s5-twisted-both", 1, 1), ("cyclotomic-diagonal", 1, 12),
+                  ("cyclotomic-diagonal", 2, 12), ("s4-kappa-stream", 1, 1),
+                  ("s4-kappa-stream", 2, 1)]
 
 
 def _digest(data: bytes) -> str:
@@ -65,8 +109,8 @@ def _digest(data: bytes) -> str:
 
 
 def entries(scratch: str) -> dict:
-    """name -> (argv, expected exit code, expected sha256 or None).  The
-    files an argv reads beyond the repository are written under scratch."""
+    """name -> Check, in run order.  The files an argv reads beyond the
+    repository are written under scratch."""
     with open(os.path.join(test_golden.GOLDEN, "exit_codes.json")) as f:
         codes = json.load(f)
     with open(os.path.join(test_golden.GOLDEN, "digests.json")) as f:
@@ -77,38 +121,95 @@ def entries(scratch: str) -> dict:
                              else test_golden.PROBLEMS, a) if a.endswith(".json") else a
                 for a in argv]
 
+    def script(name, *args):
+        return [sys.executable, os.path.join(ROOT, "scripts", name), *args]
+
     out = {}
     for name, argv in sorted(test_golden.CASES.items()):
         with open(os.path.join(test_golden.GOLDEN, name + ".out"), "rb") as f:
-            out[f"golden/{name}"] = (CLI + resolve(argv), codes[name], _digest(f.read()))
+            out[f"golden/{name}"] = Check(CLI + resolve(argv), codes[name], _digest(f.read()))
     for name, argv in sorted(test_golden.DIGEST_CASES.items()):
         want = digests[name]
-        out[f"digest/{name}"] = (CLI + resolve(argv), want["exit_code"], want["sha256"])
-    pins = ci_pins()
-    for n in (6, 7):
-        for twisted in (False, True):
-            flag = ["--twisted"] if twisted else []
-            pin = pins[f"s{n}_{'twisted' if twisted else 'untwisted'}.json"]
-            out[f"ci/classify-symmetric.{n}{'.twisted' if twisted else ''}"] = (
-                CLI + ["classify-symmetric", "--n", str(n)] + flag, 0, pin)
-    out["ci/diagonal_survey"] = (
-        [sys.executable, os.path.join(ROOT, "scripts", "diagonal_survey.py")], 0,
-        pins["diagonal_survey.txt"])
-    out["ci/load_digest"] = (
-        [sys.executable, os.path.join(ROOT, "scripts", "load_digest.py")], 0, pins["load_digest.txt"])
+        out[f"digest/{name}"] = Check(CLI + resolve(argv), want["exit_code"], want["sha256"])
+    # the paper's comparison: dimension 2 twisted, 5 untwisted; the sha256
+    # pins the whole report (basis, image table)
+    symmetric = CLI + ["classify-symmetric", "--n"]
+    out["ci/classify-symmetric.6"] = Check(
+        symmetric + ["6"], sha256="d6474d9f214cd3b4345d37e3e397ba7a8af2318304889c73b70c08601ccb5d8a",
+        expect={"dimension": 5})
+    out["ci/classify-symmetric.6.twisted"] = Check(
+        symmetric + ["6", "--twisted"],
+        sha256="f1f4e359e9fb3e3be3fff1c4c3d2a276cfcc516a350e23e0284ce8bbb2b547ac",
+        expect={"dimension": 2})
+    # the largest S_n the dense route supports.  Untwisted: 239 MB with the
+    # checker writing only the sites that meet each kappa's support, 332 MB
+    # when the cohomology recheck built a whole-group condition system
+    out["ci/classify-symmetric.7"] = Check(
+        symmetric + ["7"], sha256="cb67051e2b1d4784a2bc5e37642803384c4a49a2310643e098a960515b2b11d1",
+        expect={"dimension": 5}, under={"peak_rss_mb": 300})
+    # twisted: 426-429 MB on a 2-core box with Python 3.10 and 3.11, nearly
+    # all of it two tables of 5,040 tuples of 5,040 small ints, the S7 group
+    # table and the spin cocycle's, filled by rows and kept as built (825 MB
+    # when the cocycle was filled by columns and transposed)
+    out["ci/classify-symmetric.7.twisted"] = Check(
+        symmetric + ["7", "--twisted"],
+        sha256="10731a6e8ccc0f0f964151ce0ef00bff798c11ec123bb74b31510924e9aa0163",
+        expect={"dimension": 2, "matches_expected": True}, under={"peak_rss_mb": 500})
+    # the sha256 pins every survey line (dimensions, labels)
+    out["ci/diagonal_survey"] = Check(
+        script("diagonal_survey.py"),
+        sha256="9cb4d99242374e8dbf2595b7ff12da178a8104e41838a74eb20c98296356f8f1")
+    # the sha256 pins the loaded structures of every bundled problem and of
+    # the benchmark's seeded Z/6 x Z/6 problems
+    out["ci/load_digest"] = Check(
+        script("load_digest.py"),
+        sha256="4fb9e48c3a787f89c0cd70793b6c1b70118efe15be28fbbb66c06ac3e4ed7919")
+    # the exhaustive oracle resolves kappa_1 on all 1,801,210 overlap words
+    # of twisted S5 with small per-problem tables: 1.0-1.6 s with the ttt
+    # and ttv families decided in closed form, 14.7-16.6 s when their words
+    # were each reduced both ways (2-core box, Python 3.11)
     kappa = os.path.join(scratch, "kappa_one_s5.json")
     with open(kappa, "w") as f:
         f.write(json.dumps(classify.kappa_one(5).to_records()))
-    out["ci/pbw-check.s5_twisted.oracle"] = (
+    out["ci/pbw-check.s5_twisted.oracle"] = Check(
         CLI + ["pbw-check", os.path.join(test_golden.PROBLEMS, "s5_twisted.json"), "--kappa", kappa,
-               "--oracle"], 0, None)
-    out["compare_twisted_untwisted.max-n.7"] = (
-        [sys.executable, os.path.join(ROOT, "scripts", "compare_twisted_untwisted.py"),
-         "--max-n", "7"], 0, None)
-    out["selftest"] = (CLI + ["selftest"], 0, None)
-    out["tier1"] = ([sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
-                     "--durations=0", "-W", "error", "-p", "no:cacheprovider"], 0, None)
+               "--oracle"],
+        expect={"ambiguities_resolvable": True, "ambiguities_checked": 1801210},
+        under={"wall_s": 8, "peak_rss_mb": 64})
+    out["ci/solve.s7"] = Check(
+        [sys.executable, "-c", SOLVER_CHILD], expect={"dimension": 5, "same_space": True},
+        under={"wall_s": 6, "solve_s": 1, "cohomology_s": 1, "peak_rss_mb": 300})
+    out["compare_twisted_untwisted.max-n.7"] = Check(script("compare_twisted_untwisted.py",
+                                                            "--max-n", "7"))
+    for workload, seed, seconds in PERFBENCH_RUNS:
+        out[f"perfbench/{workload}.{seed}"] = Check(
+            [sys.executable, os.path.join(ROOT, "perfbench", "run.py"), "--workload", workload,
+             "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+            expect={"correct": True, "failed": 0})
+    out["selftest"] = Check(CLI + ["selftest"])
+    out["tier1"] = Check([sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
+                          "--durations=0", "-W", "error", "-p", "no:cacheprovider"])
     return out
+
+
+def verdict(name: str, check: Check, run: dict) -> list:
+    """One line per fault of one run, each naming the entry; empty when the
+    run passes.  ``run`` holds the exit code, the sha256, the measurements
+    and the JSON fields that check reads (None where stdout lacks one)."""
+    faults = []
+    if run["exit_code"] != check.exit_code:
+        faults.append(f"{name}: exit code {run['exit_code']}, expected {check.exit_code}")
+    if check.sha256 is not None and run["sha256"] != check.sha256:
+        faults.append(f"{name}: stdout sha256 {run['sha256']}, expected {check.sha256}")
+    for key, want in check.expect.items():
+        got = run[key]
+        if got != want or type(got) is not type(want):
+            faults.append(f"{name}: {key} = {got!r}, expected {want!r}")
+    for key, limit in check.under.items():
+        got = run[key]
+        if not isinstance(got, (int, float)) or got >= limit:
+            faults.append(f"{name}: {key} = {got!r}, bound: under {limit}")
+    return faults
 
 
 # Linux carries a process's peak RSS across exec, so a command started
@@ -127,17 +228,33 @@ with open(sys.argv[1], "w") as f:
 """
 
 
-def run_once(argv, env) -> dict:
-    """One run of argv in a grandchild of this script, through ``LAUNCHER``;
-    its stdout goes to a temporary file."""
-    with tempfile.TemporaryFile() as stdout, tempfile.NamedTemporaryFile("r") as result:
-        subprocess.run([sys.executable, "-I", "-S", "-c", LAUNCHER, result.name, *argv], cwd=ROOT,
-                       env=env, stdout=stdout, stderr=subprocess.DEVNULL, check=True)
+def _tail(label: str, data: bytes) -> str:
+    lines = data.decode("utf-8", "replace").splitlines()[-TAIL_LINES:]
+    return "\n".join([f"--- last {len(lines)} lines of {label}"] + lines)
+
+
+def run_once(check: Check, env) -> tuple:
+    """One run of check.argv in a grandchild of this script, through
+    ``LAUNCHER``: its readings (see ``verdict``) and the last lines of its
+    stdout and stderr."""
+    with tempfile.TemporaryFile() as stdout, tempfile.TemporaryFile() as stderr, \
+            tempfile.NamedTemporaryFile("r") as result:
+        subprocess.run([sys.executable, "-I", "-S", "-c", LAUNCHER, result.name, *check.argv],
+                       cwd=ROOT, env=env, stdout=stdout, stderr=stderr, check=True)
         wall, rss_kb, code = result.read().split()
         stdout.seek(0)
-        sha = _digest(stdout.read())
-    return {"wall_s": round(float(wall), 4), "peak_rss_mb": round(int(rss_kb) / 1024, 1),
-            "exit_code": int(code), "sha256": sha}
+        stderr.seek(0)
+        out, err = stdout.read(), stderr.read()
+    run = {"wall_s": round(float(wall), 4), "peak_rss_mb": round(int(rss_kb) / 1024, 1),
+           "exit_code": int(code), "sha256": _digest(out)}
+    fields = [k for k in (*check.expect, *check.under) if k not in MEASURED]
+    if fields:
+        try:
+            doc = json.loads(out)
+        except ValueError:
+            doc = None
+        run.update({k: doc.get(k) if isinstance(doc, dict) else None for k in fields})
+    return run, _tail("stdout", out) + "\n" + _tail("stderr", err)
 
 
 def spread(values) -> dict:
@@ -148,6 +265,13 @@ def pycache_dirs() -> list:
     return [os.path.relpath(os.path.join(d, "__pycache__"), ROOT)
             for d, subdirs, _ in os.walk(ROOT) if ".git" not in d.split(os.sep)
             and "__pycache__" in subdirs]
+
+
+def child_env() -> dict:
+    return dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONIOENCODING="utf-8",
+                PYTHONWARNINGS="error",
+                PYTHONPATH=os.pathsep.join(filter(None, [os.path.join(ROOT, "src"),
+                                                         os.environ.get("PYTHONPATH")])))
 
 
 def git_revision() -> dict:
@@ -170,9 +294,7 @@ def main(argv=None) -> int:
     if cached:
         print(f"refusing a tree with cached bytecode: {', '.join(cached[:5])}", file=sys.stderr)
         return 2
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONIOENCODING="utf-8",
-               PYTHONPATH=os.pathsep.join(filter(None, [os.path.join(ROOT, "src"),
-                                                        os.environ.get("PYTHONPATH")])))
+    env = child_env()
     report = {
         "revision": git_revision(),
         "machine": {"nproc": len(os.sched_getaffinity(0)), "python": platform.python_version(),
@@ -182,23 +304,28 @@ def main(argv=None) -> int:
     }
     failures = []
     with tempfile.TemporaryDirectory() as scratch:
-        for name, (cmd, code, sha) in entries(scratch).items():
-            runs = [run_once(cmd, env) for _ in range(args.repeat)]
-            bad = [r for r in runs
-                   if r["exit_code"] != code or (sha is not None and r["sha256"] != sha)]
-            if bad:
+        for name, check in entries(scratch).items():
+            runs, faults = [], []
+            for _ in range(args.repeat):
+                run, tails = run_once(check, env)
+                bad = verdict(name, check, run)
+                if bad:
+                    print("\n".join(bad + [tails]), file=sys.stderr)
+                runs.append(run)
+                faults += bad
+            if faults:
                 failures.append(name)
-            report["entries"][name] = {
+            entry = report["entries"][name] = {
                 "argv": [os.path.relpath(a, ROOT) if os.path.isabs(a) and a.startswith(ROOT)
-                         else a.replace(scratch, "<tmp>") for a in cmd[1:]],
-                "expected_exit_code": code, "expected_sha256": sha, "ok": not bad,
+                         else a.replace(scratch, "<tmp>") for a in check.argv[1:]],
+                "expected_exit_code": check.exit_code, "expected_sha256": check.sha256,
+                "expect": check.expect, "under": check.under, "ok": not faults, "faults": faults,
                 "wall_s": spread([r["wall_s"] for r in runs]),
                 "peak_rss_mb": spread([r["peak_rss_mb"] for r in runs]),
                 "runs": runs,
             }
-            print(f"{name}: {report['entries'][name]['wall_s']['median']:.2f} s, "
-                  f"{report['entries'][name]['peak_rss_mb']['median']:.1f} MB"
-                  f"{'' if not bad else ', OUTPUT OR EXIT CODE DIFFERS'}", file=sys.stderr)
+            print(f"{name}: {entry['wall_s']['median']:.2f} s, {entry['peak_rss_mb']['median']:.1f} MB"
+                  f"{'' if not faults else ', FAILED'}", file=sys.stderr)
     report["ok"] = not failures
     report["failures"] = failures
     text = json.dumps(report, indent=2) + "\n"
