@@ -7,7 +7,10 @@ conjugacy class only.
 
 Cochains are elements of S_q(V) t_g (x) Lambda^m_{q^-1}(V*): finite sums of
 (monomial exponent gamma, group element g, wedge index beta) with scalar
-coefficients; ``Cochain`` holds them where d_3* is computed.  A constant
+coefficients; ``Cochain`` holds them for ``apply_dm_star``, the dual
+differentials in general.  The d_3* kernels of the constant cochains are
+taken from matrices written straight from that function's per-problem
+terms (``constant_cocycle_basis``), with no cochain built.  A constant
 degree-2 cochain sum c_rs t_g (x) v_r* ^ v_s* (r < s) is held as the kappa
 it pairs to, the ``KappaMap`` with kappa(v_r, v_s) = sum c_rs t_g: that is
 the output of ``constant_cocycle_basis`` and the input and output of the
@@ -147,20 +150,34 @@ def constant_cocycle_basis(action: GroupAction, q: QMatrix, elements=None) -> li
     g the union spans all constant Hochschild 2-cocycles (the constant part
     of the image of d_2* is zero, so kernel elements represent distinct
     classes).
+
+    The matrix at g is written straight from the per-problem templates
+    ``_dm_star_terms(q, 0, beta)``, one per pair column (j, k), beta = e_j +
+    e_k: the column of t_g (x) v_j* ^ v_k* gets, for each i not in {j, k},
+    the template's left scalar in the row (e_i, beta + e_i) and m times its
+    negated right scalar for k' in the row (e_k', beta + e_i), for each
+    nonzero entry m = g^i_k' of g's row i.  That is ``apply_dm_star`` of the
+    cochain with coefficient 1, with the same products added in the same
+    order at each key; the rows come in another order, which
+    ``linalg.kernel_basis`` does not see, so the kernel basis is the same.
     """
     _require_extension(action, q)
     n = action.n
     G = action.group
     pairs = [(j, k) for j in range(n) for k in range(j + 1, n)]
+    zero = (0,) * n
+    templates = [_dm_star_terms(q, zero, tuple(int(t in pair) for t in range(n)))
+                 for pair in pairs]
     basis: list[KappaMap] = []
     for g in range(G.size) if elements is None else elements:
-        images = [
-            apply_dm_star(Cochain.constant_two(n, g, j, k), action, q) for (j, k) in pairs
-        ]
-        rows = {key: {} for key in sorted({key for img in images for key in img.coeffs})}
-        for col, img in enumerate(images):
-            for key, c in img.coeffs.items():
-                rows[key][col] = c
+        grows = action.rows_nz[g]
+        rows: dict = {}  # (monomial, beta + e_i) -> {pair column: scalar}
+        for col, terms in enumerate(templates):
+            for i, newbeta, gam1, left, rights in terms:
+                bump(rows.setdefault((gam1, newbeta), {}), col, left)
+                for k, m in grows[i]:
+                    gam2, minus_right = rights[k]
+                    bump(rows.setdefault((gam2, newbeta), {}), col, m * minus_right)
         for vec in kernel_basis(rows.values(), len(pairs)):
             basis.append(KappaMap(G, n, q, {
                 pair: GroupAlgebraElement({g: c}) for pair, c in zip(pairs, vec)

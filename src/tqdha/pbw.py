@@ -7,7 +7,10 @@ g in G, i < j.  ``_ConditionSites`` is the only place the conditions are
 written down, a site at a time: condition (1) at a link (h, g), condition (2)
 at an element g.  Two systems are built from it, each once per problem: the
 exhaustive ``condition_system`` and the solver's ``class_local_system``, over
-the unknowns at class representatives (for an abelian group they are one).
+the unknowns at class representatives, which skips condition (2) where
+condition (1) alone forces kappa to zero (on an abelian group it has every
+unknown and every condition-(1) row of the exhaustive system, and
+condition (2) only where it can matter).
 The checker builds neither: it multiplies kappa's coordinates with the rows
 at the sites that meet kappa's support, each written on its first use.  The
 rewriting oracle never looks at the conditions: it compares the two normal
@@ -470,7 +473,8 @@ def parameter_space_rows(
             = sum_{k<l} ddet_ijkl(h) kappa_{hgh^-1}(v_l,v_k).
     Condition (2), for g in elements (default every element, in order; one
     per conjugacy class suffices, see the module docstring) and i < j < k,
-    as an equation in V:
+    as an equation in V (given ``links``, only at the g where the one-term
+    condition-(1) rows leave an unknown alive, see ``class_local_system``):
         kappa_g(v_k,v_j)(g(v_i) - q_ji q_ki v_i)
       + kappa_g(v_k,v_i)(q_kj v_j - q_ji g(v_j))
       + kappa_g(v_j,v_i)(q_kj q_ki g(v_k) - v_k) = 0.
@@ -485,16 +489,21 @@ def parameter_space_rows(
     """
     G = action.group
     npairs = action.n * (action.n - 1) // 2
-    if links is None:
+    local = links is not None
+    if local:
+        block = {g: k for k, g in enumerate(elements)}
+    else:
         links = product(G.generator_indices or range(G.size), range(G.size))
         block = range(G.size)
-    else:
-        block = {g: k for k, g in enumerate(elements)}
+        elements = block if elements is None else elements
     write = _ConditionSites(action, q, alpha)
     sites = [write.condition_one(h, g, block[g] * npairs, block[G.conjugate(h, g)] * npairs)
              for h, g in links]
-    sites += [write.condition_two(g, block[g] * npairs)
-              for g in (range(G.size) if elements is None else elements)]
+    if local:
+        dead = {col for rows in sites for row, _ in rows if len(row) == 1 for col in row}
+        elements = [g for g in elements
+                    if not dead.issuperset(range(block[g] * npairs, (block[g] + 1) * npairs))]
+    sites += [write.condition_two(g, block[g] * npairs) for g in elements]
     entries = list(chain.from_iterable(sites))
     return ConditionSystem(tuple(row for row, _ in entries), len(block) * npairs,
                            tuple(tag for _, tag in entries))
@@ -521,13 +530,24 @@ def condition_system(action: GroupAction, q: QMatrix, alpha: Cocycle2) -> Condit
 def class_local_system(action: GroupAction, q: QMatrix, alpha: Cocycle2) -> ConditionSystem:
     """The solver's system, built once per problem: the unknowns at the
     class representatives c only (in ``class_data`` order), condition (1)
-    at (z, c) for the generators z of Z(c) (``groups.centralizer_generators``)
-    and condition (2) at c.  When every class is a single element this is
-    the exhaustive system, and ``condition_system``'s object is returned."""
+    at (z, c) for the generators z of Z(c) (``groups.centralizer_generators``),
+    and condition (2) at each c where condition (1) leaves an unknown alive.
+    On an abelian group every element is its own class and the generators
+    of each Z(c) are those of G, so this has the unknowns and the
+    condition-(1) rows of ``condition_system`` (in another order), and
+    condition (2) only where it can matter.
+
+    Why condition (2) at the other c can be skipped.  A row with a single
+    entry (a nonzero scalar, as rows keep no zero) says that its unknown is
+    0, and condition (2) at c reads the unknowns at c only.  If one-term
+    condition-(1) rows force every unknown at c to 0, every vector they
+    admit satisfies each condition-(2) row at c, so those rows do not change
+    the kernel; ``linalg.kernel_basis`` returns the one basis of its shape
+    that the kernel has, whatever the rows, so the solver's output is the
+    same with or without them.
+    """
     G = action.group
     reps = tuple(class_data(G).centralizer)
-    if len(reps) == G.size:
-        return condition_system(action, q, alpha)
     _require_extension(action, q)
     gens = centralizer_generators(G)
     return parameter_space_rows(action, q, alpha, reps, [(z, c) for c in reps for z in gens[c]])

@@ -13,20 +13,30 @@ possible way: the lemma that the solver's condition (2) at representatives
 rests on.  The
 cohomology route's short cuts are here too: the subgroup chains it sums each
 centralizer through, and its rank filter at class representatives against
-the defining average over G of every kernel vector.
+the defining average over G of every kernel vector, and its d_3* kernels,
+written from per-problem templates, against the per-(g, pair) cochain
+assembly they replaced.
 """
 
+import importlib.util
 import os
 import random
+import sys
 from collections import Counter
 
 import pytest
 
 from test_cohomology import _literal_average
 from test_pbw import cyclotomic_diagonal_instance, s3_instance
-from tqdha import pbw
+from tqdha import cohomology, pbw
 from tqdha.classify import symmetric_instance
-from tqdha.cohomology import cohomological_parameter_space, constant_cocycle_basis, skew_symmetrize
+from tqdha.cohomology import (
+    Cochain,
+    apply_dm_star,
+    cohomological_parameter_space,
+    constant_cocycle_basis,
+    skew_symmetrize,
+)
 from tqdha.groups import (
     GroupAlgebraElement,
     _generated,
@@ -34,6 +44,7 @@ from tqdha.groups import (
     centralizer_generators,
     class_data,
     conjugation_walk,
+    group_from_cyclic_orders,
     group_from_permutations,
     group_from_table,
     symmetric_group,
@@ -41,25 +52,65 @@ from tqdha.groups import (
     trivial_group,
 )
 from tqdha.linalg import RowReducer, kernel_basis
-from tqdha.pbw import KappaMap, check_pbw_conditions, condition_system, solve_parameter_space
-from tqdha.problems import parse_problem_file
+from tqdha.pbw import (
+    ExtensionError,
+    KappaMap,
+    check_pbw_conditions,
+    condition_system,
+    extension_report,
+    solve_parameter_space,
+)
+from tqdha.problems import load_problem, parse_problem_file
 from tqdha.quantum import (
     GroupAction,
     QMatrix,
     action_from_generator_matrices,
+    diagonal_action,
     natural_permutation_action,
 )
-from tqdha.scalars import MINUS_ONE, ONE, ZERO, rational
+from tqdha.scalars import MINUS_ONE, ONE, ZERO, rational, root_of_unity
 from tqdha.spin import spin_cocycle
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 PROBLEMS = os.path.join(HERE, os.pardir, "problems")
+GOLDEN = os.path.join(HERE, "golden")
+# every problem file: the bundled ones and those the goldens add
+BUNDLED = sorted(f[:-5] for f in os.listdir(PROBLEMS) if f.endswith(".json"))
+GOLDEN_PROBLEMS = ["s3_reflection_zeta3", "z2_swap_zeta4", "z6z6_zeta12"]
 
 
 def bundled(name):
-    folder = os.path.join(HERE, "golden") if name == "z6z6_zeta12" else PROBLEMS
+    folder = GOLDEN if name in GOLDEN_PROBLEMS else PROBLEMS
     prob = parse_problem_file(os.path.join(folder, name + ".json"))
     return prob.action, prob.q, prob.alpha
+
+
+def seeded_cyclotomic(k):
+    """The k-th of the benchmark's three seed-1 Z/6 x Z/6 problems in
+    Q(zeta_12), from its generator (imported without writing bytecode)."""
+    path = os.path.join(HERE, os.pardir, "perfbench", "inputs.py")
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    flag = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = flag
+    prob = load_problem(module.cyclotomic_instances(1, 3)[k]["problem"])
+    return prob.action, prob.q, prob.alpha
+
+
+def planted_instance():
+    """Z/4 = <h> on C^3 by h = diag(i, -i, -1), q = 1, the trivial cocycle.
+    At h, condition (1) (at the generator h) keeps x[h, 0, 1] alone, as
+    i * -i = 1 while i * -1 and -i * -1 are not 1, and condition (2) at h,
+    t = 2, reads (1 - (-1)) x[h, 0, 1]: it kills the one unknown that
+    condition (1) leaves.  The parameter space lives at 1 and h^2."""
+    G = group_from_cyclic_orders([4])
+    chars = [root_of_unity(4, 1), root_of_unity(4, 3), MINUS_ONE]
+    lam = [[c ** a for c in chars] for (a,) in G.labels]
+    return diagonal_action(G, lam), QMatrix.uniform(3, 1), trivial_cocycle(G)
 
 
 def reflection_instance(n):
@@ -104,6 +155,10 @@ def dihedral_instance():
 def instance(name):
     if name == "D4 table":
         return dihedral_instance()
+    if name == "Z/4 planted":
+        return planted_instance()
+    if name.startswith("cyclotomic seed 1 #"):
+        return seeded_cyclotomic(int(name[-1]))
     if name == "trivial":
         G = trivial_group()
         return GroupAction(G, [[[ONE, ZERO], [ZERO, ONE]]]), QMatrix.uniform(2, 1), trivial_cocycle(G)
@@ -133,9 +188,16 @@ def plain_solve(action, q, alpha):
     return [kappa_from_vector(vec, action, q) for vec in red.kernel(system.ncols)]
 
 
+# every problem file whose action extends (the other two are refused below),
+# the benchmark's seed-1 cyclotomic problems (#0 is z6z6_zeta12) and an
+# instance where condition (2) decides the one unknown that condition (1)
+# leaves at its element; the solver skips condition (2) wherever condition
+# (1) forces kappa to zero
 SOLVER_CASES = ["S3 untwisted", "S3 twisted", "S4 untwisted", "S4 twisted", "S5 untwisted",
-                "S5 twisted", "S3 reflection", "S4 reflection", "D4 table",
-                "klein_bicharacter_diag", "weyl2", "z2_negation", "z6z6_zeta12"]
+                "S5 twisted", "S3 reflection", "S4 reflection", "D4 table", "Z/4 planted",
+                "cyclotomic seed 1 #1", "cyclotomic seed 1 #2"] + [
+    name for name in BUNDLED + GOLDEN_PROBLEMS if name not in ("s3_reflection_zeta3",
+                                                               "z2_swap_zeta4")]
 
 
 @pytest.mark.parametrize("name", SOLVER_CASES)
@@ -145,6 +207,79 @@ def test_solver_matches_plain_elimination_of_every_row(name):
     plain = plain_solve(action, q, alpha)
     assert [k.to_records() for k in ours] == [k.to_records() for k in plain]
     assert ours, "the instance should have a nonzero parameter space"
+
+
+@pytest.mark.parametrize("name", ["s3_reflection_zeta3", "z2_swap_zeta4"])
+def test_solver_refuses_what_the_exhaustive_system_refuses(name):
+    action, q, alpha = instance(name)
+    for route in (solve_parameter_space, condition_system):
+        with pytest.raises(ExtensionError):
+            route(action, q, alpha)
+
+
+@pytest.mark.parametrize("name", ["Z/4 planted", "z6z6_zeta12", "cyclotomic seed 1 #2",
+                                  "S4 twisted", "D4 table"])
+def test_condition_two_is_skipped_only_where_condition_one_kills_every_unknown(name):
+    # the solver's condition-(2) rows are the exhaustive ones at the
+    # representatives where a one-term condition-(1) row leaves some unknown
+    # alive; the kernels agree (test above) though the others are skipped
+    action, q, alpha = instance(name)
+    G, npairs = action.group, action.n * (action.n - 1) // 2
+    system = pbw.class_local_system(action, q, alpha)
+    dead = {col for row, tag in zip(system.rows, system.tags) if tag[0] == 1 and len(row) == 1
+            for col in row}
+    alive = [c for k, c in enumerate(class_data(G).centralizer)
+             if not dead.issuperset(range(k * npairs, (k + 1) * npairs))]
+    assert [tag for tag in system.tags if tag[0] == 2] == [
+        tag for c in alive for tag in condition_system(action, q, alpha).tags
+        if tag[0] == 2 and tag[1] == c]
+    if name == "Z/4 planted":
+        # at h one unknown is alive, and condition (2) kills it
+        h = G.generator_indices[0]
+        assert h in alive and any(tag[:2] == (2, h) for tag in system.tags)
+        space = solve_parameter_space(action, q, alpha)
+        assert {g for kappa in space for g, _, _ in kappa.coordinates()} == {0, G.mult[h][h]}
+    if name.startswith(("z6z6", "cyclotomic")):
+        assert len(alive) < G.size / 2
+
+
+def cochain_d3_kernels(action, q, elements):
+    """The d_3* kernels as ``constant_cocycle_basis`` assembled them before
+    its templates: per (g, pair) the cochain t_g (x) v_j* ^ v_k* and its
+    ``apply_dm_star`` image, the keys of all images sorted into rows, and
+    ``kernel_basis`` of those."""
+    n, G = action.n, action.group
+    pairs = [(j, k) for j in range(n) for k in range(j + 1, n)]
+    basis = []
+    for g in elements:
+        images = [apply_dm_star(Cochain.constant_two(n, g, j, k), action, q) for (j, k) in pairs]
+        rows = {key: {} for key in sorted({key for img in images for key in img.coeffs})}
+        for col, img in enumerate(images):
+            for key, c in img.coeffs.items():
+                rows[key][col] = c
+        for vec in kernel_basis(rows.values(), len(pairs)):
+            basis.append(KappaMap(G, n, q, {
+                pair: GroupAlgebraElement({g: c}) for pair, c in zip(pairs, vec)}))
+    return basis
+
+
+@pytest.mark.parametrize("name", BUNDLED + GOLDEN_PROBLEMS + ["S4 reflection"])
+def test_d3_kernels_from_templates_match_the_cochain_assembly(name, monkeypatch):
+    # at every element.  Where g moves v_i off its line (the permutation
+    # actions of S3 to S5, the reflection instance) a row holds terms of
+    # several pair columns; where g keeps it (the diagonal z6z6_zeta12, the
+    # reflection instance), a column's left and right terms land on one
+    # key.  On two variables there is no d_3* row, and the kernels are
+    # compared there too, also where the action does not extend
+    # (z2_swap_zeta4, s3_reflection_zeta3), with the refusal lifted
+    action, q, alpha = instance(name)
+    report = extension_report(action, q)
+    if not (report["symmetric"] and report["exterior"]):
+        monkeypatch.setattr(cohomology, "_require_extension", lambda action, q: None)
+    ours = constant_cocycle_basis(action, q)
+    reference = cochain_d3_kernels(action, q, range(action.group.size))
+    assert [k.to_records() for k in ours] == [k.to_records() for k in reference]
+    assert ours
 
 
 @pytest.mark.parametrize("name", ["S4 untwisted", "S5 untwisted", "S4 twisted", "S4 reflection",
@@ -388,8 +523,10 @@ def test_s4_builds_each_kind_of_rows_once(monkeypatch):
 
 
 def test_abelian_group_shares_one_system(monkeypatch):
+    # solving, cohomology and checking twice build one system between them,
+    # the solver's: on an abelian group it is not the exhaustive one, since
+    # it skips condition (2) where condition (1) forces kappa to zero
     builds = count_row_builds(monkeypatch)
     action, q, alpha = cyclotomic_diagonal_instance(6)
     exercise(action, q, alpha)
-    assert builds == {"exhaustive": 1}
-    assert pbw.class_local_system(action, q, alpha) is condition_system(action, q, alpha)
+    assert builds == {"class-local": 1}
