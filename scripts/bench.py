@@ -11,7 +11,8 @@ tests/test_golden.py (digest cases included), ``classify-symmetric`` at
 n = 6 and 7 with and without ``--twisted``, the diagonal survey, the loaded
 structures (``scripts/load_digest.py``), the exhaustive rewriting oracle on
 twisted S5, the direct solver against the cohomology route on untwisted S7
-(``SOLVER_CHILD``), ``compare_twisted_untwisted.py --max-n 7``, five short
+(``SOLVER_CHILD``), the refusal of ``alpha-table 7`` (exit 3),
+``compare_twisted_untwisted.py --max-n 7``, five short
 perfbench runs, ``selftest`` and the tier-1 suite with ``--durations=0``.
 
 For each run it records the wall time, the command's own peak RSS
@@ -176,6 +177,13 @@ def entries(scratch: str) -> dict:
                "--oracle"],
         expect={"ambiguities_resolvable": True, "ambiguities_checked": 1801210},
         under={"wall_s": 8, "peak_rss_mb": 64})
+    # alpha-table 7 is refused before S7 is built: its 25,401,600 values
+    # would make a JSON document of several GB (0.37 s and 17 MB to exit 3,
+    # 2-core box, Python 3.11)
+    out["ci/alpha-table.7"] = Check(
+        CLI + ["alpha-table", "7"], 3,
+        sha256="df6113c779ef9f867971a88ae864c0cecb2895eb1248e3207b36ddd8f7e0ddb8",
+        expect={"error": "validation"}, under={"wall_s": 1, "peak_rss_mb": 32})
     out["ci/solve.s7"] = Check(
         [sys.executable, "-c", SOLVER_CHILD], expect={"dimension": 5, "same_space": True},
         under={"wall_s": 6, "solve_s": 1, "cohomology_s": 1, "peak_rss_mb": 300})

@@ -31,23 +31,6 @@ from .scalars import ONE, rational
 from .spin import spin_cocycle
 
 
-def cg_membership(gamma, g: int, action: GroupAction, q: QMatrix) -> bool:
-    """Whether gamma (entries in N union {-1}) lies in C_g: for every i,
-    either gamma_i = -1 or prod_s q_is^gamma_s = lambda_{g,i}."""
-    lam = action.eigenvalue_table()
-    n = action.n
-    for i in range(n):
-        if gamma[i] == -1:
-            continue
-        prod = ONE
-        for s in range(n):
-            if gamma[s]:
-                prod = prod * q(i, s) ** gamma[s]
-        if prod != lam[g][i]:
-            return False
-    return True
-
-
 def diagonal_constant_basis(action: GroupAction, q: QMatrix) -> list[tuple[int, int, int]]:
     """All (g, r, s) with r < s and q_rr' q_sr' = lambda_{g,r'} for every
     r' outside {r, s}; these index the constant 2-cocycle basis t_g (x)

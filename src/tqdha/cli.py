@@ -1,7 +1,9 @@
 """Command-line interface: problem-file driven engines with JSON reports.
 
 Exit codes: 0 success, 2 usage error (unknown subcommand or bad flags),
-3 validation failure (bad problem file, bad kappa file, failed invariants),
+3 validation failure (bad problem file, bad kappa file, failed invariants,
+or a size bound crossed before the work starts, such as ``alpha-table n``
+with its (n!)^2 values past ``groups.MAX_TABLE_VALUES``),
 4 mathematical cross-check mismatch (engines disagree, or selftest failure),
 1 when stdout is closed before the report is written (no traceback).
 Reports go to stdout as JSON and are byte-identical across runs on the same
@@ -18,7 +20,7 @@ import sys
 
 from .classify import diagonal_kappa_basis_labeled, symmetric_natural_classify
 from .cohomology import cohomological_parameter_space, constant_cocycle_basis
-from .groups import symmetric_group
+from .groups import MAX_TABLE_VALUES, symmetric_group, symmetric_order
 from .pbw import (
     CrossCheckError,
     check_pbw_conditions,
@@ -169,6 +171,11 @@ def cmd_alpha_table(args) -> int:
         _emit({"error": "validation", "reason": "alpha-table needs n (positional or --n)"})
         return 3
     args.n = n
+    values = symmetric_order(n) ** 2
+    if values > MAX_TABLE_VALUES:
+        _emit({"error": "validation", "reason": f"alpha-table {n} would write {values} values, "
+               f"past MAX_TABLE_VALUES = {MAX_TABLE_VALUES}"})
+        return 3
     alpha = spin_cocycle(symmetric_group(args.n))
     group = alpha.group
     perms = [[x + 1 for x in p] for p in group.perms]

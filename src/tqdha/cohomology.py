@@ -66,12 +66,6 @@ class Cochain(SparseSum):
                 clean[(tuple(gamma), g, tuple(beta))] = c
         self.coeffs = clean
 
-    @staticmethod
-    def constant_two(n: int, g: int, r: int, s: int, coeff=ONE) -> "Cochain":
-        """t_g (x) v_r* ^ v_s* with r < s."""
-        beta = tuple(1 if t in (r, s) else 0 for t in range(n))
-        return Cochain(n, 2, {((0,) * n, g, beta): coeff})
-
     def __repr__(self):
         parts = []
         for (gamma, g, beta), c in sorted(self.coeffs.items()):

@@ -1,4 +1,5 @@
-"""Finite groups, normalized 2-cocycles, and the twisted group algebra C^a G.
+"""Finite groups, normalized 2-cocycles, and elements of the twisted group
+algebra C^a G.
 
 Groups are index tables: elements are integers 0..size-1 with 0 the identity,
 multiplication is a dense table, and mult[g][h] is the product g*h (for
@@ -18,7 +19,7 @@ from math import gcd, lcm, prod
 from operator import mul, truediv
 from typing import NamedTuple
 
-from .linalg import SparseSum, bump
+from .linalg import SparseSum
 from .scalars import MAX_CONDUCTOR, ONE, ZERO, CyclotomicScalar, root_of_unity
 
 
@@ -27,6 +28,12 @@ from .scalars import MAX_CONDUCTOR, ONE, ZERO, CyclotomicScalar, root_of_unity
 # 5,040^2 = 25.4M entries already takes 413 MB.  So no constructor builds a
 # table for a larger group.
 MAX_GROUP_ORDER = 5040
+
+# ``alpha-table n`` serializes all |S_n|^2 values of the spin cocycle into
+# one JSON document: n = 6 writes 518,400 values in about 0.7 s and 104 MB,
+# and n = 7 would write 25,401,600, several GB.  So a table past this many
+# values is refused before its group is built.
+MAX_TABLE_VALUES = 10 ** 6
 
 
 class GroupConstructionError(ValueError):
@@ -143,14 +150,6 @@ class FiniteGroup:
                         raise GroupConstructionError(
                             f"associativity fails on triple ({a}, {b}, {c})"
                         )
-
-    def conjugacy_classes(self) -> list[tuple[int, ...]]:
-        """Classes as sorted tuples, ordered by least element (read from
-        ``class_data``)."""
-        members: dict = {}
-        for g, c in enumerate(class_data(self).rep):
-            members.setdefault(c, []).append(g)
-        return [tuple(m) for m in members.values()]
 
 
 class ClassData(NamedTuple):
@@ -395,17 +394,24 @@ def group_from_cyclic_orders(orders, name=None) -> FiniteGroup:
     )
 
 
-@lru_cache(maxsize=None)
-def symmetric_group(n: int) -> FiniteGroup:
-    """S_n acting on {0..n-1}, canonically ordered by image tuple.  An n
-    with n! past ``MAX_GROUP_ORDER`` is refused before any permutation is
-    built (and before any factorial past the bound is computed)."""
+def symmetric_order(n: int) -> int:
+    """n!, refused for n < 1 and for n! past ``MAX_GROUP_ORDER`` (before
+    any factorial past the bound is computed)."""
     if n < 1:
         raise GroupConstructionError("n must be at least 1")
     order = 1
     for k in range(2, n + 1):
         order *= k
         _check_order(order)
+    return order
+
+
+@lru_cache(maxsize=None)
+def symmetric_group(n: int) -> FiniteGroup:
+    """S_n acting on {0..n-1}, canonically ordered by image tuple.  An n
+    that ``symmetric_order`` refuses is refused before any permutation is
+    built."""
+    symmetric_order(n)
     if n == 1:
         return FiniteGroup([[0]], name="S1", perms=[(0,)])
     gens = [perm_from_cycles(n, [(0, 1)])]
@@ -673,19 +679,3 @@ class GroupAlgebraElement(SparseSum):
 
     def serialize(self) -> dict:
         return {str(g): c.serialize() for g, c in sorted(self.coeffs.items())}
-
-
-def tga_multiply(x: GroupAlgebraElement, y: GroupAlgebraElement, alpha: Cocycle2) -> GroupAlgebraElement:
-    """Bilinear extension of t_g t_h = alpha(g, h) t_{gh}."""
-    mult = alpha.group.mult
-    out: dict[int, CyclotomicScalar] = {}
-    for g, cg in x.coeffs.items():
-        for h, ch in y.coeffs.items():
-            bump(out, mult[g][h], cg * ch * alpha(g, h))
-    return x._like(out)
-
-
-def tga_inverse_of_basis(g: int, alpha: Cocycle2) -> GroupAlgebraElement:
-    """(t_g)^-1 = alpha(g, g^-1)^-1 t_{g^-1}."""
-    inv = alpha.group.inv[g]
-    return GroupAlgebraElement({inv: alpha(g, inv).inverse()})

@@ -5,14 +5,13 @@ The two PBW conditions are linear in kappa, so the space of all valid maps is
 the kernel of an explicit sparse system over the unknowns kappa_g(v_i, v_j),
 g in G, i < j.  ``_ConditionSites`` is the only place the conditions are
 written down, a site at a time: condition (1) at a link (h, g), condition (2)
-at an element g.  Two systems are built from it, each once per problem: the
-exhaustive ``condition_system`` and the solver's ``class_local_system``, over
-the unknowns at class representatives, which skips condition (2) where
-condition (1) alone forces kappa to zero (on an abelian group it has every
-unknown and every condition-(1) row of the exhaustive system, and
-condition (2) only where it can matter).
-The checker builds neither: it multiplies kappa's coordinates with the rows
-at the sites that meet kappa's support, each written on its first use.  The
+at an element g.  One system is built from it, once per problem: the
+solver's ``class_local_system``, over the unknowns at class
+representatives, which skips condition (2) where condition (1) alone forces
+kappa to zero.  The checker builds none: it multiplies kappa's coordinates
+with the rows at the sites that meet kappa's support, each written on its
+first use, in the order of the exhaustive system (condition (1) at (h, g)
+for each generator h and every g, then condition (2) at every g).  The
 rewriting oracle never looks at the conditions: it compares the two normal
 forms of each overlap word.  It reduces the words of tvv and vvv both ways;
 those of ttt and ttv have one reduction path a side, and it reads their
@@ -463,18 +462,16 @@ class _ConditionSites:
 
 
 def parameter_space_rows(
-    action: GroupAction, q: QMatrix, alpha: Cocycle2, elements=None, links=None
+    action: GroupAction, q: QMatrix, alpha: Cocycle2, elements, links
 ) -> ConditionSystem:
-    """The homogeneous linear system whose kernel is the parameter space.
+    """A homogeneous linear system whose kernel is the parameter space.
 
-    Condition (1), for each (h, g) in ``links`` (default: for each generator
-    h of G, see the module docstring, every g in order) and i < j:
+    Condition (1), for each (h, g) in ``links`` and i < j:
         alpha(h,g)/alpha(hgh^-1,h) kappa_g(v_j,v_i)
             = sum_{k<l} ddet_ijkl(h) kappa_{hgh^-1}(v_l,v_k).
-    Condition (2), for g in elements (default every element, in order; one
-    per conjugacy class suffices, see the module docstring) and i < j < k,
-    as an equation in V (given ``links``, only at the g where the one-term
-    condition-(1) rows leave an unknown alive, see ``class_local_system``):
+    Condition (2), for each g in ``elements`` where the one-term
+    condition-(1) rows leave an unknown alive (see ``class_local_system``)
+    and i < j < k, as an equation in V:
         kappa_g(v_k,v_j)(g(v_i) - q_ji q_ki v_i)
       + kappa_g(v_k,v_i)(q_kj v_j - q_ji g(v_j))
       + kappa_g(v_j,v_i)(q_kj q_ki g(v_k) - v_k) = 0.
@@ -482,28 +479,18 @@ def parameter_space_rows(
     Equations that hold for every kappa give no row.  Each site's rows come
     from ``_ConditionSites``.
 
-    The unknowns are x[g, i, j], at column g * npairs + (the rank of
-    (i, j)).  Given ``links``, they are those at ``elements`` only, the
-    block of elements[k] at column k * npairs, and each link (h, g) has g
-    and hgh^-1 among them.
+    The unknowns are x[g, i, j] for the g in ``elements``, the block of
+    elements[k] at column k * npairs + (the rank of (i, j)); each link
+    (h, g) has g and hgh^-1 among them.
     """
     G = action.group
     npairs = action.n * (action.n - 1) // 2
-    local = links is not None
-    if local:
-        block = {g: k for k, g in enumerate(elements)}
-    else:
-        links = product(G.generator_indices or range(G.size), range(G.size))
-        block = range(G.size)
-        elements = block if elements is None else elements
+    block = {g: k * npairs for k, g in enumerate(elements)}
     write = _ConditionSites(action, q, alpha)
-    sites = [write.condition_one(h, g, block[g] * npairs, block[G.conjugate(h, g)] * npairs)
-             for h, g in links]
-    if local:
-        dead = {col for rows in sites for row, _ in rows if len(row) == 1 for col in row}
-        elements = [g for g in elements
-                    if not dead.issuperset(range(block[g] * npairs, (block[g] + 1) * npairs))]
-    sites += [write.condition_two(g, block[g] * npairs) for g in elements]
+    sites = [write.condition_one(h, g, block[g], block[G.conjugate(h, g)]) for h, g in links]
+    dead = {col for rows in sites for row, _ in rows if len(row) == 1 for col in row}
+    sites += [write.condition_two(g, at) for g, at in block.items()
+              if not dead.issuperset(range(at, at + npairs))]
     entries = list(chain.from_iterable(sites))
     return ConditionSystem(tuple(row for row, _ in entries), len(block) * npairs,
                            tuple(tag for _, tag in entries))
@@ -518,33 +505,19 @@ def _require_extension(action: GroupAction, q: QMatrix) -> None:
 
 
 @lru_cache(maxsize=8)
-def condition_system(action: GroupAction, q: QMatrix, alpha: Cocycle2) -> ConditionSystem:
-    """``parameter_space_rows`` of the problem, condition (2) at every
-    element, built once per problem.  Raises ExtensionError when the action
-    does not extend to S_q(V)."""
-    _require_extension(action, q)
-    return parameter_space_rows(action, q, alpha)
-
-
-@lru_cache(maxsize=8)
 def class_local_system(action: GroupAction, q: QMatrix, alpha: Cocycle2) -> ConditionSystem:
     """The solver's system, built once per problem: the unknowns at the
     class representatives c only (in ``class_data`` order), condition (1)
     at (z, c) for the generators z of Z(c) (``groups.centralizer_generators``),
     and condition (2) at each c where condition (1) leaves an unknown alive.
-    On an abelian group every element is its own class and the generators
-    of each Z(c) are those of G, so this has the unknowns and the
-    condition-(1) rows of ``condition_system`` (in another order), and
-    condition (2) only where it can matter.
 
     Why condition (2) at the other c can be skipped.  A row with a single
-    entry (a nonzero scalar, as rows keep no zero) says that its unknown is
-    0, and condition (2) at c reads the unknowns at c only.  If one-term
-    condition-(1) rows force every unknown at c to 0, every vector they
-    admit satisfies each condition-(2) row at c, so those rows do not change
-    the kernel; ``linalg.kernel_basis`` returns the one basis of its shape
-    that the kernel has, whatever the rows, so the solver's output is the
-    same with or without them.
+    entry (a nonzero scalar, as rows keep no zero) forces its unknown to 0
+    in any system that holds it, and condition (2) at c reads the unknowns
+    at c only.  So where one-term rows force every unknown at c to 0, each
+    condition-(2) row at c holds on the whole kernel, and dropping those
+    rows leaves the kernel, and the one basis of ``linalg.kernel_basis``'s
+    shape that it has, as they were.
     """
     G = action.group
     reps = tuple(class_data(G).centralizer)
@@ -570,7 +543,8 @@ def check_pbw_conditions(
     kappa: KappaMap, action: GroupAction, q: QMatrix, alpha: Cocycle2, max_witnesses: int = 10
 ) -> dict:
     """Evaluate both PBW conditions exactly: the product of each row of the
-    exhaustive system (``condition_system``) with kappa's coordinates.  A
+    exhaustive system (condition (1) at (h, g) for each generator h and
+    every g, then condition (2) at every g) with kappa's coordinates.  A
     nonzero product is a violation, named by the row's tag, with the product
     as its defect; violations are listed in row order, at most
     ``max_witnesses`` of them.  Condition-(1) violations name generators h
@@ -698,23 +672,7 @@ def solve_parameter_space(
 #     t_g t_h  ->  alpha(g, h) t_{gh}
 #     v_j v_i  ->  q_ji v_i v_j + kappa(v_j, v_i)      (j > i)
 # applied leftmost-outermost.  Irreducible words are ascending variable runs
-# followed by at most one group letter; words that never contained a group
-# letter normalize with group component None.
-
-
-def word_letters(word, n: int):
-    """Public word format: sequence of ('v', i) / ('t', g) pairs -> ints."""
-    out = []
-    for kind, idx in word:
-        if kind == "v":
-            if not (0 <= idx < n):
-                raise ValueError(f"variable index {idx} out of range")
-            out.append(idx)
-        elif kind == "t":
-            out.append(n + idx)
-        else:
-            raise ValueError(f"unknown letter kind {kind!r}")
-    return tuple(out)
+# followed by at most one group letter.
 
 
 def _first_redex(letters, n: int):
@@ -745,27 +703,6 @@ def _apply_rule(letters, p: int, n: int, kappa, action, q, alpha):
         if kappa is not None:
             for g, c in kappa.value(j, i).coeffs.items():
                 out.append((c, head + (n + g,) + tail))
-    return out
-
-
-def normal_form_reduce(word, kappa, action: GroupAction, q: QMatrix, alpha: Cocycle2):
-    """Reduce a word (or list of (coeff, word) pairs) to its normal form.
-
-    Returns a dict {(gamma, g_or_None): scalar}: gamma is the exponent tuple
-    of the ascending variable run and g the trailing group letter, or None if
-    the word carries no group letter.  Each kappa-rule application drops the
-    variable degree by two, so the implicit deformation-parameter exponent of
-    a term is (input degree - |gamma|) / 2.
-    """
-    n = action.n
-    if not word or isinstance(word[0][0], str):
-        word = [(ONE, word)]
-    terms = [(c, word_letters(w, n)) for c, w in word]
-    out = {}
-    # an irreducible word is fixed by its variable exponents and group letter
-    for letters, c in _reduce_letter_terms(terms, n, kappa, action, q, alpha).items():
-        gpart = letters[-1] - n if letters and letters[-1] >= n else None
-        out[(tuple(letters.count(x) for x in range(n)), gpart)] = c
     return out
 
 

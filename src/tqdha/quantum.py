@@ -1,5 +1,7 @@
-"""The quantum symmetric algebra S_q(V), the twisted skew group algebra
-S_q(V) #_a G, linear group actions on them, and quantum minor determinants.
+"""The quantum symmetric algebra S_q(V) and linear group actions on it: the
+parameter matrix q, the action matrices and the check that an action
+extends to S_q(V) and to Lambda_q(V).  The twisted skew group algebra
+S_q(V) #_a G itself is multiplied only in the tests (``tests/reference.py``).
 
 Conventions.  Variables are 0-based.  A monomial exponent is a tuple gamma of
 n nonnegative integers standing for v_0^g0 ... v_{n-1}^g(n-1); normally
@@ -11,10 +13,9 @@ matrices compose as M[gh] = M[h] . M[g].
 from __future__ import annotations
 
 from itertools import combinations, combinations_with_replacement
-from operator import add
 
-from .groups import Cocycle2, FiniteGroup, _walk
-from .linalg import SparseSum, bump
+from .groups import FiniteGroup, _walk
+from .linalg import bump
 from .scalars import ONE, ZERO, CyclotomicScalar, parse_scalar, rational
 
 
@@ -190,37 +191,8 @@ def action_from_generator_matrices(group: FiniteGroup, gen_matrices, n: int) -> 
 
 
 # ---------------------------------------------------------------------------
-# the skew group algebra
+# normal ordering in S_q(V)
 # ---------------------------------------------------------------------------
-
-
-class SkewElement(SparseSum):
-    """Element of S_q(V) #_a G: finite sum of normally ordered monomials
-    v^gamma t_g with scalar coefficients."""
-
-    __slots__ = ()
-
-    @staticmethod
-    def monomial(gamma, g: int, coeff=ONE) -> "SkewElement":
-        return SkewElement({(tuple(gamma), g): coeff})
-
-    @staticmethod
-    def variable(i: int, n: int, g: int = 0) -> "SkewElement":
-        gamma = tuple(1 if j == i else 0 for j in range(n))
-        return SkewElement({(gamma, g): ONE})
-
-    @staticmethod
-    def group_unit(g: int, n: int) -> "SkewElement":
-        return SkewElement({((0,) * n, g): ONE})
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "<0>"
-        parts = []
-        for (gamma, g), c in sorted(self.coeffs.items()):
-            mono = "".join(f"v{i}^{e}" for i, e in enumerate(gamma) if e)
-            parts.append(f"({c.serialize()}){mono or '1'}t{g}")
-        return "<" + " + ".join(parts) + ">"
 
 
 def reorder_factor(gamma, delta, q: QMatrix) -> CyclotomicScalar:
@@ -236,60 +208,6 @@ def reorder_factor(gamma, delta, q: QMatrix) -> CyclotomicScalar:
                 if di:
                     f = f * q(j, i) ** (gj * di)
     return f
-
-
-def qsym_multiply(a: SkewElement, b: SkewElement, q: QMatrix) -> SkewElement:
-    """Product in S_q(V); both operands must have trivial group part."""
-    out: dict = {}
-    for (ga, gca), ca in a.coeffs.items():
-        if gca != 0:
-            raise ValueError("qsym_multiply expects elements of S_q(V) (group part t_1)")
-        for (gb, gcb), cb in b.coeffs.items():
-            if gcb != 0:
-                raise ValueError("qsym_multiply expects elements of S_q(V) (group part t_1)")
-            key = (tuple(x + y for x, y in zip(ga, gb)), 0)
-            bump(out, key, ca * cb * reorder_factor(ga, gb, q))
-    return a._like(out)
-
-
-def act_monomial(action: GroupAction, q: QMatrix, g: int, gamma) -> dict:
-    """g(v^gamma) expanded and normally ordered in S_q(V); returns a dict
-    mapping exponent tuples to scalars."""
-    n = action.n
-    units = [tuple(int(t == k) for t in range(n)) for k in range(n)]
-    acc: dict = {(0,) * n: ONE}
-    for i, e in enumerate(gamma):
-        for _ in range(e):
-            nxt: dict = {}
-            for gam, c in acc.items():
-                for k, m in action.rows_nz[g][i]:
-                    e_k = units[k]
-                    bump(nxt, tuple(map(add, gam, e_k)), c * m * reorder_factor(gam, e_k, q))
-            acc = nxt
-    return acc
-
-
-def skew_multiply(
-    a: SkewElement, b: SkewElement, action: GroupAction, q: QMatrix, alpha: Cocycle2
-) -> SkewElement:
-    """(x t_g)(y t_h) = alpha(g, h) x . g(y) t_{gh}, normally ordered."""
-    G = action.group
-    out: dict = {}
-    for (ga, g), ca in a.coeffs.items():
-        for (gb, h), cb in b.coeffs.items():
-            scale = ca * cb * alpha(g, h)
-            gh = G.mult[g][h]
-            acted = act_monomial(action, q, g, gb)
-            for gam, c in acted.items():
-                key = (tuple(x + y for x, y in zip(ga, gam)), gh)
-                bump(out, key, scale * c * reorder_factor(ga, gam, q))
-    return a._like(out)
-
-
-def quantum_minor(g: int, action: GroupAction, q: QMatrix, i: int, j: int, k: int, l: int) -> CyclotomicScalar:
-    """ddet_ijkl(g) = g^j_l g^i_k - q(j, i) g^i_l g^j_k (0-based indices)."""
-    m = action.mats[g]
-    return m[j][l] * m[i][k] - q(j, i) * m[i][l] * m[j][k]
 
 
 def check_action_extends(action: GroupAction, q: QMatrix, max_witnesses: int = 5) -> dict:

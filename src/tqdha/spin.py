@@ -158,19 +158,6 @@ def section_u_inverse(sigma: tuple, n: int | None = None) -> CliffordElement:
     return _lift_product(reversed(section_factors(sigma)), n, _inv_sqrt2())
 
 
-def spin_alpha(sigma: tuple, tau: tuple) -> CyclotomicScalar:
-    """alpha(sigma, tau) in {1, -1}: the scalar with
-    u_sigma u_tau = alpha(sigma, tau) u_(sigma tau)."""
-    n = len(sigma)
-    prod = clifford_multiply(section_u(sigma, n), section_u(tau, n))
-    target = section_u(perm_compose(sigma, tau), n)
-    if prod == target:
-        return ONE
-    if prod == target.scale(MINUS_ONE):
-        return MINUS_ONE
-    raise ArithmeticError("u_sigma u_tau is not +-u_(sigma tau); cover model is broken")
-
-
 def _integer_section(sigma: tuple, n: int) -> dict:
     """sqrt(2)^k u_sigma, k = len(section_factors(sigma)): the product of the
     unnormalized lifts e_r - e_s, as a dict blade -> nonzero int, multiplied

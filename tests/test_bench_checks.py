@@ -34,7 +34,9 @@ PERFBENCH = {"correct": True, "failed": 0}
 # entry -> (the argv's tail, paths by base name, sha256 pin, JSON assertions, upper bounds), as
 # the CI workflow's steps had them before they became entries of bench.py.
 # The workflow ran compare_twisted_untwisted.py --max-n 6; --max-n 7 checks
-# n = 4 to 7, a superset.
+# n = 4 to 7, a superset.  ``ci/alpha-table.7`` came later, as an entry,
+# and is the one that expects an exit code other than 0 (``EXIT_CODES``).
+EXIT_CODES = {"ci/alpha-table.7": 3}
 WORKFLOW = {
     "ci/classify-symmetric.6": (
         ["classify-symmetric", "--n", "6"],
@@ -60,6 +62,9 @@ WORKFLOW = {
         ["pbw-check", "s5_twisted.json", "--kappa", "kappa_one_s5.json", "--oracle"], None,
         {"ambiguities_resolvable": True, "ambiguities_checked": 1801210},
         {"wall_s": 8, "peak_rss_mb": 64}),
+    "ci/alpha-table.7": (
+        ["alpha-table", "7"], "df6113c779ef9f867971a88ae864c0cecb2895eb1248e3207b36ddd8f7e0ddb8",
+        {"error": "validation"}, {"wall_s": 1, "peak_rss_mb": 32}),
     "ci/solve.s7": (
         [bench.SOLVER_CHILD], None, {"dimension": 5, "same_space": True},
         {"wall_s": 6, "solve_s": 1, "cohomology_s": 1, "peak_rss_mb": 300}),
@@ -91,8 +96,8 @@ def test_every_workflow_check_is_an_entry_with_its_exact_values(checks):
     for name, (tail, sha256, expect, under) in WORKFLOW.items():
         check = checks[name]
         assert [os.path.basename(a) for a in check.argv[-len(tail):]] == tail, name
-        assert (check.exit_code, check.sha256, check.expect, check.under) == (0, sha256, expect,
-                                                                               under), name
+        assert (check.exit_code, check.sha256, check.expect, check.under) == (
+            EXIT_CODES.get(name, 0), sha256, expect, under), name
     others = {name for name in checks if name not in WORKFLOW}
     assert others and all(name.startswith(("golden/", "digest/")) for name in others)
     assert all(checks[name].sha256 and not checks[name].expect and not checks[name].under
@@ -121,6 +126,8 @@ def _good(check):
      "matches_expected = 1, expected True"),
     ("perfbench/s4-kappa-stream.2", {"failed": 1}, "failed = 1, expected 0"),
     ("selftest", {"exit_code": 1}, "exit code 1, expected 0"),
+    ("ci/alpha-table.7", {"exit_code": 0}, "exit code 0, expected 3"),
+    ("ci/alpha-table.7", {"wall_s": 1.0}, "wall_s = 1.0, bound: under 1"),
     ("golden/check-extension.weyl2", {"sha256": "0" * 64}, f"stdout sha256 {'0' * 64}, expected"),
     ("ci/load_digest", {"sha256": "0" * 64}, "expected 4fb9e48c3a787f89"),
 ])

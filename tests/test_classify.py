@@ -6,9 +6,9 @@ from itertools import combinations
 
 import pytest
 
+from reference import cg_membership
 from tqdha.classify import (
     _family_representatives,
-    cg_membership,
     diagonal_constant_basis,
     diagonal_kappa_basis,
     diagonal_kappa_basis_labeled,

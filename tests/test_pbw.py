@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from reference import exhaustive_rows, normal_form_reduce, quantum_minor, word_letters
 from test_cohomology import _difference_basis_action
 from test_quantum import seeded_q
 from tqdha.groups import (
@@ -22,8 +23,6 @@ from tqdha.pbw import (
     ExtensionError,
     KappaMap,
     check_pbw_conditions,
-    normal_form_reduce,
-    parameter_space_rows,
     same_space,
     solve_parameter_space,
     verify_ambiguities,
@@ -33,7 +32,6 @@ from tqdha.quantum import (
     QMatrix,
     diagonal_action,
     natural_permutation_action,
-    quantum_minor,
 )
 from tqdha.linalg import bump, rows_rank, same_span
 from tqdha.problems import parse_problem_file
@@ -251,7 +249,7 @@ def test_confluence_on_valid_kappa_longer_words():
     kappa = space[0].add(space[-1])
     rnd = random.Random(23)
     letters = [("v", i) for i in range(3)] + [("t", gg) for gg in range(6)]
-    from tqdha.pbw import _apply_rule, _reduce_letter_terms, word_letters
+    from tqdha.pbw import _apply_rule, _reduce_letter_terms
 
     for _ in range(30):
         word = [letters[rnd.randrange(len(letters))] for _ in range(rnd.randint(3, 6))]
@@ -349,8 +347,8 @@ def generator_row_instances():
 def test_generator_rows_give_the_full_group_kernel(name):
     action, q, alpha = next(inst for inst in generator_row_instances() if inst[0] == name)[1:]
     full_action, full_alpha = without_generators(action, alpha)
-    gen_rows = parameter_space_rows(action, q, alpha)
-    full_rows = parameter_space_rows(full_action, q, full_alpha)
+    gen_rows = exhaustive_rows(action, q, alpha)
+    full_rows = exhaustive_rows(full_action, q, full_alpha)
     assert len(gen_rows.rows) < len(full_rows.rows)
     ours = solve_parameter_space(action, q, alpha)
     full = solve_parameter_space(full_action, q, full_alpha, recheck=False)
@@ -369,8 +367,8 @@ def test_group_without_generators_gets_rows_for_every_element():
         return {tag[2] for tag in system.tags if tag[0] == 1}
 
     # the identity fixes every kappa, so it contributes no rows
-    assert condition1_h(parameter_space_rows(bare_act, q, bare_al)) == set(range(1, 6))
-    assert condition1_h(parameter_space_rows(act, q, al)) == set(g.generator_indices)
+    assert condition1_h(exhaustive_rows(bare_act, q, bare_al)) == set(range(1, 6))
+    assert condition1_h(exhaustive_rows(act, q, al)) == set(g.generator_indices)
 
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -411,7 +409,7 @@ def test_condition1_rows_are_the_paper_formula(name):
                          quantum_minor(h, action, q, i, j, k, l) * q(l, k))
                 if row:
                     expected[(1, g, h, i, j)] = row
-    system = parameter_space_rows(action, q, alpha)
+    system = exhaustive_rows(action, q, alpha)
     got = {tag: row for tag, row in zip(system.tags, system.rows) if tag[0] == 1}
     assert got == expected
     if name != "weyl2":
@@ -461,7 +459,7 @@ def test_condition2_rows_are_the_paper_formula(name):
                      -q(j, i) * (q(k, j) * q(k, i) * m[k][t] - delta(k, t)))
                 if row:
                     expected.append(((2, g, i, j, k, t), list(row.items())))
-    system = parameter_space_rows(action, q, alpha)
+    system = exhaustive_rows(action, q, alpha)
     got = [(tag, list(row.items())) for tag, row in zip(system.tags, system.rows) if tag[0] == 2]
     assert got == expected
     if n >= 3:

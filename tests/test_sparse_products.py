@@ -8,10 +8,9 @@ are affine in kappa; see the ``pbw`` module docstring).  Both evaluate in row or
 word order and stop once the report is settled: the witness list is full and
 each flag has a failing row (the checker), or they hold max(limit, 1)
 witnesses (the oracle).  The references evaluate every row of the
-exhaustive ``condition_system``, and reduce both
-sides of every overlap word with the public ``normal_form_reduce``, and must
-give the same reports: verdicts, counts, and witnesses and violations in the
-same order.  The kappas are dense, sparse and single-coordinate, in and off
+exhaustive ``reference.condition_system``, and reduce both sides of every
+overlap word with ``reference.normal_form_reduce``, and must give the same
+reports: verdicts, counts, and witnesses and violations in the same order.  The kappas are dense, sparse and single-coordinate, in and off
 the parameter space, and ones that fail only condition (1) or only condition
 (2), so that one condition is settled by a failing row while the other must
 read all of its rows; each report is compared at four witness limits,
@@ -24,6 +23,7 @@ from itertools import combinations, product
 
 import pytest
 
+from reference import condition_system, normal_form_reduce
 from test_oracle_generators import planted_action, planted_cocycle
 from test_orbit_solver import bundled, random_kappa
 from test_pbw import cyclotomic_diagonal_instance, s3_instance
@@ -36,8 +36,6 @@ from tqdha.pbw import (
     FAMILIES,
     KappaMap,
     check_pbw_conditions,
-    condition_system,
-    normal_form_reduce,
     solve_parameter_space,
     verify_ambiguities,
 )

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import spin_alpha
 from tqdha import spin
 from tqdha.groups import CocycleError, perm_from_cycles, symmetric_group, validate_cocycle
 from tqdha.scalars import MINUS_ONE, ONE, rational, sqrt2
@@ -17,7 +18,6 @@ from tqdha.spin import (
     section_factors,
     section_u,
     section_u_inverse,
-    spin_alpha,
     spin_cocycle,
     transposition_lift,
     transposition_lift_recursive,
