@@ -11,7 +11,8 @@ tests/test_golden.py (digest cases included), ``classify-symmetric`` at
 n = 6 and 7 with and without ``--twisted``, the diagonal survey, the loaded
 structures (``scripts/load_digest.py``), the exhaustive rewriting oracle on
 twisted S5, the direct solver against the cohomology route on untwisted S7
-(``SOLVER_CHILD``), the refusal of ``alpha-table 7`` (exit 3),
+(``SOLVER_CHILD``), the refusals of ``pbw-check --oracle`` on twisted S6
+and of ``alpha-table 7`` (exit 3),
 ``compare_twisted_untwisted.py --max-n 7``, five short
 perfbench runs, ``selftest`` and the tier-1 suite with ``--durations=0``.
 
@@ -177,6 +178,23 @@ def entries(scratch: str) -> dict:
                "--oracle"],
         expect={"ambiguities_resolvable": True, "ambiguities_checked": 1801210},
         under={"wall_s": 8, "peak_rss_mb": 64})
+    # the exhaustive oracle on twisted S6 would decide 376,369,220 words,
+    # past pbw.MAX_ORACLE_WORDS, so pbw-check --oracle refuses it after
+    # loading the problem (0.39 s and 26 MB) and before any table; the
+    # problem stays out of problems/, whose every file ci/load_digest pins
+    s6 = {"n": 6, "q": "all:-1", "action": "natural-permutation", "cocycle": "spin(6)",
+          "group": {"permutation_generators": [[2, 1, 3, 4, 5, 6], [2, 3, 4, 5, 6, 1]],
+                    "degree": 6}}
+    problem = os.path.join(scratch, "s6_twisted.json")
+    with open(problem, "w") as f:
+        f.write(json.dumps(s6))
+    kappa = os.path.join(scratch, "kappa_zero.json")
+    with open(kappa, "w") as f:
+        f.write("[]")
+    out["ci/pbw-check.s6_twisted.oracle"] = Check(
+        CLI + ["pbw-check", problem, "--kappa", kappa, "--oracle"], 3,
+        sha256="1730e827032d57c32018fe8fc512051980424ec79b8bedac0cbbe8f231d9abf4",
+        expect={"error": "validation"}, under={"wall_s": 2, "peak_rss_mb": 48})
     # alpha-table 7 is refused before S7 is built: its 25,401,600 values
     # would make a JSON document of several GB (0.37 s and 17 MB to exit 3,
     # 2-core box, Python 3.11)

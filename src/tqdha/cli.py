@@ -3,7 +3,8 @@
 Exit codes: 0 success, 2 usage error (unknown subcommand or bad flags),
 3 validation failure (bad problem file, bad kappa file, failed invariants,
 or a size bound crossed before the work starts, such as ``alpha-table n``
-with its (n!)^2 values past ``groups.MAX_TABLE_VALUES``),
+with its (n!)^2 values past ``groups.MAX_TABLE_VALUES``, or ``pbw-check
+--oracle`` with more overlap words than ``pbw.MAX_ORACLE_WORDS``),
 4 mathematical cross-check mismatch (engines disagree, or selftest failure),
 1 when stdout is closed before the report is written (no traceback).
 Reports go to stdout as JSON and are byte-identical across runs on the same
@@ -22,8 +23,10 @@ from .classify import diagonal_kappa_basis_labeled, symmetric_natural_classify
 from .cohomology import cohomological_parameter_space, constant_cocycle_basis
 from .groups import MAX_TABLE_VALUES, symmetric_group, symmetric_order
 from .pbw import (
+    MAX_ORACLE_WORDS,
     CrossCheckError,
     check_pbw_conditions,
+    overlap_word_count,
     same_space,
     solve_parameter_space,
     verify_ambiguities,
@@ -65,6 +68,11 @@ def cmd_check_extension(args) -> int:
 def cmd_pbw_check(args) -> int:
     prob = parse_problem_file(args.problem)
     kappa = parse_kappa_file(prob, args.kappa)
+    words = overlap_word_count(prob.group, prob.n, exhaustive=True) if args.oracle else 0
+    if words > MAX_ORACLE_WORDS:
+        _emit({"error": "validation", "reason": f"pbw-check --oracle would decide {words} "
+               f"overlap words, past MAX_ORACLE_WORDS = {MAX_ORACLE_WORDS}"})
+        return 3
     out = dict(check_pbw_conditions(kappa, prob.action, prob.q, prob.alpha))
     if args.oracle:
         amb = verify_ambiguities(kappa, prob.action, prob.q, prob.alpha, exhaustive=True)

@@ -20,7 +20,7 @@ from operator import mul, truediv
 from typing import NamedTuple
 
 from .linalg import SparseSum
-from .scalars import MAX_CONDUCTOR, ONE, ZERO, CyclotomicScalar, root_of_unity
+from .scalars import MAX_CONDUCTOR, ONE, CyclotomicScalar, root_of_unity
 
 
 # A group is held as its dense |G| x |G| multiplication table, and the cocycle
@@ -667,9 +667,6 @@ class GroupAlgebraElement(SparseSum):
     @staticmethod
     def zero() -> "GroupAlgebraElement":
         return GroupAlgebraElement({})
-
-    def coefficient(self, g: int) -> CyclotomicScalar:
-        return self.coeffs.get(g, ZERO)
 
     def __repr__(self):
         if not self.coeffs:

@@ -86,12 +86,14 @@ evaluating all of them; a kappa that passes has every one evaluated.
   v_j v_i -> q_ji v_i v_j + kappa(v_j, v_i) writes terms with two variable
   letters fewer and an overlap word has at most three, so it fires at most
   once on any path, never in ttt and ttv, which are decided in closed form
-  (below) and have no columns.  Reduce tvv and vvv with kappa = 0, deferring
-  each firing on a term c head v_j v_i tail as (head, j, i, tail, c).  The
-  work list reduces each term on its own, so reducing the deferred
-  c kappa(v_j, v_i) between head and tail alone gives the same sum: over
-  the events, c sum_g kappa_g(v_j, v_i) NF(head t_g tail), where head t_g
-  tail needs no kappa rule.  With kappa_g(v_j, v_i) = -q_ji x[g, i, j]
+  (below) and have no columns.  So the rewriting engine fires the three
+  rules with kappa = 0 only: its v_j v_i rule writes q_ji v_i v_j and
+  records the firing on a term c head v_j v_i tail as (head, j, i, tail, c),
+  the kappa term it leaves out.  The work list reduces each term on its own,
+  so reducing the deferred c kappa(v_j, v_i) between head and tail alone
+  gives the same sum: over the events, c sum_g kappa_g(v_j, v_i)
+  NF(head t_g tail).  head t_g tail has at most one variable letter, so its
+  reduction records no firing.  With kappa_g(v_j, v_i) = -q_ji x[g, i, j]
   (i < j), left minus right is D_0 + sum_u x_u col_u, the terms of D_0 of
   the word's variable degree and those of the columns two lower, so a word
   resolves exactly when D_0 = 0 and the sum over kappa's coordinates does.
@@ -176,6 +178,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import chain, combinations, product
+from math import comb
 from operator import mul
 from typing import NamedTuple
 
@@ -190,7 +193,7 @@ from .groups import (
 )
 from .linalg import bump, echelon_basis, kernel_basis, same_span
 from .quantum import GroupAction, QMatrix, check_action_extends
-from .scalars import ONE, CyclotomicScalar, parse_scalar
+from .scalars import ONE, parse_scalar
 
 
 class ExtensionError(ValueError):
@@ -217,7 +220,6 @@ class KappaMap:
             if not elt.is_zero():
                 vals[(i, j)] = elt
         self.values = vals
-        self._oriented = None  # both orientations, built on the first lookup
 
     @staticmethod
     def zero(group: FiniteGroup, n: int, q: QMatrix) -> "KappaMap":
@@ -225,16 +227,9 @@ class KappaMap:
 
     def value(self, i: int, j: int) -> GroupAlgebraElement:
         """kappa(v_i, v_j) for any i, j (the reversal rule fills in j < i)."""
-        if self._oriented is None:
-            self._oriented = dict(self.values)
-            for (a, b), elt in self.values.items():
-                self._oriented[(b, a)] = elt.scale(-self.q(b, a))
-        elt = self._oriented.get((i, j))
-        return GroupAlgebraElement.zero() if elt is None else elt
-
-    def component(self, g: int, i: int, j: int) -> CyclotomicScalar:
-        """kappa_g(v_i, v_j)."""
-        return self.value(i, j).coefficient(g)
+        if i > j:
+            return self.value(j, i).scale(-self.q(i, j))
+        return self.values.get((i, j), GroupAlgebraElement.zero())
 
     def is_zero(self) -> bool:
         return not self.values
@@ -278,8 +273,7 @@ class KappaMap:
     def __eq__(self, other):
         if not isinstance(other, KappaMap):
             return NotImplemented
-        keys = set(self.values) | set(other.values)
-        return all(self.value(i, j) == other.value(i, j) for (i, j) in keys)
+        return self.values == other.values  # both keep nonzero entries only
 
     def to_records(self) -> list:
         """Serialization: one record per stored pair, 1-based indices."""
@@ -672,7 +666,8 @@ def solve_parameter_space(
 #     t_g t_h  ->  alpha(g, h) t_{gh}
 #     v_j v_i  ->  q_ji v_i v_j + kappa(v_j, v_i)      (j > i)
 # applied leftmost-outermost.  Irreducible words are ascending variable runs
-# followed by at most one group letter.
+# followed by at most one group letter.  The engine fires them at kappa = 0
+# and records where the kappa term would go (module docstring).
 
 
 def _first_redex(letters, n: int):
@@ -685,31 +680,24 @@ def _first_redex(letters, n: int):
     return None
 
 
-def _apply_rule(letters, p: int, n: int, kappa, action, q, alpha):
-    """Rewrite the pair at position p; returns a list of (coeff, letters)."""
+def _apply_rule(letters, p: int, coeff, n: int, action, q, alpha, events):
+    """Rewrite the pair at position p of the term coeff * letters; returns
+    a list of (rule coefficient, letters).  v_j v_i writes q_ji v_i v_j and
+    appends the firing to events as (head, j, i, tail, coeff)."""
     a, b = letters[p], letters[p + 1]
     head, tail = letters[:p], letters[p + 2 :]
-    out = []
     if a >= n and b >= n:
         g, h = a - n, b - n
-        out.append((alpha(g, h), head + (n + action.group.mult[g][h],) + tail))
-    elif a >= n:
-        g, i = a - n, b
-        for k, c in action.rows_nz[g][i]:
-            out.append((c, head + (k, a) + tail))
-    else:
-        j, i = a, b
-        out.append((q(j, i), head + (i, j) + tail))
-        if kappa is not None:
-            for g, c in kappa.value(j, i).coeffs.items():
-                out.append((c, head + (n + g,) + tail))
-    return out
+        return [(alpha(g, h), head + (n + action.group.mult[g][h],) + tail)]
+    if a >= n:
+        return [(c, head + (k, a) + tail) for k, c in action.rows_nz[a - n][b]]
+    events.append((head, a, b, tail, coeff))
+    return [(q(a, b), head + (b, a) + tail)]
 
 
-def _reduce_letter_terms(terms, n, kappa, action, q, alpha, events=None):
-    """The sum of the normal forms of terms, as {letters: scalar}.  With
-    ``events`` (and kappa None) each firing of the kappa rule on a term
-    c head v_j v_i tail is appended to it as (head, j, i, tail, c)."""
+def _reduce_letter_terms(terms, n, action, q, alpha, events):
+    """The sum of the kappa-free normal forms of terms, as {letters:
+    scalar}; each firing of v_j v_i goes to events (``_apply_rule``)."""
     out: dict = {}
     work = list(terms)
     while work:
@@ -718,12 +706,9 @@ def _reduce_letter_terms(terms, n, kappa, action, q, alpha, events=None):
         if p is None:
             bump(out, letters, coeff)
             continue
-        if letters[p] < n and events is not None:
-            events.append((letters[:p], letters[p], letters[p + 1], letters[p + 2:], coeff))
-        for c, w in _apply_rule(letters, p, n, kappa, action, q, alpha):
-            v = coeff * c
-            if not v.is_zero():
-                work.append((v, w))
+        # each rule coefficient is nonzero, so no product is zero
+        for c, w in _apply_rule(letters, p, coeff, n, action, q, alpha, events):
+            work.append((coeff * c, w))
     return out
 
 
@@ -751,12 +736,26 @@ def _overlap_words(family: str, G: FiniteGroup, n: int, letters):
             yield (k, j, i), ("vvv", k, j, i)
 
 
+# The most overlap words ``pbw-check --oracle`` decides: about 10 s of
+# work at the 1.4-1.8 million words a second the exhaustive oracle decides
+# on twisted S5 (2-core box, Python 3.11).  Twisted S5's 1,801,210 words
+# pass it, twisted S6's 376,369,220 do not.
+MAX_ORACLE_WORDS = 15 * 10 ** 6
+
+
+def overlap_word_count(G: FiniteGroup, n: int, exhaustive: bool) -> int:
+    """The number of words of every family that ``verify_ambiguities``
+    decides, without building one: |G|^2 k + |G| k n + k C(n, 2) + C(n, 3),
+    k the number of last group letters (every element when exhaustive, else
+    the generators, or every element when the group records none)."""
+    k = G.size if exhaustive else len(G.generator_indices or range(G.size))
+    return G.size * G.size * k + G.size * k * n + k * comb(n, 2) + comb(n, 3)
+
+
 def _rewrite_at(word, p, n, action, q, alpha, events):
-    """The kappa-free normal form of word rewritten first at p; kappa rules go to events."""
-    if word[p] < n:
-        events.append((word[:p], word[p], word[p + 1], word[p + 2:], ONE))
-    terms = _apply_rule(word, p, n, None, action, q, alpha)
-    return _reduce_letter_terms(terms, n, None, action, q, alpha, events)
+    """The kappa-free normal form of word rewritten first at p; kappa terms go to events."""
+    terms = _apply_rule(word, p, ONE, n, action, q, alpha, events)
+    return _reduce_letter_terms(terms, n, action, q, alpha, events)
 
 
 def _associativity_failures(words, action, alpha):
@@ -809,7 +808,9 @@ class _OverlapTable:
     column of an unknown (g, i, j), the kappa part of left minus right per
     unit x[g, i, j], is built on its first use: per word it meets, in word
     order, the word number and that word's (letters, scalar) pairs; ttt and
-    ttv defer nothing, so they have none."""
+    ttv defer nothing, so they have none.  Each entry reduces a form
+    head t_g tail, whose reduction records no v_j v_i firing (module
+    docstring), so the events list it passes stays empty."""
 
     def __init__(self, family, action, q, alpha, exhaustive):
         n, G = action.n, action.group
@@ -855,7 +856,7 @@ class _OverlapTable:
                 form = self.forms.get((head, g, tail))
                 if form is None:
                     form = _reduce_letter_terms(
-                        [(ONE, head + (self.n + g,) + tail)], self.n, None, *self.args)
+                        [(ONE, head + (self.n + g,) + tail)], self.n, *self.args, [])
                     self.forms[head, g, tail] = form
                 at_w = entries.setdefault(w, {})
                 for letters, c in form.items():

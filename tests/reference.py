@@ -5,11 +5,13 @@ checker with the direct solver, the rewriting oracle, the cohomology
 pipeline) and nothing the routes do not call.  What the tests need beyond
 that lives here: the skew group algebra S_q(V) #_a G multiplied term by
 term, the twisted group algebra C^alpha G, the quantum minors of the paper's
-condition (1), the exhaustive condition system, the public-format word
-reducer, the diagonal theory's C_g membership and the spin cocycle read off
-one Clifford product at a time.  The exhaustive system is written with the
-package's own per-site writers, which ``test_pbw`` checks against the
-paper's formulas; the others are written from their definitions.
+condition (1), the exhaustive condition system, the word reducer with kappa
+(``rewrite_pair``, ``reduce_terms``, ``normal_form_reduce``), the diagonal
+theory's C_g membership and the spin cocycle read off one Clifford product
+at a time.  The exhaustive system is written with the package's own
+per-site writers, which ``test_pbw`` checks against the paper's formulas;
+the others are written from their definitions, so the word reducer shares
+no code with the package's rewriting engine.
 """
 
 from operator import add
@@ -17,7 +19,7 @@ from operator import add
 from tqdha.cohomology import Cochain
 from tqdha.groups import FiniteGroup, GroupAlgebraElement, class_data, perm_compose
 from tqdha.linalg import SparseSum, bump
-from tqdha.pbw import ConditionSystem, _ConditionSites, _reduce_letter_terms, _require_extension
+from tqdha.pbw import ConditionSystem, _ConditionSites, _require_extension
 from tqdha.quantum import GroupAction, QMatrix, reorder_factor
 from tqdha.scalars import MINUS_ONE, ONE, CyclotomicScalar
 from tqdha.spin import clifford_multiply, section_u
@@ -187,6 +189,40 @@ def word_letters(word, n: int):
     return tuple(out)
 
 
+def rewrite_pair(letters, p: int, kappa, action: GroupAction, q: QMatrix, alpha) -> list:
+    """The word (ints: v_i is i, t_g is n + g) with its letters p and p + 1
+    rewritten by their rule, as (coefficient, letters) pairs:
+        t_g t_h  ->  alpha(g, h) t_(gh)
+        t_g v_i  ->  sum_k g^i_k v_k t_g           (row i of g's dense matrix)
+        v_j v_i  ->  q_ji v_i v_j + kappa(v_j, v_i)   (j > i)."""
+    n, G = action.n, action.group
+    a, b = letters[p], letters[p + 1]
+    head, tail = letters[:p], letters[p + 2:]
+    if a >= n and b >= n:
+        return [(alpha(a - n, b - n), head + (n + G.mult[a - n][b - n],) + tail)]
+    if a >= n:
+        row = action.mats[a - n][b]
+        return [(row[k], head + (k, a) + tail) for k in range(n) if not row[k].is_zero()]
+    return [(q(a, b), head + (b, a) + tail)] + [
+        (c, head + (n + g,) + tail) for g, c in kappa.value(a, b).coeffs.items()]
+
+
+def reduce_terms(terms, kappa, action: GroupAction, q: QMatrix, alpha) -> dict:
+    """The sum of the normal forms of (coefficient, letters) terms, as
+    {letters: scalar}: each term is rewritten at its leftmost pair t x or
+    v_j v_i (j > i) by ``rewrite_pair`` until it has none."""
+    n, out, work = action.n, {}, list(terms)
+    while work:
+        coeff, letters = work.pop()
+        p = next((p for p in range(len(letters) - 1)
+                  if letters[p] >= n or letters[p + 1] < letters[p]), None)
+        if p is None:
+            bump(out, letters, coeff)
+        else:
+            work += [(coeff * c, w) for c, w in rewrite_pair(letters, p, kappa, action, q, alpha)]
+    return out
+
+
 def normal_form_reduce(word, kappa, action: GroupAction, q: QMatrix, alpha):
     """Reduce a word (or list of (coeff, word) pairs) to its normal form.
 
@@ -202,7 +238,7 @@ def normal_form_reduce(word, kappa, action: GroupAction, q: QMatrix, alpha):
     terms = [(c, word_letters(w, n)) for c, w in word]
     out = {}
     # an irreducible word is fixed by its variable exponents and group letter
-    for letters, c in _reduce_letter_terms(terms, n, kappa, action, q, alpha).items():
+    for letters, c in reduce_terms(terms, kappa, action, q, alpha).items():
         gpart = letters[-1] - n if letters and letters[-1] >= n else None
         out[(tuple(letters.count(x) for x in range(n)), gpart)] = c
     return out

@@ -34,9 +34,10 @@ PERFBENCH = {"correct": True, "failed": 0}
 # entry -> (the argv's tail, paths by base name, sha256 pin, JSON assertions, upper bounds), as
 # the CI workflow's steps had them before they became entries of bench.py.
 # The workflow ran compare_twisted_untwisted.py --max-n 6; --max-n 7 checks
-# n = 4 to 7, a superset.  ``ci/alpha-table.7`` came later, as an entry,
-# and is the one that expects an exit code other than 0 (``EXIT_CODES``).
-EXIT_CODES = {"ci/alpha-table.7": 3}
+# n = 4 to 7, a superset.  ``ci/pbw-check.s6_twisted.oracle`` and
+# ``ci/alpha-table.7`` came later, as entries, and are the ones that expect
+# an exit code other than 0 (``EXIT_CODES``).
+EXIT_CODES = {"ci/pbw-check.s6_twisted.oracle": 3, "ci/alpha-table.7": 3}
 WORKFLOW = {
     "ci/classify-symmetric.6": (
         ["classify-symmetric", "--n", "6"],
@@ -62,6 +63,10 @@ WORKFLOW = {
         ["pbw-check", "s5_twisted.json", "--kappa", "kappa_one_s5.json", "--oracle"], None,
         {"ambiguities_resolvable": True, "ambiguities_checked": 1801210},
         {"wall_s": 8, "peak_rss_mb": 64}),
+    "ci/pbw-check.s6_twisted.oracle": (
+        ["pbw-check", "s6_twisted.json", "--kappa", "kappa_zero.json", "--oracle"],
+        "1730e827032d57c32018fe8fc512051980424ec79b8bedac0cbbe8f231d9abf4",
+        {"error": "validation"}, {"wall_s": 2, "peak_rss_mb": 48}),
     "ci/alpha-table.7": (
         ["alpha-table", "7"], "df6113c779ef9f867971a88ae864c0cecb2895eb1248e3207b36ddd8f7e0ddb8",
         {"error": "validation"}, {"wall_s": 1, "peak_rss_mb": 32}),
@@ -126,6 +131,8 @@ def _good(check):
      "matches_expected = 1, expected True"),
     ("perfbench/s4-kappa-stream.2", {"failed": 1}, "failed = 1, expected 0"),
     ("selftest", {"exit_code": 1}, "exit code 1, expected 0"),
+    ("ci/pbw-check.s6_twisted.oracle", {"exit_code": 0}, "exit code 0, expected 3"),
+    ("ci/pbw-check.s6_twisted.oracle", {"wall_s": 2.0}, "wall_s = 2.0, bound: under 2"),
     ("ci/alpha-table.7", {"exit_code": 0}, "exit code 0, expected 3"),
     ("ci/alpha-table.7", {"wall_s": 1.0}, "wall_s = 1.0, bound: under 1"),
     ("golden/check-extension.weyl2", {"sha256": "0" * 64}, f"stdout sha256 {'0' * 64}, expected"),

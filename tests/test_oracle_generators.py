@@ -13,9 +13,17 @@ from collections import Counter
 
 import pytest
 
-from test_orbit_solver import LEMMA_CASES, bundled, random_kappa
+from test_orbit_solver import BUNDLED, LEMMA_CASES, bundled, random_kappa
+from test_pbw import without_generators
 from tqdha.groups import GroupAlgebraElement, cocycle_from_values
-from tqdha.pbw import FAMILIES, KappaMap, solve_parameter_space, verify_ambiguities
+from tqdha.pbw import (
+    FAMILIES,
+    KappaMap,
+    _overlap_words,
+    overlap_word_count,
+    solve_parameter_space,
+    verify_ambiguities,
+)
 from tqdha.quantum import GroupAction
 from tqdha.scalars import MINUS_ONE, rational
 
@@ -125,3 +133,22 @@ def test_unknown_family_names_are_refused():
     assert once["checked"] > 0
     assert verify_ambiguities(zero, action, q, alpha, families=None) == verify_ambiguities(
         zero, action, q, alpha, families=FAMILIES)
+
+
+@pytest.mark.parametrize("name", BUNDLED + ["S3 without generators"])
+def test_overlap_word_count_is_the_number_of_words_written(name):
+    """The closed form ``pbw-check --oracle`` checks its budget with, against
+    counting the words of every family, at generators and exhaustively; a
+    group that records no generators writes every element both ways."""
+    if name == "S3 without generators":
+        action, _ = without_generators(*CASES["S3 q=-1"]()[::2])
+    else:
+        action = bundled(name)[0]
+    G, n = action.group, action.n
+    counts = []
+    for exhaustive in (False, True):
+        letters = range(G.size) if exhaustive else G.generator_indices or range(G.size)
+        words = sum(1 for family in FAMILIES for _ in _overlap_words(family, G, n, letters))
+        assert overlap_word_count(G, n, exhaustive) == words, exhaustive
+        counts.append(words)
+    assert (counts[0] == counts[1]) == (not G.generator_indices), counts

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tqdha import cohomology, groups, pbw, problems
+from tqdha import cli, cohomology, groups, pbw, problems
 from tqdha.cli import run_command
 from tqdha.groups import symmetric_group
 from tqdha.problems import ProblemValidationError, load_problem, parse_problem_file
@@ -159,6 +159,26 @@ def test_cli_emitted_kappa_feeds_back_into_pbw_check(tmp_path):
         assert code2 == 0
         rep2 = json.loads(out2)
         assert rep2["passed"] and rep2["ambiguities_resolvable"]
+
+
+def test_cli_oracle_past_its_word_budget_exits_3_before_any_work(tmp_path, monkeypatch):
+    # twisted S6: 376,369,220 overlap words to decide exhaustively, past the
+    # budget that twisted S5's 1,801,210 pass; neither route may start
+    problem = tmp_path / "s6_twisted.json"
+    problem.write_text(json.dumps({
+        "n": 6, "q": "all:-1", "action": "natural-permutation", "cocycle": "spin(6)",
+        "group": {"permutation_generators": [[2, 1, 3, 4, 5, 6], [2, 3, 4, 5, 6, 1]],
+                  "degree": 6}}))
+    kappa = tmp_path / "zero.json"
+    kappa.write_text("[]")
+    for name in ("check_pbw_conditions", "verify_ambiguities"):
+        monkeypatch.setattr(cli, name, lambda *args, **kwargs: pytest.fail("work started"))
+    code, out, _ = run(["pbw-check", str(problem), "--kappa", str(kappa), "--oracle"])
+    assert code == 3
+    assert json.loads(out) == {"error": "validation", "reason": (
+        "pbw-check --oracle would decide 376369220 overlap words, "
+        f"past MAX_ORACLE_WORDS = {pbw.MAX_ORACLE_WORDS}")}
+    assert pbw.overlap_word_count(symmetric_group(5), 5, True) == 1801210 <= pbw.MAX_ORACLE_WORDS
 
 
 def test_generator_matrix_action_in_problem_file(tmp_path):

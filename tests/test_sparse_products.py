@@ -9,7 +9,8 @@ word order and stop once the report is settled: the witness list is full and
 each flag has a failing row (the checker), or they hold max(limit, 1)
 witnesses (the oracle).  The references evaluate every row of the
 exhaustive ``reference.condition_system``, and reduce both sides of every
-overlap word with ``reference.normal_form_reduce``, and must give the same
+overlap word with ``reference.reduce_terms``, which shares no code with the
+package's rewriting engine, and must give the same
 reports: verdicts, counts, and witnesses and violations in the same order.  The kappas are dense, sparse and single-coordinate, in and off
 the parameter space, and ones that fail only condition (1) or only condition
 (2), so that one condition is settled by a failing row while the other must
@@ -18,14 +19,16 @@ including 0, where a report lists nothing but must still say whether kappa
 fails.
 """
 
+import inspect
 import random
 from itertools import combinations, product
 
 import pytest
 
-from reference import condition_system, normal_form_reduce
+import reference
+from reference import condition_system, reduce_terms, rewrite_pair, word_letters
 from test_oracle_generators import planted_action, planted_cocycle
-from test_orbit_solver import bundled, random_kappa
+from test_orbit_solver import BUNDLED, bundled, instance, random_kappa
 from test_pbw import cyclotomic_diagonal_instance, s3_instance
 from tqdha import pbw
 from tqdha.classify import kappa_one, symmetric_instance
@@ -109,24 +112,6 @@ def overlap_words(family, G, n, letters):
             yield [("v", k), ("v", j), ("v", i)], ("vvv", k, j, i)
 
 
-def rewrite_pair(word, p, kappa, action, q, alpha):
-    """The word with its letters p and p + 1 rewritten by their rule, as
-    (coefficient, word) pairs."""
-    G = action.group
-    (a, x), (b, y) = word[p], word[p + 1]
-    head, tail = word[:p], word[p + 2:]
-    if a == "t" and b == "t":
-        return [(alpha(x, y), head + [("t", G.mult[x][y])] + tail)]
-    if a == "t":
-        row = action.mats[x][y]
-        return [(row[k], head + [("v", k), ("t", x)] + tail)
-                for k in range(action.n) if not row[k].is_zero()]
-    out = [(q(x, y), head + [("v", y), ("v", x)] + tail)]
-    for g, c in kappa.value(x, y).coeffs.items():
-        out.append((c, head + [("t", g)] + tail))
-    return out
-
-
 def reference_oracle(kappa, action, q, alpha, families, exhaustive):
     G, n = action.group, action.n
     letters = range(G.size) if exhaustive else G.generator_indices or range(G.size)
@@ -137,8 +122,8 @@ def reference_oracle(kappa, action, q, alpha, families, exhaustive):
         for word, tag in overlap_words(family, G, n, letters):
             checked += 1
             left, right = (
-                normal_form_reduce(rewrite_pair(word, p, kappa, action, q, alpha),
-                                   kappa, action, q, alpha)
+                reduce_terms(rewrite_pair(word_letters(word, n), p, kappa, action, q, alpha),
+                             kappa, action, q, alpha)
                 for p in (0, 1))
             if left != right:
                 witnesses.append(tag)
@@ -224,6 +209,52 @@ def test_closed_form_tables_equal_reducing_every_word(name):
             checked, list(failures.items()), set(failures), {}), (kind, family, exhaustive)
         planted = {"planted cocycle": "ttt", "planted action": "ttv"}.get(kind)
         assert bool(failures) == (family == planted), (kind, family, exhaustive)
+
+
+ENGINE = ("_first_redex", "_apply_rule", "_reduce_letter_terms", "_rewrite_at")
+
+
+def test_the_engine_takes_no_kappa_and_the_reference_reducer_none_of_it():
+    """The package's rewriting engine fires the kappa-free rules only; the
+    kappa rule the tests reduce with is ``reference.rewrite_pair``'s."""
+    assert [f for f in ENGINE if "kappa" in inspect.signature(getattr(pbw, f)).parameters] == []
+    assert [f for f in ENGINE if hasattr(reference, f)] == []
+    action, q, _ = bundled("s3_natural_qminus")
+    kappa = KappaMap(action.group, 3, q, {(0, 1): GroupAlgebraElement({1: rational(2)})})
+    # q = -1: kappa(v_1, v_0) = -q_10 kappa(v_0, v_1), read from the stored pair
+    assert kappa.value(1, 0) == kappa.value(0, 1) == GroupAlgebraElement({1: rational(2)})
+    assert not hasattr(KappaMap, "component") and not hasattr(kappa, "_oriented")
+
+
+@pytest.mark.parametrize("name", BUNDLED + [f"cyclotomic seed 1 #{k}" for k in range(3)])
+def test_no_kappa_firing_on_a_column_form(name, monkeypatch):
+    """A column entry reduces a form head t_g tail, which has at most one
+    variable letter (the ``pbw`` module docstring), so the engine records no
+    v_j v_i firing on it: every events list ``column`` passes stays empty.
+    The exhaustive tables are read up to |G| = 36: at S5 the 28,800 forms
+    t_h t_g of exhaustive tvv take 1.5 s, and have the shapes of the forms
+    at generators."""
+    action, q, alpha = instance(name)
+    passed = []
+    real = pbw._reduce_letter_terms
+
+    def recording(terms, n, action, q, alpha, events):
+        out = real(terms, n, action, q, alpha, events)
+        passed.append(list(events))
+        return out
+
+    kinds = (False, True) if action.group.size <= 36 else (False,)
+    for family, exhaustive in product(("tvv", "vvv"), kinds):
+        table = pbw._OverlapTable(family, action, q, alpha, exhaustive)
+        monkeypatch.setattr(pbw, "_reduce_letter_terms", recording)
+        del passed[:]
+        for (i, j) in table.deferred:
+            for g in range(action.group.size):
+                table.column(g, i, j)
+        monkeypatch.undo()
+        assert len(passed) == len(table.forms), (family, exhaustive)
+        assert not any(passed), (family, exhaustive)
+        assert table.forms or family == "vvv" and action.n < 3, (family, exhaustive)
 
 
 # -- the checker --------------------------------------------------------------
