@@ -42,8 +42,8 @@ from .groups import (
     validate_cocycle,
 )
 from .pbw import KappaMap, check_pbw_conditions, same_space, solve_parameter_space, verify_ambiguities
-from .quantum import GroupAction, QMatrix, diagonal_action
-from .scalars import MINUS_ONE, ONE, ZERO, rational
+from .quantum import QMatrix, diagonal_action
+from .scalars import MINUS_ONE, ONE, rational
 from .spin import verify_cover
 
 
@@ -54,8 +54,7 @@ def _classification(n: int, twisted: bool) -> dict:
 
 def _trivial_instance(n: int):
     group = trivial_group()
-    ident = [[ONE if i == k else ZERO for k in range(n)] for i in range(n)]
-    action = GroupAction(group, [ident], validate=False)
+    action = diagonal_action(group, [[ONE] * n])
     return group, action, QMatrix.uniform(n, 1), trivial_cocycle(group)
 
 

@@ -287,17 +287,34 @@ def _induced(fixed: dict, action: GroupAction, alpha: Cocycle2, n: int) -> dict:
     return {pair: GroupAlgebraElement(coeffs).scale(scale) for pair, coeffs in acc.items()}
 
 
+@lru_cache(maxsize=8)
+def _columns(action: GroupAction) -> dict:
+    """g -> the sparse columns of g's matrix, filled by ``_act`` for the
+    elements it meets: column k lists the (i, M[g][i][k]) with
+    M[g][i][k] != 0, i ascending, read off the rows ``action.rows_nz[g]``."""
+    return {}
+
+
 def _act(acc: dict, h: int, form: dict, action: GroupAction, alpha: Cocycle2,
          diagonal: bool = True) -> None:
     """Add T_h(form) into acc, where form and acc map ordered pairs (k, l)
     to the coefficients {g: c} of sum_g c t_g, and T_h(f)(v_i, v_j) =
     t_h f(h^-1 v_i, h^-1 v_j) t_h^-1: the term of f at (k, l) reaches each
-    (i, j) whose h^-1(v_i) and h^-1(v_j) have a v_k and a v_l component.
-    Without ``diagonal`` the pairs i = j are left out.  T_1 is the
-    identity (1 acts by the identity matrix, and alpha(1, g) = alpha(g, 1)
-    for any 2-cocycle), so h = 1 adds the form itself, with no product."""
-    G = action.group
-    cols = action.cols_nz[G.inv[h]]
+    (i, j) whose h^-1(v_i) and h^-1(v_j) have a v_k and a v_l component,
+    that is each i and j in columns k and l of h^-1's matrix.  Those
+    columns are the rows of h^-1 transposed, once per action and element
+    (``_columns``).  Without ``diagonal`` the pairs i = j are left out.
+    T_1 is the identity (1 acts by the identity matrix, and alpha(1, g) =
+    alpha(g, 1) for any 2-cocycle), so h = 1 adds the form itself, with no
+    product."""
+    G, inv = action.group, action.group.inv[h]
+    cache = _columns(action)
+    cols = cache.get(inv)
+    if cols is None:
+        cols = cache[inv] = [[] for _ in range(action.n)]
+        for i, row in enumerate(action.rows_nz[inv]):
+            for k, x in row:
+                cols[k].append((i, x))
     for (k, l), coeffs in form.items():
         if not coeffs:  # cancelled to zero: no product aik * ajl is needed
             continue

@@ -1,13 +1,16 @@
 """The quantum symmetric algebra S_q(V) and linear group actions on it: the
-parameter matrix q, the action matrices and the check that an action
-extends to S_q(V) and to Lambda_q(V).  The twisted skew group algebra
+parameter matrix q, the actions, each held as the sparse rows of its
+matrices, and the check that an action extends to S_q(V) and to
+Lambda_q(V).  The twisted skew group algebra
 S_q(V) #_a G itself is multiplied only in the tests (``tests/reference.py``).
 
 Conventions.  Variables are 0-based.  A monomial exponent is a tuple gamma of
 n nonnegative integers standing for v_0^g0 ... v_{n-1}^g(n-1); normally
 ordered monomials v^gamma t_g form the canonical basis of the skew algebra.
 Action matrices follow the row convention g(v_i) = sum_k M[g][i][k] v_k, so
-matrices compose as M[gh] = M[h] . M[g].
+matrices compose as M[gh] = M[h] . M[g].  ``GroupAction`` holds row i of
+M[g] as the pairs (k, M[g][i][k]) of its nonzero entries, and every reader
+takes the action from these rows.
 """
 
 from __future__ import annotations
@@ -70,31 +73,41 @@ def _nonzero(entries) -> tuple:
     return tuple((k, x) for k, x in enumerate(entries) if not x.is_zero())
 
 
-class GroupAction:
-    """A linear action of a finite group on V, one n x n matrix per element."""
+def _row_times(row, rows) -> dict:
+    """Row i of M . N as {l: entry}, from row i of M and the sparse rows of
+    N: the sum of M[i][k] times row k of N, with no zero kept
+    (``linalg.bump``).  A product of two nonzero scalars is nonzero, and the
+    terms of each entry are added in the order of k, as in the dense sum."""
+    acc: dict = {}
+    for k, x in row:
+        for l, y in rows[k]:
+            bump(acc, l, x * y)
+    return acc
 
-    def __init__(self, group: FiniteGroup, matrices, validate: bool = True):
+
+class GroupAction:
+    """A linear action of a finite group on V, held as the sparse rows of
+    each element's matrix: ``rows_nz[g][i]`` lists the (k, M[g][i][k]) with
+    M[g][i][k] != 0, k ascending, so g(v_i) = sum of M[g][i][k] v_k.  That is
+    the only form held; a reader that wants columns builds them from rows.
+    The rows are checked on construction: their shapes and entry types,
+    that the identity acts as the identity matrix, and the composition law
+    on the generators."""
+
+    def __init__(self, group: FiniteGroup, rows):
         self.group = group
-        self.mats = tuple(tuple(tuple(row) for row in m) for m in matrices)
-        if len(self.mats) != group.size:
+        self.rows_nz = tuple(tuple(map(tuple, table)) for table in rows)
+        if len(self.rows_nz) != group.size:
             raise ActionError("need one matrix per group element")
-        # shapes and entry types are checked with or without validate: the
-        # sparse rows below read every entry of an n x n matrix
-        self.n = len(self.mats[0])
-        for g, m in enumerate(self.mats):
-            if len(m) != self.n or any(len(row) != self.n for row in m):
-                raise ActionError(f"matrix of element {g} is not {self.n} x {self.n}")
-            if not all(isinstance(x, CyclotomicScalar) for row in m for x in row):
+        self.n = n = len(self.rows_nz[0])
+        for g, table in enumerate(self.rows_nz):
+            if len(table) != n or any(not 0 <= k < n for row in table for k, _ in row):
+                raise ActionError(f"matrix of element {g} is not {n} x {n}")
+            if not all(isinstance(x, CyclotomicScalar) for row in table for _, x in row):
                 raise ActionError(f"matrix of element {g} has an entry that is not a scalar")
-        if validate and any(self.mats[0][i][k] != (ONE if i == k else ZERO)
-                            for i in range(self.n) for k in range(self.n)):
+        if self.rows_nz[0] != tuple(((i, ONE),) for i in range(n)):
             raise ActionError("identity element must act as the identity matrix")
-        # sparse access caches
-        self.rows_nz = tuple(tuple(map(_nonzero, m)) for m in self.mats)
-        self.cols_nz = tuple(tuple(map(_nonzero, zip(*m))) for m in self.mats)
-        if validate:
-            self._validate_composition()
-        self._eigenvalues = None  # built by the first eigenvalue_table call
+        self._validate_composition()
 
     def _validate_composition(self):
         """M[sg] = M[g] . M[s] for every generator s (every element when the
@@ -103,23 +116,17 @@ class GroupAction:
         = M[g] M[xy], so the x that satisfy it are closed under products,
         hence a subgroup, and it is all of G once it holds the generators.
 
-        Row i of M[g] . M[s] is the sum of M[g][i][k] times row k of M[s],
-        so it is summed from the sparse rows ``rows_nz`` with
-        ``linalg.bump``, which keeps no zero, and compared with row i of
-        M[sg] as a dict of its nonzero entries: a product of two nonzero
-        scalars is nonzero, and only products the dense sum has are added.
-        The (s, g) are checked in the same order, so the first failure and
-        its message are those of the dense product."""
+        Row i of M[g] . M[s] is summed by ``_row_times`` and compared with
+        row i of M[sg] as a dict of its nonzero entries, so a zero entry
+        held in a row fails the check.  The (s, g) are checked in the order
+        of the dense product, so the first failure and its message are
+        those of the dense check."""
         G, rows = self.group, self.rows_nz
         for s in G.generator_indices or range(G.size):
             rs = rows[s]
             for g, rg in enumerate(rows):
                 for row, target in zip(rg, rows[G.mult[s][g]]):
-                    acc: dict = {}
-                    for k, x in row:
-                        for l, y in rs[k]:
-                            bump(acc, l, x * y)
-                    if acc != dict(target):
+                    if _row_times(row, rs) != dict(target):
                         raise ActionError(
                             f"matrices violate the composition law at (s={s}, g={g})"
                         )
@@ -128,66 +135,56 @@ class GroupAction:
         return all(k == i for rows in self.rows_nz for i, row in enumerate(rows) for k, _ in row)
 
     def eigenvalue_table(self):
-        """lambda[g][i] with g(v_i) = lambda[g][i] v_i, for diagonal actions."""
-        if self._eigenvalues is None:
-            if not self.is_diagonal():
-                raise ActionError("action is not diagonal on the chosen basis")
-            self._eigenvalues = tuple(tuple(m[i][i] for i in range(self.n)) for m in self.mats)
-        return self._eigenvalues
+        """lambda[g][i] with g(v_i) = lambda[g][i] v_i, for diagonal actions:
+        the one entry of each row (an action's matrices are invertible, so
+        no row is empty)."""
+        if not self.is_diagonal():
+            raise ActionError("action is not diagonal on the chosen basis")
+        return tuple(tuple(x for ((_, x),) in rows) for rows in self.rows_nz)
 
 
 def natural_permutation_action(group: FiniteGroup) -> GroupAction:
-    """sigma(v_i) = v_sigma(i) for a permutation group."""
+    """sigma(v_i) = v_sigma(i) for a permutation group: row i of sigma is
+    the one entry (sigma(i), 1), and the n rows (k, 1) are shared by every
+    element."""
     if group.perms is None:
         raise ActionError("group carries no permutation labels")
-    n = len(group.perms[0])
-    mats = []
-    for p in group.perms:
-        m = [[ZERO] * n for _ in range(n)]
-        for i in range(n):
-            m[i][p[i]] = ONE
-        mats.append(m)
-    return GroupAction(group, mats, validate=False)
+    units = [((k, ONE),) for k in range(len(group.perms[0]))]
+    return GroupAction(group, [tuple(map(units.__getitem__, p)) for p in group.perms])
 
 
 def diagonal_action(group: FiniteGroup, lam) -> GroupAction:
-    """Action with common eigenvectors: g(v_i) = lam[g][i] v_i.  For
-    diagonal matrices the composition law that ``GroupAction`` checks on
-    generators is the character property lam[sg][i] = lam[s][i] lam[g][i];
-    each sparse row holds the one entry lam[g][i], so the check takes one
-    product per (s, g, i)."""
-    n = len(lam[0])
-    mats = []
-    for row in lam:
-        m = [[ZERO] * n for _ in range(n)]
-        for i in range(n):
-            m[i][i] = row[i]
-        mats.append(m)
-    return GroupAction(group, mats)
+    """Action with common eigenvectors: g(v_i) = lam[g][i] v_i, row i of g
+    the one entry (i, lam[g][i]), or none where lam[g][i] = 0.  For diagonal
+    matrices the composition law that ``GroupAction`` checks on generators
+    is the character property lam[sg][i] = lam[s][i] lam[g][i], one product
+    per (s, g, i); a zero eigenvalue fails it."""
+    return GroupAction(group, [[((i, x),) if x is not ZERO else () for i, x in enumerate(row)]
+                               for row in lam])
 
 
 def action_from_generator_matrices(group: FiniteGroup, gen_matrices, n: int) -> GroupAction:
     """Extend n x n matrices given on the group's generators to all elements
     by M[sg] = M[g] . M[s] along the walk from the identity, check that each
     generator (also one listed twice, or the identity) got the matrix given
-    for it, and validate the composition law."""
+    for it, and validate the composition law.  The matrices are read into
+    sparse rows once, and each product is taken on rows (``_row_times``)."""
     gens = group.generator_indices
     if len(gens) != len(gen_matrices):
         raise ActionError(
             f"group has {len(gens)} generators but {len(gen_matrices)} matrices were given"
         )
-    mats: list = [None] * group.size
-    mats[0] = [[ONE if i == k else ZERO for k in range(n)] for i in range(n)]
+    given = [tuple(map(_nonzero, m)) for m in gen_matrices]
+    rows: list = [None] * group.size
+    rows[0] = tuple(((i, ONE),) for i in range(n))
     for g, k, sg in _walk([group.mult[s] for s in gens]):
-        mg, ms = mats[g], gen_matrices[k]
-        mats[sg] = [[sum((mg[i][j] * ms[j][l] for j in range(n)), ZERO) for l in range(n)]
-                    for i in range(n)]
-    if any(m is None for m in mats):
+        rows[sg] = tuple(tuple(sorted(_row_times(row, given[k]).items())) for row in rows[g])
+    if any(r is None for r in rows):
         raise ActionError("generators do not generate the whole group")
-    for k, (s, m) in enumerate(zip(gens, gen_matrices)):
-        if mats[s] != [list(row) for row in m]:
+    for k, (s, r) in enumerate(zip(gens, given)):
+        if rows[s] != r:
             raise ActionError(f"element {s} (generator {k}) is given conflicting matrices")
-    return GroupAction(group, mats, validate=True)
+    return GroupAction(group, rows)
 
 
 # ---------------------------------------------------------------------------

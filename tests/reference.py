@@ -3,7 +3,8 @@
 The package ships the routes that decide the PBW property (the condition
 checker with the direct solver, the rewriting oracle, the cohomology
 pipeline) and nothing the routes do not call.  What the tests need beyond
-that lives here: the skew group algebra S_q(V) #_a G multiplied term by
+that lives here: an action's matrices in dense form and back (``dense``,
+``sparse_rows``), the skew group algebra S_q(V) #_a G multiplied term by
 term, the twisted group algebra C^alpha G, the quantum minors of the paper's
 condition (1), the exhaustive condition system, the word reducer with kappa
 (``rewrite_pair``, ``reduce_terms``, ``normal_form_reduce``), the diagonal
@@ -21,8 +22,30 @@ from tqdha.groups import FiniteGroup, GroupAlgebraElement, class_data, perm_comp
 from tqdha.linalg import SparseSum, bump
 from tqdha.pbw import ConditionSystem, _ConditionSites, _require_extension
 from tqdha.quantum import GroupAction, QMatrix, reorder_factor
-from tqdha.scalars import MINUS_ONE, ONE, CyclotomicScalar
+from tqdha.scalars import MINUS_ONE, ONE, ZERO, CyclotomicScalar
 from tqdha.spin import clifford_multiply, section_u
+
+# ---------------------------------------------------------------------------
+# an action's matrices, dense
+# ---------------------------------------------------------------------------
+
+
+def dense(action: GroupAction, g: int) -> list:
+    """The n x n matrix of g, read from its sparse rows: the form the dense
+    references index as m[i][k]."""
+    m = [[ZERO] * action.n for _ in range(action.n)]
+    for i, row in enumerate(action.rows_nz[g]):
+        for k, x in row:
+            m[i][k] = x
+    return m
+
+
+def sparse_rows(mats) -> tuple:
+    """The rows ``GroupAction`` takes, from one dense matrix per element: row
+    i of a matrix as the (k, entry) pairs of its nonzero entries."""
+    return tuple(tuple(tuple((k, x) for k, x in enumerate(row) if not x.is_zero()) for row in m)
+                 for m in mats)
+
 
 # ---------------------------------------------------------------------------
 # the skew group algebra S_q(V) #_a G
@@ -106,7 +129,7 @@ def skew_multiply(a: SkewElement, b: SkewElement, action: GroupAction, q: QMatri
 
 def quantum_minor(g: int, action: GroupAction, q: QMatrix, i: int, j: int, k: int, l: int) -> CyclotomicScalar:
     """ddet_ijkl(g) = g^j_l g^i_k - q(j, i) g^i_l g^j_k (0-based indices)."""
-    m = action.mats[g]
+    m = dense(action, g)
     return m[j][l] * m[i][k] - q(j, i) * m[i][l] * m[j][k]
 
 
@@ -201,7 +224,7 @@ def rewrite_pair(letters, p: int, kappa, action: GroupAction, q: QMatrix, alpha)
     if a >= n and b >= n:
         return [(alpha(a - n, b - n), head + (n + G.mult[a - n][b - n],) + tail)]
     if a >= n:
-        row = action.mats[a - n][b]
+        row = dense(action, a - n)[b]
         return [(row[k], head + (k, a) + tail) for k in range(n) if not row[k].is_zero()]
     return [(q(a, b), head + (b, a) + tail)] + [
         (c, head + (n + g,) + tail) for g, c in kappa.value(a, b).coeffs.items()]

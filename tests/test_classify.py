@@ -34,7 +34,6 @@ from tqdha.linalg import rows_rank, same_span
 from tqdha.pbw import KappaMap, check_pbw_conditions, solve_parameter_space
 from tqdha.quantum import (
     ActionError,
-    GroupAction,
     QMatrix,
     diagonal_action,
     natural_permutation_action,
@@ -109,8 +108,7 @@ def test_diagonal_constant_basis_n2_all_pairs():
 
 def test_trivial_group_kappa_basis():
     g = trivial_group()
-    ident = [[ONE if i == k else ZERO for k in range(3)] for i in range(3)]
-    act = GroupAction(g, [ident], validate=False)
+    act = diagonal_action(g, [[ONE] * 3])
     q = QMatrix.uniform(3, 1)
     labeled = diagonal_kappa_basis_labeled(act, q, trivial_cocycle(g))
     assert [(lab[1], lab[2]) for lab, _ in labeled] == [(0, 1), (0, 2), (1, 2)]

@@ -12,9 +12,11 @@ from reference import (
     SkewElement,
     conjugacy_classes,
     constant_two,
+    dense,
     normal_form_reduce,
     qsym_multiply,
     skew_multiply,
+    sparse_rows,
     tga_inverse_of_basis,
     tga_multiply,
 )
@@ -47,14 +49,13 @@ from tqdha.quantum import (
     diagonal_action,
     natural_permutation_action,
 )
-from tqdha.scalars import MINUS_ONE, ONE, ZERO, rational, root_of_unity
+from tqdha.scalars import MINUS_ONE, ONE, rational, root_of_unity
 from tqdha.spin import spin_cocycle
 
 
 def trivial_instance(n, qval=1):
     g = trivial_group()
-    ident = [[ONE if i == k else ZERO for k in range(n)] for i in range(n)]
-    return GroupAction(g, [ident], validate=False), QMatrix.uniform(n, qval), trivial_cocycle(g)
+    return diagonal_action(g, [[ONE] * n]), QMatrix.uniform(n, qval), trivial_cocycle(g)
 
 
 def test_d1_star_of_unit_is_zero():
@@ -110,8 +111,8 @@ def _literal_dm_star(x, action, q):
                     left = left * q(s, i) ** beta[s]
                 if s >= i:
                     right = right * q(i, s) ** beta[s]
-            g_vi = SkewElement({(tuple(1 if t == k else 0 for t in range(n)), 0): action.mats[g][i][k]
-                                for k in range(n)})
+            g_vi = SkewElement({(tuple(1 if t == k else 0 for t in range(n)), 0): x
+                                for k, x in enumerate(dense(action, g)[i])})
             value = (qsym_multiply(SkewElement.variable(i, n), a, q).scale(left)
                      - qsym_multiply(a, g_vi, q).scale(right)).scale(sign)
             newbeta = tuple(b + (t == i) for t, b in enumerate(beta))
@@ -240,7 +241,7 @@ def _literal_average(x, action, alpha):
                 continue
             total = GroupAlgebraElement.zero()
             for h in range(G.size):
-                m = action.mats[G.inv[h]]
+                m = dense(action, G.inv[h])
                 value = GroupAlgebraElement.zero()
                 for (k, l), elt in x.values.items():
                     value = value + elt.scale(m[i][k] * m[j][l])
@@ -267,7 +268,7 @@ def _difference_basis_action(group):
             rows.append([sum(u[: i + 1]) for i in range(n - 1)] + [0])
         rows.append([0] * (n - 1) + [1])
         mats.append([[rational(x) for x in row] for row in rows])
-    return GroupAction(group, mats)
+    return GroupAction(group, sparse_rows(mats))
 
 
 def _reference_case(name):

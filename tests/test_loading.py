@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from reference import dense, sparse_rows
 from tqdha.groups import (
     CocycleError,
     GroupConstructionError,
@@ -160,7 +161,7 @@ def monomial_s4():
     for p in G.perms:
         sign = MINUS_ONE if perm_sign(p) else ONE
         mats.append([[sign if p[i] == k else ZERO for k in range(4)] for i in range(4)])
-    return GroupAction(G, mats)
+    return GroupAction(G, sparse_rows(mats))
 
 
 def reflection_s3():
@@ -174,9 +175,10 @@ ACTIONS = {"diagonal": diagonal_z6z6, "monomial-z4z2": monomial_z4z2, "monomial-
 @pytest.mark.parametrize("make", ACTIONS.values(), ids=ACTIONS.keys())
 def test_sparse_composition_check_matches_the_dense_product(make):
     action = make()
-    G, mats = action.group, action.mats
+    G = action.group
+    mats = [dense(action, g) for g in range(G.size)]
     assert dense_first_failure(G, mats) is None
-    GroupAction(G, mats)._validate_composition()
+    assert GroupAction(G, sparse_rows(mats)).rows_nz == action.rows_nz
     rnd = random.Random(3)
     targets = sorted({*G.generator_indices, *rnd.sample(range(1, G.size), min(6, G.size - 1))})
     for g in targets:
@@ -188,7 +190,7 @@ def test_sparse_composition_check_matches_the_dense_product(make):
                 want = dense_first_failure(G, bad)
                 assert want is not None
                 with pytest.raises(ActionError) as err:
-                    GroupAction(G, bad)
+                    GroupAction(G, sparse_rows(bad))
                 assert str(err.value) == (
                     f"matrices violate the composition law at (s={want[0]}, g={want[1]})")
 

@@ -102,8 +102,8 @@ def galois(s, u):
 
 def galois_problem(action, q, alpha, u):
     G, n = action.group, action.n
-    mats = [[[galois(x, u) for x in row] for row in m] for m in action.mats]
-    return (GroupAction(G, mats),
+    rows = [[tuple((k, galois(x, u)) for k, x in row) for row in table] for table in action.rows_nz]
+    return (GroupAction(G, rows),
             QMatrix([[galois(q(i, j), u) for j in range(n)] for i in range(n)]),
             Cocycle2(G, [galois(x, u) for x in alpha.distinct], alpha.index, name=alpha.name))
 

@@ -8,6 +8,7 @@ and fail, and on a cocycle and an action planted wrong away from the
 generators, which both ways must reject.
 """
 
+import copy
 import random
 from collections import Counter
 
@@ -24,7 +25,6 @@ from tqdha.pbw import (
     solve_parameter_space,
     verify_ambiguities,
 )
-from tqdha.quantum import GroupAction
 from tqdha.scalars import MINUS_ONE, rational
 
 CASES = {
@@ -95,12 +95,14 @@ def planted_cocycle(alpha):
 
 
 def planted_action(action):
-    """The action with the matrix of one non-generator negated, built
-    without the load-time check."""
+    """A copy of the action with the matrix of one non-generator negated:
+    its row tuple swapped in after the load-time check."""
     g = non_generators(action.group)[0]
-    mats = [[[-x for x in row] for row in m] if h == g else m
-            for h, m in enumerate(action.mats)]
-    return GroupAction(action.group, mats, validate=False)
+    rows = list(action.rows_nz)
+    rows[g] = tuple(tuple((k, -x) for k, x in row) for row in rows[g])
+    bad = copy.copy(action)
+    bad.rows_nz = tuple(rows)
+    return bad
 
 
 @pytest.mark.parametrize("name", ["S3 q=-1", "S4 twisted", "Klein"])

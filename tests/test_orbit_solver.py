@@ -28,7 +28,7 @@ from collections import Counter
 
 import pytest
 
-from reference import condition_system, conjugacy_classes, constant_two, exhaustive_rows
+from reference import condition_system, conjugacy_classes, constant_two, exhaustive_rows, sparse_rows
 from test_cohomology import _literal_average
 from test_pbw import cyclotomic_diagonal_instance, s3_instance
 import tqdha
@@ -152,7 +152,7 @@ def dihedral_instance():
                            for i in range(2))]
 
     G = group_from_table([[times(x, y) for y in range(8)] for x in range(8)], name="D4")
-    action = GroupAction(G, [[[rational(e) for e in row] for row in m] for m in mats])
+    action = GroupAction(G, sparse_rows([[[rational(e) for e in row] for row in m] for m in mats]))
     return action, QMatrix.uniform(2, 1), trivial_cocycle(G)
 
 
@@ -165,7 +165,7 @@ def instance(name):
         return seeded_cyclotomic(int(name[-1]))
     if name == "trivial":
         G = trivial_group()
-        return GroupAction(G, [[[ONE, ZERO], [ZERO, ONE]]]), QMatrix.uniform(2, 1), trivial_cocycle(G)
+        return diagonal_action(G, [[ONE, ONE]]), QMatrix.uniform(2, 1), trivial_cocycle(G)
     if name.startswith("S"):
         n, kind = int(name[1]), name[3:]
         if kind == "reflection":

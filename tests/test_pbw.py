@@ -7,6 +7,7 @@ import random
 import pytest
 
 from reference import (
+    dense,
     exhaustive_rows,
     normal_form_reduce,
     quantum_minor,
@@ -48,8 +49,7 @@ from tqdha.spin import spin_cocycle
 
 def weyl_instance(n):
     g = trivial_group()
-    ident = [[ONE if i == k else ZERO for k in range(n)] for i in range(n)]
-    return g, GroupAction(g, [ident], validate=False), QMatrix.uniform(n, 1), trivial_cocycle(g)
+    return g, diagonal_action(g, [[ONE] * n]), QMatrix.uniform(n, 1), trivial_cocycle(g)
 
 
 def s3_instance():
@@ -294,7 +294,7 @@ def without_generators(action, alpha):
     so that condition (1) gets rows for every element."""
     G = action.group
     bare = FiniteGroup(G.mult, name=G.name, perms=G.perms, labels=G.labels)
-    return GroupAction(bare, action.mats), Cocycle2(bare, alpha.distinct, alpha.index)
+    return GroupAction(bare, action.rows_nz), Cocycle2(bare, alpha.distinct, alpha.index)
 
 
 def klein_diagonal():
@@ -455,7 +455,7 @@ def test_condition2_rows_are_the_paper_formula(name):
 
     expected = []
     for g in range(G.size):
-        m = action.mats[g]
+        m = dense(action, g)
         for i, j, k in itertools.combinations(range(n), 3):
             for t in range(n):
                 row = {}

@@ -6,7 +6,7 @@ from math import comb
 
 import pytest
 
-from reference import SkewElement, qsym_multiply, quantum_minor, skew_multiply
+from reference import SkewElement, dense, qsym_multiply, quantum_minor, skew_multiply, sparse_rows
 from tqdha.groups import (
     FiniteGroup,
     group_from_cyclic_orders,
@@ -166,7 +166,7 @@ def test_two_action_scalar_consequence():
     rep = check_action_extends(act, q)
     assert rep["symmetric"] and rep["exterior"]
     for g in range(s4.size):
-        m = act.mats[g]
+        m = dense(act, g)
         for i in range(4):
             for j in range(i + 1, 4):
                 for k in range(4):
@@ -180,9 +180,9 @@ def test_two_action_scalar_consequence():
 def test_generator_matrix_extension_consistency():
     s3 = symmetric_group(3)
     nat = natural_permutation_action(s3)
-    gen_mats = [nat.mats[g] for g in s3.generator_indices]
+    gen_mats = [dense(nat, g) for g in s3.generator_indices]
     rebuilt = action_from_generator_matrices(s3, gen_mats, 3)
-    assert rebuilt.mats == nat.mats
+    assert rebuilt.rows_nz == nat.rows_nz
     # inconsistent generator matrices are rejected
     bad = [list(map(list, m)) for m in gen_mats]
     bad[0][0][0] = rational(2)
@@ -200,25 +200,33 @@ def test_identity_element_must_act_as_the_identity_matrix():
         (z2, [[[ONE, MINUS_ONE], [ZERO, ONE]], [[MINUS_ONE, ZERO], [ZERO, ONE]]]),
     ):
         with pytest.raises(ActionError, match="identity element must act as the identity matrix"):
-            GroupAction(group, mats)
+            GroupAction(group, sparse_rows(mats))
 
 
-@pytest.mark.parametrize("validate", [True, False])
-@pytest.mark.parametrize("group, mats, match", [
-    (group_from_cyclic_orders([2]), [], "one matrix per group element"),
-    (group_from_cyclic_orders([2]), [[[ONE, ZERO], [ZERO, ONE]], [[ONE, ZERO], [ZERO]]],
-     r"element 1 is not 2 x 2"),
-    (group_from_cyclic_orders([2]), [[[ONE, ZERO], [ZERO, ONE]], [[ONE, ZERO]]],
-     r"element 1 is not 2 x 2"),
-    (FiniteGroup([[0]]), [[[ONE, ZERO, ZERO], [ZERO, ONE, ZERO]]], r"element 0 is not 2 x 2"),
-    (group_from_cyclic_orders([2]), [[[ONE]], [[-1]]], "entry that is not a scalar"),
-    (FiniteGroup([[0]]), [[[True]]], "entry that is not a scalar"),
-], ids=["no-matrices", "short-row", "too-few-rows", "non-square", "int-entry", "bool-entry"])
-def test_malformed_matrices_are_an_action_error(group, mats, match, validate):
-    """Shapes and entry types are checked before any entry is read, also
-    when the composition law is not validated."""
+Z2, IDENT2 = group_from_cyclic_orders([2]), (((0, ONE),), ((1, ONE),))
+
+
+@pytest.mark.parametrize("group, rows, match", [
+    (Z2, [], "one matrix per group element"),
+    (Z2, [IDENT2] * 3, "one matrix per group element"),
+    (Z2, [IDENT2, (((0, ONE),),)], r"element 1 is not 2 x 2"),
+    (Z2, [IDENT2, IDENT2 + (((0, ONE),),)], r"element 1 is not 2 x 2"),
+    (Z2, [IDENT2, (((0, ONE),), ((2, ONE),))], r"element 1 is not 2 x 2"),
+    (Z2, [IDENT2, (((0, ONE),), ((-1, ONE),))], r"element 1 is not 2 x 2"),
+    (FiniteGroup([[0]]), [(((0, ONE), (2, ZERO)), ((1, ONE),))], r"element 0 is not 2 x 2"),
+    (Z2, [(((0, ONE),),), (((0, -1),),)], "entry that is not a scalar"),
+    (FiniteGroup([[0]]), [(((0, True),),)], "entry that is not a scalar"),
+    (FiniteGroup([[0]]), [(((0, "1/1"),),)], "entry that is not a scalar"),
+    (FiniteGroup([[0]]), [(((0, None),),)], "entry that is not a scalar"),
+    (Z2, [IDENT2, (((0, ONE),), ((1, 1.0),))], "entry that is not a scalar"),
+], ids=["no-matrices", "too-many-matrices", "too-few-rows", "too-many-rows", "column-past-n",
+        "negative-column", "non-square", "int-entry", "bool-entry", "str-entry", "none-entry",
+        "float-entry"])
+def test_malformed_matrices_are_an_action_error(group, rows, match):
+    """Shapes and entry types are checked before the identity and the
+    composition law read any entry."""
     with pytest.raises(ActionError, match=match):
-        GroupAction(group, mats, validate=validate)
+        GroupAction(group, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +301,7 @@ def test_extension_on_generators_matches_every_element():
     for act, q in extension_instances():
         G = act.group
         bare = FiniteGroup(G.mult, name=G.name, perms=G.perms, labels=G.labels)
-        full = check_action_extends(GroupAction(bare, act.mats, validate=False), q)
+        full = check_action_extends(GroupAction(bare, act.rows_nz), q)
         ours = check_action_extends(act, q)
         assert (ours["symmetric"], ours["exterior"]) == (full["symmetric"], full["exterior"])
         witnesses = ours["symmetric_witnesses"] + ours["exterior_witnesses"]
@@ -321,7 +329,7 @@ def dense_extension_report(action, q, max_witnesses):
             report[kind + "_witnesses"].append(witness)
 
     for g in action.group.generator_indices or range(action.group.size):
-        m = action.mats[g]
+        m = dense(action, g)
         for i, j in itertools.combinations(range(n), 2):
             gi, gj = image(m, i), image(m, j)
             if not (qsym_multiply(gi, gj, q) - qsym_multiply(gj, gi, q).scale(q(i, j))).is_zero():
@@ -384,7 +392,7 @@ def test_exterior_relation_listed_once():
     # no witness appears both as (g, i, j, k, l) and as (g, j, i, k, l)
     act = natural_permutation_action(symmetric_group(3))
     q = seeded_q(3, random.Random(1), 6)
-    m = act.mats[2]
+    m = dense(act, 2)
 
     def E(i, j, k, l):
         return (ONE - q(i, j) * q(l, k)) * m[i][k] * m[j][l] + (q(i, j) - q(l, k)) * m[i][l] * m[j][k]
