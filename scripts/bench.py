@@ -24,7 +24,9 @@ to the record's pin, assertions and bounds.  Every run is checked on its
 own, not on a median: a wrong exit code or digest, a failed assertion or a
 crossed bound fails the entry, and the script prints what failed, with the
 value and its limit, and the last lines of that run's stdout and stderr,
-and exits 1.  Runs are bytecode-free (``PYTHONDONTWRITEBYTECODE=1``) and
+and exits 1.  The report also records ``code_lines``, the number of lines
+of the package src/tqdha that hold code (no docstring, comment or blank
+line counts; see ``code_lines``), and that number per module.  Runs are bytecode-free (``PYTHONDONTWRITEBYTECODE=1``) and
 turn warnings into errors (``PYTHONWARNINGS=error``); a tree that holds a
 ``__pycache__`` directory is refused, since cached bytecode makes every
 start-up faster and the numbers incomparable.  From the repository root:
@@ -35,7 +37,9 @@ start-up faster and the numbers incomparable.  From the repository root:
 from __future__ import annotations
 
 import argparse
+import ast
 import hashlib
+import io
 import json
 import os
 import platform
@@ -43,6 +47,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import tokenize
 from typing import NamedTuple
 
 sys.dont_write_bytecode = True
@@ -283,6 +288,42 @@ def run_once(check: Check, env) -> tuple:
     return run, _tail("stdout", out) + "\n" + _tail("stderr", err)
 
 
+# the tokens that hold no code: comments, line breaks and indentation
+LAYOUT_TOKENS = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+                 tokenize.DEDENT, tokenize.ENDMARKER}
+
+
+def code_lines(source: str) -> int:
+    """The number of lines of the Python source that hold code: the lines
+    met by a token other than a comment, a line break or an indentation
+    change, less the lines of docstrings (a string that is the first
+    statement of a module, class or function).  Blank and comment lines
+    hold no such token."""
+    docstrings = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)):
+                docstrings.update(range(first.lineno, first.end_lineno + 1))
+    lines = set()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type not in LAYOUT_TOKENS:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines - docstrings)
+
+
+def package_code_lines() -> dict:
+    """``code_lines`` of each module of src/tqdha, by file name, and their total."""
+    package = os.path.join(ROOT, "src", "tqdha")
+    modules = {}
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as f:
+                modules[name] = code_lines(f.read())
+    return {"total": sum(modules.values()), "modules": modules}
+
+
 def spread(values) -> dict:
     return {"median": statistics.median(values), "min": min(values), "max": max(values)}
 
@@ -321,8 +362,11 @@ def main(argv=None) -> int:
         print(f"refusing a tree with cached bytecode: {', '.join(cached[:5])}", file=sys.stderr)
         return 2
     env = child_env()
+    lines = package_code_lines()
     report = {
         "revision": git_revision(),
+        "code_lines": lines["total"],
+        "code_lines_by_module": lines["modules"],
         "machine": {"nproc": len(os.sched_getaffinity(0)), "python": platform.python_version(),
                     "implementation": platform.python_implementation()},
         "repeat": args.repeat,

@@ -34,7 +34,6 @@ from .cohomology import (
 from .groups import (
     Cocycle2,
     FiniteGroup,
-    GroupAlgebraElement,
     bicharacter_cocycle,
     group_from_cyclic_orders,
     trivial_cocycle,
@@ -155,18 +154,15 @@ def criterion_4(samples: int = 500, seed: int = 0) -> dict:
 
 
 def _random_kappa(rng, group, n, q, density=0.35, bound=2):
-    values = {}
+    coeffs = {}
     for i in range(n):
         for j in range(i + 1, n):
-            coeffs = {}
             for g in range(group.size):
                 if rng.random() < density:
                     c = rng.randint(-bound, bound)
                     if c:
-                        coeffs[g] = rational(c)
-            if coeffs:
-                values[(i, j)] = GroupAlgebraElement(coeffs)
-    return KappaMap(group, n, q, values)
+                        coeffs[g, i, j] = rational(c)
+    return KappaMap(group, n, q, coeffs)
 
 
 def criterion_5(seed: int = 0, per_instance: int = 35) -> dict:
@@ -189,13 +185,12 @@ def criterion_5(seed: int = 0, per_instance: int = 35) -> dict:
             if mode == 0 or not space:
                 kappa = _random_kappa(rng, group, action.n, q)
             elif mode == 1:
-                kappa = KappaMap.zero(group, action.n, q)
+                kappa = KappaMap(group, action.n, q)
                 for b in space:
-                    kappa = kappa.add(b.scale(rational(rng.randint(-2, 2))))
+                    kappa = kappa + b.scale(rational(rng.randint(-2, 2)))
             else:
-                kappa = space[rng.randrange(len(space))].add(
-                    _random_kappa(rng, group, action.n, q, density=0.15, bound=1)
-                )
+                kappa = space[rng.randrange(len(space))] + _random_kappa(
+                    rng, group, action.n, q, density=0.15, bound=1)
             checker = check_pbw_conditions(kappa, action, q, alpha)["passed"]
             oracle = verify_ambiguities(kappa, action, q, alpha)["resolvable"]
             total += 1

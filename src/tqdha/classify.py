@@ -77,8 +77,8 @@ def diagonal_kappa_basis_labeled(action: GroupAction, q: QMatrix, alpha: Cocycle
         coeffs: dict = {}
         for g in data.transversal[a]:
             val = alpha.conj_ratio(g, a) * lam[g][r].inverse() * lam[g][s].inverse()
-            bump(coeffs, G.conjugate(g, a), val)
-        kappa = KappaMap(G, action.n, q, {(r, s): GroupAlgebraElement(coeffs)})
+            bump(coeffs, (G.conjugate(g, a), r, s), val)
+        kappa = KappaMap(G, action.n, q, coeffs)
         out.append(((a, r, s), kappa))
     return out
 
@@ -130,12 +130,12 @@ def _wedge_sum(n: int, rows) -> KappaMap:
     of the wedges v_a* ^ v_b* over the row's (distinct) pairs, g the
     element with the row's cycles."""
     group, index, q = _symmetric_lookup(n)
-    values: dict = {}
+    coeffs: dict = {}
     for _, _, cycles, pairs in rows:
         g = index[perm_from_cycles(n, cycles)]
         for a, b in pairs:
-            bump(values.setdefault((min(a, b), max(a, b)), {}), g, ONE)
-    return KappaMap(group, n, q, {k: GroupAlgebraElement(v) for k, v in values.items()})
+            bump(coeffs, (g, min(a, b), max(a, b)), ONE)
+    return KappaMap(group, n, q, coeffs)
 
 
 def _eta_family_table(n: int) -> list:

@@ -119,9 +119,8 @@ def cmd_constant_cocycles(args) -> int:
     out = []
     for kappa in basis:
         vec = {}
-        for (r, s), elt in kappa.values.items():
-            for g, coeff in elt.coeffs.items():
-                vec.setdefault(str(g), {})[_pair_key(r, s)] = coeff.serialize()
+        for (g, r, s), coeff in kappa.coeffs.items():
+            vec.setdefault(str(g), {})[_pair_key(r, s)] = coeff.serialize()
         out.append(vec)
     _emit({"dimension": len(basis), "kernel_basis": out})
     return 0

@@ -12,7 +12,8 @@ differentials in general.  The d_3* kernels of the constant cochains are
 taken from matrices written straight from that function's per-problem
 terms (``constant_cocycle_basis``), with no cochain built.  A constant
 degree-2 cochain sum c_rs t_g (x) v_r* ^ v_s* (r < s) is held as the kappa
-it pairs to, the ``KappaMap`` with kappa(v_r, v_s) = sum c_rs t_g: that is
+it pairs to, the ``KappaMap`` with kappa(v_r, v_s) = sum c_rs t_g, whose
+coordinate (g, r, s) is c_rs: that is
 the output of ``constant_cocycle_basis`` and the input and output of the
 Reynolds projector.  The twisted G-average of such a map is written once,
 in ``composition_image``: t_h eta(h^-1 v_i, h^-1 v_j) t_h^-1 averaged over
@@ -173,9 +174,7 @@ def constant_cocycle_basis(action: GroupAction, q: QMatrix, elements=None) -> li
                     gam2, minus_right = rights[k]
                     bump(rows.setdefault((gam2, newbeta), {}), col, m * minus_right)
         for vec in kernel_basis(rows.values(), len(pairs)):
-            basis.append(KappaMap(G, n, q, {
-                pair: GroupAlgebraElement({g: c}) for pair, c in zip(pairs, vec)
-            }))
+            basis.append(KappaMap(G, n, q, {(g, *pair): c for pair, c in zip(pairs, vec)}))
     return basis
 
 
@@ -249,9 +248,8 @@ def _at_representatives(eta: KappaMap, action: GroupAction, alpha: Cocycle2) -> 
     class become under T_x, one T_x per transporter x met."""
     data = class_data(action.group)
     by_transporter: dict = {}
-    for pair, elt in eta.values.items():
-        for g, c in elt.coeffs.items():
-            by_transporter.setdefault(data.transporter[g], {}).setdefault(pair, {})[g] = c
+    for (g, i, j), c in eta.coeffs.items():
+        by_transporter.setdefault(data.transporter[g], {}).setdefault((i, j), {})[g] = c
     pulled: dict = {}
     for x, form in by_transporter.items():
         _act(pulled, x, form, action, alpha)
@@ -364,15 +362,19 @@ def reynolds_project(x: KappaMap, action: GroupAction, q: QMatrix, alpha: Cocycl
 
 
 def skew_symmetrize(mu_pairs: dict, q: QMatrix, group, n: int) -> KappaMap:
-    """kappa(v_i, v_j) = mu_1(v_i, v_j) - q_ij mu_1(v_j, v_i) on pairs i < j;
-    the result automatically satisfies the quantum antisymmetry."""
-    values = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            a = mu_pairs.get((i, j), GroupAlgebraElement.zero())
-            b = mu_pairs.get((j, i), GroupAlgebraElement.zero())
-            values[(i, j)] = a + b.scale(-q(i, j))
-    return KappaMap(group, n, q, values)
+    """kappa(v_i, v_j) = mu_1(v_i, v_j) - q_ij mu_1(v_j, v_i) on pairs i < j,
+    mu_1 given on ordered pairs (the diagonal is not read); the result
+    automatically satisfies the quantum antisymmetry."""
+    coeffs: dict = {}
+    for (a, b), elt in mu_pairs.items():
+        if a < b:
+            for g, c in elt.coeffs.items():
+                bump(coeffs, (g, a, b), c)
+        elif a > b:
+            s = -q(b, a)
+            for g, c in elt.coeffs.items():
+                bump(coeffs, (g, b, a), s * c)
+    return KappaMap(group, n, q, coeffs)
 
 
 def cohomological_parameter_space(

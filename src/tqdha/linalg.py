@@ -1,9 +1,10 @@
 """Exact sparse linear algebra over cyclotomic scalars, and the one
 accumulator for sparse sums.
 
-Every sparse sum in the package (group algebra elements, skew elements,
-Koszul cochains, Clifford elements, linear rows) is a dict from keys to
-scalars that never stores a zero coefficient.  ``bump`` is the only place a
+Every sparse sum in the package (group algebra elements, kappa maps by
+their coordinates, Koszul cochains, Clifford elements, linear rows) and the
+tests' skew group algebra elements is a dict from keys to scalars that
+never stores a zero coefficient.  ``bump`` is the only place a
 term is added to such a dict: it adds, and drops the key when the sum
 cancels.  ``SparseSum`` is the common base of the element classes and keeps
 the same invariant for their arithmetic.
@@ -42,7 +43,8 @@ def bump(d: dict, key, val) -> None:
 class SparseSum:
     """A finite sum of keyed terms with scalar coefficients; ``coeffs`` holds
     no zero.  A subclass's own ``__slots__`` name its shape (such as ``n``
-    and ``degree``), which arithmetic copies from the left operand."""
+    and ``degree``): sums and differences take two operands of one class and
+    shape, and every result keeps it."""
 
     __slots__ = ("coeffs",)
 
@@ -61,17 +63,27 @@ class SparseSum:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def __add__(self, other):
+    def _combine(self, other, negate: bool):
+        """self + other, or self - other.  Only a sum of the same class and
+        shape is taken, whose keys are of self's kind: a ``pbw.KappaMap`` of
+        another group or n would bring coordinates that self refuses."""
+        cls = type(self)
+        if type(other) is not cls:
+            return NotImplemented
+        for name in cls.__slots__:
+            if getattr(self, name) != getattr(other, name):
+                raise ValueError(f"a {cls.__name__} combines only with one of the same "
+                                 f"{', '.join(cls.__slots__)}; {name} differs")
         out = dict(self.coeffs)
         for k, c in other.coeffs.items():
-            bump(out, k, c)
+            bump(out, k, -c if negate else c)
         return self._like(out)
 
+    def __add__(self, other):
+        return self._combine(other, False)
+
     def __sub__(self, other):
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            bump(out, k, -c)
-        return self._like(out)
+        return self._combine(other, True)
 
     def scale(self, s: CyclotomicScalar):
         if s.is_zero():

@@ -185,13 +185,12 @@ from typing import NamedTuple
 from .groups import (
     Cocycle2,
     FiniteGroup,
-    GroupAlgebraElement,
     _PairTable,
     centralizer_generators,
     class_data,
     conjugation_walk,
 )
-from .linalg import bump, echelon_basis, kernel_basis, same_span
+from .linalg import SparseSum, bump, echelon_basis, kernel_basis, same_span
 from .quantum import GroupAction, QMatrix, check_action_extends
 from .scalars import ONE, parse_scalar
 
@@ -205,91 +204,48 @@ class CrossCheckError(ArithmeticError):
     """Two independent engines disagree on the same problem."""
 
 
-class KappaMap:
+class KappaMap(SparseSum):
     """A bilinear map kappa: V x V -> C^alpha G with the quantum antisymmetry
-    kappa(v_i, v_j) = -q_ij kappa(v_j, v_i), stored on pairs i < j."""
+    kappa(v_i, v_j) = -q_ij kappa(v_j, v_i), held by its coordinates:
+    ``coeffs[(g, i, j)]`` is the coefficient of t_g in kappa(v_i, v_j) for
+    i < j, with no zero kept.  A key outside range(|G|) x {0 <= i < j < n}
+    is refused.  Sums, ``scale``, equality and ``is_zero`` are
+    ``SparseSum``'s: a sum takes two kappa maps of one group, n and q, and
+    keeps them."""
 
-    def __init__(self, group: FiniteGroup, n: int, q: QMatrix, values=None):
-        self.group = group
-        self.n = n
-        self.q = q
-        vals = {}
-        for (i, j), elt in (values or {}).items():
-            if not (0 <= i < j < n):
-                raise ValueError(f"kappa values must be keyed on pairs i < j, got ({i}, {j})")
-            if not elt.is_zero():
-                vals[(i, j)] = elt
-        self.values = vals
+    __slots__ = ("group", "n", "q")
 
-    @staticmethod
-    def zero(group: FiniteGroup, n: int, q: QMatrix) -> "KappaMap":
-        return KappaMap(group, n, q)
-
-    def value(self, i: int, j: int) -> GroupAlgebraElement:
-        """kappa(v_i, v_j) for any i, j (the reversal rule fills in j < i)."""
-        if i > j:
-            return self.value(j, i).scale(-self.q(i, j))
-        return self.values.get((i, j), GroupAlgebraElement.zero())
-
-    def is_zero(self) -> bool:
-        return not self.values
-
-    def coordinates(self) -> dict:
-        """Sparse coordinates {(g, i, j): scalar} over pairs i < j."""
-        out = {}
-        for (i, j), elt in self.values.items():
-            for g, c in elt.coeffs.items():
-                out[(g, i, j)] = c
-        return out
+    def __init__(self, group: FiniteGroup, n: int, q: QMatrix, coeffs=None):
+        elements = range(group.size)
+        for key in coeffs or ():
+            if not (type(key) is tuple and len(key) == 3 and key[0] in elements
+                    and 0 <= key[1] < key[2] < n):
+                raise ValueError(f"kappa coordinates must be keyed (g, i, j) with g in "
+                                 f"0..{group.size - 1} and 0 <= i < j < {n}, got {key!r}")
+        super().__init__(coeffs)
+        self.group, self.n, self.q = group, n, q
 
     def coordinate_row(self) -> dict:
-        """Same data keyed by a flat integer index (for rank computations)."""
+        """The coordinates keyed by a flat integer index (for rank computations)."""
         npairs = self.n * (self.n - 1) // 2
-        out = {}
-        for (g, i, j), c in self.coordinates().items():
-            out[g * npairs + _pair_index(i, j, self.n)] = c
-        return out
-
-    @staticmethod
-    def from_coordinates(group, n, q, coords) -> "KappaMap":
-        values: dict = {}
-        for (g, i, j), c in coords.items():
-            if c.is_zero():
-                continue
-            values.setdefault((i, j), {})[g] = c
-        return KappaMap(
-            group, n, q, {k: GroupAlgebraElement(v) for k, v in values.items()}
-        )
-
-    def add(self, other: "KappaMap") -> "KappaMap":
-        vals = dict(self.values)
-        for k, elt in other.values.items():
-            vals[k] = vals[k] + elt if k in vals else elt
-        return KappaMap(self.group, self.n, self.q, vals)
-
-    def scale(self, s) -> "KappaMap":
-        return KappaMap(self.group, self.n, self.q, {k: v.scale(s) for k, v in self.values.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, KappaMap):
-            return NotImplemented
-        return self.values == other.values  # both keep nonzero entries only
+        return {g * npairs + _pair_index(i, j, self.n): c for (g, i, j), c in self.coeffs.items()}
 
     def to_records(self) -> list:
-        """Serialization: one record per stored pair, 1-based indices."""
-        recs = []
-        for (i, j) in sorted(self.values):
-            recs.append(
-                {"i": i + 1, "j": j + 1, "coefficients": self.values[(i, j)].serialize()}
-            )
-        return recs
+        """Serialization: one record per pair with a nonzero value, in pair
+        order, 1-based indices."""
+        by_pair: dict = {}
+        for (g, i, j), c in self.coeffs.items():
+            by_pair.setdefault((i, j), {})[g] = c
+        return [{"i": i + 1, "j": j + 1,
+                 "coefficients": {str(g): c.serialize() for g, c in sorted(by_pair[i, j].items())}}
+                for i, j in sorted(by_pair)]
 
     @staticmethod
     def from_records(group, n, q, records) -> "KappaMap":
         # an element's key is its index as str(g) writes it, which int() would
         # also read from " 1", "+1", "01" or "0_1"
         index = {str(g): g for g in range(group.size)}
-        values = {}
+        coeffs, seen = {}, set()
         for rec in records:
             if not (isinstance(rec, dict) and isinstance(rec.get("coefficients"), dict)
                     and type(rec.get("i")) is int and type(rec.get("j")) is int):
@@ -297,16 +253,15 @@ class KappaMap:
             if not 1 <= rec["i"] < rec["j"] <= n:
                 raise ValueError(f"kappa record {rec!r} needs 1 <= i < j <= {n}")
             i, j = rec["i"] - 1, rec["j"] - 1
-            if (i, j) in values:
+            if (i, j) in seen:
                 raise ValueError(f"kappa record {rec!r} repeats the pair ({i + 1}, {j + 1})")
-            coeffs = {}
+            seen.add((i, j))
             for key, s in rec["coefficients"].items():
                 if key not in index:
                     raise ValueError(f"kappa record {rec!r}: {key!r} is not a group element "
                                      f"index 0..{group.size - 1}")
-                coeffs[index[key]] = parse_scalar(s)
-            values[(i, j)] = GroupAlgebraElement(coeffs)
-        return KappaMap(group, n, q, values)
+                coeffs[index[key], i, j] = parse_scalar(s)
+        return KappaMap(group, n, q, coeffs)
 
 
 def same_space(a, b) -> bool:
@@ -560,7 +515,7 @@ def check_pbw_conditions(
     """
     sites = _condition_sites(action, q, alpha)
     G, x = action.group, kappa.coordinate_row()
-    support = {col // sites.npairs for col in x}
+    support = {g for g, _, _ in kappa.coeffs}
     conditions = (
         [(1, s, g) for s in G.generator_indices or range(G.size)
          for g in sorted(support.union(G.conjugate(G.inv[s], c) for c in support))],
@@ -637,13 +592,9 @@ def solve_parameter_space(
     _expand_along_classes(solutions, action, q, alpha)
     vectors = [{g * npairs + p: v for g, xg in x.items() for p, v in xg.items()}
                for x in solutions]
-    basis = []
-    for vec in echelon_basis(vectors):
-        coords = {}
-        for col, c in vec.items():
-            g, p = divmod(col, npairs)
-            coords[(g, *pairs[p])] = c
-        basis.append(KappaMap.from_coordinates(G, n, q, coords))
+    basis = [KappaMap(G, n, q, {(col // npairs, *pairs[col % npairs]): c
+                                for col, c in vec.items()})
+             for vec in echelon_basis(vectors)]
     if recheck:
         for kappa in basis:
             rep = verify_ambiguities(kappa, action, q, alpha, families=RECHECK_FAMILIES)
@@ -918,7 +869,7 @@ def verify_ambiguities(
     unknown = [f for f in families if f not in FAMILIES]
     if unknown:
         raise ValueError(f"unknown overlap families {unknown}; known: {list(FAMILIES)}")
-    checked, witnesses, coords = 0, [], None
+    checked, witnesses = 0, []
     settled = max(max_witnesses, 1)
     for family in [f for f in FAMILIES if f in families]:
         table = _overlap_table(family, action, q, alpha, exhaustive)
@@ -927,8 +878,7 @@ def verify_ambiguities(
             continue
         by_word: dict = {}  # word number -> [(x, that word's entries of x's column)]
         if table.deferred:
-            coords = kappa.coordinates() if coords is None else coords
-            for (g, i, j), x in coords.items():
+            for (g, i, j), x in kappa.coeffs.items():
                 for w, entries in table.column(g, i, j):
                     by_word.setdefault(w, []).append((x, entries))
         for w in sorted(table.fixed.union(by_word)):

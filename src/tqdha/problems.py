@@ -327,9 +327,8 @@ def parse_kappa_file(prob: ProblemSpec, path: str) -> KappaMap:
             raise ValueError('need a list of records, or an object with one under "kappa"')
         kappa = KappaMap.from_records(prob.group, prob.n, prob.q, records)
         read = _ScalarReader(prob.conductor)
-        for (i, j), elt in kappa.values.items():
-            for g, c in elt.coeffs.items():
-                read.admit(f"kappa record i={i + 1}, j={j + 1}, element {g}", c)
+        for (g, i, j), c in kappa.coeffs.items():
+            read.admit(f"kappa record i={i + 1}, j={j + 1}, element {g}", c)
     except ValueError as e:
         raise ProblemValidationError("kappa-file", str(e)) from e
     return kappa

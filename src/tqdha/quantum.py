@@ -167,13 +167,20 @@ def action_from_generator_matrices(group: FiniteGroup, gen_matrices, n: int) -> 
     """Extend n x n matrices given on the group's generators to all elements
     by M[sg] = M[g] . M[s] along the walk from the identity, check that each
     generator (also one listed twice, or the identity) got the matrix given
-    for it, and validate the composition law.  The matrices are read into
-    sparse rows once, and each product is taken on rows (``_row_times``)."""
+    for it, and validate the composition law.  Each matrix is first checked
+    to be n x n with scalar entries, then read into sparse rows once, and
+    each product is taken on rows (``_row_times``)."""
     gens = group.generator_indices
     if len(gens) != len(gen_matrices):
         raise ActionError(
             f"group has {len(gens)} generators but {len(gen_matrices)} matrices were given"
         )
+    for k, (s, m) in enumerate(zip(gens, gen_matrices)):
+        if len(m) != n or any(len(row) != n for row in m):
+            raise ActionError(f"matrix of element {s} (generator {k}) is not {n} x {n}")
+        if not all(isinstance(x, CyclotomicScalar) for row in m for x in row):
+            raise ActionError(
+                f"matrix of element {s} (generator {k}) has an entry that is not a scalar")
     given = [tuple(map(_nonzero, m)) for m in gen_matrices]
     rows: list = [None] * group.size
     rows[0] = tuple(((i, ONE),) for i in range(n))

@@ -4,9 +4,10 @@ The package ships the routes that decide the PBW property (the condition
 checker with the direct solver, the rewriting oracle, the cohomology
 pipeline) and nothing the routes do not call.  What the tests need beyond
 that lives here: an action's matrices in dense form and back (``dense``,
-``sparse_rows``), the skew group algebra S_q(V) #_a G multiplied term by
-term, the twisted group algebra C^alpha G, the quantum minors of the paper's
-condition (1), the exhaustive condition system, the word reducer with kappa
+``sparse_rows``), a kappa's value at any pair of variables (``value``), the
+skew group algebra S_q(V) #_a G multiplied term by term, the twisted group
+algebra C^alpha G, the quantum minors of the paper's condition (1), the
+exhaustive condition system, the word reducer with kappa
 (``rewrite_pair``, ``reduce_terms``, ``normal_form_reduce``), the diagonal
 theory's C_g membership and the spin cocycle read off one Clifford product
 at a time.  The exhaustive system is written with the package's own
@@ -45,6 +46,20 @@ def sparse_rows(mats) -> tuple:
     i of a matrix as the (k, entry) pairs of its nonzero entries."""
     return tuple(tuple(tuple((k, x) for k, x in enumerate(row) if not x.is_zero()) for row in m)
                  for m in mats)
+
+
+# ---------------------------------------------------------------------------
+# a kappa's values
+# ---------------------------------------------------------------------------
+
+
+def value(kappa, i: int, j: int) -> GroupAlgebraElement:
+    """kappa(v_i, v_j) for any i, j, read from the coordinates at i < j:
+    the quantum antisymmetry kappa(v_i, v_j) = -q_ij kappa(v_j, v_i) fills
+    in j < i, and gives kappa(v_i, v_i) = 0."""
+    if i > j:
+        return value(kappa, j, i).scale(-kappa.q(i, j))
+    return GroupAlgebraElement({g: c for (g, a, b), c in kappa.coeffs.items() if (a, b) == (i, j)})
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +242,7 @@ def rewrite_pair(letters, p: int, kappa, action: GroupAction, q: QMatrix, alpha)
         row = dense(action, a - n)[b]
         return [(row[k], head + (k, a) + tail) for k in range(n) if not row[k].is_zero()]
     return [(q(a, b), head + (b, a) + tail)] + [
-        (c, head + (n + g,) + tail) for g, c in kappa.value(a, b).coeffs.items()]
+        (c, head + (n + g,) + tail) for g, c in value(kappa, a, b).coeffs.items()]
 
 
 def reduce_terms(terms, kappa, action: GroupAction, q: QMatrix, alpha) -> dict:

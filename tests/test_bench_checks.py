@@ -153,3 +153,46 @@ def test_compare_refuses_max_n_outside_4_to_7(max_n, capsys):
         compare.main(["--max-n", max_n])
     assert exit_info.value.code == 2
     assert "--max-n must be from 4 to 7" in capsys.readouterr().err
+
+
+CODE_LINES_SOURCE = '''#!/usr/bin/env python3
+"""A module docstring
+over two lines."""
+
+import os  # a trailing comment counts as code
+
+# a comment line
+
+
+class Shape:
+    """One line."""
+
+    sides = 4
+
+    def area(self):
+        """A docstring,
+        on two lines."""
+        text = """a string that is not a docstring
+        spans two lines"""
+        return (self.sides
+                * len(text))
+
+
+def f():
+    x = 1
+    "a string after the first statement is code"
+    return x
+'''
+
+
+def test_code_lines_leave_out_docstrings_comments_and_blanks():
+    # import, class, sides, def area, text (two lines), return (two lines),
+    # def f, x, the late string, return
+    assert bench.code_lines(CODE_LINES_SOURCE) == 12
+    assert bench.code_lines('"""Only a docstring."""\n\n# and a comment\n') == 0
+
+
+def test_the_report_counts_the_package_per_module():
+    lines = bench.package_code_lines()
+    assert lines["total"] == sum(lines["modules"].values()) > 0
+    assert "pbw.py" in lines["modules"] and "__init__.py" in lines["modules"]

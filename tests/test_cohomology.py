@@ -19,6 +19,7 @@ from reference import (
     sparse_rows,
     tga_inverse_of_basis,
     tga_multiply,
+    value,
 )
 from test_quantum import diagonal_z6z6, seeded_q
 from tqdha import cohomology
@@ -164,7 +165,7 @@ def test_dm_star_cache_keeps_q_matrices_apart():
 
 def wedge(action, q, g, r, s):
     """t_g (x) v_r* ^ v_s*, r < s, as the kappa it pairs to."""
-    return KappaMap(action.group, action.n, q, {(r, s): GroupAlgebraElement.basis(g)})
+    return KappaMap(action.group, action.n, q, {(g, r, s): ONE})
 
 
 def test_constant_basis_polynomial_ring():
@@ -181,7 +182,7 @@ def test_constant_basis_diagonal_matches_scalar_condition():
     basis = constant_cocycle_basis(act, q)
     found = set()
     for c in basis:
-        ((g, r, s),) = c.coordinates().keys()
+        ((g, r, s),) = c.coeffs.keys()
         found.add((g, r, s))
     expected = set()
     for g in range(2):
@@ -242,10 +243,10 @@ def _literal_average(x, action, alpha):
             total = GroupAlgebraElement.zero()
             for h in range(G.size):
                 m = dense(action, G.inv[h])
-                value = GroupAlgebraElement.zero()
-                for (k, l), elt in x.values.items():
-                    value = value + elt.scale(m[i][k] * m[j][l])
-                conj = tga_multiply(GroupAlgebraElement.basis(h), value, alpha)
+                image = GroupAlgebraElement.zero()
+                for (g, k, l), c in x.coeffs.items():
+                    image = image + GroupAlgebraElement({g: m[i][k] * m[j][l] * c})
+                conj = tga_multiply(GroupAlgebraElement.basis(h), image, alpha)
                 total = total + tga_multiply(conj, tga_inverse_of_basis(h, alpha), alpha)
             out[(i, j)] = total.scale(rational(Fraction(1, G.size)))
     return out
@@ -309,11 +310,11 @@ def test_one_pass_average_matches_the_literal_sum(name):
         for i in range(n):
             for j in range(i + 1, n):
                 expected = ref[(i, j)] - ref[(j, i)].scale(q(i, j))
-                assert projected.value(i, j) == expected
+                assert value(projected, i, j) == expected
                 nonzero += not expected.is_zero()
         assert composition_image(projected, action, q, alpha) == _literal_average(
             projected, action, alpha)
-        support = {g for elt in projected.values.values() for g in elt.coeffs}
+        support = {g for g, _, _ in projected.coeffs}
         spread += any(len(cls) > 1 and set(cls) <= support for cls in classes)
     assert nonzero
     assert spread or len(classes) == action.group.size
@@ -403,7 +404,7 @@ def test_skew_symmetrize_examples():
     assert skew_symmetrize(mu, q1, g, 2).is_zero()
     qm = QMatrix.uniform(2, -1)
     kappa = skew_symmetrize(mu, qm, g, 2)
-    assert kappa.value(0, 1) == t1.scale(rational(2))
+    assert value(kappa, 0, 1) == t1.scale(rational(2))
 
 
 def test_pipeline_kappa_equals_wedge_pairing():
@@ -470,7 +471,7 @@ def test_first_order_term_satisfies_cocycle_identity():
     act = natural_permutation_action(g)
     al = trivial_cocycle(g)
     space = solve_parameter_space(act, q, al)
-    kappa = space[0].add(space[1].scale(rational(2)))
+    kappa = space[0] + space[1].scale(rational(2))
     monos = [SkewElement.monomial((1, 0, 0), 0), SkewElement.monomial((0, 1, 0), 2),
              SkewElement.monomial((0, 0, 1), 0), SkewElement.monomial((0, 1, 0), 4)]
 
@@ -494,7 +495,7 @@ def test_deformation_degrees_drop_evenly():
     q = QMatrix.uniform(3, -1)
     al = trivial_cocycle(g)
     space = solve_parameter_space(act, q, al)
-    kappa = space[0].add(space[-1])
+    kappa = space[0] + space[-1]
     rnd = random.Random(31)
     for _ in range(20):
         ga = tuple(rnd.randint(0, 2) for _ in range(3))

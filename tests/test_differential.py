@@ -94,14 +94,14 @@ def test_routes_agree_on_random_diagonal_problems(seed):
         assert direct
 
     group, n = action.group, action.n
-    kappa = KappaMap.zero(group, n, q)
+    kappa = KappaMap(group, n, q)
     for b in direct:
-        kappa = kappa.add(b.scale(rational(rng.randint(-3, 3))))
+        kappa = kappa + b.scale(rational(rng.randint(-3, 3)))
     moved = rng.random() < 0.5
     if moved:
         i, j = sorted(rng.sample(range(n), 2))
         coord = {(rng.randrange(group.size), i, j): _z12(rng.randrange(12))}
-        kappa = kappa.add(KappaMap.from_coordinates(group, n, q, coord))
+        kappa = kappa + KappaMap(group, n, q, coord)
     passed = check_pbw_conditions(kappa, action, q, alpha)["passed"]
     assert passed == verify_ambiguities(kappa, action, q, alpha)["resolvable"]
     if not moved:

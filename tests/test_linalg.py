@@ -2,7 +2,10 @@
 
 import random
 
+import pytest
+
 from reference import SkewElement, constant_two
+from tqdha.cohomology import Cochain
 from tqdha.groups import GroupAlgebraElement
 from tqdha.linalg import RowReducer, bump, echelon_basis, kernel_basis, rows_rank, same_span
 from tqdha.spin import CliffordElement
@@ -91,6 +94,16 @@ def test_sparse_sums_keep_their_shape_and_no_zero():
     assert GroupAlgebraElement({0: ONE, 1: ZERO}).coeffs == {0: ONE}
     assert GroupAlgebraElement({0: ONE}) != SkewElement({0: ONE})
     assert GroupAlgebraElement({0: ONE}) == GroupAlgebraElement.basis(0)
+
+
+def test_sparse_sums_combine_only_with_their_class_and_shape():
+    x = constant_two(3, 1, 0, 2)
+    with pytest.raises(ValueError, match="degree differs"):
+        x + Cochain(3, 1)
+    with pytest.raises(ValueError, match="n differs"):
+        CliffordElement.generator(3, 0) - CliffordElement.generator(4, 0)
+    with pytest.raises(TypeError):
+        GroupAlgebraElement({0: ONE}) + SkewElement({0: ONE})
 
 
 def plain_kernel(rows, ncols):

@@ -79,8 +79,7 @@ def test_coboundary_twist_rescales_the_parameter_space(name):
     assert len(direct_tw) == len(coh_tw) == len(direct) == len(coh)
 
     n = action.n
-    moved = [KappaMap.from_coordinates(G, n, q, {(g, i, j): c / beta[g]
-                                                 for (g, i, j), c in k.coordinates().items()})
+    moved = [KappaMap(G, n, q, {(g, i, j): c / beta[g] for (g, i, j), c in k.coeffs.items()})
              for k in direct]
     assert same_space(moved, direct_tw) and same_space(moved, coh_tw)
     if name != "z6-diagonal":
@@ -109,8 +108,7 @@ def galois_problem(action, q, alpha, u):
 
 
 def galois_kappas(kappas, u):
-    return [KappaMap.from_coordinates(k.group, k.n, k.q, {key: galois(c, u)
-                                                         for key, c in k.coordinates().items()})
+    return [KappaMap(k.group, k.n, k.q, {key: galois(c, u) for key, c in k.coeffs.items()})
             for k in kappas]
 
 

@@ -43,7 +43,6 @@ from tqdha.cohomology import (
 )
 from tqdha.groups import (
     FiniteGroup,
-    GroupAlgebraElement,
     _generated,
     centralizer_chains,
     centralizer_generators,
@@ -179,7 +178,7 @@ def kappa_from_vector(vec, action, q):
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     coords = {(idx // len(pairs), *pairs[idx % len(pairs)]): c
               for idx, c in enumerate(vec) if not c.is_zero()}
-    return KappaMap.from_coordinates(action.group, n, q, coords)
+    return KappaMap(action.group, n, q, coords)
 
 
 def plain_solve(action, q, alpha):
@@ -304,7 +303,7 @@ def test_condition_two_is_skipped_only_where_condition_one_kills_every_unknown(n
         h = G.generator_indices[0]
         assert h in alive and any(tag[:2] == (2, h) for tag in system.tags)
         space = solve_parameter_space(action, q, alpha)
-        assert {g for kappa in space for g, _, _ in kappa.coordinates()} == {0, G.mult[h][h]}
+        assert {g for kappa in space for g, _, _ in kappa.coeffs} == {0, G.mult[h][h]}
     if name.startswith(("z6z6", "cyclotomic")):
         assert len(alive) < G.size / 2
 
@@ -324,8 +323,7 @@ def cochain_d3_kernels(action, q, elements):
             for key, c in img.coeffs.items():
                 rows[key][col] = c
         for vec in kernel_basis(rows.values(), len(pairs)):
-            basis.append(KappaMap(G, n, q, {
-                pair: GroupAlgebraElement({g: c}) for pair, c in zip(pairs, vec)}))
+            basis.append(KappaMap(G, n, q, {(g, *pair): c for pair, c in zip(pairs, vec)}))
     return basis
 
 
@@ -459,14 +457,10 @@ def rows_of(action, q, alpha, condition):
 
 
 def random_kappa(action, q, rnd, support, density=0.3):
-    values = {}
-    for i in range(action.n):
-        for j in range(i + 1, action.n):
-            coeffs = {g: rational(rnd.choice([-2, -1, 1, 2]))
-                      for g in support if rnd.random() < density}
-            if coeffs:
-                values[(i, j)] = GroupAlgebraElement(coeffs)
-    return KappaMap(action.group, action.n, q, values)
+    coeffs = {(g, i, j): rational(rnd.choice([-2, -1, 1, 2]))
+              for i in range(action.n) for j in range(i + 1, action.n)
+              for g in support if rnd.random() < density}
+    return KappaMap(action.group, action.n, q, coeffs)
 
 
 LEMMA_CASES = {
@@ -484,14 +478,14 @@ def planted_kappas(action, q, alpha, rnd):
     condition (2) at a non-representative element."""
     G = action.group
     space = solve_parameter_space(action, q, alpha)
-    yield "zero", KappaMap.zero(G, action.n, q)
+    yield "zero", KappaMap(G, action.n, q)
     for b in space:
         yield "basis", b
     for t in range(6):
-        kappa = KappaMap.zero(G, action.n, q)
+        kappa = KappaMap(G, action.n, q)
         for b in space:
-            kappa = kappa.add(b.scale(rational(rnd.randint(-2, 2))))
-        yield "random", kappa.add(random_kappa(action, q, rnd, range(G.size), 0.2 * (t % 3)))
+            kappa = kappa + b.scale(rational(rnd.randint(-2, 2)))
+        yield "random", kappa + random_kappa(action, q, rnd, range(G.size), 0.2 * (t % 3))
     ncols = condition_system(action, q, alpha).ncols
     # in the kernel of every condition-(2) row; most fail condition (1)
     for vec in kernel_basis(rows_of(action, q, alpha, 2), ncols)[:4]:

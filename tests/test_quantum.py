@@ -190,6 +190,22 @@ def test_generator_matrix_extension_consistency():
         action_from_generator_matrices(s3, bad, 3)
 
 
+@pytest.mark.parametrize("matrix, fault", [
+    ([[0, 1], [1, 0]], "has an entry that is not a scalar"),
+    ([[ZERO, ONE], [ONE, None]], "has an entry that is not a scalar"),
+    ([[ZERO, ONE]], "is not 2 x 2"),
+    ([[ZERO, ONE], [ONE]], "is not 2 x 2"),
+    ([[ZERO, ONE, ZERO], [ONE, ZERO, ZERO]], "is not 2 x 2"),
+    ([[ZERO, ONE], [ONE, ZERO], [ZERO, ZERO]], "is not 2 x 2"),
+], ids=["ints", "none", "one row", "short row", "long rows", "three rows"])
+def test_malformed_generator_matrices_are_an_action_error(matrix, fault):
+    # each given matrix is checked for its shape and entries before any row
+    # is read, with GroupAction's wording, naming the generator's element
+    z2 = group_from_cyclic_orders([2])
+    with pytest.raises(ActionError, match=f"^matrix of element 1 \\(generator 0\\) {fault}$"):
+        action_from_generator_matrices(z2, [matrix], 2)
+
+
 def test_identity_element_must_act_as_the_identity_matrix():
     # a nonzero off-diagonal entry of the identity's matrix (2, or -1) is
     # reported as such, not as a failure of the composition law
