@@ -8,8 +8,9 @@ Hochschild cohomology of the quantum Koszul complex, and reproduces
 closed-form classifications for diagonal actions and for symmetric groups
 twisted by the spin-cover 2-cocycle.  All arithmetic is exact, over
 cyclotomic fields.  The package holds these routes only; the skew group
-algebra's product and the other second paths the tests compare against
-live in ``tests/reference.py``.
+algebra's product, the twisted group algebra's elements
+(``GroupAlgebraElement``) and the other second paths the tests compare
+against live in ``tests/reference.py``.
 """
 
 from .scalars import (
@@ -23,7 +24,6 @@ from .linalg import kernel_basis, same_span
 from .groups import (
     Cocycle2,
     FiniteGroup,
-    GroupAlgebraElement,
     bicharacter_cocycle,
     cocycle_from_rows,
     cocycle_from_values,

@@ -18,7 +18,6 @@ from itertools import combinations
 from .cohomology import cohomological_parameter_space, composition_image
 from .groups import (
     Cocycle2,
-    GroupAlgebraElement,
     class_data,
     perm_from_cycles,
     symmetric_group,
@@ -197,7 +196,8 @@ def symmetric_natural_classify(n: int, twisted: bool) -> dict:
     spin-cover cocycle (twisted) or the trivial one.
 
     Runs the full cohomological pipeline, evaluates the induced-cocycle image
-    table on one representative per eta family (the raw, unaveraged elements),
+    on one representative per eta family (the raw, unaveraged elements), as
+    the form {(g, i, j): c} of ``composition_image``,
     and, for the twisted case with n >= 5, compares the computed basis span
     against span{kappa_1, kappa_2} exactly.
     """
@@ -208,7 +208,7 @@ def symmetric_natural_classify(n: int, twisted: bool) -> dict:
 
     image_table = {
         tag: {"indices": elt.indices,
-              "images": composition_image(elt.kappa, action, q, alpha)}
+              "images": composition_image(elt.kappa, action, alpha)}
         for tag, elt in sorted(_family_representatives(n).items())
     }
 
@@ -227,25 +227,24 @@ def symmetric_natural_classify(n: int, twisted: bool) -> dict:
     return report
 
 
-def expected_image_value(n: int, a: int, i: int, j: int) -> GroupAlgebraElement:
-    """The closed-form induced-cocycle image for family a at the pair (i, j),
-    in the twisted setting with n >= 5: (1/(n(n-1))) t_1 for a = 1, zero for
-    a in {2, 3, 4}, and (1/(n(n-1)(n-2))) sum_k (2 t_(ijk) + t_(ikj)) for
-    a = 5."""
-    _, index, _ = _symmetric_lookup(n)
+def expected_image(n: int, a: int) -> dict:
+    """The closed-form induced-cocycle image of family a at every ordered
+    pair, in the twisted setting with n >= 5, as ``composition_image``
+    gives it, {(g, i, j): c}: (1/(n(n-1))) t_1 at each (i, j) for a = 1,
+    zero for a in {2, 3, 4}, and (1/(n(n-1)(n-2))) sum_k (2 t_(ijk) +
+    t_(ikj)) at each (i, j) for a = 5."""
+    if a not in range(1, 6):
+        raise ValueError("family tag must be 1..5")
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
     if a == 1:
-        return GroupAlgebraElement({0: rational(Fraction(1, n * (n - 1)))})
-    if a in (2, 3, 4):
-        return GroupAlgebraElement.zero()
+        return {(0, i, j): rational(Fraction(1, n * (n - 1))) for i, j in pairs}
+    image: dict = {}
     if a == 5:
+        _, index, _ = _symmetric_lookup(n)
         f = rational(Fraction(1, n * (n - 1) * (n - 2)))
-        coeffs: dict = {}
-        for k in range(n):
-            if k in (i, j):
-                continue
-            g1 = index[perm_from_cycles(n, [(i, j, k)])]
-            g2 = index[perm_from_cycles(n, [(i, k, j)])]
-            bump(coeffs, g1, f * rational(2))
-            bump(coeffs, g2, f)
-        return GroupAlgebraElement(coeffs)
-    raise ValueError("family tag must be 1..5")
+        for i, j in pairs:
+            for k in range(n):
+                if k not in (i, j):
+                    bump(image, (index[perm_from_cycles(n, [(i, j, k)])], i, j), f * rational(2))
+                    bump(image, (index[perm_from_cycles(n, [(i, k, j)])], i, j), f)
+    return image

@@ -149,14 +149,12 @@ def cmd_classify_diagonal(args) -> int:
 
 def cmd_classify_symmetric(args) -> int:
     rep = symmetric_natural_classify(args.n, args.twisted)
-    image = {}
+    n, image = rep["n"], {}
     for tag, data in rep["lemma_image"].items():
-        image[str(tag)] = {
-            "defining_indices": [x + 1 for x in data["indices"]],
-            "images": {
-                _pair_key(i, j): elt.serialize() for (i, j), elt in sorted(data["images"].items())
-            },
-        }
+        by_pair = {_pair_key(i, j): {} for i in range(n) for j in range(n) if i != j}
+        for (g, i, j), c in sorted(data["images"].items()):
+            by_pair[_pair_key(i, j)][str(g)] = c.serialize()
+        image[str(tag)] = {"defining_indices": [x + 1 for x in data["indices"]], "images": by_pair}
     report = {
         "n": rep["n"],
         "twisted": rep["twisted"],

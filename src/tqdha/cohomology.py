@@ -21,6 +21,14 @@ h, for every ordered pair at once.  The Reynolds projector onto the
 invariant cochains is its quantum skew-symmetrization (proof at
 ``reynolds_project``).
 
+Every bilinear form V x V -> C^alpha G that the average touches is held in
+one form, a plain dict {(g, i, j): c}: c is the coefficient of t_g in the
+value at (v_i, v_j), over ordered pairs, with no zero kept and every sum
+taken by ``linalg.bump``.  That is ``KappaMap.coeffs``'s layout extended to
+i >= j, so Psi(eta), the form with eta's values at i < j and zero
+elsewhere, is ``eta.coeffs`` itself; the sums over the centralizer keep the
+pairs i = j, and ``composition_image`` returns the pairs i != j.
+
 The average is taken by induction through the centralizer, not term by term
 over G.  Since alpha is a 2-cocycle the twisted action is a group action, so
 averaging h(f) gives the average of f: each term at t_g is first moved to
@@ -43,9 +51,10 @@ from __future__ import annotations
 from functools import lru_cache
 from operator import add
 
-from .groups import Cocycle2, GroupAlgebraElement, centralizer_chains, class_data
+from .groups import Cocycle2, centralizer_chains, class_data
 from .linalg import RowReducer, SparseSum, bump, kernel_basis
-from .pbw import CrossCheckError, ExtensionError, KappaMap, check_pbw_conditions, extension_report
+from .pbw import (CrossCheckError, ExtensionError, KappaMap, check_pbw_conditions,
+                  extension_report, require_kappa_on)
 from .quantum import GroupAction, QMatrix, reorder_factor
 from .scalars import MINUS_ONE, ONE, rational
 
@@ -194,11 +203,10 @@ def _require_extension(action: GroupAction, q: QMatrix) -> None:
         raise ExtensionError("action does not extend to " + " nor to ".join(failures))
 
 
-def composition_image(
-    eta: KappaMap, action: GroupAction, q: QMatrix, alpha: Cocycle2
-) -> dict:
+def composition_image(eta: KappaMap, action: GroupAction, alpha: Cocycle2) -> dict:
     """[Theta_2* R_2 Psi_2*(eta)](v_i (x) v_j) for a constant degree-2 eta,
-    at every ordered pair i != j (a zero value kept as the empty element):
+    at every ordered pair i != j, as one form {(g, i, j): c}: c is the
+    coefficient of t_g at (v_i, v_j), with no zero kept.  The value
 
         (1/|G|) sum_h  t_h eta( Psi_2(1 (x) h^-1(v_i) (x) h^-1(v_j) (x) 1) ) t_h^-1
 
@@ -206,7 +214,8 @@ def composition_image(
 
     Computed by induction through the centralizer.  Write Psi(eta) for the
     bilinear form V x V -> C^alpha G with eta's values at k < l and zero at
-    every other (k, l), diagonal included, and T_h for the twisted action
+    every other (k, l), diagonal included: in the same layout, Psi(eta) is
+    ``eta.coeffs``.  Write T_h for the twisted action
     on such forms, T_h(f)(u, w) = t_h f(h^-1 u, h^-1 w) t_h^-1, so the sum
     above is (1/|G|) sum_h T_h(Psi(eta)) read off the diagonal.  Since alpha
     is a 2-cocycle, t_h t_k = alpha(h, k) t_hk and the scalar cancels in
@@ -235,28 +244,30 @@ def composition_image(
     step indices |H_i : H_(i-1)| plus |G : Z(c)|, instead of |G| for every
     term of eta: at the identity of S5 the steps cost 2 + 3 + 4 + 5 = 14
     actions instead of 120, at S7 27 instead of 5,040.  The sums are exact,
-    so the result is the one of the pass over all of G.
+    so the result is the one of the pass over all of G.  Raises ValueError
+    when eta is not a kappa of the action's group and n
+    (``pbw.require_kappa_on``).
     """
+    require_kappa_on(eta, action)
     return _induced({c: _centralizer_sum(c, form, action, alpha)
                      for c, form in _at_representatives(eta, action, alpha).items()},
-                    action, alpha, eta.n)
+                    action, alpha)
 
 
 def _at_representatives(eta: KappaMap, action: GroupAction, alpha: Cocycle2) -> dict:
     """Psi(eta) pulled back to the class representatives: per class met,
     its representative c and the form at t_c that the terms of eta in c's
     class become under T_x, one T_x per transporter x met."""
-    data = class_data(action.group)
+    transporter = class_data(action.group).transporter
     by_transporter: dict = {}
-    for (g, i, j), c in eta.coeffs.items():
-        by_transporter.setdefault(data.transporter[g], {}).setdefault((i, j), {})[g] = c
+    for key, c in eta.coeffs.items():
+        by_transporter.setdefault(transporter[key[0]], {})[key] = c
     pulled: dict = {}
     for x, form in by_transporter.items():
         _act(pulled, x, form, action, alpha)
     at_rep: dict = {}
-    for pair, coeffs in pulled.items():
-        for c, value in coeffs.items():
-            at_rep.setdefault(c, {})[pair] = {c: value}
+    for key, c in pulled.items():
+        at_rep.setdefault(key[0], {})[key] = c
     return at_rep
 
 
@@ -272,17 +283,17 @@ def _centralizer_sum(c: int, form: dict, action: GroupAction, alpha: Cocycle2) -
     return form
 
 
-def _induced(fixed: dict, action: GroupAction, alpha: Cocycle2, n: int) -> dict:
+def _induced(fixed: dict, action: GroupAction, alpha: Cocycle2) -> dict:
     """(1/|G|) sum_r T_r(fixed[c]) over each c of fixed and each r of c's
-    transversal, at every ordered pair i != j (the diagonal is dropped)."""
+    transversal, at the ordered pairs i != j (the diagonal is dropped)."""
     G = action.group
     transversal = class_data(G).transversal
-    acc = {(i, j): {} for i in range(n) for j in range(n) if i != j}
+    acc: dict = {}
     for c, form in fixed.items():
         for r in transversal[c]:
             _act(acc, r, form, action, alpha, diagonal=False)
     scale = rational(1) / rational(G.size)
-    return {pair: GroupAlgebraElement(coeffs).scale(scale) for pair, coeffs in acc.items()}
+    return {key: scale * c for key, c in acc.items()}
 
 
 @lru_cache(maxsize=8)
@@ -295,16 +306,24 @@ def _columns(action: GroupAction) -> dict:
 
 def _act(acc: dict, h: int, form: dict, action: GroupAction, alpha: Cocycle2,
          diagonal: bool = True) -> None:
-    """Add T_h(form) into acc, where form and acc map ordered pairs (k, l)
-    to the coefficients {g: c} of sum_g c t_g, and T_h(f)(v_i, v_j) =
-    t_h f(h^-1 v_i, h^-1 v_j) t_h^-1: the term of f at (k, l) reaches each
-    (i, j) whose h^-1(v_i) and h^-1(v_j) have a v_k and a v_l component,
-    that is each i and j in columns k and l of h^-1's matrix.  Those
-    columns are the rows of h^-1 transposed, once per action and element
-    (``_columns``).  Without ``diagonal`` the pairs i = j are left out.
-    T_1 is the identity (1 acts by the identity matrix, and alpha(1, g) =
-    alpha(g, 1) for any 2-cocycle), so h = 1 adds the form itself, with no
-    product."""
+    """Add T_h(form) into acc, where form and acc are bilinear forms
+    V x V -> C^alpha G held as {(g, k, l): c}, the coefficient of t_g at
+    (v_k, v_l) over ordered pairs (k = l allowed), with no zero kept; every
+    sum goes through ``linalg.bump``.  T_h(f)(v_i, v_j) =
+    t_h f(h^-1 v_i, h^-1 v_j) t_h^-1: the term (g, k, l), c goes to
+    (hgh^-1, i, j) for each i and j whose h^-1(v_i) and h^-1(v_j) have a
+    v_k and a v_l component, that is each i and j in columns k and l of
+    h^-1's matrix, with c times the conjugation ratio and both entries.
+    Those columns are the rows of h^-1 transposed, once per action and
+    element (``_columns``).  Without ``diagonal`` the pairs i = j are left
+    out.  T_1 is the identity (1 acts by the identity matrix, and
+    alpha(1, g) = alpha(g, 1) for any 2-cocycle), so h = 1 adds the form
+    itself, with no product."""
+    if h == 0:
+        for key, c in form.items():
+            if diagonal or key[1] != key[2]:
+                bump(acc, key, c)
+        return
     G, inv = action.group, action.group.inv[h]
     cache = _columns(action)
     cols = cache.get(inv)
@@ -313,23 +332,13 @@ def _act(acc: dict, h: int, form: dict, action: GroupAction, alpha: Cocycle2,
         for i, row in enumerate(action.rows_nz[inv]):
             for k, x in row:
                 cols[k].append((i, x))
-    for (k, l), coeffs in form.items():
-        if not coeffs:  # cancelled to zero: no product aik * ajl is needed
-            continue
-        if h == 0:
-            if diagonal or k != l:
-                out = acc.setdefault((k, l), {})
-                for g, c in coeffs.items():
-                    bump(out, g, c)
-            continue
-        conj = [(G.conjugate(h, g), c * alpha.conj_ratio(h, g)) for g, c in coeffs.items()]
+    for (g, k, l), c in form.items():
+        target, c = G.conjugate(h, g), c * alpha.conj_ratio(h, g)
         for i, aik in cols[k]:
+            ci = c * aik
             for j, ajl in cols[l]:
                 if diagonal or i != j:
-                    out = acc.setdefault((i, j), {})
-                    a = aik * ajl
-                    for target, c in conj:
-                        bump(out, target, c * a)
+                    bump(acc, (target, i, j), ci * ajl)
 
 
 def reynolds_project(x: KappaMap, action: GroupAction, q: QMatrix, alpha: Cocycle2) -> KappaMap:
@@ -358,22 +367,20 @@ def reynolds_project(x: KappaMap, action: GroupAction, q: QMatrix, alpha: Cocycl
     S(average(Psi x)) = average(S(Psi x)) = average(x).
     """
     _require_extension(action, q)
-    return skew_symmetrize(composition_image(x, action, q, alpha), q, action.group, x.n)
+    return skew_symmetrize(composition_image(x, action, alpha), q, action.group, x.n)
 
 
-def skew_symmetrize(mu_pairs: dict, q: QMatrix, group, n: int) -> KappaMap:
+def skew_symmetrize(form: dict, q: QMatrix, group, n: int) -> KappaMap:
     """kappa(v_i, v_j) = mu_1(v_i, v_j) - q_ij mu_1(v_j, v_i) on pairs i < j,
-    mu_1 given on ordered pairs (the diagonal is not read); the result
-    automatically satisfies the quantum antisymmetry."""
+    for mu_1 given as the form {(g, i, j): c} of ``_act`` (the diagonal
+    keys are not read); the result satisfies the quantum antisymmetry by
+    construction."""
     coeffs: dict = {}
-    for (a, b), elt in mu_pairs.items():
+    for (g, a, b), c in form.items():
         if a < b:
-            for g, c in elt.coeffs.items():
-                bump(coeffs, (g, a, b), c)
+            bump(coeffs, (g, a, b), c)
         elif a > b:
-            s = -q(b, a)
-            for g, c in elt.coeffs.items():
-                bump(coeffs, (g, b, a), s * c)
+            bump(coeffs, (g, b, a), -q(b, a) * c)
     return KappaMap(group, n, q, coeffs)
 
 
@@ -431,10 +438,9 @@ def cohomological_parameter_space(
     for x in constant_cocycle_basis(action, q, list(class_data(G).centralizer)):
         (c, form), = _at_representatives(x, action, alpha).items()  # x is at c alone
         fixed = _centralizer_sum(c, form, action, alpha)
-        at_c = {pair: GroupAlgebraElement(coeffs) for pair, coeffs in fixed.items()}
-        if red.insert(skew_symmetrize(at_c, q, G, n).coordinate_row()) is None:
+        if red.insert(skew_symmetrize(fixed, q, G, n).coordinate_row()) is None:
             continue
-        eta = skew_symmetrize(_induced({c: fixed}, action, alpha, n), q, G, n)
+        eta = skew_symmetrize(_induced({c: fixed}, action, alpha), q, G, n)
         if reynolds_project(eta, action, q, alpha) != eta:
             raise CrossCheckError(
                 "the Reynolds projector does not fix its own image; engine inconsistency")

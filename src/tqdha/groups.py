@@ -1,5 +1,4 @@
-"""Finite groups, normalized 2-cocycles, and elements of the twisted group
-algebra C^a G.
+"""Finite groups and normalized 2-cocycles.
 
 Groups are index tables: elements are integers 0..size-1 with 0 the identity,
 multiplication is a dense table, and mult[g][h] is the product g*h (for
@@ -19,7 +18,6 @@ from math import gcd, lcm, prod
 from operator import mul, truediv
 from typing import NamedTuple
 
-from .linalg import SparseSum
 from .scalars import MAX_CONDUCTOR, ONE, CyclotomicScalar, root_of_unity
 
 
@@ -648,31 +646,3 @@ def validate_cocycle(alpha: Cocycle2, max_witnesses: int = 10) -> dict:
                     if not (x is y or x == y) and len(report["failures"]) < max_witnesses:
                         report["failures"].append(("cocycle", g1, g2, g3))
     return report
-
-
-# ---------------------------------------------------------------------------
-# twisted group algebra
-# ---------------------------------------------------------------------------
-
-
-class GroupAlgebraElement(SparseSum):
-    """Finite scalar combination sum_g c_g t_g; zero coefficients are pruned."""
-
-    __slots__ = ()
-
-    @staticmethod
-    def basis(g: int) -> "GroupAlgebraElement":
-        return GroupAlgebraElement({g: ONE})
-
-    @staticmethod
-    def zero() -> "GroupAlgebraElement":
-        return GroupAlgebraElement({})
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "<0>"
-        parts = [f"({c.serialize()})t{g}" for g, c in sorted(self.coeffs.items())]
-        return "<" + " + ".join(parts) + ">"
-
-    def serialize(self) -> dict:
-        return {str(g): c.serialize() for g, c in sorted(self.coeffs.items())}

@@ -1,13 +1,13 @@
 """Exact sparse linear algebra over cyclotomic scalars, and the one
 accumulator for sparse sums.
 
-Every sparse sum in the package (group algebra elements, kappa maps by
-their coordinates, Koszul cochains, Clifford elements, linear rows) and the
-tests' skew group algebra elements is a dict from keys to scalars that
-never stores a zero coefficient.  ``bump`` is the only place a
-term is added to such a dict: it adds, and drops the key when the sum
-cancels.  ``SparseSum`` is the common base of the element classes and keeps
-the same invariant for their arithmetic.
+Every sparse sum in the package (kappa maps by their coordinates, the
+cohomology route's bilinear forms, Koszul cochains, Clifford elements,
+linear rows) and the tests' skew and twisted group algebra elements is a
+dict from keys to scalars that never stores a zero coefficient.  ``bump``
+is the only place a term is added to such a dict: it adds, and drops the
+key when the sum cancels.  ``SparseSum`` is the common base of the element
+classes and keeps the same invariant for their arithmetic.
 
 Rows are dicts mapping an ordered column key to a nonzero scalar.  The
 workhorse is an incremental row-echelon accumulator with deterministic
@@ -44,7 +44,8 @@ class SparseSum:
     """A finite sum of keyed terms with scalar coefficients; ``coeffs`` holds
     no zero.  A subclass's own ``__slots__`` name its shape (such as ``n``
     and ``degree``): sums and differences take two operands of one class and
-    shape, and every result keeps it."""
+    shape, and every result keeps it; two sums are equal only when of one
+    class and shape, too."""
 
     __slots__ = ("coeffs",)
 
@@ -91,9 +92,12 @@ class SparseSum:
         return self._like({k: s * c for k, c in self.coeffs.items()})
 
     def __eq__(self, other):
-        if not isinstance(other, type(self)):
+        """Equal when of one class and shape, as ``_combine`` takes them,
+        with the same coefficients."""
+        if type(other) is not type(self):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.coeffs == other.coeffs and all(
+            getattr(self, name) == getattr(other, name) for name in type(self).__slots__)
 
 
 class RowReducer:

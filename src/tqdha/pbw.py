@@ -273,6 +273,16 @@ def same_space(a, b) -> bool:
     )
 
 
+def require_kappa_on(kappa: KappaMap, action: GroupAction) -> None:
+    """Refuse a kappa built on another group object or another n than the
+    action's: its coordinates (g, i, j) would index elements and pairs of
+    another problem.  Raises ValueError naming both sides."""
+    if kappa.group is not action.group or kappa.n != action.n:
+        raise ValueError(f"kappa on {kappa.group!r} with n = {kappa.n} does not belong to the "
+                         f"action of {action.group!r} with n = {action.n}; a kappa is read "
+                         "only against the group object and n of its own problem")
+
+
 def _pair_index(i: int, j: int, n: int) -> int:
     # lexicographic rank of the pair (i, j), i < j
     return i * n - i * (i + 1) // 2 + (j - i - 1)
@@ -511,8 +521,10 @@ def check_pbw_conditions(
     on to condition (2), after condition (2) it stops.  The rows evaluated
     before the stop, their order and their exact products are those of
     evaluating every row, so the report is the same; a passing kappa has
-    every row that meets its support evaluated.
+    every row that meets its support evaluated.  A kappa of another group
+    object or n than the action's is refused (``require_kappa_on``).
     """
+    require_kappa_on(kappa, action)
     sites = _condition_sites(action, q, alpha)
     G, x = action.group, kappa.coordinate_row()
     support = {g for g, _, _ in kappa.coeffs}
@@ -846,11 +858,12 @@ def verify_ambiguities(
 
     ``families`` is a nonempty iterable of names from FAMILIES, read once
     (None, the default, means all of them); an empty one, an unknown name or
-    a bare string raises ValueError.  The families run in the order of FAMILIES
-    whatever the order given.  Each family is decided once per problem and
-    kind with kappa left open (see the module docstring): tvv and vvv by
-    reducing every word, ttt and ttv in closed form, with no columns and
-    without reading kappa.
+    a bare string raises ValueError, as does a kappa of another group
+    object or n than the action's (``require_kappa_on``).  The families run
+    in the order of FAMILIES whatever the order given.  Each family is
+    decided once per problem and kind with kappa left open (see the module
+    docstring): tvv and vvv by reducing every word, ttt and ttv in closed
+    form, with no columns and without reading kappa.
     A call groups the columns of kappa's own coordinates by overlap word,
     which takes no product, and decides the words in word order: a word
     with D_0 != 0 fails, any other fails when the sum of its entries times
@@ -869,6 +882,7 @@ def verify_ambiguities(
     unknown = [f for f in families if f not in FAMILIES]
     if unknown:
         raise ValueError(f"unknown overlap families {unknown}; known: {list(FAMILIES)}")
+    require_kappa_on(kappa, action)
     checked, witnesses = 0, []
     settled = max(max_witnesses, 1)
     for family in [f for f in FAMILIES if f in families]:

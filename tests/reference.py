@@ -4,9 +4,11 @@ The package ships the routes that decide the PBW property (the condition
 checker with the direct solver, the rewriting oracle, the cohomology
 pipeline) and nothing the routes do not call.  What the tests need beyond
 that lives here: an action's matrices in dense form and back (``dense``,
-``sparse_rows``), a kappa's value at any pair of variables (``value``), the
-skew group algebra S_q(V) #_a G multiplied term by term, the twisted group
-algebra C^alpha G, the quantum minors of the paper's condition (1), the
+``sparse_rows``), the twisted group algebra C^alpha G
+(``GroupAlgebraElement``, ``tga_multiply``), a kappa's value at any pair of
+variables (``value``) and a bilinear form {(g, i, j): c}'s value at one
+pair (``pair_value``), the skew group algebra S_q(V) #_a G multiplied term
+by term, the quantum minors of the paper's condition (1), the
 exhaustive condition system, the word reducer with kappa
 (``rewrite_pair``, ``reduce_terms``, ``normal_form_reduce``), the diagonal
 theory's C_g membership and the spin cocycle read off one Clifford product
@@ -19,7 +21,7 @@ no code with the package's rewriting engine.
 from operator import add
 
 from tqdha.cohomology import Cochain
-from tqdha.groups import FiniteGroup, GroupAlgebraElement, class_data, perm_compose
+from tqdha.groups import FiniteGroup, class_data, perm_compose
 from tqdha.linalg import SparseSum, bump
 from tqdha.pbw import ConditionSystem, _ConditionSites, _require_extension
 from tqdha.quantum import GroupAction, QMatrix, reorder_factor
@@ -49,8 +51,31 @@ def sparse_rows(mats) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# a kappa's values
+# elements of the twisted group algebra C^alpha G, and a kappa's values
 # ---------------------------------------------------------------------------
+
+
+class GroupAlgebraElement(SparseSum):
+    """Finite scalar combination sum_g c_g t_g; zero coefficients are pruned."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def basis(g: int) -> "GroupAlgebraElement":
+        return GroupAlgebraElement({g: ONE})
+
+    @staticmethod
+    def zero() -> "GroupAlgebraElement":
+        return GroupAlgebraElement({})
+
+    def __repr__(self):
+        if not self.coeffs:
+            return "<0>"
+        parts = [f"({c.serialize()})t{g}" for g, c in sorted(self.coeffs.items())]
+        return "<" + " + ".join(parts) + ">"
+
+    def serialize(self) -> dict:
+        return {str(g): c.serialize() for g, c in sorted(self.coeffs.items())}
 
 
 def value(kappa, i: int, j: int) -> GroupAlgebraElement:
@@ -59,7 +84,14 @@ def value(kappa, i: int, j: int) -> GroupAlgebraElement:
     in j < i, and gives kappa(v_i, v_i) = 0."""
     if i > j:
         return value(kappa, j, i).scale(-kappa.q(i, j))
-    return GroupAlgebraElement({g: c for (g, a, b), c in kappa.coeffs.items() if (a, b) == (i, j)})
+    return pair_value(kappa.coeffs, i, j)
+
+
+def pair_value(form: dict, i: int, j: int) -> GroupAlgebraElement:
+    """The value at (v_i, v_j) of a bilinear form held as {(g, i, j): c},
+    the coefficient of t_g at each ordered pair (the layout of
+    ``KappaMap.coeffs`` and of ``cohomology.composition_image``)."""
+    return GroupAlgebraElement({g: c for (g, a, b), c in form.items() if (a, b) == (i, j)})
 
 
 # ---------------------------------------------------------------------------

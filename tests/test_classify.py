@@ -6,7 +6,7 @@ from itertools import combinations
 
 import pytest
 
-from reference import cg_membership, value
+from reference import GroupAlgebraElement, cg_membership, value
 from tqdha.classify import (
     _family_representatives,
     diagonal_constant_basis,
@@ -21,7 +21,6 @@ from tqdha.classify import (
 )
 from tqdha.cohomology import constant_cocycle_basis
 from tqdha.groups import (
-    GroupAlgebraElement,
     bicharacter_cocycle,
     class_data,
     group_from_cyclic_orders,

@@ -9,11 +9,13 @@ from fractions import Fraction
 import pytest
 
 from reference import (
+    GroupAlgebraElement,
     SkewElement,
     conjugacy_classes,
     constant_two,
     dense,
     normal_form_reduce,
+    pair_value,
     qsym_multiply,
     skew_multiply,
     sparse_rows,
@@ -21,9 +23,10 @@ from reference import (
     tga_multiply,
     value,
 )
+from test_action_rows import IDS, PROBLEM_FILES
 from test_quantum import diagonal_z6z6, seeded_q
 from tqdha import cohomology
-from tqdha.classify import symmetric_instance, eta_family_basis, expected_image_value
+from tqdha.classify import _family_representatives, eta_family_basis, expected_image, symmetric_instance
 from tqdha.cohomology import (
     Cochain,
     apply_dm_star,
@@ -34,7 +37,6 @@ from tqdha.cohomology import (
     skew_symmetrize,
 )
 from tqdha.groups import (
-    GroupAlgebraElement,
     bicharacter_cocycle,
     group_from_cyclic_orders,
     symmetric_group,
@@ -42,7 +44,13 @@ from tqdha.groups import (
     trivial_group,
 )
 from tqdha.linalg import rows_rank, same_span
-from tqdha.pbw import CrossCheckError, ExtensionError, KappaMap, solve_parameter_space
+from tqdha.pbw import (
+    CrossCheckError,
+    ExtensionError,
+    KappaMap,
+    extension_report,
+    solve_parameter_space,
+)
 from tqdha.problems import parse_problem_file
 from tqdha.quantum import (
     GroupAction,
@@ -231,8 +239,9 @@ def test_reynolds_diagonal_example():
 
 def _literal_average(x, action, alpha):
     """(1/|G|) sum_h t_h x(Psi(h^-1 v_i (x) h^-1 v_j)) t_h^-1 at every pair
-    i != j, term by term in the twisted group algebra: h^-1 v_i is row i of
-    the matrix of h^-1, and Psi keeps the factors v_k (x) v_l with k < l."""
+    i != j, term by term in the twisted group algebra, as the form
+    {(g, i, j): c} of ``composition_image``: h^-1 v_i is row i of the matrix
+    of h^-1, and Psi keeps the factors v_k (x) v_l with k < l."""
     G = action.group
     n = x.n
     out = {}
@@ -248,7 +257,8 @@ def _literal_average(x, action, alpha):
                     image = image + GroupAlgebraElement({g: m[i][k] * m[j][l] * c})
                 conj = tga_multiply(GroupAlgebraElement.basis(h), image, alpha)
                 total = total + tga_multiply(conj, tga_inverse_of_basis(h, alpha), alpha)
-            out[(i, j)] = total.scale(rational(Fraction(1, G.size)))
+            for g, c in total.scale(rational(Fraction(1, G.size))).coeffs.items():
+                out[(g, i, j)] = c
     return out
 
 
@@ -305,14 +315,14 @@ def test_one_pass_average_matches_the_literal_sum(name):
     nonzero = spread = 0
     for x in constant_cocycle_basis(action, q):
         ref = _literal_average(x, action, alpha)
-        assert composition_image(x, action, q, alpha) == ref
+        assert composition_image(x, action, alpha) == ref
         projected = reynolds_project(x, action, q, alpha)
         for i in range(n):
             for j in range(i + 1, n):
-                expected = ref[(i, j)] - ref[(j, i)].scale(q(i, j))
+                expected = pair_value(ref, i, j) - pair_value(ref, j, i).scale(q(i, j))
                 assert value(projected, i, j) == expected
                 nonzero += not expected.is_zero()
-        assert composition_image(projected, action, q, alpha) == _literal_average(
+        assert composition_image(projected, action, alpha) == _literal_average(
             projected, action, alpha)
         support = {g for g, _, _ in projected.coeffs}
         spread += any(len(cls) > 1 and set(cls) <= support for cls in classes)
@@ -376,7 +386,7 @@ def test_induced_eval_on_averaged_families():
     for e in eta_family_basis(n):
         fams.setdefault(e.tag, e)
     avg1 = reynolds_project(fams[1].kappa, act, q, alpha)
-    val = composition_image(avg1, act, q, alpha)[(0, 1)]
+    val = pair_value(composition_image(avg1, act, alpha), 0, 1)
     assert val == GroupAlgebraElement({0: rational(Fraction(1, n * (n - 1)))})
     for tag in (2, 4):
         assert reynolds_project(fams[tag].kappa, act, q, alpha).is_zero()
@@ -391,16 +401,50 @@ def test_lemma_rows_raw_at_n4():
     for e in eta_family_basis(n):
         fams.setdefault(e.tag, e)
     for tag in (1, 2, 4, 5):
-        images = composition_image(fams[tag].kappa, act, q, alpha)
+        images = composition_image(fams[tag].kappa, act, alpha)
+        expected = expected_image(n, tag)
         for (i, j) in [(0, 1), (1, 3), (2, 0)]:
-            assert images[(i, j)] == expected_image_value(n, tag, i, j), (tag, i, j)
+            assert pair_value(images, i, j) == pair_value(expected, i, j), (tag, i, j)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_closed_form_images_are_the_induced_cocycle(n):
+    # the raw representative of each family, twisted: its image at every
+    # ordered pair is the closed form, as one form
+    _, act, _, alpha = symmetric_instance(n, True)
+    reps = _family_representatives(n)
+    assert sorted(reps) == [1, 2, 3, 4, 5]
+    for tag, elt in reps.items():
+        assert composition_image(elt.kappa, act, alpha) == expected_image(n, tag), tag
+
+
+@pytest.mark.parametrize("path", PROBLEM_FILES, ids=IDS)
+def test_induced_cocycle_is_a_zero_free_form_off_the_diagonal(path):
+    # on each d_3* kernel vector, composition_image keys (g, i, j) with g an
+    # element and i != j variables, and holds no zero coefficient
+    spec = parse_problem_file(path)
+    action, q, alpha = spec.action, spec.q, spec.alpha
+    ext = extension_report(action, q)
+    if not (ext["symmetric"] and ext["exterior"]):
+        # no d_3* kernel is taken where the action does not extend
+        with pytest.raises(ExtensionError):
+            constant_cocycle_basis(action, q)
+        return
+    n, keys = action.n, set()
+    for x in constant_cocycle_basis(action, q):
+        image = composition_image(x, action, alpha)
+        for (g, i, j), c in image.items():
+            assert g in range(action.group.size) and i in range(n) and j in range(n) and i != j
+            assert not c.is_zero()
+        keys.update(image)
+    assert keys
 
 
 def test_skew_symmetrize_examples():
     g = trivial_group()
     q1 = QMatrix.uniform(2, 1)
     t1 = GroupAlgebraElement.basis(0)
-    mu = {(0, 1): t1, (1, 0): t1}
+    mu = {(0, 0, 1): ONE, (0, 1, 0): ONE}
     assert skew_symmetrize(mu, q1, g, 2).is_zero()
     qm = QMatrix.uniform(2, -1)
     kappa = skew_symmetrize(mu, qm, g, 2)

@@ -10,14 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import conjugacy_classes, tga_inverse_of_basis, tga_multiply
+from reference import GroupAlgebraElement, conjugacy_classes, tga_inverse_of_basis, tga_multiply
 from tqdha import groups
 from tqdha.groups import (
     MAX_GROUP_ORDER,
     Cocycle2,
     CocycleError,
     FiniteGroup,
-    GroupAlgebraElement,
     GroupConstructionError,
     _walk,
     bicharacter_cocycle,

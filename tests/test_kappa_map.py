@@ -12,9 +12,10 @@ from itertools import combinations
 
 import pytest
 
+from reference import GroupAlgebraElement
 from test_action_rows import IDS, PROBLEM_FILES
 from tqdha.cohomology import cohomological_parameter_space
-from tqdha.groups import GroupAlgebraElement, symmetric_group
+from tqdha.groups import symmetric_group
 from tqdha.linalg import SparseSum
 from tqdha.pbw import ExtensionError, KappaMap, check_pbw_conditions, solve_parameter_space
 from tqdha.problems import parse_kappa_file, parse_problem_file
@@ -61,6 +62,19 @@ def test_sums_refuse_another_class_or_shape():
             kappa + other
         with pytest.raises(ValueError, match=f"; {differs} differs"):
             other - kappa
+
+
+def test_equality_needs_the_same_class_and_shape():
+    # equal only where a sum is taken: the same coordinates on another
+    # group, n or q object are another kappa
+    group, q = symmetric_group(3), QMatrix.uniform(3, -1)
+    kappa = KappaMap(group, 3, q, {(0, 0, 1): ONE})
+    assert kappa == KappaMap(group, 3, q, {(0, 0, 1): ONE})
+    for other in (KappaMap(symmetric_group(4), 4, QMatrix.uniform(4, -1), {(0, 0, 1): ONE}),
+                  KappaMap(group, 4, QMatrix.uniform(4, -1), {(0, 0, 1): ONE}),
+                  KappaMap(group, 3, QMatrix.uniform(3, -1), {(0, 0, 1): ONE})):
+        assert kappa != other and other != kappa
+    assert kappa != GroupAlgebraElement({0: ONE})
 
 
 def _random_kappa(prob, rnd):

@@ -107,8 +107,10 @@ def galois_problem(action, q, alpha, u):
             Cocycle2(G, [galois(x, u) for x in alpha.distinct], alpha.index, name=alpha.name))
 
 
-def galois_kappas(kappas, u):
-    return [KappaMap(k.group, k.n, k.q, {key: galois(c, u) for key, c in k.coeffs.items()})
+def galois_kappas(kappas, u, q_u):
+    """sigma_u of each kappa's coordinates, as a kappa of the conjugate
+    problem, whose q is q_u."""
+    return [KappaMap(k.group, k.n, q_u, {key: galois(c, u) for key, c in k.coeffs.items()})
             for k in kappas]
 
 
@@ -141,6 +143,6 @@ def test_galois_conjugation_maps_the_parameter_space(name):
         moved |= system_u.rows != system.rows
         for basis, route in ((direct, solve_parameter_space),
                              (coh, cohomological_parameter_space)):
-            mapped, got = galois_kappas(basis, u), route(*conjugate)
+            mapped, got = galois_kappas(basis, u, conjugate[1]), route(*conjugate)
             assert mapped == got and same_space(mapped, got)
     assert moved

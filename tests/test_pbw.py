@@ -7,6 +7,7 @@ import random
 import pytest
 
 from reference import (
+    GroupAlgebraElement,
     dense,
     exhaustive_rows,
     normal_form_reduce,
@@ -18,10 +19,11 @@ from reference import (
 )
 from test_cohomology import _difference_basis_action
 from test_quantum import seeded_q
+from tqdha.classify import symmetric_instance
+from tqdha.cohomology import composition_image, reynolds_project
 from tqdha.groups import (
     Cocycle2,
     FiniteGroup,
-    GroupAlgebraElement,
     bicharacter_cocycle,
     group_from_cyclic_orders,
     symmetric_group,
@@ -502,6 +504,37 @@ def test_kappa_free_families_never_read_kappa():
     assert not memoized["resolvable"] and memoized["witnesses"]
 
 
+# each route that reads a kappa's coordinates against a problem
+KAPPA_ROUTES = {
+    "checker": lambda kappa, act, q, al: check_pbw_conditions(kappa, act, q, al),
+    "oracle": lambda kappa, act, q, al: verify_ambiguities(kappa, act, q, al),
+    "induced": lambda kappa, act, q, al: composition_image(kappa, act, al),
+    "reynolds": reynolds_project,
+}
+
+
+@pytest.mark.parametrize("route", sorted(KAPPA_ROUTES))
+@pytest.mark.parametrize("foreign", ["s3-kappa", "other-n", "copied-group"])
+def test_every_route_refuses_a_kappa_of_another_problem(route, foreign):
+    # an S3 kappa on the S4 problem reads coordinates laid out for another
+    # group and n: the checker passed it, the oracle failed it, and the
+    # Reynolds projector raised on a key it built; each now refuses it,
+    # as it does a kappa of a copy of S4 (another group object)
+    s4, act, q = symmetric_instance(4)
+    al = trivial_cocycle(s4)
+    if foreign == "s3-kappa":
+        g3, _, q3, _ = s3_instance()
+        kappa = KappaMap(g3, 3, q3, {(1, 0, 2): ONE})
+    elif foreign == "other-n":
+        kappa = KappaMap(s4, 3, QMatrix.uniform(3, -1), {(1, 0, 2): ONE})
+    else:
+        kappa = KappaMap(without_generators(act, al)[0].group, 4, q, {(1, 0, 2): ONE})
+    with pytest.raises(ValueError, match=r"^kappa on FiniteGroup\(S\d, size=\d+\) with n = \d "
+                                         r"does not belong to the action of "
+                                         r"FiniteGroup\(S4, size=24\) with n = 4;"):
+        KAPPA_ROUTES[route](kappa, act, q, al)
+
+
 def test_checker_matches_full_group_rows_on_s4_twisted():
     s4 = symmetric_group(4)
     act, q, al = natural_permutation_action(s4), QMatrix.uniform(4, -1), spin_cocycle(symmetric_group(4))
@@ -520,7 +553,8 @@ def test_checker_matches_full_group_rows_on_s4_twisted():
                       for g_ in range(24) if rnd.random() < 0.1}
             kappa = kappa + KappaMap(s4, 4, q, values)
         ours = check_pbw_conditions(kappa, act, q, al, max_witnesses=10 ** 6)
-        full = check_pbw_conditions(kappa, full_act, q, full_al, max_witnesses=10 ** 6)
+        full = check_pbw_conditions(KappaMap(full_act.group, 4, q, kappa.coeffs), full_act, q,
+                                    full_al, max_witnesses=10 ** 6)
         for key in ("passed", "condition1", "condition2"):
             assert ours[key] == full[key]
         assert ([v for v in ours["violations"] if v["condition"] == 2]

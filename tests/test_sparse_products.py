@@ -26,14 +26,14 @@ from itertools import combinations, product
 import pytest
 
 import reference
-from reference import condition_system, reduce_terms, rewrite_pair, word_letters
+from reference import GroupAlgebraElement, condition_system, reduce_terms, rewrite_pair, word_letters
 from test_oracle_generators import planted_action, planted_cocycle
 from test_orbit_solver import BUNDLED, bundled, instance, random_kappa
 from test_pbw import cyclotomic_diagonal_instance, s3_instance
 from tqdha import pbw
 from tqdha.classify import kappa_one, symmetric_instance
 from tqdha.cohomology import constant_cocycle_basis, reynolds_project
-from tqdha.groups import GroupAlgebraElement, symmetric_group
+from tqdha.groups import symmetric_group
 from tqdha.linalg import bump
 from tqdha.pbw import (
     FAMILIES,
