@@ -2,13 +2,14 @@
 
 Each check returns {"id", "description", "passed", "details"}.  The checks
 share their expensive artifacts, so running the whole suite costs little
-more than its slowest member.  The S_n instances, cocycles included, come
-from the cached ``classify.symmetric_instance``.  ``_classification`` runs
+more than its slowest member.  ``_classification`` runs
 ``symmetric_natural_classify`` once per (n, twisted), and its basis is also
-the cohomology route of criteria 6 and 9; the direct route is solved once,
-in criterion 6.  So each (instance, route) pair is computed once per process.
-tests/test_acceptance.py asserts these, and the CLI `selftest` prints one
-line per criterion.
+the cohomology route of criteria 6 and 9.  The direct route is solved once,
+in criterion 6, on an S4 or S5 instance that ``classify.symmetric_instance``
+builds afresh: a new action and cocycle, on the group and q that the
+classification used too.  So each route runs once per (n, twisted) and
+process.  tests/test_acceptance.py asserts these, and the CLI `selftest`
+prints one line per criterion.
 """
 
 from __future__ import annotations
@@ -48,6 +49,9 @@ from .spin import verify_cover
 
 @lru_cache(maxsize=None)
 def _classification(n: int, twisted: bool) -> dict:
+    """``symmetric_natural_classify(n, twisted)``, memoized on (n, twisted):
+    criteria 1, 2, 6 and 9 read one classification, and the report holds
+    kappas, which keep their group and q but no action or cocycle."""
     return symmetric_natural_classify(n, twisted)
 
 

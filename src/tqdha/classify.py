@@ -16,13 +16,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .cohomology import cohomological_parameter_space, composition_image
-from .groups import (
-    Cocycle2,
-    class_data,
-    perm_from_cycles,
-    symmetric_group,
-    trivial_cocycle,
-)
+from .groups import Cocycle2, perm_from_cycles, symmetric_group, trivial_cocycle
 from .linalg import bump
 from .pbw import KappaMap, same_space
 from .quantum import GroupAction, QMatrix, natural_permutation_action
@@ -59,10 +53,10 @@ def diagonal_kappa_basis_labeled(action: GroupAction, q: QMatrix, alpha: Cocycle
     C_G(a).
     The representatives a, their centralizers and the coset
     representatives [G/C_G(a)], the least element of each coset g C_G(a),
-    are read from ``groups.class_data``, all ascending."""
+    are read from the group's ``class_data``, all ascending."""
     lam = action.eigenvalue_table()
     G = action.group
-    data = class_data(G)
+    data = G.class_data
     out = []
     for a, r, s in diagonal_constant_basis(action, q):
         if data.rep[a] != a:
@@ -105,22 +99,26 @@ class EtaFamilyElement:
 @lru_cache(maxsize=None)
 def _symmetric_lookup(n: int):
     """S_n, its index of each permutation, and q = -1: what the closed forms
-    read, with no action built."""
+    read, with no action built.  Memoized on n, and it holds no action or
+    cocycle: the closed forms and ``symmetric_instance`` must share one S_n
+    and one q, as ``pbw.require_kappa_on`` and ``KappaMap`` equality compare
+    them by identity."""
     group = symmetric_group(n)
     return group, {p: g for g, p in enumerate(group.perms)}, QMatrix.uniform(n, -1)
 
 
-@lru_cache(maxsize=None)
 def symmetric_instance(n: int, twisted: bool | None = None):
     """S_n on its natural representation with q = -1: (group, action, q), and
     given ``twisted`` also the cocycle, spin(n) if twisted, else trivial.
-    Cached, so callers share one cocycle object and the identity-keyed caches
-    of ``pbw`` hit across them; the cocycle is built only when asked for.
-    The group and q are those of the closed forms (``_symmetric_lookup``)."""
+    Each call builds a new action and, when asked for, a new cocycle, so
+    what the routes derive from them is freed with them; a caller that
+    reuses an instance holds it.  The group and q are those of the closed
+    forms (``_symmetric_lookup``), so the closed forms apply to every
+    instance."""
+    group, _, q = _symmetric_lookup(n)
+    action = natural_permutation_action(group)
     if twisted is None:
-        group, _, q = _symmetric_lookup(n)
-        return group, natural_permutation_action(group), q
-    group, action, q = symmetric_instance(n)
+        return group, action, q
     return group, action, q, spin_cocycle(group) if twisted else trivial_cocycle(group)
 
 

@@ -38,8 +38,8 @@ acting by rz is acting by z and then by r, so the sum over G is the sum over
 Z(c), which keeps t_c, followed by the sum over the transversal.  The sum
 over Z(c) itself runs through a chain of subgroups, one coset transversal
 per step, so it costs the sum of the step indices rather than |Z(c)|.  The
-class data and the chains come from ``groups.class_data`` and
-``groups.centralizer_chains``, once per group; the proof in full is at
+class data and the chains are the group's ``class_data`` and
+``centralizer_chains``, computed once per group; the proof in full is at
 ``composition_image``.  The parameter space keeps a Reynolds image only if
 its component at the representative is independent of those kept before,
 and expands only the kept ones over their class (proof at
@@ -51,7 +51,7 @@ from __future__ import annotations
 from functools import lru_cache
 from operator import add
 
-from .groups import Cocycle2, centralizer_chains, class_data
+from .groups import Cocycle2
 from .linalg import RowReducer, SparseSum, bump, kernel_basis
 from .pbw import (CrossCheckError, ExtensionError, KappaMap, check_pbw_conditions,
                   extension_report, require_kappa_on)
@@ -121,8 +121,13 @@ def _dm_star_terms(q: QMatrix, gamma: tuple, beta: tuple) -> tuple:
     g nor c, for each i with beta_i = 0: (i, beta + e_i, the monomial of
     v_i v^gamma with its scalar, and per k the monomial of v^gamma v_k with
     its scalar).  Each scalar includes the sign and the q product of its
-    side, and the right-hand ones are negated.  Keyed on the QMatrix object,
-    as the ``pbw`` caches are."""
+    side, and the right-hand ones are negated.
+
+    Keyed on the QMatrix object (by identity: it defines no equality) and
+    the two exponent tuples.  It stays a module memo because it holds no
+    action, group or cocycle: bounded at 1024 entries, it keeps only small
+    QMatrix objects alive, and ``constant_cocycle_basis`` and
+    ``apply_dm_star`` share its entries for one q."""
     n = len(gamma)
     units = [tuple(int(t == k) for t in range(n)) for k in range(n)]
     # v^gamma v_k, monomial and q factor, for every k
@@ -221,7 +226,7 @@ def composition_image(eta: KappaMap, action: GroupAction, alpha: Cocycle2) -> di
     is a 2-cocycle, t_h t_k = alpha(h, k) t_hk and the scalar cancels in
     conjugation, so T_h T_k = T_hk: a group action.  Let c be the class
     representative of g and x its transporter, x g x^-1 = c
-    (``groups.class_data``).  Then
+    (``FiniteGroup.class_data``).  Then
 
     1. sum_h T_h(f t_g) = sum_h T_hx^-1 (T_x(f t_g)) = sum_h T_h(T_x(f t_g))
        for a scalar form f, and T_x(f t_g) is a scalar form times t_c: each
@@ -232,8 +237,8 @@ def composition_image(eta: KappaMap, action: GroupAction, alpha: Cocycle2) -> di
        entries: the matrix of a non-monomial z^-1 mixes the diagonal
        entries of a form into the others.
     3. The inner sum runs through the chain 1 = H_0 < H_1 < ... < H_k = Z(c)
-       of ``groups.centralizer_chains``.  H_i is the disjoint union of the
-       cosets t H_(i-1) over the t of step i, and T_th = T_t T_h, so
+       of ``FiniteGroup.centralizer_chains``.  H_i is the disjoint union of
+       the cosets t H_(i-1) over the t of step i, and T_th = T_t T_h, so
        sum_(h in H_i) T_h = sum_t T_t (sum_(h in H_(i-1)) T_h).  Applying
        the steps innermost first, starting from the form itself (the sum
        over H_0 = 1), gives the sum over Z(c).
@@ -258,7 +263,7 @@ def _at_representatives(eta: KappaMap, action: GroupAction, alpha: Cocycle2) -> 
     """Psi(eta) pulled back to the class representatives: per class met,
     its representative c and the form at t_c that the terms of eta in c's
     class become under T_x, one T_x per transporter x met."""
-    transporter = class_data(action.group).transporter
+    transporter = action.group.class_data.transporter
     by_transporter: dict = {}
     for key, c in eta.coeffs.items():
         by_transporter.setdefault(transporter[key[0]], {})[key] = c
@@ -273,9 +278,9 @@ def _at_representatives(eta: KappaMap, action: GroupAction, alpha: Cocycle2) -> 
 
 def _centralizer_sum(c: int, form: dict, action: GroupAction, alpha: Cocycle2) -> dict:
     """sum_z T_z(form) over z in Z(c), through the chain of
-    ``groups.centralizer_chains``: each step replaces the sum over H by
+    ``FiniteGroup.centralizer_chains``: each step replaces the sum over H by
     sum_t T_t of it, over the step's t, which is the sum over H'."""
-    for step in centralizer_chains(action.group)[c]:
+    for step in action.group.centralizer_chains[c]:
         grown: dict = {}
         for t in step:
             _act(grown, t, form, action, alpha)
@@ -287,7 +292,7 @@ def _induced(fixed: dict, action: GroupAction, alpha: Cocycle2) -> dict:
     """(1/|G|) sum_r T_r(fixed[c]) over each c of fixed and each r of c's
     transversal, at the ordered pairs i != j (the diagonal is dropped)."""
     G = action.group
-    transversal = class_data(G).transversal
+    transversal = G.class_data.transversal
     acc: dict = {}
     for c, form in fixed.items():
         for r in transversal[c]:
@@ -296,12 +301,14 @@ def _induced(fixed: dict, action: GroupAction, alpha: Cocycle2) -> dict:
     return {key: scale * c for key, c in acc.items()}
 
 
-@lru_cache(maxsize=8)
-def _columns(action: GroupAction) -> dict:
-    """g -> the sparse columns of g's matrix, filled by ``_act`` for the
-    elements it meets: column k lists the (i, M[g][i][k]) with
-    M[g][i][k] != 0, i ascending, read off the rows ``action.rows_nz[g]``."""
-    return {}
+def _columns(action: GroupAction, g: int) -> list:
+    """The sparse columns of g's matrix: column k lists the (i, M[g][i][k])
+    with M[g][i][k] != 0, i ascending, read off the rows ``action.rows_nz[g]``."""
+    cols = [[] for _ in range(action.n)]
+    for i, row in enumerate(action.rows_nz[g]):
+        for k, x in row:
+            cols[k].append((i, x))
+    return cols
 
 
 def _act(acc: dict, h: int, form: dict, action: GroupAction, alpha: Cocycle2,
@@ -315,8 +322,8 @@ def _act(acc: dict, h: int, form: dict, action: GroupAction, alpha: Cocycle2,
     v_k and a v_l component, that is each i and j in columns k and l of
     h^-1's matrix, with c times the conjugation ratio and both entries.
     Those columns are the rows of h^-1 transposed, once per action and
-    element (``_columns``).  Without ``diagonal`` the pairs i = j are left
-    out.  T_1 is the identity (1 acts by the identity matrix, and
+    element (``_columns``, held by the action).  Without ``diagonal`` the
+    pairs i = j are left out.  T_1 is the identity (1 acts by the identity matrix, and
     alpha(1, g) = alpha(g, 1) for any 2-cocycle), so h = 1 adds the form
     itself, with no product."""
     if h == 0:
@@ -324,14 +331,8 @@ def _act(acc: dict, h: int, form: dict, action: GroupAction, alpha: Cocycle2,
             if diagonal or key[1] != key[2]:
                 bump(acc, key, c)
         return
-    G, inv = action.group, action.group.inv[h]
-    cache = _columns(action)
-    cols = cache.get(inv)
-    if cols is None:
-        cols = cache[inv] = [[] for _ in range(action.n)]
-        for i, row in enumerate(action.rows_nz[inv]):
-            for k, x in row:
-                cols[k].append((i, x))
+    G = action.group
+    cols = action.derived(_columns, G.inv[h])
     for (g, k, l), c in form.items():
         target, c = G.conjugate(h, g), c * alpha.conj_ratio(h, g)
         for i, aik in cols[k]:
@@ -435,7 +436,7 @@ def cohomological_parameter_space(
     G, n = action.group, action.n
     red = RowReducer()
     basis = []
-    for x in constant_cocycle_basis(action, q, list(class_data(G).centralizer)):
+    for x in constant_cocycle_basis(action, q, list(G.class_data.centralizer)):
         (c, form), = _at_representatives(x, action, alpha).items()  # x is at c alone
         fixed = _centralizer_sum(c, form, action, alpha)
         if red.insert(skew_symmetrize(fixed, q, G, n).coordinate_row()) is None:

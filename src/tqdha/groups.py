@@ -12,7 +12,7 @@ deduplicates a table of scalars.
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import product
 from math import gcd, lcm, prod
 from operator import mul, truediv
@@ -102,6 +102,20 @@ def perm_from_cycles(n: int, cycles) -> tuple:
 # ---------------------------------------------------------------------------
 
 
+class ClassData(NamedTuple):
+    """The conjugacy classes of a group: per element g its representative
+    ``rep[g]``, the least element of its class, and a ``transporter[g]`` h
+    with h g h^-1 = rep[g]; per representative c its centralizer
+    ``centralizer[c]`` and ``transversal[c]``, the least element of each
+    left coset of Z(c) (so r -> r c r^-1 maps it onto c's class), both
+    ascending.  The transporter of a representative is the identity."""
+
+    rep: tuple
+    transporter: tuple
+    centralizer: dict
+    transversal: dict
+
+
 class FiniteGroup:
     """A finite group on indices 0..size-1 with 0 the identity."""
 
@@ -149,95 +163,92 @@ class FiniteGroup:
                             f"associativity fails on triple ({a}, {b}, {c})"
                         )
 
+    # What the group alone determines, computed on first use and held by the
+    # group, so it is freed with it; no caller modifies it.
 
-class ClassData(NamedTuple):
-    """The conjugacy classes of a group: per element g its representative
-    ``rep[g]``, the least element of its class, and a ``transporter[g]`` h
-    with h g h^-1 = rep[g]; per representative c its centralizer
-    ``centralizer[c]`` and ``transversal[c]``, the least element of each
-    left coset of Z(c) (so r -> r c r^-1 maps it onto c's class), both
-    ascending.  The transporter of a representative is the identity."""
+    @cached_property
+    def class_data(self) -> ClassData:
+        """One conjugation pass over G per class: scanning h upwards, each new
+        conjugate b = h c h^-1 of the class's least element c gets c as its
+        representative and h^-1 as its transporter, h joins the transversal
+        (the least element of h Z(c), which is {h' : h' c h'^-1 = b}), and the
+        h with b = c form Z(c)."""
+        size, conjugate, inv = self.size, self.conjugate, self.inv
+        rep, transporter = [None] * size, [None] * size
+        centralizer, transversal = {}, {}
+        for c in range(size):
+            if rep[c] is not None:
+                continue
+            cent, reps = [], []
+            for h in range(size):
+                b = conjugate(h, c)
+                if b == c:
+                    cent.append(h)
+                if rep[b] is None:
+                    rep[b], transporter[b] = c, inv[h]
+                    reps.append(h)
+            centralizer[c], transversal[c] = tuple(cent), tuple(reps)
+        return ClassData(tuple(rep), tuple(transporter), centralizer, transversal)
 
-    rep: tuple
-    transporter: tuple
-    centralizer: dict
-    transversal: dict
+    @cached_property
+    def centralizer_chains(self) -> dict:
+        """Z(c) as a chain of subgroups 1 = H_0 < H_1 < ... < H_k = Z(c), for
+        each class representative c of ``class_data``, in its order.  Scanning
+        Z(c) upwards, each z outside the subgroup H built so far opens a step
+        H' = <H, z>, recorded as the least element t of each left coset tH in
+        H', ascending.  The first is the identity and the second is z itself,
+        since every element of Z(c) below z is in H.  H' is the disjoint union
+        of the cosets tH, so each element of Z(c) is exactly one product
+        t_k ... t_2 t_1 with t_i from step i; the step sizes are the indices
+        |H_i : H_(i-1)|.  Equal centralizers share one chain."""
+        mult = self.mult
+        shared, out = {}, {}
+        for c, cent in self.class_data.centralizer.items():
+            steps = shared.get(cent)
+            if steps is None:
+                steps, gens, inside = [], [], {0}
+                for z in cent:
+                    if z in inside:
+                        continue
+                    gens.append(z)
+                    grown = _generated(mult, gens)
+                    covered, step = set(), []
+                    for t in sorted(grown):
+                        if t not in covered:
+                            step.append(t)
+                            covered.update(mult[t][h] for h in inside)
+                    steps.append(tuple(step))
+                    inside = grown
+                steps = shared[cent] = tuple(steps)
+            out[c] = steps
+        return out
 
+    @cached_property
+    def centralizer_generators(self) -> dict:
+        """Generators of Z(c) for each class representative c of ``class_data``,
+        in its order.  When Z(c) is all of G they are G's recorded generators
+        (every element when it records none, as for condition (1) in ``pbw``);
+        otherwise the elements that open the steps of ``centralizer_chains``:
+        each element of Z(c), in ascending order, that the ones chosen before
+        it do not generate."""
+        everything = self.generator_indices or tuple(range(self.size))
+        chains = self.centralizer_chains
+        return {c: everything if len(cent) == self.size else tuple(step[1] for step in chains[c])
+                for c, cent in self.class_data.centralizer.items()}
 
-# Keyed on the group object itself (FiniteGroup defines no equality), as the
-# per-problem caches of ``pbw`` are; every caller gets the same result, which
-# no caller modifies.
-@lru_cache(maxsize=8)
-def class_data(group: FiniteGroup) -> ClassData:
-    """One conjugation pass over G per class: scanning h upwards, each new
-    conjugate b = h c h^-1 of the class's least element c gets c as its
-    representative and h^-1 as its transporter, h joins the transversal
-    (the least element of h Z(c), which is {h' : h' c h'^-1 = b}), and the
-    h with b = c form Z(c)."""
-    size, conjugate, inv = group.size, group.conjugate, group.inv
-    rep, transporter = [None] * size, [None] * size
-    centralizer, transversal = {}, {}
-    for c in range(size):
-        if rep[c] is not None:
-            continue
-        cent, reps = [], []
-        for h in range(size):
-            b = conjugate(h, c)
-            if b == c:
-                cent.append(h)
-            if rep[b] is None:
-                rep[b], transporter[b] = c, inv[h]
-                reps.append(h)
-        centralizer[c], transversal[c] = tuple(cent), tuple(reps)
-    return ClassData(tuple(rep), tuple(transporter), centralizer, transversal)
-
-
-@lru_cache(maxsize=8)
-def centralizer_chains(group: FiniteGroup) -> dict:
-    """Z(c) as a chain of subgroups 1 = H_0 < H_1 < ... < H_k = Z(c), for
-    each class representative c of ``class_data``, in its order.  Scanning
-    Z(c) upwards, each z outside the subgroup H built so far opens a step
-    H' = <H, z>, recorded as the least element t of each left coset tH in
-    H', ascending.  The first is the identity and the second is z itself,
-    since every element of Z(c) below z is in H.  H' is the disjoint union
-    of the cosets tH, so each element of Z(c) is exactly one product
-    t_k ... t_2 t_1 with t_i from step i; the step sizes are the indices
-    |H_i : H_(i-1)|.  Equal centralizers share one chain."""
-    mult = group.mult
-    shared, out = {}, {}
-    for c, cent in class_data(group).centralizer.items():
-        steps = shared.get(cent)
-        if steps is None:
-            steps, gens, inside = [], [], {0}
-            for z in cent:
-                if z in inside:
-                    continue
-                gens.append(z)
-                grown = _generated(mult, gens)
-                covered, step = set(), []
-                for t in sorted(grown):
-                    if t not in covered:
-                        step.append(t)
-                        covered.update(mult[t][h] for h in inside)
-                steps.append(tuple(step))
-                inside = grown
-            steps = shared[cent] = tuple(steps)
-        out[c] = steps
-    return out
-
-
-@lru_cache(maxsize=8)
-def centralizer_generators(group: FiniteGroup) -> dict:
-    """Generators of Z(c) for each class representative c of ``class_data``,
-    in its order.  When Z(c) is all of G they are G's recorded generators
-    (every element when it records none, as for condition (1) in ``pbw``);
-    otherwise the elements that open the steps of ``centralizer_chains``:
-    each element of Z(c), in ascending order, that the ones chosen before
-    it do not generate."""
-    everything = group.generator_indices or tuple(range(group.size))
-    chains = centralizer_chains(group)
-    return {c: everything if len(cent) == group.size else tuple(step[1] for step in chains[c])
-            for c, cent in class_data(group).centralizer.items()}
+    @cached_property
+    def conjugation_walk(self) -> tuple:
+        """Each conjugacy class reached from its representative c (as in
+        ``class_data``, in its order) by conjugation g -> s^-1 g s with the
+        generators s of G (every element when it records none): the edges
+        (b, s, s^-1 b s) of the breadth-first trees, each to an element not
+        reached before, class after class.  Every element but the
+        representatives is reached once."""
+        gens = self.generator_indices or tuple(range(self.size))
+        conjugate, inv = self.conjugate, self.inv
+        maps = [[conjugate(inv[s], g) for g in range(self.size)] for s in gens]
+        return tuple((b, gens[k], g) for c in self.class_data.centralizer
+                     for b, k, g in _walk(maps, c))
 
 
 def _generated(mult, gens) -> set:
@@ -253,21 +264,6 @@ def _generated(mult, gens) -> set:
                 reached.add(b)
                 queue.append(b)
     return reached
-
-
-@lru_cache(maxsize=8)
-def conjugation_walk(group: FiniteGroup) -> tuple:
-    """Each conjugacy class reached from its representative c (as in
-    ``class_data``, in its order) by conjugation g -> s^-1 g s with the
-    generators s of G (every element when it records none): the edges
-    (b, s, s^-1 b s) of the breadth-first trees, each to an element not
-    reached before, class after class.  Every element but the
-    representatives is reached once."""
-    gens = group.generator_indices or tuple(range(group.size))
-    conjugate, inv = group.conjugate, group.inv
-    maps = [[conjugate(inv[s], g) for g in range(group.size)] for s in gens]
-    return tuple((b, gens[k], g) for c in class_data(group).centralizer
-                 for b, k, g in _walk(maps, c))
 
 
 def trivial_group() -> FiniteGroup:
@@ -408,7 +404,10 @@ def symmetric_order(n: int) -> int:
 def symmetric_group(n: int) -> FiniteGroup:
     """S_n acting on {0..n-1}, canonically ordered by image tuple.  An n
     that ``symmetric_order`` refuses is refused before any permutation is
-    built."""
+    built.  Memoized on n, holding the group alone: the closed forms of
+    ``classify`` and every S_n instance must share one group object, since
+    ``pbw.require_kappa_on`` and ``KappaMap`` equality compare groups by
+    identity."""
     symmetric_order(n)
     if n == 1:
         return FiniteGroup([[0]], name="S1", perms=[(0,)])

@@ -75,7 +75,7 @@ evaluating all of them; a kappa that passes has every one evaluated.
   condition (1) onto the tuples of Z(c)-fixed kappa_c.  The z fixing kappa_c
   form a subgroup, so the generators of Z(c) suffice (first bullet), and
   condition (2) at c reads kappa_c only (second bullet).  The solver expands
-  each kernel vector along ``groups.conjugation_walk``: on an edge
+  each kernel vector along ``FiniteGroup.conjugation_walk``: on an edge
   (b, s, g), g = s^-1 b s, the condition-(1) row at (s, g) gives
   kappa_g = rho(s^-1) kappa_b, the value of the one solution with these
   kappa_c whatever the path.  A subspace has one basis of
@@ -176,20 +176,12 @@ case: if ttt or ttv fails somewhere, it fails at a generator.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import chain, combinations, product
 from math import comb
 from operator import mul
 from typing import NamedTuple
 
-from .groups import (
-    Cocycle2,
-    FiniteGroup,
-    _PairTable,
-    centralizer_generators,
-    class_data,
-    conjugation_walk,
-)
+from .groups import Cocycle2, FiniteGroup, _PairTable
 from .linalg import SparseSum, bump, echelon_basis, kernel_basis, same_span
 from .quantum import GroupAction, QMatrix, check_action_extends
 from .scalars import ONE, parse_scalar
@@ -292,16 +284,12 @@ def _pair_index(i: int, j: int, n: int) -> int:
 # the condition system, built once per problem
 # ---------------------------------------------------------------------------
 
-# The per-problem caches below key on the objects themselves (QMatrix,
-# GroupAction and Cocycle2 define no equality, so that is their identity),
-# keep the last few problems, and hand every caller the same result, which
-# no caller modifies.
+# What is built once per problem is held by its action (``GroupAction.derived``).
 
 
-@lru_cache(maxsize=8)
 def extension_report(action: GroupAction, q: QMatrix) -> dict:
     """``check_action_extends(action, q)``, computed once per (action, q)."""
-    return check_action_extends(action, q)
+    return action.derived(check_action_extends, q)
 
 
 class ConditionSystem(NamedTuple):
@@ -463,12 +451,12 @@ def _require_extension(action: GroupAction, q: QMatrix) -> None:
         )
 
 
-@lru_cache(maxsize=8)
 def class_local_system(action: GroupAction, q: QMatrix, alpha: Cocycle2) -> ConditionSystem:
-    """The solver's system, built once per problem: the unknowns at the
-    class representatives c only (in ``class_data`` order), condition (1)
-    at (z, c) for the generators z of Z(c) (``groups.centralizer_generators``),
-    and condition (2) at each c where condition (1) leaves an unknown alive.
+    """The solver's system, which the solver builds once per problem: the
+    unknowns at the class representatives c only (in ``class_data`` order),
+    condition (1) at (z, c) for the generators z of Z(c)
+    (``FiniteGroup.centralizer_generators``), and condition (2) at each c
+    where condition (1) leaves an unknown alive.
 
     Why condition (2) at the other c can be skipped.  A row with a single
     entry (a nonzero scalar, as rows keep no zero) forces its unknown to 0
@@ -479,16 +467,10 @@ def class_local_system(action: GroupAction, q: QMatrix, alpha: Cocycle2) -> Cond
     shape that it has, as they were.
     """
     G = action.group
-    reps = tuple(class_data(G).centralizer)
+    reps = tuple(G.class_data.centralizer)
     _require_extension(action, q)
-    gens = centralizer_generators(G)
+    gens = G.centralizer_generators
     return parameter_space_rows(action, q, alpha, reps, [(z, c) for c in reps for z in gens[c]])
-
-
-@lru_cache(maxsize=8)
-def _condition_sites(action, q, alpha) -> _ConditionSites:
-    _require_extension(action, q)
-    return _ConditionSites(action, q, alpha)
 
 
 # the violation fields named by a row tag, by condition
@@ -525,7 +507,8 @@ def check_pbw_conditions(
     object or n than the action's is refused (``require_kappa_on``).
     """
     require_kappa_on(kappa, action)
-    sites = _condition_sites(action, q, alpha)
+    _require_extension(action, q)
+    sites = action.derived(_ConditionSites, q, alpha)
     G, x = action.group, kappa.coordinate_row()
     support = {g for g, _, _ in kappa.coeffs}
     conditions = (
@@ -555,11 +538,11 @@ def check_pbw_conditions(
 def _expand_along_classes(solutions, action, q, alpha) -> None:
     """Extend each solution, {element: {pair index: value}} at the class
     representatives, to their classes in place: on each edge (b, s, g) of
-    ``groups.conjugation_walk`` the condition-(1) row at (s, g) reads
+    ``FiniteGroup.conjugation_walk`` the condition-(1) row at (s, g) reads
         ratio(s, g) (-q_ji) x[g, i, j] + sum_kl c_kl x[b, k, l] = 0,
     the c_kl from ``_condition_one_images(s)``."""
     transposed = {}  # s -> ([1 / -q_ji per pair], {kl: [(pair, c_kl)]})
-    for b, s, g in conjugation_walk(action.group):
+    for b, s, g in action.group.conjugation_walk:
         for x in solutions:
             xb = x.get(b)
             if not xb:
@@ -591,8 +574,8 @@ def solve_parameter_space(
     n = action.n
     npairs = n * (n - 1) // 2
     pairs = list(combinations(range(n), 2))
-    system = class_local_system(action, q, alpha)
-    reps = tuple(class_data(G).centralizer)  # the system's column blocks
+    system = action.derived(class_local_system, q, alpha)
+    reps = tuple(G.class_data.centralizer)  # the system's column blocks
     solutions = []  # per kernel vector, element -> {pair index: value}
     for vec in kernel_basis(system.rows, system.ncols):
         x: dict = {}
@@ -775,7 +758,7 @@ class _OverlapTable:
     head t_g tail, whose reduction records no v_j v_i firing (module
     docstring), so the events list it passes stays empty."""
 
-    def __init__(self, family, action, q, alpha, exhaustive):
+    def __init__(self, action, q, alpha, family, exhaustive):
         n, G = action.n, action.group
         letters = range(G.size) if exhaustive else G.generator_indices or range(G.size)
         self.n, self.args = n, (action, q, alpha)
@@ -827,11 +810,6 @@ class _OverlapTable:
             col = self.columns[g, i, j] = tuple(
                 (w, tuple(at_w.items())) for w, at_w in entries.items() if at_w)
         return col
-
-
-@lru_cache(maxsize=32)
-def _overlap_table(family, action, q, alpha, exhaustive) -> _OverlapTable:
-    return _OverlapTable(family, action, q, alpha, exhaustive)
 
 
 def verify_ambiguities(
@@ -886,7 +864,7 @@ def verify_ambiguities(
     checked, witnesses = 0, []
     settled = max(max_witnesses, 1)
     for family in [f for f in FAMILIES if f in families]:
-        table = _overlap_table(family, action, q, alpha, exhaustive)
+        table = action.derived(_OverlapTable, q, alpha, family, exhaustive)
         checked += table.checked
         if len(witnesses) >= settled:
             continue

@@ -92,10 +92,14 @@ class GroupAction:
     the only form held; a reader that wants columns builds them from rows.
     The rows are checked on construction: their shapes and entry types,
     that the identity acts as the identity matrix, and the composition law
-    on the generators."""
+    on the generators.
+
+    What the routes derive from the action and a problem's q (and alpha, ...)
+    is held here too, by ``derived``, so it is freed with the action."""
 
     def __init__(self, group: FiniteGroup, rows):
         self.group = group
+        self._derived: dict = {}
         self.rows_nz = tuple(tuple(map(tuple, table)) for table in rows)
         if len(self.rows_nz) != group.size:
             raise ActionError("need one matrix per group element")
@@ -130,6 +134,16 @@ class GroupAction:
                         raise ActionError(
                             f"matrices violate the composition law at (s={s}, g={g})"
                         )
+
+    def derived(self, build, *rest):
+        """``build(self, *rest)``, computed on the first call with these
+        arguments and kept in a dict the action owns, keyed by
+        ``(build, *rest)``.  ``QMatrix`` and ``Cocycle2`` define no equality,
+        so the key compares them by identity.  No caller modifies the result."""
+        key = (build, *rest)
+        if key not in self._derived:
+            self._derived[key] = build(self, *rest)
+        return self._derived[key]
 
     def is_diagonal(self) -> bool:
         return all(k == i for rows in self.rows_nz for i, row in enumerate(rows) for k, _ in row)

@@ -64,6 +64,12 @@ among them).
 
 Parsing refuses a string whose terms need a field order above
 ``MAX_CONDUCTOR``, before any table for that order is built.
+
+The tables of a field order (``euler_phi``, ``divisors``,
+``cyclotomic_polynomial``, ``_tail``, ``_embedding_rows``) are memoized
+on their int arguments, with no bound: a run meets few field orders, each
+entry is an int or a small tuple of ints, and arithmetic at an order reads
+them on every reduction or lift.
 """
 
 from __future__ import annotations
@@ -89,11 +95,13 @@ class ScalarParseError(ValueError):
 
 @lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
+    """phi(n), memoized on n (module docstring)."""
     return sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
 
 
 @lru_cache(maxsize=None)
 def divisors(n: int) -> tuple[int, ...]:
+    """The divisors of n, ascending, memoized on n (module docstring)."""
     return tuple(d for d in range(1, n + 1) if n % d == 0)
 
 
@@ -113,7 +121,8 @@ def _int_poly_divmod(num: list[int], den: tuple[int, ...]) -> tuple[list[int], l
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Integer coefficients of Phi_n, constant term first, monic."""
+    """Integer coefficients of Phi_n, constant term first, monic; memoized
+    on n (module docstring)."""
     if n == 1:
         return (-1, 1)
     poly = [-1] + [0] * (n - 1) + [1]  # x^n - 1
@@ -126,7 +135,8 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _tail(n: int) -> tuple[tuple[int, int], ...]:
-    # x^phi(n) = sum of c * x^i over these (i, c), modulo Phi_n
+    """x^phi(n) = sum of c * x^i over these (i, c), modulo Phi_n; memoized
+    on n (module docstring)."""
     mod = cyclotomic_polynomial(n)
     return tuple((i, -c) for i, c in enumerate(mod[:-1]) if c)
 
@@ -178,7 +188,8 @@ def _galois(n: int, a, u: int) -> list[int]:
 
 @lru_cache(maxsize=None)
 def _embedding_rows(m: int, n: int) -> tuple[tuple[int, ...], ...]:
-    # zeta_m^k as numerators in Q(zeta_n) for k < phi(m); requires m | n
+    """zeta_m^k as numerators in Q(zeta_n) for k < phi(m); requires m | n.
+    Memoized on (m, n) (module docstring)."""
     step = n // m
     return tuple(tuple(_spread(n, [(k * step, 1)])) for k in range(euler_phi(m)))
 

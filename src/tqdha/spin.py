@@ -87,6 +87,7 @@ def clifford_multiply(x: CliffordElement, y: CliffordElement) -> CliffordElement
 
 @lru_cache(maxsize=None)
 def _inv_sqrt2() -> CyclotomicScalar:
+    """1/sqrt(2), built once: a constant, read by every lift."""
     return sqrt2() / rational(2)
 
 
@@ -284,7 +285,8 @@ def verify_cover(n: int, samples: int = 500, seed: int = 0) -> dict:
 
     @lru_cache(maxsize=None)
     def sec(p, inverse=False):
-        """u_p, or u_p^-1, built once per permutation."""
+        """u_p, or u_p^-1, built once per permutation; the memo lives for
+        this call only."""
         return (section_u_inverse if inverse else section_u)(p, n)
 
     def conj(p, x):

@@ -21,7 +21,7 @@ no code with the package's rewriting engine.
 from operator import add
 
 from tqdha.cohomology import Cochain
-from tqdha.groups import FiniteGroup, class_data, perm_compose
+from tqdha.groups import FiniteGroup, perm_compose
 from tqdha.linalg import SparseSum, bump
 from tqdha.pbw import ConditionSystem, _ConditionSites, _require_extension
 from tqdha.quantum import GroupAction, QMatrix, reorder_factor
@@ -205,7 +205,7 @@ def conjugacy_classes(group: FiniteGroup) -> list:
     """Classes as sorted tuples, ordered by least element (read from
     ``class_data``)."""
     members: dict = {}
-    for g, c in enumerate(class_data(group).rep):
+    for g, c in enumerate(group.class_data.rep):
         members.setdefault(c, []).append(g)
     return [tuple(m) for m in members.values()]
 

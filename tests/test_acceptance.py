@@ -1,8 +1,10 @@
 """Acceptance suite: every criterion at its stated tolerance (all exact).
 
 Each test prints one PASS/FAIL line; run with -s (or read the captured
-output) to see them.  The S5-sized criteria share cached artifacts through
-tqdha.acceptance, so the suite costs little more than its slowest member.
+output) to see them.  The S5-sized criteria share one classification per
+(n, twisted) through tqdha.acceptance, so the suite costs little more than
+its slowest member.  Criterion 6 solves the direct route on S4 and S5
+instances that it builds afresh.
 """
 
 from tqdha import acceptance

@@ -36,7 +36,8 @@ PERFBENCH = {"correct": True, "failed": 0}
 # The workflow ran compare_twisted_untwisted.py --max-n 6; --max-n 7 checks
 # n = 4 to 7, a superset.  ``ci/pbw-check.s6_twisted.oracle`` and
 # ``ci/alpha-table.7`` came later, as entries, and are the ones that expect
-# an exit code other than 0 (``EXIT_CODES``).
+# an exit code other than 0 (``EXIT_CODES``).  The peak_rss_mb bound of
+# ``compare_twisted_untwisted.max-n.7`` came later too.
 EXIT_CODES = {"ci/pbw-check.s6_twisted.oracle": 3, "ci/alpha-table.7": 3}
 WORKFLOW = {
     "ci/classify-symmetric.6": (
@@ -74,7 +75,7 @@ WORKFLOW = {
         [bench.SOLVER_CHILD], None, {"dimension": 5, "same_space": True},
         {"wall_s": 6, "solve_s": 1, "cohomology_s": 1, "peak_rss_mb": 300}),
     "compare_twisted_untwisted.max-n.7": (["compare_twisted_untwisted.py", "--max-n", "7"],
-                                          None, {}, {}),
+                                          None, {}, {"peak_rss_mb": 470}),
     "perfbench/s5-twisted-both.1": (
         ["s5-twisted-both", "--seed", "1", "--seconds", "1", "--trace", "0"], None, PERFBENCH, {}),
     "perfbench/cyclotomic-diagonal.1": (
@@ -135,6 +136,8 @@ def _good(check):
     ("ci/pbw-check.s6_twisted.oracle", {"wall_s": 2.0}, "wall_s = 2.0, bound: under 2"),
     ("ci/alpha-table.7", {"exit_code": 0}, "exit code 0, expected 3"),
     ("ci/alpha-table.7", {"wall_s": 1.0}, "wall_s = 1.0, bound: under 1"),
+    ("compare_twisted_untwisted.max-n.7", {"peak_rss_mb": 470.0},
+     "peak_rss_mb = 470.0, bound: under 470"),
     ("golden/check-extension.weyl2", {"sha256": "0" * 64}, f"stdout sha256 {'0' * 64}, expected"),
     ("ci/load_digest", {"sha256": "0" * 64}, "expected 4fb9e48c3a787f89"),
 ])

@@ -1,7 +1,9 @@
 """Closed-form classifications and their cross-checks."""
 
+import gc
 import hashlib
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -22,7 +24,6 @@ from tqdha.classify import (
 from tqdha.cohomology import constant_cocycle_basis
 from tqdha.groups import (
     bicharacter_cocycle,
-    class_data,
     group_from_cyclic_orders,
     perm_from_cycles,
     symmetric_group,
@@ -172,7 +173,7 @@ def test_representative_independence():
     ):
         labeled = diagonal_kappa_basis_labeled(act, q, twisted)
         lam = act.eigenvalue_table()
-        data = class_data(G)
+        data = G.class_data
         if G is s3:
             # the non-abelian instance varies the coset representatives
             assert any(len(data.transversal[a]) > 1 for (a, _, _), _ in labeled)
@@ -232,7 +233,7 @@ def test_labeled_basis_matches_the_representatives_by_pairs_loop():
         assert [k.to_records() for _, k in got] == [k.to_records() for _, k in expected]
     # in the non-abelian instance some (a, r, s) of the constant basis have a
     # that is no class representative, and the labeled basis leaves them out
-    assert any(class_data(s3).rep[a] != a for a, _, _ in diagonal_constant_basis(sign_act, sign_q))
+    assert any(s3.class_data.rep[a] != a for a, _, _ in diagonal_constant_basis(sign_act, sign_q))
 
 
 def test_eta_family_counts():
@@ -308,6 +309,42 @@ def test_kappa_one_two_match_the_paper_formulas(n):
     })
     assert kappa_one(n).to_records() == one.to_records()
     assert kappa_two(n).to_records() == two.to_records()
+
+
+def test_closed_forms_apply_to_a_fresh_instance():
+    """kappa_1 and kappa_2 are built on the one S5 and the one q that every
+    instance of S5 shares, so a newly built twisted instance accepts them
+    (``pbw.require_kappa_on`` compares the group by identity), and each
+    equals its own rebuild (``KappaMap`` equality compares group and q by
+    identity too)."""
+    group, action, q, alpha = symmetric_instance(5, True)
+    for build in (kappa_one, kappa_two):
+        kappa = build(5)
+        assert kappa.group is group and kappa.q is q
+        assert check_pbw_conditions(kappa, action, q, alpha)["passed"]
+        assert kappa == build(5)
+
+
+def test_classification_frees_its_problem():
+    """What the routes derive from a problem is held by the problem's own
+    objects, so a twisted S6 classification that is dropped leaves the
+    traced memory within 1 MB of where it started: what stays is the
+    group's class data and the value-keyed memos (scalars, the closed
+    forms' permutation index).  With the per-problem data in module caches
+    keyed on the action, 6.1 MB stayed."""
+    symmetric_group(6)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        report = symmetric_natural_classify(6, True)
+        assert report["matches_expected"]
+        del report
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert retained < 10 ** 6, retained
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])

@@ -20,7 +20,6 @@ from tqdha.groups import (
     GroupConstructionError,
     _walk,
     bicharacter_cocycle,
-    class_data,
     cocycle_from_rows,
     cocycle_from_values,
     group_from_cyclic_orders,
@@ -411,8 +410,9 @@ def test_perm_sign_is_the_parity_of_the_inversions():
 
 
 def test_symmetric_group_is_built_once_per_n():
-    # the per-problem caches key on the group object itself, so every
-    # caller of symmetric_group(n) must get the same one
+    # the closed forms of classify and every S_n instance must share one
+    # group object: pbw.require_kappa_on and KappaMap equality compare groups
+    # by identity (test_classify.test_closed_forms_apply_to_a_fresh_instance)
     assert symmetric_group(4) is symmetric_group(4)
 
 
@@ -426,7 +426,7 @@ def test_coset_reps_cover_class():
     g = symmetric_group(4)
     for cls in conjugacy_classes(g):
         a = cls[0]
-        reps = class_data(g).transversal[a]
+        reps = g.class_data.transversal[a]
         assert len(reps) == len(cls)
         assert sorted(g.conjugate(r, a) for r in reps) == list(cls)
 
@@ -443,7 +443,7 @@ def _class_data_case(name):
 def test_class_data_matches_the_exhaustive_computation(name):
     # the cached class data against one conjugation pass over G per element
     G = _class_data_case(name)
-    data = class_data(G)
+    data = G.class_data
     classes, seen = [], set()
     for a in range(G.size):
         if a not in seen:

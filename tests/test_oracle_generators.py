@@ -8,7 +8,6 @@ and fail, and on a cocycle and an action planted wrong away from the
 generators, which both ways must reject.
 """
 
-import copy
 import random
 from collections import Counter
 
@@ -25,6 +24,7 @@ from tqdha.pbw import (
     solve_parameter_space,
     verify_ambiguities,
 )
+from tqdha.quantum import GroupAction
 from tqdha.scalars import MINUS_ONE, rational
 
 CASES = {
@@ -96,11 +96,13 @@ def planted_cocycle(alpha):
 
 def planted_action(action):
     """A copy of the action with the matrix of one non-generator negated:
-    its row tuple swapped in after the load-time check."""
+    its row tuple swapped in after the load-time check.  The copy is a new
+    action, so it starts with none of the data derived from the valid one
+    (a shallow copy would share its overlap tables and extension report)."""
     g = non_generators(action.group)[0]
     rows = list(action.rows_nz)
     rows[g] = tuple(tuple((k, -x) for k, x in row) for row in rows[g])
-    bad = copy.copy(action)
+    bad = GroupAction(action.group, action.rows_nz)
     bad.rows_nz = tuple(rows)
     return bad
 
@@ -109,6 +111,10 @@ def planted_action(action):
 def test_planted_faults_off_the_generators_fail_both_ways(name):
     action, q, alpha = CASES[name]()
     zero = KappaMap(action.group, action.n, q)
+    for exhaustive in (False, True):
+        # the valid problem resolves, with its tables built before the planting
+        assert verify_ambiguities(zero, action, q, alpha, exhaustive=exhaustive)["resolvable"]
+        assert all(verdicts(zero, action, q, alpha, exhaustive).values())
     for family, (act, al) in (("ttt", (action, planted_cocycle(alpha))),
                               ("ttv", (planted_action(action), alpha))):
         for exhaustive in (False, True):

@@ -44,10 +44,6 @@ from tqdha.cohomology import (
 from tqdha.groups import (
     FiniteGroup,
     _generated,
-    centralizer_chains,
-    centralizer_generators,
-    class_data,
-    conjugation_walk,
     group_from_cyclic_orders,
     group_from_permutations,
     group_from_table,
@@ -293,7 +289,7 @@ def test_condition_two_is_skipped_only_where_condition_one_kills_every_unknown(n
     system = pbw.class_local_system(action, q, alpha)
     dead = {col for row, tag in zip(system.rows, system.tags) if tag[0] == 1 and len(row) == 1
             for col in row}
-    alive = [c for k, c in enumerate(class_data(G).centralizer)
+    alive = [c for k, c in enumerate(G.class_data.centralizer)
              if not dead.issuperset(range(k * npairs, (k + 1) * npairs))]
     assert [tag for tag in system.tags if tag[0] == 2] == [
         tag for c in alive for tag in condition_system(action, q, alpha).tags
@@ -350,8 +346,8 @@ def test_d3_kernels_from_templates_match_the_cochain_assembly(name, monkeypatch)
                                   "D4 table"])
 def test_centralizer_generators_generate_each_centralizer(name):
     G = instance(name)[0].group
-    data = class_data(G)
-    gens = centralizer_generators(G)
+    data = G.class_data
+    gens = G.centralizer_generators
     assert list(gens) == list(data.centralizer)
     for c, cent in data.centralizer.items():
         assert sorted(_generated(G.mult, gens[c])) == list(cent), c
@@ -369,8 +365,8 @@ def test_centralizer_chain_lists_each_centralizer_element_once(name):
     # one element t_i of each step, the last step's leftmost: the products
     # t_k ... t_2 t_1 are the elements of Z(c), each once
     G = instance(name)[0].group
-    data = class_data(G)
-    chains = centralizer_chains(G)
+    data = G.class_data
+    chains = G.centralizer_chains
     assert list(chains) == list(data.centralizer)
     for c, steps in chains.items():
         products = [0]
@@ -409,8 +405,8 @@ def test_cohomology_filter_at_representatives_matches_the_whole_filter(name):
                                   "klein_bicharacter_diag"])
 def test_conjugation_walk_reaches_each_non_representative_once(name):
     G = instance(name)[0].group
-    data = class_data(G)
-    walk = conjugation_walk(G)
+    data = G.class_data
+    walk = G.conjugation_walk
     assert sorted(g for _, _, g in walk) == [g for g in range(G.size) if data.rep[g] != g]
     seen = set(data.centralizer)
     for b, s, g in walk:
@@ -423,7 +419,7 @@ def test_solver_system_is_local_to_the_representatives():
     action, q, alpha = instance("S5 twisted")
     system = pbw.class_local_system(action, q, alpha)
     assert system.ncols == 7 * 10
-    assert {tag[1] for tag in system.tags} == set(class_data(action.group).centralizer)
+    assert {tag[1] for tag in system.tags} == set(action.group.class_data.centralizer)
     assert len(system.rows) < len(condition_system(action, q, alpha).rows) / 5
 
 
@@ -447,7 +443,7 @@ def full_report(kappa, action, q, alpha):
 def reps_passed(full, group):
     """The verdict at class representatives, read from a full report:
     condition (1), and no condition-(2) violation at a representative."""
-    reps = set(class_data(group).centralizer)
+    reps = set(group.class_data.centralizer)
     return full["condition1"] and not any(v["g"] in reps for v in violated(full, 2))
 
 
@@ -579,7 +575,7 @@ def test_s4_builds_each_kind_of_rows_once(monkeypatch):
     exercise(action, QMatrix.uniform(4, -1), spin_cocycle(symmetric_group(4)))
     # the checker writes its rows per site, so the one system built is the
     # solver's, over the class representatives
-    assert builds == [tuple(class_data(action.group).centralizer)]
+    assert builds == [tuple(action.group.class_data.centralizer)]
 
 
 def test_abelian_group_shares_one_system(monkeypatch):
@@ -589,4 +585,4 @@ def test_abelian_group_shares_one_system(monkeypatch):
     builds = count_row_builds(monkeypatch)
     action, q, alpha = cyclotomic_diagonal_instance(6)
     exercise(action, q, alpha)
-    assert builds == [tuple(class_data(action.group).centralizer)]
+    assert builds == [tuple(action.group.class_data.centralizer)]

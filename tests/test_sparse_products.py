@@ -204,7 +204,7 @@ def test_closed_form_tables_equal_reducing_every_word(name):
     for (kind, (act, al)), family, exhaustive in product(problems.items(), ("ttt", "ttv"),
                                                          (False, True)):
         failures, checked = reduced_table(family, act, q, al, exhaustive)
-        table = pbw._OverlapTable(family, act, q, al, exhaustive)
+        table = pbw._OverlapTable(act, q, al, family, exhaustive)
         assert (table.checked, list(table.tags.items()), table.fixed, table.deferred) == (
             checked, list(failures.items()), set(failures), {}), (kind, family, exhaustive)
         planted = {"planted cocycle": "ttt", "planted action": "ttv"}.get(kind)
@@ -246,7 +246,7 @@ def test_no_kappa_firing_on_a_column_form(name, monkeypatch):
 
     kinds = (False, True) if action.group.size <= 36 else (False,)
     for family, exhaustive in product(("tvv", "vvv"), kinds):
-        table = pbw._OverlapTable(family, action, q, alpha, exhaustive)
+        table = pbw._OverlapTable(action, q, alpha, family, exhaustive)
         monkeypatch.setattr(pbw, "_reduce_letter_terms", recording)
         del passed[:]
         for (i, j) in table.deferred:
