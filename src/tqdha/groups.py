@@ -167,6 +167,14 @@ class FiniteGroup:
     # group, so it is freed with it; no caller modifies it.
 
     @cached_property
+    def generators(self) -> tuple:
+        """The elements every generator-only check and walk runs on: the
+        recorded ``generator_indices``, or every element when the group
+        records none.  Each such check tests a property that is closed under
+        products, so it holds on the subgroup these generate, which is G."""
+        return self.generator_indices or tuple(range(self.size))
+
+    @cached_property
     def class_data(self) -> ClassData:
         """One conjugation pass over G per class: scanning h upwards, each new
         conjugate b = h c h^-1 of the class's least element c gets c as its
@@ -226,12 +234,11 @@ class FiniteGroup:
     @cached_property
     def centralizer_generators(self) -> dict:
         """Generators of Z(c) for each class representative c of ``class_data``,
-        in its order.  When Z(c) is all of G they are G's recorded generators
-        (every element when it records none, as for condition (1) in ``pbw``);
-        otherwise the elements that open the steps of ``centralizer_chains``:
-        each element of Z(c), in ascending order, that the ones chosen before
-        it do not generate."""
-        everything = self.generator_indices or tuple(range(self.size))
+        in its order.  When Z(c) is all of G they are G's ``generators`` (as
+        for condition (1) in ``pbw``); otherwise the elements that open the
+        steps of ``centralizer_chains``: each element of Z(c), in ascending
+        order, that the ones chosen before it do not generate."""
+        everything = self.generators
         chains = self.centralizer_chains
         return {c: everything if len(cent) == self.size else tuple(step[1] for step in chains[c])
                 for c, cent in self.class_data.centralizer.items()}
@@ -239,12 +246,11 @@ class FiniteGroup:
     @cached_property
     def conjugation_walk(self) -> tuple:
         """Each conjugacy class reached from its representative c (as in
-        ``class_data``, in its order) by conjugation g -> s^-1 g s with the
-        generators s of G (every element when it records none): the edges
-        (b, s, s^-1 b s) of the breadth-first trees, each to an element not
-        reached before, class after class.  Every element but the
-        representatives is reached once."""
-        gens = self.generator_indices or tuple(range(self.size))
+        ``class_data``, in its order) by conjugation g -> s^-1 g s with G's
+        ``generators`` s: the edges (b, s, s^-1 b s) of the breadth-first
+        trees, each to an element not reached before, class after class.
+        Every element but the representatives is reached once."""
+        gens = self.generators
         conjugate, inv = self.conjugate, self.inv
         maps = [[conjugate(inv[s], g) for g in range(self.size)] for s in gens]
         return tuple((b, gens[k], g) for c in self.class_data.centralizer
@@ -502,7 +508,19 @@ def bicharacter_cocycle(group: FiniteGroup, exponents, root_order: int = 2) -> C
     exponents e mod m: the linear form u_a = E^T a, u_a[j] = sum_i E[i][j]
     a_i, is computed once per a, and entry (a, b) is (u_a . b) mod m, which
     is the double sum.  zeta_m^e has order m / gcd(m, e), so values past
-    ``MAX_CONDUCTOR`` are refused before any root is built."""
+    ``MAX_CONDUCTOR`` are refused before any root is built.
+
+    The table is a normalized 2-cocycle by construction, so it needs no
+    ``validate_cocycle``.  The labels are those of
+    ``group_from_cyclic_orders``, whose product adds them coordinatewise mod
+    the orders c_i.  Write
+    B(a, b) = sum_ij E[i][j] a_i b_j mod m on labels.  Replacing a_i by
+    a_i + c_i adds E[i][j] c_i b_j, which is 0 mod m by the check above,
+    and likewise for b_j, so B is well defined on the group and bilinear:
+    B(a + b, c) = B(a, c) + B(b, c) and B(a, b + c) = B(a, b) + B(a, c).
+    Then both sides of alpha(a, b) alpha(a + b, c) = alpha(b, c)
+    alpha(a, b + c) are zeta_m^(B(a, b) + B(a, c) + B(b, c)), and
+    B(0, b) = B(a, 0) = 0 makes alpha normalized."""
     if type(root_order) is not int or root_order < 1:
         raise CocycleError(f"root_order must be a positive int, got {root_order!r}")
     if group.labels is None:
@@ -632,8 +650,7 @@ def validate_cocycle(alpha: Cocycle2, max_witnesses: int = 10) -> dict:
             if len(report["failures"]) < max_witnesses:
                 report["failures"].append(("normalization", g))
     products = _PairTable(alpha.distinct, mul)
-    firsts = dict.fromkeys((0, *G.generator_indices)) if G.generator_indices else range(n)
-    for g1 in firsts:
+    for g1 in dict.fromkeys((0, *G.generators)):
         row1 = index[g1]
         for g2 in range(n):
             left = row1[g2] * m

@@ -5,17 +5,21 @@ The two PBW conditions are linear in kappa, so the space of all valid maps is
 the kernel of an explicit sparse system over the unknowns kappa_g(v_i, v_j),
 g in G, i < j.  ``_ConditionSites`` is the only place the conditions are
 written down, a site at a time: condition (1) at a link (h, g), condition (2)
-at an element g.  One system is built from it, once per problem: the
-solver's ``class_local_system``, over the unknowns at class
-representatives, which skips condition (2) where condition (1) alone forces
-kappa to zero.  The checker builds none: it multiplies kappa's coordinates
-with the rows at the sites that meet kappa's support, each written on its
-first use, in the order of the exhaustive system (condition (1) at (h, g)
-for each generator h and every g, then condition (2) at every g).  The
-rewriting oracle never looks at the conditions: it compares the two normal
-forms of each overlap word.  It reduces the words of tvv and vvv both ways;
-those of ttt and ttv have one reduction path a side, and it reads their
-normal forms from the closed forms written out below.
+at an element g.  The action holds one per (q, alpha), and every reader
+writes through it, so condition (1)'s images at h are taken once per
+problem.  One system is built from it, once per problem: the solver's
+``class_local_system``, over the unknowns at class representatives, which
+skips condition (2) where condition (1) alone forces kappa to zero.  The
+solver's expansion of its kernel over the classes and the checker build
+none: they read the rows at single sites, each written on its first use
+and kept.  The checker multiplies kappa's coordinates with the rows at the
+sites that meet kappa's support, in the order of the exhaustive system
+(condition (1) at (h, g) for each generator h and every g, then condition
+(2) at every g).  The rewriting oracle never looks at the conditions: it
+compares the two normal forms of each overlap word.  It reduces the words
+of tvv and vvv both ways; those of ttt and ttv have one reduction path a
+side, and it reads their normal forms from the closed forms written out
+below.
 
 Both stop once their report is settled.  A report keeps the first
 ``max_witnesses`` failures, in row or word order, and its flags, and a flag
@@ -34,7 +38,7 @@ evaluating all of them; a kappa that passes has every one evaluated.
   t_h t_k (.) t_k^-1 t_h^-1, so acting by k and then h is acting by hk.  The
   h that fix kappa thus form a subgroup, and the rows for the generators of
   G cut out the same space as the rows for all of G.  A group that records
-  no generators gets rows for every element.
+  no generators gets rows for every element (``FiniteGroup.generators``).
 * Once condition (1) holds, condition (2) at g is condition (2) at every
   conjugate hgh^-1, so one element per class suffices.  Let P in V (x) V be
   spanned by p_ab = v_a v_b - q_ab v_b v_a, and K: V (x) V -> C^alpha G the
@@ -76,9 +80,10 @@ evaluating all of them; a kappa that passes has every one evaluated.
   form a subgroup, so the generators of Z(c) suffice (first bullet), and
   condition (2) at c reads kappa_c only (second bullet).  The solver expands
   each kernel vector along ``FiniteGroup.conjugation_walk``: on an edge
-  (b, s, g), g = s^-1 b s, the condition-(1) row at (s, g) gives
-  kappa_g = rho(s^-1) kappa_b, the value of the one solution with these
-  kappa_c whatever the path.  A subspace has one basis of
+  (b, s, g), g = s^-1 b s != b, each condition-(1) row at (s, g) holds one
+  unknown at g, with a nonzero coefficient, and solving the rows for them
+  gives kappa_g = rho(s^-1) kappa_b, the value of the one solution with
+  these kappa_c whatever the path.  A subspace has one basis of
   ``linalg.kernel_basis``'s shape, which ``linalg.echelon_basis`` finds, so
   the output is that of plain elimination of every row.
 * Each overlap word's normal forms are affine in kappa, so each family is
@@ -104,19 +109,18 @@ evaluating all of them; a kappa that passes has every one evaluated.
   basis with the oracle families ttv, tvv and vvv instead; ttt is the
   cocycle identity, which holds once a problem is loaded: ``validate_cocycle``
   checks a table given by value, ``cocycle_from_rows``'s check at its
-  walk's non-tree edges proves a spin(n) table, and the trivial table
-  satisfies it by construction.
+  walk's non-tree edges proves a spin(n) table, and the trivial and
+  bicharacter tables satisfy it by construction.
 
 By default the oracle writes the last group letter of each word only at
-generators s of G (every element when the group records none): t_g t_h t_s,
-t_g t_s v_i and t_s v_j v_i, for all g, h and i; vvv has no group letter,
-and ``exhaustive=True`` writes every word.  Each step below
-shows that the last group letters at which a family resolves are closed
-under products, hence form a subgroup of the finite group G, which is all of
-G once it holds the generators.  The proofs use the rewriting rules only,
-none of the checker's lemmas, so the oracle stays independent.  ttt is still
-run at generators although the load-time checks cover it: the oracle does
-not assume what it could check.
+G's ``generators`` s: t_g t_h t_s, t_g t_s v_i and t_s v_j v_i, for all g,
+h and i; vvv has no group letter, and ``exhaustive=True`` writes every
+word.  Each step below shows that the last group letters at which a family
+resolves are closed under products, hence form a subgroup of the finite
+group G, which is all of G once it holds the generators.  The proofs use
+the rewriting rules only, none of the checker's lemmas, so the oracle stays
+independent.  ttt is still run at generators although the load-time checks
+cover it: the oracle does not assume what it could check.
 
 * ttt.  The first step fixes the side; after it each term is two group
   letters, then one, so each side has one reduction path:
@@ -183,7 +187,7 @@ from typing import NamedTuple
 
 from .groups import Cocycle2, FiniteGroup, _PairTable
 from .linalg import SparseSum, bump, echelon_basis, kernel_basis, same_span
-from .quantum import GroupAction, QMatrix, check_action_extends
+from .quantum import GroupAction, QMatrix, _row_times, check_action_extends
 from .scalars import ONE, parse_scalar
 
 
@@ -302,40 +306,23 @@ class ConditionSystem(NamedTuple):
     tags: tuple
 
 
-def _condition_one_images(action: GroupAction, q: QMatrix, h: int) -> list:
-    """Condition (1)'s coefficients at h, the same for every g: per pair
-    (i, j), in order, -q_ji and the right-hand side as (pair index of
-    (k, l), coefficient), with kappa_g(v_j, v_i) = -q_ji x[g, i, j]."""
-    n, hrows = action.n, action.rows_nz[h]
-    images = []
-    for i, j in combinations(range(n), 2):
-        qji = q(j, i)
-        image: dict = {}
-        for k, hik in hrows[i]:
-            for l, hjl in hrows[j]:
-                if k < l:
-                    bump(image, _pair_index(k, l, n), hjl * hik * q(l, k))
-        for l, hil in hrows[i]:
-            for k, hjk in hrows[j]:
-                if k < l:
-                    bump(image, _pair_index(k, l, n), -qji * hil * hjk * q(l, k))
-        images.append((-qji, tuple(image.items())))
-    return images
-
-
 class _ConditionSites:
     """The two conditions of one problem, written one site at a time:
     ``condition_one`` at a link (h, g) and ``condition_two`` at an element
     g, each as (row, tag) pairs in row order, from the given column offsets.
-    ``parameter_space_rows`` loops over them.  The checker reads ``rows``,
-    which writes a site in global columns (g's block at g * npairs) on its
-    first use and keeps it, as ``_OverlapTable`` keeps its columns.
+    The action holds one per (q, alpha) (``GroupAction.derived``), and it is
+    the only writer of the problem's rows: ``parameter_space_rows`` writes
+    the solver's system through it, in that system's columns, and
+    ``_expand_along_classes`` and the checker read ``rows``, which writes a
+    site in global columns (g's block at g * npairs) on its first use and
+    keeps it, as ``_OverlapTable`` keeps its columns.  It keeps what it
+    reads, the action's group and rows, and not the action, which holds it.
 
     The q products do not depend on g, so they are taken once per problem:
-    condition (1)'s right-hand sides once per h (``_condition_one_images``),
-    and condition (2)'s six factors once per triple i < j < k, with which the
-    coefficient of v_t, in the unknowns x[g, a, b] = kappa_g(v_a, v_b)
-    (a < b), reads
+    condition (1)'s right-hand sides once per h (``_condition_one_images``,
+    kept in ``images``), and condition (2)'s six factors once per triple
+    i < j < k, with which the coefficient of v_t, in the unknowns
+    x[g, a, b] = kappa_g(v_a, v_b) (a < b), reads
         x[g,j,k] (g^i_t (-q_kj) + [t = i] q_kj q_ji q_ki)
       + x[g,i,k] (g^j_t q_ki q_ji - [t = j] q_ki q_kj)
       + x[g,i,j] (g^k_t (-q_ji q_kj q_ki) + [t = k] q_ji).
@@ -349,9 +336,10 @@ class _ConditionSites:
 
     def __init__(self, action: GroupAction, q: QMatrix, alpha: Cocycle2):
         n = action.n
-        self.action, self.q, self.alpha = action, q, alpha
+        self.group, self.rows_nz, self.n = action.group, action.rows_nz, n
+        self.q, self.alpha = q, alpha
         self.npairs, self.pairs = n * (n - 1) // 2, list(combinations(range(n), 2))
-        self.images: dict = {}  # h -> _condition_one_images(action, q, h)
+        self.images: dict = {}  # h -> _condition_one_images(h)
         self.sites: dict = {}  # (1, h, g) or (2, g) -> its rows, in global columns
         # condition (2): per triple, (pair index, the row r of g read, the
         # factor of g^r_t, the constant at t = r) for each of its three unknowns
@@ -365,11 +353,31 @@ class _ConditionSites:
                 (_pair_index(i, j, n), k, -qkji, qji),
             )))
 
+    def _condition_one_images(self, h: int) -> list:
+        """Condition (1)'s coefficients at h, the same for every g: per pair
+        (i, j), in order, -q_ji and the right-hand side as (pair index of
+        (k, l), coefficient), with kappa_g(v_j, v_i) = -q_ji x[g, i, j]."""
+        n, q, hrows = self.n, self.q, self.rows_nz[h]
+        images = []
+        for i, j in self.pairs:
+            qji = q(j, i)
+            image: dict = {}
+            for k, hik in hrows[i]:
+                for l, hjl in hrows[j]:
+                    if k < l:
+                        bump(image, _pair_index(k, l, n), hjl * hik * q(l, k))
+            for l, hil in hrows[i]:
+                for k, hjk in hrows[j]:
+                    if k < l:
+                        bump(image, _pair_index(k, l, n), -qji * hil * hjk * q(l, k))
+            images.append((-qji, tuple(image.items())))
+        return images
+
     def condition_one(self, h: int, g: int, at_g: int, at_gc: int) -> list:
         """Condition (1) at (h, g), the unknowns at g and hgh^-1 from columns
         at_g and at_gc."""
         if h not in self.images:
-            self.images[h] = _condition_one_images(self.action, self.q, h)
+            self.images[h] = self._condition_one_images(h)
         ratio, out = self.alpha.conj_ratio(h, g), []
         for p, (minus_qji, image) in enumerate(self.images[h]):
             row: dict = {at_g + p: ratio * minus_qji}
@@ -381,7 +389,7 @@ class _ConditionSites:
 
     def condition_two(self, g: int, at: int) -> list:
         """Condition (2) at g, the unknowns at g from column at."""
-        grows = [dict(r) for r in self.action.rows_nz[g]]
+        grows = [dict(r) for r in self.rows_nz[g]]
         out = []
         for (i, j, k), terms in self.triples:
             for t in sorted({i, j, k}.union(grows[i], grows[j], grows[k])):
@@ -401,7 +409,7 @@ class _ConditionSites:
         if site not in self.sites:
             g, npairs = site[-1], self.npairs
             if site[0] == 1:
-                gc = self.action.group.conjugate(site[1], g)
+                gc = self.group.conjugate(site[1], g)
                 self.sites[site] = self.condition_one(site[1], g, g * npairs, gc * npairs)
             else:
                 self.sites[site] = self.condition_two(g, g * npairs)
@@ -423,8 +431,10 @@ def parameter_space_rows(
       + kappa_g(v_k,v_i)(q_kj v_j - q_ji g(v_j))
       + kappa_g(v_j,v_i)(q_kj q_ki g(v_k) - v_k) = 0.
     A row's product with kappa's coordinates is lhs - rhs of its equation.
-    Equations that hold for every kappa give no row.  Each site's rows come
-    from ``_ConditionSites``.
+    Equations that hold for every kappa give no row.  Each site's rows are
+    written by the action's ``_ConditionSites`` for (q, alpha), the writer
+    the checker reads too, so condition (1)'s images at each h are taken
+    once per problem.
 
     The unknowns are x[g, i, j] for the g in ``elements``, the block of
     elements[k] at column k * npairs + (the rank of (i, j)); each link
@@ -433,7 +443,7 @@ def parameter_space_rows(
     G = action.group
     npairs = action.n * (action.n - 1) // 2
     block = {g: k * npairs for k, g in enumerate(elements)}
-    write = _ConditionSites(action, q, alpha)
+    write = action.derived(_ConditionSites, q, alpha)
     sites = [write.condition_one(h, g, block[g], block[G.conjugate(h, g)]) for h, g in links]
     dead = {col for rows in sites for row, _ in rows if len(row) == 1 for col in row}
     sites += [write.condition_two(g, at) for g, at in block.items()
@@ -494,17 +504,18 @@ def check_pbw_conditions(
     A row of condition (1) at (h, g) reads kappa_g and kappa_(hgh^-1) only,
     one of condition (2) at g reads kappa_g only, so only the rows at the
     sites that meet kappa's support S can fail.  Those are evaluated in row
-    order: condition (1) at (s, g) for each generator s (every element when
-    the group records none) and g in S or s^-1 S s, then condition (2) at g
-    in S.  Each site is written on its first use and kept for the problem
-    (``_ConditionSites``).  A condition's flag needs one failing row, so
-    once a condition has failed with the list full, its remaining rows can
-    change nothing and are skipped: after condition (1) the evaluation goes
-    on to condition (2), after condition (2) it stops.  The rows evaluated
-    before the stop, their order and their exact products are those of
-    evaluating every row, so the report is the same; a passing kappa has
-    every row that meets its support evaluated.  A kappa of another group
-    object or n than the action's is refused (``require_kappa_on``).
+    order: condition (1) at (s, g) for each s in ``G.generators`` and g in
+    S or s^-1 S s, then condition (2) at g in S.  Each site is written on
+    its first use and kept for the problem (``_ConditionSites``), where the
+    solver's expansion may have written it already.  A condition's flag
+    needs one failing row, so once a condition has failed with the list
+    full, its remaining rows can change nothing and are skipped: after
+    condition (1) the evaluation goes on to condition (2), after condition
+    (2) it stops.  The rows evaluated before the stop, their order and
+    their exact products are those of evaluating every row, so the report
+    is the same; a passing kappa has every row that meets its support
+    evaluated.  A kappa of another group object or n than the action's is
+    refused (``require_kappa_on``).
     """
     require_kappa_on(kappa, action)
     _require_extension(action, q)
@@ -512,7 +523,7 @@ def check_pbw_conditions(
     G, x = action.group, kappa.coordinate_row()
     support = {g for g, _, _ in kappa.coeffs}
     conditions = (
-        [(1, s, g) for s in G.generator_indices or range(G.size)
+        [(1, s, g) for s in G.generators
          for g in sorted(support.union(G.conjugate(G.inv[s], c) for c in support))],
         [(2, g) for g in sorted(support)],
     )
@@ -535,31 +546,29 @@ def check_pbw_conditions(
     return report
 
 
-def _expand_along_classes(solutions, action, q, alpha) -> None:
+def _expand_along_classes(solutions, sites: _ConditionSites) -> None:
     """Extend each solution, {element: {pair index: value}} at the class
     representatives, to their classes in place: on each edge (b, s, g) of
-    ``FiniteGroup.conjugation_walk`` the condition-(1) row at (s, g) reads
-        ratio(s, g) (-q_ji) x[g, i, j] + sum_kl c_kl x[b, k, l] = 0,
-    the c_kl from ``_condition_one_images(s)``."""
-    transposed = {}  # s -> ([1 / -q_ji per pair], {kl: [(pair, c_kl)]})
-    for b, s, g in action.group.conjugation_walk:
+    ``FiniteGroup.conjugation_walk`` (g != b) the condition-(1) rows at
+    (s, g), ``sites.rows((1, s, g))``, hold one unknown at g each, row p
+    the one at pair p, and the rest at b.  Row p solved for it reads
+        x[g, p] = -(sum of its entries at b times x[b]) / (its entry at g)."""
+    npairs = sites.npairs
+    for b, s, g in sites.group.conjugation_walk:
+        at_b, at_g = b * npairs, g * npairs
         for x in solutions:
             xb = x.get(b)
             if not xb:
                 continue
-            if s not in transposed:
-                images, by_kl = _condition_one_images(action, q, s), {}
-                for p, (_, image) in enumerate(images):
-                    for kl, c in image:
-                        by_kl.setdefault(kl, []).append((p, c))
-                transposed[s] = ([minus_qji.inverse() for minus_qji, _ in images], by_kl)
-            inverses, by_kl = transposed[s]
-            acc: dict = {}
-            for kl, v in xb.items():
-                for p, c in by_kl.get(kl, ()):
-                    bump(acc, p, c * v)
-            f = -alpha.conj_ratio(s, g).inverse()
-            x[g] = {p: a * f * inverses[p] for p, a in acc.items()}
+            xg = x[g] = {}
+            for p, (row, _) in enumerate(sites.rows((1, s, g))):
+                acc: dict = {}
+                for col, c in row.items():
+                    v = xb.get(col - at_b)  # None off b's block, at g's column too
+                    if v is not None:
+                        bump(acc, 0, c * v)
+                if acc:
+                    xg[p] = -acc[0] / row[at_g + p]
 
 
 def solve_parameter_space(
@@ -570,11 +579,10 @@ def solve_parameter_space(
     expanded along conjugation and brought to that shape (see the module
     docstring).  Unless disabled, every basis element is re-verified by the
     rewriting oracle's families ttv, tvv and vvv, which do not use the rows."""
-    G = action.group
-    n = action.n
-    npairs = n * (n - 1) // 2
-    pairs = list(combinations(range(n), 2))
+    G, n = action.group, action.n
     system = action.derived(class_local_system, q, alpha)
+    sites = action.derived(_ConditionSites, q, alpha)  # the writer of the system's rows
+    npairs, pairs = sites.npairs, sites.pairs
     reps = tuple(G.class_data.centralizer)  # the system's column blocks
     solutions = []  # per kernel vector, element -> {pair index: value}
     for vec in kernel_basis(system.rows, system.ncols):
@@ -584,7 +592,7 @@ def solve_parameter_space(
                 r, p = divmod(col, npairs)
                 x.setdefault(reps[r], {})[p] = c
         solutions.append(x)
-    _expand_along_classes(solutions, action, q, alpha)
+    _expand_along_classes(solutions, sites)
     vectors = [{g * npairs + p: v for g, xg in x.items() for p, v in xg.items()}
                for x in solutions]
     basis = [KappaMap(G, n, q, {(col // npairs, *pairs[col % npairs]): c
@@ -693,8 +701,8 @@ def overlap_word_count(G: FiniteGroup, n: int, exhaustive: bool) -> int:
     """The number of words of every family that ``verify_ambiguities``
     decides, without building one: |G|^2 k + |G| k n + k C(n, 2) + C(n, 3),
     k the number of last group letters (every element when exhaustive, else
-    the generators, or every element when the group records none)."""
-    k = G.size if exhaustive else len(G.generator_indices or range(G.size))
+    ``G.generators``)."""
+    k = G.size if exhaustive else len(G.generators)
     return G.size * G.size * k + G.size * k * n + k * comb(n, 2) + comb(n, 3)
 
 
@@ -726,17 +734,14 @@ def _associativity_failures(words, action, alpha):
 def _composition_failures(words, action, alpha):
     """ttv in closed form (module docstring), in ``_associativity_failures``'
     shape.  t_g t_h v_i fails exactly when row i of gh differs from the
-    sparse product of h's row i with g's rows; the factor alpha(g, h) of
+    sparse product of h's row i with g's rows (``quantum._row_times``, the
+    product the action's composition check takes); the factor alpha(g, h) of
     both normal forms is nonzero and drops out, so alpha is not read."""
     rows, mult = action.rows_nz, action.group.mult
     failures, w = {}, -1
     for w, (_, tag) in words:
         _, g, h, i = tag
-        image: dict = {}
-        for k, c in rows[h][i]:
-            for l, d in rows[g][k]:
-                bump(image, l, c * d)
-        if image != dict(rows[mult[g][h]][i]):
+        if _row_times(rows[h][i], rows[g]) != dict(rows[mult[g][h]][i]):
             failures[w] = tag
     return failures, w + 1
 
@@ -756,12 +761,15 @@ class _OverlapTable:
     order, the word number and that word's (letters, scalar) pairs; ttt and
     ttv defer nothing, so they have none.  Each entry reduces a form
     head t_g tail, whose reduction records no v_j v_i firing (module
-    docstring), so the events list it passes stays empty."""
+    docstring), so the events list it passes stays empty.  The action holds
+    the table (``GroupAction.derived``) and the table keeps (q, alpha) only:
+    the reductions take the action as an argument, ``column``'s from
+    ``verify_ambiguities``."""
 
     def __init__(self, action, q, alpha, family, exhaustive):
         n, G = action.n, action.group
-        letters = range(G.size) if exhaustive else G.generator_indices or range(G.size)
-        self.n, self.args = n, (action, q, alpha)
+        letters = range(G.size) if exhaustive else G.generators
+        self.n, self.q, self.alpha = n, q, alpha
         self.deferred = {}  # (i, j) -> [(word number, head, tail, factor of x[g, i, j])]
         self.columns = {}  # (g, i, j) -> column
         self.forms = {}  # (head, g, tail) -> normal form of head t_g tail
@@ -772,12 +780,12 @@ class _OverlapTable:
         else:
             self.tags = {}  # word number -> witness tag
             self.fixed = set()  # the word numbers with D_0 != 0
-            self.checked = self._reduce(words)
+            self.checked = self._reduce(words, action)
 
-    def _reduce(self, words) -> int:
+    def _reduce(self, words, action) -> int:
         """Reduce each numbered word both ways, deferring its kappa terms;
         returns the number of words."""
-        n, (action, q, alpha) = self.n, self.args
+        n, q, alpha = self.n, self.q, self.alpha
         w = -1
         for w, (word, tag) in words:
             events = []
@@ -794,15 +802,16 @@ class _OverlapTable:
                 self.deferred.setdefault((i, j), []).append((w, head, tail, factor))
         return w + 1
 
-    def column(self, g, i, j) -> tuple:
+    def column(self, action, g, i, j) -> tuple:
+        """The column of x[g, i, j]; ``action`` is the one that holds the table."""
         col = self.columns.get((g, i, j))
         if col is None:
             entries: dict = {}  # word number -> {letters: scalar}; words come in order
             for w, head, tail, factor in self.deferred.get((i, j), ()):
                 form = self.forms.get((head, g, tail))
                 if form is None:
-                    form = _reduce_letter_terms(
-                        [(ONE, head + (self.n + g,) + tail)], self.n, *self.args, [])
+                    form = _reduce_letter_terms([(ONE, head + (self.n + g,) + tail)],
+                                                self.n, action, self.q, self.alpha, [])
                     self.forms[head, g, tail] = form
                 at_w = entries.setdefault(w, {})
                 for letters, c in form.items():
@@ -826,11 +835,11 @@ def verify_ambiguities(
     t_h v_j v_i (j > i) and v_k v_j v_i (k > j > i), each reduced once
     starting at the left overlap and once at the right.
 
-    By default the last group letter of a word (k, h and h above) is a
-    generator of G only (every element when the group records none).  The
-    module docstring proves that this gives the exhaustive verdict of all
-    the families together, and of each family alone; for tvv alone that
-    needs ttt and ttv to resolve, as they do for every loaded problem.  With
+    By default the last group letter of a word (k, h and h above) is one of
+    G's ``generators`` only.  The module docstring proves that this gives
+    the exhaustive verdict of all the families together, and of each family
+    alone; for tvv alone that needs ttt and ttv to resolve, as they do for
+    every loaded problem.  With
     ``exhaustive`` it ranges over all of G, and ``checked`` counts every
     overlap word, as ``pbw-check --oracle`` reports.
 
@@ -871,7 +880,7 @@ def verify_ambiguities(
         by_word: dict = {}  # word number -> [(x, that word's entries of x's column)]
         if table.deferred:
             for (g, i, j), x in kappa.coeffs.items():
-                for w, entries in table.column(g, i, j):
+                for w, entries in table.column(action, g, i, j):
                     by_word.setdefault(w, []).append((x, entries))
         for w in sorted(table.fixed.union(by_word)):
             if w not in table.fixed:

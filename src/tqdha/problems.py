@@ -210,23 +210,15 @@ def _build_action(data, group: FiniteGroup, n: int, read: _ScalarReader) -> Grou
         raise ProblemValidationError("action", str(e)) from e
 
 
-def _validated(alpha: Cocycle2) -> Cocycle2:
-    rep = validate_cocycle(alpha)
-    if not rep["normalized"] or not rep["cocycle"]:
-        raise ProblemValidationError(
-            "cocycle", f"identity fails; first witnesses {rep['failures'][:3]}"
-        )
-    return alpha
-
-
 def _build_cocycle(data, group: FiniteGroup, read: _ScalarReader) -> Cocycle2:
-    """The problem's cocycle, validated where that can fail.  The trivial
-    cocycle is not validated: it is the program's constant table of ONE, so
-    normalization and the identity 1 * 1 = 1 * 1 hold on any group.  A
-    spin(n) table is built on the declared group, once that is seen to be
-    S_n (degree n, then order n!, so no n past the group's bounds is ever
-    built on), and is not validated again: ``spin_cocycle`` checks the table
-    it builds."""
+    """The problem's cocycle, validated where that can fail: a table given
+    by value.  The trivial cocycle is not validated: it is the program's
+    constant table of ONE, so normalization and the identity 1 * 1 = 1 * 1
+    hold on any group.  A spin(n) table is built on the declared group, once
+    that is seen to be S_n (degree n, then order n!, so no n past the
+    group's bounds is ever built on), and is not validated again:
+    ``spin_cocycle`` checks the table it builds.  Nor is a bicharacter
+    table, a cocycle by construction (``bicharacter_cocycle``)."""
     spec = data.get("cocycle", "trivial")
     if spec == "trivial":
         return trivial_cocycle(group)
@@ -254,7 +246,12 @@ def _build_cocycle(data, group: FiniteGroup, read: _ScalarReader) -> Cocycle2:
                 alpha = cocycle_from_values(group, vals, name="table")
             except CocycleError as e:
                 raise ProblemValidationError("cocycle.table", str(e)) from e
-            return _validated(alpha)
+            rep = validate_cocycle(alpha)
+            if not rep["normalized"] or not rep["cocycle"]:
+                raise ProblemValidationError(
+                    "cocycle", f"identity fails; first witnesses {rep['failures'][:3]}"
+                )
+            return alpha
         if "bicharacter_exponents" in spec:
             exponents, root_order = spec["bicharacter_exponents"], spec.get("root_order", 2)
             _require_int_table("cocycle.bicharacter_exponents", exponents)
@@ -266,7 +263,7 @@ def _build_cocycle(data, group: FiniteGroup, read: _ScalarReader) -> Cocycle2:
                 raise ProblemValidationError("cocycle.bicharacter_exponents", str(e)) from e
             for x in alpha.distinct:
                 read.admit("cocycle.bicharacter_exponents", x)
-            return _validated(alpha)
+            return alpha
     raise ProblemValidationError("cocycle", f"unrecognized description {spec!r}")
 
 

@@ -126,7 +126,7 @@ class GroupAction:
         of the dense product, so the first failure and its message are
         those of the dense check."""
         G, rows = self.group, self.rows_nz
-        for s in G.generator_indices or range(G.size):
+        for s in G.generators:
             rs = rows[s]
             for g, rg in enumerate(rows):
                 for row, target in zip(rg, rows[G.mult[s][g]]):
@@ -139,7 +139,13 @@ class GroupAction:
         """``build(self, *rest)``, computed on the first call with these
         arguments and kept in a dict the action owns, keyed by
         ``(build, *rest)``.  ``QMatrix`` and ``Cocycle2`` define no equality,
-        so the key compares them by identity.  No caller modifies the result."""
+        so the key compares them by identity.  What is held must not refer
+        to the action, so a dropped action is freed by reference counting,
+        with no cycle to collect: ``pbw._ConditionSites`` keeps the action's
+        group and rows, and ``pbw._OverlapTable`` is handed the action where
+        it reduces.  A held result is not modified, apart from the caches
+        the sites and the overlap tables fill on first use of a row or a
+        column."""
         key = (build, *rest)
         if key not in self._derived:
             self._derived[key] = build(self, *rest)
@@ -274,7 +280,7 @@ def check_action_extends(action: GroupAction, q: QMatrix, max_witnesses: int = 5
     so the reports are those of checking one generator after another.
     """
     n = action.n
-    gens = action.group.generator_indices or range(action.group.size)
+    gens = action.group.generators
     report = {"symmetric": True, "exterior": True}
     grows = [[dict(r) for r in action.rows_nz[g]] for g in gens]
     symmetric, exterior = [[] for _ in gens], [[] for _ in gens]

@@ -18,12 +18,14 @@ written from per-problem templates, against the per-(g, pair) cochain
 assembly they replaced.
 """
 
+import gc
 import hashlib
 import importlib.util
 import inspect
 import os
 import random
 import sys
+import weakref
 from collections import Counter
 
 import pytest
@@ -58,6 +60,7 @@ from tqdha.pbw import (
     check_pbw_conditions,
     extension_report,
     solve_parameter_space,
+    verify_ambiguities,
 )
 from tqdha.problems import load_problem, parse_problem_file
 from tqdha.quantum import (
@@ -84,9 +87,9 @@ def bundled(name):
     return prob.action, prob.q, prob.alpha
 
 
-def seeded_cyclotomic(k):
-    """The k-th of the benchmark's three seed-1 Z/6 x Z/6 problems in
-    Q(zeta_12), from its generator (imported without writing bytecode)."""
+def benchmark_inputs():
+    """The benchmark's input generator ``perfbench/inputs.py``, imported
+    without writing bytecode."""
     path = os.path.join(HERE, os.pardir, "perfbench", "inputs.py")
     spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
     module = importlib.util.module_from_spec(spec)
@@ -96,7 +99,13 @@ def seeded_cyclotomic(k):
         spec.loader.exec_module(module)
     finally:
         sys.dont_write_bytecode = flag
-    prob = load_problem(module.cyclotomic_instances(1, 3)[k]["problem"])
+    return module
+
+
+def seeded_cyclotomic(k):
+    """The k-th of the benchmark's three seed-1 Z/6 x Z/6 problems in
+    Q(zeta_12)."""
+    prob = load_problem(benchmark_inputs().cyclotomic_instances(1, 3)[k]["problem"])
     return prob.action, prob.q, prob.alpha
 
 
@@ -586,3 +595,41 @@ def test_abelian_group_shares_one_system(monkeypatch):
     action, q, alpha = cyclotomic_diagonal_instance(6)
     exercise(action, q, alpha)
     assert builds == [tuple(action.group.class_data.centralizer)]
+
+
+def test_each_condition_one_image_is_written_once(monkeypatch):
+    """Condition (1)'s images at h are written once per problem: the
+    solver's system, its class expansion and the checker all read the
+    action's one ``_ConditionSites``."""
+    built = []
+    real = pbw._ConditionSites._condition_one_images
+
+    def recording(self, h):
+        built.append(h)
+        return real(self, h)
+
+    monkeypatch.setattr(pbw._ConditionSites, "_condition_one_images", recording)
+    _, action, q, alpha = symmetric_instance(5, True)
+    for kappa in solve_parameter_space(action, q, alpha):
+        assert check_pbw_conditions(kappa, action, q, alpha)["passed"]
+    cohomological_parameter_space(action, q, alpha)
+    assert set(action.group.generators) <= set(built)
+    assert len(built) == len(set(built)), Counter(built)
+
+
+def test_a_dropped_problem_is_freed_without_the_cycle_collector():
+    """What the action holds refers to nothing that holds the action, so
+    dropping a problem the routes ran on frees it by reference counting."""
+    _, action, q, alpha = symmetric_instance(5, True)
+    space = solve_parameter_space(action, q, alpha)
+    other = cohomological_parameter_space(action, q, alpha)
+    for kappa in space:
+        assert check_pbw_conditions(kappa, action, q, alpha)["passed"]
+        assert verify_ambiguities(kappa, action, q, alpha)["resolvable"]
+    ref = weakref.ref(action)
+    gc.disable()
+    try:
+        del action, q, alpha, space, other
+        assert ref() is None
+    finally:
+        gc.enable()

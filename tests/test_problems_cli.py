@@ -18,6 +18,8 @@ from tqdha.groups import symmetric_group
 from tqdha.problems import ProblemValidationError, load_problem, parse_problem_file
 from tqdha.spin import spin_cocycle
 
+from test_orbit_solver import benchmark_inputs
+
 PROBLEMS = os.path.join(os.path.dirname(__file__), os.pardir, "problems")
 
 
@@ -56,9 +58,33 @@ def test_trivial_cocycle_is_not_validated_on_load(monkeypatch):
     for name in ("weyl2.json", "z2_negation.json", "s3_natural_qminus.json"):
         assert parse_problem_file(problem_path(name)).alpha.name == "trivial"
     assert validated == []
-    # the patched name is the one the loader calls for cocycles it must check
+    # a bicharacter table is a cocycle by construction
     parse_problem_file(problem_path("klein_bicharacter_diag.json"))
-    assert len(validated) == 1
+    assert validated == []
+    # the patched name is the one the loader calls for the cocycles it must
+    # check, the tables given by value
+    load_problem({"n": 1, "q": "all:1", "group": {"cyclic_product": [3]},
+                  "action": {"diagonal": [["1/1"], ["1/1"], ["1/1"]]},
+                  "cocycle": {"table": [["1/1"] * 3] * 3}})
+    assert validated == ["table"]
+
+
+def test_loaded_bicharacter_tables_are_cocycles():
+    """The loader takes a bicharacter table unchecked, as a cocycle by
+    construction (``groups.bicharacter_cocycle``); every one it builds from
+    the bundled and golden problems and the benchmark's seeded problems
+    passes ``validate_cocycle``."""
+    folder = os.path.join(os.path.dirname(__file__), "golden")
+    data = [json.loads(Path(path).read_text()) for path in (
+        problem_path("klein_bicharacter_diag.json"), os.path.join(folder, "z6z6_zeta12.json"))]
+    inputs = benchmark_inputs()
+    data += [inst["problem"] for seed in range(1, 5)
+             for inst in inputs.cyclotomic_instances(seed, 3)]
+    for k, problem in enumerate(data):
+        alpha = load_problem(problem).alpha
+        assert alpha.name.startswith("bicharacter"), k
+        report = groups.validate_cocycle(alpha)
+        assert report["normalized"] and report["cocycle"], (k, report["failures"])
 
 
 def test_validation_failure_names_location():

@@ -251,7 +251,7 @@ def test_no_kappa_firing_on_a_column_form(name, monkeypatch):
         del passed[:]
         for (i, j) in table.deferred:
             for g in range(action.group.size):
-                table.column(g, i, j)
+                table.column(action, g, i, j)
         monkeypatch.undo()
         assert len(passed) == len(table.forms), (family, exhaustive)
         assert not any(passed), (family, exhaustive)
