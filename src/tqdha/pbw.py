@@ -11,8 +11,9 @@ problem.  One system is built from it, once per problem: the solver's
 ``class_local_system``, over the unknowns at class representatives, which
 skips condition (2) where condition (1) alone forces kappa to zero.  The
 solver's expansion of its kernel over the classes and the checker build
-none: they read the rows at single sites, each written on its first use
-and kept.  The checker multiplies kappa's coordinates with the rows at the
+none: the expansion solves the condition-(1) rows at each walk edge, which
+it drops, and the checker reads the rows at single sites, each written on
+its first use and kept.  The checker multiplies kappa's coordinates with the rows at the
 sites that meet kappa's support, in the order of the exhaustive system
 (condition (1) at (h, g) for each generator h and every g, then condition
 (2) at every g).  The rewriting oracle never looks at the conditions: it
@@ -188,7 +189,7 @@ from typing import NamedTuple
 from .groups import Cocycle2, FiniteGroup, _PairTable
 from .linalg import SparseSum, bump, echelon_basis, kernel_basis, same_span
 from .quantum import GroupAction, QMatrix, _row_times, check_action_extends
-from .scalars import ONE, parse_scalar
+from .scalars import ONE, ZERO, parse_scalar
 
 
 class ExtensionError(ValueError):
@@ -312,10 +313,12 @@ class _ConditionSites:
     g, each as (row, tag) pairs in row order, from the given column offsets.
     The action holds one per (q, alpha) (``GroupAction.derived``), and it is
     the only writer of the problem's rows: ``parameter_space_rows`` writes
-    the solver's system through it, in that system's columns, and
-    ``_expand_along_classes`` and the checker read ``rows``, which writes a
-    site in global columns (g's block at g * npairs) on its first use and
-    keeps it, as ``_OverlapTable`` keeps its columns.  It keeps what it
+    the solver's system through it, in that system's columns,
+    ``_expand_along_classes`` writes the condition-(1) rows of each walk
+    edge in columns of its own and drops them, and the checker reads
+    ``rows``, which writes a site in global columns (g's block at
+    g * npairs) on its first use and keeps it, as ``_OverlapTable`` keeps
+    its columns.  It keeps what it
     reads, the action's group and rows, and not the action, which holds it.
 
     The q products do not depend on g, so they are taken once per problem:
@@ -506,8 +509,8 @@ def check_pbw_conditions(
     sites that meet kappa's support S can fail.  Those are evaluated in row
     order: condition (1) at (s, g) for each s in ``G.generators`` and g in
     S or s^-1 S s, then condition (2) at g in S.  Each site is written on
-    its first use and kept for the problem (``_ConditionSites``), where the
-    solver's expansion may have written it already.  A condition's flag
+    its first use and kept for the problem (``_ConditionSites``).  A
+    condition's flag
     needs one failing row, so once a condition has failed with the list
     full, its remaining rows can change nothing and are skipped: after
     condition (1) the evaluation goes on to condition (2), after condition
@@ -549,26 +552,29 @@ def check_pbw_conditions(
 def _expand_along_classes(solutions, sites: _ConditionSites) -> None:
     """Extend each solution, {element: {pair index: value}} at the class
     representatives, to their classes in place: on each edge (b, s, g) of
-    ``FiniteGroup.conjugation_walk`` (g != b) the condition-(1) rows at
-    (s, g), ``sites.rows((1, s, g))``, hold one unknown at g each, row p
-    the one at pair p, and the rest at b.  Row p solved for it reads
+    ``FiniteGroup.conjugation_walk`` (g != b, sgs^-1 = b) the condition-(1)
+    rows at (s, g), written by ``sites.condition_one`` with g's unknowns
+    from column 0 and b's from column npairs and kept by no one, hold one
+    unknown at g each, row p the one at pair p, and the rest at b.  Row p
+    solved for it reads
         x[g, p] = -(sum of its entries at b times x[b]) / (its entry at g)."""
     npairs = sites.npairs
     for b, s, g in sites.group.conjugation_walk:
-        at_b, at_g = b * npairs, g * npairs
+        rows = None  # written at the edge's first solution that reaches b
         for x in solutions:
             xb = x.get(b)
             if not xb:
                 continue
+            rows = rows or sites.condition_one(s, g, 0, npairs)
             xg = x[g] = {}
-            for p, (row, _) in enumerate(sites.rows((1, s, g))):
-                acc: dict = {}
+            for p, (row, _) in enumerate(rows):
+                total = ZERO
                 for col, c in row.items():
-                    v = xb.get(col - at_b)  # None off b's block, at g's column too
+                    v = xb.get(col - npairs)  # None at g's column, which is below npairs
                     if v is not None:
-                        bump(acc, 0, c * v)
-                if acc:
-                    xg[p] = -acc[0] / row[at_g + p]
+                        total += c * v
+                if not total.is_zero():
+                    xg[p] = -total / row[p]
 
 
 def solve_parameter_space(

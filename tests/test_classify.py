@@ -328,9 +328,11 @@ def test_closed_forms_apply_to_a_fresh_instance():
 def retained_by_classification(collect: bool) -> int:
     """The traced bytes a twisted S6 classification leaves once its report
     is deleted, with the cycle collector off during the run; ``collect``
-    runs it once after the delete.  S6 and the free lists are settled
-    first."""
-    symmetric_group(6)
+    runs it once after the delete.  What stays by design is settled first
+    by one classification that is dropped and collected: S6 and the class
+    data it keeps for its life, the value-keyed memos and the free lists.
+    So the window holds the problem's own data only, whatever ran before."""
+    symmetric_natural_classify(6, True)
     gc.collect()
     gc.disable()
     tracemalloc.start()
@@ -350,9 +352,7 @@ def retained_by_classification(collect: bool) -> int:
 def test_classification_frees_its_problem():
     """What the routes derive from a problem is held by the problem's own
     objects, so a twisted S6 classification that is dropped leaves the
-    traced memory within 1 MB of where it started: what stays is the
-    group's class data and the value-keyed memos (scalars, the closed
-    forms' permutation index).  With the per-problem data in module caches
+    traced memory within 1 MB of where it started.  With the per-problem data in module caches
     keyed on the action, 6.1 MB stayed."""
     retained = retained_by_classification(collect=True)
     assert retained < 10 ** 6, retained

@@ -599,8 +599,8 @@ def test_abelian_group_shares_one_system(monkeypatch):
 
 def test_each_condition_one_image_is_written_once(monkeypatch):
     """Condition (1)'s images at h are written once per problem: the
-    solver's system, its class expansion and the checker all read the
-    action's one ``_ConditionSites``."""
+    solver's system, its class expansion and the checker all write through
+    the action's one ``_ConditionSites``."""
     built = []
     real = pbw._ConditionSites._condition_one_images
 
