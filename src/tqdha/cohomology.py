@@ -290,15 +290,16 @@ def _centralizer_sum(c: int, form: dict, action: GroupAction, alpha: Cocycle2) -
 
 def _induced(fixed: dict, action: GroupAction, alpha: Cocycle2) -> dict:
     """(1/|G|) sum_r T_r(fixed[c]) over each c of fixed and each r of c's
-    transversal, at the ordered pairs i != j (the diagonal is dropped)."""
+    transversal, at the ordered pairs i != j: the diagonal keys are summed
+    with the others and dropped when the sum is scaled."""
     G = action.group
     transversal = G.class_data.transversal
     acc: dict = {}
     for c, form in fixed.items():
         for r in transversal[c]:
-            _act(acc, r, form, action, alpha, diagonal=False)
+            _act(acc, r, form, action, alpha)
     scale = rational(1) / rational(G.size)
-    return {key: scale * c for key, c in acc.items()}
+    return {key: scale * c for key, c in acc.items() if key[1] != key[2]}
 
 
 def _columns(action: GroupAction, g: int) -> list:
@@ -311,8 +312,7 @@ def _columns(action: GroupAction, g: int) -> list:
     return cols
 
 
-def _act(acc: dict, h: int, form: dict, action: GroupAction, alpha: Cocycle2,
-         diagonal: bool = True) -> None:
+def _act(acc: dict, h: int, form: dict, action: GroupAction, alpha: Cocycle2) -> None:
     """Add T_h(form) into acc, where form and acc are bilinear forms
     V x V -> C^alpha G held as {(g, k, l): c}, the coefficient of t_g at
     (v_k, v_l) over ordered pairs (k = l allowed), with no zero kept; every
@@ -322,14 +322,13 @@ def _act(acc: dict, h: int, form: dict, action: GroupAction, alpha: Cocycle2,
     v_k and a v_l component, that is each i and j in columns k and l of
     h^-1's matrix, with c times the conjugation ratio and both entries.
     Those columns are the rows of h^-1 transposed, once per action and
-    element (``_columns``, held by the action).  Without ``diagonal`` the
-    pairs i = j are left out.  T_1 is the identity (1 acts by the identity matrix, and
+    element (``_columns``, held by the action).  Every pair is kept, i = j
+    included.  T_1 is the identity (1 acts by the identity matrix, and
     alpha(1, g) = alpha(g, 1) for any 2-cocycle), so h = 1 adds the form
     itself, with no product."""
     if h == 0:
         for key, c in form.items():
-            if diagonal or key[1] != key[2]:
-                bump(acc, key, c)
+            bump(acc, key, c)
         return
     G = action.group
     cols = action.derived(_columns, G.inv[h])
@@ -338,8 +337,7 @@ def _act(acc: dict, h: int, form: dict, action: GroupAction, alpha: Cocycle2,
         for i, aik in cols[k]:
             ci = c * aik
             for j, ajl in cols[l]:
-                if diagonal or i != j:
-                    bump(acc, (target, i, j), ci * ajl)
+                bump(acc, (target, i, j), ci * ajl)
 
 
 def reynolds_project(x: KappaMap, action: GroupAction, q: QMatrix, alpha: Cocycle2) -> KappaMap:

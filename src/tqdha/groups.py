@@ -432,17 +432,17 @@ class _PairTable(dict):
     """op(x, y) on pairs of the distinct values of a cocycle table, at key
     i * m + j for x = distinct[i], y = distinct[j] and m = len(distinct).
 
-    Each entry is computed on its first lookup, and results of one layout
-    are one shared object, so equal results of one order compare by ``is``."""
+    Each entry is computed on its first lookup.  Equal entries may be
+    distinct objects (only 0 and +-1 are shared, by ``scalars``), so
+    readers compare them with ``==``."""
 
     def __init__(self, distinct, op):
         super().__init__()
-        self.distinct, self.op, self.shared = distinct, op, {}
+        self.distinct, self.op = distinct, op
 
     def __missing__(self, key):
         i, j = divmod(key, len(self.distinct))
-        r = self.op(self.distinct[i], self.distinct[j])
-        r = self[key] = self.shared.setdefault((r.order, r.coeffs, r.den), r)
+        r = self[key] = self.op(self.distinct[i], self.distinct[j])
         return r
 
 
@@ -631,11 +631,11 @@ def validate_cocycle(alpha: Cocycle2, max_witnesses: int = 10) -> dict:
     product of two table entries, and the table is stored as positions in
     its distinct values (see ``Cocycle2``).  So each product of two distinct
     values is computed once, in a memo that lives for this call and holds
-    at most one entry per side of a triple checked.  Products of one layout
-    are one object, so a side is compared with ``lhs is rhs or lhs == rhs``
-    (list equality does exactly that): ``is`` can only hold for equal
-    values, and ``==`` decides the rest exactly, also when equal values are
-    stored at different orders.
+    at most one entry per side of a triple checked.  A side is compared
+    with ``lhs is rhs or lhs == rhs`` (list equality does exactly that):
+    ``is`` holds for the shared 0 and +-1 of ``scalars``, and ``==``
+    decides every value exactly, also when equal values are stored at
+    different orders.
     The verdicts and witnesses are those of the per-triple loop.
     """
     G = alpha.group

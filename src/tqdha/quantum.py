@@ -63,9 +63,6 @@ class QMatrix:
     def from_strings(rows) -> "QMatrix":
         return QMatrix([[parse_scalar(s) for s in row] for row in rows])
 
-    def serialize(self):
-        return [[self.q[i][j].serialize() for j in range(self.n)] for i in range(self.n)]
-
 
 def _nonzero(entries) -> tuple:
     """The (position, entry) pairs of the nonzero entries of a matrix row or
