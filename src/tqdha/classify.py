@@ -10,10 +10,10 @@ rows of families 1 and 5.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from typing import NamedTuple
 
 from .cohomology import cohomological_parameter_space, composition_image
 from .groups import Cocycle2, perm_from_cycles, symmetric_group, trivial_cocycle
@@ -85,8 +85,7 @@ def diagonal_kappa_basis(action: GroupAction, q: QMatrix, alpha: Cocycle2) -> li
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EtaFamilyElement:
+class EtaFamilyElement(NamedTuple):
     """One expanded basis element of the constant 2-cocycle space for the
     natural S_n action with q = -1, as the kappa it pairs to; tag is the
     family number 1..5 and indices are the defining 0-based tuple."""

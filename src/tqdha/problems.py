@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from math import factorial, lcm
+from typing import NamedTuple
 
 from .groups import (
     MAX_GROUP_ORDER,
@@ -71,14 +71,13 @@ class ProblemValidationError(ValueError):
         self.reason = message
 
 
-@dataclass
-class ProblemSpec:
+class ProblemSpec(NamedTuple):
     n: int
     q: QMatrix
     group: FiniteGroup
     action: GroupAction
     alpha: Cocycle2
-    conductor: int = 1  # the lcm of the orders of the problem's scalars
+    conductor: int  # the lcm of the orders of the problem's scalars
 
 
 class _ScalarReader:

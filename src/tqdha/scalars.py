@@ -497,11 +497,6 @@ def root_of_unity(n: int, k: int) -> CyclotomicScalar:
     return _make(m, _spread(m, [(k * m // n, 1)]), 1)
 
 
-def sqrt2() -> CyclotomicScalar:
-    """sqrt(2) = zeta_8 + zeta_8^-1 as an element of Q(zeta_8)."""
-    return root_of_unity(8, 1) + root_of_unity(8, 7)
-
-
 _TERM_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?(?:\*z(\d+)\^(\d+))?$")
 
 

@@ -2,14 +2,19 @@
 algebra, its distinguished transposition lifts, the cycle-normal-form section
 u_sigma, and the resulting nontrivial 2-cocycle on S_n with values +-1.
 
-The concrete model: generators e_1..e_n with e_i^2 = 1 and e_i e_j = -e_j e_i,
-coefficients in Q(zeta_8) so that sqrt(2) is available.  The generator t_r of
-the cover maps to (e_r - e_{r+1})/sqrt(2) and the central element z to the
-scalar -1.  Conjugation by a lifted permutation sends e_i to
-(-1)^sign(sigma) e_sigma(i), which is what makes every relation of the cover
-mechanically checkable; verify_cover exercises all of them.  spin_cocycle
-reads its table's generator rows from the integer multiples
-sqrt(2)^k u_sigma instead, and the Q(zeta_8) model stays as the reference.
+The concrete model: generators e_1..e_n with e_i^2 = 1 and e_i e_j = -e_j e_i.
+The generator t_r of the cover maps to (e_r - e_{r+1})/sqrt(2) and the
+central element z to the scalar -1.  Conjugation by a lifted permutation
+sends e_i to (-1)^sign(sigma) e_sigma(i), which is what makes every relation
+of the cover mechanically checkable; verify_cover exercises all of them.
+
+The model is held in one form, with integer coefficients: each lift
+[rs] = (e_r - e_s)/sqrt(2) enters as e_r - e_s, so a product of k lifts is
+held as sqrt(2)^k times itself, a dict blade -> nonzero int
+(``_integer_lifts``).  spin_cocycle reads its table's generator rows from
+these products, and verify_cover checks every relation as an identity
+between them.  The model over Q(zeta_8), with its 1/sqrt(2) factors, is
+kept in the tests as the reference that the integer sections are held to.
 
 Indices r, s here are 0-based positions into {0..n-1}; 1-based names
 appear only in serialized output.
@@ -33,37 +38,6 @@ from .groups import (
     perm_sign,
     symmetric_group,
 )
-from .linalg import SparseSum, bump
-from .scalars import MINUS_ONE, ONE, CyclotomicScalar, rational, sqrt2
-
-
-class CliffordElement(SparseSum):
-    """Finite sum of blades e_S (S a sorted index tuple) with cyclotomic
-    coefficients; e_i^2 = 1 and distinct generators anticommute."""
-
-    __slots__ = ("n",)
-
-    def __init__(self, n: int, coeffs=None):
-        self.n = n
-        super().__init__(coeffs)
-
-    @staticmethod
-    def scalar(n: int, value) -> "CliffordElement":
-        v = value if isinstance(value, CyclotomicScalar) else rational(value)
-        return CliffordElement(n, {(): v})
-
-    @staticmethod
-    def generator(n: int, i: int) -> "CliffordElement":
-        return CliffordElement(n, {(i,): ONE})
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "<0>"
-        parts = []
-        for S, c in sorted(self.coeffs.items()):
-            blade = "e" + "".join(str(i + 1) for i in S) if S else "1"
-            parts.append(f"({c.serialize()}){blade}")
-        return "<" + " + ".join(parts) + ">"
 
 
 @lru_cache(maxsize=None)
@@ -74,57 +48,10 @@ def _blade_mul(S: tuple, T: tuple):
     return -1 if inv & 1 else 1, tuple(sorted(set(S).symmetric_difference(T)))
 
 
-def clifford_multiply(x: CliffordElement, y: CliffordElement) -> CliffordElement:
-    if x.n != y.n:
-        raise ValueError("operands live in Clifford algebras of different rank")
-    out: dict = {}
-    for S, cs in x.coeffs.items():
-        for T, ct in y.coeffs.items():
-            sign, blade = _blade_mul(S, T)
-            bump(out, blade, cs * ct if sign > 0 else -(cs * ct))
-    return x._like(out)
-
-
-@lru_cache(maxsize=None)
-def _inv_sqrt2() -> CyclotomicScalar:
-    """1/sqrt(2), built once: a constant, read by every lift."""
-    return sqrt2() / rational(2)
-
-
-def transposition_lift(r: int, s: int, n: int) -> CliffordElement:
-    """The distinguished lift [rs] = (e_r - e_s)/sqrt(2) of the transposition
-    (r s); the defining recursion [rs] = t_r [r+1 s] t_r z (r < s-1) and
-    [rs] = [sr] z (r > s) collapses to this closed form, which verify_cover
-    checks against the recursion itself."""
-    return _lift(r, s, n, _inv_sqrt2())
-
-
 def _lift_terms(r: int, s: int, c) -> tuple:
     """The (blade, coefficient) terms of c (e_r - e_s), the one statement of
     the lifts' sign convention."""
     return ((r,), c), ((s,), -c)
-
-
-def _lift(r: int, s: int, n: int, c) -> CliffordElement:
-    """c (e_r - e_s) as a Clifford element."""
-    if r == s:
-        raise ValueError("transposition needs two distinct points")
-    if not (0 <= r < n and 0 <= s < n):
-        raise ValueError("indices out of range")
-    return CliffordElement(n, dict(_lift_terms(r, s, c)))
-
-
-def transposition_lift_recursive(r: int, s: int, n: int) -> CliffordElement:
-    """[rs] computed literally by the defining recursion (test oracle)."""
-    if r == s:
-        raise ValueError("transposition needs two distinct points")
-    if r > s:
-        return transposition_lift_recursive(s, r, n).scale(MINUS_ONE)
-    if s == r + 1:
-        return transposition_lift(r, s, n)
-    t_r = transposition_lift_recursive(r, r + 1, n)
-    inner = transposition_lift_recursive(r + 1, s, n)
-    return clifford_multiply(clifford_multiply(t_r, inner), t_r).scale(MINUS_ONE)
 
 
 def section_factors(sigma: tuple) -> list[tuple[int, int]]:
@@ -139,33 +66,12 @@ def section_factors(sigma: tuple) -> list[tuple[int, int]]:
     return factors
 
 
-def _lift_product(factors, n: int, c) -> CliffordElement:
-    """The product of the lifts c (e_r - e_s) over the factors (r, s), in order."""
-    out = CliffordElement.scalar(n, ONE)
-    for r, s in factors:
-        out = clifford_multiply(out, _lift(r, s, n, c))
-    return out
-
-
-def section_u(sigma: tuple, n: int | None = None) -> CliffordElement:
-    """The section u_sigma of the covering projection, as a Clifford element."""
-    n = len(sigma) if n is None else n
-    return _lift_product(section_factors(sigma), n, _inv_sqrt2())
-
-
-def section_u_inverse(sigma: tuple, n: int | None = None) -> CliffordElement:
-    """u_sigma^-1: transposition lifts square to 1, so reverse the factors."""
-    n = len(sigma) if n is None else n
-    return _lift_product(reversed(section_factors(sigma)), n, _inv_sqrt2())
-
-
-def _integer_section(sigma: tuple, n: int) -> dict:
-    """sqrt(2)^k u_sigma, k = len(section_factors(sigma)): the product of the
-    unnormalized lifts e_r - e_s, as a dict blade -> nonzero int, multiplied
-    on ints through ``_blade_mul`` (``section_u`` over Q(zeta_8) is the
-    reference)."""
+def _integer_lifts(factors) -> dict:
+    """The product of the lifts e_r - e_s over the factors (r, s), in order:
+    sqrt(2)^k times the product of the k lifts [rs], as a dict blade ->
+    nonzero int, multiplied on ints through ``_blade_mul``."""
     out = {(): 1}
-    for r, s in section_factors(sigma):
+    for r, s in factors:
         prod: dict = {}
         for S, c in out.items():
             for T, d in _lift_terms(r, s, c):
@@ -173,6 +79,12 @@ def _integer_section(sigma: tuple, n: int) -> dict:
                 prod[blade] = prod.get(blade, 0) + sign * d
         out = {S: c for S, c in prod.items() if c}
     return out
+
+
+def _integer_section(sigma: tuple, n: int) -> dict:
+    """sqrt(2)^k u_sigma, k = len(section_factors(sigma)): the integer
+    product of the section's lifts e_r - e_s."""
+    return _integer_lifts(section_factors(sigma))
 
 
 def spin_cocycle(group: FiniteGroup) -> Cocycle2:
@@ -236,7 +148,14 @@ def inequality_count(r: int, s: int, rp: int, sp: int) -> int:
 def verify_cover(n: int, samples: int = 500, seed: int = 0) -> dict:
     """Check the presentation of the cover under the Clifford lift, the
     transposition-lift recursion, and the conjugation lemmas the symmetric
-    group pipeline relies on.
+    group pipeline relies on, each as an identity between integer products
+    of the lifts e_r - e_s, with no inverse.  A product of k lifts is
+    sqrt(2)^k times the product of the [rs], so t_r^2 = 1 reads
+    (e_r - e_(r+1))^2 = 2, and the recursion's 2m+1 lifts for [rs] read
+    2^m (e_r - e_s).  A conjugation u_p X u_p^-1 = +-Y, moved across as
+    u_p X = +-Y u_p, reads U_p X = +-Y U_p on the integer products: X and Y
+    are conjugate, so they have the same number of section factors, and the
+    two sides the same power of sqrt(2).
 
     The presentation and the recursion are checked in full.  Each other
     family ranges over tuples of distinct points, with a permutation p in
@@ -277,25 +196,21 @@ def verify_cover(n: int, samples: int = 500, seed: int = 0) -> dict:
                 out.append(head + pts)
         return out
 
-    def lifts(*pairs):
-        return _lift_product(pairs, n, _inv_sqrt2())
+    def lifts(*factors):
+        return _integer_lifts(factors)
 
     def signed(x, odd):
-        return x.scale(MINUS_ONE) if odd else x
+        return {S: -c for S, c in x.items()} if odd else x
 
-    @lru_cache(maxsize=None)
-    def sec(p, inverse=False):
-        """u_p, or u_p^-1, built once per permutation; the memo lives for
-        this call only."""
-        return (section_u_inverse if inverse else section_u)(p, n)
-
-    def conj(p, x):
-        return clifford_multiply(clifford_multiply(sec(p), x), sec(p, True))
+    def sec(*ps):
+        """U_p1 U_p2 ...: the integer product of the permutations' section
+        factors, in order."""
+        return _integer_lifts([f for p in ps for f in section_factors(p)])
 
     # presentation relations (z = -1 scalar, so z-relations are sign checks)
     t = [(r, r + 1) for r in range(n - 1)]
     for r in range(n - 1):
-        record("t_r^2 = 1", lifts(t[r], t[r]) == CliffordElement.scalar(n, ONE), ("square", r))
+        record("t_r^2 = 1", lifts(t[r], t[r]) == {(): 2}, ("square", r))
     for r, s in itertools.product(range(n - 1), repeat=2):
         if abs(r - s) > 1:
             ok = lifts(t[r], t[s]) == signed(lifts(t[s], t[r]), True)
@@ -304,15 +219,27 @@ def verify_cover(n: int, samples: int = 500, seed: int = 0) -> dict:
         ok = lifts(t[r], t[r + 1], t[r]) == lifts(t[r + 1], t[r], t[r + 1])
         record("braid", ok, ("braid", r))
 
+    def recursion(r, s):
+        """The factors of [rs] by its defining recursion, [rs] = [sr] z
+        (r > s) and [rs] = t_r [r+1 s] t_r z (r < s-1), with the power of z."""
+        if r > s:
+            factors, odd = recursion(s, r)
+            return factors, odd + 1
+        if s == r + 1:
+            return [t[r]], 0
+        factors, odd = recursion(r + 1, s)
+        return [t[r], *factors, t[r]], odd + 1
+
     # transposition lift recursion agrees with the closed form
     for r, s in itertools.permutations(range(n), 2):
-        ok = transposition_lift_recursive(r, s, n) == transposition_lift(r, s, n)
-        record("[rs] recursion", ok, ("recursion", r, s))
+        factors, odd = recursion(r, s)
+        closed = dict(_lift_terms(r, s, 1 << len(factors) // 2))
+        record("[rs] recursion", signed(lifts(*factors), odd & 1) == closed, ("recursion", r, s))
 
     # Lemma: sigma |> [rs] = [sigma(r) sigma(s)] z^sign(sigma)
     for p, r, s in cases(2, True):
-        rhs = signed(transposition_lift(p[r], p[s], n), perm_sign(p))
-        ok = conj(p, transposition_lift(r, s, n)) == rhs
+        fp = section_factors(p)
+        ok = lifts(*fp, (r, s)) == signed(lifts((p[r], p[s]), *fp), perm_sign(p))
         record("conjugation of [rs]", ok, ("lemma-V", p, r, s))
 
     # 3-cycle relation [rs][sr']z = [rr'][rs] = [r's][rr']z
@@ -348,10 +275,9 @@ def verify_cover(n: int, samples: int = 500, seed: int = 0) -> dict:
     for family, tag, k, keep, sort, cycles, sign in section_properties:
         for p, *pts in cases(k, True, keep, sort):
             x = perm_from_cycles(n, cycles(*pts))
-            rhs = sec(perm_compose(perm_compose(p, x), perm_inverse(p)))
-            ok = conj(p, sec(x)) == signed(rhs, sign(p, *pts) & 1)
+            y = perm_compose(perm_compose(p, x), perm_inverse(p))
+            ok = sec(p, x) == signed(sec(y, p), sign(p, *pts) & 1)
             record(family, ok, (tag, p, *pts))
 
     results["all_passed"] = all(v["passed"] for v in results.values())
     return results
-

@@ -11,13 +11,15 @@ pair (``pair_value``), the skew group algebra S_q(V) #_a G multiplied term
 by term, the quantum minors of the paper's condition (1), the
 exhaustive condition system, the word reducer with kappa
 (``rewrite_pair``, ``reduce_terms``, ``normal_form_reduce``), the diagonal
-theory's C_g membership and the spin cocycle read off one Clifford product
-at a time.  The exhaustive system is written with the package's own
+theory's C_g membership, and the Clifford model of the spin cover over
+Q(zeta_8) (``CliffordElement``, ``section_u``) with the spin cocycle read
+off one of its products at a time.  The exhaustive system is written with the package's own
 per-site writers, which ``test_pbw`` checks against the paper's formulas;
 the others are written from their definitions, so the word reducer shares
 no code with the package's rewriting engine.
 """
 
+from functools import lru_cache
 from operator import add
 
 from tqdha.cohomology import Cochain
@@ -25,8 +27,8 @@ from tqdha.groups import FiniteGroup, perm_compose
 from tqdha.linalg import SparseSum, bump
 from tqdha.pbw import ConditionSystem, _ConditionSites, _require_extension
 from tqdha.quantum import GroupAction, QMatrix, reorder_factor
-from tqdha.scalars import MINUS_ONE, ONE, ZERO, CyclotomicScalar
-from tqdha.spin import clifford_multiply, section_u
+from tqdha.scalars import MINUS_ONE, ONE, ZERO, CyclotomicScalar, rational, root_of_unity
+from tqdha.spin import section_factors
 
 # ---------------------------------------------------------------------------
 # an action's matrices, dense
@@ -334,6 +336,124 @@ def cg_membership(gamma, g: int, action: GroupAction, q: QMatrix) -> bool:
         if prod != lam[g][i]:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# the Clifford model of the spin cover over Q(zeta_8)
+# ---------------------------------------------------------------------------
+
+
+def sqrt2() -> CyclotomicScalar:
+    """sqrt(2) = zeta_8 + zeta_8^-1 as an element of Q(zeta_8)."""
+    return root_of_unity(8, 1) + root_of_unity(8, 7)
+
+
+class CliffordElement(SparseSum):
+    """Finite sum of blades e_S (S a sorted index tuple) with cyclotomic
+    coefficients; e_i^2 = 1 and distinct generators anticommute."""
+
+    __slots__ = ("n",)
+
+    def __init__(self, n: int, coeffs=None):
+        self.n = n
+        super().__init__(coeffs)
+
+    @staticmethod
+    def scalar(n: int, value) -> "CliffordElement":
+        v = value if isinstance(value, CyclotomicScalar) else rational(value)
+        return CliffordElement(n, {(): v})
+
+    @staticmethod
+    def generator(n: int, i: int) -> "CliffordElement":
+        return CliffordElement(n, {(i,): ONE})
+
+    def __repr__(self):
+        if not self.coeffs:
+            return "<0>"
+        parts = []
+        for S, c in sorted(self.coeffs.items()):
+            blade = "e" + "".join(str(i + 1) for i in S) if S else "1"
+            parts.append(f"({c.serialize()}){blade}")
+        return "<" + " + ".join(parts) + ">"
+
+
+def _blade_product(S: tuple, T: tuple):
+    """e_S e_T as (sign, blade), by the relations themselves: sort the word
+    S + T by adjacent swaps of distinct generators, each a factor -1, and
+    cancel each adjacent pair e_i e_i = 1."""
+    word, sign, i = list(S + T), 1, 0
+    while i < len(word) - 1:
+        if word[i] == word[i + 1]:
+            del word[i:i + 2]
+            i = max(i - 1, 0)
+        elif word[i] > word[i + 1]:
+            word[i], word[i + 1] = word[i + 1], word[i]
+            sign, i = -sign, max(i - 1, 0)
+        else:
+            i += 1
+    return sign, tuple(word)
+
+
+def clifford_multiply(x: CliffordElement, y: CliffordElement) -> CliffordElement:
+    if x.n != y.n:
+        raise ValueError("operands live in Clifford algebras of different rank")
+    out: dict = {}
+    for S, cs in x.coeffs.items():
+        for T, ct in y.coeffs.items():
+            sign, blade = _blade_product(S, T)
+            bump(out, blade, cs * ct if sign > 0 else -(cs * ct))
+    return x._like(out)
+
+
+@lru_cache(maxsize=None)
+def _inv_sqrt2() -> CyclotomicScalar:
+    """1/sqrt(2), built once: a constant, read by every lift."""
+    return sqrt2() / rational(2)
+
+
+def transposition_lift(r: int, s: int, n: int) -> CliffordElement:
+    """The distinguished lift [rs] = (e_r - e_s)/sqrt(2) of the transposition
+    (r s); the defining recursion [rs] = t_r [r+1 s] t_r z (r < s-1) and
+    [rs] = [sr] z (r > s) collapses to this closed form."""
+    if r == s:
+        raise ValueError("transposition needs two distinct points")
+    if not (0 <= r < n and 0 <= s < n):
+        raise ValueError("indices out of range")
+    c = _inv_sqrt2()
+    return CliffordElement(n, {(r,): c, (s,): -c})
+
+
+def transposition_lift_recursive(r: int, s: int, n: int) -> CliffordElement:
+    """[rs] computed literally by the defining recursion."""
+    if r == s:
+        raise ValueError("transposition needs two distinct points")
+    if r > s:
+        return transposition_lift_recursive(s, r, n).scale(MINUS_ONE)
+    if s == r + 1:
+        return transposition_lift(r, s, n)
+    t_r = transposition_lift_recursive(r, r + 1, n)
+    inner = transposition_lift_recursive(r + 1, s, n)
+    return clifford_multiply(clifford_multiply(t_r, inner), t_r).scale(MINUS_ONE)
+
+
+def _lift_product(factors, n: int) -> CliffordElement:
+    """The product of the lifts [rs] over the factors (r, s), in order."""
+    out = CliffordElement.scalar(n, ONE)
+    for r, s in factors:
+        out = clifford_multiply(out, transposition_lift(r, s, n))
+    return out
+
+
+def section_u(sigma: tuple, n: int | None = None) -> CliffordElement:
+    """The section u_sigma of the covering projection, as a Clifford element."""
+    n = len(sigma) if n is None else n
+    return _lift_product(section_factors(sigma), n)
+
+
+def section_u_inverse(sigma: tuple, n: int | None = None) -> CliffordElement:
+    """u_sigma^-1: transposition lifts square to 1, so reverse the factors."""
+    n = len(sigma) if n is None else n
+    return _lift_product(reversed(section_factors(sigma)), n)
 
 
 def spin_alpha(sigma: tuple, tau: tuple) -> CyclotomicScalar:

@@ -24,8 +24,10 @@ that is not monomial with q_12 = zeta_3, fails the exterior check only on
 squares, with witnesses (g, i, i, k, l).  Outputs too large to commit
 (``alpha-table 5``, 201 kB, all 14,400 S5 values, and ``alpha-table 6``,
 7.0 MB, all 518,400 S6 values) are kept as the sha256 of
-stdout with the exit code, in tests/golden/digests.json; so are a sampled
-``verify-cover`` run, whose checked counts pin the sampling rule, and
+stdout with the exit code, in tests/golden/digests.json; so are three
+sampled ``verify-cover`` runs, whose checked counts pin the sampling rule
+(n = 5 with the 500 samples at seed 0 that selftest runs, n = 5 with 60 at
+seed 3, n = 6 with 100 at seed 1), and
 ``constant-cocycles`` on twisted S5, whose 85 kernel vectors pin the d_3*
 kernel at a size no golden reaches.  To
 re-record after an intended change of output, run from the repository root:
@@ -98,7 +100,10 @@ DIGEST_CASES = {
     "alpha-table.5": ["alpha-table", "5"],
     "alpha-table.6": ["alpha-table", "6"],
     "constant-cocycles.s5_twisted": ["constant-cocycles", "s5_twisted.json"],
+    "verify-cover.5": ["verify-cover", "--n", "5"],
     "verify-cover.5.seed3.samples60": ["--seed", "3", "verify-cover", "--n", "5", "--samples", "60"],
+    "verify-cover.6.seed1.samples100": ["--seed", "1", "verify-cover", "--n", "6", "--samples",
+                                        "100"],
 }
 
 

@@ -1,6 +1,7 @@
 """The package's layering, read in fresh interpreters: the package re-exports
 nothing, so a foundation module loads only what it imports, and no route or
-I/O module."""
+I/O module; and the command line loads no standard module that its own code
+does not use."""
 
 import os
 import subprocess
@@ -40,3 +41,8 @@ def test_scalars_load_alone():
 def test_package_holds_its_version_only():
     assert fresh("import tqdha\nprint(*sorted(n for n in vars(tqdha) if not n.startswith('__')))"
                  "\nprint(tqdha.__version__)") == ["0.1.0"]
+
+
+def test_cli_loads_neither_dataclasses_nor_inspect():
+    assert fresh("import sys, tqdha.cli\n"
+                 "print(*(m for m in ('dataclasses', 'inspect') if m in sys.modules))") == []

@@ -4,10 +4,9 @@ import random
 
 import pytest
 
-from reference import GroupAlgebraElement, SkewElement, constant_two
+from reference import CliffordElement, GroupAlgebraElement, SkewElement, constant_two
 from tqdha.cohomology import Cochain
 from tqdha.linalg import RowReducer, bump, echelon_basis, kernel_basis, rows_rank, same_span
-from tqdha.spin import CliffordElement
 from tqdha.scalars import MINUS_ONE, ONE, ZERO, rational, root_of_unity
 
 

@@ -275,13 +275,19 @@ def test_reference_system_is_the_exhaustive_system_the_package_built(name):
 # the names that only tests call, now in ``tests/reference.py``
 MOVED = ("SkewElement", "qsym_multiply", "act_monomial", "skew_multiply", "quantum_minor",
          "tga_multiply", "tga_inverse_of_basis", "conjugacy_classes", "constant_two",
-         "condition_system", "normal_form_reduce", "word_letters", "cg_membership", "spin_alpha")
+         "condition_system", "normal_form_reduce", "word_letters", "cg_membership", "spin_alpha",
+         "CliffordElement", "clifford_multiply", "_inv_sqrt2", "transposition_lift",
+         "transposition_lift_recursive", "_lift_product", "section_u", "section_u_inverse",
+         "sqrt2")
 
 
 def test_package_holds_none_of_the_test_references():
-    namespaces = [tqdha, FiniteGroup, Cochain] + [
-        getattr(tqdha, m) for m in ("classify", "cohomology", "groups", "pbw", "quantum", "spin")]
+    namespaces = [tqdha, FiniteGroup, Cochain] + [getattr(tqdha, m) for m in (
+        "classify", "cohomology", "groups", "pbw", "quantum", "scalars", "spin")]
     assert [(ns.__name__, name) for ns in namespaces for name in MOVED if hasattr(ns, name)] == []
+    # the Q(zeta_8) model's ``_lift`` left spin too; ``scalars._lift`` is
+    # another function, the lift of a cyclotomic scalar to a higher order
+    assert not hasattr(tqdha.spin, "_lift")
     # the solver's system is the only one the package builds: no default mode
     params = inspect.signature(pbw.parameter_space_rows).parameters.values()
     assert [p.name for p in params if p.default is not p.empty] == []

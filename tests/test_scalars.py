@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from reference import sqrt2
 from tqdha.scalars import (
     MAX_CONDUCTOR,
     MINUS_ONE,
@@ -28,7 +29,6 @@ from tqdha.scalars import (
     parse_scalar,
     rational,
     root_of_unity,
-    sqrt2,
 )
 
 

@@ -7,22 +7,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import spin_alpha
-from tqdha import spin
-from tqdha.groups import CocycleError, perm_from_cycles, symmetric_group, validate_cocycle
-from tqdha.scalars import MINUS_ONE, ONE, rational, sqrt2
-from tqdha.spin import (
+from reference import (
     CliffordElement,
     clifford_multiply,
-    inequality_count,
-    section_factors,
     section_u,
     section_u_inverse,
-    spin_cocycle,
+    spin_alpha,
+    sqrt2,
     transposition_lift,
     transposition_lift_recursive,
-    verify_cover,
 )
+from tqdha import spin
+from tqdha.groups import CocycleError, perm_from_cycles, symmetric_group, validate_cocycle
+from tqdha.scalars import MINUS_ONE, ONE, rational
+from tqdha.spin import inequality_count, section_factors, spin_cocycle, verify_cover
 
 N = 4
 
@@ -223,10 +221,23 @@ def test_verify_cover_rejects_nonpositive_samples(samples):
         verify_cover(5, samples=samples)
 
 
+def test_planted_lift_sign_fault_fails_the_cover(monkeypatch):
+    """With the lifts e_r + e_s in place of e_r - e_s, seven families fail
+    as integer identities; (e_r + e_s)^2 = 2 and the anticommutations of
+    disjoint lifts still hold."""
+    monkeypatch.setattr(spin, "_lift_terms", lambda r, s, c: (((r,), c), ((s,), c)))
+    res = verify_cover(4)
+    assert not res["all_passed"]
+    assert [fam for fam in res if fam != "all_passed" and not res[fam]["passed"]] == [
+        "braid", "[rs] recursion", "conjugation of [rs]", "3-cycle relation",
+        "section property (a)", "section property (b)", "section property (c)"]
+
+
 def test_sampled_cover_witnesses_pin_the_draw_order(monkeypatch):
-    """With every Clifford comparison failing, each family lists its first
-    cases as witnesses, so these pin the seeded draws family by family."""
-    monkeypatch.setattr(CliffordElement, "__eq__", lambda self, other: False)
+    """With every Clifford product a fresh blade, no comparison holds, so
+    each family lists its first cases as witnesses, and these pin the seeded
+    draws family by family."""
+    monkeypatch.setattr(spin, "_integer_lifts", lambda factors: {object(): 1})
     res = verify_cover(5, samples=60, seed=3)
     first = {fam: res[fam]["witnesses"][0] for fam in res if fam != "all_passed"
              and res[fam]["witnesses"] and res[fam]["checked"] == 60}
