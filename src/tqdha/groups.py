@@ -1,9 +1,11 @@
 """Finite groups and normalized 2-cocycles.
 
 Groups are index tables: elements are integers 0..size-1 with 0 the identity,
-multiplication is a dense table, and mult[g][h] is the product g*h (for
-permutation groups this is function composition, h applied first).
-Permutations are stored as 0-based image tuples.
+and ``FiniteGroup.mul(g, h)`` is the product g*h (for permutation groups this
+is function composition, h applied first).  The routes multiply through
+``mul``, ``conjugate`` and ``inv``; the dense table ``mult`` that ``mul``
+reads is the group's store, and only this module reads it.  Permutations
+are stored as 0-based image tuples.
 
 A 2-cocycle is stored the same way, as its distinct values and an integer
 table of positions in them; ``cocycle_from_values`` is the one place that
@@ -117,7 +119,11 @@ class ClassData(NamedTuple):
 
 
 class FiniteGroup:
-    """A finite group on indices 0..size-1 with 0 the identity."""
+    """A finite group on indices 0..size-1 with 0 the identity.  Routes
+    multiply through ``mul`` and ``conjugate``, with the inverses ``inv``,
+    the ``generators`` and the cached class attributes.  ``mult[g][h]``, the
+    dense table of products, is where the products are stored, and only
+    this module reads it."""
 
     def __init__(self, mult, name="group", perms=None, labels=None, generator_indices=None):
         self.size = len(mult)
@@ -144,12 +150,13 @@ class FiniteGroup:
     def __repr__(self):
         return f"FiniteGroup({self.name}, size={self.size})"
 
+    def mul(self, g: int, h: int) -> int:
+        """g h."""
+        return self.mult[g][h]
+
     def conjugate(self, h: int, g: int) -> int:
         """h g h^-1."""
         return self.mult[self.mult[h][g]][self.inv[h]]
-
-    def commute(self, g: int, h: int) -> bool:
-        return self.mult[g][h] == self.mult[h][g]
 
     def validate_associativity(self):
         for a in range(self.size):

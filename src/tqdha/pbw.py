@@ -648,7 +648,7 @@ def _apply_rule(letters, p: int, coeff, n: int, action, q, alpha, events):
     head, tail = letters[:p], letters[p + 2 :]
     if a >= n and b >= n:
         g, h = a - n, b - n
-        return [(alpha(g, h), head + (n + action.group.mult[g][h],) + tail)]
+        return [(alpha(g, h), head + (n + action.group.mul(g, h),) + tail)]
     if a >= n:
         return [(c, head + (k, a) + tail) for k, c in action.rows_nz[a - n][b]]
     events.append((head, a, b, tail, coeff))
@@ -723,8 +723,11 @@ def _associativity_failures(words, action, alpha):
     numbered words, as {word number: tag}, and the number of words.  t_g t_h
     t_k fails exactly when (gh)k != g(hk) or alpha(g, h) alpha(gh, k) !=
     alpha(h, k) alpha(g, hk); the products of two distinct values of alpha
-    come from one ``groups._PairTable``, as in ``validate_cocycle``."""
-    mult, index, m = action.group.mult, alpha.index, len(alpha.distinct)
+    come from one ``groups._PairTable``, as in ``validate_cocycle``.  The
+    words read every product g h, so the group's rows are taken once,
+    through ``mul``, before the words."""
+    G, index, m = action.group, alpha.index, len(alpha.distinct)
+    mult = [[G.mul(a, b) for b in range(G.size)] for a in range(G.size)]
     products = _PairTable(alpha.distinct, mul)
     failures, w = {}, -1
     for w, (_, tag) in words:
@@ -743,11 +746,11 @@ def _composition_failures(words, action, alpha):
     sparse product of h's row i with g's rows (``quantum._row_times``, the
     product the action's composition check takes); the factor alpha(g, h) of
     both normal forms is nonzero and drops out, so alpha is not read."""
-    rows, mult = action.rows_nz, action.group.mult
+    rows, times = action.rows_nz, action.group.mul
     failures, w = {}, -1
     for w, (_, tag) in words:
         _, g, h, i = tag
-        if _row_times(rows[h][i], rows[g]) != dict(rows[mult[g][h]][i]):
+        if _row_times(rows[h][i], rows[g]) != dict(rows[times(g, h)][i]):
             failures[w] = tag
     return failures, w + 1
 

@@ -126,7 +126,7 @@ class GroupAction:
         for s in G.generators:
             rs = rows[s]
             for g, rg in enumerate(rows):
-                for row, target in zip(rg, rows[G.mult[s][g]]):
+                for row, target in zip(rg, rows[G.mul(s, g)]):
                     if _row_times(row, rs) != dict(target):
                         raise ActionError(
                             f"matrices violate the composition law at (s={s}, g={g})"
@@ -201,7 +201,7 @@ def action_from_generator_matrices(group: FiniteGroup, gen_matrices, n: int) -> 
     given = [tuple(map(_nonzero, m)) for m in gen_matrices]
     rows: list = [None] * group.size
     rows[0] = tuple(((i, ONE),) for i in range(n))
-    for g, k, sg in _walk([group.mult[s] for s in gens]):
+    for g, k, sg in _walk([[group.mul(s, a) for a in range(group.size)] for s in gens]):
         rows[sg] = tuple(tuple(sorted(_row_times(row, given[k]).items())) for row in rows[g])
     if any(r is None for r in rows):
         raise ActionError("generators do not generate the whole group")

@@ -81,20 +81,16 @@ def _integer_lifts(factors) -> dict:
     return out
 
 
-def _integer_section(sigma: tuple, n: int) -> dict:
-    """sqrt(2)^k u_sigma, k = len(section_factors(sigma)): the integer
-    product of the section's lifts e_r - e_s."""
-    return _integer_lifts(section_factors(sigma))
-
-
 def spin_cocycle(group: FiniteGroup) -> Cocycle2:
     """The +-1 cocycle of the Clifford cover on a permutation group of
     degree n (spin(n) on S_n), in exact integer arithmetic.
 
     Write k(sigma) = len(section_factors(sigma)) = n - #cycles(sigma) and
     U_sigma = sqrt(2)^k(sigma) u_sigma, the product of the lifts e_r - e_s
-    (integer coefficients).  From u_sigma u_tau = alpha(sigma, tau)
-    u_(sigma tau) follows U_sigma U_tau = alpha(sigma, tau) 2^d U_(sigma tau)
+    over those factors (``_integer_lifts``, integer coefficients); each
+    permutation's factors are taken once and give both k and U.  From
+    u_sigma u_tau = alpha(sigma, tau) u_(sigma tau) follows
+    U_sigma U_tau = alpha(sigma, tau) 2^d U_(sigma tau)
     with d = (k(sigma) + k(tau) - k(sigma tau)) / 2.  This d is a
     nonnegative integer: k is the least number of transpositions with
     product sigma, so k(sigma tau) <= k(sigma) + k(tau), and
@@ -114,18 +110,18 @@ def spin_cocycle(group: FiniteGroup) -> Cocycle2:
     independent reference that the tests hold the table to."""
     perms = group.perms
     n = len(perms[0])
-    sections = [_integer_section(p, n) for p in perms]
-    lengths = [len(section_factors(p)) for p in perms]
+    factors = list(map(section_factors, perms))
+    sections = list(map(_integer_lifts, factors))
     least = [min(u.items()) for u in sections]
 
     def exponent(g, h):
         """0 or 1 as alpha(g, h) is 1 or -1, read from one coefficient of U_g U_h."""
-        uh, gh = sections[h], group.mult[g][h]
+        uh, gh = sections[h], group.mul(g, h)
         blade, ref = least[gh]
         # e_S e_T lands on e_blade exactly when T = S xor blade
         c = sum(_blade_mul(S, T)[0] * cs * uh[T] for S, cs in sections[g].items()
                 if (T := _blade_mul(S, blade)[1]) in uh)
-        ref <<= (lengths[g] + lengths[h] - lengths[gh]) // 2
+        ref <<= (len(factors[g]) + len(factors[h]) - len(factors[gh])) // 2
         if c != ref and c != -ref:
             raise ArithmeticError("u_sigma u_tau is not +-u_(sigma tau); cover model is broken")
         return int(c != ref)

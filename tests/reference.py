@@ -10,22 +10,27 @@ variables (``value``) and a bilinear form {(g, i, j): c}'s value at one
 pair (``pair_value``), the skew group algebra S_q(V) #_a G multiplied term
 by term, the quantum minors of the paper's condition (1), the
 exhaustive condition system, the word reducer with kappa
-(``rewrite_pair``, ``reduce_terms``, ``normal_form_reduce``), the diagonal
+(``rewrite_pair``, ``reduce_terms``, ``normal_form_reduce``), the
+Diamond-Lemma system of the overlap words (``rewriting_rows``) and the
+kernel dimension of a system mod a prime (``nullity_mod``), the diagonal
 theory's C_g membership, and the Clifford model of the spin cover over
 Q(zeta_8) (``CliffordElement``, ``section_u``) with the spin cocycle read
 off one of its products at a time.  The exhaustive system is written with the package's own
 per-site writers, which ``test_pbw`` checks against the paper's formulas;
 the others are written from their definitions, so the word reducer shares
-no code with the package's rewriting engine.
+no code with the package's rewriting engine, and the dimension mod p runs
+no scalar arithmetic and no ``linalg``.
 """
 
 from functools import lru_cache
+from itertools import combinations
+from math import isqrt, lcm
 from operator import add
 
 from tqdha.cohomology import Cochain
 from tqdha.groups import FiniteGroup, perm_compose
 from tqdha.linalg import SparseSum, bump
-from tqdha.pbw import ConditionSystem, _ConditionSites, _require_extension
+from tqdha.pbw import ConditionSystem, _ConditionSites, _OverlapTable, _require_extension
 from tqdha.quantum import GroupAction, QMatrix, reorder_factor
 from tqdha.scalars import MINUS_ONE, ONE, ZERO, CyclotomicScalar, rational, root_of_unity
 from tqdha.spin import section_factors
@@ -244,6 +249,127 @@ def condition_system(action: GroupAction, q: QMatrix, alpha) -> ConditionSystem:
     extend to S_q(V)."""
     _require_extension(action, q)
     return exhaustive_rows(action, q, alpha)
+
+
+def rewriting_rows(action: GroupAction, q: QMatrix, alpha) -> ConditionSystem:
+    """The Diamond-Lemma system: per overlap word of the tvv and vvv families
+    at generators (``pbw._OverlapTable``, whose columns reduce the words'
+    kappa terms) and per monomial of its normal forms, the row of that
+    monomial's coefficient in left minus right, linear in the unknowns
+    x[g, i, j] at ``condition_system``'s columns g * npairs + (rank of (i, j)).
+    Tags are (family, word number, monomial).  The words of ttt and ttv read
+    no kappa.  A word that fails at kappa = 0 fails for every kappa, and then
+    there is no homogeneous system: that raises ValueError.
+
+    When ttt and ttv resolve, the kernel is the parameter space: a kappa
+    gives a PBW algebra exactly when every overlap resolves (the Diamond
+    Lemma), and the words at generators decide that (``pbw``'s module
+    docstring)."""
+    G, n = action.group, action.n
+    pairs = list(combinations(range(n), 2))
+    rows: dict = {}  # (family, word number, monomial) -> {column: scalar}
+    for family in ("tvv", "vvv"):
+        table = action.derived(_OverlapTable, q, alpha, family, False)
+        if table.fixed:
+            raise ValueError(f"{family} words fail for every kappa: {table.tags[min(table.fixed)]}")
+        for g in range(G.size):
+            for p, (i, j) in enumerate(pairs):
+                for w, entries in table.column(action, g, i, j):
+                    for letters, c in entries:
+                        rows.setdefault((family, w, letters), {})[g * len(pairs) + p] = c
+    return ConditionSystem(tuple(rows.values()), G.size * len(pairs), tuple(rows))
+
+
+# ---------------------------------------------------------------------------
+# the kernel dimension mod a prime
+# ---------------------------------------------------------------------------
+#
+# Let N be a multiple of every entry's order, p a prime with p = 1 mod N and
+# D the product of the entries' denominators, prime to p.  Sending zeta_N to
+# a primitive N-th root w mod p is a ring map Z[zeta_N][1/D] -> F_p: as N
+# divides p - 1, x^N - 1 has N distinct roots in F_p, the primitive ones
+# being the roots of Phi_N, and zeta_d = zeta_N^(N/d) goes to w^(N/d), a
+# root of Phi_d, whatever representative mod Phi_d a scalar holds.  A minor
+# of a matrix over that ring that is nonzero mod p is nonzero, so the rank
+# mod p is at most the rank over Q(zeta_N), and ncols - rank mod p is at
+# least the kernel's dimension.  When it equals the number of independent
+# vectors known to lie in the kernel, they span it.  A larger value is
+# inconclusive: a kernel vector is missing, or p is one of the finitely many
+# primes where the rank drops.
+
+
+def _is_prime(p: int) -> bool:
+    return p > 1 and all(p % d for d in range(2, isqrt(p) + 1))
+
+
+def prime_for(N: int, dens) -> int:
+    """The first prime p = 1 mod N above 2^31 that divides none of dens."""
+    p = 2 ** 31 + 1 + (-2 ** 31) % N
+    while not (_is_prime(p) and all(d % p for d in dens)):
+        p += N
+    return p
+
+
+@lru_cache(maxsize=None)
+def _root_mod(p: int, N: int) -> int:
+    """The first a^((p-1)/N), a = 1, 2, ..., of multiplicative order N mod p."""
+    primes = [l for l in range(2, N + 1) if N % l == 0 and _is_prime(l)]
+    for a in range(1, p):
+        w = pow(a, (p - 1) // N, p)
+        if all(pow(w, N // l, p) != 1 for l in primes):
+            return w
+    raise ValueError(f"no element of order {N} mod {p}")
+
+
+def reduce_mod(x: CyclotomicScalar, p: int, N: int) -> int:
+    """x's image in F_p, zeta_N sent to ``_root_mod(p, N)``, read from its
+    ``order``, ``coeffs`` and ``den`` alone.  Refuses a p that is not 1 mod
+    N, an x whose order does not divide N, and a p that divides x's
+    denominator, where x has no image."""
+    if (p - 1) % N or N % x.order:
+        raise ValueError(f"zeta_{x.order} has no image mod {p} through zeta_{N}")
+    if x.den % p == 0:
+        raise ValueError(f"the prime {p} divides the denominator {x.den}")
+    w = pow(_root_mod(p, N), N // x.order, p)
+    return sum(c * pow(w, k, p) for k, c in enumerate(x.coeffs)) * pow(x.den, -1, p) % p
+
+
+def rank_mod(rows, p: int) -> int:
+    """The rank over F_p of sparse rows {column: int}.  Each row is reduced
+    at its least column by the pivot row there, until it is zero or meets a
+    column with no pivot; then it becomes that column's pivot row, scaled to
+    1 there.  A pivot row is zero before its column, so each step clears the
+    row's least column and writes none before it."""
+    pivots: dict = {}  # column -> its pivot row
+    for row in rows:
+        r = {c: v % p for c, v in row.items() if v % p}
+        while r:
+            c = min(r)
+            pivot = pivots.get(c)
+            if pivot is None:
+                inverse = pow(r[c], -1, p)
+                pivots[c] = {k: v * inverse % p for k, v in r.items()}
+                break
+            f = r[c]
+            for k, v in pivot.items():
+                x = (r.get(k, 0) - f * v) % p
+                if x:
+                    r[k] = x
+                else:
+                    r.pop(k, None)
+    return len(pivots)
+
+
+def nullity_mod(system: ConditionSystem, p: int | None = None) -> int:
+    """ncols - rank mod p of the system's rows, N the lcm of the entries'
+    orders and p the given prime, or else ``prime_for`` N and the entries'
+    denominators: at least the dimension of the kernel (above)."""
+    entries = [x for row in system.rows for x in row.values()]
+    N = lcm(1, *{x.order for x in entries})
+    if p is None:
+        p = prime_for(N, {x.den for x in entries})
+    return system.ncols - rank_mod(
+        [{c: reduce_mod(x, p, N) for c, x in row.items()} for row in system.rows], p)
 
 
 def word_letters(word, n: int):

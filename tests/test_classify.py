@@ -205,7 +205,7 @@ def labeled_by_pairs(action, q, alpha):
             if not all(q(r, rp) * q(s, rp) == lam[a][rp] for rp in range(n) if rp not in (r, s)):
                 continue
             if not all(lam[h][r] * lam[h][s] == alpha(h, a) / alpha(a, h)
-                       for h in range(G.size) if G.commute(h, a)):
+                       for h in range(G.size) if G.mul(h, a) == G.mul(a, h)):
                 continue
             coeffs = {}
             for g in range(G.size):

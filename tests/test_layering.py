@@ -1,8 +1,11 @@
 """The package's layering, read in fresh interpreters: the package re-exports
 nothing, so a foundation module loads only what it imports, and no route or
 I/O module; and the command line loads no standard module that its own code
-does not use."""
+does not use.  Read from the source: only ``groups`` reads a group's table
+of products."""
 
+import ast
+import glob
 import os
 import subprocess
 import sys
@@ -46,3 +49,17 @@ def test_package_holds_its_version_only():
 def test_cli_loads_neither_dataclasses_nor_inspect():
     assert fresh("import sys, tqdha.cli\n"
                  "print(*(m for m in ('dataclasses', 'inspect') if m in sys.modules))") == []
+
+
+def test_only_groups_reads_the_multiplication_table():
+    """Every other module multiplies through ``FiniteGroup.mul``: no attribute
+    named ``mult`` is read outside groups.py, so the table's format is that
+    module's alone."""
+    reads = []
+    for path in sorted(glob.glob(os.path.join(ROOT, "src", "tqdha", "*.py"))):
+        if os.path.basename(path) != "groups.py":
+            with open(path, encoding="utf-8") as f:
+                tree = ast.parse(f.read())
+            reads += [(os.path.basename(path), node.lineno) for node in ast.walk(tree)
+                      if isinstance(node, ast.Attribute) and node.attr == "mult"]
+    assert reads == []

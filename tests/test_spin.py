@@ -116,7 +116,7 @@ def test_integer_section_is_the_scaled_section(n):
     number of factors, coefficient by coefficient, against the Q(zeta_8)
     model, for every permutation."""
     for sigma in itertools.permutations(range(n)):
-        ints = spin._integer_section(sigma, n)
+        ints = spin._integer_lifts(section_factors(sigma))
         assert all(type(c) is int and c for c in ints.values())
         scaled = section_u(sigma, n).scale(sqrt2() ** len(section_factors(sigma)))
         assert {S: rational(c) for S, c in ints.items()} == scaled.coeffs
@@ -143,16 +143,16 @@ def test_corrupted_integer_section_is_caught(corrupt, monkeypatch):
     """One wrong coefficient in one integer section fails the +-ref check
     itself, before the fill's check at the walk's non-tree edges sees the
     rows."""
-    real = spin._integer_section
-    bad = (2, 0, 1, 3)  # the 3-cycle (0 2 1): U = (e_0 - e_1)(e_0 - e_2)
+    real = spin._integer_lifts
+    bad = section_factors((2, 0, 1, 3))  # the 3-cycle (0 2 1): U = (e_0 - e_1)(e_0 - e_2)
 
-    def corrupted(sigma, n):
-        u = real(sigma, n)
-        if sigma == bad:
+    def corrupted(factors):
+        u = real(factors)
+        if factors == bad:
             corrupt(u)
         return u
 
-    monkeypatch.setattr(spin, "_integer_section", corrupted)
+    monkeypatch.setattr(spin, "_integer_lifts", corrupted)
     with pytest.raises(ArithmeticError, match="cover model is broken"):
         spin.spin_cocycle(symmetric_group(4))
 
