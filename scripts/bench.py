@@ -172,9 +172,10 @@ def entries(scratch: str) -> dict:
         script("load_digest.py"),
         sha256="4fb9e48c3a787f89c0cd70793b6c1b70118efe15be28fbbb66c06ac3e4ed7919")
     # the exhaustive oracle resolves kappa_1 on all 1,801,210 overlap words
-    # of twisted S5 with small per-problem tables: 1.0-1.6 s with the ttt
-    # and ttv families decided in closed form, 14.7-16.6 s when their words
-    # were each reduced both ways (2-core box, Python 3.11)
+    # of twisted S5 with small per-problem tables: 0.4-0.6 s with the ttt
+    # and ttv families decided in closed form by the cocycle's and the
+    # action's own evaluators, 14.7-16.6 s when their words were each
+    # reduced both ways (2-core box, Python 3.11)
     kappa = os.path.join(scratch, "kappa_one_s5.json")
     with open(kappa, "w") as f:
         f.write(json.dumps(classify.kappa_one(5).to_records()))

@@ -9,7 +9,11 @@ are stored as 0-based image tuples.
 
 A 2-cocycle is stored the same way, as its distinct values and an integer
 table of positions in them; ``cocycle_from_values`` is the one place that
-deduplicates a table of scalars.
+deduplicates a table of scalars.  The cocycle identity is evaluated in one
+place, ``Cocycle2.cocycle_failures``: ``validate_cocycle`` reads it with
+the first argument at the generators, and the rewriting oracle's ``ttt``
+family with the last at its letters.  Only this module reads a cocycle's
+table.
 """
 
 from __future__ import annotations
@@ -460,10 +464,11 @@ class Cocycle2:
     no entry uses (``cocycle_from_rows`` lists every m-th root of unity).
     A table has few distinct values (two for spin(n), at most the root order
     for a bicharacter), so whatever is computed per distinct value or per
-    pair of them (the zero check here, the products of ``validate_cocycle``,
-    the quotients of ``conj_ratio``) is computed a few times rather than
-    |G|^2 or |G|^3 times.  Beyond the table nothing is kept per element:
-    ``conj_ratio`` looks each entry up in the quotients when it is asked."""
+    pair of them (the zero check here, the products of
+    ``cocycle_failures``, the quotients of ``conj_ratio``) is computed a few
+    times rather than |G|^2 or |G|^3 times.  Beyond the table nothing is
+    kept per element: ``conj_ratio`` looks each entry up in the quotients
+    when it is asked."""
 
     def __init__(self, group: FiniteGroup, distinct, index, name="cocycle"):
         self.group = group
@@ -479,6 +484,7 @@ class Cocycle2:
                 h = next(h for h, k in enumerate(row) if k in zeros)
                 raise CocycleError(f"cocycle value at ({g}, {h}) is zero")
         self._quotients = _PairTable(self.distinct, truediv)
+        self._products = _PairTable(self.distinct, mul)
 
     def __call__(self, g: int, h: int) -> CyclotomicScalar:
         return self.distinct[self.index[g][h]]
@@ -489,6 +495,31 @@ class Cocycle2:
         each such pair divided once (``_quotients``)."""
         m, index = len(self.distinct), self.index
         return self._quotients[index[h][g] * m + index[self.group.conjugate(h, g)][h]]
+
+    def cocycle_failures(self, firsts, lasts):
+        """The triples (a, b, c) with a in ``firsts``, b in G and c in
+        ``lasts``, in that order, at which the cocycle identity
+        alpha(a, b) alpha(ab, c) = alpha(b, c) alpha(a, bc) fails, or the
+        group's (ab)c = a(bc) does.
+
+        Each side is a product of two distinct values, computed once per
+        pair (``_products``), and the sides are compared with ``x is y or
+        x == y``: ``is`` holds for the shared 0 and +-1 of ``scalars``, and
+        ``==`` decides every value exactly, also when equal values are
+        stored at different orders.  The rows of a and b are read once per
+        (a, b)."""
+        mult, index, m, products = self.group.mult, self.index, len(self.distinct), self._products
+        lasts = tuple(lasts)
+        for a in firsts:
+            row_a, mult_a = index[a], mult[a]
+            for b, (ab, left) in enumerate(zip(mult_a, row_a)):
+                row_ab, mult_ab, row_b, mult_b = index[ab], mult[ab], index[b], mult[b]
+                left *= m
+                for c in lasts:
+                    bc = mult_b[c]
+                    x, y = products[left + row_ab[c]], products[row_b[c] * m + row_a[bc]]
+                    if not (x is y or x == y) or mult_ab[c] != mult_a[bc]:
+                        yield a, b, c
 
 
 def cocycle_from_values(group: FiniteGroup, values, name="cocycle") -> Cocycle2:
@@ -634,38 +665,26 @@ def validate_cocycle(alpha: Cocycle2, max_witnesses: int = 10) -> dict:
     omega(g, ., .) = omega(1, ., .) for every g, a product of generators,
     and the identity row checks that this is 1.
 
-    Every such triple is still checked, but each side of the identity is a
-    product of two table entries, and the table is stored as positions in
-    its distinct values (see ``Cocycle2``).  So each product of two distinct
-    values is computed once, in a memo that lives for this call and holds
-    at most one entry per side of a triple checked.  A side is compared
-    with ``lhs is rhs or lhs == rhs`` (list equality does exactly that):
-    ``is`` holds for the shared 0 and +-1 of ``scalars``, and ``==``
-    decides every value exactly, also when equal values are stored at
-    different orders.
-    The verdicts and witnesses are those of the per-triple loop.
+    The triples are those of ``alpha.cocycle_failures``, the one evaluator
+    of the identity, which also fails a triple where (ab)c != a(bc) in the
+    group.  Every group this package builds is associative
+    (``group_from_table`` checks a table given by value), so that adds no
+    failure to a report.  The witnesses are listed in the order of the
+    triples, after the normalization ones, and the evaluation stops once
+    the list is full and the identity has failed.
     """
     G = alpha.group
-    n = G.size
-    mult = G.mult
-    m, index = len(alpha.distinct), alpha.index
     ones = [x.is_one() for x in alpha.distinct]
     report = {"normalized": True, "cocycle": True, "failures": []}
-    for g in range(n):
-        if not ones[index[g][0]] or not ones[index[0][g]]:
+    failures = report["failures"]
+    for g in range(G.size):
+        if not ones[alpha.index[g][0]] or not ones[alpha.index[0][g]]:
             report["normalized"] = False
-            if len(report["failures"]) < max_witnesses:
-                report["failures"].append(("normalization", g))
-    products = _PairTable(alpha.distinct, mul)
-    for g1 in dict.fromkeys((0, *G.generators)):
-        row1 = index[g1]
-        for g2 in range(n):
-            left = row1[g2] * m
-            lhs = [products[left + k] for k in index[mult[g1][g2]]]
-            rhs = [products[k * m + row1[g23]] for k, g23 in zip(index[g2], mult[g2])]
-            if lhs != rhs:
-                report["cocycle"] = False
-                for g3, (x, y) in enumerate(zip(lhs, rhs)):
-                    if not (x is y or x == y) and len(report["failures"]) < max_witnesses:
-                        report["failures"].append(("cocycle", g1, g2, g3))
+            if len(failures) < max_witnesses:
+                failures.append(("normalization", g))
+    for a, b, c in alpha.cocycle_failures(dict.fromkeys((0, *G.generators)), range(G.size)):
+        report["cocycle"] = False
+        if len(failures) >= max_witnesses:
+            break
+        failures.append(("cocycle", a, b, c))
     return report

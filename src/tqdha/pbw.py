@@ -120,8 +120,15 @@ word.  Each step below shows that the last group letters at which a family
 resolves are closed under products, hence form a subgroup of the finite
 group G, which is all of G once it holds the generators.  The proofs use
 the rewriting rules only, none of the checker's lemmas, so the oracle stays
-independent.  ttt is still run at generators although the load-time checks
-cover it: the oracle does not assume what it could check.
+independent.  ttt and ttv are still decided although the load-time checks
+cover them: the oracle does not assume what it could check.  It checks each
+law through the evaluator of the structure that states it,
+``Cocycle2.cocycle_failures`` and ``GroupAction.composition_failures``,
+which the load-time checks read with the first argument at the generators
+and the oracle with the last letter at its letters, so each law is
+evaluated in one place.  The tests' references reduce every word of these
+families themselves (``tests/reference.py``), so they stay independent of
+both evaluators.
 
 * ttt.  The first step fixes the side; after it each term is two group
   letters, then one, so each side has one reduction path:
@@ -132,7 +139,7 @@ cover it: the oracle does not assume what it could check.
   The coefficients are nonzero, so t_g t_h t_k resolves exactly when
   (gh)k = g(hk) in the group table and
   alpha(g, h) alpha(gh, k) = alpha(h, k) alpha(g, hk), call it A(g, h, k);
-  ``_associativity_failures`` tests the two for each word.
+  ``Cocycle2.cocycle_failures`` tests the two for each word.
   Let k1 and k2 satisfy A(., ., k) for every g and h.  Then A(gh, k1, k2),
   A(g, h, k1), A(g, hk1, k2) and A(h, k1, k2) give in turn
       alpha(g, h) alpha(gh, k1k2) alpha(k1, k2)
@@ -152,9 +159,9 @@ cover it: the oracle does not assume what it could check.
                          -> alpha(g, h) sum_l (sum_k h^i_k g^k_l) v_l t_(gh).
   The v_l t_(gh) are distinct irreducible words and alpha(g, h) != 0, so
   t_g t_h v_i resolves exactly when (gh)^i_l = sum_k h^i_k g^k_l for every
-  l, that is (gh)(v_i) = g(h(v_i)); ``_composition_failures`` tests this
-  for each word.  If h1 and h2 satisfy this for every g and i, then
-  (g h1 h2)(v) = (g h1)(h2(v)) = g(h1(h2(v))) = g((h1 h2)(v)).
+  l, that is (gh)(v_i) = g(h(v_i)); ``GroupAction.composition_failures``
+  tests this for each word.  If h1 and h2 satisfy this for every g and i,
+  then (g h1 h2)(v) = (g h1)(h2(v)) = g(h1(h2(v))) = g((h1 h2)(v)).
 * tvv.  Once ttt and ttv resolve at every element, the rules t_g t_h and
   t_g v_i alone are confluent, so B = T(V) # C^alpha G has the words w t_g
   (w a word in the v_i) as a basis, and reducing with those rules computes
@@ -183,12 +190,11 @@ from __future__ import annotations
 
 from itertools import chain, combinations, product
 from math import comb
-from operator import mul
 from typing import NamedTuple
 
-from .groups import Cocycle2, FiniteGroup, _PairTable
+from .groups import Cocycle2, FiniteGroup
 from .linalg import SparseSum, bump, echelon_basis, kernel_basis, same_span
-from .quantum import GroupAction, QMatrix, _row_times, check_action_extends
+from .quantum import GroupAction, QMatrix, check_action_extends
 from .scalars import ONE, ZERO, parse_scalar
 
 
@@ -676,28 +682,20 @@ FAMILIES = ("ttt", "ttv", "tvv", "vvv")
 RECHECK_FAMILIES = ("ttv", "tvv", "vvv")
 
 
-def _overlap_words(family: str, G: FiniteGroup, n: int, letters):
-    """The overlap words of one family, as (letters, witness tag).  The last
-    group letter of a word (t_k, t_h and t_h in t_g t_h t_k, t_g t_h v_i and
-    t_h v_j v_i) ranges over the elements ``letters``, every other group
-    letter over all of G."""
-    elements = range(G.size)
-    if family == "ttt":
-        for g, h, k in product(elements, elements, letters):
-            yield (n + g, n + h, n + k), ("ttt", g, h, k)
-    elif family == "ttv":
-        for g, h, i in product(elements, letters, range(n)):
-            yield (n + g, n + h, i), ("ttv", g, h, i)
-    elif family == "tvv":
+def _overlap_words(family: str, n: int, letters):
+    """The overlap words of tvv or vvv, as (letters, witness tag): t_h v_j v_i
+    with h in ``letters``, and v_k v_j v_i.  ttt and ttv are decided in
+    closed form, with no word written (``_CLOSED_FORMS``)."""
+    if family == "tvv":
         for h, (i, j) in product(letters, combinations(range(n), 2)):
             yield (n + h, j, i), ("tvv", h, j, i)
-    elif family == "vvv":
+    else:
         for i, j, k in combinations(range(n), 3):
             yield (k, j, i), ("vvv", k, j, i)
 
 
-# The most overlap words ``pbw-check --oracle`` decides: about 10 s of
-# work at the 1.4-1.8 million words a second the exhaustive oracle decides
+# The most overlap words ``pbw-check --oracle`` decides: about 3 s of
+# work at the 4.8-6.2 million words a second the exhaustive oracle decides
 # on twisted S5 (2-core box, Python 3.11).  Twisted S5's 1,801,210 words
 # pass it, twisted S6's 376,369,220 do not.
 MAX_ORACLE_WORDS = 15 * 10 ** 6
@@ -718,41 +716,39 @@ def _rewrite_at(word, p, n, action, q, alpha, events):
     return _reduce_letter_terms(terms, n, action, q, alpha, events)
 
 
-def _associativity_failures(words, action, alpha):
-    """ttt in closed form (module docstring): the failing words among the
-    numbered words, as {word number: tag}, and the number of words.  t_g t_h
-    t_k fails exactly when (gh)k != g(hk) or alpha(g, h) alpha(gh, k) !=
-    alpha(h, k) alpha(g, hk); the products of two distinct values of alpha
-    come from one ``groups._PairTable``, as in ``validate_cocycle``.  The
-    words read every product g h, so the group's rows are taken once,
-    through ``mul``, before the words."""
-    G, index, m = action.group, alpha.index, len(alpha.distinct)
-    mult = [[G.mul(a, b) for b in range(G.size)] for a in range(G.size)]
-    products = _PairTable(alpha.distinct, mul)
-    failures, w = {}, -1
-    for w, (_, tag) in words:
-        _, g, h, k = tag
-        gh, hk = mult[g][h], mult[h][k]
-        x = products[index[g][h] * m + index[gh][k]]
-        y = products[index[h][k] * m + index[g][hk]]
-        if mult[gh][k] != mult[g][hk] or not (x is y or x == y):
-            failures[w] = tag
-    return failures, w + 1
+def _positions(letters) -> dict:
+    """Each distinct letter, in order of first appearance, with its
+    positions in ``letters``, which can list a generator twice."""
+    at: dict = {}
+    for p, s in enumerate(letters):
+        at.setdefault(s, []).append(p)
+    return at
 
 
-def _composition_failures(words, action, alpha):
+def _associativity_failures(action, alpha, letters):
+    """ttt in closed form (module docstring): the failing words, as {word
+    number: tag} in word order, and the number of words.  The words are
+    t_g t_h t_k for every g and h and k in ``letters``, numbered in that
+    order by the position of k; t_g t_h t_k fails exactly when
+    ``alpha.cocycle_failures`` yields (g, h, k), the cocycle's own check of
+    the identity and of (gh)k = g(hk)."""
+    size, at = action.group.size, _positions(letters)
+    failures = {(g * size + h) * len(letters) + p: ("ttt", g, h, k)
+                for g, h, k in alpha.cocycle_failures(range(size), at) for p in at[k]}
+    return dict(sorted(failures.items())), size * size * len(letters)
+
+
+def _composition_failures(action, alpha, letters):
     """ttv in closed form (module docstring), in ``_associativity_failures``'
-    shape.  t_g t_h v_i fails exactly when row i of gh differs from the
-    sparse product of h's row i with g's rows (``quantum._row_times``, the
-    product the action's composition check takes); the factor alpha(g, h) of
-    both normal forms is nonzero and drops out, so alpha is not read."""
-    rows, times = action.rows_nz, action.group.mul
-    failures, w = {}, -1
-    for w, (_, tag) in words:
-        _, g, h, i = tag
-        if _row_times(rows[h][i], rows[g]) != dict(rows[times(g, h)][i]):
-            failures[w] = tag
-    return failures, w + 1
+    shape.  The words are t_g t_h v_i for every g, h in ``letters`` and
+    every i, numbered in that order by the position of h; t_g t_h v_i fails
+    exactly when ``action.composition_failures`` yields (g, h, i), the
+    action's own check that (gh)(v_i) = g(h(v_i)).  The factor alpha(g, h)
+    of both normal forms is nonzero and drops out, so alpha is not read."""
+    size, n, at = action.group.size, action.n, _positions(letters)
+    failures = {(g * len(letters) + p) * n + i: ("ttv", g, h, i)
+                for g, h, i in action.composition_failures(range(size), at) for p in at[h]}
+    return dict(sorted(failures.items())), size * len(letters) * n
 
 
 # the families that never meet the kappa rule, decided from their normal forms
@@ -782,14 +778,13 @@ class _OverlapTable:
         self.deferred = {}  # (i, j) -> [(word number, head, tail, factor of x[g, i, j])]
         self.columns = {}  # (g, i, j) -> column
         self.forms = {}  # (head, g, tail) -> normal form of head t_g tail
-        words = enumerate(_overlap_words(family, G, n, letters))
         if family in _CLOSED_FORMS:
-            self.tags, self.checked = _CLOSED_FORMS[family](words, action, alpha)
+            self.tags, self.checked = _CLOSED_FORMS[family](action, alpha, letters)
             self.fixed = set(self.tags)
         else:
             self.tags = {}  # word number -> witness tag
             self.fixed = set()  # the word numbers with D_0 != 0
-            self.checked = self._reduce(words, action)
+            self.checked = self._reduce(enumerate(_overlap_words(family, n, letters)), action)
 
     def _reduce(self, words, action) -> int:
         """Reduce each numbered word both ways, deferring its kappa terms;

@@ -10,7 +10,10 @@ ordered monomials v^gamma t_g form the canonical basis of the skew algebra.
 Action matrices follow the row convention g(v_i) = sum_k M[g][i][k] v_k, so
 matrices compose as M[gh] = M[h] . M[g].  ``GroupAction`` holds row i of
 M[g] as the pairs (k, M[g][i][k]) of its nonzero entries, and every reader
-takes the action from these rows.
+takes the action from these rows.  The composition law is evaluated in one
+place, ``GroupAction.composition_failures``: the action's construction
+check reads it with the first argument at the generators, and the rewriting
+oracle's ``ttv`` family with the second at its letters.
 """
 
 from __future__ import annotations
@@ -89,7 +92,12 @@ class GroupAction:
     the only form held; a reader that wants columns builds them from rows.
     The rows are checked on construction: their shapes and entry types,
     that the identity acts as the identity matrix, and the composition law
-    on the generators.
+    M[sg] = M[g] . M[s] for every generator s (every element when the group
+    records no generators) and every g; the first failing (s, g) is named.
+    That suffices: if x and y satisfy it for all g, then M[xyg] = M[yg] M[x]
+    = M[g] M[y] M[x] = M[g] M[xy], so the x that satisfy it are closed
+    under products, hence a subgroup, and it is all of G once it holds the
+    generators.
 
     What the routes derive from the action and a problem's q (and alpha, ...)
     is held here too, by ``derived``, so it is freed with the action."""
@@ -108,29 +116,23 @@ class GroupAction:
                 raise ActionError(f"matrix of element {g} has an entry that is not a scalar")
         if self.rows_nz[0] != tuple(((i, ONE),) for i in range(n)):
             raise ActionError("identity element must act as the identity matrix")
-        self._validate_composition()
+        for s, g, _ in self.composition_failures(group.generators, range(group.size)):
+            raise ActionError(f"matrices violate the composition law at (s={s}, g={g})")
 
-    def _validate_composition(self):
-        """M[sg] = M[g] . M[s] for every generator s (every element when the
-        group records no generators) and every g.  That suffices: if x and
-        y satisfy it for all g, then M[xyg] = M[yg] M[x] = M[g] M[y] M[x]
-        = M[g] M[xy], so the x that satisfy it are closed under products,
-        hence a subgroup, and it is all of G once it holds the generators.
-
-        Row i of M[g] . M[s] is summed by ``_row_times`` and compared with
-        row i of M[sg] as a dict of its nonzero entries, so a zero entry
-        held in a row fails the check.  The (s, g) are checked in the order
-        of the dense product, so the first failure and its message are
-        those of the dense check."""
-        G, rows = self.group, self.rows_nz
-        for s in G.generators:
-            rs = rows[s]
-            for g, rg in enumerate(rows):
-                for row, target in zip(rg, rows[G.mul(s, g)]):
-                    if _row_times(row, rs) != dict(target):
-                        raise ActionError(
-                            f"matrices violate the composition law at (s={s}, g={g})"
-                        )
+    def composition_failures(self, firsts, lasts):
+        """The (a, b, i) with a in ``firsts``, b in ``lasts`` and i a row, in
+        that order, at which row i of M[ab] differs from row i of
+        M[b] . M[a].  Row i of M[b] . M[a] is summed by ``_row_times`` and
+        compared with row i of M[ab] as a dict of its nonzero entries, so a
+        zero entry held in a row fails.  Each product ab is taken once."""
+        rows, times = self.rows_nz, self.group.mul
+        lasts = tuple(lasts)
+        for a in firsts:
+            ra = rows[a]
+            for b in lasts:
+                for i, (row, target) in enumerate(zip(rows[b], rows[times(a, b)])):
+                    if _row_times(row, ra) != dict(target):
+                        yield a, b, i
 
     def derived(self, build, *rest):
         """``build(self, *rest)``, computed on the first call with these

@@ -9,7 +9,9 @@ that lives here: an action's matrices in dense form and back (``dense``,
 variables (``value``) and a bilinear form {(g, i, j): c}'s value at one
 pair (``pair_value``), the skew group algebra S_q(V) #_a G multiplied term
 by term, the quantum minors of the paper's condition (1), the
-exhaustive condition system, the word reducer with kappa
+exhaustive condition system, the overlap words of every family in the
+oracle's order (``overlap_words``; the oracle writes no word of ttt and
+ttv), the word reducer with kappa
 (``rewrite_pair``, ``reduce_terms``, ``normal_form_reduce``), the
 Diamond-Lemma system of the overlap words (``rewriting_rows``) and the
 kernel dimension of a system mod a prime (``nullity_mod``), the diagonal
@@ -23,14 +25,14 @@ no scalar arithmetic and no ``linalg``.
 """
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from math import isqrt, lcm
 from operator import add
 
 from tqdha.cohomology import Cochain
 from tqdha.groups import FiniteGroup, perm_compose
 from tqdha.linalg import SparseSum, bump
-from tqdha.pbw import ConditionSystem, _ConditionSites, _OverlapTable, _require_extension
+from tqdha.pbw import ConditionSystem, _ConditionSites, _OverlapTable, _overlap_words, _require_extension
 from tqdha.quantum import GroupAction, QMatrix, reorder_factor
 from tqdha.scalars import MINUS_ONE, ONE, ZERO, CyclotomicScalar, rational, root_of_unity
 from tqdha.spin import section_factors
@@ -370,6 +372,23 @@ def nullity_mod(system: ConditionSystem, p: int | None = None) -> int:
         p = prime_for(N, {x.den for x in entries})
     return system.ncols - rank_mod(
         [{c: reduce_mod(x, p, N) for c, x in row.items()} for row in system.rows], p)
+
+
+def overlap_words(family: str, G: FiniteGroup, n: int, letters):
+    """The overlap words of one family, as (letters, witness tag), in the
+    oracle's word order.  The last group letter of a word (t_k, t_h and t_h
+    in t_g t_h t_k, t_g t_h v_i and t_h v_j v_i) ranges over ``letters``,
+    every other group letter over all of G.  The oracle decides ttt and ttv
+    in closed form without writing a word, so they are written here; tvv
+    and vvv are ``pbw._overlap_words``'."""
+    elements = range(G.size)
+    if family == "ttt":
+        return (((n + g, n + h, n + k), ("ttt", g, h, k))
+                for g, h, k in product(elements, elements, letters))
+    if family == "ttv":
+        return (((n + g, n + h, i), ("ttv", g, h, i))
+                for g, h, i in product(elements, letters, range(n)))
+    return _overlap_words(family, n, letters)
 
 
 def word_letters(word, n: int):

@@ -576,6 +576,38 @@ def per_triple_validation(alpha, max_witnesses=10):
     return report
 
 
+def skipping_the_last(method, at: int):
+    """``method`` (``cocycle_failures`` or ``composition_failures``) with a
+    planted fault: it drops each failure whose entry ``at`` is the last of
+    ``lasts``."""
+    def faulty(self, firsts, lasts):
+        lasts = tuple(lasts)
+        return (t for t in method(self, firsts, lasts) if t[at] != lasts[-1])
+    return faulty
+
+
+def test_the_per_triple_reference_shares_no_evaluator(monkeypatch):
+    """``validate_cocycle`` reads the identity through
+    ``Cocycle2.cocycle_failures``, and ``per_triple_validation`` evaluates
+    it itself.  A break at alpha(x, last element), x off the generators,
+    fails only triples (s, b, last) at the identity and the generators s,
+    so with the evaluator made to skip the last c the package passes the
+    table and the reference still fails it."""
+    alpha = spin_cocycle(symmetric_group(4))
+    G = alpha.group
+    x, last = next(g for g in range(1, G.size) if g not in G.generator_indices), G.size - 1
+    vals = table(alpha)
+    vals[x][last] = vals[x][last] * MINUS_ONE
+    broken = cocycle_from_values(G, vals)
+    ref = per_triple_validation(broken)
+    assert validate_cocycle(broken) == ref and not ref["cocycle"]
+    assert {w[3] for w in ref["failures"]} == {last}
+    monkeypatch.setattr(Cocycle2, "cocycle_failures",
+                        skipping_the_last(Cocycle2.cocycle_failures, 2))
+    assert validate_cocycle(broken) == {"normalized": True, "cocycle": True, "failures": []}
+    assert per_triple_validation(broken) == ref
+
+
 def stored_at_order_12(x):
     """x, a value of Q(zeta_6), stored at order 12 unless it is rational."""
     z = root_of_unity(12, 1)

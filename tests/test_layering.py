@@ -2,7 +2,8 @@
 nothing, so a foundation module loads only what it imports, and no route or
 I/O module; and the command line loads no standard module that its own code
 does not use.  Read from the source: only ``groups`` reads a group's table
-of products."""
+of products and a cocycle's table, and only ``quantum`` multiplies an
+action's rows, so each law is evaluated by the structure that states it."""
 
 import ast
 import glob
@@ -51,15 +52,48 @@ def test_cli_loads_neither_dataclasses_nor_inspect():
                  "print(*(m for m in ('dataclasses', 'inspect') if m in sys.modules))") == []
 
 
+def package_trees(but: str):
+    """(module file name, parsed source) of every package module but one."""
+    for path in sorted(glob.glob(os.path.join(ROOT, "src", "tqdha", "*.py"))):
+        if os.path.basename(path) != but:
+            with open(path, encoding="utf-8") as f:
+                yield os.path.basename(path), ast.parse(f.read())
+
+
+def named(tree, name: str) -> list:
+    """The lines that name ``name``: as a variable, an attribute or an
+    imported name."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id == name
+            or isinstance(node, ast.Attribute) and node.attr == name
+            or isinstance(node, ast.alias) and name in (node.name, node.asname)]
+
+
 def test_only_groups_reads_the_multiplication_table():
     """Every other module multiplies through ``FiniteGroup.mul``: no attribute
     named ``mult`` is read outside groups.py, so the table's format is that
     module's alone."""
     reads = []
-    for path in sorted(glob.glob(os.path.join(ROOT, "src", "tqdha", "*.py"))):
-        if os.path.basename(path) != "groups.py":
-            with open(path, encoding="utf-8") as f:
-                tree = ast.parse(f.read())
-            reads += [(os.path.basename(path), node.lineno) for node in ast.walk(tree)
-                      if isinstance(node, ast.Attribute) and node.attr == "mult"]
+    for name, tree in package_trees("groups.py"):
+        reads += [(name, node.lineno) for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "mult"]
+    assert reads == []
+
+
+def test_only_groups_reads_a_cocycle_table_and_only_quantum_multiplies_rows():
+    """A cocycle's table, its ``index`` and the ``_PairTable`` of products
+    over its distinct values, is read in groups.py alone, and an action's
+    rows are multiplied (``_row_times``) in quantum.py alone: every other
+    module reads a cocycle through its methods and an action's composition
+    law through ``GroupAction.composition_failures``.  A called ``index``,
+    such as ``perms.index(p)``, is a list search, not a table read."""
+    reads = []
+    for name, tree in package_trees("groups.py"):
+        called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        reads += [(name, line) for line in named(tree, "_PairTable")]
+        reads += [(name, node.lineno) for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "index"
+                  and id(node) not in called]
+    for name, tree in package_trees("quantum.py"):
+        reads += [(name, line) for line in named(tree, "_row_times")]
     assert reads == []

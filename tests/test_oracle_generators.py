@@ -13,13 +13,13 @@ from collections import Counter
 
 import pytest
 
+from reference import overlap_words
 from test_orbit_solver import BUNDLED, LEMMA_CASES, bundled, random_kappa
 from test_pbw import without_generators
 from tqdha.groups import cocycle_from_values
 from tqdha.pbw import (
     FAMILIES,
     KappaMap,
-    _overlap_words,
     overlap_word_count,
     solve_parameter_space,
     verify_ambiguities,
@@ -156,7 +156,7 @@ def test_overlap_word_count_is_the_number_of_words_written(name):
     counts = []
     for exhaustive in (False, True):
         letters = range(G.size) if exhaustive else G.generator_indices or range(G.size)
-        words = sum(1 for family in FAMILIES for _ in _overlap_words(family, G, n, letters))
+        words = sum(1 for family in FAMILIES for _ in overlap_words(family, G, n, letters))
         assert overlap_word_count(G, n, exhaustive) == words, exhaustive
         counts.append(words)
     assert (counts[0] == counts[1]) == (not G.generator_indices), counts

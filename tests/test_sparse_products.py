@@ -27,13 +27,14 @@ import pytest
 
 import reference
 from reference import GroupAlgebraElement, condition_system, reduce_terms, rewrite_pair, word_letters
+from test_groups import skipping_the_last
 from test_oracle_generators import planted_action, planted_cocycle
 from test_orbit_solver import BUNDLED, bundled, instance, random_kappa
 from test_pbw import cyclotomic_diagonal_instance, s3_instance
 from tqdha import pbw
 from tqdha.classify import kappa_one, symmetric_instance
 from tqdha.cohomology import constant_cocycle_basis, reynolds_project
-from tqdha.groups import symmetric_group
+from tqdha.groups import Cocycle2, group_from_permutations, symmetric_group, trivial_cocycle
 from tqdha.linalg import bump
 from tqdha.pbw import (
     FAMILIES,
@@ -42,7 +43,7 @@ from tqdha.pbw import (
     solve_parameter_space,
     verify_ambiguities,
 )
-from tqdha.quantum import QMatrix, natural_permutation_action
+from tqdha.quantum import GroupAction, QMatrix, natural_permutation_action
 from tqdha.scalars import rational
 from tqdha.spin import spin_cocycle
 
@@ -168,8 +169,18 @@ def test_oracle_equals_the_reference_on_planted_faults(name):
             assert got == want, exhaustive
 
 
+def s3_listing_a_generator_twice():
+    """S3 from the generators (0 1), (0 1 2), (0 1), as a problem file may
+    list them: ``G.generators`` repeats one, and the words at generators are
+    numbered by position in that list."""
+    G = group_from_permutations([(1, 0, 2), (1, 2, 0), (1, 0, 2)])
+    assert len(set(G.generators)) == 2 and len(G.generators) == 3
+    return natural_permutation_action(G), QMatrix.uniform(3, -1), trivial_cocycle(G)
+
+
 CLOSED_FORM_CASES = {
     "S3 q=-1": lambda: s3_instance()[1:],
+    "S3 with (0 1) twice": s3_listing_a_generator_twice,
     "S4 twisted": lambda: symmetric_instance(4, True)[1:],
     "Klein": lambda: bundled("klein_bicharacter_diag"),
     "Z/6xZ/6 seed 1": lambda: cyclotomic_diagonal_instance(1),
@@ -183,7 +194,7 @@ def reduced_table(family, action, q, alpha, exhaustive):
     G, n = action.group, action.n
     letters = range(G.size) if exhaustive else G.generator_indices or range(G.size)
     failures, events, checked = {}, [], 0
-    for w, (word, tag) in enumerate(pbw._overlap_words(family, G, n, letters)):
+    for w, (word, tag) in enumerate(reference.overlap_words(family, G, n, letters)):
         checked += 1
         if (pbw._rewrite_at(word, 0, n, action, q, alpha, events)
                 != pbw._rewrite_at(word, 1, n, action, q, alpha, events)):
@@ -209,6 +220,24 @@ def test_closed_form_tables_equal_reducing_every_word(name):
             checked, list(failures.items()), set(failures), {}), (kind, family, exhaustive)
         planted = {"planted cocycle": "ttt", "planted action": "ttv"}.get(kind)
         assert bool(failures) == (family == planted), (kind, family, exhaustive)
+
+
+def test_the_reduced_table_shares_no_evaluator(monkeypatch):
+    """The ttt and ttv tables read ``Cocycle2.cocycle_failures`` and
+    ``GroupAction.composition_failures``, and ``reduced_table`` reduces the
+    words itself.  With each evaluator made to skip its last letter (k in
+    t_g t_h t_k, h in t_g t_h v_i), the planted problems' tables lose words
+    that the reference still fails."""
+    action, q, alpha = CLOSED_FORM_CASES["S4 twisted"]()
+    problems = {"ttt": (action, planted_cocycle(alpha)), "ttv": (planted_action(action), alpha)}
+    monkeypatch.setattr(Cocycle2, "cocycle_failures",
+                        skipping_the_last(Cocycle2.cocycle_failures, 2))
+    monkeypatch.setattr(GroupAction, "composition_failures",
+                        skipping_the_last(GroupAction.composition_failures, 1))
+    for (family, (act, al)), exhaustive in product(problems.items(), (False, True)):
+        failures, checked = reduced_table(family, act, q, al, exhaustive)
+        table = pbw._OverlapTable(act, q, al, family, exhaustive)
+        assert table.checked == checked and set(failures) > table.fixed, (family, exhaustive)
 
 
 ENGINE = ("_first_redex", "_apply_rule", "_reduce_letter_terms", "_rewrite_at")
