@@ -13,7 +13,7 @@ structures (``scripts/load_digest.py``), the exhaustive rewriting oracle on
 twisted S5, the direct solver against the cohomology route on untwisted S7
 (``SOLVER_CHILD``), the refusals of ``pbw-check --oracle`` on twisted S6
 and of ``alpha-table 7`` (exit 3),
-``compare_twisted_untwisted.py --max-n 7``, five short
+``verify-cover --n 7``, ``compare_twisted_untwisted.py --max-n 7``, five short
 perfbench runs, ``selftest`` and the tier-1 suite with ``--durations=0``.
 
 For each run it records the wall time, the command's own peak RSS
@@ -208,6 +208,14 @@ def entries(scratch: str) -> dict:
         CLI + ["alpha-table", "7"], 3,
         sha256="df6113c779ef9f867971a88ae864c0cecb2895eb1248e3207b36ddd8f7e0ddb8",
         expect={"error": "validation"}, under={"wall_s": 1, "peak_rss_mb": 32})
+    # verify-cover reads S7's permutations and never multiplies in the group,
+    # so S7's table is not built: 0.4-0.6 s and 17-18 MB, against 1.6-1.8 s
+    # and 212 MB when symmetric_group filled the table at construction
+    # (2-core box, Python 3.11); the sha256 pins the report of both
+    out["ci/verify-cover.7"] = Check(
+        CLI + ["verify-cover", "--n", "7"],
+        sha256="dc4e7e002d6f0a47ea3e1c3417763589fc7cb9c86c901638287039062adaf062",
+        expect={"all_passed": True}, under={"wall_s": 1.5, "peak_rss_mb": 48})
     out["ci/solve.s7"] = Check(
         [sys.executable, "-c", SOLVER_CHILD], expect={"dimension": 5, "same_space": True},
         under={"wall_s": 6, "solve_s": 1, "cohomology_s": 1, "peak_rss_mb": 300})

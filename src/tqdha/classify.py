@@ -98,10 +98,12 @@ class EtaFamilyElement(NamedTuple):
 @lru_cache(maxsize=None)
 def _symmetric_lookup(n: int):
     """S_n, its index of each permutation, and q = -1: what the closed forms
-    read, with no action built.  Memoized on n, and it holds no action or
-    cocycle: the closed forms and ``symmetric_instance`` must share one S_n
-    and one q, as ``pbw.require_kappa_on`` and ``KappaMap`` equality compare
-    them by identity."""
+    read, with no action built.  They read S_n's permutations only, so S_n's
+    table, filled at its first product (``groups.symmetric_group``), is not
+    built here.  Memoized on n, and it holds no action or cocycle: the
+    closed forms and ``symmetric_instance`` must share one S_n and one q, as
+    ``pbw.require_kappa_on`` and ``KappaMap`` equality compare them by
+    identity."""
     group = symmetric_group(n)
     return group, {p: g for g, p in enumerate(group.perms)}, QMatrix.uniform(n, -1)
 

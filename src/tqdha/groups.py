@@ -5,7 +5,9 @@ and ``FiniteGroup.mul(g, h)`` is the product g*h (for permutation groups this
 is function composition, h applied first).  The routes multiply through
 ``mul``, ``conjugate`` and ``inv``; the dense table ``mult`` that ``mul``
 reads is the group's store, and only this module reads it.  Permutations
-are stored as 0-based image tuples.
+are stored as 0-based image tuples.  Every constructor fills and checks the
+table, except ``symmetric_group``: S_n's is filled at its first product,
+so a reader of its permutations alone never builds it.
 
 A 2-cocycle is stored the same way, as its distinct values and an integer
 table of positions in them; ``cocycle_from_values`` is the one place that
@@ -19,7 +21,7 @@ table.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache, reduce
-from itertools import product
+from itertools import permutations, product
 from math import gcd, lcm, prod
 from operator import mul, truediv
 from typing import NamedTuple
@@ -127,29 +129,61 @@ class FiniteGroup:
     multiply through ``mul`` and ``conjugate``, with the inverses ``inv``,
     the ``generators`` and the cached class attributes.  ``mult[g][h]``, the
     dense table of products, is where the products are stored, and only
-    this module reads it."""
+    this module reads it.  Given its rows, the group checks and stores them
+    at construction; given only ``perms`` and ``generator_indices`` (as
+    ``symmetric_group`` builds it), it fills the table at the first read of
+    ``mult`` or ``inv``, with the same checks."""
 
-    def __init__(self, mult, name="group", perms=None, labels=None, generator_indices=None):
-        self.size = len(mult)
-        if not self.size:
-            raise GroupConstructionError("a group has at least one element, its identity")
-        self.mult = tuple(tuple(row) for row in mult)
+    def __init__(self, mult=None, name="group", perms=None, labels=None, generator_indices=None):
         self.name = name
         self.perms = tuple(perms) if perms is not None else None
         self.labels = tuple(labels) if labels is not None else None
         self.generator_indices = tuple(generator_indices) if generator_indices else ()
+        if mult is None:
+            # ``symmetric_group`` alone: the table is filled at its first read
+            self.size = len(self.perms)
+            return
+        self.size = len(mult)
+        if not self.size:
+            raise GroupConstructionError("a group has at least one element, its identity")
+        self._store(mult)
+
+    def _store(self, mult) -> tuple:
+        """Hold ``mult`` as the table and its inverses as ``inv``, once 0 is
+        checked to be a two-sided identity and every element to have a
+        two-sided inverse; returns the table."""
+        self.mult = mult = tuple(tuple(row) for row in mult)
         for g in range(self.size):
-            if self.mult[0][g] != g or self.mult[g][0] != g:
+            if mult[0][g] != g or mult[g][0] != g:
                 raise GroupConstructionError("index 0 is not a two-sided identity")
         inv = []
-        for g, row in enumerate(self.mult):
+        for g, row in enumerate(mult):
             if 0 not in row:
                 raise GroupConstructionError(f"element {g} has no inverse")
             h = row.index(0)
-            if self.mult[h][g] != 0:
+            if mult[h][g] != 0:
                 raise GroupConstructionError(f"one-sided inverse at element {g}")
             inv.append(h)
         self.inv = tuple(inv)
+        return mult
+
+    @cached_property
+    def mult(self) -> tuple:
+        """The table of a group built from its permutations and generators
+        alone (``symmetric_group``), filled at its first read from the left
+        translations L_s of the generators (``_table_from_left``): L_s maps
+        the index of a to the index of s a."""
+        index = {p: i for i, p in enumerate(self.perms)}
+        left = [[index[perm_compose(self.perms[s], p)] for p in self.perms]
+                for s in self.generator_indices]
+        return self._store(_table_from_left(self.size, left))
+
+    @cached_property
+    def inv(self) -> tuple:
+        """The inverses, held with the table by ``_store``; reading them
+        first fills the table."""
+        self.mult
+        return vars(self)["inv"]
 
     def __repr__(self):
         return f"FiniteGroup({self.name}, size={self.size})"
@@ -333,9 +367,10 @@ def group_from_permutations(generators, degree=None, name=None) -> FiniteGroup:
     """Closure of permutation generators, canonically ordered: identity first,
     then sorted by image tuple.  Associativity is structural.
 
-    The table is filled from the generators (``_table_from_left``): the
-    only permutations composed are a generator s times each element, which
-    gives left multiplication by s as a map L_s on indices."""
+    The table is filled from the generators (``FiniteGroup.mult``) at
+    construction: the only permutations composed are a generator s times
+    each element, which gives left multiplication by s as a map L_s on
+    indices."""
     gens = [tuple(g) for g in generators]
     if degree is None:
         if not gens:
@@ -362,14 +397,10 @@ def group_from_permutations(generators, degree=None, name=None) -> FiniteGroup:
                     nxt.append(q)
         frontier = nxt
     ordered = sorted(elements)  # identity is lexicographically least
-    index = {p: i for i, p in enumerate(ordered)}
-    left = [[index[perm_compose(g, p)] for p in ordered] for g in gens]
-    return FiniteGroup(
-        _table_from_left(len(ordered), left),
-        name=name or f"perm-group(deg {degree}, order {len(ordered)})",
-        perms=ordered,
-        generator_indices=[index[g] for g in gens],
-    )
+    group = FiniteGroup(name=name or f"perm-group(deg {degree}, order {len(ordered)})",
+                        perms=ordered, generator_indices=[ordered.index(g) for g in gens])
+    group.mult  # filled and checked at construction
+    return group
 
 
 def group_from_cyclic_orders(orders, name=None) -> FiniteGroup:
@@ -419,19 +450,29 @@ def symmetric_order(n: int) -> int:
 
 @lru_cache(maxsize=None)
 def symmetric_group(n: int) -> FiniteGroup:
-    """S_n acting on {0..n-1}, canonically ordered by image tuple.  An n
+    """S_n acting on {0..n-1}, its elements the permutations in lexicographic
+    order, with generators (0 1) and, for n > 2, the n-cycle i -> i+1.  An n
     that ``symmetric_order`` refuses is refused before any permutation is
     built.  Memoized on n, holding the group alone: the closed forms of
     ``classify`` and every S_n instance must share one group object, since
     ``pbw.require_kappa_on`` and ``KappaMap`` equality compare groups by
-    identity."""
+    identity.
+
+    This is the group ``group_from_permutations`` closes from the same
+    generators, element for element.  ``itertools.permutations`` of the
+    sorted range lists the permutations in lexicographic order, which is
+    the sorted order of their image tuples, the order of the closure.
+    Conjugating (0 1) by the powers of the n-cycle gives every (i i+1),
+    and these generate S_n, so the closure holds all n! permutations.  The
+    generator indices are the same, so are the left translations the table
+    is filled from, and so are ``mult`` and ``inv``.  The table is filled
+    at the first product: readers of ``perms``, ``size`` and
+    ``generators`` alone (the closed forms, ``spin.verify_cover``) never
+    build S_n's n! x n! entries."""
     symmetric_order(n)
-    if n == 1:
-        return FiniteGroup([[0]], name="S1", perms=[(0,)])
-    gens = [perm_from_cycles(n, [(0, 1)])]
-    if n > 2:
-        gens.append(perm_from_cycles(n, [tuple(range(n))]))
-    return group_from_permutations(gens, degree=n, name=f"S{n}")
+    perms = list(permutations(range(n)))
+    gens = [perm_from_cycles(n, [cycle]) for cycle in ((0, 1), tuple(range(n)))[:n - 1]]
+    return FiniteGroup(name=f"S{n}", perms=perms, generator_indices=[perms.index(g) for g in gens])
 
 
 # ---------------------------------------------------------------------------

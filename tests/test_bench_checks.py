@@ -2,7 +2,9 @@
 running any of it: its verdict on fake runs, and every record that carries a
 pin, a JSON assertion or a bound against the values those checks had when
 they were steps of the CI workflow, so a check loosened or dropped fails
-here.  Also the range ``compare_twisted_untwisted.py --max-n`` accepts."""
+here.  Also the range ``compare_twisted_untwisted.py --max-n`` accepts, and
+that each record of scripts/mutants.py names a text that occurs exactly
+once in its file, so the list of mutants cannot rot unseen."""
 
 import importlib.util
 import os
@@ -37,7 +39,8 @@ PERFBENCH = {"correct": True, "failed": 0}
 # n = 4 to 7, a superset.  ``ci/pbw-check.s6_twisted.oracle`` and
 # ``ci/alpha-table.7`` came later, as entries, and are the ones that expect
 # an exit code other than 0 (``EXIT_CODES``).  The peak_rss_mb bound of
-# ``compare_twisted_untwisted.max-n.7`` came later too.
+# ``compare_twisted_untwisted.max-n.7`` came later too, and so did
+# ``ci/verify-cover.7``, whose bounds guard S7's table left unbuilt.
 EXIT_CODES = {"ci/pbw-check.s6_twisted.oracle": 3, "ci/alpha-table.7": 3}
 WORKFLOW = {
     "ci/classify-symmetric.6": (
@@ -71,6 +74,10 @@ WORKFLOW = {
     "ci/alpha-table.7": (
         ["alpha-table", "7"], "df6113c779ef9f867971a88ae864c0cecb2895eb1248e3207b36ddd8f7e0ddb8",
         {"error": "validation"}, {"wall_s": 1, "peak_rss_mb": 32}),
+    "ci/verify-cover.7": (
+        ["verify-cover", "--n", "7"],
+        "dc4e7e002d6f0a47ea3e1c3417763589fc7cb9c86c901638287039062adaf062",
+        {"all_passed": True}, {"wall_s": 1.5, "peak_rss_mb": 48}),
     "ci/solve.s7": (
         [bench.SOLVER_CHILD], None, {"dimension": 5, "same_space": True},
         {"wall_s": 6, "solve_s": 1, "cohomology_s": 1, "peak_rss_mb": 300}),
@@ -136,6 +143,7 @@ def _good(check):
     ("ci/pbw-check.s6_twisted.oracle", {"wall_s": 2.0}, "wall_s = 2.0, bound: under 2"),
     ("ci/alpha-table.7", {"exit_code": 0}, "exit code 0, expected 3"),
     ("ci/alpha-table.7", {"wall_s": 1.0}, "wall_s = 1.0, bound: under 1"),
+    ("ci/verify-cover.7", {"peak_rss_mb": 212.1}, "peak_rss_mb = 212.1, bound: under 48"),
     ("compare_twisted_untwisted.max-n.7", {"peak_rss_mb": 470.0},
      "peak_rss_mb = 470.0, bound: under 470"),
     ("golden/check-extension.weyl2", {"sha256": "0" * 64}, f"stdout sha256 {'0' * 64}, expected"),
@@ -199,3 +207,10 @@ def test_the_report_counts_the_package_per_module():
     lines = bench.package_code_lines()
     assert lines["total"] == sum(lines["modules"].values()) > 0
     assert "pbw.py" in lines["modules"] and "__init__.py" in lines["modules"]
+
+
+def test_every_mutant_record_names_a_text_that_occurs_once():
+    mutants = _script("mutants")
+    counts = {name: mutants.occurrences(mutants.ROOT, m) for name, m in mutants.MUTANTS.items()}
+    assert counts and set(counts.values()) == {1}, counts
+    assert all(m.text != m.replacement and m.tests for m in mutants.MUTANTS.values())

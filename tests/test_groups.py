@@ -416,6 +416,36 @@ def test_symmetric_group_is_built_once_per_n():
     assert symmetric_group(4) is symmetric_group(4)
 
 
+def symmetric_closure(n):
+    """S_n as ``group_from_permutations`` closes it from (0 1) and, for
+    n > 2, the n-cycle i -> i+1."""
+    gens = {1: [], 2: [(1, 0)]}.get(n, [(1, 0, *range(2, n)), (*range(1, n), 0)])
+    return group_from_permutations(gens, degree=n, name=f"S{n}")
+
+
+def group_parts(G):
+    return G.perms, G.generator_indices, G.name, G.size, G.mult, G.inv
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_symmetric_group_lists_the_closure_of_its_generators(n):
+    assert group_parts(symmetric_group.__wrapped__(n)) == group_parts(symmetric_closure(n))
+
+
+def test_symmetric_group_builds_no_table_for_its_permutations():
+    G = symmetric_group.__wrapped__(6)
+    assert (len(G.perms), G.size, len(G.generators)) == (720, 720, 2)
+    assert "mult" not in vars(G) and "inv" not in vars(G)
+
+
+def test_first_product_fills_the_symmetric_table():
+    G, closure = symmetric_group.__wrapped__(5), symmetric_closure(5)
+    assert G.mul(7, 93) == closure.mult[7][93]
+    assert "mult" in vars(G) and (G.mult, G.inv) == (closure.mult, closure.inv)
+    G = symmetric_group.__wrapped__(5)
+    assert G.inv == closure.inv and G.mult == closure.mult
+
+
 def test_conjugacy_classes_s4():
     g = symmetric_group(4)
     sizes = sorted(len(c) for c in conjugacy_classes(g))
